@@ -19,10 +19,8 @@
 //
 // The kernel subcommands honour SpRef push-down flags: -row-start /
 // -row-end restrict mult and bfs to a row band (only overlapping
-// tablets execute the kernel), -colq-start / -colq-end restrict mult's
-// output columns server-side, and -pre-agg-bytes sizes the RemoteWrite
-// ⊕ pre-aggregation buffer that folds partial products before they
-// cross the transport.
+// tablets execute the kernel) and -colq-start / -colq-end restrict
+// mult's output columns server-side.
 //
 // The -graph flag selects the workload:
 //
@@ -75,7 +73,6 @@ var (
 	rowEnd     = flag.String("row-end", "", "restrict mult/bfs to rows < this key (SpRef push-down; empty = unbounded)")
 	colqStart  = flag.String("colq-start", "", "restrict mult to column qualifiers >= this key (empty = unbounded)")
 	colqEnd    = flag.String("colq-end", "", "restrict mult to column qualifiers < this key (empty = unbounded)")
-	preAgg     = flag.Int("pre-agg-bytes", 0, "RemoteWrite ⊕ pre-aggregation buffer bytes per tablet pass (0 = 16 MiB default, negative disables)")
 	semiringF  = flag.String("semiring", "plus.times", "mult ⊕.⊗ semiring (plus.times, min.plus, max.plus, or.and, max.min)")
 
 	metricsAddr = flag.String("metrics-addr", "", "serve telemetry over HTTP on this address (/metrics, /queries, /debug/pprof); works for kernel runs and serve mode")
@@ -279,7 +276,7 @@ func run(algorithm string) error {
 
 	case "mult", "trace":
 		// C ⊕= Aᵀ·A over the ingested graph — the raw TableMult kernel,
-		// honouring the SpRef constraint and pre-aggregation flags. The
+		// honouring the SpRef constraint flags. The
 		// trace variant additionally prints the query's span tree and
 		// per-query counters after the multiply.
 		db, tg, err := openDB(g)
@@ -289,8 +286,7 @@ func run(algorithm string) error {
 		defer db.Close()
 		a, at, _ := tg.Tables()
 		n, err := db.TableMultOpts(at, a, "Gsq", graphulo.MultOptions{
-			Semiring:    *semiringF,
-			PreAggBytes: *preAgg,
+			Semiring: *semiringF,
 			Constraint: graphulo.ScanConstraint{
 				RowStart: *rowStart, RowEnd: *rowEnd,
 				ColQStart: *colqStart, ColQEnd: *colqEnd,

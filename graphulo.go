@@ -131,7 +131,7 @@ type (
 	// HITSResult holds hub and authority scores.
 	HITSResult = algo.HITSResult
 	// MultOptions configures the server-side TableMult kernel: semiring,
-	// batch size, SpRef constraint, and pre-aggregation buffer.
+	// batch size, SpRef constraint, and fold-stage budget.
 	MultOptions = core.MultOptions
 	// ScanConstraint restricts a kernel to a sub-associative-array (the
 	// paper's SpRef): a row band pushed into the scan so only
@@ -500,9 +500,9 @@ type ScanStats struct {
 	// filters (the column-qualifier band) before reaching kernel stages
 	// or the wire.
 	EntriesPrunedByRange int64
-	// PartialProductsFolded counts ⊗ partial products absorbed by
-	// RemoteWrite pre-aggregation (⊕-folded into a buffered output
-	// cell) instead of crossing the write path individually.
+	// PartialProductsFolded counts ⊗ partial products absorbed by the
+	// fold stage (⊕-folded into a buffered output cell) instead of
+	// crossing the write path or the wire individually.
 	PartialProductsFolded int64
 	// ScratchTablesCreated counts intermediate tables materialised by
 	// kernel drivers and plan execution — each one a write-then-rescan
@@ -885,8 +885,7 @@ func (db *DB) TableMult(tableAT, tableB, tableC, semiringName string) (int, erro
 
 // TableMultOpts is TableMult with full kernel options: the SpRef
 // constraint (row band pushed down to both operands' tablets, column
-// band filtered server-side) and the RemoteWrite pre-aggregation
-// buffer.
+// band filtered server-side) and the fold stage's buffer budget.
 func (db *DB) TableMultOpts(tableAT, tableB, tableC string, opts MultOptions) (int, error) {
 	return core.TableMult(db.conn, tableAT, tableB, tableC, opts)
 }
@@ -913,15 +912,14 @@ func (db *DB) TableAssign(tableIn, tableOut, rowOffset, colOffset string, c Scan
 // printed plan is the executed plan. Kernels: mult, apply, degrees,
 // bfs, ktruss, jaccard, tricount, assign.
 func (db *DB) ExplainPlan(kernel, table, out string) (string, error) {
-	return core.ExplainPlan(db.conn, kernel, table, out)
+	return core.ExplainPlan(kernel, table, out)
 }
 
 // ExplainPlan renders a kernel's compiled plan without a cluster: the
-// plan is identical to what a live driver executes, except the
-// planner's adaptive pre-aggregation sizing falls back to its default
-// budget (no table-size estimates to read).
+// planner reads nothing from one, so the plan is identical to what a
+// live driver executes.
 func ExplainPlan(kernel, table, out string) (string, error) {
-	return core.ExplainPlan(nil, kernel, table, out)
+	return core.ExplainPlan(kernel, table, out)
 }
 
 // ExplainKernels lists the kernel names ExplainPlan accepts.

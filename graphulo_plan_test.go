@@ -262,8 +262,8 @@ func TestTableAssign(t *testing.T) {
 }
 
 // TestExplainPlanSurface checks the explain surface: every kernel
-// compiles, kTruss reports a fused group, and TableMult shows the
-// adaptive pre-aggregation budget.
+// compiles, kTruss reports a fused group, and both sinks of a multiply
+// show the fold stage as its own line.
 func TestExplainPlanSurface(t *testing.T) {
 	db := mustOpen(ClusterConfig{})
 	defer db.Close()
@@ -290,7 +290,9 @@ func TestExplainPlanSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(mult, "pre-agg adaptive") {
-		t.Fatalf("mult explain must show the adaptive pre-agg budget:\n%s", mult)
+	for kernel, out := range map[string]string{"mult": mult, "ktruss": kt} {
+		if !strings.Contains(out, "- fold ⊕ plus.times ≤16 MiB\n") || strings.Contains(out, "pre-agg") {
+			t.Fatalf("%s explain must show the fold stage on its own line:\n%s", kernel, out)
+		}
 	}
 }

@@ -280,9 +280,9 @@ type Metrics struct {
 	// filters (the colRange column-qualifier band) before they reached
 	// kernel stages or the wire.
 	EntriesPrunedByRange atomic.Int64
-	// PartialProductsFolded counts partial products absorbed by
-	// RemoteWrite pre-aggregation (⊕-folded into an already-buffered
-	// output cell) instead of crossing the write path individually.
+	// PartialProductsFolded counts partial products absorbed by the
+	// fold stage (⊕-folded into an already-buffered output cell)
+	// instead of crossing the write path or the wire individually.
 	PartialProductsFolded atomic.Int64
 	// ScratchTablesCreated counts intermediate tables materialised by
 	// kernel drivers and plan execution — each one a write-then-rescan
@@ -772,7 +772,7 @@ func metricsSamples(m *Metrics) []telemetry.Sample {
 		{Name: "tablet_scans", Help: "Tablet scan passes served.", Value: m.TabletScans.Load()},
 		{Name: "tablets_pruned_by_range", Help: "Tablets skipped by range push-down.", Value: m.TabletsPrunedByRange.Load()},
 		{Name: "entries_pruned_by_range", Help: "Entries dropped by server-side range filters.", Value: m.EntriesPrunedByRange.Load()},
-		{Name: "partial_products_folded", Help: "Partial products absorbed by pre-aggregation.", Value: m.PartialProductsFolded.Load()},
+		{Name: "partial_products_folded", Help: "Partial products absorbed by the fold stage.", Value: m.PartialProductsFolded.Load()},
 		{Name: "scratch_tables_created", Help: "Intermediate tables materialised by kernel drivers.", Value: m.ScratchTablesCreated.Load()},
 		{Name: "shared_scan_folds", Help: "Scans folded onto another scan's physical tablet pass.", Value: m.SharedScanFolds.Load()},
 		{Name: "major_compactions", Help: "Completed major compactions.", Value: m.MajorCompactions.Load()},
@@ -864,8 +864,14 @@ func (mc *MiniCluster) persistIters(meta *tableMeta) error {
 // Connector returns a client connection, as Instance.getConnector would.
 func (mc *MiniCluster) Connector() *Connector { return &Connector{mc: mc} }
 
-// nextTs returns a fresh logical timestamp.
-func (mc *MiniCluster) nextTs() int64 { return mc.clock.Add(1) }
+// encodeStamped serialises one tablet's batch under a block of fresh
+// consecutive timestamps reserved on clock. Entries of one cell share a
+// tablet and keep their input order, so a later put carries the newer
+// stamp.
+func encodeStamped(clock *atomic.Int64, batch []skv.Entry) []byte {
+	n := int64(len(batch))
+	return skv.EncodeBatchStamped(batch, clock.Add(n)-n+1)
+}
 
 // ErrTransient marks a write failure that happened before any tablet
 // absorbed entries, so the whole batch may safely be retried. That
@@ -889,18 +895,6 @@ func (mc *MiniCluster) getTable(name string) (*tableMeta, error) {
 		return nil, fmt.Errorf("accumulo: table %q does not exist", name)
 	}
 	return t, nil
-}
-
-// tabletForRow locates the tablet owning row.
-func (t *tableMeta) tabletForRow(row string) *tabletRef {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	idx := sort.SearchStrings(t.splits, row)
-	// splits[i] is the first row of tablet i+1; row == split belongs right.
-	if idx < len(t.splits) && t.splits[idx] == row {
-		idx++
-	}
-	return t.tablets[idx]
 }
 
 // tabletsOverlapping returns the tablets whose row ranges intersect rng.
@@ -940,9 +934,42 @@ func (t *tableMeta) scopeStack(s Scope) []iterator.Setting {
 	return append([]iterator.Setting(nil), t.iters[s]...)
 }
 
-// write is the client-side ingest path: entries are stamped with fresh
-// timestamps, routed to their tablets, and shipped to each tablet's
-// server over the transport as one codec-serialised batch per tablet.
+// groupByTablet routes a batch over n tablets tiling the key space in
+// order (end(i) is tablet i's exclusive end row; the last is unbounded)
+// and returns each tablet's entries in input order. An entry usually
+// lands in the tablet of the one before it, so a sorted batch falls out
+// as one aliased sub-slice of the input per tablet; only a batch that
+// revisits a tablet copies.
+func groupByTablet(entries []skv.Entry, n int, end func(int) string) [][]skv.Entry {
+	groups := make([][]skv.Entry, n)
+	cur, lo := 0, 0
+	flush := func(hi int) {
+		if groups[cur] == nil {
+			// Capped, so a later append cannot write into the caller's batch.
+			groups[cur] = entries[lo:hi:hi]
+		} else {
+			groups[cur] = append(groups[cur], entries[lo:hi]...)
+		}
+		lo = hi
+	}
+	for i := range entries {
+		row := entries[i].K.Row
+		if (cur == 0 || row >= end(cur-1)) && (cur == n-1 || row < end(cur)) {
+			continue
+		}
+		flush(i)
+		// A row equal to a split boundary belongs to the right-hand tablet.
+		cur = sort.Search(n-1, func(j int) bool { return row < end(j) })
+	}
+	flush(len(entries))
+	return groups
+}
+
+// write is the client-side ingest path: entries are routed to their
+// tablets, stamped with fresh timestamps, and shipped to each tablet's
+// server over the transport as one codec-serialised batch per tablet, in
+// tablet order (so a mid-batch failure leaves the same tablets written
+// on every run).
 // q (nil = untraced) receives the batch's per-query wire counters.
 func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Query) error {
 	meta, err := mc.getTable(table)
@@ -955,16 +982,17 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 	}
 	start := time.Now()
 	defer func() { mc.tel.WriteBatch.Observe(time.Since(start)) }()
-	// Group by tablet.
-	groups := map[*tabletRef][]skv.Entry{}
-	for _, e := range entries {
-		e.K.Ts = mc.nextTs()
-		tr := meta.tabletForRow(e.K.Row)
-		groups[tr] = append(groups[tr], e)
-	}
+	meta.mu.RLock()
+	tablets := append([]*tabletRef(nil), meta.tablets...)
+	meta.mu.RUnlock()
+	groups := groupByTablet(entries, len(tablets), func(i int) string { return tablets[i].end })
 	wrote := false
-	for tr, batch := range groups {
-		wire := skv.EncodeBatch(batch)
+	for i, batch := range groups {
+		if len(batch) == 0 {
+			continue
+		}
+		tr := tablets[i]
+		wire := encodeStamped(&mc.clock, batch)
 		// Budget enforcement shares the wire-byte counting site: the charge
 		// happens before the batch ships, so an over-budget query fails
 		// without the write landing.

@@ -328,15 +328,13 @@ func (b *daemonBackend) writeEntries(table string, entries []skv.Entry, q *telem
 	}
 	start := time.Now()
 	defer func() { b.s.tel.WriteBatch.Observe(time.Since(start)) }()
-	groups := map[int][]skv.Entry{}
-	for _, e := range entries {
-		e.K.Ts = b.s.clock.Add(1)
-		idx := tt.route(e.K.Row)
-		groups[idx] = append(groups[idx], e)
-	}
+	groups := groupByTablet(entries, len(tt.tablets), func(i int) string { return tt.tablets[i].end })
 	for idx, batch := range groups {
+		if len(batch) == 0 {
+			continue
+		}
 		tb := tt.tablets[idx]
-		wire := skv.EncodeBatch(batch)
+		wire := encodeStamped(&b.s.clock, batch)
 		b.s.metrics.WireBytes.Add(int64(len(wire)))
 		b.s.metrics.RPCs.Add(1)
 		q.Add(telemetry.WireBytes, int64(len(wire)))

@@ -98,7 +98,7 @@ type scanBackend interface {
 	openStream(table string, ranges []skv.Range, families []string, extra []iterator.Setting, tc traceCtx) (*EntryStream, error)
 	writeEntries(table string, entries []skv.Entry, q *telemetry.Query) error
 	// metrics returns the backend's metrics sink, so server-side
-	// iterator counters (range pruning, pre-aggregation folds) land in
+	// iterator counters (range pruning, fold-stage folds) land in
 	// the right process's counters.
 	metrics() *Metrics
 }
@@ -703,7 +703,7 @@ func (e *scanEnv) CountRangePruned(n int) {
 }
 
 // CountFolded implements iterator.Counters: partial products absorbed
-// by RemoteWrite pre-aggregation.
+// by the fold stage.
 func (e *scanEnv) CountFolded(n int) {
 	e.backend.metrics().PartialProductsFolded.Add(int64(n))
 	e.tc.q.Add(telemetry.PartialProductsFolded, int64(n))

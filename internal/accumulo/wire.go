@@ -335,19 +335,6 @@ func (t *topology) find(table string) *topoTable {
 	return nil
 }
 
-// route returns the index of the tablet owning row. Tablets cover the
-// full key space in order, so the first tablet whose end bound admits
-// the row owns it (a row equal to a split boundary belongs to the
-// right-hand tablet, as in tableMeta.tabletForRow).
-func (tt *topoTable) route(row string) int {
-	for i, tb := range tt.tablets {
-		if tb.end == "" || row < tb.end {
-			return i
-		}
-	}
-	return len(tt.tablets) - 1
-}
-
 func appendTopology(dst []byte, t *topology) []byte {
 	if t == nil {
 		return append(dst, 0)

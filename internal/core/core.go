@@ -11,12 +11,13 @@
 // A kernel call is one scan over the hosted table carrying the kernel's
 // iterator stack. The scan executes as a streaming pipeline: each of the
 // table's tablets runs the stack — remote-source alignment, ⊗ products,
-// RemoteWrite batching — where the tablet lives, and up to
+// the bounded ⊕-fold stage, RemoteWrite — where the tablet lives, and up to
 // ScanParallelism tablets execute concurrently, matching the paper's
 // §I.A/§IV data flow in which tablet servers work in parallel and
 // results move tablet→tablet. The client consumes a cursor of
 // monitoring entries (one per tablet, carrying the count written), so
-// kernel memory on every side is bounded by wire batches: the remote
+// kernel memory on every side is bounded by wire batches and the fold
+// stage's fixed budget: the remote
 // side of a TwoTableIterator is itself a streaming scan, not a
 // materialised copy of the operand table. Drivers that do read data
 // back (degree vectors, peel sets) consume the same cursor API and fold
@@ -58,32 +59,15 @@ type ScanConstraint struct {
 	Families []string
 }
 
-// rowRange returns the constraint's row band as a scan range.
-func (c ScanConstraint) rowRange() skv.Range { return skv.RowRange(c.RowStart, c.RowEnd) }
-
-// colSetting returns the server-side column-qualifier filter setting,
-// or ok=false when no column bound is set.
-func (c ScanConstraint) colSetting(priority int) (iterator.Setting, bool) {
-	if c.ColQStart == "" && c.ColQEnd == "" {
-		return iterator.Setting{}, false
-	}
-	return iterator.Setting{Name: "colRange", Priority: priority, Opts: map[string]string{
-		"minColQ": c.ColQStart, "maxColQ": c.ColQEnd,
-	}}, true
-}
-
-// DefaultPreAggBytes is the ceiling of the RemoteWrite pre-aggregation
-// buffer — the planner's adaptive sizing (see plan.Compile) never
-// exceeds it, and it is the budget used when no density observations
-// exist. Tune per kernel with MultOptions.PreAggBytes.
+// DefaultPreAggBytes is the fixed budget of the ⊕-fold stage the planner
+// places below the sink of every multiply chain (see plan.Compile).
 const DefaultPreAggBytes = plan.DefaultPreAggBytes
 
 // MultOptions configures TableMult.
 type MultOptions struct {
 	// Semiring names the ⊕.⊗ pair (default "plus.times"). The ⊗ runs in
 	// the TwoTableIterator; the ⊕ is the summing combiner on the result
-	// table — and, with pre-aggregation on, the map-side fold in
-	// RemoteWrite.
+	// table and, before that, the fold stage below RemoteWrite.
 	Semiring string
 	// BatchSize is the RemoteWrite batch size (default 4096).
 	BatchSize int
@@ -94,13 +78,10 @@ type MultOptions struct {
 	// rfiles prune too); ColQStart/ColQEnd bound B's column qualifiers,
 	// i.e. C's columns.
 	Constraint ScanConstraint
-	// PreAggBytes bounds the RemoteWrite pre-aggregation buffer: partial
-	// products are ⊕-folded per output cell where they are produced and
-	// only folded cells cross the write path, spilling at capacity. 0
-	// lets the planner size the buffer from the operand's entry estimate
-	// and the cluster's observed fold ratio, clamped to at most
-	// DefaultPreAggBytes; negative disables pre-aggregation. Results are
-	// cell-identical either way; only write volume changes.
+	// PreAggBytes bounds the fold stage's buffer. 0 is
+	// DefaultPreAggBytes; negative places no fold stage; a small positive
+	// value forces constant spilling. It is a test hook: results are
+	// cell-identical whatever the value, only write volume changes.
 	PreAggBytes int
 	// Query attaches the multiply to a caller-owned telemetry query —
 	// composite kernels (kTruss, Jaccard, PageRank, …) thread theirs
@@ -131,30 +112,6 @@ func planEnv(conn *accumulo.Connector, q *telemetry.Query) plan.Env {
 	}
 }
 
-// planOptions builds compilation options for a kernel: scratch tables
-// are suffixed with the query's trace id so concurrent kernels on the
-// same tables never collide, and the planner's adaptive decisions read
-// the cluster's table-size estimates and historical fold ratio.
-func planOptions(conn *accumulo.Connector, kernel, scratchBase string, q *telemetry.Query) plan.Options {
-	m := &conn.Cluster().Metrics
-	return plan.Options{
-		Kernel:      kernel,
-		ScratchBase: scratchBase,
-		TraceID:     q.Trace().String(),
-		Stats: plan.Stats{
-			EntryEstimate: func(table string) int {
-				n, err := conn.TableOperations().EntryEstimate(table)
-				if err != nil {
-					return 0
-				}
-				return n
-			},
-			Folded:  m.PartialProductsFolded.Load(),
-			Written: m.EntriesWritten.Load(),
-		},
-	}
-}
-
 // runPlan compiles and executes a node tree under the kernel's query.
 func runPlan(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase string, q *telemetry.Query) (*plan.Result, error) {
 	return runPlanVisit(conn, root, kernel, scratchBase, q, nil)
@@ -164,7 +121,9 @@ func runPlan(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase stri
 // step hands entries to visit as they arrive instead of accumulating
 // them in the result.
 func runPlanVisit(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase string, q *telemetry.Query, visit func(skv.Entry) error) (*plan.Result, error) {
-	p, err := plan.Compile(root, planOptions(conn, kernel, scratchBase, q))
+	// Scratch tables are suffixed with the query's trace id so concurrent
+	// kernels on the same tables never collide.
+	p, err := plan.Compile(root, plan.Options{Kernel: kernel, ScratchBase: scratchBase, TraceID: q.Trace().String()})
 	if err != nil {
 		return nil, err
 	}
@@ -189,11 +148,11 @@ func startQuery(conn *accumulo.Connector, kernel string, owned *telemetry.Query,
 
 // TableMult computes C ⊕= Aᵀ·B entirely server-side: table tableAT must
 // hold Aᵀ (rows = inner dimension); a scan over tableB's tablets runs
-// the TwoTableIterator (⊗ and alignment) topped by a RemoteWriteIterator
-// that ⊕-pre-aggregates partial products and streams the folded cells
-// into tableC, whose matching combiner performs the final ⊕. Returns the
-// number of entries written into tableC (with pre-aggregation off, the
-// raw partial-product count).
+// the TwoTableIterator (⊗ and alignment), the fold stage that ⊕-folds
+// its partial products per output cell, and a RemoteWriteIterator that
+// streams the folded cells into tableC, whose matching combiner
+// performs the final ⊕. Returns the number of entries written into
+// tableC (without a fold stage, the raw partial-product count).
 //
 // The scan honours opts.Constraint: a row band restricts the inner
 // dimension and is pushed down both to B's tablets and each pass's
@@ -227,8 +186,8 @@ func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts Mu
 	return res.Written, nil
 }
 
-// multPlan is TableMult's node tree — one fused scan-mult-write pass —
-// shared with Explain so the printed plan is the executed plan.
+// multPlan is TableMult's node tree — one fused scan-mult-fold-write
+// pass — shared with Explain so the printed plan is the executed plan.
 func multPlan(tableAT, tableB, tableC string, opts MultOptions) *plan.Node {
 	return plan.Write(
 		plan.Mult(plan.Scan(tableB, plan.Constraint(opts.Constraint)), tableAT, opts.Semiring),
@@ -442,9 +401,9 @@ func oneTableQ(conn *accumulo.Connector, tableIn, tableOut string, settings []it
 }
 
 // oneTablePlan is OneTable's node tree: apply stages fused over the
-// scan, sunk into the output table with pre-aggregation off (a chain
-// without a multiply carries at most one entry per input cell, so a
-// fold buffer has nothing to fold).
+// scan, sunk into the output table with no fold stage (a chain without
+// a multiply carries at most one entry per input cell, so there is
+// nothing to fold).
 func oneTablePlan(tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint) *plan.Node {
 	var n *plan.Node = plan.Scan(tableIn, plan.Constraint(c))
 	if len(settings) > 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
 	"graphulo/internal/plan"
 	"graphulo/internal/schema"
@@ -14,13 +13,12 @@ import (
 // ExplainPlan compiles the named kernel's plan over table (writing to
 // out where the kernel writes) and renders the node tree with fused
 // groups marked — the same builder functions the drivers execute, so
-// the printed plan is the executed plan. conn may be nil: the plan
-// still compiles, but the planner's adaptive pre-aggregation sizing
-// falls back to its default budget (no table-size estimates to read).
+// the printed plan is the executed plan. Compilation reads nothing from
+// a cluster, so none is needed.
 //
 // Kernels: mult, apply, degrees (reduce), bfs, ktruss, jaccard,
 // tricount, assign (spAsgn).
-func ExplainPlan(conn *accumulo.Connector, kernel, table, out string) (string, error) {
+func ExplainPlan(kernel, table, out string) (string, error) {
 	var root *plan.Node
 	var name string
 	switch strings.ToLower(kernel) {
@@ -53,12 +51,7 @@ func ExplainPlan(conn *accumulo.Connector, kernel, table, out string) (string, e
 	default:
 		return "", fmt.Errorf("core: no plan for kernel %q (try mult, apply, degrees, bfs, ktruss, jaccard, tricount, assign)", kernel)
 	}
-	opts := plan.Options{Kernel: name, ScratchBase: out, TraceID: "explain"}
-	if conn != nil {
-		opts = planOptions(conn, name, out, nil)
-		opts.TraceID = "explain"
-	}
-	p, err := plan.Compile(root, opts)
+	p, err := plan.Compile(root, plan.Options{Kernel: name, ScratchBase: out, TraceID: "explain"})
 	if err != nil {
 		return "", err
 	}

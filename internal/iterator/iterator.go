@@ -7,7 +7,8 @@
 //
 // The package provides the standard stack (versioning, filters,
 // combiners, apply) plus the Graphulo iterators: RemoteSourceIterator,
-// TwoTableIterator (the server-side SpGEMM core), and
+// TwoTableIterator (the server-side SpGEMM core), FoldIterator (the
+// bounded ⊕-fold stage below a multiply's sink), and
 // RemoteWriteIterator.
 package iterator
 
@@ -100,8 +101,8 @@ type Counters interface {
 	// CountRangePruned records entries dropped by a server-side range
 	// filter (e.g. the colRange column-qualifier band).
 	CountRangePruned(n int)
-	// CountFolded records partial products absorbed by a RemoteWrite
-	// pre-aggregation fold instead of crossing the write path.
+	// CountFolded records partial products absorbed by the fold stage
+	// instead of reaching the sink.
 	CountFolded(n int)
 }
 

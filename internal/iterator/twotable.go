@@ -2,7 +2,7 @@ package iterator
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"graphulo/internal/semiring"
@@ -16,9 +16,11 @@ import (
 //   - A scan over table B's tablets carries a TwoTableIterator whose
 //     remote source is AT. For each inner row i present in both tables,
 //     it emits the outer products A(i,·)ᵀ ⊗ B(i,·).
-//   - A RemoteWriteIterator above it batches those partial products into
-//     table C through the normal write path; C carries a summing
-//     combiner, so colliding partial products fold with ⊕.
+//   - A FoldIterator above it ⊕-folds those partial products per output
+//     cell in a bounded buffer, and a RemoteWriteIterator above that
+//     writes the folded cells into table C through the normal write
+//     path; C carries a summing combiner, so cells that collide across
+//     buffer generations or tablets still fold with ⊕.
 //   - The scan client receives only one monitoring entry per tablet
 //     with the count of entries written.
 //
@@ -86,8 +88,13 @@ func (r *RemoteSourceIterator) Next() error { return r.inner.Next() }
 // TwoTableIterator aligns the hosted table (source, playing B) with a
 // remote table AT (playing Aᵀ) on row keys — the inner dimension of the
 // multiply — and emits partial products of C = Aᵀ·B under the configured
-// semiring. Output within one inner row is sorted; across inner rows it
-// is not, so a RemoteWriteIterator (not a raw scan) must consume it.
+// semiring. Products stay numeric until a consumer asks for text: the
+// fold stage reads them through TopProduct, generic consumers through
+// Top, which formats on demand. Output within one inner row ascends
+// when both operand rows ascend by column qualifier (one family, one
+// version), because the nested loop then visits pairs in key order;
+// across inner rows it does not, so an order-free consumer — the fold
+// stage, RemoteWrite, a folding collect — must sit above it.
 type TwoTableIterator struct {
 	src    SKVI
 	remote SKVI
@@ -100,9 +107,25 @@ type TwoTableIterator struct {
 	// SpRef push-down — instead of the full table.
 	band skv.Range
 
-	buf []skv.Entry // partial products of the current inner row
-	pos int
+	// The current inner row of each operand, decoded once per entry, and
+	// their partial products; all reused from one inner row to the next.
+	aRow, bRow []operand
+	buf        []product
+	pos        int
 }
+
+// operand is one numeric entry of an operand row; product one partial
+// product (row, colQ → v) of the output.
+type (
+	operand struct {
+		colQ string
+		v    float64
+	}
+	product struct {
+		row, colQ string
+		v         float64
+	}
+)
 
 // NewTwoTableIterator builds the multiply iterator. src iterates table B;
 // remote iterates table AT.
@@ -122,7 +145,6 @@ func (t *TwoTableIterator) Seek(rng skv.Range) error {
 	if err := t.remote.Seek(t.band); err != nil {
 		return err
 	}
-	t.buf, t.pos = nil, 0
 	return t.fill()
 }
 
@@ -144,15 +166,14 @@ func (t *TwoTableIterator) fill() error {
 				return err
 			}
 		default:
-			aEntries, err := t.readRow(t.remote, aRow)
-			if err != nil {
+			var err error
+			if t.aRow, err = readRow(t.remote, aRow, t.aRow[:0]); err != nil {
 				return err
 			}
-			bEntries, err := t.readRow(t.src, bRow)
-			if err != nil {
+			if t.bRow, err = readRow(t.src, bRow, t.bRow[:0]); err != nil {
 				return err
 			}
-			t.cross(aEntries, bEntries)
+			t.cross()
 			if len(t.buf) > 0 {
 				return nil
 			}
@@ -179,50 +200,55 @@ func (t *TwoTableIterator) seekRowFrom(it SKVI, row string) error {
 	return nil
 }
 
-// readRow consumes every entry of the given row from it.
-func (t *TwoTableIterator) readRow(it SKVI, row string) ([]skv.Entry, error) {
-	var out []skv.Entry
-	for it.HasTop() && it.Top().K.Row == row {
-		out = append(out, it.Top())
+// readRow consumes every entry of the given row from it, appending the
+// numeric ones to dst.
+func readRow(it SKVI, row string, dst []operand) ([]operand, error) {
+	for it.HasTop() {
+		e := it.Top()
+		if e.K.Row != row {
+			break
+		}
+		if v, ok := skv.DecodeFloat(e.V); ok {
+			dst = append(dst, operand{colQ: e.K.ColQ, v: v})
+		}
 		if err := it.Next(); err != nil {
-			return nil, err
+			return dst, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
-// cross emits ⊗-products of the two row slices into buf: for AT entry
+// cross emits ⊗-products of the two operand rows into buf: for AT entry
 // (i, j → a) and B entry (i, k → b), the partial product is
 // (j, k → a ⊗ b).
-func (t *TwoTableIterator) cross(aEntries, bEntries []skv.Entry) {
-	for _, ae := range aEntries {
-		av, ok := skv.DecodeFloat(ae.V)
-		if !ok {
-			continue
-		}
-		for _, be := range bEntries {
-			bv, ok := skv.DecodeFloat(be.V)
-			if !ok {
-				continue
-			}
-			p := t.ring.Mul(av, bv)
+func (t *TwoTableIterator) cross() {
+	t.buf = slices.Grow(t.buf, len(t.aRow)*len(t.bRow))
+	for _, a := range t.aRow {
+		for _, b := range t.bRow {
+			p := t.ring.Mul(a.v, b.v)
 			if t.ring.IsZero(p) {
 				continue
 			}
-			t.buf = append(t.buf, skv.Entry{
-				K: skv.Key{Row: ae.K.ColQ, ColF: "", ColQ: be.K.ColQ},
-				V: skv.EncodeFloat(p),
-			})
+			t.buf = append(t.buf, product{row: a.colQ, colQ: b.colQ, v: p})
 		}
 	}
-	sort.Slice(t.buf, func(i, j int) bool { return skv.Compare(t.buf[i].K, t.buf[j].K) < 0 })
 }
 
 // HasTop implements SKVI.
 func (t *TwoTableIterator) HasTop() bool { return t.pos < len(t.buf) }
 
 // Top implements SKVI.
-func (t *TwoTableIterator) Top() skv.Entry { return t.buf[t.pos] }
+func (t *TwoTableIterator) Top() skv.Entry {
+	p := t.buf[t.pos]
+	return skv.Entry{K: skv.Key{Row: p.row, ColQ: p.colQ}, V: skv.EncodeFloat(p.v)}
+}
+
+// TopProduct is Top without the text: the typed accessor the fold stage
+// reads products through.
+func (t *TwoTableIterator) TopProduct() (row, colQ string, v float64) {
+	p := t.buf[t.pos]
+	return p.row, p.colQ, p.v
+}
 
 // Next implements SKVI.
 func (t *TwoTableIterator) Next() error {
@@ -237,50 +263,36 @@ func (t *TwoTableIterator) Next() error {
 // table in batches through the server-side client, then exposes a single
 // monitoring entry whose value is the count written. This is how
 // Graphulo returns results: into another table, not to the scan client.
-//
-// With a pre-aggregation buffer (preAggBytes > 0) the iterator performs
-// a map-side combine before anything crosses the write path: numeric
-// entries are ⊕-folded per output cell (row, colF, colQ) under the
-// configured semiring's add — which must match the target table's
-// combiner, exactly as the table's own ⊕ would fold them — and only the
-// folded cells are written. The buffer is bounded: when its estimated
-// footprint exceeds preAggBytes it spills to the target table and
-// refills, so a pass over a power-law tablet cannot hold the whole
-// output. Colliding spills (the same cell folded in two buffer
-// generations, or on two tablets) still meet the table's combiner, so
-// results are cell-identical to pre-aggregation off; only the write
-// volume shrinks. Non-numeric values cannot fold and pass through
-// directly.
+// A source of ready-made sorted runs (the fold stage's generations) is
+// shipped a whole run per write, which the cluster's router cuts into
+// one contiguous batch per tablet; anything else goes batchSize at a time.
 type RemoteWriteIterator struct {
-	src         SKVI
-	table       string
-	env         Env
-	batchSize   int
-	preAggBytes int
-	ring        semiring.Semiring
+	src       SKVI
+	table     string
+	env       Env
+	batchSize int
 
-	done    bool
 	written int
 	has     bool
 	top     skv.Entry
 }
 
-// NewRemoteWriteIterator builds a write-back sink over src with
-// pre-aggregation disabled.
+// NewRemoteWriteIterator builds a write-back sink over src.
 func NewRemoteWriteIterator(src SKVI, table string, batchSize int, env Env) *RemoteWriteIterator {
-	return NewPreAggRemoteWriteIterator(src, table, batchSize, 0, semiring.PlusTimes, env)
-}
-
-// NewPreAggRemoteWriteIterator builds a write-back sink whose partial
-// products are ⊕-folded in a buffer of at most preAggBytes before they
-// cross the write path (0 disables pre-aggregation). ring.Add must be
-// the target table's combiner ⊕.
-func NewPreAggRemoteWriteIterator(src SKVI, table string, batchSize, preAggBytes int, ring semiring.Semiring, env Env) *RemoteWriteIterator {
 	if batchSize <= 0 {
 		batchSize = 4096
 	}
-	return &RemoteWriteIterator{src: src, table: table, env: env,
-		batchSize: batchSize, preAggBytes: preAggBytes, ring: ring}
+	return &RemoteWriteIterator{src: src, table: table, env: env, batchSize: batchSize}
+}
+
+// NewPreAggRemoteWriteIterator builds a write-back sink over a fold
+// stage of at most preAggBytes (0 = no fold stage): fold → write.
+// ring.Add must be the target table's combiner ⊕.
+func NewPreAggRemoteWriteIterator(src SKVI, table string, batchSize, preAggBytes int, ring semiring.Semiring, env Env) *RemoteWriteIterator {
+	if preAggBytes > 0 {
+		src = NewFoldIterator(src, ring, preAggBytes, env)
+	}
+	return NewRemoteWriteIterator(src, table, batchSize, env)
 }
 
 // flushBatch writes one batch through the env.
@@ -303,13 +315,24 @@ func (w *RemoteWriteIterator) Seek(rng skv.Range) error {
 		return err
 	}
 	w.written = 0
-	var err error
-	if w.preAggBytes > 0 {
-		err = w.drainFolded()
-	} else {
-		err = w.drainDirect()
+	fold, _ := w.src.(*FoldIterator)
+	var batch []skv.Entry
+	for w.src.HasTop() {
+		var err error
+		if fold != nil {
+			err = w.flushBatch(fold.TopRun())
+		} else if batch = append(batch, w.src.Top()); len(batch) >= w.batchSize {
+			err = w.flushBatch(batch)
+			batch = batch[:0]
+		}
+		if err != nil {
+			return err
+		}
+		if err := w.src.Next(); err != nil {
+			return err
+		}
 	}
-	if err != nil {
+	if err := w.flushBatch(batch); err != nil {
 		return err
 	}
 	w.top = skv.Entry{
@@ -317,100 +340,6 @@ func (w *RemoteWriteIterator) Seek(rng skv.Range) error {
 		V: skv.EncodeFloat(float64(w.written)),
 	}
 	w.has = true
-	w.done = true
-	return nil
-}
-
-// drainDirect ships every source entry as-is, batchSize at a time.
-func (w *RemoteWriteIterator) drainDirect() error {
-	batch := make([]skv.Entry, 0, w.batchSize)
-	for w.src.HasTop() {
-		batch = append(batch, w.src.Top())
-		if len(batch) >= w.batchSize {
-			if err := w.flushBatch(batch); err != nil {
-				return err
-			}
-			batch = batch[:0]
-		}
-		if err := w.src.Next(); err != nil {
-			return err
-		}
-	}
-	return w.flushBatch(batch)
-}
-
-// aggCellOverhead approximates the per-cell bookkeeping of the fold
-// buffer beyond the key strings (map bucket, float, key struct).
-const aggCellOverhead = 64
-
-// drainFolded is the pre-aggregating drain: numeric entries fold per
-// cell under ⊕, spilling when the buffer estimate passes preAggBytes.
-func (w *RemoteWriteIterator) drainFolded() error {
-	agg := make(map[skv.Key]float64)
-	aggBytes, folded := 0, 0
-	spill := func() error {
-		if len(agg) == 0 {
-			return nil
-		}
-		cells := make([]skv.Entry, 0, len(agg))
-		for k, v := range agg {
-			cells = append(cells, skv.Entry{K: k, V: skv.EncodeFloat(v)})
-		}
-		// Sorted spills keep batch boundaries deterministic for a given
-		// input, which the equivalence tests lean on.
-		sort.Slice(cells, func(i, j int) bool { return skv.Compare(cells[i].K, cells[j].K) < 0 })
-		for len(cells) > 0 {
-			n := w.batchSize
-			if n > len(cells) {
-				n = len(cells)
-			}
-			if err := w.flushBatch(cells[:n]); err != nil {
-				return err
-			}
-			cells = cells[n:]
-		}
-		agg = make(map[skv.Key]float64)
-		aggBytes = 0
-		return nil
-	}
-	var raw []skv.Entry // non-numeric values pass through unfolded
-	for w.src.HasTop() {
-		e := w.src.Top()
-		if v, ok := skv.DecodeFloat(e.V); ok {
-			cell := e.K
-			cell.Ts = 0 // fold per logical cell; stamps are assigned at write time
-			if acc, dup := agg[cell]; dup {
-				agg[cell] = w.ring.Add(acc, v)
-				folded++
-			} else {
-				agg[cell] = v
-				aggBytes += len(cell.Row) + len(cell.ColF) + len(cell.ColQ) + aggCellOverhead
-			}
-			if aggBytes >= w.preAggBytes {
-				if err := spill(); err != nil {
-					return err
-				}
-			}
-		} else {
-			raw = append(raw, e)
-			if len(raw) >= w.batchSize {
-				if err := w.flushBatch(raw); err != nil {
-					return err
-				}
-				raw = raw[:0]
-			}
-		}
-		if err := w.src.Next(); err != nil {
-			return err
-		}
-	}
-	if err := spill(); err != nil {
-		return err
-	}
-	if err := w.flushBatch(raw); err != nil {
-		return err
-	}
-	countFolded(w.env, folded)
 	return nil
 }
 
@@ -643,6 +572,18 @@ func (r *RowScaleIter) Next() error {
 	return r.fill()
 }
 
+// ringOpt resolves an iterator's "semiring" option ("" = plus.times).
+func ringOpt(iter, name string) (semiring.Semiring, error) {
+	if name == "" {
+		return semiring.PlusTimes, nil
+	}
+	ring, ok := semiring.ByName(name)
+	if !ok {
+		return ring, fmt.Errorf("%s: unknown semiring %q", iter, name)
+	}
+	return ring, nil
+}
+
 func init() {
 	Register("rowScale", func(src SKVI, opts map[string]string, env Env) (SKVI, error) {
 		table := opts["table"]
@@ -682,13 +623,9 @@ func init() {
 		if table == "" {
 			return nil, fmt.Errorf("twoTable: missing tableAT option")
 		}
-		ringName := opts["semiring"]
-		if ringName == "" {
-			ringName = "plus.times"
-		}
-		ring, ok := semiring.ByName(ringName)
-		if !ok {
-			return nil, fmt.Errorf("twoTable: unknown semiring %q", ringName)
+		ring, err := ringOpt("twoTable", opts["semiring"])
+		if err != nil {
+			return nil, err
 		}
 		remote := NewRemoteSourceIteratorFamilies(table, DecodeFamiliesOpt(opts["familiesAT"]), env)
 		return NewTwoTableIterator(src, remote, ring), nil
@@ -714,13 +651,9 @@ func init() {
 			}
 			preAgg = v
 		}
-		ring := semiring.PlusTimes
-		if name := opts["semiring"]; name != "" {
-			r, ok := semiring.ByName(name)
-			if !ok {
-				return nil, fmt.Errorf("remoteWrite: unknown semiring %q", name)
-			}
-			ring = r
+		ring, err := ringOpt("remoteWrite", opts["semiring"])
+		if err != nil {
+			return nil, err
 		}
 		return NewPreAggRemoteWriteIterator(src, table, bs, preAgg, ring, env), nil
 	})

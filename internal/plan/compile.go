@@ -20,22 +20,13 @@ func scanOpLabel(source string, c Constraint) string {
 	return "scan " + source + " [cf " + strings.Join(c.Families, ",") + "]"
 }
 
-// DefaultPreAggBytes is the ceiling of the planner's adaptive
-// RemoteWrite pre-aggregation budget (and the fixed budget used when no
-// density observations exist): 16 MiB holds the distinct-cell working
-// set of a power-law multiply at benchmark scale while keeping a kernel
-// pass memory-bounded.
+// DefaultPreAggBytes is the one fixed budget of the ⊕-fold stage below
+// the sink of every multiply chain: 16 MiB holds the distinct output
+// cells one tablet pass of a power-law multiply touches at benchmark
+// scale while keeping the pass memory-bounded. It is not derived from
+// the operands: the buffer holds *output* cells, which an input-sized
+// estimate undercounts by the multiply's fan-out.
 const DefaultPreAggBytes = 16 << 20
-
-// MinPreAggBytes floors the adaptive budget: below this the fold map
-// spills before it can absorb anything, so a smaller buffer only adds
-// sort-and-flush churn.
-const MinPreAggBytes = 256 << 10
-
-// preAggCellBytes approximates the buffered cost of one distinct output
-// cell in the RemoteWrite fold map: the 64-byte map/entry overhead the
-// iterator charges plus typical row/colQ key material.
-const preAggCellBytes = 96
 
 // SinkKind says where a step's surviving entries go.
 type SinkKind int
@@ -63,11 +54,6 @@ type Step struct {
 	OutTable   string
 	Semiring   string
 	BatchSize  int
-	// PreAggBytes is the resolved RemoteWrite fold budget (0 = off).
-	PreAggBytes int
-	// Adaptive records that PreAggBytes was sized by the planner from
-	// observed distinct-cell density rather than fixed by the caller.
-	Adaptive bool
 	// Scratch marks a planner-created intermediate table that Execute
 	// drops when the plan finishes.
 	Scratch bool
@@ -91,19 +77,6 @@ func (s Step) Fused() bool {
 	return false
 }
 
-// Stats carries the observations the planner's adaptive decisions read.
-type Stats struct {
-	// EntryEstimate returns the approximate entry count of a table
-	// (0/absent = unknown) — the distinct-cell density proxy for sizing
-	// the pre-aggregation buffer.
-	EntryEstimate func(table string) int
-	// Folded and Written are the cumulative pre-aggregation counters
-	// from prior kernel passes (Metrics.PartialProductsFolded and
-	// EntriesWritten): their ratio estimates how many partial products
-	// collapse into one output cell on this cluster's workloads.
-	Folded, Written int64
-}
-
 // Options parameterises compilation.
 type Options struct {
 	// Kernel names the kernel for explain output and telemetry spans.
@@ -113,8 +86,6 @@ type Options struct {
 	// the same tables from clobbering each other's intermediates.
 	ScratchBase string
 	TraceID     string
-	// Stats feeds the adaptive pre-aggregation decision.
-	Stats Stats
 }
 
 // Plan is a compiled kernel: steps execute in order, each one a single
@@ -183,7 +154,8 @@ type chain struct {
 //     directly below the sink, so SpRef filters and kernel stages see
 //     source coordinates and the offset copy itself never round-trips.
 //   - Write and Collect terminate the fused stack (RemoteWrite or the
-//     wire back to the client).
+//     wire back to the client); over a multiply, a Write or folding
+//     Collect gets the bounded ⊕-fold stage directly below it.
 func Compile(root *Node, opts Options) (*Plan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("plan: nil root")
@@ -202,22 +174,16 @@ func Compile(root *Node, opts Options) (*Plan, error) {
 		if sem == "" {
 			sem = "plus.times"
 		}
-		preAgg, adaptive := resolvePreAgg(root.PreAggBytes, c, opts)
-		step := finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, preAgg)
-		step.Adaptive = adaptive
+		step := finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, foldBudget(root.PreAggBytes, c))
 		step.Ops = append(step.Ops, "write "+root.OutTable)
 		p.Steps = append(p.Steps, step)
 	case OpCollect:
-		sink := SinkCollect
+		sink, budget, label := SinkCollect, 0, "collect"
 		if root.Fold {
-			sink = SinkCollectFold
+			sink, budget, label = SinkCollectFold, foldBudget(0, c), "collect ⊕-fold"
 		}
-		step := finalize(c, sink, "", root.Semiring, 0, 0)
-		if root.Fold {
-			step.Ops = append(step.Ops, "collect ⊕-fold")
-		} else {
-			step.Ops = append(step.Ops, "collect")
-		}
+		step := finalize(c, sink, "", root.Semiring, 0, budget)
+		step.Ops = append(step.Ops, label+" [streams to client, no scratch table]")
 		p.Steps = append(p.Steps, step)
 	}
 	return p, nil
@@ -321,29 +287,27 @@ func materialize(c chain, p *Plan, opts Options) (chain, error) {
 	if sem == "" {
 		sem = "plus.times"
 	}
-	preAgg, adaptive := resolvePreAgg(0, c, opts)
-	step := finalize(c, SinkWrite, name, sem, 4096, preAgg)
-	step.Adaptive = adaptive
+	step := finalize(c, SinkWrite, name, sem, 4096, foldBudget(0, c))
 	step.Scratch = true
-	step.Ops = append(step.Ops, "materialize "+name)
+	step.Ops = append(step.Ops, "materialize "+name+" [scratch table]")
 	p.Steps = append(p.Steps, step)
 	return chain{source: name}, nil
 }
 
 // finalize assembles a chain into one executable step: the constraint's
 // column filter at priority 25, the fused stages (spAsgn hoisted last)
-// from 30 upward, and — for write sinks — RemoteWrite at 90.
+// from 30 upward, the fold stage (preAggBytes > 0) at 89 and — for
+// write sinks — RemoteWrite at 90.
 func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preAggBytes int) Step {
 	step := Step{
-		Source:      c.source,
-		Ranges:      c.ranges,
-		Constraint:  c.constraint,
-		Sink:        sink,
-		OutTable:    outTable,
-		Semiring:    semiring,
-		BatchSize:   batchSize,
-		PreAggBytes: preAggBytes,
-		Ops:         []string{scanOpLabel(c.source, c.constraint)},
+		Source:     c.source,
+		Ranges:     c.ranges,
+		Constraint: c.constraint,
+		Sink:       sink,
+		OutTable:   outTable,
+		Semiring:   semiring,
+		BatchSize:  batchSize,
+		Ops:        []string{scanOpLabel(c.source, c.constraint)},
 	}
 	if colFilter, ok := c.constraint.colSetting(25); ok {
 		step.Settings = append(step.Settings, colFilter)
@@ -371,67 +335,40 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preA
 			addStage(st)
 		}
 	}
+	if preAggBytes > 0 {
+		step.Ops = append(step.Ops, fmt.Sprintf("fold ⊕ %s ≤%s", semiring, byteLabel(preAggBytes)))
+		step.Settings = append(step.Settings, iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{
+			"semiring": semiring, "bytes": strconv.Itoa(preAggBytes),
+		}})
+	}
 	if sink == SinkWrite {
 		opts := map[string]string{"table": outTable}
 		if batchSize > 0 {
 			opts["batchSize"] = strconv.Itoa(batchSize)
-		}
-		if preAggBytes > 0 {
-			opts["preAggBytes"] = strconv.Itoa(preAggBytes)
-		}
-		if semiring != "" {
-			opts["semiring"] = semiring
 		}
 		step.Settings = append(step.Settings, iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: opts})
 	}
 	return step
 }
 
-// resolvePreAgg turns a Write node's PreAggBytes request into the
-// concrete RemoteWrite budget: caller-fixed when positive, off when
-// negative, and otherwise the planner's adaptive estimate from observed
-// distinct-cell density. Chains without a multiply carry at most one
-// entry per input cell, so pre-aggregation buys nothing there and stays
-// off — matching the materializing OneTable path.
-func resolvePreAgg(requested int, c chain, opts Options) (bytes int, adaptive bool) {
-	switch {
-	case requested < 0:
-		return 0, false
-	case requested > 0:
-		return requested, false
+// foldBudget resolves a sink's fold-stage budget: the caller's when
+// positive, none when negative, and otherwise DefaultPreAggBytes under a
+// multiply. Chains without a multiply carry at most one entry per input
+// cell, so there is nothing to fold and no stage is placed.
+func foldBudget(requested int, c chain) int {
+	if requested == 0 && c.hasMult {
+		return DefaultPreAggBytes
 	}
-	if !c.hasMult {
-		return 0, false
-	}
-	return adaptivePreAggBytes(opts.Stats, c.source), true
+	return max(requested, 0)
 }
 
-// adaptivePreAggBytes sizes the fold buffer so one tablet pass's
-// distinct output cells fit: the hosted operand's entry estimate bounds
-// the distinct cells a pass can touch, scaled by the historically
-// observed products-per-cell expansion, clamped to
-// [MinPreAggBytes, DefaultPreAggBytes]. With no observations the
-// default (former fixed) budget stands.
-func adaptivePreAggBytes(st Stats, source string) int {
-	if st.EntryEstimate == nil {
-		return DefaultPreAggBytes
+// byteLabel renders a byte budget, in MiB when it is a whole number of
+// them.
+func byteLabel(n int) string {
+	if n%(1<<20) == 0 {
+		return fmt.Sprintf("%d MiB", n>>20)
 	}
-	est := st.EntryEstimate(source)
-	if est <= 0 {
-		return DefaultPreAggBytes
-	}
-	expansion := 2.0 // products per distinct cell when nothing observed yet
-	if st.Written > 0 && st.Folded > 0 {
-		expansion = 1 + float64(st.Folded)/float64(st.Written)
-	}
-	bytes := int(float64(est) * expansion * preAggCellBytes)
-	if bytes < MinPreAggBytes {
-		return MinPreAggBytes
-	}
-	if bytes > DefaultPreAggBytes {
-		return DefaultPreAggBytes
-	}
-	return bytes
+	return fmt.Sprintf("%d B", n)
 }
 
 // applyLabel compresses an Apply node's settings into one label.

@@ -32,8 +32,8 @@ type Cell struct {
 // Result is what a plan's terminal sink produced.
 type Result struct {
 	// Written is the entry count RemoteWrite reported for a SinkWrite
-	// terminal step (partial products with pre-aggregation off, folded
-	// cells with it on).
+	// terminal step (folded cells under a fold stage, raw partial
+	// products without one).
 	Written int
 	// Entries holds a SinkCollect terminal step's stream, in arrival
 	// order.
@@ -151,25 +151,41 @@ func (p *Plan) runStep(step *Step, env Env) (*Result, error) {
 			res.Entries = append(res.Entries, e)
 		}
 	case SinkCollectFold:
-		ring, ok := semiring.ByName(step.Semiring)
-		if !ok {
-			return nil, fmt.Errorf("plan: unknown semiring %q", step.Semiring)
+		fold, err := cellFolder(step.Semiring, res)
+		if err != nil {
+			return nil, err
 		}
-		res.Cells = map[Cell]float64{}
 		for e, ok := st.Next(); ok; e, ok = st.Next() {
-			v, ok := skv.DecodeFloat(e.V)
-			if !ok {
-				continue
-			}
-			c := Cell{Row: e.K.Row, ColF: e.K.ColF, ColQ: e.K.ColQ}
-			if prev, seen := res.Cells[c]; seen {
-				res.Cells[c] = ring.Add(prev, v)
-			} else {
-				res.Cells[c] = v
+			if err := fold(e); err != nil {
+				return nil, err
 			}
 		}
 	}
 	return res, st.Err()
+}
+
+// cellFolder readies res.Cells and returns the client half of a folding
+// collect: each entry ⊕-folds into its output cell. A value that does
+// not decode is an error naming the key — the fold stage passes such
+// entries through, and dropping one here would silently lose data.
+func cellFolder(ringName string, res *Result) (func(skv.Entry) error, error) {
+	ring, ok := semiring.ByName(ringName)
+	if !ok {
+		return nil, fmt.Errorf("plan: unknown semiring %q", ringName)
+	}
+	res.Cells = map[Cell]float64{}
+	return func(e skv.Entry) error {
+		v, ok := skv.DecodeFloat(e.V)
+		if !ok {
+			return fmt.Errorf("plan: folding collect: entry %v carries non-numeric value %q", e.K, string(e.V))
+		}
+		c := Cell{Row: e.K.Row, ColF: e.K.ColF, ColQ: e.K.ColQ}
+		if prev, seen := res.Cells[c]; seen {
+			v = ring.Add(prev, v)
+		}
+		res.Cells[c] = v
+		return nil
+	}, nil
 }
 
 // runBatchStep runs a multi-range collect through the BatchScanner:
@@ -191,36 +207,19 @@ func (p *Plan) runBatchStep(step *Step, env Env) (*Result, error) {
 		bs.AddScanIterator(s)
 	}
 	res := &Result{}
-	var ring semiring.Semiring
-	if step.Sink == SinkCollectFold {
-		var ok bool
-		ring, ok = semiring.ByName(step.Semiring)
-		if !ok {
-			return nil, fmt.Errorf("plan: unknown semiring %q", step.Semiring)
+	visit := env.Visit
+	switch {
+	case step.Sink == SinkCollectFold:
+		if visit, err = cellFolder(step.Semiring, res); err != nil {
+			return nil, err
 		}
-		res.Cells = map[Cell]float64{}
-	}
-	err = bs.ForEach(func(e skv.Entry) error {
-		if step.Sink == SinkCollect {
-			if env.Visit != nil {
-				return env.Visit(e)
-			}
+	case visit == nil:
+		visit = func(e skv.Entry) error {
 			res.Entries = append(res.Entries, e)
 			return nil
 		}
-		v, ok := skv.DecodeFloat(e.V)
-		if !ok {
-			return nil
-		}
-		c := Cell{Row: e.K.Row, ColF: e.K.ColF, ColQ: e.K.ColQ}
-		if prev, seen := res.Cells[c]; seen {
-			res.Cells[c] = ring.Add(prev, v)
-		} else {
-			res.Cells[c] = v
-		}
-		return nil
-	})
-	if err != nil {
+	}
+	if err := bs.ForEach(visit); err != nil {
 		return nil, err
 	}
 	return res, nil

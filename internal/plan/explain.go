@@ -21,33 +21,8 @@ func (p *Plan) Format() string {
 		}
 		fmt.Fprintf(&b, "  - %s: %s\n", head, s.Ops[0])
 		for _, op := range s.Ops[1:] {
-			fmt.Fprintf(&b, "    - %s%s\n", op, opSuffix(s, op))
+			fmt.Fprintf(&b, "    - %s\n", op)
 		}
 	}
 	return b.String()
-}
-
-// opSuffix annotates a step's sink line with where its output lands.
-func opSuffix(s Step, op string) string {
-	switch {
-	case strings.HasPrefix(op, "materialize "):
-		return fmt.Sprintf(" [scratch table, pre-agg %s]", preAggLabel(s))
-	case strings.HasPrefix(op, "write "):
-		return fmt.Sprintf(" [pre-agg %s]", preAggLabel(s))
-	case strings.HasPrefix(op, "collect"):
-		return " [streams to client, no scratch table]"
-	}
-	return ""
-}
-
-// preAggLabel names the step's resolved RemoteWrite fold budget.
-func preAggLabel(s Step) string {
-	switch {
-	case s.PreAggBytes <= 0:
-		return "off"
-	case s.Adaptive:
-		return fmt.Sprintf("adaptive %d B", s.PreAggBytes)
-	default:
-		return fmt.Sprintf("%d B", s.PreAggBytes)
-	}
 }

@@ -68,10 +68,11 @@ const (
 	// and column offsets — the dual of SpRef.
 	OpSpAsgn
 	// OpWrite streams the upstream entries into a table server-side
-	// (RemoteWrite), ⊕-pre-aggregating partial products.
+	// (RemoteWrite); under a multiply the fold stage sits below it.
 	OpWrite
 	// OpCollect streams the upstream entries back to the client —
-	// optionally ⊕-folding partial products per output cell — instead of
+	// optionally ⊕-folding partial products per output cell, server-side
+	// in the fold stage and finally client-side — instead of
 	// materialising them in a scratch table.
 	OpCollect
 )
@@ -131,7 +132,7 @@ type Node struct {
 	// OpWrite
 	OutTable    string
 	BatchSize   int
-	PreAggBytes int // 0 = planner-adaptive, negative = disabled
+	PreAggBytes int // fold-stage budget: 0 = DefaultPreAggBytes under a multiply, negative = no fold stage
 
 	// OpCollect
 	Fold bool
@@ -182,8 +183,9 @@ func SpAsgn(in *Node, rowOffset, colOffset string) *Node {
 }
 
 // Write sinks the input stream into a table server-side under the
-// semiring's ⊕ combiner. preAggBytes 0 lets the planner size the
-// RemoteWrite fold buffer adaptively; negative disables pre-aggregation.
+// semiring's ⊕ combiner. preAggBytes sizes the fold stage below the
+// sink: 0 is DefaultPreAggBytes under a multiply (and no stage
+// otherwise), negative places no fold stage.
 func Write(in *Node, table, semiring string, batchSize, preAggBytes int) *Node {
 	if semiring == "" {
 		semiring = "plus.times"
@@ -203,6 +205,8 @@ func Collect(in *Node) *Node {
 // CollectFold sinks the input stream back to the client, ⊕-folding the
 // entries per output cell under the semiring — the no-scratch-table
 // consumer for a multiply whose result the client needs to read anyway.
+// Under a multiply the fold stage runs in front of the wire, so a tablet
+// pass ships partially summed cells and the client finishes the ⊕.
 func CollectFold(in *Node, semiring string) *Node {
 	if semiring == "" {
 		semiring = "plus.times"

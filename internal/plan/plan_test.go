@@ -2,10 +2,13 @@ package plan
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
+	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
+	"graphulo/internal/skv"
 )
 
 func compileOK(t *testing.T, root *Node, opts Options) *Plan {
@@ -128,53 +131,92 @@ func TestConstraintBecomesColRangeSetting(t *testing.T) {
 	}
 }
 
-func TestResolvePreAgg(t *testing.T) {
-	multChain := chain{source: "A", hasMult: true}
-	plainChain := chain{source: "A"}
+// settingNames lists a step's iterator stack bottom-up.
+func settingNames(s Step) []string {
+	var names []string
+	for _, st := range s.Settings {
+		names = append(names, st.Name)
+	}
+	return names
+}
 
-	if b, ad := resolvePreAgg(-1, multChain, Options{}); b != 0 || ad {
-		t.Fatalf("negative request: got (%d,%v), want (0,false)", b, ad)
+// TestFoldStagePlacement: every multiply chain gets the one fold stage
+// directly below its sink — write, materialize and folding collect
+// alike, spAsgn included — with the one fixed budget; nothing else does.
+func TestFoldStagePlacement(t *testing.T) {
+	mult := func() *Node { return Mult(Scan("A", Constraint{}), "AT", "min.plus") }
+	cases := []struct {
+		name  string
+		root  *Node
+		want  []string // the last step's stack
+		bytes int
+	}{
+		{"write", Write(mult(), "C", "min.plus", 0, 0), []string{"twoTable", "fold", "remoteWrite"}, DefaultPreAggBytes},
+		{"write+spAsgn", Write(SpAsgn(mult(), "p|", ""), "C", "min.plus", 0, 0), []string{"twoTable", "spAsgn", "fold", "remoteWrite"}, DefaultPreAggBytes},
+		{"collect-fold", CollectFold(mult(), "min.plus"), []string{"twoTable", "fold"}, DefaultPreAggBytes},
+		{"write, explicit budget", Write(mult(), "C", "min.plus", 0, 4096), []string{"twoTable", "fold", "remoteWrite"}, 4096},
+		{"write, fold off", Write(mult(), "C", "min.plus", 0, -1), []string{"twoTable", "remoteWrite"}, 0},
+		{"raw collect", Collect(mult()), []string{"twoTable"}, 0},
+		{"no multiply", Write(Scan("A", Constraint{}), "C", "plus.times", 0, 0), []string{"remoteWrite"}, 0},
 	}
-	if b, ad := resolvePreAgg(1234, multChain, Options{}); b != 1234 || ad {
-		t.Fatalf("positive request: got (%d,%v), want (1234,false)", b, ad)
+	for _, c := range cases {
+		p := compileOK(t, c.root, Options{Kernel: c.name, TraceID: "t"})
+		step := p.Steps[len(p.Steps)-1]
+		if got := settingNames(step); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: stack %v, want %v", c.name, got, c.want)
+		}
+		for _, s := range step.Settings {
+			if s.Name == "fold" && (s.Opts["semiring"] != "min.plus" || s.Opts["bytes"] != strconv.Itoa(c.bytes)) {
+				t.Errorf("%s: fold opts %v", c.name, s.Opts)
+			}
+			if s.Name == "remoteWrite" && (s.Opts["preAggBytes"] != "" || s.Opts["semiring"] != "") {
+				t.Errorf("%s: remoteWrite still carries fold options: %v", c.name, s.Opts)
+			}
+		}
 	}
-	if b, ad := resolvePreAgg(0, plainChain, Options{}); b != 0 || ad {
-		t.Fatalf("no-mult chain: got (%d,%v), want (0,false) — nothing to fold", b, ad)
-	}
-	if b, ad := resolvePreAgg(0, multChain, Options{}); b != DefaultPreAggBytes || !ad {
-		t.Fatalf("adaptive with no stats: got (%d,%v), want (%d,true)", b, ad, DefaultPreAggBytes)
+	// A materialised multiply folds in front of its scratch table too.
+	p := compileOK(t, Write(Reduce(Mult(Scan("A", Constraint{}), "AT", ""), "plus", "", "deg"), "C", "", 0, 0),
+		Options{Kernel: "degOfSquare", ScratchBase: "C", TraceID: "t"})
+	if got, want := settingNames(p.Steps[0]), []string{"twoTable", "fold", "remoteWrite"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("materialize: stack %v, want %v", got, want)
 	}
 }
 
-func TestAdaptivePreAggBytes(t *testing.T) {
-	est := func(n int) Stats {
-		return Stats{EntryEstimate: func(string) int { return n }}
+// TestFoldingCollectRefusesNonNumeric: a value the server fold stage
+// passed through because it does not decode must fail the client fold
+// by key, not vanish from the result.
+func TestFoldingCollectRefusesNonNumeric(t *testing.T) {
+	mc := accumulo.NewMiniCluster(accumulo.Config{})
+	defer mc.Close()
+	conn := mc.Connector()
+	if err := conn.TableOperations().Create("T"); err != nil {
+		t.Fatal(err)
 	}
-	if got := adaptivePreAggBytes(Stats{}, "A"); got != DefaultPreAggBytes {
-		t.Fatalf("no estimator: %d, want default", got)
+	w, err := conn.CreateBatchWriter("T", accumulo.BatchWriterConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := adaptivePreAggBytes(est(0), "A"); got != DefaultPreAggBytes {
-		t.Fatalf("zero estimate: %d, want default", got)
+	if err := w.PutFloat("a", "", "x", 2); err != nil {
+		t.Fatal(err)
 	}
-	// Tiny table clamps to the floor.
-	if got := adaptivePreAggBytes(est(10), "A"); got != MinPreAggBytes {
-		t.Fatalf("tiny table: %d, want floor %d", got, MinPreAggBytes)
+	if err := w.Put("b", "", "y", skv.Value("not-a-number")); err != nil {
+		t.Fatal(err)
 	}
-	// Huge table clamps to the ceiling.
-	if got := adaptivePreAggBytes(est(10_000_000), "A"); got != DefaultPreAggBytes {
-		t.Fatalf("huge table: %d, want ceiling %d", got, DefaultPreAggBytes)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
-	// Mid-size table lands between the clamps and scales with the
-	// observed fold ratio.
-	mid := Stats{EntryEstimate: func(string) int { return 20_000 }}
-	base := adaptivePreAggBytes(mid, "A")
-	if base <= MinPreAggBytes || base >= DefaultPreAggBytes {
-		t.Fatalf("mid-size budget %d not between clamps", base)
+	q, done, err := mc.StartKernelQuery("test", "")
+	if err != nil {
+		t.Fatal(err)
 	}
-	mid.Folded, mid.Written = 300, 100 // 3 products fold per written cell
-	grown := adaptivePreAggBytes(mid, "A")
-	if grown <= base {
-		t.Fatalf("observed folding should grow the budget: %d -> %d", base, grown)
+	defer done(nil)
+	step := finalize(chain{source: "T"}, SinkCollectFold, "", "plus.times", 0, DefaultPreAggBytes)
+	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // Scanner, BatchScanner
+		step.Ranges = ranges
+		_, err := (&Plan{Kernel: "test", Steps: []Step{step}}).Execute(Env{Conn: conn, Query: q})
+		if err == nil || !strings.Contains(err.Error(), "b :y") || !strings.Contains(err.Error(), "not-a-number") {
+			t.Fatalf("ranges %v: folding collect over a non-numeric entry returned %v, want an error naming key b :y", ranges, err)
+		}
 	}
 }
 
@@ -194,9 +236,17 @@ func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
 		t.Fatalf("Format output missing fused-groups header:\n%s", out)
 	}
 
+	if !strings.Contains(out, "    - fold ⊕ plus.times ≤16 MiB\n    - materialize ") {
+		t.Fatalf("Format output missing the fold stage's own line below the mult:\n%s", out)
+	}
+
 	fold := compileOK(t, CollectFold(Mult(Scan("A", Constraint{}), "A", "plus.times"), "plus.times"),
 		Options{Kernel: "square"})
-	if out := fold.Format(); !strings.Contains(out, "no scratch table") {
+	out = fold.Format()
+	if !strings.Contains(out, "no scratch table") {
 		t.Fatalf("collect-fold Format missing no-scratch marker:\n%s", out)
+	}
+	if !strings.Contains(out, "    - fold ⊕ plus.times ≤16 MiB\n    - collect ⊕-fold") {
+		t.Fatalf("collect-fold Format missing the fold stage's line:\n%s", out)
 	}
 }

@@ -262,7 +262,13 @@ func (r Range) String() string {
 // EncodeFloat encodes a float64 value as a human-readable decimal
 // string, the convention D4M-style schemas use for numeric cells.
 func EncodeFloat(v float64) Value {
-	return strconv.AppendFloat(nil, v, 'g', -1, 64)
+	return AppendFloat(nil, v)
+}
+
+// AppendFloat appends EncodeFloat's text for v to dst, for callers that
+// format many values into one buffer.
+func AppendFloat(dst []byte, v float64) []byte {
+	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 // DecodeFloat parses a numeric cell value. Invalid or empty payloads
