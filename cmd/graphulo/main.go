@@ -101,7 +101,7 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 			}
 		}
 	}
-	var slowLog io.Writer
+	var slowLog io.Writer = os.Stderr
 	if *slowLogPath != "" {
 		f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {

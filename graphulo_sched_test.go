@@ -44,10 +44,10 @@ func TestKernelScanBudgetCancelsCleanly(t *testing.T) {
 		t.Fatalf("BudgetError = %+v, want scan entries over limit 8", be)
 	}
 
-	// A materialising kernel trips the same budget; its scratch tables
-	// must be dropped on the error path, not leaked.
-	if _, err := tg.KTrussMaterialized(3); !errors.As(err, &be) {
-		t.Fatalf("KTrussMaterialized error = %v, want *BudgetError", err)
+	// A multi-step kernel trips the same budget; any scratch tables it
+	// created must be dropped on the error path, not leaked.
+	if _, err := tg.KTruss(3); !errors.As(err, &be) {
+		t.Fatalf("KTruss error = %v, want *BudgetError", err)
 	}
 	after := listTables(db)
 	// Only the explicitly requested output table C may have appeared.

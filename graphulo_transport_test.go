@@ -72,3 +72,64 @@ func TestClusterTransportsProduceIdenticalResults(t *testing.T) {
 		}
 	}
 }
+
+// TestKernelMetricsDeltasEqualThreeWay: one TableMult, one kTruss and
+// one degree-filtered BFS move DB.Metrics() and DB.ScanMetrics() by the
+// same amounts whether the coordinator launched its tablet servers
+// (inproc, tcp) or dialed standalone ones — a launched server counts
+// into the coordinator's Metrics directly, a standalone one through its
+// pass trailers, and the two must add up alike. Wire bytes are left out:
+// they include the trailers' spans (random ids, wall-clock durations)
+// and the varint stamps of per-server clocks. So are the gauges and
+// high-water marks, which depend on timing.
+func TestKernelMetricsDeltasEqualThreeWay(t *testing.T) {
+	graph := planTestGraph()
+	view := func(db *DB) map[string]int64 {
+		_, rpcs, written, scanned := db.Metrics()
+		st := db.ScanMetrics()
+		return map[string]int64{
+			"rpcs":                    rpcs,
+			"entries_written":         written,
+			"entries_scanned":         scanned,
+			"tablet_scans":            st.TabletScans,
+			"tablets_pruned_by_range": st.TabletsPrunedByRange,
+			"entries_pruned_by_range": st.EntriesPrunedByRange,
+			"partial_products_folded": st.PartialProductsFolded,
+			"scratch_tables_created":  st.ScratchTablesCreated,
+		}
+	}
+	results := runThreeWay(t, func(t *testing.T, db *DB) map[string]map[string]int64 {
+		tg, err := db.CreateGraph("G")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tg.Ingest(graph); err != nil {
+			t.Fatal(err)
+		}
+		a, at, _ := tg.Tables()
+		deltas := map[string]map[string]int64{}
+		for _, k := range []struct {
+			name string
+			run  func() error
+		}{
+			{"TableMult", func() error { _, err := db.TableMult(at, a, "C", "plus.times"); return err }},
+			{"kTruss", func() error { _, err := tg.KTruss(4); return err }},
+			{"BFSFiltered", func() error { _, err := tg.BFSFiltered([]int{0}, 3, 2, 0); return err }},
+		} {
+			before := view(db)
+			if err := k.run(); err != nil {
+				t.Fatalf("%s: %v", k.name, err)
+			}
+			delta := view(db)
+			for name, v := range before {
+				delta[name] -= v
+			}
+			if delta["rpcs"] == 0 || delta["tablet_scans"] == 0 {
+				t.Fatalf("%s moved no counters: %v", k.name, delta)
+			}
+			deltas[k.name] = delta
+		}
+		return deltas
+	})
+	requireAgreement(t, results)
+}

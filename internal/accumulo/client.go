@@ -111,12 +111,15 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 			ref.tab = tablet.New(rng[0], rng[1], t.mc.cfg.MemLimit, t.mc.seed.Add(1))
 		}
 		if ref.tab != nil {
+			// Built here, hosted on the launched server by pointer.
 			t.mc.initTablet(ref.tab, meta)
+			t.mc.servers[server].host(name, rng[0], rng[1], ref.tab)
 		}
 		meta.tablets = append(meta.tablets, ref)
 	}
 	t.mc.startScheduler(meta)
 	t.mc.tables[name] = meta
+	t.mc.topologyChanged()
 	return nil
 }
 
@@ -152,9 +155,15 @@ func (t *TableOperations) Delete(name string) error {
 			}
 		}
 		delete(t.mc.tables, name)
+		t.mc.topologyChanged()
+		// Release the hosted tablets — by pointer on launched servers,
+		// over the wire on standalone ones.
+		for _, srv := range t.mc.servers {
+			srv.drop(name)
+		}
 		if t.mc.external() {
-			// Release the hosted tablets so a recreated table of the same
-			// name starts empty on the servers too. The local entry is
+			// A recreated table of the same name must start empty on the
+			// servers too. The local entry is
 			// already gone — a per-endpoint failure must not leave a
 			// half-dropped table still routable — and every endpoint is
 			// attempted before reporting the first error; tablets on an
@@ -206,6 +215,7 @@ func (t *TableOperations) AddSplits(name string, splits []string) error {
 	}
 	meta.mu.Lock()
 	defer meta.mu.Unlock()
+	defer t.mc.topologyChanged()
 	for _, s := range splits {
 		idx := sort.SearchStrings(meta.splits, s)
 		if idx < len(meta.splits) && meta.splits[idx] == s {
@@ -229,6 +239,12 @@ func (t *TableOperations) AddSplits(name string, splits []string) error {
 			start: old.start, end: s, endpoint: t.mc.endpoints[old.server]}
 		meta.tablets[tIdx+1] = &tabletRef{tab: right, server: rightServer,
 			start: s, end: old.end, endpoint: t.mc.endpoints[rightServer]}
+		// Re-host: the halves serve from here on, and a request still
+		// routed by the old range is told it is no longer hosted. A pass
+		// already running over the retired tablet finishes on its snapshot.
+		t.mc.servers[old.server].host(name, old.start, s, left)
+		t.mc.servers[rightServer].host(name, s, old.end, right)
+		t.mc.servers[old.server].unhost(name, old.start, old.end)
 	}
 	return nil
 }
@@ -277,6 +293,7 @@ func (t *TableOperations) AttachIterator(name string, setting iterator.Setting, 
 		}
 		meta.iters[s] = append(meta.iters[s], setting)
 	}
+	t.mc.topologyChanged()
 	return t.mc.persistIters(meta)
 }
 
@@ -314,6 +331,7 @@ func (t *TableOperations) RemoveIterator(name, iterName string, scopes ...Scope)
 		}
 		meta.iters[s] = kept
 	}
+	t.mc.topologyChanged()
 	return t.mc.persistIters(meta)
 }
 
@@ -405,6 +423,7 @@ func (t *TableOperations) Clone(src, dst string) error {
 	dstMeta.iters = iters
 	err = t.mc.persistIters(dstMeta)
 	dstMeta.mu.Unlock()
+	t.mc.topologyChanged()
 	if err != nil {
 		return err
 	}

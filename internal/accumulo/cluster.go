@@ -46,11 +46,8 @@
 package accumulo
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,7 +96,9 @@ const (
 	TransportTCP = "tcp"
 )
 
-// Config sizes the mini-cluster.
+// Config sizes the mini-cluster. The public API exports it unchanged as
+// graphulo.ClusterConfig, so a knob is declared — and documented — once,
+// here.
 type Config struct {
 	// TabletServers is the number of server instances (default 2).
 	TabletServers int
@@ -165,19 +164,22 @@ type Config struct {
 	// MetricsAddr, when non-empty, serves the coordinator's telemetry
 	// HTTP endpoint (Prometheus /metrics, JSON /queries, /debug/pprof)
 	// on this address (host:port; ":0" picks an ephemeral port, read it
-	// back with TelemetryAddr). Empty keeps the endpoint off.
+	// back with TelemetryAddr / DB.MetricsAddr). Empty keeps the endpoint
+	// off.
 	MetricsAddr string
 	// SlowQueryThreshold emits a structured JSON log line (to
 	// SlowQueryLog) for every kernel query at or over this duration.
 	// Zero disables the slow-query log.
 	SlowQueryThreshold time.Duration
 	// SlowQueryLog receives slow-query lines; nil disables the log
-	// regardless of threshold.
+	// regardless of threshold. There is no default writer: cmd/graphulo
+	// is what supplies os.Stderr (or the -slow-query-log file).
 	SlowQueryLog io.Writer
-	// DefaultTenant labels kernel queries that carry no explicit tenant;
-	// "" is itself a valid (default) tenant label. Tenants are the unit
-	// of fair-share scheduling, budget accounting, per-tenant telemetry,
-	// and cache-partition accounting.
+	// DefaultTenant labels kernel queries that carry no explicit tenant
+	// (MultOptions.Tenant, AdjBFSOptions.Tenant); "" is itself a valid
+	// (default) tenant label. Tenants are the unit of fair-share
+	// scheduling, budget accounting, per-tenant telemetry, and
+	// cache-partition accounting.
 	DefaultTenant string
 	// MaxConcurrentQueries bounds kernel queries executing at once; the
 	// excess queues for admission. 0 selects the default (64); negative
@@ -259,7 +261,7 @@ func (c Config) flushBytes() int {
 type Metrics struct {
 	WireBytes      atomic.Int64 // payload bytes crossing the transport
 	RPCs           atomic.Int64 // RPC round trips (calls + stream batches)
-	EntriesWritten atomic.Int64 // entries ingested by tablet servers
+	EntriesWritten atomic.Int64 // entries written to tablet servers, counted where the batch is routed
 	EntriesScanned atomic.Int64 // entries returned to scan clients
 
 	// ScansStarted counts scans issued — client streams plus every
@@ -339,9 +341,13 @@ func (m *Metrics) noteScanStart() {
 	atomicMax(&m.MaxScansInFlight, m.ScansInFlight.Add(1))
 }
 
-// MiniCluster is the embedded cluster: the metadata authority (tables,
-// splits, iterator settings, tablet→server assignment) plus the client
-// router that moves all data-plane traffic over the transport.
+// MiniCluster is the cluster's coordinator: the metadata authority
+// (tables, splits, iterator settings, tablet→server assignment), the
+// durable directory, admin ops, and query admission and pass scheduling.
+// The tablets themselves live on TabletServers — launched here on the
+// coordinator's transport, or standalone processes it dials — and all
+// data-plane traffic reaches them through a router over a topology
+// snapshotted from the metadata.
 type MiniCluster struct {
 	cfg     Config
 	clock   atomic.Int64
@@ -366,15 +372,23 @@ type MiniCluster struct {
 	folds *sched.Folder[*foldSub]
 
 	// tr carries the data plane; endpoints[i] is the dialable address
-	// of tablet server i. locals holds the servers this cluster
+	// of tablet server i. servers holds the servers this cluster
 	// launched (empty when Config.Servers points at external
 	// processes).
 	tr        transport.Transport
 	endpoints []string
-	locals    []transport.Server
+	servers   []*TabletServer
 
 	mu     sync.RWMutex
 	tables map[string]*tableMeta
+
+	// metaVersion counts routing-relevant metadata changes (tables,
+	// splits, tablet placement, scan-scope iterators); routing caches the
+	// router built over the topology snapshot of one version, so the
+	// topology is snapshotted and encoded once per metadata change rather
+	// than once per scan.
+	metaVersion atomic.Uint64
+	routing     atomic.Pointer[router]
 
 	// dir is the durable data directory; nil for in-memory clusters.
 	dir *store.Dir
@@ -503,6 +517,7 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 			tab := tablet.NewDurable(tbi.Start, tbi.End, mc.cfg.MemLimit, mc.seed.Add(1), ts, runs, replay)
 			mc.initTablet(tab, meta)
 			server := i % mc.cfg.TabletServers
+			mc.servers[server].host(ti.Name, tbi.Start, tbi.End, tab)
 			meta.tablets = append(meta.tablets, &tabletRef{
 				tab:      tab,
 				server:   server,
@@ -520,9 +535,9 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 }
 
 // openTransport brings up the data plane: the transport implementation
-// plus — unless Config.Servers points at external processes — one
-// listening endpoint per tablet server, all serving the shared cluster
-// handler.
+// plus the tablet servers — launched here, one listening endpoint each,
+// unless Config.Servers points at standalone processes, which are dialed
+// instead.
 func (mc *MiniCluster) openTransport() error {
 	if mc.external() {
 		if mc.cfg.DataDir != "" {
@@ -533,39 +548,13 @@ func (mc *MiniCluster) openTransport() error {
 		}
 		mc.tr = transport.NewTCP()
 		mc.endpoints = append([]string(nil), mc.cfg.Servers...)
-		// Stamp-clock handshake, which doubles as failing fast on
-		// unreachable servers. Phase 1 learns every server's current
-		// clock; phase 2 assigns each a distinct band strictly above the
-		// highest band any of them (or a previous coordinator) has used,
-		// so no two servers — across restarts and reorderings — can ever
-		// stamp the same timestamp. Band 0 stays with this coordinator's
-		// client-stamped writes.
-		ping := func(ep string, req []byte) (int64, error) {
-			conn, err := mc.tr.Dial(ep)
-			if err != nil {
-				return 0, err
-			}
-			resp, err := conn.Call(opPing, req)
-			if err != nil {
-				return 0, err
-			}
-			clock, _, err := readUint(resp)
-			return int64(clock), err
-		}
-		var maxBand int64
+		// Fail fast on unreachable servers.
 		for _, ep := range mc.endpoints {
-			clock, err := ping(ep, nil)
+			conn, err := mc.tr.Dial(ep)
+			if err == nil {
+				_, err = conn.Call(opPing, nil)
+			}
 			if err != nil {
-				mc.tr.Close()
-				return fmt.Errorf("accumulo: tablet server %s: %w", ep, err)
-			}
-			if band := clock >> 32; band > maxBand {
-				maxBand = band
-			}
-		}
-		for i, ep := range mc.endpoints {
-			band := maxBand + 1 + int64(i)
-			if _, err := ping(ep, binary.AppendUvarint(nil, uint64(band))); err != nil {
 				mc.tr.Close()
 				return fmt.Errorf("accumulo: tablet server %s: %w", ep, err)
 			}
@@ -580,26 +569,32 @@ func (mc *MiniCluster) openTransport() error {
 	default:
 		return fmt.Errorf("accumulo: unknown transport %q", mc.cfg.Transport)
 	}
-	h := &clusterHandler{mc: mc}
 	for i := 0; i < mc.cfg.TabletServers; i++ {
-		srv, err := mc.tr.Listen("", h)
-		if err != nil {
+		s := &TabletServer{
+			tr:       mc.tr,
+			memLimit: mc.cfg.MemLimit,
+			metrics:  &mc.Metrics,
+			clock:    &mc.clock,
+			tel:      mc.tel,
+			storage:  mc.StorageStats,
+		}
+		if err := s.listen(""); err != nil {
 			mc.closeTransport()
 			return err
 		}
-		mc.locals = append(mc.locals, srv)
-		mc.endpoints = append(mc.endpoints, srv.Addr())
+		mc.servers = append(mc.servers, s)
+		mc.endpoints = append(mc.endpoints, s.Addr())
 	}
 	return nil
 }
 
-// closeTransport shuts the data plane down: local tablet servers stop
+// closeTransport shuts the data plane down: launched tablet servers stop
 // serving (waiting out in-flight passes), then the transport drops its
 // pooled connections.
 func (mc *MiniCluster) closeTransport() error {
 	var firstErr error
-	for _, srv := range mc.locals {
-		if err := srv.Close(); err != nil && firstErr == nil {
+	for _, s := range mc.servers {
+		if err := s.Close(); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
@@ -611,12 +606,19 @@ func (mc *MiniCluster) closeTransport() error {
 	return firstErr
 }
 
-// scanTopology snapshots the routing topology shipped with scan
-// requests to external tablet servers (nil otherwise — locally launched
-// servers resolve against the shared metadata).
-func (mc *MiniCluster) scanTopology() *topology {
-	if !mc.external() {
-		return nil
+// topologyChanged invalidates the cached router. Metadata mutators call
+// it once the change is visible, so any scan or write issued after the
+// mutating call returns routes by a topology that includes it.
+func (mc *MiniCluster) topologyChanged() { mc.metaVersion.Add(1) }
+
+// router returns the coordinator's router over the current topology,
+// snapshotting the metadata only when it changed since the last call. A
+// mutation racing the snapshot leaves it stored under the older version,
+// so the next call rebuilds.
+func (mc *MiniCluster) router() *router {
+	v := mc.metaVersion.Load()
+	if r := mc.routing.Load(); r != nil && r.version == v {
+		return r
 	}
 	mc.mu.RLock()
 	metas := make([]*tableMeta, 0, len(mc.tables))
@@ -637,7 +639,18 @@ func (mc *MiniCluster) scanTopology() *topology {
 		meta.mu.RUnlock()
 		topo.tables = append(topo.tables, tt)
 	}
-	return topo
+	r := &router{
+		tr: mc.tr, metrics: &mc.Metrics, tel: mc.tel,
+		topo: topo, topoRaw: appendTopology(nil, topo), version: v,
+		// Standalone servers count their work in their own process; their
+		// pass trailers are how it reaches the coordinator's globals.
+		foldGlobals: mc.external(),
+	}
+	if mc.folds != nil {
+		r.dispatch = mc.dispatchPass
+	}
+	mc.routing.Store(r)
+	return r
 }
 
 // initTablet wires a freshly created tablet into the cluster's
@@ -766,7 +779,7 @@ func metricsSamples(m *Metrics) []telemetry.Sample {
 	return []telemetry.Sample{
 		{Name: "wire_bytes", Help: "Payload bytes crossing the transport.", Value: m.WireBytes.Load()},
 		{Name: "rpcs", Help: "RPC round trips (calls plus stream batches).", Value: m.RPCs.Load()},
-		{Name: "entries_written", Help: "Entries ingested by tablet servers.", Value: m.EntriesWritten.Load()},
+		{Name: "entries_written", Help: "Entries written to tablet servers.", Value: m.EntriesWritten.Load()},
 		{Name: "entries_scanned", Help: "Entries returned to scan clients.", Value: m.EntriesScanned.Load()},
 		{Name: "scans_started", Help: "Scans issued, client and server-side.", Value: m.ScansStarted.Load()},
 		{Name: "tablet_scans", Help: "Tablet scan passes served.", Value: m.TabletScans.Load()},
@@ -864,25 +877,6 @@ func (mc *MiniCluster) persistIters(meta *tableMeta) error {
 // Connector returns a client connection, as Instance.getConnector would.
 func (mc *MiniCluster) Connector() *Connector { return &Connector{mc: mc} }
 
-// encodeStamped serialises one tablet's batch under a block of fresh
-// consecutive timestamps reserved on clock. Entries of one cell share a
-// tablet and keep their input order, so a later put carries the newer
-// stamp.
-func encodeStamped(clock *atomic.Int64, batch []skv.Entry) []byte {
-	n := int64(len(batch))
-	return skv.EncodeBatchStamped(batch, clock.Add(n)-n+1)
-}
-
-// ErrTransient marks a write failure that happened before any tablet
-// absorbed entries, so the whole batch may safely be retried. That
-// covers failure injection and tablet servers that are unreachable
-// (transport.ErrUnavailable — the request was never sent). Failures
-// past that point (e.g. a WAL I/O error on one tablet of several, or a
-// connection dying after the request went out) are NOT transient: some
-// tablet may already hold the entries, and a retry would re-stamp and
-// double them under sum combiners.
-var ErrTransient = errors.New("transient write failure")
-
 // InjectWriteFailures makes the next n write RPCs return a transient
 // error; used by tests and failure-injection benches.
 func (mc *MiniCluster) InjectWriteFailures(n int) { mc.failWrites.Store(int64(n)) }
@@ -899,32 +893,15 @@ func (mc *MiniCluster) getTable(name string) (*tableMeta, error) {
 
 // tabletsOverlapping returns the tablets whose row ranges intersect rng.
 func (t *tableMeta) tabletsOverlapping(rng skv.Range) []*tabletRef {
-	hit, _ := t.tabletsOverlappingRanges([]skv.Range{rng})
-	return hit
-}
-
-// tabletsOverlappingRanges returns the tablets whose row ranges
-// intersect any of the given ranges, plus the count of tablets the
-// ranges pruned — the client half of range push-down.
-func (t *tableMeta) tabletsOverlappingRanges(ranges []skv.Range) (hit []*tabletRef, pruned int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	var hit []*tabletRef
 	for _, tr := range t.tablets {
-		band := skv.RowRange(tr.start, tr.end)
-		overlaps := false
-		for _, rng := range ranges {
-			if !rng.Clip(band).IsEmpty() {
-				overlaps = true
-				break
-			}
-		}
-		if overlaps {
+		if !rng.Clip(skv.RowRange(tr.start, tr.end)).IsEmpty() {
 			hit = append(hit, tr)
-		} else {
-			pruned++
 		}
 	}
-	return hit, pruned
+	return hit
 }
 
 // scopeStack returns a copy of the iterator settings for a scope.
@@ -934,43 +911,9 @@ func (t *tableMeta) scopeStack(s Scope) []iterator.Setting {
 	return append([]iterator.Setting(nil), t.iters[s]...)
 }
 
-// groupByTablet routes a batch over n tablets tiling the key space in
-// order (end(i) is tablet i's exclusive end row; the last is unbounded)
-// and returns each tablet's entries in input order. An entry usually
-// lands in the tablet of the one before it, so a sorted batch falls out
-// as one aliased sub-slice of the input per tablet; only a batch that
-// revisits a tablet copies.
-func groupByTablet(entries []skv.Entry, n int, end func(int) string) [][]skv.Entry {
-	groups := make([][]skv.Entry, n)
-	cur, lo := 0, 0
-	flush := func(hi int) {
-		if groups[cur] == nil {
-			// Capped, so a later append cannot write into the caller's batch.
-			groups[cur] = entries[lo:hi:hi]
-		} else {
-			groups[cur] = append(groups[cur], entries[lo:hi]...)
-		}
-		lo = hi
-	}
-	for i := range entries {
-		row := entries[i].K.Row
-		if (cur == 0 || row >= end(cur-1)) && (cur == n-1 || row < end(cur)) {
-			continue
-		}
-		flush(i)
-		// A row equal to a split boundary belongs to the right-hand tablet.
-		cur = sort.Search(n-1, func(j int) bool { return row < end(j) })
-	}
-	flush(len(entries))
-	return groups
-}
-
-// write is the client-side ingest path: entries are routed to their
-// tablets, stamped with fresh timestamps, and shipped to each tablet's
-// server over the transport as one codec-serialised batch per tablet, in
-// tablet order (so a mid-batch failure leaves the same tablets written
-// on every run).
-// q (nil = untraced) receives the batch's per-query wire counters.
+// write is the client-side ingest path: the routed write, plus failure
+// injection before it and a prompt to the table's compaction scheduler
+// after it. q (nil = untraced) receives the batch's per-query counters.
 func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Query) error {
 	meta, err := mc.getTable(table)
 	if err != nil {
@@ -980,52 +923,8 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 		// Fails before any tablet absorbed entries, so a retry is safe.
 		return fmt.Errorf("accumulo: %w", ErrTransient)
 	}
-	start := time.Now()
-	defer func() { mc.tel.WriteBatch.Observe(time.Since(start)) }()
-	meta.mu.RLock()
-	tablets := append([]*tabletRef(nil), meta.tablets...)
-	meta.mu.RUnlock()
-	groups := groupByTablet(entries, len(tablets), func(i int) string { return tablets[i].end })
-	wrote := false
-	for i, batch := range groups {
-		if len(batch) == 0 {
-			continue
-		}
-		tr := tablets[i]
-		wire := encodeStamped(&mc.clock, batch)
-		// Budget enforcement shares the wire-byte counting site: the charge
-		// happens before the batch ships, so an over-budget query fails
-		// without the write landing.
-		if err := q.ChargeWriteBytes(int64(len(wire))); err != nil {
-			return fmt.Errorf("accumulo: %w", err)
-		}
-		mc.Metrics.WireBytes.Add(int64(len(wire)))
-		mc.Metrics.RPCs.Add(1)
-		q.Add(telemetry.WireBytes, int64(len(wire)))
-		q.Add(telemetry.WriteWireBytes, int64(len(wire)))
-		q.Add(telemetry.RPCs, 1)
-		conn, err := mc.tr.Dial(tr.endpoint)
-		if err == nil {
-			_, err = conn.Call(opWrite, encodeWriteReq(writeReq{
-				table: table, start: tr.start, end: tr.end, batch: wire,
-				traceID: uint64(q.Trace()), tenant: q.Tenant(),
-			}))
-		}
-		if err != nil {
-			if !wrote && errors.Is(err, transport.ErrUnavailable) {
-				// The server was unreachable before any tablet absorbed
-				// entries: the whole batch is retriable.
-				return fmt.Errorf("accumulo: tablet server %s: %w (%w)", tr.endpoint, ErrTransient, err)
-			}
-			return fmt.Errorf("accumulo: tablet write: %w", err)
-		}
-		wrote = true
-		mc.Metrics.EntriesWritten.Add(int64(len(batch)))
-		q.Add(telemetry.EntriesWritten, int64(len(batch)))
-		// Auto-minc applies the minc stack when the memtable spills; the
-		// tablet handles the spill itself with a nil stack, so re-apply
-		// the configured minc stack lazily at the next compaction. To
-		// keep combiner semantics exact we rely on scan/majc stacks.
+	if err := mc.router().write(table, entries, q); err != nil {
+		return err
 	}
 	if meta.sched != nil {
 		// Prompt the compaction scheduler: an auto-minc above may have
@@ -1036,11 +935,10 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 	return nil
 }
 
-// writeEntries implements scanBackend for the coordinator: server-side
-// iterators (RemoteWrite) write through the same routed path clients
-// use.
-func (mc *MiniCluster) writeEntries(table string, entries []skv.Entry, q *telemetry.Query) error {
-	return mc.write(table, entries, q)
+// openStream starts a client-issued streaming scan, routed by the
+// current topology.
+func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []string, extra []iterator.Setting, tc traceCtx) (*EntryStream, error) {
+	return mc.router().openStream(table, ranges, families, extra, tc)
 }
 
 // scan executes a range scan server-side and collects the whole result —
@@ -1065,7 +963,7 @@ func (mc *MiniCluster) compactionStack(meta *tableMeta, scope Scope) func(iterat
 		return nil
 	}
 	return func(src iterator.SKVI) (iterator.SKVI, error) {
-		env := &scanEnv{backend: mc, tc: traceCtx{nested: true}}
+		env := &scanEnv{r: mc.router(), tc: traceCtx{nested: true}}
 		stack, err := iterator.BuildStack(src, settings, env)
 		if err != nil {
 			env.close()

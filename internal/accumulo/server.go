@@ -1,60 +1,245 @@
 package accumulo
 
-// This file is the server half of the cluster's data plane: the
-// transport handler that MiniCluster-launched tablet servers run, and
-// serveScan, the scan executor shared with the standalone tablet server
-// (daemon.go). Every write batch and every scan — client-issued or
-// opened by a server-side iterator — arrives here through the
-// transport, whether that meant a channel hand-off or a TCP socket.
+// This file is the tablet server — the only one. A TabletServer hosts
+// tablets in a registry keyed by (table, row range) and serves the five
+// tablet-server ops over a transport endpoint. Every write batch and
+// every scan — client-issued or opened by a server-side iterator —
+// arrives here through the transport, whether that meant a channel
+// hand-off or a TCP socket, and the traffic a scan stack originates
+// (nested scans, RemoteWrite batches) leaves through a router driven by
+// the topology the scan request carried, so TableMult's tablet→tablet
+// partial-product flow needs no shared metadata service.
+//
+// A coordinator (MiniCluster) either launches N servers on its own
+// transport and hands them the tablets it built — in-memory or durable —
+// by pointer, or dials N standalone ones (`graphulo serve`) and assigns
+// tablets over the wire. Both run this code; what differs is the data a
+// server holds: a launched server counts into the coordinator's Metrics,
+// stamps from the coordinator's clock and reports to the coordinator's
+// telemetry registry, a standalone one owns all three.
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
+	"sync"
+	"sync/atomic"
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/store"
 	"graphulo/internal/tablet"
 	"graphulo/internal/telemetry"
 	"graphulo/internal/transport"
 )
 
-// clusterHandler serves the tablet-server ops for servers launched by a
-// MiniCluster. All of the cluster's servers share the coordinator's
-// metadata in-process — what distributes the work across endpoints is
-// the router always dialing the endpoint that owns the tablet, so scan
-// stacks and write ingestion run on the connection's server goroutines
-// after genuinely crossing the wire.
-type clusterHandler struct {
-	mc *MiniCluster
+// TabletServer is one tablet-server endpoint.
+type TabletServer struct {
+	// tr carries the traffic this server's scan stacks originate. A
+	// standalone server owns it (Close releases it); a launched server
+	// borrows the coordinator's.
+	tr            transport.Transport
+	ownsTransport bool
+	srv           transport.Server
+	memLimit      int // memtable bound of tablets created by opAssign
+
+	metrics *Metrics
+	// clock stamps every batch this server ingests. A cell lives on
+	// exactly one server, so a per-server monotone clock is per-cell
+	// monotone; launched servers share the coordinator's so the manifest
+	// persists one clock.
+	clock *atomic.Int64
+	tel   *telemetry.Registry
+	// storage snapshots the durable read-path counters behind the hosted
+	// tablets, attributed to passes as deltas; nil when nothing hosted
+	// here can be durable.
+	storage func() store.StorageCounters
+
+	seed   atomic.Int64
+	ingest tablet.IngestStats
+	telSrv *telemetry.Server
+
+	mu     sync.RWMutex
+	tables map[string][]hostedTablet
 }
 
-// resolveTablet locates a hosted tablet by its exact row range. A miss
-// means the tablet was split or retired after the client snapshotted its
-// routing — surfacing an error is strictly better than silently serving
-// a different range.
-func (mc *MiniCluster) resolveTablet(table, start, end string) (*tablet.Tablet, error) {
-	meta, err := mc.getTable(table)
-	if err != nil {
+type hostedTablet struct {
+	start, end string
+	tab        *tablet.Tablet
+}
+
+// ListenAndServeTablets starts a standalone tablet server on addr
+// (host:port; an empty addr picks an ephemeral loopback port). memLimit
+// bounds each hosted tablet's memtable (0 selects the default, 1<<14).
+// Standalone servers host in-memory tablets and speak the minimal
+// control plane (assign/drop); durability and tablet-level admin
+// (splits, compactions) remain features of coordinator-launched servers.
+// The server runs until Close.
+func ListenAndServeTablets(addr string, memLimit int) (*TabletServer, error) {
+	if memLimit <= 0 {
+		memLimit = 1 << 14
+	}
+	s := &TabletServer{
+		tr:            transport.NewTCP(),
+		ownsTransport: true,
+		memLimit:      memLimit,
+		metrics:       new(Metrics),
+		clock:         new(atomic.Int64),
+	}
+	if err := s.listen(addr); err != nil {
+		s.tr.Close()
 		return nil, err
 	}
-	meta.mu.RLock()
-	defer meta.mu.RUnlock()
-	for _, tr := range meta.tablets {
-		if tr.start == start && tr.end == end {
-			return tr.tab, nil
+	// The registry labels this server's pass spans with its dialable
+	// address, so a cross-process trace shows where each pass ran, and
+	// lists the passes it served on /queries.
+	s.tel = telemetry.NewRegistry(telemetry.Options{Host: s.Addr(), ListPasses: true})
+	return s, nil
+}
+
+// listen starts the server's endpoint on its transport.
+func (s *TabletServer) listen(addr string) error {
+	s.seed.Store(42)
+	s.tables = map[string][]hostedTablet{}
+	srv, err := s.tr.Listen(addr, &tabletHandler{s: s})
+	if err != nil {
+		return err
+	}
+	s.srv = srv
+	return nil
+}
+
+// Addr returns the server's dialable address.
+func (s *TabletServer) Addr() string { return s.srv.Addr() }
+
+// Telemetry returns the server's telemetry registry: the passes it has
+// served and its process-global latency histograms.
+func (s *TabletServer) Telemetry() *telemetry.Registry { return s.tel }
+
+// StartTelemetry starts the server's telemetry HTTP endpoint on addr
+// (/metrics, /queries, /debug/pprof) and returns its bound address.
+func (s *TabletServer) StartTelemetry(addr string) (string, error) {
+	srv, err := telemetry.Serve(addr, telemetry.ServerConfig{
+		Registry: s.tel,
+		Counters: func() []telemetry.Sample {
+			return append(metricsSamples(s.metrics),
+				telemetry.Sample{Name: "memtable_freezes", Help: "Memtables frozen and handed to background flush.", Value: s.ingest.Freezes.Load()},
+				telemetry.Sample{Name: "write_stall_nanos", Help: "Nanoseconds writers spent stalled on flush backpressure.", Value: s.ingest.StallNanos.Load()},
+			)
+		},
+	})
+	if err != nil {
+		return "", err
+	}
+	s.telSrv = srv
+	return srv.Addr(), nil
+}
+
+// Close stops serving: in-flight scan passes observe send failures, and
+// Close returns once the endpoint's connections have drained.
+func (s *TabletServer) Close() error {
+	if s.telSrv != nil {
+		s.telSrv.Close()
+	}
+	err := s.srv.Close()
+	if s.ownsTransport {
+		if cerr := s.tr.Close(); err == nil {
+			err = cerr
 		}
 	}
-	return nil, fmt.Errorf("accumulo: tablet [%q,%q) of table %q is not hosted (split raced the request?)",
-		start, end, table)
+	return err
+}
+
+// errNotHosted is the failure of a request that names a tablet range
+// this server does not host: the tablet was split, dropped or never
+// assigned after the sender snapshotted its routing. Surfacing it is
+// strictly better than silently serving a different range.
+var errNotHosted = errors.New("tablet not hosted")
+
+// resolve locates a hosted tablet by its exact row range.
+func (s *TabletServer) resolve(table, start, end string) (*tablet.Tablet, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	for _, ht := range s.tables[table] {
+		if ht.start == start && ht.end == end {
+			return ht.tab, nil
+		}
+	}
+	return nil, fmt.Errorf("accumulo: tablet [%q,%q) of table %q on %s: %w (split or drop raced the request?)",
+		start, end, table, s.Addr(), errNotHosted)
+}
+
+// host registers tab as the tablet serving [start, end) of table. A
+// tablet already hosted under the same range is replaced.
+func (s *TabletServer) host(table, start, end string, tab *tablet.Tablet) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	fresh := hostedTablet{start: start, end: end, tab: tab}
+	for i, ht := range s.tables[table] {
+		if ht.start == start && ht.end == end {
+			s.tables[table][i] = fresh
+			return
+		}
+	}
+	s.tables[table] = append(s.tables[table], fresh)
+}
+
+// unhost releases the tablet serving [start, end) of table; requests
+// still naming the range answer errNotHosted.
+func (s *TabletServer) unhost(table, start, end string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	hosted := s.tables[table]
+	for i, ht := range hosted {
+		if ht.start == start && ht.end == end {
+			s.tables[table] = append(hosted[:i], hosted[i+1:]...)
+			return
+		}
+	}
+}
+
+// assign hosts a fresh empty in-memory tablet. Assignment happens at
+// table creation, so it replaces a tablet of the same range: the
+// coordinator that just created the table expects it empty, and stale
+// data from an earlier coordinator run must not leak into it.
+func (s *TabletServer) assign(table, start, end string) {
+	tab := tablet.New(start, end, s.memLimit, s.seed.Add(1))
+	tab.SetFlushBytes(64 << 20)
+	tab.SetIngestStats(&s.ingest)
+	s.host(table, start, end, tab)
+}
+
+// drop releases every hosted tablet of a table.
+func (s *TabletServer) drop(table string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.tables, table)
+}
+
+// tabletHandler adapts the TabletServer to transport.Handler.
+type tabletHandler struct {
+	s *TabletServer
 }
 
 // Call implements transport.Handler.
-func (h *clusterHandler) Call(op byte, req []byte) ([]byte, error) {
+func (h *tabletHandler) Call(op byte, req []byte) ([]byte, error) {
+	s := h.s
 	switch op {
 	case opPing:
-		// Cluster-launched servers share the coordinator clock; answer
-		// the handshake with it and ignore band assignments.
-		return binary.AppendUvarint(nil, uint64(h.mc.clock.Load())), nil
+		return nil, nil
+	case opAssign:
+		ar, err := decodeAssignReq(req)
+		if err != nil {
+			return nil, err
+		}
+		s.assign(ar.table, ar.start, ar.end)
+		return nil, nil
+	case opDrop:
+		table, _, err := readStr(req)
+		if err != nil {
+			return nil, err
+		}
+		s.drop(table)
+		return nil, nil
 	case opWrite:
 		wr, err := decodeWriteReq(req)
 		if err != nil {
@@ -64,9 +249,18 @@ func (h *clusterHandler) Call(op byte, req []byte) ([]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("accumulo: wire corruption: %w", err)
 		}
-		tab, err := h.mc.resolveTablet(wr.table, wr.start, wr.end)
+		tab, err := s.resolve(wr.table, wr.start, wr.end)
 		if err != nil {
 			return nil, err
+		}
+		// Stamps are assigned where the tablet lives: a block of fresh
+		// consecutive timestamps from the hosting server's clock, in batch
+		// order, so a later put to a cell carries the newer stamp whoever
+		// sent it — a client or another server's RemoteWrite.
+		n := int64(len(entries))
+		first := s.clock.Add(n) - n + 1
+		for i := range entries {
+			entries[i].K.Ts = first + int64(i)
 		}
 		if err := tab.Write(entries); err != nil {
 			return nil, fmt.Errorf("accumulo: tablet write: %w", err)
@@ -77,8 +271,11 @@ func (h *clusterHandler) Call(op byte, req []byte) ([]byte, error) {
 	}
 }
 
-// Stream implements transport.Handler: opScan is the only streaming op.
-func (h *clusterHandler) Stream(op byte, req []byte, send func([]byte) error) error {
+// Stream implements transport.Handler: opScan — the only streaming op —
+// runs the request's merged stack over the hosted tablet, with an env
+// that routes server-side iterator traffic by the request's topology.
+func (h *tabletHandler) Stream(op byte, req []byte, send func([]byte) error) error {
+	s := h.s
 	if op != opScan {
 		return fmt.Errorf("accumulo: unknown streaming op %d", op)
 	}
@@ -86,48 +283,41 @@ func (h *clusterHandler) Stream(op byte, req []byte, send func([]byte) error) er
 	if err != nil {
 		return err
 	}
-	tab, err := h.mc.resolveTablet(sr.table, sr.start, sr.end)
+	tab, err := s.resolve(sr.table, sr.start, sr.end)
 	if err != nil {
 		return err
 	}
-	h.mc.Metrics.noteScanStart()
-	defer h.mc.Metrics.ScansInFlight.Add(-1)
-	// The pass record is detached: cluster-launched servers run in the
-	// coordinator process, whose /queries listing should stay kernel-only.
-	// TabletScans land in the global Metrics via noteScanStart above; the
-	// trailer's copy reaches only the query (the coordinator never folds
-	// local trailers into its globals).
-	pass := telemetry.NewPass(telemetry.TraceID(sr.traceID), sr.spanID,
-		passName(sr), h.mc.tel.Host()).WithTenant(sr.tenant)
-	env := &scanEnv{backend: h.mc, tc: traceCtx{q: pass, nested: true}}
+	s.metrics.noteScanStart()
+	defer s.metrics.ScansInFlight.Add(-1)
+	pass := s.tel.StartPass(telemetry.TraceID(sr.traceID), sr.spanID,
+		fmt.Sprintf("pass %s [%s,%s)", sr.table, sr.start, sr.end)).WithTenant(sr.tenant)
+	env := &scanEnv{
+		r:  &router{tr: s.tr, metrics: s.metrics, tel: s.tel, topo: sr.topo, topoRaw: sr.topoRaw},
+		tc: traceCtx{q: pass, nested: true},
+	}
 	defer env.close()
-	before := h.mc.StorageStats()
+	var before store.StorageCounters
+	if s.storage != nil {
+		before = s.storage()
+	}
 	err = serveScan(tab.SnapshotForFamilies(sr.tenant, sr.families), sr.ranges, sr.settings, env, sr.batch, pass, send)
-	after := h.mc.StorageStats()
-	// Storage deltas are attributed to this pass; concurrent passes in
-	// the same process blur the split, but the totals stay exact.
-	pass.Add(telemetry.CacheHits, after.CacheHits-before.CacheHits)
-	pass.Add(telemetry.CacheMisses, after.CacheMisses-before.CacheMisses)
-	pass.Add(telemetry.BloomNegatives, after.BloomNegatives-before.BloomNegatives)
-	pass.Add(telemetry.ColQBloomNegatives, after.ColQBloomNegatives-before.ColQBloomNegatives)
-	pass.Add(telemetry.LocalityBlocksSkipped, after.LocalityBlocksSkipped-before.LocalityBlocksSkipped)
-	finishPass(pass, h.mc.tel, err, send)
-	return err
-}
-
-// passName labels a tablet pass span with its table and hosted range.
-func passName(sr scanReq) string {
-	return fmt.Sprintf("pass %s [%s,%s)", sr.table, sr.start, sr.end)
-}
-
-// finishPass closes a pass record, feeds its duration to the serving
-// process's scan-pass histogram, and ships the telemetry trailer as the
-// stream's final frame. Trailer delivery is best-effort: a consumer that
-// already went away loses only telemetry, not data.
-func finishPass(pass *telemetry.Query, reg *telemetry.Registry, err error, send func([]byte) error) {
-	d := pass.FinishPass(err)
-	reg.ScanPass.Observe(d)
+	if s.storage != nil {
+		// Storage deltas are attributed to this pass; concurrent passes on
+		// one store blur the split, but the totals stay exact.
+		after := s.storage()
+		pass.Add(telemetry.CacheHits, after.CacheHits-before.CacheHits)
+		pass.Add(telemetry.CacheMisses, after.CacheMisses-before.CacheMisses)
+		pass.Add(telemetry.BloomNegatives, after.BloomNegatives-before.BloomNegatives)
+		pass.Add(telemetry.ColQBloomNegatives, after.ColQBloomNegatives-before.ColQBloomNegatives)
+		pass.Add(telemetry.LocalityBlocksSkipped, after.LocalityBlocksSkipped-before.LocalityBlocksSkipped)
+	}
+	// The pass closes, its duration feeds this process's scan-pass
+	// histogram, and the telemetry trailer ships as the stream's final
+	// frame. Trailer delivery is best-effort: a consumer that already went
+	// away loses only telemetry, not data.
+	s.tel.ScanPass.Observe(pass.FinishPass(err))
 	_ = send(append([]byte{frameTrailer}, telemetry.AppendTrailer(nil, pass.Trailer())...))
+	return err
 }
 
 // serveScan runs a fully merged scan stack over a tablet snapshot and
@@ -150,7 +340,11 @@ func serveScan(src iterator.SKVI, ranges []skv.Range, settings []iterator.Settin
 	if err != nil {
 		return err
 	}
-	batch := make([]skv.Entry, 0, batchSize)
+	// The batch grows on demand and is reused between ships. Most passes
+	// (a BFS hop's handful of rows) deliver far fewer than batchSize
+	// entries; sizing it up front would hand the collector batchSize
+	// pointerful entries to scan for every one of them.
+	var batch []skv.Entry
 	ship := func() error {
 		if len(batch) == 0 {
 			return nil
@@ -177,6 +371,3 @@ func serveScan(src iterator.SKVI, ranges []skv.Range, settings []iterator.Settin
 	}
 	return ship()
 }
-
-// interface check: MiniCluster-launched servers speak the transport.
-var _ transport.Handler = (*clusterHandler)(nil)

@@ -88,21 +88,6 @@ type tabletScan struct {
 	err     error
 }
 
-// scanBackend abstracts "the rest of the cluster" for scan pipelines
-// and the server-side iterator environment: the MiniCluster implements
-// it against its table metadata; the standalone tablet server
-// (daemon.go) implements it against the routing topology shipped with
-// each scan request. Both route the actual traffic through the
-// transport.
-type scanBackend interface {
-	openStream(table string, ranges []skv.Range, families []string, extra []iterator.Setting, tc traceCtx) (*EntryStream, error)
-	writeEntries(table string, entries []skv.Entry, q *telemetry.Query) error
-	// metrics returns the backend's metrics sink, so server-side
-	// iterator counters (range pruning, fold-stage folds) land in
-	// the right process's counters.
-	metrics() *Metrics
-}
-
 // startStream builds the cursor and launches per-tablet fetch workers
 // in tablet order under the parallelism bound; the cursor consumes
 // tablets in the same order, so the stream is globally sorted while
@@ -149,118 +134,44 @@ func startStream(metrics *Metrics, par, n int, fetch func(i int, out *tabletScan
 	return s
 }
 
-// openStream starts a streaming scan over one or more ranges: per
-// tablet overlapping any range, a fetch worker opens a remote scan on
-// the tablet's endpoint carrying the fully merged stack (table scan
-// scope + per-scan extras) and the per-tablet clip of every range, and
-// relays the streamed batches to the cursor. Tablets no range touches
-// are pruned without a scan pass (SpRef push-down), counted in
-// Metrics.TabletsPrunedByRange. An empty range list means the full
-// table. A non-empty families set rides every per-tablet request so the
-// serving tablets scope their snapshots to the matching locality
-// groups.
-func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []string, extra []iterator.Setting, tc traceCtx) (*EntryStream, error) {
-	meta, err := mc.getTable(table)
-	if err != nil {
-		return nil, err
+// dispatchPass is the coordinator's wrapper around the one per-tablet
+// fetch when Config.MaxConcurrentPasses bounds tablet passes: the fetch
+// joins the fold group for its tablet before queuing — if a compatible
+// scan is already waiting for its slot, this one rides its physical pass
+// instead of queuing a second one — then waits its tenant's turn for a
+// pass slot and runs one physical pass for everything that folded onto
+// it meanwhile.
+func (mc *MiniCluster) dispatchPass(f *tabletFetch, out *tabletScan, done <-chan struct{}) {
+	q := f.q
+	sub := &foldSub{ranges: f.ranges, out: out, q: q, done: done, finished: make(chan struct{})}
+	g, leader := mc.folds.Join(foldKey(f), sub)
+	if !leader {
+		mc.Metrics.SharedScanFolds.Add(1)
+		q.Add(telemetry.SharedScanFolds, 1)
+		// The worker must stay alive until the leader is done with
+		// our channels: returning here would close out.batches
+		// under the leader's sends.
+		<-sub.finished
+		return
 	}
-	mc.Metrics.ScansStarted.Add(1)
-	tc.q.Add(telemetry.ScansStarted, 1)
-	ranges, empty := normalizeRanges(ranges)
-	if empty {
-		// Every requested range is empty: a scan of nothing.
-		return startStream(&mc.Metrics, 1, 0, nil), nil
+	release, wait := mc.sched.AcquirePass(q.Tenant())
+	defer release()
+	if wait > 0 {
+		q.Add(telemetry.QueueWaitNanos, int64(wait))
+		mc.tel.QueueWait.Observe(wait)
 	}
-	tablets, pruned := meta.tabletsOverlappingRanges(ranges)
-	mc.Metrics.TabletsPrunedByRange.Add(int64(pruned))
-	tc.q.Add(telemetry.TabletsPrunedByRange, int64(pruned))
-	settings := append(meta.scopeStack(ScanScope), extra...)
-	// The routing topology is identical for every tablet of the scan;
-	// encode it once and splice the bytes into each request.
-	topoRaw := appendTopology(nil, mc.scanTopology())
-	q := tc.q
-	span := q.StartSpan(tc.parent, "scan "+table)
-	// Trailer folding: the pass's counters and spans always land in the
-	// query; they reach the cluster-global Metrics only when the serving
-	// process is external — MiniCluster-launched servers already share
-	// mc.Metrics, so folding would double count.
-	external := mc.external()
-	onTrailer := func(t *telemetry.Trailer) error {
-		q.FoldTrailer(t)
-		if external {
-			foldTrailerMetrics(&mc.Metrics, t)
-			mc.tel.ScanPass.Fold(t.ScanPass)
-		}
-		// Budgets are enforced where the counters land: the trailer is how
-		// a server-side kernel's scan and write volume reaches the query,
-		// so it is also where that volume is charged. (Entries relayed to
-		// the client are charged separately, at delivery.)
-		if err := q.ChargeScanEntries(t.Counts.Get(telemetry.EntriesScanned)); err != nil {
-			return err
-		}
-		return q.ChargeWriteBytes(t.Counts.Get(telemetry.WriteWireBytes))
+	subs := g.Seal()
+	if len(subs) == 1 {
+		f.relay(out, done)
+		return
 	}
-	s := startStream(&mc.Metrics, mc.cfg.ScanParallelism, len(tablets),
-		func(i int, out *tabletScan, done <-chan struct{}) {
-			tr := tablets[i]
-			clipped := clipRanges(ranges, tr.start, tr.end)
-			if len(clipped) == 0 {
-				return
-			}
-			reqFor := func(rs []skv.Range) []byte {
-				return encodeScanReq(scanReq{
-					table: table, start: tr.start, end: tr.end,
-					ranges: rs, settings: settings,
-					batch:   mc.cfg.WireBatch,
-					traceID: uint64(q.Trace()), spanID: span.ID(),
-					tenant:   q.Tenant(),
-					families: families,
-					topoRaw:  topoRaw,
-				})
-			}
-			if mc.folds == nil || tc.nested {
-				// No pass limit configured — or a nested scan issued from
-				// inside a pass that already holds a slot: dispatch
-				// immediately, the pre-scheduler behaviour.
-				relayScan(mc.tr, &mc.Metrics, q, tr.endpoint, reqFor(clipped), out, done, onTrailer)
-				return
-			}
-			// Pass-limited dispatch. Join the fold group for this tablet
-			// before queuing: if a compatible scan is already waiting for
-			// its slot, this one rides its physical pass instead of
-			// queuing a second one.
-			sub := &foldSub{ranges: clipped, out: out, q: q, done: done, finished: make(chan struct{})}
-			g, leader := mc.folds.Join(foldKey(tr.endpoint, table, tr.start, tr.end, settings, mc.cfg.WireBatch, families), sub)
-			if !leader {
-				mc.Metrics.SharedScanFolds.Add(1)
-				q.Add(telemetry.SharedScanFolds, 1)
-				// The worker must stay alive until the leader is done with
-				// our channels: returning here would close out.batches
-				// under the leader's sends.
-				<-sub.finished
-				return
-			}
-			release, wait := mc.sched.AcquirePass(q.Tenant())
-			defer release()
-			if wait > 0 {
-				q.Add(telemetry.QueueWaitNanos, int64(wait))
-				mc.tel.QueueWait.Observe(wait)
-			}
-			subs := g.Seal()
-			if len(subs) == 1 {
-				relayScan(mc.tr, &mc.Metrics, q, tr.endpoint, reqFor(clipped), out, done, onTrailer)
-				return
-			}
-			// One physical pass over the union of every subscriber's
-			// ranges, re-clipped per subscriber on delivery.
-			var union []skv.Range
-			for _, sb := range subs {
-				union = append(union, sb.ranges...)
-			}
-			mc.runFoldedScan(tr.endpoint, reqFor(skv.CoalesceRanges(union)), subs, onTrailer)
-		})
-	s.onDone = span.End
-	return s, nil
+	// One physical pass over the union of every subscriber's
+	// ranges, re-clipped per subscriber on delivery.
+	var union []skv.Range
+	for _, sb := range subs {
+		union = append(union, sb.ranges...)
+	}
+	mc.runFoldedScan(f.tablet.endpoint, f.request(skv.CoalesceRanges(union)), subs, f.onTrailer)
 }
 
 // foldSub is one scan's subscription to a fold group: the ranges its
@@ -285,13 +196,13 @@ type foldSub struct {
 // tablet band, merged iterator stack, wire batch size, and column-family
 // constraint. Setting opts are serialised in sorted key order so equal
 // stacks always collide.
-func foldKey(endpoint, table, start, end string, settings []iterator.Setting, batch int, families []string) string {
+func foldKey(f *tabletFetch) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s|%d", endpoint, table, start, end, batch)
-	for _, f := range families {
-		fmt.Fprintf(&b, "|cf:%s", f)
+	fmt.Fprintf(&b, "%s|%s|%s|%s|%d", f.tablet.endpoint, f.table, f.tablet.start, f.tablet.end, f.r.topo.wireBatch)
+	for _, cf := range f.families {
+		fmt.Fprintf(&b, "|cf:%s", cf)
 	}
-	for _, s := range settings {
+	for _, s := range f.settings {
 		fmt.Fprintf(&b, "|%s#%d", s.Name, s.Priority)
 		keys := make([]string, 0, len(s.Opts))
 		for k := range s.Opts {
@@ -396,54 +307,10 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 	}
 }
 
-// foldTrailerMetrics adds an external pass's shipped counters into the
-// coordinator's cluster-global Metrics — the step that keeps ScanStats
-// accurate when tablet servers run in other processes. Counters with no
-// global mirror (cache, bloom, compaction kicks) stay query-scoped.
-func foldTrailerMetrics(m *Metrics, t *telemetry.Trailer) {
-	m.TabletScans.Add(t.Counts.Get(telemetry.TabletScans))
-	m.TabletsPrunedByRange.Add(t.Counts.Get(telemetry.TabletsPrunedByRange))
-	m.EntriesPrunedByRange.Add(t.Counts.Get(telemetry.EntriesPrunedByRange))
-	m.PartialProductsFolded.Add(t.Counts.Get(telemetry.PartialProductsFolded))
-	m.WireBytes.Add(t.Counts.Get(telemetry.WireBytes))
-	m.RPCs.Add(t.Counts.Get(telemetry.RPCs))
-	m.EntriesScanned.Add(t.Counts.Get(telemetry.EntriesScanned))
-	m.EntriesWritten.Add(t.Counts.Get(telemetry.EntriesWritten))
-	m.ScansStarted.Add(t.Counts.Get(telemetry.ScansStarted))
-}
-
-// metrics implements scanBackend.
-func (mc *MiniCluster) metrics() *Metrics { return &mc.Metrics }
-
-// normalizeRanges coalesces a scan's requested ranges. No ranges at all
-// means the full range; ranges that are all empty mean an empty scan
-// (empty=true) — the two must not be conflated.
-func normalizeRanges(ranges []skv.Range) (_ []skv.Range, empty bool) {
-	if len(ranges) == 0 {
-		return []skv.Range{skv.FullRange()}, false
-	}
-	coalesced := skv.CoalesceRanges(ranges)
-	return coalesced, len(coalesced) == 0
-}
-
-// clipRanges intersects each (sorted, coalesced) range with a tablet's
-// row band, dropping empty intersections.
-func clipRanges(ranges []skv.Range, start, end string) []skv.Range {
-	band := skv.RowRange(start, end)
-	var out []skv.Range
-	for _, r := range ranges {
-		if c := r.Clip(band); !c.IsEmpty() {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // relayScan is one per-tablet fetch worker: it opens the remote scan and
 // relays decoded batches to the cursor channel with backpressure,
 // honouring cancellation from the consumer side (done) and failure from
-// the server side (Recv errors). Shared by the MiniCluster client and
-// the standalone tablet server's nested scans. Wire traffic is counted
+// the server side (Recv errors). Wire traffic is counted
 // into both the process Metrics and the query q (nil = untraced); a
 // telemetry trailer frame — the stream's final payload — is handed to
 // onTrailer (nil = dropped).
@@ -645,7 +512,7 @@ func (s *EntryStream) CollectFloatByRow() (map[string]float64, error) {
 // a TwoTableIterator abandons the remote side mid-stream when the
 // hosted side runs dry.
 type scanEnv struct {
-	backend scanBackend
+	r *router
 	// tc attributes the env's work — nested scans, RemoteWrite flushes,
 	// iterator counters — to the tablet pass (or compaction) it serves.
 	tc     traceCtx
@@ -654,7 +521,7 @@ type scanEnv struct {
 
 // openStream opens a nested scan attributed to this env's pass.
 func (e *scanEnv) openStream(table string, ranges []skv.Range, families []string, extra []iterator.Setting) (*EntryStream, error) {
-	return e.backend.openStream(table, ranges, families, extra, e.tc)
+	return e.r.openStream(table, ranges, families, extra, e.tc)
 }
 
 // OpenScanner implements iterator.Env. The returned SKVI is streaming:
@@ -689,7 +556,7 @@ func (e *scanEnv) OpenScannerFamilies(table string, rng skv.Range, families []st
 func (e *scanEnv) WriteEntries(table string, entries []skv.Entry) error {
 	span := e.tc.q.StartSpan(e.tc.parent, "flush "+table)
 	start := time.Now()
-	err := e.backend.writeEntries(table, entries, e.tc.q)
+	err := e.r.write(table, entries, e.tc.q)
 	e.tc.q.ObserveWriteBatch(time.Since(start))
 	span.End()
 	return err
@@ -698,14 +565,14 @@ func (e *scanEnv) WriteEntries(table string, entries []skv.Entry) error {
 // CountRangePruned implements iterator.Counters: entries a server-side
 // range filter dropped.
 func (e *scanEnv) CountRangePruned(n int) {
-	e.backend.metrics().EntriesPrunedByRange.Add(int64(n))
+	e.r.metrics.EntriesPrunedByRange.Add(int64(n))
 	e.tc.q.Add(telemetry.EntriesPrunedByRange, int64(n))
 }
 
 // CountFolded implements iterator.Counters: partial products absorbed
 // by the fold stage.
 func (e *scanEnv) CountFolded(n int) {
-	e.backend.metrics().PartialProductsFolded.Add(int64(n))
+	e.r.metrics.PartialProductsFolded.Add(int64(n))
 	e.tc.q.Add(telemetry.PartialProductsFolded, int64(n))
 }
 

@@ -83,7 +83,7 @@ func TestConnDropMidScanSurfacesError(t *testing.T) {
 	// pass, so a deadlock here would also fail the test (via timeout).
 	closed := make(chan struct{})
 	go func() {
-		for _, srv := range mc.locals {
+		for _, srv := range mc.servers {
 			srv.Close()
 		}
 		close(closed)
@@ -116,7 +116,7 @@ func TestConnDropMidScanSurfacesError(t *testing.T) {
 func TestServerShutdownWriteIsRetriable(t *testing.T) {
 	mc := tcpCluster(t)
 	fillTable(t, mc, "W", 10, 8) // also warms the connection pool
-	for _, srv := range mc.locals {
+	for _, srv := range mc.servers {
 		srv.Close()
 	}
 	w, err := mc.Connector().CreateBatchWriter("W", BatchWriterConfig{MaxRetries: 2})

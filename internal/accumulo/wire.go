@@ -16,28 +16,25 @@ import (
 	"graphulo/internal/skv"
 )
 
-// Tablet-server ops. opPing/opWrite/opScan are served by every tablet
-// server; opAssign/opDrop are the minimal control plane a standalone
-// tablet server (cmd/graphulo serve) needs, since MiniCluster-launched
-// servers share the coordinator's metadata in-process.
+// Tablet-server ops, all served by the one TabletServer handler. A
+// coordinator of launched servers hosts tablets by pointer and never
+// sends opAssign/opDrop; they are the minimal control plane a standalone
+// server (cmd/graphulo serve) is driven by.
 const (
-	// opPing checks liveness and carries the stamp-clock handshake for
-	// standalone servers: an empty request just returns the server's
-	// current clock (uvarint); a request carrying a uvarint band raises
-	// the server's clock into that band (band<<32) first. The
-	// coordinator uses the two phases to hand every server a stamp band
-	// that is distinct and above anything any of them has used.
+	// opPing checks that the server is reachable; empty request and
+	// response.
 	opPing byte = iota + 1
-	// opWrite ingests one pre-stamped entry batch into one tablet.
+	// opWrite ingests one entry batch into one tablet. The hosting server
+	// stamps the entries from its clock on arrival, whatever timestamps
+	// the batch carried.
 	opWrite
 	// opScan streams one tablet's scan results: the request carries the
-	// fully merged iterator stack and (for external servers) a routing
-	// topology, the response is a stream of skv batch payloads.
+	// fully merged iterator stack and the routing topology, the response
+	// is a stream of skv batch payloads.
 	opScan
-	// opAssign creates an empty hosted tablet on a standalone server.
+	// opAssign hosts a fresh empty in-memory tablet.
 	opAssign
-	// opDrop releases every hosted tablet of a table on a standalone
-	// server.
+	// opDrop releases every hosted tablet of a table.
 	opDrop
 )
 
@@ -297,14 +294,14 @@ func readSettings(src []byte) ([]iterator.Setting, []byte, error) {
 
 // --- topology ---
 
-// topology is the routing snapshot shipped inside scan requests bound
-// for external (standalone) tablet servers. It makes a server
-// self-sufficient for server-side iterator traffic: a RemoteSource or
-// TwoTableIterator running inside the scan routes its operand scans —
-// and a RemoteWriteIterator its result batches — to the right peer
-// endpoints using only the request, no shared metadata service.
-// MiniCluster-launched servers resolve against the coordinator's
-// in-process metadata instead and never read this.
+// topology is the routing snapshot the coordinator takes of its metadata
+// and every scan request carries. It drives the router on both sides:
+// the coordinator fans client scans and writes out by it, and it makes a
+// server self-sufficient for server-side iterator traffic — a
+// RemoteSource or TwoTableIterator running inside the scan routes its
+// operand scans, and a RemoteWriteIterator its result batches, to the
+// right peer endpoints using only the request, no shared metadata
+// service.
 type topology struct {
 	wireBatch int
 	scanPar   int
@@ -411,8 +408,8 @@ func readTopology(src []byte) (*topology, []byte, error) {
 
 // --- requests ---
 
-// writeReq routes one pre-stamped entry batch to one tablet. The batch
-// stays in its skv.EncodeBatch form.
+// writeReq routes one entry batch to one tablet. The batch stays in its
+// skv.EncodeBatch form.
 type writeReq struct {
 	table      string
 	start, end string // tablet identity: its hosted row range
@@ -465,8 +462,8 @@ func decodeWriteReq(src []byte) (writeReq, error) {
 // scanReq opens one tablet's scan: the already-clipped, sorted range
 // list (SpRef push-down; empty = the full tablet), the fully merged
 // iterator stack (table scan scope + per-scan extras — merged
-// client-side so external servers need no table metadata), the batch
-// size for the response stream, and the optional routing topology.
+// router-side so servers need no table metadata), the batch size for the
+// response stream, and the routing topology.
 type scanReq struct {
 	table      string
 	start, end string // tablet identity
@@ -558,8 +555,7 @@ func decodeScanReq(src []byte) (scanReq, error) {
 	return r, nil
 }
 
-// assignReq creates (or reuses) an empty hosted tablet on a standalone
-// tablet server.
+// assignReq hosts a fresh empty tablet on a tablet server.
 type assignReq struct {
 	table      string
 	start, end string

@@ -11,23 +11,72 @@ import (
 	"graphulo/internal/transport"
 )
 
-// recordingHandler notes the start row of every write request in the
-// order the tablet servers receive them, then serves it.
+// recording is the log a cluster's recordingHandlers share: the start
+// row of every write request in the order the tablet servers receive
+// them, and every data-plane exchange with its response frames.
+type recording struct {
+	mu        sync.Mutex
+	starts    []string
+	exchanges []exchange
+}
+
+// exchange is one served request: its op, the response payloads (one for
+// a unary call, the stream's frames for a scan) and the handler's error.
+type exchange struct {
+	op     byte
+	frames [][]byte
+	err    error
+}
+
+func (l *recording) add(x exchange) {
+	l.mu.Lock()
+	l.exchanges = append(l.exchanges, x)
+	l.mu.Unlock()
+}
+
+// recordingHandler logs every request its tablet server is sent, and
+// what the server answers, then serves it.
 type recordingHandler struct {
 	transport.Handler
-	mu     sync.Mutex
-	starts []string
+	log *recording
 }
 
 func (r *recordingHandler) Call(op byte, req []byte) ([]byte, error) {
 	if op == opWrite {
 		if wr, err := decodeWriteReq(req); err == nil {
-			r.mu.Lock()
-			r.starts = append(r.starts, wr.start)
-			r.mu.Unlock()
+			r.log.mu.Lock()
+			r.log.starts = append(r.log.starts, wr.start)
+			r.log.mu.Unlock()
 		}
 	}
-	return r.Handler.Call(op, req)
+	resp, err := r.Handler.Call(op, req)
+	r.log.add(exchange{op: op, frames: [][]byte{resp}, err: err})
+	return resp, err
+}
+
+func (r *recordingHandler) Stream(op byte, req []byte, send func([]byte) error) error {
+	x := exchange{op: op}
+	x.err = r.Handler.Stream(op, req, func(frame []byte) error {
+		x.frames = append(x.frames, append([]byte(nil), frame...))
+		return send(frame)
+	})
+	r.log.add(x)
+	return x.err
+}
+
+// recordLaunched puts a recording endpoint in front of every tablet
+// server mc launched; tables created afterwards route through them.
+func recordLaunched(t *testing.T, mc *MiniCluster) *recording {
+	t.Helper()
+	log := &recording{}
+	for i, s := range mc.servers {
+		srv, err := mc.tr.Listen("", &recordingHandler{Handler: &tabletHandler{s: s}, log: log})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mc.endpoints[i] = srv.Addr()
+	}
+	return log
 }
 
 // TestWriteReachesTabletsInTabletOrder: one batch spanning all four
@@ -37,27 +86,11 @@ func (r *recordingHandler) Call(op byte, req []byte) ([]byte, error) {
 func TestWriteReachesTabletsInTabletOrder(t *testing.T) {
 	mc := NewMiniCluster(Config{TabletServers: 2})
 	defer mc.Close()
+	rec := recordLaunched(t, mc)
 	conn := mc.Connector()
 	splits := []string{"r25", "r50", "r75"}
 	mustCreate(t, conn, "T", splits...)
 	mustCreate(t, conn, "Tsorted", splits...)
-
-	// Route T's tablets through an endpoint whose handler records.
-	rec := &recordingHandler{Handler: &clusterHandler{mc: mc}}
-	srv, err := mc.tr.Listen("", rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	meta, err := mc.getTable("T")
-	if err != nil {
-		t.Fatal(err)
-	}
-	meta.mu.Lock()
-	for _, tr := range meta.tablets {
-		tr.endpoint = srv.Addr()
-	}
-	meta.mu.Unlock()
 
 	var batch []skv.Entry
 	for i := 0; i < 100; i++ {

@@ -306,86 +306,6 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 	}
 }
 
-// KTrussAdjTableMaterialized is the pre-plan kTruss driver: every
-// round's support matrix A² lands in a `_sq` scratch table via
-// TableMult and is scanned back — one write-then-rescan round-trip per
-// round that the fused KTrussAdjTable eliminates. Kept as the
-// equivalence baseline: both drivers must produce byte-identical
-// results. Scratch names are trace-suffixed here too, so concurrent
-// kernels sharing a scratch base cannot clobber each other.
-func KTrussAdjTableMaterialized(conn *accumulo.Connector, table, outTable string, k int, scratch string) (iterCount int, err error) {
-	q, done, err := startQuery(conn, "kTrussMaterialized", nil, "")
-	if err != nil {
-		return
-	}
-	defer func() { done(err) }()
-	ops := conn.TableOperations()
-	trace := q.Trace().String()
-	cur := table
-	var scratchTables []string
-	defer func() { dropScratch(conn, scratchTables, &err) }()
-	for round := 0; ; round++ {
-		tmp := fmt.Sprintf("%s_sq%d_%s", scratch, round, trace)
-		if ops.Exists(tmp) {
-			if err := ops.Delete(tmp); err != nil {
-				return iterCount, err
-			}
-		}
-		scratchTables = append(scratchTables, tmp)
-		noteScratch(conn)
-		if _, err := TableMult(conn, cur, cur, tmp, MultOptions{Query: q}); err != nil {
-			return iterCount, err
-		}
-		iterCount++
-		aCur, err := schema.ReadAssoc(conn, cur)
-		if err != nil {
-			return iterCount, err
-		}
-		aSq, err := schema.ReadAssoc(conn, tmp)
-		if err != nil {
-			return iterCount, err
-		}
-		var keep []assoc.Entry
-		removed := false
-		for _, e := range aCur.Entries() {
-			if aSq.At(e.Row, e.Col) >= float64(k-2) {
-				keep = append(keep, e)
-			} else {
-				removed = true
-			}
-		}
-		if !removed {
-			if ops.Exists(outTable) {
-				if err := ops.Delete(outTable); err != nil {
-					return iterCount, err
-				}
-			}
-			if err := createSumTable(conn, outTable); err != nil {
-				return iterCount, err
-			}
-			if err := schema.WriteAssoc(conn, outTable, assoc.New(keep, aCur.Ring())); err != nil {
-				return iterCount, err
-			}
-			return iterCount, nil
-		}
-		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
-		if ops.Exists(next) {
-			if err := ops.Delete(next); err != nil {
-				return iterCount, err
-			}
-		}
-		scratchTables = append(scratchTables, next)
-		noteScratch(conn)
-		if err := createSumTable(conn, next); err != nil {
-			return iterCount, err
-		}
-		if err := schema.WriteAssoc(conn, next, assoc.New(keep, aCur.Ring())); err != nil {
-			return iterCount, err
-		}
-		cur = next
-	}
-}
-
 // createSumTable makes name a sum-combined table, installing the
 // combiner even when the table pre-exists (see ensureResultTable — a
 // pre-created table would otherwise keep versioning semantics and drop
@@ -418,44 +338,9 @@ func JaccardTable(conn *accumulo.Connector, table, degTable, outTable string) (w
 	return writeJaccard(conn, outTable, cellsToAssoc(res.Cells), degs, q)
 }
 
-// JaccardTableMaterialized is the pre-plan Jaccard driver: the
-// numerator A·A lands in a `<out>_num_<trace>` scratch table via
-// TableMult and is scanned back. Kept as the equivalence baseline for
-// the fused driver; the scratch name is trace-suffixed so concurrent
-// kernels writing the same output base cannot collide. The scratch
-// table is deleted before returning, on success and on error.
-func JaccardTableMaterialized(conn *accumulo.Connector, table, degTable, outTable string) (written int, err error) {
-	q, done, err := startQuery(conn, "JaccardMaterialized", nil, "")
-	if err != nil {
-		return
-	}
-	defer func() { done(err) }()
-	ops := conn.TableOperations()
-	tmp := fmt.Sprintf("%s_num_%s", outTable, q.Trace())
-	if ops.Exists(tmp) {
-		if err := ops.Delete(tmp); err != nil {
-			return 0, err
-		}
-	}
-	defer dropScratch(conn, []string{tmp}, &err)
-	noteScratch(conn)
-	if _, err := TableMult(conn, table, table, tmp, MultOptions{Query: q}); err != nil {
-		return 0, err
-	}
-	degs, err := readDegrees(conn, degTable, q, schema.DegBand()...)
-	if err != nil {
-		return 0, err
-	}
-	num, err := schema.ReadAssoc(conn, tmp)
-	if err != nil {
-		return 0, err
-	}
-	return writeJaccard(conn, outTable, num, degs, q)
-}
-
 // writeJaccard normalises the common-neighbour counts and writes the
-// strict upper triangle into outTable — the client-side tail shared by
-// the fused and materializing Jaccard drivers.
+// strict upper triangle into outTable — the client-side tail of
+// JaccardTable.
 func writeJaccard(conn *accumulo.Connector, outTable string, num *assoc.Assoc, degs map[string]float64, q *telemetry.Query) (written int, err error) {
 	if err := createSumTable(conn, outTable); err != nil {
 		return 0, err
@@ -561,8 +446,7 @@ func TableDegrees(conn *accumulo.Connector, table, degTable string) (int, error)
 // table: a fused plan streams the A² partial products back and ⊕-folds
 // them client-side, then the client streams A once and accumulates
 // Σ A∘A² / 6. No scratch table is created; the scratch parameter is
-// kept as the materialisation base should the planner ever need one
-// (and for signature compatibility with the materializing variant).
+// the materialisation base should the planner ever need one.
 func TriangleCountTable(conn *accumulo.Connector, table, scratch string) (count float64, err error) {
 	q, done, err := startQuery(conn, "TriangleCount", nil, "")
 	if err != nil {
@@ -595,42 +479,4 @@ func visitTableEntries(conn *accumulo.Connector, table string, q *telemetry.Quer
 			return nil
 		})
 	return err
-}
-
-// TriangleCountTableMaterialized is the pre-plan triangle counter:
-// TableMult materialises A² in a `<scratch>_<trace>` table that is
-// scanned back — the round-trip the fused TriangleCountTable
-// eliminates. The scratch table is deleted before returning, on success
-// and on error.
-func TriangleCountTableMaterialized(conn *accumulo.Connector, table, scratch string) (count float64, err error) {
-	q, done, err := startQuery(conn, "TriangleCountMaterialized", nil, "")
-	if err != nil {
-		return
-	}
-	defer func() { done(err) }()
-	ops := conn.TableOperations()
-	tmp := fmt.Sprintf("%s_%s", scratch, q.Trace())
-	if ops.Exists(tmp) {
-		if err := ops.Delete(tmp); err != nil {
-			return 0, err
-		}
-	}
-	defer dropScratch(conn, []string{tmp}, &err)
-	noteScratch(conn)
-	if _, err := TableMult(conn, table, table, tmp, MultOptions{Query: q}); err != nil {
-		return 0, err
-	}
-	a, err := schema.ReadAssoc(conn, table)
-	if err != nil {
-		return 0, err
-	}
-	sq, err := schema.ReadAssoc(conn, tmp)
-	if err != nil {
-		return 0, err
-	}
-	total := 0.0
-	for _, e := range a.Entries() {
-		total += sq.At(e.Row, e.Col)
-	}
-	return total / 6, nil
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"strconv"
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
@@ -293,52 +292,4 @@ func scanTable(conn *accumulo.Connector, table string) ([]skv.Entry, error) {
 		return nil, err
 	}
 	return sc.Entries()
-}
-
-// AdjBFSServerFiltered is AdjBFS with the degree filter running
-// server-side via the degreeFilter iterator (instead of the client-side
-// map in AdjBFS): each hop's batch scan carries the filter so rejected
-// neighbours never cross the wire.
-func AdjBFSServerFiltered(conn *accumulo.Connector, table, degTable string, seeds []string, hops int, minDeg, maxDeg float64) (map[string]int, error) {
-	visited := map[string]int{}
-	frontier := append([]string(nil), seeds...)
-	for _, s := range seeds {
-		visited[s] = 0
-	}
-	for hop := 1; hop <= hops && len(frontier) > 0; hop++ {
-		bs, err := conn.CreateBatchScanner(table, 8)
-		if err != nil {
-			return nil, err
-		}
-		ranges := make([]skv.Range, len(frontier))
-		for i, v := range frontier {
-			ranges[i] = skv.ExactRow(v)
-		}
-		bs.SetRanges(ranges)
-		opts := map[string]string{
-			"table":    degTable,
-			"families": iterator.EncodeFamiliesOpt(schema.DegBand()),
-		}
-		if minDeg > 0 {
-			opts["min"] = strconv.FormatFloat(minDeg, 'g', -1, 64)
-		}
-		if maxDeg > 0 {
-			opts["max"] = strconv.FormatFloat(maxDeg, 'g', -1, 64)
-		}
-		bs.AddScanIterator(iterator.Setting{Name: "degreeFilter", Priority: 30, Opts: opts})
-		var next []string
-		err = bs.ForEach(func(e skv.Entry) error {
-			nb := e.K.ColQ
-			if _, seen := visited[nb]; !seen {
-				visited[nb] = hop
-				next = append(next, nb)
-			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		frontier = next
-	}
-	return visited, nil
 }

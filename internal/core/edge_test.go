@@ -116,34 +116,3 @@ func TestKTrussEdgeTableBarbell(t *testing.T) {
 		t.Fatalf("table truss %d edges, in-memory %d", len(survivors), want.Rows())
 	}
 }
-
-func TestAdjBFSServerFilteredMatchesClientFiltered(t *testing.T) {
-	conn := testConn(t)
-	g := gen.Dedup(gen.RMAT(gen.Graph500(6, 9)))
-	sch, err := schema.NewAdjacencySchema(conn, "F")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sch.IngestGraph(g); err != nil {
-		t.Fatal(err)
-	}
-	seeds := []string{schema.VertexName(g.Edges[0].U)}
-	serverSide, err := AdjBFSServerFiltered(conn, sch.Table, sch.DegTable, seeds, 2, 3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clientSide, err := AdjBFS(conn, sch.Table, seeds, 2, AdjBFSOptions{
-		MinDegree: 3, DegTable: sch.DegTable,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serverSide) != len(clientSide) {
-		t.Fatalf("server %d visited, client %d", len(serverSide), len(clientSide))
-	}
-	for v, l := range clientSide {
-		if serverSide[v] != l {
-			t.Fatalf("level[%s]: server %d, client %d", v, serverSide[v], l)
-		}
-	}
-}

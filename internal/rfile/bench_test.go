@@ -1,7 +1,6 @@
 package rfile
 
 import (
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -55,87 +54,4 @@ func BenchmarkRepeatedScan(b *testing.B) {
 	}
 	b.Run("cache-off", func(b *testing.B) { run(b, nil) })
 	b.Run("cache-on", func(b *testing.B) { run(b, cache.New(64<<20)) })
-}
-
-// coldBlockLoads counts the disk blocks one deg-banded scan of path
-// touches, by running it against a fresh cache and reading the miss
-// counter.
-func coldBlockLoads(b *testing.B, path string) int64 {
-	b.Helper()
-	c := cache.New(64 << 20)
-	r, err := OpenWithOptions(path, ReaderOptions{Cache: c})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer r.Close()
-	it := r.IterFamilies("", []string{"deg"})
-	if err := it.Seek(skv.FullRange()); err != nil {
-		b.Fatal(err)
-	}
-	for it.HasTop() {
-		if err := it.Next(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return c.Misses()
-}
-
-// BenchmarkLocalityGroupScan pins the tentpole win: a deg-banded scan
-// over a v4 locality-grouped file against the same scan over a v3
-// legacy file, where the missing family directory forces a full scan
-// with a per-entry filter. The grouped file must touch at most half the
-// blocks the legacy file does; blocks/op and skipped/op are reported
-// for the CI baseline diff.
-func BenchmarkLocalityGroupScan(b *testing.B) {
-	entries := mixedFamilyEntries(1 << 12)
-	wantDeg := len(filterFamilies(entries, "deg"))
-	dir := b.TempDir()
-	grouped := filepath.Join(dir, "v4.rf")
-	if err := WriteAll(grouped, entries, WriterOptions{}); err != nil {
-		b.Fatal(err)
-	}
-	legacy := filepath.Join(dir, "v3.rf")
-	legacyBytes := encodeLegacy(3, entries, DefaultBlockSize,
-		DefaultBloomBitsPerKey, DefaultBloomBitsPerKey)
-	if err := os.WriteFile(legacy, legacyBytes, 0o644); err != nil {
-		b.Fatal(err)
-	}
-
-	groupedLoads := coldBlockLoads(b, grouped)
-	legacyLoads := coldBlockLoads(b, legacy)
-	if legacyLoads < 2*groupedLoads {
-		b.Fatalf("grouped file loaded %d blocks vs legacy %d — want at least a 2x reduction",
-			groupedLoads, legacyLoads)
-	}
-
-	run := func(b *testing.B, path string, loads int64) {
-		var stats Stats
-		r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer r.Close()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			it := r.IterFamilies("", []string{"deg"})
-			if err := it.Seek(skv.FullRange()); err != nil {
-				b.Fatal(err)
-			}
-			n := 0
-			for it.HasTop() {
-				n++
-				if err := it.Next(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			if n != wantDeg {
-				b.Fatalf("deg band scanned %d entries, want %d", n, wantDeg)
-			}
-		}
-		b.ReportMetric(float64(loads), "blocks/op")
-		b.ReportMetric(float64(stats.LocalityBlocksSkipped.Load())/float64(b.N), "skipped/op")
-		b.ReportMetric(float64(wantDeg)*float64(b.N)/b.Elapsed().Seconds(), "entries/sec")
-	}
-	b.Run("grouped-v4", func(b *testing.B) { run(b, grouped, groupedLoads) })
-	b.Run("legacy-v3", func(b *testing.B) { run(b, legacy, legacyLoads) })
 }

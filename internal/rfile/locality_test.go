@@ -6,6 +6,7 @@ package rfile
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
@@ -134,6 +135,44 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 	}
 	if skipped := stats.LocalityBlocksSkipped.Load(); skipped != 0 {
 		t.Fatalf("unconstrained scan counted %d skipped blocks", skipped)
+	}
+}
+
+// TestLocalityGroupScanLoadsHalfTheBlocks pins what locality groups buy
+// as a contract on block counts: a deg-banded scan of a v4 grouped file
+// loads at most half the blocks the same scan loads from a v3 legacy
+// file, where the missing family directory forces every block through a
+// per-entry filter.
+func TestLocalityGroupScanLoadsHalfTheBlocks(t *testing.T) {
+	entries := mixedFamilyEntries(1 << 12)
+	want := filterFamilies(entries, "deg")
+	dir := t.TempDir()
+	grouped := filepath.Join(dir, "v4.rf")
+	if err := WriteAll(grouped, entries, WriterOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	legacy := filepath.Join(dir, "v3.rf")
+	legacyBytes := encodeLegacy(3, entries, DefaultBlockSize,
+		DefaultBloomBitsPerKey, DefaultBloomBitsPerKey)
+	if err := os.WriteFile(legacy, legacyBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	blockLoads := func(path string) int64 {
+		var stats Stats
+		r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if got := collect(t, r.IterFamilies("", []string{"deg"})); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: deg band scanned %d entries, want %d", filepath.Base(path), len(got), len(want))
+		}
+		return int64(len(r.blocks)) - stats.LocalityBlocksSkipped.Load()
+	}
+	groupedLoads, legacyLoads := blockLoads(grouped), blockLoads(legacy)
+	if groupedLoads == 0 || legacyLoads < 2*groupedLoads {
+		t.Fatalf("grouped file loaded %d blocks vs legacy %d — want at least a 2x reduction",
+			groupedLoads, legacyLoads)
 	}
 }
 

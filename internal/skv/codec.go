@@ -72,22 +72,9 @@ func DecodeEntry(src []byte) (Entry, []byte, error) {
 
 // EncodeBatch serialises a batch of entries with a count header.
 func EncodeBatch(entries []Entry) []byte {
-	dst := binary.AppendUvarint(nil, uint64(len(entries)))
-	for _, e := range entries {
-		dst = EncodeEntry(dst, e)
-	}
-	return dst
-}
-
-// EncodeBatchStamped is EncodeBatch with the entries' timestamps
-// replaced by consecutive stamps from firstTs up, in slice order — the
-// write path's stamping folded into serialisation, so routing a batch
-// neither copies nor mutates the caller's entries.
-func EncodeBatchStamped(entries []Entry, firstTs int64) []byte {
 	// Sized up front (32 B holds a typical graph entry) to spare regrowth.
 	dst := binary.AppendUvarint(make([]byte, 0, 8+32*len(entries)), uint64(len(entries)))
-	for i, e := range entries {
-		e.K.Ts = firstTs + int64(i)
+	for _, e := range entries {
 		dst = EncodeEntry(dst, e)
 	}
 	return dst

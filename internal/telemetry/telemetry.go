@@ -565,6 +565,11 @@ type Options struct {
 	SlowQueryLog io.Writer
 	// MaxRecent bounds the retained finished-query ring (default 64).
 	MaxRecent int
+	// ListPasses makes the registry track the tablet passes served here
+	// (StartPass), so the process's /queries listing shows them — what a
+	// standalone tablet server wants. A coordinator leaves it off: its
+	// listing is the kernel queries it ran.
+	ListPasses bool
 }
 
 // Registry tracks a process's queries — in-flight and a ring of recent —
@@ -573,6 +578,7 @@ type Registry struct {
 	host          string
 	slowThreshold time.Duration
 	maxRecent     int
+	listPasses    bool
 
 	// Process-global latency distributions, exported as Prometheus
 	// histogram families by the telemetry HTTP server.
@@ -609,6 +615,7 @@ func NewRegistry(o Options) *Registry {
 		slowThreshold: o.SlowQueryThreshold,
 		slowLog:       o.SlowQueryLog,
 		maxRecent:     o.MaxRecent,
+		listPasses:    o.ListPasses,
 		inflight:      map[*Query]struct{}{},
 		tenants:       map[string]*tenantAgg{},
 	}
@@ -628,13 +635,16 @@ func (r *Registry) StartQuery(kernel string) *Query {
 	return q
 }
 
-// StartRemote adopts an existing trace for a server-side pass, so the
-// process's /queries listing shows the passes it served. parent is the
-// requesting side's span ID.
-func (r *Registry) StartRemote(trace TraceID, parent uint64, name string) *Query {
-	q := newQuery(r, trace, parent, name, r.host, true)
-	q.Stats.Add(TabletScans, 1)
-	r.track(q)
+// StartPass starts the record of one tablet pass served here, adopting
+// the requesting side's trace; parent is the requester's span ID. The
+// pass's counters and spans travel back in its trailer; a registry built
+// with Options.ListPasses also tracks it for the /queries listing.
+func (r *Registry) StartPass(trace TraceID, parent uint64, name string) *Query {
+	q := NewPass(trace, parent, name, r.host)
+	if r.listPasses {
+		q.reg = r
+		r.track(q)
+	}
 	return q
 }
 

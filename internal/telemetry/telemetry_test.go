@@ -243,7 +243,7 @@ func TestRegistryRecentRing(t *testing.T) {
 
 func TestSlowQueryLog(t *testing.T) {
 	var buf bytes.Buffer
-	r := NewRegistry(Options{Host: "c", SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &buf})
+	r := NewRegistry(Options{Host: "c", SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &buf, ListPasses: true})
 	q := r.StartQuery("TableMult")
 	q.Add(EntriesScanned, 9)
 	q.ObserveScanPass(5 * time.Millisecond)
@@ -267,11 +267,22 @@ func TestSlowQueryLog(t *testing.T) {
 	}
 	// Remote passes never hit the slow log.
 	buf.Reset()
-	p := r.StartRemote(7, 0, "pass")
+	listed := len(r.Snapshot())
+	p := r.StartPass(7, 0, "pass")
 	time.Sleep(time.Millisecond)
 	p.FinishPass(nil)
 	if buf.Len() != 0 {
 		t.Fatalf("remote pass logged as slow query: %s", buf.String())
+	}
+	// A registry built with ListPasses tracks the pass; one without hands
+	// back a detached record.
+	if got := len(r.Snapshot()); got != listed+1 {
+		t.Fatalf("listing registry shows %d records after a pass, want %d", got, listed+1)
+	}
+	plain := NewRegistry(Options{Host: "c"})
+	plain.StartPass(7, 0, "pass").FinishPass(nil)
+	if got := len(plain.Snapshot()); got != 0 {
+		t.Fatalf("non-listing registry tracked a pass: %d records", got)
 	}
 }
 
