@@ -1,5 +1,5 @@
 // Command reproduce regenerates every table and figure of the paper
-// (see DESIGN.md §4 and EXPERIMENTS.md) and prints paper-vs-measured.
+// (see docs/ARCHITECTURE.md) and prints paper-vs-measured.
 //
 // Usage:
 //

@@ -32,8 +32,8 @@
 // table in client or server memory — and a pre-split table's kernel
 // passes run on multiple cores at once, which is how the paper's
 // kernels scale with the number of tablet servers. The
-// Metrics.ScansInFlight and Metrics.MaxEntriesBuffered gauges make both
-// properties observable.
+// ScanStats.MaxScansInFlight and ScanStats.MaxEntriesBuffered high-water
+// marks make both properties observable.
 //
 // Every batch in that flow crosses a transport between client and
 // tablet server. ClusterConfig.Transport selects the wire: "inproc"
@@ -303,8 +303,9 @@ func (db *DB) Connector() *accumulo.Connector { return db.conn }
 
 // Metrics returns cumulative wire/RPC/entry counters.
 func (db *DB) Metrics() (wireBytes, rpcs, written, scanned int64) {
-	m := &db.cluster.Metrics
-	return m.WireBytes.Load(), m.RPCs.Load(), m.EntriesWritten.Load(), m.EntriesScanned.Load()
+	st := &db.cluster.Telemetry().Stats
+	return st.Get(telemetry.WireBytes), st.Get(telemetry.RPCs),
+		st.Get(telemetry.EntriesWritten), st.Get(telemetry.EntriesScanned)
 }
 
 // ScanStats snapshots the read-path metrics: the streaming-pipeline
@@ -373,32 +374,31 @@ type ScanStats struct {
 	SharedScanFolds int64
 }
 
-// ScanMetrics snapshots the read-path gauges and counters; the storage
-// fields are zero for an in-memory cluster.
+// ScanMetrics snapshots the read-path gauges and counters — the typed
+// view of the process counter block; the storage fields are zero for an
+// in-memory cluster.
 func (db *DB) ScanMetrics() ScanStats {
-	m := &db.cluster.Metrics
-	st := db.cluster.StorageStats()
-	ing := db.cluster.IngestStats()
+	k := db.cluster.Telemetry().Stats.Counts()
 	return ScanStats{
-		ScansInFlight:      m.ScansInFlight.Load(),
-		MaxScansInFlight:   m.MaxScansInFlight.Load(),
-		MaxEntriesBuffered: m.MaxEntriesBuffered.Load(),
-		CacheHits:          st.CacheHits,
-		CacheMisses:        st.CacheMisses,
-		BloomNegatives:     st.BloomNegatives,
-		ColQBloomNegatives: st.ColQBloomNegatives,
+		ScansInFlight:      k[telemetry.ScansInFlight],
+		MaxScansInFlight:   k[telemetry.MaxScansInFlight],
+		MaxEntriesBuffered: k[telemetry.MaxEntriesBuffered],
+		CacheHits:          k[telemetry.CacheHits],
+		CacheMisses:        k[telemetry.CacheMisses],
+		BloomNegatives:     k[telemetry.BloomNegatives],
+		ColQBloomNegatives: k[telemetry.ColQBloomNegatives],
 
-		LocalityBlocksSkipped: st.LocalityBlocksSkipped,
-		MemtableFreezes:       ing.Freezes.Load(),
-		WriteStallNanos:       ing.StallNanos.Load(),
-		MajorCompactions:      m.MajorCompactions.Load(),
+		LocalityBlocksSkipped: k[telemetry.LocalityBlocksSkipped],
+		MemtableFreezes:       k[telemetry.MemtableFreezes],
+		WriteStallNanos:       k[telemetry.WriteStallNanos],
+		MajorCompactions:      k[telemetry.MajorCompactions],
 
-		TabletScans:           m.TabletScans.Load(),
-		TabletsPrunedByRange:  m.TabletsPrunedByRange.Load(),
-		EntriesPrunedByRange:  m.EntriesPrunedByRange.Load(),
-		PartialProductsFolded: m.PartialProductsFolded.Load(),
-		ScratchTablesCreated:  m.ScratchTablesCreated.Load(),
-		SharedScanFolds:       m.SharedScanFolds.Load(),
+		TabletScans:           k[telemetry.TabletScans],
+		TabletsPrunedByRange:  k[telemetry.TabletsPrunedByRange],
+		EntriesPrunedByRange:  k[telemetry.EntriesPrunedByRange],
+		PartialProductsFolded: k[telemetry.PartialProductsFolded],
+		ScratchTablesCreated:  k[telemetry.ScratchTablesCreated],
+		SharedScanFolds:       k[telemetry.SharedScanFolds],
 	}
 }
 
@@ -439,15 +439,16 @@ type QueryStats struct {
 }
 
 // QueryStats returns recent kernel queries, newest first, including any
-// still in flight. The window is bounded (128 finished queries).
+// still in flight. The window is bounded (the 64 most recently finished
+// queries).
 func (db *DB) QueryStats() []QueryStats {
 	snaps := db.cluster.Telemetry().Snapshot()
 	out := make([]QueryStats, 0, len(snaps))
 	for _, s := range snaps {
 		counters := map[string]int64{}
-		for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
-			if v := s.Stats.Get(c); v != 0 {
-				counters[c.String()] = v
+		for c, v := range s.Stats {
+			if v != 0 {
+				counters[telemetry.Counter(c).String()] = v
 			}
 		}
 		out = append(out, QueryStats{

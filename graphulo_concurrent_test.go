@@ -2,11 +2,7 @@ package graphulo
 
 import (
 	"fmt"
-	"io"
-	"net/http"
 	"reflect"
-	"regexp"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -133,7 +129,7 @@ func TestKernelDuringConcurrentIngestTransports(t *testing.T) {
 // vertices are answered by the pair filter (ScanStats.ColQBloomNegatives
 // rises), present edges are never missed, and absent edges read false.
 func TestEdgeLookupUsesColQBloom(t *testing.T) {
-	db, err := Open(ClusterConfig{DataDir: t.TempDir(), NoSync: true, MetricsAddr: "127.0.0.1:0"})
+	db, err := Open(ClusterConfig{DataDir: t.TempDir(), NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,25 +189,4 @@ func TestEdgeLookupUsesColQBloom(t *testing.T) {
 		t.Fatalf("ColQBloomNegatives = 0 after %d absent-edge probes", absentProbes)
 	}
 
-	// The same counter must be scrapeable: /metrics exposes a nonzero
-	// graphulo_colq_bloom_negatives_total alongside the ingest gauges.
-	resp, err := http.Get("http://" + db.MetricsAddr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	text := string(body)
-	if !regexp.MustCompile(`(?m)^graphulo_colq_bloom_negatives_total [1-9]`).MatchString(text) {
-		t.Errorf("/metrics lacks a nonzero graphulo_colq_bloom_negatives_total:\n%s",
-			regexp.MustCompile(`(?m)^graphulo_colq.*$`).FindString(text))
-	}
-	for _, family := range []string{"graphulo_memtable_freezes_total", "graphulo_write_stall_nanos_total"} {
-		if !strings.Contains(text, family) {
-			t.Errorf("/metrics missing %q", family)
-		}
-	}
 }

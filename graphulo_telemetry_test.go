@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"graphulo/internal/accumulo"
+	"graphulo/internal/telemetry"
 )
 
 // buildBandedOperands creates pre-split operand tables AT and B for a
@@ -270,30 +271,11 @@ func TestExternalTraceSpanLinkage(t *testing.T) {
 			t.Errorf("per-query counter %s is zero in /queries", counter)
 		}
 	}
-
-	// The daemons expose their own endpoints too: each serves its pass
-	// records under the same trace id.
-	daemonAddr, err := func() (string, error) {
-		srv, err := ListenAndServeTablets("127.0.0.1:0", 0)
-		if err != nil {
-			return "", err
-		}
-		t.Cleanup(func() { srv.Close() })
-		return srv.StartTelemetry("127.0.0.1:0")
-	}()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp, err := http.Get("http://" + daemonAddr + "/metrics"); err != nil {
-		t.Errorf("daemon /metrics unreachable: %v", err)
-	} else {
-		resp.Body.Close()
-	}
 }
 
 // TestMetricsEndpointAndSlowQueryLog scrapes /metrics from a durable
-// coordinator after a kernel run, asserting the histogram and counter
-// families CI greps for, and checks the slow-query log receives a
+// coordinator after a kernel run, asserting the histogram families CI
+// greps for (TestMetricsFamilies pins the counter families), and checks the slow-query log receives a
 // structured line when the threshold is sub-microsecond.
 func TestMetricsEndpointAndSlowQueryLog(t *testing.T) {
 	var slow bytes.Buffer
@@ -328,12 +310,6 @@ func TestMetricsEndpointAndSlowQueryLog(t *testing.T) {
 		"# TYPE graphulo_write_batch_seconds histogram",
 		"# TYPE graphulo_wal_sync_seconds histogram",
 		"# TYPE graphulo_kernel_seconds histogram",
-		"graphulo_entries_scanned_total",
-		"graphulo_entries_written_total",
-		"graphulo_tablet_scans_total",
-		"graphulo_tablets_pruned_by_range_total",
-		"graphulo_partial_products_folded_total",
-		"graphulo_queries_total",
 	} {
 		if !strings.Contains(text, family) {
 			t.Errorf("/metrics missing %q", family)
@@ -354,4 +330,112 @@ func TestMetricsEndpointAndSlowQueryLog(t *testing.T) {
 	if line.Kernel == "" || line.Trace == "" {
 		t.Errorf("slow-query line lacks kernel/trace: %+v", line)
 	}
+}
+
+// scrapeFamilies returns the family name → TYPE map of a /metrics page.
+func scrapeFamilies(t *testing.T, addr string) map[string]string {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	families := map[string]string{}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) == 4 && f[0] == "#" && f[1] == "TYPE" {
+			families[f[2]] = f[3]
+		}
+	}
+	return families
+}
+
+// TestMetricsFamilies pins the /metrics family set of a coordinator and
+// of a standalone tablet server. Every family either process served
+// before the counter table existed is still served by it under the same
+// TYPE; a standalone server now also serves the storage counters (its
+// table is the coordinator's); the scheduler gauges stay coordinator-only
+// (only it has a scheduler to read); and the only new names are the three
+// counters that used to exist per query alone.
+func TestMetricsFamilies(t *testing.T) {
+	both := map[string]string{
+		"wire_bytes_total": "counter", "rpcs_total": "counter",
+		"entries_written_total": "counter", "entries_scanned_total": "counter",
+		"scans_started_total": "counter", "tablet_scans_total": "counter",
+		"tablets_pruned_by_range_total": "counter", "entries_pruned_by_range_total": "counter",
+		"partial_products_folded_total": "counter", "scratch_tables_created_total": "counter",
+		"shared_scan_folds_total": "counter", "major_compactions_total": "counter",
+		"major_compaction_errors_total": "counter",
+		"scans_in_flight":               "gauge", "max_scans_in_flight": "gauge",
+		"entries_buffered": "gauge", "max_entries_buffered": "gauge",
+		"memtable_freezes_total": "counter", "write_stall_nanos_total": "counter",
+		"queries_total":     "counter",
+		"scan_pass_seconds": "histogram", "write_batch_seconds": "histogram",
+		"wal_sync_seconds": "histogram", "kernel_seconds": "histogram",
+		"queue_wait_seconds": "histogram",
+		// New on /metrics: per-query-only before.
+		"compaction_kicks_total": "counter", "write_wire_bytes_total": "counter",
+		"queue_wait_nanos_total": "counter",
+		// New on a standalone server.
+		"cache_hits_total": "counter", "cache_misses_total": "counter",
+		"bloom_negatives_total": "counter", "colq_bloom_negatives_total": "counter",
+		"locality_blocks_skipped_total": "counter",
+	}
+	coordinatorOnly := map[string]string{
+		"queries_running": "gauge", "queries_queued": "gauge", "passes_queued": "gauge",
+		"tenant_queries_total": "counter", "tenant_entries_scanned_total": "counter",
+		"tenant_entries_written_total": "counter", "tenant_queue_wait_nanos_total": "counter",
+		"tenant_shared_scan_folds_total": "counter",
+	}
+	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
+		if name := c.String(); both[name] == "" && both[name+"_total"] == "" && coordinatorOnly[name] == "" {
+			t.Errorf("declared counter %s is pinned for neither process", name)
+		}
+	}
+	check := func(who string, got map[string]string, wants ...map[string]string) {
+		t.Helper()
+		want := map[string]string{}
+		for _, w := range wants {
+			for name, typ := range w {
+				want["graphulo_"+name] = typ
+			}
+		}
+		for name, typ := range want {
+			if got[name] != typ {
+				t.Errorf("%s: family %s has TYPE %q, want %q", who, name, got[name], typ)
+			}
+		}
+		for name := range got {
+			if want[name] == "" {
+				t.Errorf("%s: unexpected family %s", who, name)
+			}
+		}
+	}
+
+	db, err := Open(ClusterConfig{MetricsAddr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	// The tenant families appear once a kernel query has finished.
+	_, finish, err := db.Connector().Cluster().StartKernelQuery("k", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	finish(nil)
+	check("coordinator", scrapeFamilies(t, db.MetricsAddr()), both, coordinatorOnly)
+
+	srv, err := ListenAndServeTablets("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.StartTelemetry("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("standalone", scrapeFamilies(t, addr), both)
 }

@@ -8,6 +8,7 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 func newTestCluster(t *testing.T) *Connector {
@@ -325,11 +326,11 @@ func TestMetricsAccumulate(t *testing.T) {
 	mustCreate(t, c, "T")
 	writeCells(t, c, "T", map[string]float64{"a x": 1, "b y": 2})
 	scanFloats(t, c, "T")
-	m := &c.Cluster().Metrics
-	if m.WireBytes.Load() == 0 || m.RPCs.Load() == 0 ||
-		m.EntriesWritten.Load() != 2 || m.EntriesScanned.Load() != 2 {
+	m := &c.Cluster().Telemetry().Stats
+	if m.Get(telemetry.WireBytes) == 0 || m.Get(telemetry.RPCs) == 0 ||
+		m.Get(telemetry.EntriesWritten) != 2 || m.Get(telemetry.EntriesScanned) != 2 {
 		t.Fatalf("metrics: wire=%d rpc=%d w=%d s=%d",
-			m.WireBytes.Load(), m.RPCs.Load(), m.EntriesWritten.Load(), m.EntriesScanned.Load())
+			m.Get(telemetry.WireBytes), m.Get(telemetry.RPCs), m.Get(telemetry.EntriesWritten), m.Get(telemetry.EntriesScanned))
 	}
 }
 

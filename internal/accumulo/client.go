@@ -371,7 +371,7 @@ func (t *TableOperations) Compact(name string) error {
 		if err := tr.tab.MajorCompact(stack); err != nil {
 			return err
 		}
-		t.mc.Metrics.MajorCompactions.Add(1)
+		t.mc.tel.Stats.Add(telemetry.MajorCompactions, 1)
 	}
 	return nil
 }
@@ -622,7 +622,7 @@ func (s *Scanner) AddScanIterator(setting iterator.Setting) { s.extra = append(s
 // unconstrained). The constraint rides every per-tablet request, so
 // serving tablets read only the matching locality-group block runs of
 // their rfiles — a column-band scan skips the other families' blocks
-// entirely (counted in Metrics.LocalityBlocksSkipped).
+// entirely (counted as locality_blocks_skipped).
 func (s *Scanner) SetFamilies(families ...string) {
 	s.families = append([]string(nil), families...)
 }

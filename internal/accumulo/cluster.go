@@ -5,10 +5,10 @@
 // protocol.
 //
 // This is the substitution for the paper's Apache Accumulo deployment
-// (see DESIGN.md §2): the storage contract — sorted (row, colF, colQ,
-// ts) → value entries, range scans, server-side iterators at scan/minc/
-// majc scopes — matches what a thin Accumulo client sees, so the
-// Graphulo kernels built on top exercise the same code paths.
+// (see docs/ARCHITECTURE.md): the storage contract — sorted (row, colF,
+// colQ, ts) → value entries, range scans, server-side iterators at
+// scan/minc/majc scopes — matches what a thin Accumulo client sees, so
+// the Graphulo kernels built on top exercise the same code paths.
 //
 // Every data-plane exchange — write batches, scan batches, and the
 // scans and writes issued by server-side iterators (RemoteSource,
@@ -156,7 +156,7 @@ type Config struct {
 	// default budget (64 MiB); negative disables the byte trigger.
 	MemtableFlushBytes int
 	// MemtableMaxFrozen bounds each tablet's frozen-memtable queue:
-	// writers stall (Metrics write_stall_nanos) once this many frozen
+	// writers stall (counted as write_stall_nanos) once this many frozen
 	// memtables await background flush. A deeper queue absorbs longer
 	// ingest bursts at the cost of memory and scan merge width. 0
 	// selects the default depth (2).
@@ -194,7 +194,7 @@ type Config struct {
 	// dispatched at once across all queries and schedules the excess by
 	// weighted fair queuing across tenants (TenantWeights). Queued
 	// compatible scans of the same tablet fold onto one physical pass
-	// (Metrics.SharedScanFolds). 0 or negative leaves pass dispatch
+	// (counted as shared_scan_folds). 0 or negative leaves pass dispatch
 	// unscheduled — the pre-scheduler behaviour.
 	MaxConcurrentPasses int
 	// TenantWeights assigns fair-share weights; unlisted tenants weigh 1.
@@ -257,90 +257,6 @@ func (c Config) flushBytes() int {
 	return c.MemtableFlushBytes
 }
 
-// Metrics counts cluster activity; all fields are atomic.
-type Metrics struct {
-	WireBytes      atomic.Int64 // payload bytes crossing the transport
-	RPCs           atomic.Int64 // RPC round trips (calls + stream batches)
-	EntriesWritten atomic.Int64 // entries written to tablet servers, counted where the batch is routed
-	EntriesScanned atomic.Int64 // entries returned to scan clients
-
-	// ScansStarted counts scans issued — client streams plus every
-	// remote scan opened by server-side iterators. The regression tests
-	// for the streaming RemoteSource pin kernel behaviour with it.
-	ScansStarted atomic.Int64
-	// TabletScans counts tablet scan passes served by this process's
-	// tablet servers — one per tablet that actually executed an
-	// iterator stack. A range-constrained kernel over a pre-split table
-	// shows TabletScans equal to the overlapping tablets, not the
-	// table's tablet count.
-	TabletScans atomic.Int64
-	// TabletsPrunedByRange counts tablets skipped without a scan pass
-	// because the scan's pushed-down ranges did not overlap their row
-	// band — the observable form of SpRef push-down.
-	TabletsPrunedByRange atomic.Int64
-	// EntriesPrunedByRange counts entries dropped server-side by range
-	// filters (the colRange column-qualifier band) before they reached
-	// kernel stages or the wire.
-	EntriesPrunedByRange atomic.Int64
-	// PartialProductsFolded counts partial products absorbed by the
-	// fold stage (⊕-folded into an already-buffered output cell)
-	// instead of crossing the write path or the wire individually.
-	PartialProductsFolded atomic.Int64
-	// ScratchTablesCreated counts intermediate tables materialised by
-	// kernel drivers and plan execution — each one a write-then-rescan
-	// round-trip through the tablet layer. Fused plans exist to keep
-	// this low; the fusion regression tests pin per-kernel deltas.
-	ScratchTablesCreated atomic.Int64
-	// SharedScanFolds counts scans served by riding another scan's
-	// physical tablet pass instead of running their own — shared-scan
-	// folding, which engages when Config.MaxConcurrentPasses makes
-	// compatible scans of one tablet queue together.
-	SharedScanFolds atomic.Int64
-	// ScansInFlight gauges tablet scan passes currently executing on
-	// this process's tablet servers; MaxScansInFlight records its
-	// high-water mark (evidence of per-tablet parallelism).
-	ScansInFlight    atomic.Int64
-	MaxScansInFlight atomic.Int64
-	// EntriesBuffered gauges entries currently held across all scan
-	// pipelines (decoded wire batches in flight plus batches under
-	// consumption, summed over concurrent streams, client and remote);
-	// MaxEntriesBuffered records its high-water mark. Bounded scans keep
-	// the peak near WireBatch × ScanParallelism × concurrent streams
-	// regardless of table size — the observable form of the streaming
-	// refactor's memory claim.
-	EntriesBuffered    atomic.Int64
-	MaxEntriesBuffered atomic.Int64
-
-	// MajorCompactions counts completed major compactions — manual
-	// (TableOperations.Compact, per tablet) and scheduled (background
-	// compaction scheduler) alike. MajorCompactionErrors counts
-	// scheduled compactions that failed; the scheduler retries on its
-	// next sweep.
-	MajorCompactions      atomic.Int64
-	MajorCompactionErrors atomic.Int64
-}
-
-// atomicMax folds n into an atomic high-water mark.
-func atomicMax(max *atomic.Int64, n int64) {
-	for {
-		cur := max.Load()
-		if n <= cur || max.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// noteBuffered folds an observed buffered-entry count into the
-// MaxEntriesBuffered high-water mark.
-func (m *Metrics) noteBuffered(n int64) { atomicMax(&m.MaxEntriesBuffered, n) }
-
-// noteScanStart counts one served tablet pass, bumps ScansInFlight, and
-// folds the new value into its high-water mark.
-func (m *Metrics) noteScanStart() {
-	m.TabletScans.Add(1)
-	atomicMax(&m.MaxScansInFlight, m.ScansInFlight.Add(1))
-}
-
 // MiniCluster is the cluster's coordinator: the metadata authority
 // (tables, splits, iterator settings, tablet→server assignment), the
 // durable directory, admin ops, and query admission and pass scheduling.
@@ -349,17 +265,14 @@ func (m *Metrics) noteScanStart() {
 // data-plane traffic reaches them through a router over a topology
 // snapshotted from the metadata.
 type MiniCluster struct {
-	cfg     Config
-	clock   atomic.Int64
-	seed    atomic.Int64
-	Metrics Metrics
+	cfg   Config
+	clock atomic.Int64
+	seed  atomic.Int64
 
-	// ingest aggregates write-path pressure counters (memtable freezes,
-	// write-stall time) across every tablet this cluster hosts.
-	ingest tablet.IngestStats
-
-	// tel tracks the coordinator's kernel queries and process-global
-	// latency histograms; telSrv is the optional HTTP endpoint
+	// tel is the coordinator's telemetry registry: the process counter
+	// block that this cluster's router, launched servers, tablets and
+	// durable directory all count into, the process latency histograms,
+	// and the kernel queries it ran; telSrv is the optional HTTP endpoint
 	// (Config.MetricsAddr) exposing them.
 	tel    *telemetry.Registry
 	telSrv *telemetry.Server
@@ -464,14 +377,14 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
 		SlowQueryLog:       cfg.SlowQueryLog,
 	})
+	mc.tel.GaugeFunc(telemetry.QueriesRunning, func() int64 { return int64(mc.sched.QueriesRunning()) })
+	mc.tel.GaugeFunc(telemetry.QueriesQueued, func() int64 { return int64(mc.sched.QueriesQueued()) })
+	mc.tel.GaugeFunc(telemetry.PassesQueued, func() int64 { return int64(mc.sched.PassesQueued()) })
 	if err := mc.openTransport(); err != nil {
 		return nil, err
 	}
 	if cfg.MetricsAddr != "" {
-		srv, err := telemetry.Serve(cfg.MetricsAddr, telemetry.ServerConfig{
-			Registry: mc.tel,
-			Counters: mc.counterSamples,
-		})
+		srv, err := telemetry.Serve(cfg.MetricsAddr, mc.tel)
 		if err != nil {
 			mc.closeTransport()
 			return nil, err
@@ -487,6 +400,7 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 		CacheTenantSoftCapBytes: cfg.CacheTenantSoftCapBytes,
 		BloomFilterBits:         cfg.BloomFilterBits,
 		ColQBloomBits:           cfg.ColQBloomBits,
+		Stats:                   &mc.tel.Stats,
 		WALSyncObserver:         func(d time.Duration) { mc.tel.WALSync.Observe(d) },
 	})
 	if err != nil {
@@ -573,10 +487,8 @@ func (mc *MiniCluster) openTransport() error {
 		s := &TabletServer{
 			tr:       mc.tr,
 			memLimit: mc.cfg.MemLimit,
-			metrics:  &mc.Metrics,
 			clock:    &mc.clock,
 			tel:      mc.tel,
-			storage:  mc.StorageStats,
 		}
 		if err := s.listen(""); err != nil {
 			mc.closeTransport()
@@ -640,7 +552,7 @@ func (mc *MiniCluster) router() *router {
 		topo.tables = append(topo.tables, tt)
 	}
 	r := &router{
-		tr: mc.tr, metrics: &mc.Metrics, tel: mc.tel,
+		tr: mc.tr, tel: mc.tel,
 		topo: topo, topoRaw: appendTopology(nil, topo), version: v,
 		// Standalone servers count their work in their own process; their
 		// pass trailers are how it reaches the coordinator's globals.
@@ -654,8 +566,8 @@ func (mc *MiniCluster) router() *router {
 }
 
 // initTablet wires a freshly created tablet into the cluster's
-// write-path plumbing: the byte-based flush trigger, the shared
-// ingest-pressure counters, and a flush hook that kicks the table's
+// write-path plumbing: the byte-based flush trigger, the process
+// counter block, and a flush hook that kicks the table's
 // compaction scheduler so background freezes feed size-tiered merging
 // the same way explicit flushes do. meta.sched is read at notify time —
 // the scheduler starts after tablet creation but before the table is
@@ -663,7 +575,7 @@ func (mc *MiniCluster) router() *router {
 func (mc *MiniCluster) initTablet(tab *tablet.Tablet, meta *tableMeta) {
 	tab.SetFlushBytes(mc.cfg.flushBytes())
 	tab.SetMaxFrozen(mc.cfg.MemtableMaxFrozen)
-	tab.SetIngestStats(&mc.ingest)
+	tab.SetStats(&mc.tel.Stats)
 	tab.SetFlushNotify(func() {
 		if meta.sched != nil {
 			meta.sched.Kick()
@@ -693,8 +605,8 @@ func (mc *MiniCluster) startScheduler(meta *tableMeta) {
 		Stack: func() func(iterator.SKVI) (iterator.SKVI, error) {
 			return mc.compactionStack(meta, MajcScope)
 		},
-		OnCompact: func(*tablet.Tablet) { mc.Metrics.MajorCompactions.Add(1) },
-		OnError:   func(error) { mc.Metrics.MajorCompactionErrors.Add(1) },
+		OnCompact: func(*tablet.Tablet) { mc.tel.Stats.Add(telemetry.MajorCompactions, 1) },
+		OnError:   func(error) { mc.tel.Stats.Add(telemetry.MajorCompactionErrors, 1) },
 	})
 }
 
@@ -720,7 +632,7 @@ func (mc *MiniCluster) StartKernelQuery(kernel, tenant string) (*telemetry.Query
 	}
 	q := mc.tel.StartQuery(kernel).WithTenant(tenant)
 	if wait > 0 {
-		q.Add(telemetry.QueueWaitNanos, int64(wait))
+		mc.tel.Count(q, telemetry.QueueWaitNanos, int64(wait))
 		mc.tel.QueueWait.Observe(wait)
 	}
 	if b := mc.sched.NewBudget(tenant); b != nil {
@@ -740,9 +652,10 @@ func (mc *MiniCluster) StartKernelQuery(kernel, tenant string) (*telemetry.Query
 // and monitoring read its queue gauges.
 func (mc *MiniCluster) Scheduler() *sched.Scheduler { return mc.sched }
 
-// Telemetry returns the coordinator's telemetry registry: every kernel
-// query it has run (with per-query counters, latency histograms, and
-// span trees) plus the process-global latency histograms.
+// Telemetry returns the coordinator's telemetry registry: the process
+// counter block (Stats) and latency histograms, plus every kernel query
+// it has run (with per-query counters, latency histograms, and span
+// trees).
 func (mc *MiniCluster) Telemetry() *telemetry.Registry { return mc.tel }
 
 // TelemetryAddr returns the bound address of the telemetry HTTP
@@ -753,63 +666,6 @@ func (mc *MiniCluster) TelemetryAddr() string {
 	}
 	return mc.telSrv.Addr()
 }
-
-// counterSamples snapshots the cluster-global counters for /metrics:
-// the Metrics block plus the durable read-path stats.
-func (mc *MiniCluster) counterSamples() []telemetry.Sample {
-	samples := metricsSamples(&mc.Metrics)
-	st := mc.StorageStats()
-	return append(samples,
-		telemetry.Sample{Name: "cache_hits", Help: "Block-cache hits on the durable read path.", Value: st.CacheHits},
-		telemetry.Sample{Name: "cache_misses", Help: "Block-cache misses on the durable read path.", Value: st.CacheMisses},
-		telemetry.Sample{Name: "bloom_negatives", Help: "Bloom-filter negative row lookups.", Value: st.BloomNegatives},
-		telemetry.Sample{Name: "colq_bloom_negatives", Help: "Column-bloom negative cell lookups.", Value: st.ColQBloomNegatives},
-		telemetry.Sample{Name: "locality_blocks_skipped", Help: "Rfile blocks skipped by locality-group family constraints.", Value: st.LocalityBlocksSkipped},
-		telemetry.Sample{Name: "memtable_freezes", Help: "Memtables frozen and handed to background flush.", Value: mc.ingest.Freezes.Load()},
-		telemetry.Sample{Name: "write_stall_nanos", Help: "Nanoseconds writers spent stalled on flush backpressure.", Value: mc.ingest.StallNanos.Load()},
-		telemetry.Sample{Name: "queries_running", Help: "Kernel queries holding admission slots.", Gauge: true, Value: int64(mc.sched.QueriesRunning())},
-		telemetry.Sample{Name: "queries_queued", Help: "Kernel queries waiting for admission.", Gauge: true, Value: int64(mc.sched.QueriesQueued())},
-		telemetry.Sample{Name: "passes_queued", Help: "Tablet scan passes waiting in tenant queues.", Gauge: true, Value: int64(mc.sched.PassesQueued())},
-	)
-}
-
-// metricsSamples renders a Metrics block as /metrics counter samples,
-// shared by the coordinator and standalone tablet servers.
-func metricsSamples(m *Metrics) []telemetry.Sample {
-	return []telemetry.Sample{
-		{Name: "wire_bytes", Help: "Payload bytes crossing the transport.", Value: m.WireBytes.Load()},
-		{Name: "rpcs", Help: "RPC round trips (calls plus stream batches).", Value: m.RPCs.Load()},
-		{Name: "entries_written", Help: "Entries written to tablet servers.", Value: m.EntriesWritten.Load()},
-		{Name: "entries_scanned", Help: "Entries returned to scan clients.", Value: m.EntriesScanned.Load()},
-		{Name: "scans_started", Help: "Scans issued, client and server-side.", Value: m.ScansStarted.Load()},
-		{Name: "tablet_scans", Help: "Tablet scan passes served.", Value: m.TabletScans.Load()},
-		{Name: "tablets_pruned_by_range", Help: "Tablets skipped by range push-down.", Value: m.TabletsPrunedByRange.Load()},
-		{Name: "entries_pruned_by_range", Help: "Entries dropped by server-side range filters.", Value: m.EntriesPrunedByRange.Load()},
-		{Name: "partial_products_folded", Help: "Partial products absorbed by the fold stage.", Value: m.PartialProductsFolded.Load()},
-		{Name: "scratch_tables_created", Help: "Intermediate tables materialised by kernel drivers.", Value: m.ScratchTablesCreated.Load()},
-		{Name: "shared_scan_folds", Help: "Scans folded onto another scan's physical tablet pass.", Value: m.SharedScanFolds.Load()},
-		{Name: "major_compactions", Help: "Completed major compactions.", Value: m.MajorCompactions.Load()},
-		{Name: "major_compaction_errors", Help: "Failed scheduled major compactions.", Value: m.MajorCompactionErrors.Load()},
-		{Name: "scans_in_flight", Help: "Tablet scan passes currently executing.", Gauge: true, Value: m.ScansInFlight.Load()},
-		{Name: "max_scans_in_flight", Help: "High-water mark of concurrent tablet passes.", Gauge: true, Value: m.MaxScansInFlight.Load()},
-		{Name: "entries_buffered", Help: "Entries held across scan pipelines.", Gauge: true, Value: m.EntriesBuffered.Load()},
-		{Name: "max_entries_buffered", Help: "High-water mark of buffered entries.", Gauge: true, Value: m.MaxEntriesBuffered.Load()},
-	}
-}
-
-// StorageStats snapshots the durable read-path counters: block-cache
-// hits and misses, and bloom-filter negative row and cell lookups. All
-// zero for in-memory clusters.
-func (mc *MiniCluster) StorageStats() store.StorageCounters {
-	if mc.dir == nil {
-		return store.StorageCounters{}
-	}
-	return mc.dir.StorageStats()
-}
-
-// IngestStats exposes the cluster's aggregate write-path pressure
-// counters: memtable freezes and write-stall time.
-func (mc *MiniCluster) IngestStats() *tablet.IngestStats { return &mc.ingest }
 
 // Close shuts the cluster down cleanly. For a durable cluster every
 // tablet's memtable is flushed to an rfile (applying the minc stack,
@@ -930,7 +786,7 @@ func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Que
 		// Prompt the compaction scheduler: an auto-minc above may have
 		// pushed a tablet past its run threshold.
 		meta.sched.Kick()
-		q.Add(telemetry.CompactionKicks, 1)
+		mc.tel.Count(q, telemetry.CompactionKicks, 1)
 	}
 	return nil
 }

@@ -21,11 +21,10 @@ import (
 )
 
 // router routes scans and writes to the tablet servers a topology names.
-// Traffic is counted into the routing process's metrics and the query it
+// Traffic is counted into the routing process's registry and the query it
 // belongs to.
 type router struct {
 	tr      transport.Transport
-	metrics *Metrics
 	tel     *telemetry.Registry
 	topo    *topology
 	topoRaw []byte // encoded form of topo, spliced verbatim into every scan request
@@ -33,10 +32,10 @@ type router struct {
 	// snapshotted at (see MiniCluster.router); unused on servers.
 	version uint64
 
-	// foldGlobals makes pass trailers count into metrics and tel as well
+	// foldGlobals makes pass trailers count into the process block as well
 	// as into the query: set by a coordinator of standalone servers, whose
 	// work reaches it no other way. A launched server already counts into
-	// the coordinator's Metrics, and a server folding a nested pass counts
+	// the coordinator's registry, and a server folding a nested pass counts
 	// only its own work globally — the pass's trailer carries the
 	// aggregate up to the query's origin.
 	foldGlobals bool
@@ -76,7 +75,7 @@ func (f *tabletFetch) request(ranges []skv.Range) []byte {
 
 // relay runs the fetch as its own physical pass.
 func (f *tabletFetch) relay(out *tabletScan, done <-chan struct{}) {
-	relayScan(f.r.tr, f.r.metrics, f.q, f.tablet.endpoint, f.request(f.ranges), out, done, f.onTrailer)
+	relayScan(f.r.tr, f.r.tel, f.q, f.tablet.endpoint, f.request(f.ranges), out, done, f.onTrailer)
 }
 
 // openStream starts a streaming scan over one or more ranges: per
@@ -85,7 +84,7 @@ func (f *tabletFetch) relay(out *tabletScan, done <-chan struct{}) {
 // scope + per-scan extras), the per-tablet clip of every range and the
 // routing topology, and relays the streamed batches to the cursor.
 // Tablets no range touches are pruned without a scan pass (SpRef
-// push-down), counted in Metrics.TabletsPrunedByRange. An empty range
+// push-down), counted as tablets_pruned_by_range. An empty range
 // list means the full table. A non-empty families set rides every
 // per-tablet request so the serving tablets scope their snapshots to the
 // matching locality groups.
@@ -95,20 +94,19 @@ func (r *router) openStream(table string, ranges []skv.Range, families []string,
 		return nil, fmt.Errorf("accumulo: table %q does not exist in the routing topology", table)
 	}
 	q := tc.q
-	r.metrics.ScansStarted.Add(1)
-	q.Add(telemetry.ScansStarted, 1)
+	r.tel.Count(q, telemetry.ScansStarted, 1)
 	ranges, empty := normalizeRanges(ranges)
 	if empty {
 		// Every requested range is empty: a scan of nothing.
-		return startStream(r.metrics, 1, 0, nil), nil
+		return startStream(&r.tel.Stats, 1, 0, nil), nil
 	}
 	settings := append(append([]iterator.Setting(nil), tt.scan...), extra...)
 	span := q.StartSpan(tc.parent, "scan "+table)
 	onTrailer := func(t *telemetry.Trailer) error {
-		q.FoldTrailer(t)
 		if r.foldGlobals {
-			foldTrailerMetrics(r.metrics, t)
-			r.tel.ScanPass.Fold(t.ScanPass)
+			r.tel.FoldTrailer(q, t)
+		} else {
+			q.FoldTrailer(t)
 		}
 		// Budgets are enforced where the counters land: the trailer is how
 		// a server-side kernel's scan and write volume reaches the query,
@@ -129,10 +127,8 @@ func (r *router) openStream(table string, ranges []skv.Range, families []string,
 			})
 		}
 	}
-	pruned := int64(len(tt.tablets) - len(fetches))
-	r.metrics.TabletsPrunedByRange.Add(pruned)
-	q.Add(telemetry.TabletsPrunedByRange, pruned)
-	s := startStream(r.metrics, r.topo.scanPar, len(fetches),
+	r.tel.Count(q, telemetry.TabletsPrunedByRange, int64(len(tt.tablets)-len(fetches)))
+	s := startStream(&r.tel.Stats, r.topo.scanPar, len(fetches),
 		func(i int, out *tabletScan, done <-chan struct{}) {
 			// A nested scan — issued from inside a pass that already holds
 			// a slot — is never scheduled: dispatch immediately.
@@ -144,22 +140,6 @@ func (r *router) openStream(table string, ranges []skv.Range, families []string,
 		})
 	s.onDone = span.End
 	return s, nil
-}
-
-// foldTrailerMetrics adds a pass's shipped counters into the process
-// Metrics — the step that keeps ScanStats accurate when tablet servers
-// run in other processes. Counters with no global mirror (cache, bloom,
-// compaction kicks) stay query-scoped.
-func foldTrailerMetrics(m *Metrics, t *telemetry.Trailer) {
-	m.TabletScans.Add(t.Counts.Get(telemetry.TabletScans))
-	m.TabletsPrunedByRange.Add(t.Counts.Get(telemetry.TabletsPrunedByRange))
-	m.EntriesPrunedByRange.Add(t.Counts.Get(telemetry.EntriesPrunedByRange))
-	m.PartialProductsFolded.Add(t.Counts.Get(telemetry.PartialProductsFolded))
-	m.WireBytes.Add(t.Counts.Get(telemetry.WireBytes))
-	m.RPCs.Add(t.Counts.Get(telemetry.RPCs))
-	m.EntriesScanned.Add(t.Counts.Get(telemetry.EntriesScanned))
-	m.EntriesWritten.Add(t.Counts.Get(telemetry.EntriesWritten))
-	m.ScansStarted.Add(t.Counts.Get(telemetry.ScansStarted))
 }
 
 // normalizeRanges coalesces a scan's requested ranges. No ranges at all
@@ -225,11 +205,9 @@ func (r *router) write(table string, entries []skv.Entry, q *telemetry.Query) er
 		if err := q.ChargeWriteBytes(int64(len(wire))); err != nil {
 			return fmt.Errorf("accumulo: %w", err)
 		}
-		r.metrics.WireBytes.Add(int64(len(wire)))
-		r.metrics.RPCs.Add(1)
-		q.Add(telemetry.WireBytes, int64(len(wire)))
-		q.Add(telemetry.WriteWireBytes, int64(len(wire)))
-		q.Add(telemetry.RPCs, 1)
+		r.tel.Count(q, telemetry.WireBytes, int64(len(wire)))
+		r.tel.Count(q, telemetry.WriteWireBytes, int64(len(wire)))
+		r.tel.Count(q, telemetry.RPCs, 1)
 		conn, err := r.tr.Dial(tb.endpoint)
 		if err == nil {
 			_, err = conn.Call(opWrite, encodeWriteReq(writeReq{
@@ -246,8 +224,7 @@ func (r *router) write(table string, entries []skv.Entry, q *telemetry.Query) er
 			return fmt.Errorf("accumulo: tablet write to %s: %w", tb.endpoint, err)
 		}
 		wrote = true
-		r.metrics.EntriesWritten.Add(int64(len(batch)))
-		q.Add(telemetry.EntriesWritten, int64(len(batch)))
+		r.tel.Count(q, telemetry.EntriesWritten, int64(len(batch)))
 	}
 	return nil
 }

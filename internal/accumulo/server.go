@@ -14,9 +14,9 @@ package accumulo
 // transport and hands them the tablets it built — in-memory or durable —
 // by pointer, or dials N standalone ones (`graphulo serve`) and assigns
 // tablets over the wire. Both run this code; what differs is the data a
-// server holds: a launched server counts into the coordinator's Metrics,
-// stamps from the coordinator's clock and reports to the coordinator's
-// telemetry registry, a standalone one owns all three.
+// server holds: a launched server counts into the coordinator's telemetry
+// registry and stamps from the coordinator's clock, a standalone one owns
+// both.
 
 import (
 	"errors"
@@ -26,7 +26,6 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
-	"graphulo/internal/store"
 	"graphulo/internal/tablet"
 	"graphulo/internal/telemetry"
 	"graphulo/internal/transport"
@@ -42,20 +41,16 @@ type TabletServer struct {
 	srv           transport.Server
 	memLimit      int // memtable bound of tablets created by opAssign
 
-	metrics *Metrics
 	// clock stamps every batch this server ingests. A cell lives on
 	// exactly one server, so a per-server monotone clock is per-cell
 	// monotone; launched servers share the coordinator's so the manifest
 	// persists one clock.
 	clock *atomic.Int64
-	tel   *telemetry.Registry
-	// storage snapshots the durable read-path counters behind the hosted
-	// tablets, attributed to passes as deltas; nil when nothing hosted
-	// here can be durable.
-	storage func() store.StorageCounters
+	// tel holds the process counter block everything this server does is
+	// counted into, and the record of the passes it serves.
+	tel *telemetry.Registry
 
 	seed   atomic.Int64
-	ingest tablet.IngestStats
 	telSrv *telemetry.Server
 
 	mu     sync.RWMutex
@@ -82,7 +77,6 @@ func ListenAndServeTablets(addr string, memLimit int) (*TabletServer, error) {
 		tr:            transport.NewTCP(),
 		ownsTransport: true,
 		memLimit:      memLimit,
-		metrics:       new(Metrics),
 		clock:         new(atomic.Int64),
 	}
 	if err := s.listen(addr); err != nil {
@@ -111,22 +105,14 @@ func (s *TabletServer) listen(addr string) error {
 // Addr returns the server's dialable address.
 func (s *TabletServer) Addr() string { return s.srv.Addr() }
 
-// Telemetry returns the server's telemetry registry: the passes it has
-// served and its process-global latency histograms.
+// Telemetry returns the server's telemetry registry: its process counter
+// block and latency histograms, and the passes it has served.
 func (s *TabletServer) Telemetry() *telemetry.Registry { return s.tel }
 
 // StartTelemetry starts the server's telemetry HTTP endpoint on addr
 // (/metrics, /queries, /debug/pprof) and returns its bound address.
 func (s *TabletServer) StartTelemetry(addr string) (string, error) {
-	srv, err := telemetry.Serve(addr, telemetry.ServerConfig{
-		Registry: s.tel,
-		Counters: func() []telemetry.Sample {
-			return append(metricsSamples(s.metrics),
-				telemetry.Sample{Name: "memtable_freezes", Help: "Memtables frozen and handed to background flush.", Value: s.ingest.Freezes.Load()},
-				telemetry.Sample{Name: "write_stall_nanos", Help: "Nanoseconds writers spent stalled on flush backpressure.", Value: s.ingest.StallNanos.Load()},
-			)
-		},
-	})
+	srv, err := telemetry.Serve(addr, s.tel)
 	if err != nil {
 		return "", err
 	}
@@ -204,7 +190,7 @@ func (s *TabletServer) unhost(table, start, end string) {
 func (s *TabletServer) assign(table, start, end string) {
 	tab := tablet.New(start, end, s.memLimit, s.seed.Add(1))
 	tab.SetFlushBytes(64 << 20)
-	tab.SetIngestStats(&s.ingest)
+	tab.SetStats(&s.tel.Stats)
 	s.host(table, start, end, tab)
 }
 
@@ -287,35 +273,23 @@ func (h *tabletHandler) Stream(op byte, req []byte, send func([]byte) error) err
 	if err != nil {
 		return err
 	}
-	s.metrics.noteScanStart()
-	defer s.metrics.ScansInFlight.Add(-1)
 	pass := s.tel.StartPass(telemetry.TraceID(sr.traceID), sr.spanID,
 		fmt.Sprintf("pass %s [%s,%s)", sr.table, sr.start, sr.end)).WithTenant(sr.tenant)
 	env := &scanEnv{
-		r:  &router{tr: s.tr, metrics: s.metrics, tel: s.tel, topo: sr.topo, topoRaw: sr.topoRaw},
+		r:  &router{tr: s.tr, tel: s.tel, topo: sr.topo, topoRaw: sr.topoRaw},
 		tc: traceCtx{q: pass, nested: true},
 	}
 	defer env.close()
-	var before store.StorageCounters
-	if s.storage != nil {
-		before = s.storage()
-	}
+	before := s.tel.Stats.Counts()
 	err = serveScan(tab.SnapshotForFamilies(sr.tenant, sr.families), sr.ranges, sr.settings, env, sr.batch, pass, send)
-	if s.storage != nil {
-		// Storage deltas are attributed to this pass; concurrent passes on
-		// one store blur the split, but the totals stay exact.
-		after := s.storage()
-		pass.Add(telemetry.CacheHits, after.CacheHits-before.CacheHits)
-		pass.Add(telemetry.CacheMisses, after.CacheMisses-before.CacheMisses)
-		pass.Add(telemetry.BloomNegatives, after.BloomNegatives-before.BloomNegatives)
-		pass.Add(telemetry.ColQBloomNegatives, after.ColQBloomNegatives-before.ColQBloomNegatives)
-		pass.Add(telemetry.LocalityBlocksSkipped, after.LocalityBlocksSkipped-before.LocalityBlocksSkipped)
-	}
+	// Storage deltas are attributed to this pass; concurrent passes on
+	// one store blur the split, but the totals stay exact.
+	pass.AddStorageSince(before)
 	// The pass closes, its duration feeds this process's scan-pass
 	// histogram, and the telemetry trailer ships as the stream's final
 	// frame. Trailer delivery is best-effort: a consumer that already went
 	// away loses only telemetry, not data.
-	s.tel.ScanPass.Observe(pass.FinishPass(err))
+	pass.FinishPass(err)
 	_ = send(append([]byte{frameTrailer}, telemetry.AppendTrailer(nil, pass.Trailer())...))
 	return err
 }

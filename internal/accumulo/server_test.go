@@ -95,16 +95,16 @@ func TestClientWriteAfterServerWriteWins(t *testing.T) {
 // ScanMetrics() — not the gauges and high-water marks, which depend on
 // timing, and not WireBytes, which includes the trailer frames' spans
 // (random ids and wall-clock durations as varints).
-func counters(m *Metrics) map[string]int64 {
+func counters(m *telemetry.StatSet) map[string]int64 {
 	return map[string]int64{
-		"RPCs":                  m.RPCs.Load(),
-		"EntriesWritten":        m.EntriesWritten.Load(),
-		"EntriesScanned":        m.EntriesScanned.Load(),
-		"ScansStarted":          m.ScansStarted.Load(),
-		"TabletScans":           m.TabletScans.Load(),
-		"TabletsPrunedByRange":  m.TabletsPrunedByRange.Load(),
-		"EntriesPrunedByRange":  m.EntriesPrunedByRange.Load(),
-		"PartialProductsFolded": m.PartialProductsFolded.Load(),
+		"RPCs":                  m.Get(telemetry.RPCs),
+		"EntriesWritten":        m.Get(telemetry.EntriesWritten),
+		"EntriesScanned":        m.Get(telemetry.EntriesScanned),
+		"ScansStarted":          m.Get(telemetry.ScansStarted),
+		"TabletScans":           m.Get(telemetry.TabletScans),
+		"TabletsPrunedByRange":  m.Get(telemetry.TabletsPrunedByRange),
+		"EntriesPrunedByRange":  m.Get(telemetry.EntriesPrunedByRange),
+		"PartialProductsFolded": m.Get(telemetry.PartialProductsFolded),
 	}
 }
 
@@ -163,7 +163,7 @@ func TestLaunchedAndStandaloneServeIdentically(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return counters(&mc.Metrics)
+		return counters(&mc.tel.Stats)
 	}
 	launchedCounters := script(launched)
 	dialedCounters := script(dialed)
@@ -346,5 +346,42 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 			buf := make([]byte, 1<<16)
 			t.Errorf("%s: %d goroutines before, %d after Close\n%s", mode, before, after, buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestServedPassesRetire pins that a standalone server's registry lets go
+// of the passes it served: each one leaves the in-flight set for the
+// bounded recent ring when it finishes, so a long-lived `graphulo serve`
+// neither grows by a pass record per scan nor lists finished passes as
+// running.
+func TestServedPassesRetire(t *testing.T) {
+	srv, err := ListenAndServeTablets("127.0.0.1:0", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	mc, err := OpenMiniCluster(Config{Servers: []string{srv.Addr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	c := mc.Connector()
+	mustCreate(t, c, "t")
+	writeCells(t, c, "t", map[string]float64{"r c": 1})
+	const scans = 200
+	for i := 0; i < scans; i++ {
+		scanFloats(t, c, "t")
+	}
+	snaps := srv.Telemetry().Snapshot()
+	if len(snaps) == 0 || len(snaps) > 64 { // Options.MaxRecent's default
+		t.Errorf("registry lists %d passes after %d scans, want 1..64", len(snaps), scans)
+	}
+	for _, s := range snaps {
+		if !s.Done {
+			t.Fatalf("pass %q still listed as in flight", s.Kernel)
+		}
+	}
+	if got := srv.Telemetry().Stats.Get(telemetry.TabletScans); got != scans {
+		t.Errorf("server counted %d tablet scans, want %d", got, scans)
 	}
 }

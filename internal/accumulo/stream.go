@@ -62,7 +62,7 @@ type EntryStream struct {
 
 	done      chan struct{}
 	closeOnce sync.Once
-	metrics   *Metrics
+	stats     *telemetry.StatSet // the process block; holds the EntriesBuffered gauge
 
 	// onDone fires once when the stream finishes — exhausted, failed, or
 	// closed — ending the client-side scan span. Set (if at all) before
@@ -92,11 +92,11 @@ type tabletScan struct {
 // in tablet order under the parallelism bound; the cursor consumes
 // tablets in the same order, so the stream is globally sorted while
 // later tablets prefetch concurrently.
-func startStream(metrics *Metrics, par, n int, fetch func(i int, out *tabletScan, done <-chan struct{})) *EntryStream {
+func startStream(stats *telemetry.StatSet, par, n int, fetch func(i int, out *tabletScan, done <-chan struct{})) *EntryStream {
 	s := &EntryStream{
-		scans:   make([]*tabletScan, n),
-		done:    make(chan struct{}),
-		metrics: metrics,
+		scans: make([]*tabletScan, n),
+		done:  make(chan struct{}),
+		stats: stats,
 	}
 	for i := range s.scans {
 		// Capacity 1: beyond the batch its worker is relaying, each tablet
@@ -146,8 +146,7 @@ func (mc *MiniCluster) dispatchPass(f *tabletFetch, out *tabletScan, done <-chan
 	sub := &foldSub{ranges: f.ranges, out: out, q: q, done: done, finished: make(chan struct{})}
 	g, leader := mc.folds.Join(foldKey(f), sub)
 	if !leader {
-		mc.Metrics.SharedScanFolds.Add(1)
-		q.Add(telemetry.SharedScanFolds, 1)
+		mc.tel.Count(q, telemetry.SharedScanFolds, 1)
 		// The worker must stay alive until the leader is done with
 		// our channels: returning here would close out.batches
 		// under the leader's sends.
@@ -157,7 +156,7 @@ func (mc *MiniCluster) dispatchPass(f *tabletFetch, out *tabletScan, done <-chan
 	release, wait := mc.sched.AcquirePass(q.Tenant())
 	defer release()
 	if wait > 0 {
-		q.Add(telemetry.QueueWaitNanos, int64(wait))
+		mc.tel.Count(q, telemetry.QueueWaitNanos, int64(wait))
 		mc.tel.QueueWait.Observe(wait)
 	}
 	subs := g.Seal()
@@ -260,7 +259,7 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 			close(sub.finished)
 		}
 	}
-	err := relayScanCore(mc.tr, &mc.Metrics, leader.q, endpoint, req, nil, onTrailer,
+	err := relayScanCore(mc.tr, mc.tel, leader.q, endpoint, req, nil, onTrailer,
 		func(batch []skv.Entry) error {
 			for _, sub := range subs {
 				if sub.dead {
@@ -278,17 +277,16 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 					}
 					continue
 				}
-				mc.Metrics.noteBuffered(mc.Metrics.EntriesBuffered.Add(int64(len(clipped))))
+				mc.tel.Stats.Add(telemetry.EntriesBuffered, int64(len(clipped)))
 				select {
 				case sub.out.batches <- clipped:
-					mc.Metrics.EntriesScanned.Add(int64(len(clipped)))
-					sub.q.Add(telemetry.EntriesScanned, int64(len(clipped)))
+					mc.tel.Count(sub.q, telemetry.EntriesScanned, int64(len(clipped)))
 					if err := sub.q.ChargeScanEntries(int64(len(clipped))); err != nil {
 						sub.out.err = err
 						drop(sub)
 					}
 				case <-sub.done:
-					mc.Metrics.EntriesBuffered.Add(-int64(len(clipped)))
+					mc.tel.Stats.Add(telemetry.EntriesBuffered, -int64(len(clipped)))
 					drop(sub)
 				}
 			}
@@ -311,23 +309,22 @@ func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSu
 // relays decoded batches to the cursor channel with backpressure,
 // honouring cancellation from the consumer side (done) and failure from
 // the server side (Recv errors). Wire traffic is counted
-// into both the process Metrics and the query q (nil = untraced); a
+// into both the process registry and the query q (nil = untraced); a
 // telemetry trailer frame — the stream's final payload — is handed to
 // onTrailer (nil = dropped).
-func relayScan(tr transport.Transport, metrics *Metrics, q *telemetry.Query, endpoint string, req []byte, out *tabletScan, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error) {
-	err := relayScanCore(tr, metrics, q, endpoint, req, done, onTrailer,
+func relayScan(tr transport.Transport, tel *telemetry.Registry, q *telemetry.Query, endpoint string, req []byte, out *tabletScan, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error) {
+	err := relayScanCore(tr, tel, q, endpoint, req, done, onTrailer,
 		func(batch []skv.Entry) error {
-			metrics.noteBuffered(metrics.EntriesBuffered.Add(int64(len(batch))))
+			tel.Stats.Add(telemetry.EntriesBuffered, int64(len(batch)))
 			select {
 			case out.batches <- batch:
 				// Only batches the consumer can still receive count as
 				// returned to the scan client — and only counted batches
 				// charge the query's scan budget.
-				metrics.EntriesScanned.Add(int64(len(batch)))
-				q.Add(telemetry.EntriesScanned, int64(len(batch)))
+				tel.Count(q, telemetry.EntriesScanned, int64(len(batch)))
 				return q.ChargeScanEntries(int64(len(batch)))
 			case <-done:
-				metrics.EntriesBuffered.Add(-int64(len(batch)))
+				tel.Stats.Add(telemetry.EntriesBuffered, -int64(len(batch)))
 				return errRelayStop
 			}
 		})
@@ -346,9 +343,9 @@ var errRelayStop = errors.New("accumulo: relay stopped")
 // cursor channel; the folded path fans out to every subscriber). A
 // deliver error stops the relay — errRelayStop silently, anything else
 // as the relay's failure. done (nil = never) unblocks a relay stuck in
-// Recv when the consumer cancels. Wire traffic is counted into metrics
-// and q; the telemetry trailer frame goes to onTrailer (nil = dropped).
-func relayScanCore(tr transport.Transport, metrics *Metrics, q *telemetry.Query, endpoint string, req []byte, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error, deliver func([]skv.Entry) error) error {
+// Recv when the consumer cancels. Wire traffic is counted into tel and
+// q; the telemetry trailer frame goes to onTrailer (nil = dropped).
+func relayScanCore(tr transport.Transport, tel *telemetry.Registry, q *telemetry.Query, endpoint string, req []byte, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error, deliver func([]skv.Entry) error) error {
 	conn, err := tr.Dial(endpoint)
 	if err != nil {
 		return err
@@ -380,8 +377,7 @@ func relayScanCore(tr transport.Transport, metrics *Metrics, q *telemetry.Query,
 		if err != nil {
 			return err
 		}
-		metrics.WireBytes.Add(int64(len(payload)))
-		q.Add(telemetry.WireBytes, int64(len(payload)))
+		tel.Count(q, telemetry.WireBytes, int64(len(payload)))
 		if len(payload) == 0 {
 			return fmt.Errorf("accumulo: wire corruption: empty scan frame")
 		}
@@ -407,8 +403,7 @@ func relayScanCore(tr transport.Transport, metrics *Metrics, q *telemetry.Query,
 		default:
 			return fmt.Errorf("accumulo: wire corruption: unknown scan frame kind %d", kind)
 		}
-		metrics.RPCs.Add(1)
-		q.Add(telemetry.RPCs, 1)
+		tel.Count(q, telemetry.RPCs, 1)
 		batch, err := skv.DecodeBatch(body)
 		if err != nil {
 			return fmt.Errorf("accumulo: wire corruption: %w", err)
@@ -431,7 +426,7 @@ func (s *EntryStream) Next() (skv.Entry, bool) {
 			s.pos++
 			return e, true
 		}
-		s.metrics.EntriesBuffered.Add(-int64(len(s.cur)))
+		s.stats.Add(telemetry.EntriesBuffered, -int64(len(s.cur)))
 		s.cur, s.pos = nil, 0
 		if s.idx >= len(s.scans) {
 			break
@@ -467,10 +462,10 @@ func (s *EntryStream) Close() {
 		// never reached the consumer.
 		for _, ts := range s.scans {
 			for batch := range ts.batches {
-				s.metrics.EntriesBuffered.Add(-int64(len(batch)))
+				s.stats.Add(telemetry.EntriesBuffered, -int64(len(batch)))
 			}
 		}
-		s.metrics.EntriesBuffered.Add(-int64(len(s.cur)))
+		s.stats.Add(telemetry.EntriesBuffered, -int64(len(s.cur)))
 		s.cur = nil
 		s.finished()
 	})
@@ -565,15 +560,13 @@ func (e *scanEnv) WriteEntries(table string, entries []skv.Entry) error {
 // CountRangePruned implements iterator.Counters: entries a server-side
 // range filter dropped.
 func (e *scanEnv) CountRangePruned(n int) {
-	e.r.metrics.EntriesPrunedByRange.Add(int64(n))
-	e.tc.q.Add(telemetry.EntriesPrunedByRange, int64(n))
+	e.r.tel.Count(e.tc.q, telemetry.EntriesPrunedByRange, int64(n))
 }
 
 // CountFolded implements iterator.Counters: partial products absorbed
 // by the fold stage.
 func (e *scanEnv) CountFolded(n int) {
-	e.r.metrics.PartialProductsFolded.Add(int64(n))
-	e.tc.q.Add(telemetry.PartialProductsFolded, int64(n))
+	e.r.tel.Count(e.tc.q, telemetry.PartialProductsFolded, int64(n))
 }
 
 // close releases every remote stream this env's iterators opened.

@@ -7,6 +7,7 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // streamTestCluster builds a pre-split table with enough entries per
@@ -134,7 +135,7 @@ func TestEntryStreamBufferBounded(t *testing.T) {
 	if n != 3200 {
 		t.Fatalf("streamed %d entries, want 3200", n)
 	}
-	max := conn.Cluster().Metrics.MaxEntriesBuffered.Load()
+	max := conn.Cluster().Telemetry().Stats.Get(telemetry.MaxEntriesBuffered)
 	if max == 0 {
 		t.Fatal("MaxEntriesBuffered never moved")
 	}
@@ -162,7 +163,7 @@ func TestEntryStreamTabletParallelism(t *testing.T) {
 	if len(entries) != 1600 {
 		t.Fatalf("scanned %d entries, want 1600", len(entries))
 	}
-	if max := conn.Cluster().Metrics.MaxScansInFlight.Load(); max < 2 {
+	if max := conn.Cluster().Telemetry().Stats.Get(telemetry.MaxScansInFlight); max < 2 {
 		t.Fatalf("MaxScansInFlight = %d, want >= 2 (tablet scans never overlapped)", max)
 	}
 }
@@ -189,11 +190,11 @@ func TestEntryStreamEarlyClose(t *testing.T) {
 		t.Fatal("Next returned an entry after Close")
 	}
 	// Workers must wind down after the close.
-	m := &conn.Cluster().Metrics
+	m := &conn.Cluster().Telemetry().Stats
 	deadline := time.Now().Add(5 * time.Second)
-	for m.ScansInFlight.Load() != 0 {
+	for m.Get(telemetry.ScansInFlight) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("ScansInFlight stuck at %d after Close", m.ScansInFlight.Load())
+			t.Fatalf("ScansInFlight stuck at %d after Close", m.Get(telemetry.ScansInFlight))
 		}
 		time.Sleep(time.Millisecond)
 	}

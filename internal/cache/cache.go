@@ -5,8 +5,8 @@
 // passes, TwoTableIterator remote seeks, BFS rounds re-reading the same
 // adjacency rows — is read from disk, CRC-verified, and decoded exactly
 // once while it stays resident. Eviction is strict LRU by decoded byte
-// size; hit and miss counters are atomic so the cluster metrics can
-// snapshot them without locking the cache.
+// size; hits and misses are counted into a telemetry.StatSet — the
+// cache's own, or the process block it is pointed at (CountInto).
 //
 // A nil *BlockCache is a valid "cache disabled" value: every method is
 // nil-receiver safe and behaves as a permanent miss, so callers thread
@@ -16,9 +16,9 @@ package cache
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // DefaultMaxBytes is the block-cache capacity used when a caller asks
@@ -56,8 +56,7 @@ type block struct {
 // final backstop), and Get never discriminates — a hit is a hit no
 // matter who faulted the block in.
 type BlockCache struct {
-	hits   atomic.Int64
-	misses atomic.Int64
+	stats *telemetry.StatSet // CacheHits, CacheMisses
 
 	mu      sync.Mutex
 	max     int64
@@ -77,6 +76,7 @@ func New(maxBytes int64) *BlockCache {
 		maxBytes = DefaultMaxBytes
 	}
 	return &BlockCache{
+		stats: new(telemetry.StatSet),
 		max:   maxBytes,
 		ll:    list.New(),
 		items: map[blockKey]*list.Element{},
@@ -106,10 +106,10 @@ func (c *BlockCache) Get(file string, blockIdx int) ([]skv.Entry, bool) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.misses.Add(1)
+		c.stats.Add(telemetry.CacheMisses, 1)
 		return nil, false
 	}
-	c.hits.Add(1)
+	c.stats.Add(telemetry.CacheHits, 1)
 	return el.Value.(*block).entries, true
 }
 
@@ -239,12 +239,21 @@ func (c *BlockCache) EvictFile(file string) {
 	}
 }
 
+// CountInto makes the cache count its hits and misses into s — the
+// process block — instead of a StatSet of its own. Call before the cache
+// is shared.
+func (c *BlockCache) CountInto(s *telemetry.StatSet) {
+	if c != nil && s != nil {
+		c.stats = s
+	}
+}
+
 // Hits returns the cumulative hit count.
 func (c *BlockCache) Hits() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.hits.Load()
+	return c.stats.Get(telemetry.CacheHits)
 }
 
 // Misses returns the cumulative miss count.
@@ -252,7 +261,7 @@ func (c *BlockCache) Misses() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.misses.Load()
+	return c.stats.Get(telemetry.CacheMisses)
 }
 
 // Bytes returns the resident decoded size.

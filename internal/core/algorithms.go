@@ -171,7 +171,7 @@ func dropScratch(conn *accumulo.Connector, names []string, err *error) {
 // noteScratch counts a driver-materialised intermediate table in the
 // cluster metrics — the round-trip the fused drivers exist to avoid.
 func noteScratch(conn *accumulo.Connector) {
-	conn.Cluster().Metrics.ScratchTablesCreated.Add(1)
+	conn.Cluster().Telemetry().Stats.Add(telemetry.ScratchTablesCreated, 1)
 }
 
 // planReadAssoc reads a whole table into an associative array through a
@@ -438,7 +438,7 @@ func topicNames(k int) []string {
 // the degree channel family (schema.DegFamily), so grouped storage
 // places them in their own block run.
 func TableDegrees(conn *accumulo.Connector, table, degTable string) (int, error) {
-	return TableRowReduceConstrained(conn, table, degTable, "plus", schema.DegFamily, "deg",
+	return TableRowReduce(conn, table, degTable, "plus", schema.DegFamily, "deg",
 		ScanConstraint{Families: schema.EdgeBand()})
 }
 

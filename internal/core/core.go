@@ -38,10 +38,10 @@ import (
 // ScanConstraint restricts a kernel to a sub-associative-array — the
 // SpRef push-down of §II. The row band is pushed into the scan itself,
 // so only tablets it overlaps execute the kernel's iterator stack
-// (pruned tablets count in Metrics.TabletsPrunedByRange) and, on a
+// (pruned tablets count as telemetry.TabletsPrunedByRange) and, on a
 // durable cluster, rfile row-index and bloom pruning apply; the
 // column-qualifier band runs as a server-side filter below the kernel
-// stages (dropped entries count in Metrics.EntriesPrunedByRange). The
+// stages (dropped entries count as telemetry.EntriesPrunedByRange). The
 // zero value constrains nothing.
 type ScanConstraint struct {
 	// RowStart/RowEnd bound the scanned rows, half-open [RowStart,
@@ -55,7 +55,7 @@ type ScanConstraint struct {
 	// server-side per entry, the family constraint is pushed into
 	// storage: tablets serve it from the matching rfile locality groups
 	// only, skipping every other family's blocks
-	// (Metrics.LocalityBlocksSkipped counts the savings).
+	// (telemetry.LocalityBlocksSkipped counts the savings).
 	Families []string
 }
 
@@ -369,18 +369,14 @@ func TableMultClient(conn *accumulo.Connector, tableAT, tableB, tableC string, o
 	return written, w.Close()
 }
 
-// OneTable applies per-scan iterator settings to a full scan of tableIn
-// and writes the surviving entries into tableOut server-side (via
+// OneTable applies per-scan iterator settings to a scan of tableIn and
+// writes the surviving entries into tableOut server-side (via
 // RemoteWrite). Use it for the Apply/Scale/filter kernels on tables,
-// e.g. settings = [{Name:"scale", Opts:{"factor":"2"}}].
-func OneTable(conn *accumulo.Connector, tableIn, tableOut string, settings []iterator.Setting) (int, error) {
-	return OneTableConstrained(conn, tableIn, tableOut, settings, ScanConstraint{})
-}
-
-// OneTableConstrained is OneTable over a sub-array: the constraint's
-// row band is pushed into the scan (only overlapping tablets run the
-// stack) and its column band filters server-side below the settings.
-func OneTableConstrained(conn *accumulo.Connector, tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint) (n int, err error) {
+// e.g. settings = [{Name:"scale", Opts:{"factor":"2"}}]. A non-zero
+// constraint runs it over a sub-array: the row band is pushed into the
+// scan (only overlapping tablets run the stack) and the column band
+// filters server-side below the settings.
+func OneTable(conn *accumulo.Connector, tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint) (n int, err error) {
 	q, done, err := startQuery(conn, "OneTable", nil, "")
 	if err != nil {
 		return
@@ -415,17 +411,13 @@ func oneTablePlan(tableIn, tableOut string, settings []iterator.Setting, c ScanC
 // TableRowReduce folds each row of tableIn with the monoid ("plus",
 // "min", or "max") and writes one entry per row into tableOut — the
 // server-side Reduce kernel. Building a degree table from an adjacency
-// table is TableRowReduce(conn, "A", "ADeg", "plus", "", "deg").
-// tableOut should be fresh: like any combiner-backed table, existing
-// entries fold together with the new ones.
-func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, colQ string) (int, error) {
-	return TableRowReduceConstrained(conn, tableIn, tableOut, monoid, colF, colQ, ScanConstraint{})
-}
-
-// TableRowReduceConstrained is TableRowReduce over a sub-array: rows
-// outside the band never run the reduce, and a column band reduces only
-// the selected qualifiers of each row.
-func TableRowReduceConstrained(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, colQ string, c ScanConstraint) (n int, err error) {
+// table is TableRowReduce(conn, "A", "ADeg", "plus", "", "deg",
+// ScanConstraint{}). tableOut should be fresh: like any combiner-backed
+// table, existing entries fold together with the new ones. A non-zero
+// constraint reduces a sub-array: rows outside the band never run the
+// reduce, and a column band reduces only the selected qualifiers of each
+// row.
+func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, colQ string, c ScanConstraint) (n int, err error) {
 	q, done, err := startQuery(conn, "TableRowReduce", nil, "")
 	if err != nil {
 		return

@@ -13,6 +13,7 @@ import (
 	"graphulo/internal/plan"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 func testConn(t *testing.T) *accumulo.Connector {
@@ -138,18 +139,18 @@ func TestTableMultServerMovesFewerClientBytes(t *testing.T) {
 	if err := sch.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	m := &conn.Cluster().Metrics
-	before := m.EntriesScanned.Load()
+	m := &conn.Cluster().Telemetry().Stats
+	before := m.Get(telemetry.EntriesScanned)
 	if _, err := TableMult(conn, sch.TableT, sch.Table, "SqServer", MultOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	serverScanned := m.EntriesScanned.Load() - before
+	serverScanned := m.Get(telemetry.EntriesScanned) - before
 
-	before = m.EntriesScanned.Load()
+	before = m.Get(telemetry.EntriesScanned)
 	if _, err := TableMultClient(conn, sch.TableT, sch.Table, "SqClient", MultOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	clientScanned := m.EntriesScanned.Load() - before
+	clientScanned := m.Get(telemetry.EntriesScanned) - before
 
 	// Both must agree on the result.
 	s := readMatrix(t, conn, "SqServer")
@@ -220,8 +221,8 @@ func TestTableMultOneRemoteScanPerTabletPass(t *testing.T) {
 	if err := wB.Close(); err != nil {
 		t.Fatal(err)
 	}
-	m := &conn.Cluster().Metrics
-	before := m.ScansStarted.Load()
+	m := &conn.Cluster().Telemetry().Stats
+	before := m.Get(telemetry.ScansStarted)
 	n, err := TableMult(conn, "ATsplit", "Bsplit", "Csplit", MultOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +230,7 @@ func TestTableMultOneRemoteScanPerTabletPass(t *testing.T) {
 	if n == 0 {
 		t.Fatal("no partial products written")
 	}
-	scans := m.ScansStarted.Load() - before
+	scans := m.Get(telemetry.ScansStarted) - before
 	if want := int64(1 + 4); scans != want {
 		t.Fatalf("TableMult issued %d scans, want %d (1 client + 1 remote per tablet pass)", scans, want)
 	}
@@ -241,7 +242,7 @@ func TestOneTableApply(t *testing.T) {
 		[][]float64{{2, 0}, {5, 2}})
 	n, err := OneTable(conn, "IN", "OUT", []iterator.Setting{
 		{Name: "equalsIndicator", Opts: map[string]string{"target": "2"}},
-	})
+	}, ScanConstraint{})
 	if err != nil {
 		t.Fatal(err)
 	}

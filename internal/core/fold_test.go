@@ -19,6 +19,7 @@ import (
 	"graphulo/internal/semiring"
 	"graphulo/internal/skv"
 	"graphulo/internal/sparse"
+	"graphulo/internal/telemetry"
 )
 
 // foldTransports is one two-server cluster config per deployment.
@@ -142,13 +143,13 @@ func TestTableMultFoldsInSitu(t *testing.T) {
 		if err := conn.TableOperations().CreateWithSplits("C", splits); err != nil {
 			t.Fatal(err)
 		}
-		m := &conn.Cluster().Metrics
-		before := m.PartialProductsFolded.Load()
+		m := &conn.Cluster().Telemetry().Stats
+		before := m.Get(telemetry.PartialProductsFolded)
 		written, err := TableMult(conn, sch.TableT, sch.Table, "C", MultOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		folded := int(m.PartialProductsFolded.Load() - before)
+		folded := int(m.Get(telemetry.PartialProductsFolded) - before)
 		if written+folded != pp {
 			t.Errorf("%s: wrote %d + folded %d = %d, want Σdeg² = %d", name, written, folded, written+folded, pp)
 		}
@@ -179,14 +180,14 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &conn.Cluster().Metrics
-		before := m.EntriesScanned.Load()
+		m := &conn.Cluster().Telemetry().Stats
+		before := m.Get(telemetry.EntriesScanned)
 		res, err := runPlan(conn, adjSquareFoldPlan(sch.Table), "square", "sq", q)
 		done(err)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if delivered := int(m.EntriesScanned.Load() - before); 2*delivered > pp {
+		if delivered := int(m.Get(telemetry.EntriesScanned) - before); 2*delivered > pp {
 			t.Errorf("%s: A² pass delivered %d entries for %d partial products, want at most half", name, delivered, pp)
 		}
 		sq := cellsToAssoc(res.Cells)

@@ -11,6 +11,7 @@ import (
 	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // loadSplitMatrix builds a summing table with the given splits and a
@@ -73,9 +74,9 @@ func TestTableMultRangeConstrainedPrunesTablets(t *testing.T) {
 	full := readMatrix(t, conn, "Cfull")
 
 	// Banded product: inner rows [i016, i032) — exactly 2 of 16 tablets.
-	m := &conn.Cluster().Metrics
-	passesBefore := m.TabletScans.Load()
-	prunedBefore := m.TabletsPrunedByRange.Load()
+	m := &conn.Cluster().Telemetry().Stats
+	passesBefore := m.Get(telemetry.TabletScans)
+	prunedBefore := m.Get(telemetry.TabletsPrunedByRange)
 	band := ScanConstraint{RowStart: innerRow(16), RowEnd: innerRow(32)}
 	n, err := TableMult(conn, "ATb", "Bb", "Cband", MultOptions{Constraint: band})
 	if err != nil {
@@ -84,8 +85,8 @@ func TestTableMultRangeConstrainedPrunesTablets(t *testing.T) {
 	if n == 0 {
 		t.Fatal("banded multiply wrote nothing")
 	}
-	passes := m.TabletScans.Load() - passesBefore
-	pruned := m.TabletsPrunedByRange.Load() - prunedBefore
+	passes := m.Get(telemetry.TabletScans) - passesBefore
+	pruned := m.Get(telemetry.TabletsPrunedByRange) - prunedBefore
 
 	// The band overlaps 2 B tablets (the kernel passes), and each pass
 	// seeds its remote AT scan with the pushed band ∩ its own tablet's
@@ -130,13 +131,13 @@ func TestTableMultColumnBandFiltersServerSide(t *testing.T) {
 	loadSplitMatrix(t, conn, "ATc", nil, 8, 3, val)
 	loadSplitMatrix(t, conn, "Bc", nil, 8, 6, val)
 
-	m := &conn.Cluster().Metrics
-	before := m.EntriesPrunedByRange.Load()
+	m := &conn.Cluster().Telemetry().Stats
+	before := m.Get(telemetry.EntriesPrunedByRange)
 	band := ScanConstraint{ColQStart: "c02", ColQEnd: "c04"}
 	if _, err := TableMult(conn, "ATc", "Bc", "Ccol", MultOptions{Constraint: band}); err != nil {
 		t.Fatal(err)
 	}
-	if got := m.EntriesPrunedByRange.Load() - before; got == 0 {
+	if got := m.Get(telemetry.EntriesPrunedByRange) - before; got == 0 {
 		t.Error("column band pruned no entries server-side")
 	}
 	got := readMatrix(t, conn, "Ccol")
@@ -167,7 +168,7 @@ func TestOneTableConstrained(t *testing.T) {
 	conn := testConn(t)
 	loadMatrix(t, conn, "OCin", []string{"r0", "r1", "r2"}, []string{"c0", "c1", "c2"},
 		[][]float64{{1, 2, 3}, {4, 5, 6}, {7, 8, 9}})
-	n, err := OneTableConstrained(conn, "OCin", "OCout", []iterator.Setting{
+	n, err := OneTable(conn, "OCin", "OCout", []iterator.Setting{
 		{Name: "scale", Opts: map[string]string{"factor": "10"}},
 	}, ScanConstraint{RowStart: "r1", RowEnd: "r2", ColQStart: "c1"})
 	if err != nil {
@@ -188,7 +189,7 @@ func TestTableRowReduceConstrained(t *testing.T) {
 	conn := testConn(t)
 	loadMatrix(t, conn, "RRin", []string{"r0", "r1"}, []string{"c0", "c1", "c2"},
 		[][]float64{{1, 2, 3}, {4, 5, 6}})
-	if _, err := TableRowReduceConstrained(conn, "RRin", "RRout", "plus", "", "deg",
+	if _, err := TableRowReduce(conn, "RRin", "RRout", "plus", "", "deg",
 		ScanConstraint{ColQStart: "c1"}); err != nil {
 		t.Fatal(err)
 	}
@@ -245,17 +246,17 @@ func TestPreAggIdenticalResultsAcrossSemirings(t *testing.T) {
 			loadSplitMatrix(t, conn, "ATp", []string{innerRow(16)}, 32, 3, val)
 			loadSplitMatrix(t, conn, "Bp", []string{innerRow(16)}, 32, 4, val)
 
-			m := &conn.Cluster().Metrics
+			m := &conn.Cluster().Telemetry().Stats
 			nOff, err := TableMult(conn, "ATp", "Bp", "Coff", MultOptions{Semiring: ring, PreAggBytes: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			foldedBefore := m.PartialProductsFolded.Load()
+			foldedBefore := m.Get(telemetry.PartialProductsFolded)
 			nOn, err := TableMult(conn, "ATp", "Bp", "Con", MultOptions{Semiring: ring})
 			if err != nil {
 				t.Fatal(err)
 			}
-			folded := m.PartialProductsFolded.Load() - foldedBefore
+			folded := m.Get(telemetry.PartialProductsFolded) - foldedBefore
 			if folded == 0 {
 				t.Error("pre-aggregation folded nothing")
 			}
@@ -319,14 +320,14 @@ func TestTableMultClientHonorsBatchSize(t *testing.T) {
 	loadMatrix(t, conn, "Bw", inner, []string{"b0", "b1"},
 		[][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
 
-	m := &conn.Cluster().Metrics
+	m := &conn.Cluster().Telemetry().Stats
 	run := func(tableC string, batch int) (products int, rpcs int64) {
-		before := m.RPCs.Load()
+		before := m.Get(telemetry.RPCs)
 		n, err := TableMultClient(conn, "ATw", "Bw", tableC, MultOptions{BatchSize: batch})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return n, m.RPCs.Load() - before
+		return n, m.Get(telemetry.RPCs) - before
 	}
 	nBig, rpcsBig := run("CwBig", 0)
 	nOne, rpcsOne := run("CwOne", 1)
@@ -353,13 +354,13 @@ func TestRemoteWriteRejectsBadPreAggOptions(t *testing.T) {
 	loadMatrix(t, conn, "RWin", []string{"r0"}, []string{"c0"}, [][]float64{{1}})
 	_, err := OneTable(conn, "RWin", "RWout", []iterator.Setting{
 		{Name: "remoteWrite", Opts: map[string]string{"table": "RWout", "preAggBytes": "nope"}},
-	})
+	}, ScanConstraint{})
 	if err == nil {
 		t.Fatal("bad preAggBytes accepted")
 	}
 	_, err = OneTable(conn, "RWin", "RWout2", []iterator.Setting{
 		{Name: "remoteWrite", Opts: map[string]string{"table": "RWout2", "semiring": "nope"}},
-	})
+	}, ScanConstraint{})
 	if err == nil {
 		t.Fatal("bad semiring accepted")
 	}
@@ -375,8 +376,8 @@ func TestScannerMultiRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &conn.Cluster().Metrics
-	prunedBefore := m.TabletsPrunedByRange.Load()
+	m := &conn.Cluster().Telemetry().Stats
+	prunedBefore := m.Get(telemetry.TabletsPrunedByRange)
 	sc.SetRanges([]skv.Range{
 		skv.RowRange(innerRow(40), innerRow(48)),
 		skv.RowRange(innerRow(0), innerRow(8)),
@@ -402,7 +403,7 @@ func TestScannerMultiRange(t *testing.T) {
 		}
 	}
 	// Ranges cover tablets 0, 5, and 6 — the other 13 must be pruned.
-	if got := m.TabletsPrunedByRange.Load() - prunedBefore; got != 13 {
+	if got := m.Get(telemetry.TabletsPrunedByRange) - prunedBefore; got != 13 {
 		t.Errorf("multi-range scan pruned %d tablets, want 13", got)
 	}
 

@@ -18,6 +18,7 @@ import (
 	"graphulo/internal/iterator"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // transportConfigs returns one identically sized cluster config per
@@ -128,14 +129,14 @@ func TestKernelTransportEquivalence(t *testing.T) {
 		// 1 client scan of B + 1 remote scan of AT per tablet pass.
 		buildMultInputs(t, conn)
 		res.inputs = append(tableEntries(t, conn, "ATe"), tableEntries(t, conn, "Be")...)
-		m := &conn.Cluster().Metrics
-		before := m.ScansStarted.Load()
+		m := &conn.Cluster().Telemetry().Stats
+		before := m.Get(telemetry.ScansStarted)
 		n, err := TableMult(conn, "ATe", "Be", "Ce", MultOptions{})
 		if err != nil {
 			t.Fatalf("%s: TableMult: %v", name, err)
 		}
 		res.written = n
-		res.multScans = m.ScansStarted.Load() - before
+		res.multScans = m.Get(telemetry.ScansStarted) - before
 		res.mult = cellValues(t, conn, "Ce")
 
 		// OneTable: Apply with an indicator.
@@ -143,7 +144,7 @@ func TestKernelTransportEquivalence(t *testing.T) {
 			[][]float64{{2, 0}, {5, 2}})
 		if _, err := OneTable(conn, "INe", "OUTe", []iterator.Setting{
 			{Name: "equalsIndicator", Opts: map[string]string{"target": "2"}},
-		}); err != nil {
+		}, ScanConstraint{}); err != nil {
 			t.Fatalf("%s: OneTable: %v", name, err)
 		}
 		res.apply = cellValues(t, conn, "OUTe")

@@ -49,49 +49,6 @@ func TestRowReduceFactoryBadMonoid(t *testing.T) {
 	}
 }
 
-func TestDegreeFilterIter(t *testing.T) {
-	env := newFakeEnv()
-	env.tables["deg"] = []skv.Entry{
-		e("v1", "", "deg", 1, 1),
-		e("v2", "", "deg", 1, 5),
-		e("v3", "", "deg", 1, 10),
-	}
-	src := NewSliceIter([]skv.Entry{
-		e("a", "", "v1", 1, 1),
-		e("a", "", "v2", 1, 1),
-		e("a", "", "v3", 1, 1),
-	})
-	d := NewDegreeFilterIter(src, "deg", nil, 2, 8, env)
-	if err := d.Seek(skv.FullRange()); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := Collect(d)
-	if len(got) != 1 || got[0].K.ColQ != "v2" {
-		t.Fatalf("degree filter wrong: %v", keysOf(got))
-	}
-}
-
-func TestDegreeFilterNoBounds(t *testing.T) {
-	env := newFakeEnv()
-	env.tables["deg"] = []skv.Entry{e("v1", "", "deg", 1, 3)}
-	src := NewSliceIter([]skv.Entry{e("a", "", "v1", 1, 1), e("a", "", "vMissing", 1, 1)})
-	d := NewDegreeFilterIter(src, "deg", nil, 0, 0, env)
-	d.Seek(skv.FullRange())
-	got, _ := Collect(d)
-	if len(got) != 2 {
-		t.Fatalf("no bounds should admit everything, got %d", len(got))
-	}
-	// min bound excludes vertices missing from the degree table (deg 0).
-	d2 := NewDegreeFilterIter(NewSliceIter([]skv.Entry{
-		e("a", "", "v1", 1, 1), e("a", "", "vMissing", 1, 1),
-	}), "deg", nil, 1, 0, env)
-	d2.Seek(skv.FullRange())
-	got2, _ := Collect(d2)
-	if len(got2) != 1 || got2[0].K.ColQ != "v1" {
-		t.Fatalf("min bound should drop missing-degree vertices: %v", keysOf(got2))
-	}
-}
-
 func TestRowScaleIter(t *testing.T) {
 	env := newFakeEnv()
 	env.tables["deg"] = []skv.Entry{
@@ -120,7 +77,7 @@ func TestRowScaleIter(t *testing.T) {
 }
 
 func TestFactoriesRequireOptions(t *testing.T) {
-	for _, name := range []string{"remoteSource", "twoTable", "remoteWrite", "degreeFilter", "rowScale"} {
+	for _, name := range []string{"remoteSource", "twoTable", "remoteWrite", "rowScale"} {
 		f, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%s not registered", name)

@@ -360,7 +360,7 @@ func (w *RemoteWriteIterator) Next() error {
 // column-qualifier half of SpRef push-down, running server-side so
 // pruned entries never reach the partial-product stage or the wire.
 // Dropped entries are counted through the env's Counters
-// (Metrics.EntriesPrunedByRange on a cluster).
+// (telemetry.EntriesPrunedByRange on a cluster).
 type ColQRangeIter struct {
 	src      SKVI
 	min, max string
@@ -415,85 +415,6 @@ func (c *ColQRangeIter) Next() error {
 		return err
 	}
 	return c.skip()
-}
-
-// DegreeFilterIter drops entries whose column qualifier (the neighbour
-// vertex in an adjacency row) has a degree outside [min, max] according
-// to a remote degree table — Graphulo's AdjBFS degree filtering running
-// server-side. The degree table is read once per scan through the
-// server-side client.
-type DegreeFilterIter struct {
-	src      SKVI
-	degTable string
-	families []string
-	env      Env
-	min, max float64
-	degrees  map[string]float64
-}
-
-// NewDegreeFilterIter wraps src; min/max of 0 disable that bound.
-// families bands the degree-table read (nil = unconstrained), so on a
-// mixed table the filter's remote scan touches only the degree
-// channel's locality groups.
-func NewDegreeFilterIter(src SKVI, degTable string, families []string, min, max float64, env Env) *DegreeFilterIter {
-	return &DegreeFilterIter{src: src, degTable: degTable, families: families, env: env, min: min, max: max}
-}
-
-// Seek implements SKVI.
-func (d *DegreeFilterIter) Seek(rng skv.Range) error {
-	if d.degrees == nil {
-		it, err := OpenScannerFamilies(d.env, d.degTable, skv.FullRange(), d.families)
-		if err != nil {
-			return fmt.Errorf("degreeFilter(%s): %w", d.degTable, err)
-		}
-		d.degrees = map[string]float64{}
-		for it.HasTop() {
-			if v, ok := skv.DecodeFloat(it.Top().V); ok {
-				d.degrees[it.Top().K.Row] = v
-			}
-			if err := it.Next(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := d.src.Seek(rng); err != nil {
-		return err
-	}
-	return d.skip()
-}
-
-func (d *DegreeFilterIter) admit(e skv.Entry) bool {
-	deg := d.degrees[e.K.ColQ]
-	if d.min > 0 && deg < d.min {
-		return false
-	}
-	if d.max > 0 && deg > d.max {
-		return false
-	}
-	return true
-}
-
-func (d *DegreeFilterIter) skip() error {
-	for d.src.HasTop() && !d.admit(d.src.Top()) {
-		if err := d.src.Next(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HasTop implements SKVI.
-func (d *DegreeFilterIter) HasTop() bool { return d.src.HasTop() }
-
-// Top implements SKVI.
-func (d *DegreeFilterIter) Top() skv.Entry { return d.src.Top() }
-
-// Next implements SKVI.
-func (d *DegreeFilterIter) Next() error {
-	if err := d.src.Next(); err != nil {
-		return err
-	}
-	return d.skip()
 }
 
 // RowScaleIter divides each entry by its row's value in a remote
@@ -591,25 +512,6 @@ func init() {
 			return nil, fmt.Errorf("rowScale: missing table option")
 		}
 		return NewRowScaleIter(src, table, DecodeFamiliesOpt(opts["families"]), env), nil
-	})
-	Register("degreeFilter", func(src SKVI, opts map[string]string, env Env) (SKVI, error) {
-		table := opts["table"]
-		if table == "" {
-			return nil, fmt.Errorf("degreeFilter: missing table option")
-		}
-		var minD, maxD float64
-		var err error
-		if s := opts["min"]; s != "" {
-			if minD, err = strconv.ParseFloat(s, 64); err != nil {
-				return nil, fmt.Errorf("degreeFilter: bad min %q", s)
-			}
-		}
-		if s := opts["max"]; s != "" {
-			if maxD, err = strconv.ParseFloat(s, 64); err != nil {
-				return nil, fmt.Errorf("degreeFilter: bad max %q", s)
-			}
-		}
-		return NewDegreeFilterIter(src, table, DecodeFamiliesOpt(opts["families"]), minD, maxD, env), nil
 	})
 	Register("remoteSource", func(_ SKVI, opts map[string]string, env Env) (SKVI, error) {
 		table := opts["table"]

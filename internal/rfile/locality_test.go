@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // mixedFamilyEntries builds a deg+edge+raw table shape: every family
@@ -82,7 +83,7 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 	if err := WriteAll(path, entries, WriterOptions{BlockSize: 512}); err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
+	var stats telemetry.StatSet
 	r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
@@ -103,37 +104,37 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("deg band: %d entries, want %d", len(got), len(want))
 	}
-	if skipped := stats.LocalityBlocksSkipped.Load(); skipped != int64(total-blocksOf("deg")) {
+	if skipped := stats.Get(telemetry.LocalityBlocksSkipped); skipped != int64(total-blocksOf("deg")) {
 		t.Fatalf("deg band skipped %d blocks, want %d (total %d, deg %d)",
 			skipped, total-blocksOf("deg"), total, blocksOf("deg"))
 	}
 
 	// A two-family band skips only the third family's run.
-	stats.LocalityBlocksSkipped.Store(0)
+	stats.Add(telemetry.LocalityBlocksSkipped, -stats.Get(telemetry.LocalityBlocksSkipped))
 	got = collect(t, r.IterFamilies("", []string{"deg", "edge"}))
 	want = filterFamilies(entries, "deg", "edge")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("deg+edge band: %d entries, want %d", len(got), len(want))
 	}
-	if skipped := stats.LocalityBlocksSkipped.Load(); skipped != int64(blocksOf("raw")) {
+	if skipped := stats.Get(telemetry.LocalityBlocksSkipped); skipped != int64(blocksOf("raw")) {
 		t.Fatalf("deg+edge band skipped %d blocks, want raw's %d", skipped, blocksOf("raw"))
 	}
 
 	// A band naming no stored family skips every block.
-	stats.LocalityBlocksSkipped.Store(0)
+	stats.Add(telemetry.LocalityBlocksSkipped, -stats.Get(telemetry.LocalityBlocksSkipped))
 	if got := collect(t, r.IterFamilies("", []string{"absent"})); len(got) != 0 {
 		t.Fatalf("absent band surfaced %d entries", len(got))
 	}
-	if skipped := stats.LocalityBlocksSkipped.Load(); skipped != int64(total) {
+	if skipped := stats.Get(telemetry.LocalityBlocksSkipped); skipped != int64(total) {
 		t.Fatalf("absent band skipped %d blocks, want all %d", skipped, total)
 	}
 
 	// An unconstrained scan skips nothing and returns global order.
-	stats.LocalityBlocksSkipped.Store(0)
+	stats.Add(telemetry.LocalityBlocksSkipped, -stats.Get(telemetry.LocalityBlocksSkipped))
 	if got := collect(t, r.Iter()); !reflect.DeepEqual(got, entries) {
 		t.Fatalf("unconstrained scan diverged: %d entries, want %d", len(got), len(entries))
 	}
-	if skipped := stats.LocalityBlocksSkipped.Load(); skipped != 0 {
+	if skipped := stats.Get(telemetry.LocalityBlocksSkipped); skipped != 0 {
 		t.Fatalf("unconstrained scan counted %d skipped blocks", skipped)
 	}
 }
@@ -158,7 +159,7 @@ func TestLocalityGroupScanLoadsHalfTheBlocks(t *testing.T) {
 		t.Fatal(err)
 	}
 	blockLoads := func(path string) int64 {
-		var stats Stats
+		var stats telemetry.StatSet
 		r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
 		if err != nil {
 			t.Fatal(err)
@@ -167,7 +168,7 @@ func TestLocalityGroupScanLoadsHalfTheBlocks(t *testing.T) {
 		if got := collect(t, r.IterFamilies("", []string{"deg"})); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s: deg band scanned %d entries, want %d", filepath.Base(path), len(got), len(want))
 		}
-		return int64(len(r.blocks)) - stats.LocalityBlocksSkipped.Load()
+		return int64(len(r.blocks)) - stats.Get(telemetry.LocalityBlocksSkipped)
 	}
 	groupedLoads, legacyLoads := blockLoads(grouped), blockLoads(legacy)
 	if groupedLoads == 0 || legacyLoads < 2*groupedLoads {

@@ -33,7 +33,7 @@
 //     family to its contiguous block range. A seek constrained to a
 //     family set (Reader.IterFamilies) touches only the matching runs'
 //     blocks; blocks in other families' runs are skipped without a load
-//     and counted in Stats.LocalityBlocksSkipped. Unconstrained scans
+//     and counted as telemetry.LocalityBlocksSkipped. Unconstrained scans
 //     merge the family runs back into global key order. Pre-v4 files
 //     have no directory: a family-constrained iterator over them falls
 //     back to a full scan with a per-entry family filter.
@@ -76,6 +76,7 @@ import (
 	"graphulo/internal/cache"
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 const (
@@ -86,21 +87,6 @@ const (
 	// DefaultBlockSize is the uncompressed data-block size target.
 	DefaultBlockSize = 32 << 10
 )
-
-// Stats aggregates read-path counters across the Readers that share it
-// (one per data directory); all fields are atomic.
-type Stats struct {
-	// BloomNegatives counts single-row seeks answered "not present"
-	// by a row bloom filter without loading any block.
-	BloomNegatives atomic.Int64
-	// ColQBloomNegatives counts single-cell seeks whose row passed the
-	// row bloom but whose (row, colQ) pair the column bloom rejected.
-	ColQBloomNegatives atomic.Int64
-	// LocalityBlocksSkipped counts data blocks a family-constrained
-	// scan avoided entirely because they belong to other families'
-	// locality-group block runs.
-	LocalityBlocksSkipped atomic.Int64
-}
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
@@ -353,8 +339,9 @@ type ReaderOptions struct {
 	// and fed every block loaded. It is shared across Readers.
 	Cache *cache.BlockCache
 	// Stats, when non-nil, receives this Reader's bloom-negative and
-	// locality-skip counts. It is shared across Readers.
-	Stats *Stats
+	// locality-skip counts (telemetry.BloomNegatives, ColQBloomNegatives,
+	// LocalityBlocksSkipped). It is shared across Readers.
+	Stats *telemetry.StatSet
 }
 
 // Reader serves seekable iterators over one rfile. It keeps only the
@@ -371,7 +358,7 @@ type Reader struct {
 	colqBloom bloomFilter // over distinct (row, colQ) pairs (v3+)
 	families  []famRun    // locality-group directory (v4+); nil before
 	cache     *cache.BlockCache
-	stats     *Stats
+	stats     *telemetry.StatSet
 
 	// dead marks a Reader whose file has been deleted (major
 	// compaction, table drop): in-flight Iters keep reading through the
@@ -695,9 +682,9 @@ func (r *Reader) IterFor(tenant string) iterator.SKVI {
 
 // IterFamilies returns an iterator constrained to a set of column
 // families. With a family directory (v4) only the matching families'
-// block runs are touched; blocks the constraint skipped are counted in
-// Stats.LocalityBlocksSkipped. Pre-v4 files fall back to a full scan
-// with a per-entry family filter. An empty family set means
+// block runs are touched; blocks the constraint skipped are counted as
+// telemetry.LocalityBlocksSkipped. Pre-v4 files fall back to a full
+// scan with a per-entry family filter. An empty family set means
 // unconstrained.
 func (r *Reader) IterFamilies(tenant string, families []string) iterator.SKVI {
 	if len(families) == 0 {
@@ -720,9 +707,7 @@ func (r *Reader) IterFamilies(tenant string, families []string) iterator.SKVI {
 			skipped += fr.hi - fr.lo
 		}
 	}
-	if skipped > 0 && r.stats != nil {
-		r.stats.LocalityBlocksSkipped.Add(int64(skipped))
-	}
+	r.stats.Add(telemetry.LocalityBlocksSkipped, int64(skipped))
 	switch len(runs) {
 	case 0:
 		return &Iter{r: r, tenant: tenant, lo: 0, hi: 0, blk: -1}
@@ -811,15 +796,11 @@ func (r *Reader) bloomRejects(rng skv.Range) bool {
 	// (row, colQ) bloom, catching the "row present, column absent"
 	// lookups the row filter must admit.
 	if row, ok := singleRowOf(rng); ok && !r.MayContainRow(row) {
-		if r.stats != nil {
-			r.stats.BloomNegatives.Add(1)
-		}
+		r.stats.Add(telemetry.BloomNegatives, 1)
 		return true
 	}
 	if row, colQ, ok := singleCellOf(rng); ok && !r.MayContainCell(row, colQ) {
-		if r.stats != nil {
-			r.stats.ColQBloomNegatives.Add(1)
-		}
+		r.stats.Add(telemetry.ColQBloomNegatives, 1)
 		return true
 	}
 	return false

@@ -10,6 +10,7 @@ import (
 	"graphulo/internal/cache"
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 func ent(i int) skv.Entry {
@@ -357,7 +358,7 @@ func TestBlockCacheAccounting(t *testing.T) {
 func TestBloomSkipsAbsentRows(t *testing.T) {
 	entries := buildEntries(2000)
 	path := writeFile(t, entries, 512)
-	var stats Stats
+	var stats telemetry.StatSet
 	c := cache.New(1 << 20)
 	r, err := OpenWithOptions(path, ReaderOptions{Cache: c, Stats: &stats})
 	if err != nil {
@@ -387,7 +388,7 @@ func TestBloomSkipsAbsentRows(t *testing.T) {
 			t.Fatalf("absent row %d returned %v", i, it.Top())
 		}
 	}
-	neg := stats.BloomNegatives.Load()
+	neg := stats.Get(telemetry.BloomNegatives)
 	fpRate := float64(probes-int(neg)) / probes
 	if fpRate > 0.05 {
 		t.Fatalf("bloom false-positive rate %.3f exceeds 5%% (negatives=%d)", fpRate, neg)
@@ -406,7 +407,7 @@ func TestBloomDisabled(t *testing.T) {
 	if err := WriteAll(path, entries, WriterOptions{BlockSize: 512, BloomBitsPerKey: -1}); err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
+	var stats telemetry.StatSet
 	r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
@@ -422,8 +423,8 @@ func TestBloomDisabled(t *testing.T) {
 	if !it.HasTop() {
 		t.Fatal("present row not found without bloom")
 	}
-	if stats.BloomNegatives.Load() != 0 {
-		t.Fatalf("negatives counted without a filter: %d", stats.BloomNegatives.Load())
+	if stats.Get(telemetry.BloomNegatives) != 0 {
+		t.Fatalf("negatives counted without a filter: %d", stats.Get(telemetry.BloomNegatives))
 	}
 }
 
@@ -480,7 +481,7 @@ func TestMarkDeadStopsCacheFeeding(t *testing.T) {
 func TestColQBloomSkipsAbsentCells(t *testing.T) {
 	entries := buildEntries(2000)
 	path := writeFile(t, entries, 512)
-	var stats Stats
+	var stats telemetry.StatSet
 	c := cache.New(1 << 20)
 	r, err := OpenWithOptions(path, ReaderOptions{Cache: c, Stats: &stats})
 	if err != nil {
@@ -501,7 +502,7 @@ func TestColQBloomSkipsAbsentCells(t *testing.T) {
 	// Absent pairs on present rows: almost all seeks must short-circuit
 	// on the pair filter alone.
 	before := c.Misses() + c.Hits()
-	rowNegBefore := stats.BloomNegatives.Load()
+	rowNegBefore := stats.Get(telemetry.BloomNegatives)
 	const probes = 2000
 	for i := 0; i < probes; i++ {
 		it := r.Iter()
@@ -513,10 +514,10 @@ func TestColQBloomSkipsAbsentCells(t *testing.T) {
 			t.Fatalf("absent cell %d returned %v", i, it.Top())
 		}
 	}
-	if got := stats.BloomNegatives.Load(); got != rowNegBefore {
+	if got := stats.Get(telemetry.BloomNegatives); got != rowNegBefore {
 		t.Fatalf("row bloom rejected %d present rows", got-rowNegBefore)
 	}
-	neg := stats.ColQBloomNegatives.Load()
+	neg := stats.Get(telemetry.ColQBloomNegatives)
 	fpRate := float64(probes-int(neg)) / probes
 	if fpRate > 0.05 {
 		t.Fatalf("colq bloom false-positive rate %.3f exceeds 5%% (negatives=%d)", fpRate, neg)
@@ -536,7 +537,7 @@ func TestColQBloomDisabled(t *testing.T) {
 	if err := WriteAll(path, entries, WriterOptions{BlockSize: 512, ColQBloomBits: -1}); err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
+	var stats telemetry.StatSet
 	r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
 	if err != nil {
 		t.Fatal(err)
@@ -555,7 +556,7 @@ func TestColQBloomDisabled(t *testing.T) {
 	if !it.HasTop() {
 		t.Fatal("present cell not found without pair bloom")
 	}
-	if stats.ColQBloomNegatives.Load() != 0 {
-		t.Fatalf("pair negatives counted without a filter: %d", stats.ColQBloomNegatives.Load())
+	if stats.Get(telemetry.ColQBloomNegatives) != 0 {
+		t.Fatalf("pair negatives counted without a filter: %d", stats.Get(telemetry.ColQBloomNegatives))
 	}
 }

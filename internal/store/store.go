@@ -38,6 +38,7 @@ import (
 	"graphulo/internal/rfile"
 	"graphulo/internal/skv"
 	"graphulo/internal/tablet"
+	"graphulo/internal/telemetry"
 	"graphulo/internal/wal"
 )
 
@@ -74,10 +75,8 @@ type Dir struct {
 	opts  Options
 	clock func() int64
 
-	// blockCache is shared by every rfile Reader the directory opens;
-	// rfStats aggregates their bloom-filter counters.
+	// blockCache is shared by every rfile Reader the directory opens.
 	blockCache *cache.BlockCache
-	rfStats    rfile.Stats
 
 	// readers tracks the open Reader per live rfile so deletion can
 	// mark it dead (stop it feeding the block cache) while in-flight
@@ -113,6 +112,9 @@ type Options struct {
 	// per distinct pair (0 selects rfile.DefaultBloomBitsPerKey;
 	// negative disables the filters).
 	ColQBloomBits int
+	// Stats, when non-nil, is the process counter block the directory's
+	// block cache and rfile Readers count into.
+	Stats *telemetry.StatSet
 	// WALSyncObserver, when set, receives the duration of every WAL
 	// fsync issued by the directory's tablet stores.
 	WALSyncObserver func(time.Duration)
@@ -136,6 +138,7 @@ func Open(path string, opts Options) (*Dir, error) {
 	}
 	if opts.BlockCacheBytes >= 0 {
 		d.blockCache = cache.New(opts.BlockCacheBytes)
+		d.blockCache.CountInto(opts.Stats)
 		if opts.CacheTenantSoftCapBytes > 0 {
 			d.blockCache.SetTenantSoftCap(opts.CacheTenantSoftCapBytes)
 		}
@@ -482,30 +485,9 @@ func (d *Dir) Close() error {
 }
 
 // readerOptions wires a new rfile Reader into the directory's shared
-// block cache and stats.
+// block cache and counter block.
 func (d *Dir) readerOptions() rfile.ReaderOptions {
-	return rfile.ReaderOptions{Cache: d.blockCache, Stats: &d.rfStats}
-}
-
-// StorageCounters is a snapshot of a data directory's read-path
-// counters: block cache traffic and bloom-filter negative lookups.
-type StorageCounters struct {
-	CacheHits             int64
-	CacheMisses           int64
-	BloomNegatives        int64 // single-row seeks pruned by the row bloom
-	ColQBloomNegatives    int64 // single-cell seeks pruned by the (row, colQ) bloom
-	LocalityBlocksSkipped int64 // blocks skipped via locality-group family runs
-}
-
-// StorageStats snapshots the directory's read-path counters.
-func (d *Dir) StorageStats() StorageCounters {
-	return StorageCounters{
-		CacheHits:             d.blockCache.Hits(),
-		CacheMisses:           d.blockCache.Misses(),
-		BloomNegatives:        d.rfStats.BloomNegatives.Load(),
-		ColQBloomNegatives:    d.rfStats.ColQBloomNegatives.Load(),
-		LocalityBlocksSkipped: d.rfStats.LocalityBlocksSkipped.Load(),
-	}
+	return rfile.ReaderOptions{Cache: d.blockCache, Stats: d.opts.Stats}
 }
 
 // newRFileLocked writes entries to a fresh rfile and opens a reader on

@@ -12,6 +12,7 @@ import (
 	"graphulo/internal/skv"
 	"graphulo/internal/store"
 	"graphulo/internal/tablet"
+	"graphulo/internal/telemetry"
 )
 
 // openDurableTablet creates a one-tablet durable table under dir and
@@ -39,8 +40,8 @@ func TestMultiWriterStressDurable(t *testing.T) {
 	const writers, perWriter = 8, 250
 	dir, tab := openDurableTablet(t, t.TempDir(), 64)
 	defer dir.Close()
-	stats := &tablet.IngestStats{}
-	tab.SetIngestStats(stats)
+	stats := &telemetry.StatSet{}
+	tab.SetStats(stats)
 
 	var ts int64
 	var tsMu sync.Mutex
@@ -94,7 +95,7 @@ func TestMultiWriterStressDurable(t *testing.T) {
 			t.Fatalf("scan unsorted or duplicated at %d: %v then %v", i, got[i-1].K, got[i].K)
 		}
 	}
-	if stats.Freezes.Load() == 0 {
+	if stats.Get(telemetry.MemtableFreezes) == 0 {
 		t.Fatal("expected background freezes with a 64-entry memtable")
 	}
 	if tab.RunCount() == 0 {

@@ -70,12 +70,13 @@ import (
 	"graphulo/internal/iterator"
 	"graphulo/internal/rfile"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // DefaultMaxFrozen is the default frozen-memtable queue depth; writers
 // stall once the background flusher falls this far behind, converting
 // unbounded memory growth into measured backpressure
-// (IngestStats.StallNanos). Override per tablet with SetMaxFrozen.
+// (telemetry.WriteStallNanos). Override per tablet with SetMaxFrozen.
 const DefaultMaxFrozen = 2
 
 // Backing is the durability hook a durable tablet calls into; the
@@ -120,18 +121,6 @@ type Backing interface {
 	Drop() error
 }
 
-// IngestStats aggregates write-path pressure counters; one instance may
-// be shared across every tablet of a server so the telemetry layer
-// reads two atomics instead of polling tablets.
-type IngestStats struct {
-	// Freezes counts memtable freeze-and-swap events (each one queues a
-	// memtable for background flush).
-	Freezes atomic.Int64
-	// StallNanos accumulates wall-clock time writers spent stalled on
-	// frozen-queue backpressure — nonzero means ingest outran flushing.
-	StallNanos atomic.Int64
-}
-
 // frozenMem is an immutable memtable awaiting background flush, paired
 // with the WAL rotation mark covering exactly its records.
 type frozenMem struct {
@@ -168,7 +157,10 @@ type Tablet struct {
 	backing    Backing
 	retired    bool // set by SplitAt; the tablet must absorb no more work
 
-	stats       *IngestStats
+	// stats receives the write-path pressure counters: MemtableFreezes
+	// per freeze-and-swap, WriteStallNanos for the time writers spent
+	// stalled on frozen-queue backpressure. nil counts nothing.
+	stats       *telemetry.StatSet
 	flushNotify func() // optional: invoked after a background flush adds a run
 
 	// compactMu serialises frozen-queue flushes, minor/major
@@ -192,7 +184,6 @@ func New(startRow, endRow string, memLimit int, seed int64) *Tablet {
 		memLimit:  memLimit,
 		maxFrozen: DefaultMaxFrozen,
 		seed:      seed,
-		stats:     &IngestStats{},
 	}
 	t.active.Store(newMemtable())
 	t.flushCond = sync.NewCond(&t.mu)
@@ -231,16 +222,9 @@ func (t *Tablet) SetMaxFrozen(n int) {
 	t.maxFrozen = n
 }
 
-// SetIngestStats points the tablet at a shared ingest-stats sink. Call
+// SetStats points the tablet at the counter block it counts into. Call
 // before the tablet takes traffic.
-func (t *Tablet) SetIngestStats(s *IngestStats) {
-	if s != nil {
-		t.stats = s
-	}
-}
-
-// IngestStatsRef returns the tablet's current stats sink.
-func (t *Tablet) IngestStatsRef() *IngestStats { return t.stats }
+func (t *Tablet) SetStats(s *telemetry.StatSet) { t.stats = s }
 
 // SetFlushNotify registers a hook invoked after a background flush
 // registers a new run — the cluster layer points it at the compaction
@@ -347,7 +331,7 @@ func (t *Tablet) stallForFrozen() error {
 	}
 	err := t.flushErr
 	t.mu.Unlock()
-	t.stats.StallNanos.Add(time.Since(start).Nanoseconds())
+	t.stats.Add(telemetry.WriteStallNanos, time.Since(start).Nanoseconds())
 	return err
 }
 
@@ -378,7 +362,7 @@ func (t *Tablet) freeze(old *memtable) error {
 	t.mu.Unlock()
 	t.active.Store(newMemtable())
 	t.freezeMu.Unlock()
-	t.stats.Freezes.Add(1)
+	t.stats.Add(telemetry.MemtableFreezes, 1)
 	go t.flushFrozen()
 	return nil
 }
@@ -390,15 +374,23 @@ func (t *Tablet) freeze(old *memtable) error {
 func (t *Tablet) flushFrozen() {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
+	_ = t.drainFrozenLocked(nil) // a failure is kept in flushErr for writers
+}
+
+// drainFrozenLocked flushes the frozen queue, oldest first, until it is
+// empty or a flush fails. A retired tablet's queue is never drained
+// (flushFrozenLocked leaves it alone: the split carried its entries to
+// the halves), so retirement ends the loop too. Caller holds compactMu.
+func (t *Tablet) drainFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, error)) error {
 	for {
 		t.mu.Lock()
-		n := len(t.frozen)
+		done := t.retired || len(t.frozen) == 0
 		t.mu.Unlock()
-		if n == 0 {
-			return
+		if done {
+			return nil
 		}
-		if err := t.flushFrozenLocked(nil); err != nil {
-			return
+		if err := t.flushFrozenLocked(stack); err != nil {
+			return err
 		}
 	}
 }
@@ -472,16 +464,8 @@ func (t *Tablet) MinorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	}
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
-	for {
-		t.mu.Lock()
-		n := len(t.frozen)
-		t.mu.Unlock()
-		if n == 0 {
-			break
-		}
-		if err := t.flushFrozenLocked(stack); err != nil {
-			return err
-		}
+	if err := t.drainFrozenLocked(stack); err != nil {
+		return err
 	}
 	if t.backing == nil {
 		return nil
@@ -538,7 +522,7 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 		t.frozen = append(t.frozen, &frozenMem{mem: old, mark: mark})
 		t.mu.Unlock()
 		t.active.Store(newMemtable())
-		t.stats.Freezes.Add(1)
+		t.stats.Add(telemetry.MemtableFreezes, 1)
 	}
 	t.freezeMu.Unlock()
 
@@ -760,8 +744,8 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	right.SetFlushBytes(t.flushBytes)
 	left.SetMaxFrozen(t.maxFrozen)
 	right.SetMaxFrozen(t.maxFrozen)
-	left.SetIngestStats(t.stats)
-	right.SetIngestStats(t.stats)
+	left.SetStats(t.stats)
+	right.SetStats(t.stats)
 	left.SetFlushNotify(t.flushNotify)
 	right.SetFlushNotify(t.flushNotify)
 	if t.backing == nil {

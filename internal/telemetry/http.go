@@ -3,8 +3,9 @@ package telemetry
 // The opt-in telemetry HTTP endpoint served by coordinators
 // (Config.MetricsAddr) and `graphulo serve` daemons (-metrics-addr):
 //
-//	/metrics        Prometheus text exposition: the process counter
-//	                block plus the registry's latency histograms
+//	/metrics        Prometheus text exposition: one family per row of
+//	                the counter table, the registry's latency
+//	                histograms, and the per-tenant families
 //	/queries        JSON listing of recent and in-flight queries with
 //	                their span trees
 //	/debug/pprof/*  the standard Go profiling endpoints
@@ -23,38 +24,20 @@ import (
 	"time"
 )
 
-// Sample is one process counter or gauge exported on /metrics. Name is
-// the bare metric name ("wire_bytes"); counters gain a _total suffix.
-type Sample struct {
-	Name  string
-	Help  string
-	Gauge bool
-	Value int64
-}
-
-// ServerConfig wires a telemetry endpoint to its data sources.
-type ServerConfig struct {
-	// Registry supplies the query listing and the latency histograms.
-	Registry *Registry
-	// Counters snapshots the process counter block per scrape; nil means
-	// histograms only.
-	Counters func() []Sample
-}
-
 // Server is a running telemetry endpoint.
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
 }
 
-// Serve starts the telemetry endpoint on addr (host:port; :0 picks an
+// Serve starts reg's telemetry endpoint on addr (host:port; :0 picks an
 // ephemeral port — read it back with Addr).
-func Serve(addr string, cfg ServerConfig) (*Server, error) {
+func Serve(addr string, reg *Registry) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("telemetry: listen %s: %w", addr, err)
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: NewHandler(cfg)}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: NewHandler(reg)}}
 	go s.srv.Serve(ln)
 	return s, nil
 }
@@ -67,27 +50,18 @@ func (s *Server) Close() error { return s.srv.Close() }
 
 // NewHandler builds the endpoint's HTTP handler (for embedding in an
 // existing server).
-func NewHandler(cfg ServerConfig) http.Handler {
+func NewHandler(reg *Registry) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-		w.Write(renderMetrics(cfg))
+		w.Write(renderMetrics(reg))
 	})
 	mux.HandleFunc("/queries", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		var snaps []QuerySnapshot
-		host := ""
-		if cfg.Registry != nil {
-			snaps = cfg.Registry.Snapshot()
-			host = cfg.Registry.Host()
-		}
-		if snaps == nil {
-			snaps = []QuerySnapshot{}
-		}
 		json.NewEncoder(w).Encode(struct {
 			Host    string          `json:"host"`
 			Queries []QuerySnapshot `json:"queries"`
-		}{Host: host, Queries: snaps})
+		}{Host: reg.Host(), Queries: reg.Snapshot()})
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -97,70 +71,62 @@ func NewHandler(cfg ServerConfig) http.Handler {
 	return mux
 }
 
+// metricFamily names a counter's /metrics family and its TYPE: counters
+// gain the _total suffix, every other kind is a gauge.
+func metricFamily(prefix string, c Counter) (name, typ string) {
+	if descs[c].kind == kindCounter {
+		return prefix + descs[c].name + "_total", "counter"
+	}
+	return prefix + descs[c].name, "gauge"
+}
+
 // renderMetrics produces the Prometheus text exposition.
-func renderMetrics(cfg ServerConfig) []byte {
+func renderMetrics(reg *Registry) []byte {
 	var b strings.Builder
-	if cfg.Counters != nil {
-		for _, s := range cfg.Counters() {
-			name := "graphulo_" + s.Name
-			typ := "counter"
-			if s.Gauge {
-				typ = "gauge"
-			} else {
-				name += "_total"
-			}
-			if s.Help != "" {
-				fmt.Fprintf(&b, "# HELP %s %s\n", name, s.Help)
-			}
-			fmt.Fprintf(&b, "# TYPE %s %s\n", name, typ)
-			fmt.Fprintf(&b, "%s %d\n", name, s.Value)
+	counts := reg.Counts()
+	for c, d := range descs {
+		if d.kind == kindReadGauge && reg.reads[c] == nil {
+			continue
 		}
+		name, typ := metricFamily("graphulo_", Counter(c))
+		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, d.help, name, typ, name, counts[c])
 	}
-	if reg := cfg.Registry; reg != nil {
-		fmt.Fprintf(&b, "# TYPE graphulo_queries_total counter\n")
-		fmt.Fprintf(&b, "graphulo_queries_total %d\n", reg.QueriesStarted())
-		renderHist(&b, "graphulo_scan_pass_seconds",
-			"Latency of tablet scan passes served by this process.", reg.ScanPass.Snapshot())
-		renderHist(&b, "graphulo_write_batch_seconds",
-			"Latency of write batches shipped from this process.", reg.WriteBatch.Snapshot())
-		renderHist(&b, "graphulo_wal_sync_seconds",
-			"Latency of WAL fsyncs issued by this process.", reg.WALSync.Snapshot())
-		renderHist(&b, "graphulo_kernel_seconds",
-			"End-to-end latency of kernel queries finished by this process.", reg.Kernel.Snapshot())
-		renderHist(&b, "graphulo_queue_wait_seconds",
-			"Time queries and tablet passes spent waiting in scheduler queues.", reg.QueueWait.Snapshot())
-		renderTenants(&b, reg.TenantSnapshots())
-	}
+	fmt.Fprintf(&b, "# TYPE graphulo_queries_total counter\n")
+	fmt.Fprintf(&b, "graphulo_queries_total %d\n", reg.QueriesStarted())
+	renderHist(&b, "graphulo_scan_pass_seconds",
+		"Latency of tablet scan passes served by this process.", reg.ScanPass.Snapshot())
+	renderHist(&b, "graphulo_write_batch_seconds",
+		"Latency of write batches shipped from this process.", reg.WriteBatch.Snapshot())
+	renderHist(&b, "graphulo_wal_sync_seconds",
+		"Latency of WAL fsyncs issued by this process.", reg.WALSync.Snapshot())
+	renderHist(&b, "graphulo_kernel_seconds",
+		"End-to-end latency of kernel queries finished by this process.", reg.Kernel.Snapshot())
+	renderHist(&b, "graphulo_queue_wait_seconds",
+		"Time queries and tablet passes spent waiting in scheduler queues.", reg.QueueWait.Snapshot())
+	renderTenants(&b, reg.TenantSnapshots())
 	return []byte(b.String())
 }
 
 // renderTenants renders the per-tenant counter families — one labelled
-// sample per tenant that has finished at least one kernel query.
+// sample per tenant that has finished at least one kernel query, for the
+// query count and every counter the table marks per-tenant.
 func renderTenants(b *strings.Builder, tenants []TenantSnapshot) {
 	if len(tenants) == 0 {
 		return
 	}
-	families := []struct {
-		name  string
-		help  string
-		value func(TenantSnapshot) int64
-	}{
-		{"graphulo_tenant_queries_total", "Kernel queries finished, by tenant.",
-			func(t TenantSnapshot) int64 { return t.Queries }},
-		{"graphulo_tenant_entries_scanned_total", "Entries returned to scans, by tenant.",
-			func(t TenantSnapshot) int64 { return t.EntriesScanned }},
-		{"graphulo_tenant_entries_written_total", "Entries written, by tenant.",
-			func(t TenantSnapshot) int64 { return t.EntriesWritten }},
-		{"graphulo_tenant_queue_wait_nanos_total", "Nanoseconds spent in scheduler queues, by tenant.",
-			func(t TenantSnapshot) int64 { return t.QueueWaitNanos }},
-		{"graphulo_tenant_shared_scan_folds_total", "Scans served by another scan's physical pass, by tenant.",
-			func(t TenantSnapshot) int64 { return t.SharedFolds }},
-	}
-	for _, f := range families {
-		fmt.Fprintf(b, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(b, "# TYPE %s counter\n", f.name)
+	family := func(name, help string, value func(TenantSnapshot) int64) {
+		fmt.Fprintf(b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
 		for _, t := range tenants {
-			fmt.Fprintf(b, "%s{tenant=%q} %d\n", f.name, t.Tenant, f.value(t))
+			fmt.Fprintf(b, "%s{tenant=%q} %d\n", name, t.Tenant, value(t))
+		}
+	}
+	family("graphulo_tenant_queries_total", "Kernel queries finished, by tenant.",
+		func(t TenantSnapshot) int64 { return t.Queries })
+	for c, d := range descs {
+		if d.tenant {
+			name, _ := metricFamily("graphulo_tenant_", Counter(c))
+			family(name, strings.TrimSuffix(d.help, ".")+", by tenant.",
+				func(t TenantSnapshot) int64 { return t.Counts[c] })
 		}
 	}
 }

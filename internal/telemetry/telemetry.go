@@ -1,14 +1,16 @@
-// Package telemetry is the query-scoped observability subsystem: trace
-// IDs minted per kernel invocation, spans recording where each tablet
-// pass and RemoteWrite flush ran, per-query counter sets mirroring the
-// cluster-global Metrics block, lock-free latency histograms, and the
-// export surfaces (Prometheus /metrics, JSON /queries, slow-query log)
-// built on top of them.
+// Package telemetry is the observability subsystem: the one table of
+// counters (counters.go) with the process's block of them on the
+// Registry and a query's on the Query, trace IDs minted per kernel
+// invocation, spans recording where each tablet pass and RemoteWrite
+// flush ran, lock-free latency histograms, and the export surfaces
+// (Prometheus /metrics, JSON /queries, slow-query log) built on top of
+// them.
 //
 // The package is deliberately a leaf: it knows nothing about tablets or
-// transports. The accumulo layer threads a *Query (the coordinator's
-// kernel query, or a server-side pass attached to one) through its scan
-// and write paths, and ships each pass's counters and spans back to the
+// transports. The storage layers are handed the process StatSet to count
+// into; the accumulo layer threads a *Query (the coordinator's kernel
+// query, or a server-side pass attached to one) through its scan and
+// write paths, and ships each pass's counters and spans back to the
 // query's origin as an encoded Trailer at the end of the scan stream.
 //
 // Span model (one trace per kernel call):
@@ -58,127 +60,6 @@ func init() {
 
 func newID() uint64 {
 	return idCounter.Add(0x9E3779B97F4A7C15)
-}
-
-// Counter indexes one per-query counter — the query-scoped mirror of the
-// cluster-global Metrics fields, plus a few that only make sense
-// per-query.
-type Counter int
-
-// Per-query counters.
-const (
-	TabletScans Counter = iota
-	TabletsPrunedByRange
-	EntriesPrunedByRange
-	PartialProductsFolded
-	WireBytes
-	RPCs
-	EntriesScanned
-	EntriesWritten
-	ScansStarted
-	CacheHits
-	CacheMisses
-	BloomNegatives
-	ColQBloomNegatives
-	// LocalityBlocksSkipped counts rfile data blocks a family-constrained
-	// scan skipped entirely because they belong to other column
-	// families' locality-group block runs.
-	LocalityBlocksSkipped
-	CompactionKicks
-	// WriteWireBytes counts the encoded bytes of write batches the query
-	// (or pass) shipped to tablet servers — the write-side slice of
-	// WireBytes. Shipped in trailers so the coordinator can charge a
-	// kernel's server-side RemoteWrite volume against its write budget.
-	WriteWireBytes
-	// SharedScanFolds counts scans served as followers of a shared-scan
-	// fold group: the query got its results from another scan's physical
-	// tablet pass. Coordinator-side only — never shipped in trailers.
-	SharedScanFolds
-	// QueueWaitNanos totals the time the query's passes (and its
-	// admission) spent waiting in scheduler queues. Coordinator-side
-	// only — never shipped in trailers.
-	QueueWaitNanos
-	NumCounters
-)
-
-var counterNames = [NumCounters]string{
-	"tablet_scans",
-	"tablets_pruned_by_range",
-	"entries_pruned_by_range",
-	"partial_products_folded",
-	"wire_bytes",
-	"rpcs",
-	"entries_scanned",
-	"entries_written",
-	"scans_started",
-	"cache_hits",
-	"cache_misses",
-	"bloom_negatives",
-	"colq_bloom_negatives",
-	"locality_blocks_skipped",
-	"compaction_kicks",
-	"write_wire_bytes",
-	"shared_scan_folds",
-	"queue_wait_nanos",
-}
-
-// String returns the counter's stable snake_case name, used in JSON
-// output and metric families.
-func (c Counter) String() string {
-	if c < 0 || c >= NumCounters {
-		return fmt.Sprintf("counter_%d", int(c))
-	}
-	return counterNames[c]
-}
-
-// Counts is a point-in-time snapshot of a StatSet.
-type Counts [NumCounters]int64
-
-// Get returns one counter's value.
-func (k Counts) Get(c Counter) int64 { return k[c] }
-
-// MarshalJSON renders the counts as a name → value object, so /queries
-// and the slow-query log stay readable without the enum.
-func (k Counts) MarshalJSON() ([]byte, error) {
-	m := make(map[string]int64, NumCounters)
-	for i := Counter(0); i < NumCounters; i++ {
-		m[i.String()] = k[i]
-	}
-	return json.Marshal(m)
-}
-
-// UnmarshalJSON reverses MarshalJSON; unknown names are ignored so old
-// tooling can read newer snapshots.
-func (k *Counts) UnmarshalJSON(data []byte) error {
-	var m map[string]int64
-	if err := json.Unmarshal(data, &m); err != nil {
-		return err
-	}
-	for i := Counter(0); i < NumCounters; i++ {
-		k[i] = m[i.String()]
-	}
-	return nil
-}
-
-// StatSet is a lock-free per-query counter block.
-type StatSet struct {
-	c [NumCounters]atomic.Int64
-}
-
-// Add folds n into one counter.
-func (s *StatSet) Add(c Counter, n int64) {
-	if c >= 0 && c < NumCounters {
-		s.c[c].Add(n)
-	}
-}
-
-// Counts snapshots every counter.
-func (s *StatSet) Counts() Counts {
-	var k Counts
-	for i := range s.c {
-		k[i] = s.c[i].Load()
-	}
-	return k
 }
 
 // Span is one timed region of a query: a client scan, a tablet pass, an
@@ -261,7 +142,7 @@ type BudgetHook interface {
 // originating query. All methods are nil-safe so untraced paths can
 // thread a nil *Query.
 type Query struct {
-	reg    *Registry // nil for detached passes
+	reg    *Registry
 	trace  TraceID
 	kernel string
 	host   string
@@ -291,24 +172,13 @@ type Query struct {
 	errMsg  string
 }
 
-func newQuery(reg *Registry, trace TraceID, parent uint64, kernel, host string, remote bool) *Query {
+func newQuery(reg *Registry, trace TraceID, parent uint64, kernel string, remote bool) *Query {
 	q := &Query{
-		reg: reg, trace: trace, kernel: kernel, host: host,
+		reg: reg, trace: trace, kernel: kernel, host: reg.host,
 		remote: remote, start: time.Now(),
 	}
-	q.root = &Span{id: newID(), parent: parent, name: kernel, host: host, start: q.start}
+	q.root = &Span{id: newID(), parent: parent, name: kernel, host: q.host, start: q.start}
 	q.spans = append(q.spans, q.root)
-	return q
-}
-
-// NewPass creates a detached server-side pass record for an incoming
-// scan request: its spans and counters exist only to be shipped back in
-// the trailer. trace 0 (an untraced scan) still collects counters — the
-// trailer is what keeps cluster-global stats accurate across external
-// daemons — it just isn't attributable to a kernel.
-func NewPass(trace TraceID, parent uint64, name, host string) *Query {
-	q := newQuery(nil, trace, parent, name, host, true)
-	q.Stats.Add(TabletScans, 1)
 	return q
 }
 
@@ -373,10 +243,25 @@ func (q *Query) RootID() uint64 {
 	return q.root.id
 }
 
-// Add folds n into one per-query counter. Nil-safe.
+// Add attributes n of one counter to the query alone — for work some
+// process block has already counted (a folded trailer, a storage delta).
+// A site that does the work counts it with Registry.Count. Nil-safe.
 func (q *Query) Add(c Counter, n int64) {
 	if q != nil && n != 0 {
 		q.Stats.Add(c, n)
+	}
+}
+
+// AddStorageSince attributes to a pass what the serving process's
+// storage counters moved since before was snapshotted. Nil-safe.
+func (q *Query) AddStorageSince(before Counts) {
+	if q == nil {
+		return
+	}
+	for c, d := range descs {
+		if d.storage {
+			q.Add(Counter(c), q.reg.Stats.Get(Counter(c))-before[c])
+		}
 	}
 }
 
@@ -418,13 +303,17 @@ func (q *Query) ObserveWriteBatch(d time.Duration) {
 
 // FoldTrailer merges a pass's shipped counters, histograms, and spans
 // into this query — the aggregation step that turns per-process work
-// into one query-wide view. Nil-safe.
+// into one query-wide view. The process block is left alone: the servers
+// that did the work counted it there (see Registry.FoldTrailer for when
+// they did not). Nil-safe.
 func (q *Query) FoldTrailer(t *Trailer) {
 	if q == nil || t == nil {
 		return
 	}
-	for i := Counter(0); i < NumCounters; i++ {
-		q.Stats.Add(i, t.Counts[i])
+	for c, v := range t.Counts {
+		if v != 0 {
+			q.Stats.Add(Counter(c), v)
+		}
 	}
 	q.ScanPass.Fold(t.ScanPass)
 	q.WriteBatch.Fold(t.WriteBatch)
@@ -442,19 +331,22 @@ func (q *Query) FoldTrailer(t *Trailer) {
 	q.mu.Unlock()
 }
 
-// FinishPass ends a server-side pass: the root span closes, the pass
-// duration lands in the pass's own ScanPass histogram (so it travels in
-// the trailer), and the duration is returned for the serving process's
-// global histogram. Nil-safe.
-func (q *Query) FinishPass(err error) time.Duration {
+// FinishPass ends a pass begun with Registry.StartPass, once: the root
+// span closes, the pass duration lands in the pass's own ScanPass
+// histogram (so it travels in the trailer) and in the serving process's,
+// the in-flight gauge drops, and a listed pass moves to the recent ring.
+// Nil-safe.
+func (q *Query) FinishPass(err error) {
 	if q == nil {
-		return 0
+		return
 	}
 	q.root.End()
 	d := time.Duration(q.root.dur.Load())
 	q.ScanPass.Observe(d)
 	q.finish(err)
-	return d
+	q.reg.ScanPass.Observe(d)
+	q.reg.Stats.Add(ScansInFlight, -1)
+	q.reg.finishQuery(q)
 }
 
 // Finish ends a kernel query: the root span closes, the end-to-end
@@ -467,9 +359,7 @@ func (q *Query) Finish(err error) {
 	}
 	q.root.End()
 	q.finish(err)
-	if q.reg != nil {
-		q.reg.finishQuery(q)
-	}
+	q.reg.finishQuery(q)
 }
 
 func (q *Query) finish(err error) {
@@ -572,13 +462,19 @@ type Options struct {
 	ListPasses bool
 }
 
-// Registry tracks a process's queries — in-flight and a ring of recent —
-// and owns the process-global latency histograms.
+// Registry is a process's telemetry: its counter block, its latency
+// histograms, and its queries — in-flight and a ring of recent.
 type Registry struct {
 	host          string
 	slowThreshold time.Duration
 	maxRecent     int
 	listPasses    bool
+
+	// Stats is the process counter block: everything this process's
+	// routers, tablet servers, tablets and storage readers count.
+	Stats StatSet
+	// reads holds the functions kindReadGauge counters are read through.
+	reads [NumCounters]func() int64
 
 	// Process-global latency distributions, exported as Prometheus
 	// histogram families by the telemetry HTTP server.
@@ -591,7 +487,7 @@ type Registry struct {
 	started atomic.Int64
 
 	tenantMu sync.Mutex
-	tenants  map[string]*tenantAgg
+	tenants  map[string]*TenantSnapshot
 
 	slowMu  sync.Mutex
 	slowLog io.Writer
@@ -617,7 +513,7 @@ func NewRegistry(o Options) *Registry {
 		maxRecent:     o.MaxRecent,
 		listPasses:    o.ListPasses,
 		inflight:      map[*Query]struct{}{},
-		tenants:       map[string]*tenantAgg{},
+		tenants:       map[string]*TenantSnapshot{},
 	}
 }
 
@@ -630,22 +526,60 @@ func (r *Registry) QueriesStarted() int64 { return r.started.Load() }
 
 // StartQuery mints a fresh trace for one kernel invocation.
 func (r *Registry) StartQuery(kernel string) *Query {
-	q := newQuery(r, TraceID(newID()), 0, kernel, r.host, false)
+	q := newQuery(r, TraceID(newID()), 0, kernel, false)
 	r.track(q)
 	return q
 }
 
 // StartPass starts the record of one tablet pass served here, adopting
 // the requesting side's trace; parent is the requester's span ID. The
-// pass's counters and spans travel back in its trailer; a registry built
-// with Options.ListPasses also tracks it for the /queries listing.
+// pass's counters and spans travel back in its trailer — trace 0 (an
+// untraced scan) still collects them, it just isn't attributable to a
+// kernel — and a registry built with Options.ListPasses also tracks the
+// pass for the /queries listing. End it with FinishPass.
 func (r *Registry) StartPass(trace TraceID, parent uint64, name string) *Query {
-	q := NewPass(trace, parent, name, r.host)
+	q := newQuery(r, trace, parent, name, true)
+	r.Count(q, TabletScans, 1)
+	r.Stats.Add(ScansInFlight, 1)
 	if r.listPasses {
-		q.reg = r
 		r.track(q)
 	}
 	return q
+}
+
+// Count counts n of one counter where the work happens: into the process
+// block and into the query it was done for (nil = untraced).
+func (r *Registry) Count(q *Query, c Counter, n int64) {
+	r.Stats.Add(c, n)
+	q.Add(c, n)
+}
+
+// FoldTrailer folds a pass's trailer into q and into the process block
+// and scan-pass histogram as well — for a coordinator of standalone
+// servers, whose work reaches its process totals no other way.
+func (r *Registry) FoldTrailer(q *Query, t *Trailer) {
+	q.FoldTrailer(t)
+	for c, v := range t.Counts {
+		if v != 0 {
+			r.Stats.Add(Counter(c), v)
+		}
+	}
+	r.ScanPass.Fold(t.ScanPass)
+}
+
+// GaugeFunc registers the function a kindReadGauge counter is read
+// through. Call before the registry is shared.
+func (r *Registry) GaugeFunc(c Counter, read func() int64) { r.reads[c] = read }
+
+// Counts snapshots the process block, read gauges included.
+func (r *Registry) Counts() Counts {
+	k := r.Stats.Counts()
+	for c, read := range r.reads {
+		if read != nil {
+			k[c] = read()
+		}
+	}
+	return k
 }
 
 func (r *Registry) track(q *Query) {
@@ -661,7 +595,7 @@ func (r *Registry) finishQuery(q *Query) {
 	r.mu.Lock()
 	if _, ok := r.inflight[q]; !ok {
 		r.mu.Unlock()
-		return // double Finish
+		return // double Finish, or a pass this registry does not list
 	}
 	delete(r.inflight, q)
 	if len(r.recent) < r.maxRecent {
@@ -682,16 +616,6 @@ func (r *Registry) finishQuery(q *Query) {
 	}
 }
 
-// tenantAgg accumulates finished-query totals per tenant label for the
-// /metrics per-tenant families.
-type tenantAgg struct {
-	queries        int64
-	entriesScanned int64
-	entriesWritten int64
-	queueWaitNanos int64
-	sharedFolds    int64
-}
-
 // accumulateTenant folds a finished kernel query into its tenant's
 // running totals. The default tenant is exported as "default".
 func (r *Registry) accumulateTenant(q *Query) {
@@ -703,25 +627,22 @@ func (r *Registry) accumulateTenant(q *Query) {
 	r.tenantMu.Lock()
 	agg, ok := r.tenants[tenant]
 	if !ok {
-		agg = &tenantAgg{}
+		agg = &TenantSnapshot{Tenant: tenant}
 		r.tenants[tenant] = agg
 	}
-	agg.queries++
-	agg.entriesScanned += counts.Get(EntriesScanned)
-	agg.entriesWritten += counts.Get(EntriesWritten)
-	agg.queueWaitNanos += counts.Get(QueueWaitNanos)
-	agg.sharedFolds += counts.Get(SharedScanFolds)
+	agg.Queries++
+	for c, v := range counts {
+		agg.Counts[c] += v
+	}
 	r.tenantMu.Unlock()
 }
 
-// TenantSnapshot is one tenant's finished-query totals.
+// TenantSnapshot is one tenant's finished-query totals, accumulated for
+// the /metrics per-tenant families.
 type TenantSnapshot struct {
-	Tenant         string
-	Queries        int64
-	EntriesScanned int64
-	EntriesWritten int64
-	QueueWaitNanos int64
-	SharedFolds    int64
+	Tenant  string
+	Queries int64
+	Counts  Counts
 }
 
 // TenantSnapshots lists per-tenant totals sorted by tenant label —
@@ -729,15 +650,8 @@ type TenantSnapshot struct {
 func (r *Registry) TenantSnapshots() []TenantSnapshot {
 	r.tenantMu.Lock()
 	out := make([]TenantSnapshot, 0, len(r.tenants))
-	for name, agg := range r.tenants {
-		out = append(out, TenantSnapshot{
-			Tenant:         name,
-			Queries:        agg.queries,
-			EntriesScanned: agg.entriesScanned,
-			EntriesWritten: agg.entriesWritten,
-			QueueWaitNanos: agg.queueWaitNanos,
-			SharedFolds:    agg.sharedFolds,
-		})
+	for _, agg := range r.tenants {
+		out = append(out, *agg)
 	}
 	r.tenantMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Tenant < out[j].Tenant })

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -121,7 +122,7 @@ func TestHistogramFold(t *testing.T) {
 }
 
 func TestTrailerRoundTrip(t *testing.T) {
-	q := NewPass(TraceID(0xdeadbeef), 77, "pass t [a,b)", "daemon:1")
+	q := NewRegistry(Options{Host: "daemon:1"}).StartPass(TraceID(0xdeadbeef), 77, "pass t [a,b)")
 	q.Add(EntriesScanned, 1234)
 	q.Add(PartialProductsFolded, 56)
 	q.ObserveWriteBatch(3 * time.Millisecond)
@@ -158,7 +159,7 @@ func TestTrailerRoundTrip(t *testing.T) {
 }
 
 func TestTrailerDecodeHostile(t *testing.T) {
-	q := NewPass(1, 2, "p", "h")
+	q := NewRegistry(Options{Host: "h"}).StartPass(1, 2, "p")
 	q.StartSpan(0, "x").End()
 	q.FinishPass(nil)
 	enc := AppendTrailer(nil, q.Trailer())
@@ -189,21 +190,149 @@ func TestTrailerDecodeHostile(t *testing.T) {
 	if _, err := DecodeTrailer(oob); err == nil {
 		t.Fatalf("out-of-range counter index accepted")
 	}
+	// A gauge or high-water index from a confused peer decodes, but its
+	// value reaches no block: not the trailer's Counts, so neither a query
+	// nor the process registry it is folded into.
+	for _, c := range []Counter{ScansInFlight, MaxEntriesBuffered, PassesQueued} {
+		stray := []byte{trailerVersion, 2, byte(c), 5, byte(RPCs), 3, 0, 0, 0, 0, 0, 0, 0}
+		got, err := DecodeTrailer(stray)
+		if err != nil {
+			t.Fatalf("%s index in a trailer rejected: %v", c, err)
+		}
+		reg := NewRegistry(Options{})
+		q := reg.StartQuery("k")
+		reg.FoldTrailer(q, &got)
+		want := Counts{RPCs: 3}
+		if got.Counts != want || q.Stats.Counts() != want || reg.Stats.Counts() != want {
+			t.Fatalf("%s value folded: trailer %v query %v process %v", c, got.Counts, q.Stats.Counts(), reg.Stats.Counts())
+		}
+	}
 }
 
-func TestCountsJSON(t *testing.T) {
-	var k Counts
-	k[WireBytes] = 42
-	buf, err := json.Marshal(k)
+// goldenTrailer is a trailer encoded by the build before the counter
+// table grew past the original 18 per-query counters: counter i holds
+// (i+1)*1000, two scan passes, one write batch, two spans.
+const goldenTrailer = "011200e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d10e8840111d08c0102c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
+
+// TestTrailerGoldenBytes pins wire compatibility: existing counters keep
+// their indices, so an old peer's trailer decodes to the same counts and
+// re-encodes to the same bytes.
+func TestTrailerGoldenBytes(t *testing.T) {
+	raw, err := hex.DecodeString(goldenTrailer)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]int64
-	if err := json.Unmarshal(buf, &m); err != nil {
-		t.Fatal(err)
+	got, err := DecodeTrailer(raw)
+	if err != nil {
+		t.Fatalf("golden trailer: %v", err)
 	}
-	if m["wire_bytes"] != 42 || len(m) != int(NumCounters) {
-		t.Fatalf("unexpected JSON: %s", buf)
+	var want Counts
+	for c := TabletScans; c <= QueueWaitNanos; c++ {
+		want[c] = int64(c+1) * 1000
+	}
+	if got.Counts != want {
+		t.Fatalf("golden counts = %v, want %v", got.Counts, want)
+	}
+	if got.ScanPass.Count != 2 || got.ScanPass.SumNanos != 3_000_000 || got.WriteBatch.Count != 1 {
+		t.Errorf("golden histograms: scan %+v write %+v", got.ScanPass, got.WriteBatch)
+	}
+	if len(got.Spans) != 2 || got.Spans[0].Name != "pass T [a,b)" || got.Spans[1].Parent != got.Spans[0].ID {
+		t.Errorf("golden spans: %+v", got.Spans)
+	}
+	if again := AppendTrailer(nil, got); !bytes.Equal(again, raw) {
+		t.Errorf("golden trailer re-encodes differently:\n got %x\nwant %x", again, raw)
+	}
+}
+
+// TestCounterTableSurfaces ranges over every declared counter and checks
+// each surface that reads the table: /metrics (family name, help, TYPE,
+// value), the Counts JSON, and the trailer codec (a value ships iff its
+// kind is a total).
+func TestCounterTableSurfaces(t *testing.T) {
+	seen := map[string]bool{}
+	for c := Counter(0); c < NumCounters; c++ {
+		d := descs[c]
+		if d.name == "" || d.help == "" || seen[d.name] {
+			t.Fatalf("counter %d: name %q (duplicate=%v) help %q", c, d.name, seen[d.name], d.help)
+		}
+		seen[d.name] = true
+		want := int64(100 + c)
+		reg := NewRegistry(Options{})
+		if d.kind == kindReadGauge {
+			if strings.Contains(string(renderMetrics(reg)), "graphulo_"+d.name) {
+				t.Errorf("%s: exported without a read function", c)
+			}
+			reg.GaugeFunc(c, func() int64 { return want })
+		} else {
+			reg.Stats.Add(c, want)
+		}
+		counts := reg.Counts()
+
+		family, typ := "graphulo_"+d.name, "gauge"
+		if d.kind == kindCounter {
+			family, typ = family+"_total", "counter"
+		}
+		metrics := string(renderMetrics(reg))
+		for _, line := range []string{
+			fmt.Sprintf("# HELP %s %s\n", family, d.help),
+			fmt.Sprintf("# TYPE %s %s\n", family, typ),
+			fmt.Sprintf("\n%s %d\n", family, want),
+		} {
+			if !strings.Contains(metrics, line) {
+				t.Errorf("%s: /metrics lacks %q", c, line)
+			}
+		}
+		if d.high != 0 && counts[d.high] != want {
+			t.Errorf("%s: high-water %s = %d, want %d", c, d.high, counts[d.high], want)
+		}
+
+		buf, err := json.Marshal(counts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]int64
+		if err := json.Unmarshal(buf, &m); err != nil {
+			t.Fatal(err)
+		}
+		if m[d.name] != want || len(m) != int(NumCounters) {
+			t.Errorf("%s: Counts JSON has %d under %q among %d names", c, m[d.name], d.name, len(m))
+		}
+		var back Counts
+		if err := json.Unmarshal(buf, &back); err != nil || back != counts {
+			t.Errorf("%s: Counts JSON does not round-trip (err %v)", c, err)
+		}
+
+		dec, err := DecodeTrailer(AppendTrailer(nil, Trailer{Counts: counts}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if shipped := dec.Counts[c] == want; shipped != (d.kind == kindCounter) {
+			t.Errorf("%s (kind %d): shipped in a trailer = %v", c, d.kind, shipped)
+		}
+	}
+}
+
+// TestTenantFamilies checks the per-tenant families are the query count
+// plus exactly the counters the table marks per-tenant, summed over the
+// tenant's finished kernel queries.
+func TestTenantFamilies(t *testing.T) {
+	reg := NewRegistry(Options{})
+	for i := 0; i < 2; i++ {
+		q := reg.StartQuery("k").WithTenant("t0")
+		for c := Counter(0); c < NumCounters; c++ {
+			q.Add(c, 5)
+		}
+		q.Finish(nil)
+	}
+	metrics := string(renderMetrics(reg))
+	if !strings.Contains(metrics, `graphulo_tenant_queries_total{tenant="t0"} 2`) {
+		t.Errorf("tenant query count missing:\n%s", metrics)
+	}
+	for c, d := range descs {
+		line := fmt.Sprintf("graphulo_tenant_%s_total{tenant=\"t0\"} 10\n", d.name)
+		if served := strings.Contains(metrics, line); served != d.tenant {
+			t.Errorf("%s: per-tenant family served = %v, table says %v", Counter(c), served, d.tenant)
+		}
 	}
 }
 
@@ -239,6 +368,17 @@ func TestRegistryRecentRing(t *testing.T) {
 	}
 	live.Finish(nil)
 	live.Finish(nil) // double Finish must be harmless
+
+	// Listed passes retire into the same ring: none stays in flight.
+	lister := NewRegistry(Options{MaxRecent: 3, ListPasses: true})
+	for i := 0; i < 5; i++ {
+		lister.StartPass(1, 0, "pass").FinishPass(nil)
+	}
+	snaps = lister.Snapshot()
+	if len(snaps) != 3 || !snaps[0].Done || lister.Stats.Get(ScansInFlight) != 0 {
+		t.Fatalf("after 5 finished passes: %d listed (want 3), newest done=%v, %d in flight",
+			len(snaps), snaps[0].Done, lister.Stats.Get(ScansInFlight))
+	}
 }
 
 func TestSlowQueryLog(t *testing.T) {
@@ -287,7 +427,7 @@ func TestSlowQueryLog(t *testing.T) {
 }
 
 func TestQuerySpanBudget(t *testing.T) {
-	q := NewPass(1, 0, "p", "h")
+	q := NewRegistry(Options{Host: "h"}).StartPass(1, 0, "p")
 	for i := 0; i < maxSpans+10; i++ {
 		q.StartSpan(0, "s")
 	}
@@ -319,7 +459,7 @@ func TestFoldTrailerLinksSpans(t *testing.T) {
 	q := coord.StartQuery("TableMult")
 	scan := q.StartSpan(0, "scan T")
 
-	pass := NewPass(q.Trace(), scan.ID(), "pass T [a,b)", "daemon:9471")
+	pass := NewRegistry(Options{Host: "daemon:9471"}).StartPass(q.Trace(), scan.ID(), "pass T [a,b)")
 	pass.Add(EntriesScanned, 100)
 	pass.FinishPass(nil)
 	tr := pass.Trailer()
@@ -373,15 +513,7 @@ func TestHTTPEndpoint(t *testing.T) {
 	reg.WALSync.Observe(40 * time.Microsecond)
 	q.Finish(nil)
 
-	srv, err := Serve("127.0.0.1:0", ServerConfig{
-		Registry: reg,
-		Counters: func() []Sample {
-			return []Sample{
-				{Name: "wire_bytes", Help: "Bytes moved.", Value: 77},
-				{Name: "scans_in_flight", Gauge: true, Value: 2},
-			}
-		},
-	})
+	srv, err := Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +534,6 @@ func TestHTTPEndpoint(t *testing.T) {
 
 	metrics := get("/metrics")
 	for _, want := range []string{
-		"graphulo_wire_bytes_total 77",
-		"# TYPE graphulo_wire_bytes_total counter",
-		"# TYPE graphulo_scans_in_flight gauge",
-		"graphulo_scans_in_flight 2",
 		"graphulo_queries_total 1",
 		"# TYPE graphulo_scan_pass_seconds histogram",
 		"graphulo_scan_pass_seconds_count 1",

@@ -30,17 +30,19 @@ const trailerVersion = 1
 // AppendTrailer encodes t onto dst.
 func AppendTrailer(dst []byte, t Trailer) []byte {
 	dst = append(dst, trailerVersion)
-	// Counters: sparse (index, value) pairs.
+	// Counters: sparse (index, value) pairs. Only totals travel: a gauge
+	// or high-water mark describes the process it was read in.
+	ships := func(c int, v int64) bool { return v != 0 && descs[c].kind == kindCounter }
 	n := 0
-	for _, v := range t.Counts {
-		if v != 0 {
+	for c, v := range t.Counts {
+		if ships(c, v) {
 			n++
 		}
 	}
 	dst = binary.AppendUvarint(dst, uint64(n))
-	for i, v := range t.Counts {
-		if v != 0 {
-			dst = binary.AppendUvarint(dst, uint64(i))
+	for c, v := range t.Counts {
+		if ships(c, v) {
+			dst = binary.AppendUvarint(dst, uint64(c))
 			dst = binary.AppendUvarint(dst, uint64(v))
 		}
 	}
@@ -90,7 +92,11 @@ func DecodeTrailer(src []byte) (Trailer, error) {
 		if idx >= uint64(NumCounters) {
 			return t, fmt.Errorf("telemetry: counter index %d out of range", idx)
 		}
-		t.Counts[idx] = int64(val)
+		// A non-counter index is a peer's mistake, not corruption: drop the
+		// value so it is folded into no block.
+		if descs[idx].kind == kindCounter {
+			t.Counts[idx] = int64(val)
+		}
 	}
 	if t.ScanPass, src, err = readHist(src); err != nil {
 		return t, err
