@@ -593,22 +593,23 @@ func (g *TableGraph) Degrees() (map[string]float64, error) {
 // KTruss computes the k-truss server-side, returning the surviving
 // adjacency as an associative array.
 func (g *TableGraph) KTruss(k int) (*Assoc, error) {
-	out := fmt.Sprintf("%sKT%d", g.name, k)
+	out := fmt.Sprintf("%sKT%d_%d", g.name, k, kernelSeq.Add(1))
+	defer g.db.dropIfExists(out)
 	if _, err := core.KTrussAdjTable(g.db.conn, g.schema.Table, out, k, g.name+"KTs"); err != nil {
 		return nil, err
 	}
 	return schema.ReadAssoc(g.db.conn, out)
 }
 
-// jaccardSeq numbers Jaccard invocations so each gets private derived
-// tables: fixed names would make concurrent Jaccard calls on one graph
-// race on drop-and-rebuild of each other's in-flight tables.
-var jaccardSeq atomic.Uint64
+// kernelSeq numbers kernel invocations so each gets private derived
+// tables: fixed names would make concurrent calls on one graph race on
+// drop-and-rebuild of each other's in-flight tables.
+var kernelSeq atomic.Uint64
 
 // jaccardTables mints invocation-unique names for Jaccard's transient
 // degree and output tables; the caller drops both before returning.
 func (g *TableGraph) jaccardTables() (deg, out string) {
-	n := jaccardSeq.Add(1)
+	n := kernelSeq.Add(1)
 	return fmt.Sprintf("%sJDeg_%d", g.name, n), fmt.Sprintf("%sJOut_%d", g.name, n)
 }
 

@@ -106,10 +106,10 @@ func TestFusedDriversMatchMaterialized(t *testing.T) {
 	}
 }
 
-// TestConcurrentKTrussNoScratchCollision runs two kTruss computations
-// over the same graph concurrently. Before scratch names carried the
-// query trace id, both runs wrote the same `_sq`/`_it` intermediates
-// and corrupted each other; now each trace owns its names.
+// TestConcurrentKTrussNoScratchCollision runs four kTruss computations
+// over the same graph concurrently: each must get the reference answer,
+// so neither the per-round survivor tables (named by the query's trace
+// id) nor the output table (named per invocation) may be shared.
 func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 	db := mustOpen(ClusterConfig{TabletServers: 2})
 	defer db.Close()
@@ -126,12 +126,6 @@ func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Concurrent fused and materializing runs share the scratch base
-	// g.name+"KTs" but must not interfere. They write distinct output
-	// tables (KT4 vs the materialized run rewriting KT4 would race), so
-	// run the materialized variant against a second handle of the same
-	// underlying adjacency via the core drivers' different out tables:
-	// here it is enough that both kTruss code paths run at once.
 	var wg sync.WaitGroup
 	errs := make(chan error, 4)
 	results := make(chan *Assoc, 4)

@@ -95,7 +95,20 @@ func TestDurableRecoveryAfterUncleanShutdown(t *testing.T) {
 	if len(want) != 50 {
 		t.Fatalf("pre-restart scan = %d entries, want 50", len(want))
 	}
-	// Unclean shutdown: the cluster is simply dropped, no Close.
+	// Unclean shutdown: the cluster is simply dropped, no Close. A
+	// crashed process does no more work, but this one's background
+	// flusher and compaction scheduler would keep writing rfiles, the
+	// manifest and WAL reclaims into the directory the reopen is
+	// recovering from; let them settle first. The active memtable stays
+	// unflushed, so recovery still replays the WAL.
+	if s := mc.tables["T"].sched; s != nil {
+		s.Stop()
+	}
+	for _, ref := range mc.tables["T"].tablets {
+		if err := ref.tab.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	mc2 := openDurable(t, dir)
 	defer mc2.Close()

@@ -234,15 +234,18 @@ func (it *SliceIter) Next() error {
 
 // Collect drains an iterator (after the caller has Seeked it) into a
 // slice. It is the standard test/client helper.
-func Collect(it SKVI) ([]skv.Entry, error) {
-	var out []skv.Entry
+func Collect(it SKVI) ([]skv.Entry, error) { return AppendAll(nil, it) }
+
+// AppendAll is Collect appending to dst, for a caller that knows about
+// how many entries to expect and sizes dst for them.
+func AppendAll(dst []skv.Entry, it SKVI) ([]skv.Entry, error) {
 	for it.HasTop() {
-		out = append(out, it.Top())
+		dst = append(dst, it.Top())
 		if err := it.Next(); err != nil {
-			return out, err
+			return dst, err
 		}
 	}
-	return out, nil
+	return dst, nil
 }
 
 // MergeIter is a k-way merge over sorted sources — the read path over

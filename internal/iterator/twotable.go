@@ -88,9 +88,13 @@ func (r *RemoteSourceIterator) Next() error { return r.inner.Next() }
 // TwoTableIterator aligns the hosted table (source, playing B) with a
 // remote table AT (playing Aᵀ) on row keys — the inner dimension of the
 // multiply — and emits partial products of C = Aᵀ·B under the configured
-// semiring. Products stay numeric until a consumer asks for text: the
-// fold stage reads them through TopProduct, generic consumers through
-// Top, which formats on demand. Output within one inner row ascends
+// semiring. When it decodes an operand row it interns each entry's
+// column qualifier once per pass: an Aᵀ-side id names an output row, a
+// B-side id an output column. A product is then a pointer-free (cell,
+// value) pair, cell being the two ids packed, so the ⊗ loop touches no
+// string. The fold stage reads products as ids through TopProduct;
+// generic consumers read them through Top, which resolves the ids and
+// formats the value on demand. Output within one inner row ascends
 // when both operand rows ascend by column qualifier (one family, one
 // version), because the nested loop then visits pairs in key order;
 // across inner rows it does not, so an order-free consumer — the fold
@@ -107,6 +111,9 @@ type TwoTableIterator struct {
 	// SpRef push-down — instead of the full table.
 	band skv.Range
 
+	// names interns the output rows and columns of the current pass.
+	names cellNames
+
 	// The current inner row of each operand, decoded once per entry, and
 	// their partial products; all reused from one inner row to the next.
 	aRow, bRow []operand
@@ -114,16 +121,16 @@ type TwoTableIterator struct {
 	pos        int
 }
 
-// operand is one numeric entry of an operand row; product one partial
-// product (row, colQ → v) of the output.
+// operand is one numeric entry of an operand row, its column qualifier
+// interned; product one partial product (cell → v) of the output.
 type (
 	operand struct {
-		colQ string
-		v    float64
+		id uint32
+		v  float64
 	}
 	product struct {
-		row, colQ string
-		v         float64
+		cell uint64
+		v    float64
 	}
 )
 
@@ -139,6 +146,7 @@ func NewTwoTableIterator(src, remote SKVI, ring semiring.Semiring) *TwoTableIter
 // prunes non-overlapping tablets and rfiles.
 func (t *TwoTableIterator) Seek(rng skv.Range) error {
 	t.band = rng.RowBand()
+	t.names.reset()
 	if err := t.src.Seek(rng); err != nil {
 		return err
 	}
@@ -167,10 +175,10 @@ func (t *TwoTableIterator) fill() error {
 			}
 		default:
 			var err error
-			if t.aRow, err = readRow(t.remote, aRow, t.aRow[:0]); err != nil {
+			if t.aRow, err = readRow(t.remote, aRow, t.aRow[:0], &t.names.rows); err != nil {
 				return err
 			}
-			if t.bRow, err = readRow(t.src, bRow, t.bRow[:0]); err != nil {
+			if t.bRow, err = readRow(t.src, bRow, t.bRow[:0], &t.names.cols); err != nil {
 				return err
 			}
 			t.cross()
@@ -201,15 +209,15 @@ func (t *TwoTableIterator) seekRowFrom(it SKVI, row string) error {
 }
 
 // readRow consumes every entry of the given row from it, appending the
-// numeric ones to dst.
-func readRow(it SKVI, row string, dst []operand) ([]operand, error) {
+// numeric ones to dst with their column qualifiers interned by names.
+func readRow(it SKVI, row string, dst []operand, names *interner) ([]operand, error) {
 	for it.HasTop() {
 		e := it.Top()
 		if e.K.Row != row {
 			break
 		}
 		if v, ok := skv.DecodeFloat(e.V); ok {
-			dst = append(dst, operand{colQ: e.K.ColQ, v: v})
+			dst = append(dst, operand{id: names.id(cellName{qual: e.K.ColQ}), v: v})
 		}
 		if err := it.Next(); err != nil {
 			return dst, err
@@ -229,7 +237,7 @@ func (t *TwoTableIterator) cross() {
 			if t.ring.IsZero(p) {
 				continue
 			}
-			t.buf = append(t.buf, product{row: a.colQ, colQ: b.colQ, v: p})
+			t.buf = append(t.buf, product{cell: packCell(a.id, b.id), v: p})
 		}
 	}
 }
@@ -240,14 +248,15 @@ func (t *TwoTableIterator) HasTop() bool { return t.pos < len(t.buf) }
 // Top implements SKVI.
 func (t *TwoTableIterator) Top() skv.Entry {
 	p := t.buf[t.pos]
-	return skv.Entry{K: skv.Key{Row: p.row, ColQ: p.colQ}, V: skv.EncodeFloat(p.v)}
+	return skv.Entry{K: t.names.key(p.cell), V: skv.EncodeFloat(p.v)}
 }
 
-// TopProduct is Top without the text: the typed accessor the fold stage
-// reads products through.
-func (t *TwoTableIterator) TopProduct() (row, colQ string, v float64) {
+// TopProduct is Top without strings or text: the product's cell as ids
+// interned in this pass's names, and its value — the typed accessor the
+// fold stage reads products through.
+func (t *TwoTableIterator) TopProduct() (cell uint64, v float64) {
 	p := t.buf[t.pos]
-	return p.row, p.colQ, p.v
+	return p.cell, p.v
 }
 
 // Next implements SKVI.

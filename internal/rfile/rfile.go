@@ -493,6 +493,10 @@ func (r *Reader) parseIndex(index []byte, v uint32, dataLen uint64) error {
 	if k <= 0 {
 		return fmt.Errorf("rfile: %s: truncated entry count", r.path)
 	}
+	if total > dataLen {
+		// As per block, and compaction sizes its output by this count.
+		return fmt.Errorf("rfile: %s: entry count %d exceeds data size %d", r.path, total, dataLen)
+	}
 	r.count = int(total)
 	index = index[k:]
 	// Version 2 appends an optional row-bloom section; its absence

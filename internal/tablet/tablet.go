@@ -406,7 +406,7 @@ func (t *Tablet) flushFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, err
 	f := t.frozen[0]
 	t.mu.Unlock()
 
-	entries, err := applyStack(f.mem.iter(), stack)
+	entries, err := applyStack(f.mem.iter(), stack, f.mem.count())
 	var newRun run
 	if err == nil {
 		if t.backing != nil {
@@ -529,18 +529,21 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	t.mu.Lock()
 	consumed := len(t.frozen)
 	sources := make([]iterator.SKVI, 0, consumed+len(t.runs))
+	size := 0
 	for i := consumed - 1; i >= 0; i-- {
 		sources = append(sources, t.frozen[i].mem.iter())
+		size += t.frozen[i].mem.count()
 	}
 	for i := len(t.runs) - 1; i >= 0; i-- {
 		sources = append(sources, t.runs[i].iter())
+		size += t.runs[i].count()
 	}
 	t.mu.Unlock()
 
 	if len(sources) == 0 && t.backing == nil {
 		return nil
 	}
-	entries, err := applyStack(iterator.NewDedupMergeIter(sources...), stack)
+	entries, err := applyStack(iterator.NewDedupMergeIter(sources...), stack, size)
 	if err != nil {
 		return err // frozen memtables stay queued and scannable
 	}
@@ -603,12 +606,14 @@ func (t *Tablet) MergeRuns(lo, hi int, stack func(iterator.SKVI) (iterator.SKVI,
 		return fmt.Errorf("tablet: merge group [%d,%d) invalid for %d runs", lo, hi, n)
 	}
 	sources := make([]iterator.SKVI, 0, hi-lo)
+	size := 0
 	for i := hi - 1; i >= lo; i-- { // newest first, as Snapshot orders them
 		sources = append(sources, t.runs[i].iter())
+		size += t.runs[i].count()
 	}
 	t.mu.Unlock()
 
-	entries, err := applyStack(iterator.NewDedupMergeIter(sources...), stack)
+	entries, err := applyStack(iterator.NewDedupMergeIter(sources...), stack, size)
 	if err != nil {
 		return err
 	}
@@ -638,7 +643,10 @@ func (t *Tablet) MergeRuns(lo, hi int, stack func(iterator.SKVI) (iterator.SKVI,
 	return nil
 }
 
-func applyStack(src iterator.SKVI, stack func(iterator.SKVI) (iterator.SKVI, error)) ([]skv.Entry, error) {
+// applyStack drains src through the optional stack into a slice sized
+// for size entries — the sources' total, which a combining stack only
+// shrinks — so a large flush or compaction does not regrow its output.
+func applyStack(src iterator.SKVI, stack func(iterator.SKVI) (iterator.SKVI, error), size int) ([]skv.Entry, error) {
 	it := src
 	if stack != nil {
 		var err error
@@ -650,7 +658,7 @@ func applyStack(src iterator.SKVI, stack func(iterator.SKVI) (iterator.SKVI, err
 	if err := it.Seek(skv.FullRange()); err != nil {
 		return nil, err
 	}
-	return iterator.Collect(it)
+	return iterator.AppendAll(make([]skv.Entry, 0, size), it)
 }
 
 // Snapshot returns an iterator source over the tablet's current
