@@ -64,10 +64,6 @@ var (
 	dataDir    = flag.String("data-dir", "", "durable cluster directory: graphs built in one invocation are queried in the next (implies -db)")
 	scanPar    = flag.Int("scan-parallelism", 0, "tablets scanned concurrently per kernel pass (0 = cluster default)")
 	cacheBy    = flag.Int64("block-cache-bytes", 0, "rfile block cache capacity in bytes (0 = 32 MiB default, negative disables)")
-	bloomBits  = flag.Int("bloom-bits", 0, "bloom filter bits per distinct row in each rfile (0 = default of 10, negative disables)")
-	colqBloom  = flag.Int("colq-bloom-bits", 0, "bloom filter bits per distinct (row, column-qualifier) pair in each rfile (0 = default of 10, negative disables)")
-	flushBy    = flag.Int("memtable-flush-bytes", 0, "memtable byte budget before freeze-and-flush (0 = 64 MiB default, negative disables the byte trigger)")
-	maxFrozen  = flag.Int("memtable-max-frozen", 0, "frozen memtables queued for background flush per tablet before writers stall (0 = default of 2)")
 	maxRuns    = flag.Int("max-runs-per-tablet", 8, "background-majc run threshold per tablet (0 disables the compaction scheduler)")
 	rowStart   = flag.String("row-start", "", "restrict mult/bfs to rows >= this key (SpRef push-down; empty = unbounded)")
 	rowEnd     = flag.String("row-end", "", "restrict mult/bfs to rows < this key (SpRef push-down; empty = unbounded)")
@@ -85,7 +81,6 @@ var (
 	maxPasses   = flag.Int("max-concurrent-passes", 0, "physical tablet scan passes executing at once across all queries; enables per-tenant fair-share pass queues and shared-scan folding (0 = unbounded)")
 	scanBudget  = flag.Int64("scan-entry-budget", 0, "per-query scan-entry budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 	writeBudget = flag.Int64("write-byte-budget", 0, "per-query write wire-byte budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
-	tenantCap   = flag.Int64("cache-tenant-soft-cap", 0, "per-tenant rfile block-cache soft cap in bytes: a tenant over its cap evicts its own blocks first (0 = off)")
 )
 
 // openDB starts the embedded cluster, durable when -data-dir is set,
@@ -115,24 +110,18 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 		Transport:        *transportF,
 		Servers:          serverList,
 		BlockCacheBytes:  *cacheBy,
-		BloomFilterBits:  *bloomBits,
-		ColQBloomBits:    *colqBloom,
 		MaxRunsPerTablet: *maxRuns,
-
-		MemtableFlushBytes: *flushBy,
-		MemtableMaxFrozen:  *maxFrozen,
 
 		MetricsAddr:        *metricsAddr,
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLog:       slowLog,
 
-		DefaultTenant:           *tenantF,
-		MaxConcurrentQueries:    *maxQueries,
-		MaxQueuedQueries:        *maxQueued,
-		MaxConcurrentPasses:     *maxPasses,
-		ScanEntryBudget:         *scanBudget,
-		WriteByteBudget:         *writeBudget,
-		CacheTenantSoftCapBytes: *tenantCap,
+		DefaultTenant:        *tenantF,
+		MaxConcurrentQueries: *maxQueries,
+		MaxQueuedQueries:     *maxQueued,
+		MaxConcurrentPasses:  *maxPasses,
+		ScanEntryBudget:      *scanBudget,
+		WriteByteBudget:      *writeBudget,
 	})
 	if err != nil {
 		return nil, nil, err

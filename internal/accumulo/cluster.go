@@ -138,29 +138,6 @@ type Config struct {
 	// of re-reading, re-CRCing, and re-decoding it from disk. 0 selects
 	// the default capacity (32 MiB); negative disables the cache.
 	BlockCacheBytes int64
-	// BloomFilterBits sizes the per-rfile row bloom filters, in bits
-	// per distinct row: single-row scans (BFS expansions, point reads)
-	// skip rfiles that cannot contain the row. 0 selects the default
-	// density (10); negative disables the filters.
-	BloomFilterBits int
-	// ColQBloomBits sizes the per-rfile (row, column-qualifier) bloom
-	// filters, in bits per distinct pair: cell-confined seeks (edge
-	// existence probes, single-cell reads) skip rfiles that cannot
-	// contain the pair. 0 selects the default density (10); negative
-	// disables the filters.
-	ColQBloomBits int
-	// MemtableFlushBytes freezes a tablet's memtable for background
-	// flush once its approximate in-memory footprint reaches this many
-	// bytes, regardless of entry count — wide values spill on bytes,
-	// narrow values on MemLimit, whichever trips first. 0 selects the
-	// default budget (64 MiB); negative disables the byte trigger.
-	MemtableFlushBytes int
-	// MemtableMaxFrozen bounds each tablet's frozen-memtable queue:
-	// writers stall (counted as write_stall_nanos) once this many frozen
-	// memtables await background flush. A deeper queue absorbs longer
-	// ingest bursts at the cost of memory and scan merge width. 0
-	// selects the default depth (2).
-	MemtableMaxFrozen int
 	// MetricsAddr, when non-empty, serves the coordinator's telemetry
 	// HTTP endpoint (Prometheus /metrics, JSON /queries, /debug/pprof)
 	// on this address (host:port; ":0" picks an ephemeral port, read it
@@ -178,8 +155,7 @@ type Config struct {
 	// DefaultTenant labels kernel queries that carry no explicit tenant
 	// (MultOptions.Tenant, AdjBFSOptions.Tenant); "" is itself a valid
 	// (default) tenant label. Tenants are the unit of fair-share
-	// scheduling, budget accounting, per-tenant telemetry, and
-	// cache-partition accounting.
+	// scheduling, budget accounting, and per-tenant telemetry.
 	DefaultTenant string
 	// MaxConcurrentQueries bounds kernel queries executing at once; the
 	// excess queues for admission. 0 selects the default (64); negative
@@ -208,11 +184,6 @@ type Config struct {
 	// kernel query may write; crossing it fails the write with a typed
 	// BudgetError.
 	WriteByteBudget int64
-	// CacheTenantSoftCapBytes, when positive, soft-caps each tenant's
-	// share of the durable block cache: a tenant inserting past the cap
-	// evicts its own least-recently-used blocks first, so one tenant's
-	// table sweep cannot strip the whole cache from the others.
-	CacheTenantSoftCapBytes int64
 	// MaxRunsPerTablet, when positive, starts a background compaction
 	// scheduler per durable table: a tablet whose immutable-run count
 	// exceeds this threshold has a contiguous group of similar-sized
@@ -239,22 +210,7 @@ func (c Config) withDefaults() Config {
 	if c.ScanParallelism <= 0 {
 		c.ScanParallelism = 4
 	}
-	if c.MemtableFlushBytes == 0 {
-		c.MemtableFlushBytes = 64 << 20
-	}
-	if c.MemtableMaxFrozen <= 0 {
-		c.MemtableMaxFrozen = tablet.DefaultMaxFrozen
-	}
 	return c
-}
-
-// flushBytes resolves Config.MemtableFlushBytes to the value tablets
-// take: the negative "disabled" sentinel becomes 0.
-func (c Config) flushBytes() int {
-	if c.MemtableFlushBytes < 0 {
-		return 0
-	}
-	return c.MemtableFlushBytes
 }
 
 // MiniCluster is the cluster's coordinator: the metadata authority
@@ -386,7 +342,7 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 	if cfg.MetricsAddr != "" {
 		srv, err := telemetry.Serve(cfg.MetricsAddr, mc.tel)
 		if err != nil {
-			mc.closeTransport()
+			mc.Close()
 			return nil, err
 		}
 		mc.telSrv = srv
@@ -395,13 +351,10 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 		return mc, nil
 	}
 	dir, err := store.Open(cfg.DataDir, store.Options{
-		NoSync:                  cfg.NoSync,
-		BlockCacheBytes:         cfg.BlockCacheBytes,
-		CacheTenantSoftCapBytes: cfg.CacheTenantSoftCapBytes,
-		BloomFilterBits:         cfg.BloomFilterBits,
-		ColQBloomBits:           cfg.ColQBloomBits,
-		Stats:                   &mc.tel.Stats,
-		WALSyncObserver:         func(d time.Duration) { mc.tel.WALSync.Observe(d) },
+		NoSync:          cfg.NoSync,
+		BlockCacheBytes: cfg.BlockCacheBytes,
+		Stats:           &mc.tel.Stats,
+		WALSyncObserver: func(d time.Duration) { mc.tel.WALSync.Observe(d) },
 	})
 	if err != nil {
 		mc.Close()
@@ -423,6 +376,9 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 		for i, tbi := range ti.Tablets {
 			ts, runs, replay, maxTs, err := dir.OpenTablet(ti.Name, tbi)
 			if err != nil {
+				// Unwind what is up: servers, metrics endpoint, the
+				// schedulers of tables recovered so far, the directory.
+				mc.Close()
 				return nil, fmt.Errorf("accumulo: recovering table %q: %w", ti.Name, err)
 			}
 			if maxTs > clockFloor {
@@ -566,15 +522,12 @@ func (mc *MiniCluster) router() *router {
 }
 
 // initTablet wires a freshly created tablet into the cluster's
-// write-path plumbing: the byte-based flush trigger, the process
-// counter block, and a flush hook that kicks the table's
-// compaction scheduler so background freezes feed size-tiered merging
-// the same way explicit flushes do. meta.sched is read at notify time —
-// the scheduler starts after tablet creation but before the table is
-// visible to writers.
+// write-path plumbing: the process counter block, and a flush hook that
+// kicks the table's compaction scheduler so background freezes feed
+// size-tiered merging the same way explicit flushes do. meta.sched is
+// read at notify time — the scheduler starts after tablet creation but
+// before the table is visible to writers.
 func (mc *MiniCluster) initTablet(tab *tablet.Tablet, meta *tableMeta) {
-	tab.SetFlushBytes(mc.cfg.flushBytes())
-	tab.SetMaxFrozen(mc.cfg.MemtableMaxFrozen)
 	tab.SetStats(&mc.tel.Stats)
 	tab.SetFlushNotify(func() {
 		if meta.sched != nil {

@@ -189,7 +189,6 @@ func (s *TabletServer) unhost(table, start, end string) {
 // data from an earlier coordinator run must not leak into it.
 func (s *TabletServer) assign(table, start, end string) {
 	tab := tablet.New(start, end, s.memLimit, s.seed.Add(1))
-	tab.SetFlushBytes(64 << 20)
 	tab.SetStats(&s.tel.Stats)
 	s.host(table, start, end, tab)
 }
@@ -281,7 +280,7 @@ func (h *tabletHandler) Stream(op byte, req []byte, send func([]byte) error) err
 	}
 	defer env.close()
 	before := s.tel.Stats.Counts()
-	err = serveScan(tab.SnapshotForFamilies(sr.tenant, sr.families), sr.ranges, sr.settings, env, sr.batch, pass, send)
+	err = serveScan(tab.Snapshot(sr.families...), sr.ranges, sr.settings, env, sr.batch, pass, send)
 	// Storage deltas are attributed to this pass; concurrent passes on
 	// one store blur the split, but the totals stay exact.
 	pass.AddStorageSince(before)

@@ -7,14 +7,19 @@ package accumulo
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"testing"
 	"time"
 
 	"graphulo/internal/iterator"
+	"graphulo/internal/rfile"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
@@ -296,6 +301,19 @@ func TestAddSplitsRehosts(t *testing.T) {
 // TestServerCloseLeavesNoGoroutines: closing a coordinator with launched
 // servers, and a standalone server with the coordinator that dialed it,
 // returns the process to the goroutine count it started from.
+// settledGoroutines waits up to five seconds for the goroutine count to
+// fall to want, returning the last count seen.
+func settledGoroutines(want int) int {
+	var n int
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		runtime.GC() // abandoned streams release their workers in finalizers
+		if n = runtime.NumGoroutine(); n <= want {
+			break
+		}
+	}
+	return n
+}
+
 func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 	exercise := func(mc *MiniCluster) {
 		c := mc.Connector()
@@ -306,16 +324,6 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 		if got := scanFloats(t, c, "out"); len(got) != 2 {
 			t.Fatalf("out holds %v, want 2 cells", got)
 		}
-	}
-	settled := func(want int) int {
-		var n int
-		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
-			runtime.GC() // abandoned streams release their workers in finalizers
-			if n = runtime.NumGoroutine(); n <= want {
-				break
-			}
-		}
-		return n
 	}
 	for _, mode := range []string{TransportInProc, TransportTCP, "external"} {
 		runtime.GC()
@@ -342,10 +350,87 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if after := settled(before); after > before {
+		if after := settledGoroutines(before); after > before {
 			buf := make([]byte, 1<<16)
 			t.Errorf("%s: %d goroutines before, %d after Close\n%s", mode, before, after, buf[:runtime.Stack(buf, true)])
 		}
+	}
+}
+
+// TestFailedRecoveryLeavesNoGoroutines: a durable directory whose second
+// table holds rfiles the reader rejects fails every reopen with the
+// reader's typed error, and each failed reopen unwinds what it had
+// started — the tcp listeners, the metrics endpoint, the compaction
+// scheduler of the table recovered first, the directory's WAL logs — so
+// repeated attempts leave the goroutine count where it began.
+func TestFailedRecoveryLeavesNoGoroutines(t *testing.T) {
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	dir := t.TempDir()
+	cfg := Config{DataDir: dir, Transport: TransportTCP, MetricsAddr: "127.0.0.1:0", MaxRunsPerTablet: 4, NoSync: true}
+	mc, err := OpenMiniCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := mc.Connector()
+	for _, table := range []string{"a", "b"} {
+		mustCreate(t, c, table, "m")
+		writeCells(t, c, table, map[string]float64{"a c": 1, "z c": 2})
+	}
+	if err := mc.Close(); err != nil { // flushes both tables to rfiles
+		t.Fatal(err)
+	}
+
+	// Stamp table b's rfiles with format version 3, which the reader no
+	// longer accepts; table a recovers first (tables recover in name
+	// order) and starts its scheduler before b fails.
+	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var man struct {
+		Tables map[string]struct {
+			Tablets []struct {
+				RFiles []string `json:"rfiles"`
+			} `json:"tablets"`
+		} `json:"tables"`
+	}
+	if err := json.Unmarshal(raw, &man); err != nil {
+		t.Fatal(err)
+	}
+	stamped := 0
+	for _, tb := range man.Tables["b"].Tablets {
+		for _, name := range tb.RFiles {
+			path := filepath.Join(dir, "rf", name)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Trailer: ... | u32 version | u32 magic.
+			binary.LittleEndian.PutUint32(data[len(data)-8:], 3)
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			stamped++
+		}
+	}
+	if stamped == 0 {
+		t.Fatal("table b has no rfiles to stamp")
+	}
+
+	for i := 0; i < 5; i++ {
+		mc, err := OpenMiniCluster(cfg)
+		if err == nil {
+			mc.Close()
+			t.Fatal("reopen over a rejected rfile succeeded")
+		}
+		if !errors.Is(err, rfile.ErrUnsupportedVersion) {
+			t.Fatalf("reopen %d: %v, want rfile.ErrUnsupportedVersion", i, err)
+		}
+	}
+	if after := settledGoroutines(before); after > before {
+		buf := make([]byte, 1<<16)
+		t.Errorf("%d goroutines before, %d after five failed reopens\n%s", before, after, buf[:runtime.Stack(buf, true)])
 	}
 }
 

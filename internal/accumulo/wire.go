@@ -477,8 +477,7 @@ type scanReq struct {
 	traceID uint64
 	spanID  uint64
 	// tenant is the originating query's tenant label ("" = default);
-	// the serving side uses it for cache-partition accounting and tags
-	// its pass telemetry with it.
+	// the serving side tags its pass telemetry with it.
 	tenant string
 	// families constrains the scan to a column-family set (empty =
 	// unconstrained); the serving tablet scopes its snapshot to the

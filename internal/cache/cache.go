@@ -36,37 +36,22 @@ type blockKey struct {
 	block int
 }
 
-// block is one resident cache element. tenant records who inserted it,
-// for the per-tenant soft-cap accounting ("" = default tenant).
+// block is one resident cache element.
 type block struct {
 	key     blockKey
-	tenant  string
 	entries []skv.Entry
 	size    int64
 }
 
 // BlockCache is a thread-safe LRU cache of decoded rfile blocks.
-//
-// Cache-partition hints: when a per-tenant soft cap is set
-// (SetTenantSoftCap), each resident block is charged to the tenant that
-// inserted it, and a tenant inserting past the cap evicts its own
-// least-recently-used blocks first — so one tenant's table sweep cannot
-// strip the whole cache from the others. The cap is soft: a tenant with
-// no competition still uses the whole cache (global LRU eviction is the
-// final backstop), and Get never discriminates — a hit is a hit no
-// matter who faulted the block in.
 type BlockCache struct {
 	stats *telemetry.StatSet // CacheHits, CacheMisses
 
-	mu      sync.Mutex
-	max     int64
-	softCap int64 // per-tenant soft cap; 0 = partitioning off
-	size    int64
-	ll      *list.List // front = most recently used; values are *block
-	items   map[blockKey]*list.Element
-	// tenantBytes charges resident bytes to the inserting tenant; only
-	// maintained while partitioning is on.
-	tenantBytes map[string]int64
+	mu    sync.Mutex
+	max   int64
+	size  int64
+	ll    *list.List // front = most recently used; values are *block
+	items map[blockKey]*list.Element
 }
 
 // New creates a cache bounded by maxBytes of decoded entries
@@ -115,17 +100,8 @@ func (c *BlockCache) Get(file string, blockIdx int) ([]skv.Entry, bool) {
 
 // Put inserts (or refreshes) a decoded block and evicts from the LRU
 // tail until the cache fits its bound again. A block larger than the
-// whole cache is not admitted. Equivalent to PutFor with the default
-// tenant.
+// whole cache is not admitted.
 func (c *BlockCache) Put(file string, blockIdx int, entries []skv.Entry) {
-	c.PutFor(file, blockIdx, "", entries)
-}
-
-// PutFor inserts a decoded block charged to tenant. When the per-tenant
-// soft cap is on and this insert pushes the tenant over it, the
-// tenant's own least-recently-used blocks are evicted first; global LRU
-// eviction remains the final backstop for the cache-wide bound.
-func (c *BlockCache) PutFor(file string, blockIdx int, tenant string, entries []skv.Entry) {
 	if c == nil {
 		return
 	}
@@ -142,20 +118,8 @@ func (c *BlockCache) PutFor(file string, blockIdx int, tenant string, entries []
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&block{key: key, tenant: tenant, entries: entries, size: size})
+	c.items[key] = c.ll.PushFront(&block{key: key, entries: entries, size: size})
 	c.size += size
-	if c.softCap > 0 {
-		c.tenantBytes[tenant] += size
-		// Soft cap: shed this tenant's own LRU blocks (never the newly
-		// inserted one) while it sits over its share.
-		for c.tenantBytes[tenant] > c.softCap {
-			el := c.lruOfTenantLocked(tenant)
-			if el == nil || el == c.items[key] {
-				break
-			}
-			c.removeLocked(el)
-		}
-	}
 	for c.size > c.max {
 		tail := c.ll.Back()
 		if tail == nil {
@@ -165,62 +129,12 @@ func (c *BlockCache) PutFor(file string, blockIdx int, tenant string, entries []
 	}
 }
 
-// lruOfTenantLocked returns the least-recently-used resident block
-// charged to tenant, or nil; caller holds c.mu.
-func (c *BlockCache) lruOfTenantLocked(tenant string) *list.Element {
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
-		if el.Value.(*block).tenant == tenant {
-			return el
-		}
-	}
-	return nil
-}
-
 // removeLocked unlinks one element; caller holds c.mu.
 func (c *BlockCache) removeLocked(el *list.Element) {
 	b := el.Value.(*block)
 	c.ll.Remove(el)
 	delete(c.items, b.key)
 	c.size -= b.size
-	if c.softCap > 0 {
-		if rem := c.tenantBytes[b.tenant] - b.size; rem > 0 {
-			c.tenantBytes[b.tenant] = rem
-		} else {
-			delete(c.tenantBytes, b.tenant)
-		}
-	}
-}
-
-// SetTenantSoftCap turns per-tenant accounting on with the given soft
-// cap in bytes (<= 0 turns partitioning off). Call before the cache is
-// shared; switching modes mid-flight resets the per-tenant charges.
-func (c *BlockCache) SetTenantSoftCap(capBytes int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if capBytes <= 0 {
-		c.softCap, c.tenantBytes = 0, nil
-		return
-	}
-	c.softCap = capBytes
-	c.tenantBytes = map[string]int64{}
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		b := el.Value.(*block)
-		c.tenantBytes[b.tenant] += b.size
-	}
-}
-
-// TenantBytes returns the resident bytes charged to tenant (0 when
-// partitioning is off).
-func (c *BlockCache) TenantBytes(tenant string) int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.tenantBytes[tenant]
 }
 
 // EvictFile drops every resident block of one file — called when an

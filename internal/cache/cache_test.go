@@ -125,76 +125,3 @@ func TestConcurrentAccess(t *testing.T) {
 		t.Fatal("negative resident size")
 	}
 }
-
-func TestTenantSoftCapEvictsOwnBlocksFirst(t *testing.T) {
-	one := blockOf(10, "x")
-	size := entriesSize(one)
-	// Room for 6 blocks total, soft cap of 2 blocks per tenant.
-	c := New(6 * size)
-	c.SetTenantSoftCap(2 * size)
-	c.PutFor("fa", 0, "a", blockOf(10, "x"))
-	c.PutFor("fa", 1, "a", blockOf(10, "x"))
-	c.PutFor("fb", 0, "b", blockOf(10, "x"))
-	// Tenant a crosses its cap: its own LRU block (fa,0) goes, b's stays.
-	c.PutFor("fa", 2, "a", blockOf(10, "x"))
-	if _, ok := c.Get("fa", 0); ok {
-		t.Fatal("tenant a's LRU block should have been shed at the soft cap")
-	}
-	for _, probe := range []struct {
-		file string
-		idx  int
-	}{{"fa", 1}, {"fa", 2}, {"fb", 0}} {
-		if _, ok := c.Get(probe.file, probe.idx); !ok {
-			t.Fatalf("block (%s,%d) evicted, want resident", probe.file, probe.idx)
-		}
-	}
-	if got := c.TenantBytes("a"); got != 2*size {
-		t.Fatalf("TenantBytes(a) = %d, want %d", got, 2*size)
-	}
-	if got := c.TenantBytes("b"); got != size {
-		t.Fatalf("TenantBytes(b) = %d, want %d", got, size)
-	}
-}
-
-func TestTenantSoftCapIsSoft(t *testing.T) {
-	one := blockOf(10, "x")
-	size := entriesSize(one)
-	// A lone tenant over its soft cap but under the global bound keeps
-	// only capBytes resident — the cap sheds its own blocks — while the
-	// global LRU bound still holds regardless of partitioning.
-	c := New(3 * size)
-	c.SetTenantSoftCap(2 * size)
-	for i := 0; i < 5; i++ {
-		c.PutFor("f", i, "solo", blockOf(10, "x"))
-	}
-	if got := c.TenantBytes("solo"); got != 2*size {
-		t.Fatalf("TenantBytes(solo) = %d, want %d", got, 2*size)
-	}
-	if got := c.Bytes(); got > 3*size {
-		t.Fatalf("Bytes = %d, exceeds global bound %d", got, 3*size)
-	}
-	// Newest two blocks resident, older ones shed.
-	for i := 3; i < 5; i++ {
-		if _, ok := c.Get("f", i); !ok {
-			t.Fatalf("block %d evicted, want resident", i)
-		}
-	}
-}
-
-func TestTenantSoftCapOffByDefault(t *testing.T) {
-	c := New(1 << 20)
-	c.PutFor("f", 0, "a", blockOf(10, "x"))
-	if got := c.TenantBytes("a"); got != 0 {
-		t.Fatalf("TenantBytes with partitioning off = %d, want 0", got)
-	}
-	// Turning the cap on retro-charges resident blocks.
-	c.SetTenantSoftCap(1 << 20)
-	if got := c.TenantBytes("a"); got == 0 {
-		t.Fatal("SetTenantSoftCap must charge already-resident blocks")
-	}
-	// EvictFile keeps the per-tenant charges consistent.
-	c.EvictFile("f")
-	if got := c.TenantBytes("a"); got != 0 {
-		t.Fatalf("TenantBytes after EvictFile = %d, want 0", got)
-	}
-}

@@ -9,17 +9,21 @@ import (
 // This file implements the per-rfile bloom filter over row keys. The
 // writer collects one 64-bit hash per distinct row (rows arrive sorted,
 // so distinctness is a single comparison) and sizes the bit array at
-// Finish, LevelDB-style: nbits = distinctRows × bitsPerKey, k ≈
-// bitsPerKey·ln2 probes derived from the one hash by double hashing.
-// Readers probe the filter before seeking a single-row range, so point
-// and row lookups skip files that cannot contain the row without
-// touching a data block.
+// Finish, LevelDB-style: nbits = distinctRows × DefaultBloomBitsPerKey,
+// k ≈ DefaultBloomBitsPerKey·ln2 probes derived from the one hash by
+// double hashing. Readers probe the filter before seeking a single-row
+// range, so point and row lookups skip files that cannot contain the
+// row without touching a data block.
 
-// DefaultBloomBitsPerKey is the filter density used when a writer does
-// not choose one: ~1% false-positive rate at 10 bits per distinct row.
+// DefaultBloomBitsPerKey is the density of every filter the writer
+// builds: ~1% false-positive rate at 10 bits per distinct key.
 const DefaultBloomBitsPerKey = 10
 
-// maxBloomProbes caps k; beyond ~30 probes more hashing buys nothing.
+// bloomProbes is k for DefaultBloomBitsPerKey: ⌊10·0.69⌋ ≈ 10·ln2.
+const bloomProbes = DefaultBloomBitsPerKey * 69 / 100
+
+// maxBloomProbes bounds the k a reader accepts, so a hostile index
+// cannot make every probe loop for long.
 const maxBloomProbes = 30
 
 // bloomHash is the one hash each row contributes; probe positions are
@@ -31,8 +35,8 @@ func bloomHash(row string) uint64 {
 	return h.Sum64()
 }
 
-// bloomHashPair hashes a (row, column-qualifier) pair for the v3
-// column bloom. The NUL separator keeps distinct pairs from colliding
+// bloomHashPair hashes a (row, column-qualifier) pair for the column
+// bloom. The NUL separator keeps distinct pairs from colliding
 // except where a row itself contains NUL — and a collision there only
 // costs a false positive, never a false negative.
 func bloomHashPair(row, colQ string) uint64 {
@@ -43,38 +47,23 @@ func bloomHashPair(row, colQ string) uint64 {
 	return h.Sum64()
 }
 
-// bloomFilter is an immutable bloom filter over row hashes. A nil bits
-// slice means "no filter" (version-1 files, or blooms disabled at write
-// time) and admits every row.
+// bloomFilter is an immutable bloom filter over key hashes; bits is
+// never empty and k is at least 1.
 type bloomFilter struct {
 	bits []byte
 	k    int
 }
 
-// buildBloom sizes and populates a filter for the given row hashes.
-// With no rows it returns a one-byte all-zero filter that rejects every
-// probe — correct for an empty file, and distinct from the nil
-// "no filter" value.
-func buildBloom(hashes []uint64, bitsPerKey int) bloomFilter {
-	if bitsPerKey <= 0 {
-		bitsPerKey = DefaultBloomBitsPerKey
-	}
-	k := int(float64(bitsPerKey) * 0.69) // ≈ bitsPerKey·ln2
-	if k < 1 {
-		k = 1
-	}
-	if k > maxBloomProbes {
-		k = maxBloomProbes
-	}
-	nbits := len(hashes) * bitsPerKey
-	if nbits < 8 {
-		nbits = 8
-	}
-	f := bloomFilter{bits: make([]byte, (nbits+7)/8), k: k}
+// buildBloom sizes and populates a filter for the given hashes. With no
+// keys it returns a one-byte all-zero filter that rejects every probe —
+// correct for an empty file.
+func buildBloom(hashes []uint64) bloomFilter {
+	nbits := max(len(hashes)*DefaultBloomBitsPerKey, 8)
+	f := bloomFilter{bits: make([]byte, (nbits+7)/8), k: bloomProbes}
 	nbits = len(f.bits) * 8
 	for _, h := range hashes {
 		delta := h>>33 | h<<31
-		for i := 0; i < k; i++ {
+		for i := 0; i < f.k; i++ {
 			pos := h % uint64(nbits)
 			f.bits[pos/8] |= 1 << (pos % 8)
 			h += delta
@@ -86,9 +75,6 @@ func buildBloom(hashes []uint64, bitsPerKey int) bloomFilter {
 // mayContain reports whether the filter admits the row hash; false
 // means the file definitely holds no entry with that row.
 func (f bloomFilter) mayContain(h uint64) bool {
-	if len(f.bits) == 0 {
-		return true
-	}
 	nbits := uint64(len(f.bits) * 8)
 	delta := h>>33 | h<<31
 	for i := 0; i < f.k; i++ {
@@ -109,16 +95,24 @@ func appendBloom(buf []byte, f bloomFilter) []byte {
 	return append(buf, f.bits...)
 }
 
-// parseBloom decodes a filter appended by appendBloom.
+// parseBloom decodes a filter appended by appendBloom. Every writer
+// emits a non-empty filter with at least one probe, so a zero-length
+// or zero-probe section is corruption, not a disabled filter.
 func parseBloom(buf []byte) (bloomFilter, []byte, error) {
 	k, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return bloomFilter{}, nil, fmt.Errorf("truncated bloom probe count")
 	}
+	if k == 0 || k > maxBloomProbes {
+		return bloomFilter{}, nil, fmt.Errorf("corrupt bloom probe count %d", k)
+	}
 	buf = buf[n:]
 	nbytes, n := binary.Uvarint(buf)
 	if n <= 0 {
 		return bloomFilter{}, nil, fmt.Errorf("truncated bloom length")
+	}
+	if nbytes == 0 {
+		return bloomFilter{}, nil, fmt.Errorf("corrupt zero-length bloom")
 	}
 	buf = buf[n:]
 	if uint64(len(buf)) < nbytes {

@@ -17,19 +17,12 @@ import (
 // FuzzOpenRFile: arbitrary bytes never panic Open; files that open must
 // survive a full scan, a family-banded scan, and a row seek.
 func FuzzOpenRFile(f *testing.F) {
-	entries := compatFixtureEntries()
-	// Seeds: a current v4 file, every legacy version, an empty file's
-	// bytes, and deliberate truncations/corruptions of the v4 image.
-	dir := f.TempDir()
-	v4Path := filepath.Join(dir, "seed.rf")
-	if err := WriteAll(v4Path, entries, WriterOptions{BlockSize: compatBlockSize}); err != nil {
-		f.Fatal(err)
-	}
-	v4, err := os.ReadFile(v4Path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	emptyPath := filepath.Join(dir, "empty.rf")
+	// Seeds: a current file, its image under every other trailer
+	// version, its image with a gap in the family directory, an empty
+	// file's bytes, and deliberate truncations/corruptions.
+	im := splitImage(f, fixtureEntries())
+	v4 := im.encode(version)
+	emptyPath := filepath.Join(f.TempDir(), "empty.rf")
 	if err := WriteAll(emptyPath, nil, WriterOptions{}); err != nil {
 		f.Fatal(err)
 	}
@@ -39,9 +32,10 @@ func FuzzOpenRFile(f *testing.F) {
 	}
 	f.Add(v4)
 	f.Add(empty)
-	for _, v := range []uint32{1, 2, 3} {
-		f.Add(encodeLegacy(v, entries, compatBlockSize, DefaultBloomBitsPerKey, DefaultBloomBitsPerKey))
+	for _, v := range []uint32{0, 1, 2, 3, 5} {
+		f.Add(im.encode(v))
 	}
+	f.Add(im.gapped().encode(version))
 	f.Add([]byte{})
 	f.Add(v4[:len(v4)/2])            // data region cut mid-block
 	f.Add(v4[:len(v4)-trailerLen+3]) // trailer torn
@@ -61,7 +55,7 @@ func FuzzOpenRFile(f *testing.F) {
 		}
 		defer r.Close()
 		drain := func(seek skv.Range, families []string) {
-			var it = r.IterFamilies("", families)
+			it := r.IterFamilies(families)
 			if err := it.Seek(seek); err != nil {
 				return // block-level corruption surfaces as an iteration error
 			}

@@ -6,15 +6,47 @@ package rfile
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
 	"testing"
 
+	"graphulo/internal/cache"
+	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
+
+// collect drains a fully-seeked iterator.
+func collect(t *testing.T, it iterator.SKVI) []skv.Entry {
+	t.Helper()
+	if err := it.Seek(skv.Range{}); err != nil {
+		t.Fatal(err)
+	}
+	var es []skv.Entry
+	for it.HasTop() {
+		es = append(es, it.Top())
+		if err := it.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return es
+}
+
+// filterFamilies mirrors the family constraint client-side.
+func filterFamilies(es []skv.Entry, families ...string) []skv.Entry {
+	want := map[string]bool{}
+	for _, f := range families {
+		want[f] = true
+	}
+	var out []skv.Entry
+	for _, e := range es {
+		if want[e.K.ColF] {
+			out = append(out, e)
+		}
+	}
+	return out
+}
 
 // mixedFamilyEntries builds a deg+edge+raw table shape: every family
 // large enough to fill several blocks at the test block size.
@@ -35,7 +67,7 @@ func mixedFamilyEntries(n int) []skv.Entry {
 	return es
 }
 
-// TestLocalityGroupLayout pins the v4 physical layout: one contiguous
+// TestLocalityGroupLayout pins the physical layout: one contiguous
 // block run per family, families in ascending name order, runs exactly
 // covering the block list.
 func TestLocalityGroupLayout(t *testing.T) {
@@ -99,7 +131,7 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 	}
 	total := len(r.blocks)
 
-	got := collect(t, r.IterFamilies("", []string{"deg"}))
+	got := collect(t, r.IterFamilies([]string{"deg"}))
 	want := filterFamilies(entries, "deg")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("deg band: %d entries, want %d", len(got), len(want))
@@ -111,7 +143,7 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 
 	// A two-family band skips only the third family's run.
 	stats.Add(telemetry.LocalityBlocksSkipped, -stats.Get(telemetry.LocalityBlocksSkipped))
-	got = collect(t, r.IterFamilies("", []string{"deg", "edge"}))
+	got = collect(t, r.IterFamilies([]string{"deg", "edge"}))
 	want = filterFamilies(entries, "deg", "edge")
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("deg+edge band: %d entries, want %d", len(got), len(want))
@@ -122,7 +154,7 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 
 	// A band naming no stored family skips every block.
 	stats.Add(telemetry.LocalityBlocksSkipped, -stats.Get(telemetry.LocalityBlocksSkipped))
-	if got := collect(t, r.IterFamilies("", []string{"absent"})); len(got) != 0 {
+	if got := collect(t, r.IterFamilies([]string{"absent"})); len(got) != 0 {
 		t.Fatalf("absent band surfaced %d entries", len(got))
 	}
 	if skipped := stats.Get(telemetry.LocalityBlocksSkipped); skipped != int64(total) {
@@ -140,40 +172,33 @@ func TestFamilyConstrainedIterSkipsBlocks(t *testing.T) {
 }
 
 // TestLocalityGroupScanLoadsHalfTheBlocks pins what locality groups buy
-// as a contract on block counts: a deg-banded scan of a v4 grouped file
-// loads at most half the blocks the same scan loads from a v3 legacy
-// file, where the missing family directory forces every block through a
-// per-entry filter.
+// as a contract on block counts: a deg-banded scan loads at most half
+// of the file's blocks — what an unbanded scan of the same file, or a
+// file without locality groups, would have to read. Loads are counted
+// as misses of a cold block cache, and the blocks the band skipped must
+// account for the rest.
 func TestLocalityGroupScanLoadsHalfTheBlocks(t *testing.T) {
 	entries := mixedFamilyEntries(1 << 12)
-	want := filterFamilies(entries, "deg")
-	dir := t.TempDir()
-	grouped := filepath.Join(dir, "v4.rf")
-	if err := WriteAll(grouped, entries, WriterOptions{}); err != nil {
+	path := filepath.Join(t.TempDir(), "lg.rf")
+	if err := WriteAll(path, entries, WriterOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	legacy := filepath.Join(dir, "v3.rf")
-	legacyBytes := encodeLegacy(3, entries, DefaultBlockSize,
-		DefaultBloomBitsPerKey, DefaultBloomBitsPerKey)
-	if err := os.WriteFile(legacy, legacyBytes, 0o644); err != nil {
+	var stats telemetry.StatSet
+	c := cache.New(1 << 30)
+	r, err := OpenWithOptions(path, ReaderOptions{Cache: c, Stats: &stats})
+	if err != nil {
 		t.Fatal(err)
 	}
-	blockLoads := func(path string) int64 {
-		var stats telemetry.StatSet
-		r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer r.Close()
-		if got := collect(t, r.IterFamilies("", []string{"deg"})); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: deg band scanned %d entries, want %d", filepath.Base(path), len(got), len(want))
-		}
-		return int64(len(r.blocks)) - stats.Get(telemetry.LocalityBlocksSkipped)
+	defer r.Close()
+	if got, want := collect(t, r.IterFamilies([]string{"deg"})), filterFamilies(entries, "deg"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("deg band scanned %d entries, want %d", len(got), len(want))
 	}
-	groupedLoads, legacyLoads := blockLoads(grouped), blockLoads(legacy)
-	if groupedLoads == 0 || legacyLoads < 2*groupedLoads {
-		t.Fatalf("grouped file loaded %d blocks vs legacy %d — want at least a 2x reduction",
-			groupedLoads, legacyLoads)
+	total, loads := int64(len(r.blocks)), c.Misses()
+	if loads == 0 || total < 2*loads {
+		t.Fatalf("deg band loaded %d of %d blocks — want at most half", loads, total)
+	}
+	if skipped := stats.Get(telemetry.LocalityBlocksSkipped); loads+skipped != total {
+		t.Fatalf("loaded %d + skipped %d blocks ≠ %d in the file", loads, skipped, total)
 	}
 }
 
@@ -191,7 +216,7 @@ func TestFamilyConstrainedSeekWithinBand(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	it := r.IterFamilies("", []string{"edge"})
+	it := r.IterFamilies([]string{"edge"})
 	for _, row := range []string{"v00042", "v00123", "v00007"} {
 		if err := it.Seek(skv.ExactRow(row)); err != nil {
 			t.Fatal(err)

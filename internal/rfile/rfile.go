@@ -2,10 +2,12 @@
 // — the analog of an Accumulo RFile — that minor and major compaction
 // write and scans read. A file is a sequence of data blocks holding
 // wire-encoded entries, followed by an index region recording each data
-// block's first key, offset, length, entry count, and CRC-32C, plus a
-// bloom filter over the file's row keys, and a fixed-size trailer
-// locating the index. The reader keeps only the index and bloom in
-// memory and serves seekable SKVI iterators.
+// block's first key, offset, length, entry count, and CRC-32C, plus two
+// bloom filters and a column-family directory, and a fixed-size trailer
+// locating the index. The reader keeps only the index, blooms, and
+// directory in memory and serves seekable SKVI iterators. There is one
+// on-disk format, version 4: any other trailer version fails Open with
+// ErrUnsupportedVersion.
 //
 // The read path is built for repeated scans, which dominate the kernel
 // workloads (TwoTableIterator remote seeks, degree reads, BFS rounds
@@ -18,53 +20,49 @@
 //     Reader evicts its blocks, so files replaced by major compaction
 //     stop occupying cache capacity.
 //   - Bloom filters. Finish writes a bloom filter over the file's
-//     distinct rows (WriterOptions.BloomBitsPerKey) and, since version
-//     3, a second filter over distinct (row, column-qualifier) pairs
-//     (WriterOptions.ColQBloomBits). A seek confined to a single row —
+//     distinct rows and a second filter over distinct (row,
+//     column-qualifier) pairs, both at DefaultBloomBitsPerKey. A seek
+//     confined to a single row —
 //     exact-row BFS expansions, point lookups — probes the row filter
 //     first and skips the file entirely on a negative; a seek confined
 //     to a single cell (skv.ExactCell: one row, family, and qualifier)
 //     additionally probes the pair filter, pruning block reads for
 //     column point lookups whose row exists but whose column does not.
 //     Negatives are counted in ReaderOptions.Stats.
-//   - Locality groups. Since version 4 the writer partitions entries by
-//     column family into per-family block runs — BigTable-style
-//     locality groups — and a family directory in the index maps each
-//     family to its contiguous block range. A seek constrained to a
-//     family set (Reader.IterFamilies) touches only the matching runs'
-//     blocks; blocks in other families' runs are skipped without a load
-//     and counted as telemetry.LocalityBlocksSkipped. Unconstrained scans
-//     merge the family runs back into global key order. Pre-v4 files
-//     have no directory: a family-constrained iterator over them falls
-//     back to a full scan with a per-entry family filter.
+//   - Locality groups. The writer partitions entries by column family
+//     into per-family block runs — BigTable-style locality groups — and
+//     a family directory in the index maps each family to its
+//     contiguous block range. A seek constrained to a family set
+//     (Reader.IterFamilies) touches only the matching runs' blocks;
+//     blocks in other families' runs are skipped without a load and
+//     counted as telemetry.LocalityBlocksSkipped. Unconstrained scans
+//     merge the family runs back into global key order.
 //
 // Every block checksum is verified on (disk) load; cache hits skip the
 // re-verification along with the read and decode.
 //
-// Layout (version 4; version 1–3 files remain readable — version 1
-// lacks the bloom sections, version 2 carries only the row bloom,
-// version 3 lacks the family directory):
+// Layout (version 4):
 //
 //	[data block]...[index][trailer]
 //	data blocks are grouped into per-family runs, families in
 //	        ascending name order; within a run, blocks ascend in key
-//	        order (v1–v3: one implicit run holding every family)
+//	        order
 //	index:   uvarint nblocks, then per block
 //	         (firstKey as a valueless entry, uvarint off, len, count, u32 crc),
 //	         then uvarint total entry count,
-//	         then (v2: optional; v3+: required) row bloom:
-//	         uvarint k, uvarint nbytes, bits
-//	         then (v3+, required) (row,colQ) bloom, same encoding
-//	         (a zero-length bloom section means "disabled": admit all)
-//	         then (v4, required) family directory: uvarint nfamilies,
-//	         per family (uvarint namelen, name, uvarint lo, uvarint hi)
-//	         mapping the family to blocks [lo, hi)
+//	         then row bloom: uvarint k, uvarint nbytes, bits
+//	         then (row,colQ) bloom, same encoding (k and nbytes > 0)
+//	         then family directory: uvarint nfamilies, per family
+//	         (uvarint namelen, name, uvarint lo, uvarint hi) mapping the
+//	         family to blocks [lo, hi); names strictly ascend and the
+//	         runs tile [0, nblocks) exactly
 //	trailer: u64 indexOff | u32 indexLen | u32 indexCRC |
 //	         u32 version | u32 magic ("GRF1"), little-endian
 package rfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -90,6 +88,11 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
+// ErrUnsupportedVersion is wrapped by the Open error for a file whose
+// trailer names any format version other than the one this reader
+// speaks.
+var ErrUnsupportedVersion = errors.New("unsupported rfile version")
+
 // blockMeta is one index entry describing a data block.
 type blockMeta struct {
 	firstKey skv.Key
@@ -113,14 +116,6 @@ type WriterOptions struct {
 	// BlockSize is the uncompressed data-block size target
 	// (<= 0 selects DefaultBlockSize).
 	BlockSize int
-	// BloomBitsPerKey sizes the row bloom filter in bits per distinct
-	// row. 0 selects DefaultBloomBitsPerKey; negative disables the
-	// filter.
-	BloomBitsPerKey int
-	// ColQBloomBits sizes the (row, colQ) bloom filter in bits per
-	// distinct pair. 0 selects DefaultBloomBitsPerKey; negative
-	// disables the filter.
-	ColQBloomBits int
 }
 
 // pendingBlock is one sealed data block awaiting Finish, which lays the
@@ -161,8 +156,6 @@ func (g *writerGroup) seal() {
 type Writer struct {
 	f          *os.File
 	blockSize  int
-	bloomBits  int // bits per distinct row; < 0 disables
-	colqBits   int // bits per distinct (row, colQ) pair; < 0 disables
 	groups     map[string]*writerGroup
 	lastKey    skv.Key
 	haveLast   bool
@@ -176,21 +169,11 @@ func Create(path string, opts WriterOptions) (*Writer, error) {
 	if opts.BlockSize <= 0 {
 		opts.BlockSize = DefaultBlockSize
 	}
-	if opts.BloomBitsPerKey == 0 {
-		opts.BloomBitsPerKey = DefaultBloomBitsPerKey
-	}
-	if opts.ColQBloomBits == 0 {
-		opts.ColQBloomBits = DefaultBloomBitsPerKey
-	}
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
-	return &Writer{
-		f: f, blockSize: opts.BlockSize,
-		bloomBits: opts.BloomBitsPerKey, colqBits: opts.ColQBloomBits,
-		groups: map[string]*writerGroup{},
-	}, nil
+	return &Writer{f: f, blockSize: opts.BlockSize, groups: map[string]*writerGroup{}}, nil
 }
 
 // Append adds the next entry, which must not sort before its
@@ -199,12 +182,12 @@ func (w *Writer) Append(e skv.Entry) error {
 	if w.haveLast && skv.Compare(e.K, w.lastKey) < 0 {
 		return fmt.Errorf("rfile: out-of-order append: %v after %v", e.K, w.lastKey)
 	}
-	if w.bloomBits >= 0 && (!w.haveLast || e.K.Row != w.lastKey.Row) {
+	if !w.haveLast || e.K.Row != w.lastKey.Row {
 		// Sorted input groups rows, so a row change means a new
 		// distinct row.
 		w.rowHashes = append(w.rowHashes, bloomHash(e.K.Row))
 	}
-	if w.colqBits >= 0 && (!w.haveLast || e.K.Row != w.lastKey.Row || e.K.ColQ != w.lastKey.ColQ) {
+	if !w.haveLast || e.K.Row != w.lastKey.Row || e.K.ColQ != w.lastKey.ColQ {
 		// Sort order is (row, colF, colQ), so the same (row, colQ) pair
 		// can recur across families; the duplicate hashes only set the
 		// same bits again.
@@ -269,25 +252,9 @@ func (w *Writer) Finish() error {
 		index = binary.LittleEndian.AppendUint32(index, b.crc)
 	}
 	index = binary.AppendUvarint(index, uint64(w.count))
-	// Both bloom sections are always written; a disabled filter is a
-	// zero-length section, which parses to the admit-all filter.
-	var rowBloom, colqBloom bloomFilter
-	if w.bloomBits >= 0 {
-		rowBloom = buildBloom(w.rowHashes, w.bloomBits)
-	}
-	if w.colqBits >= 0 {
-		colqBloom = buildBloom(w.pairHashes, w.colqBits)
-	}
-	index = appendBloom(index, rowBloom)
-	index = appendBloom(index, colqBloom)
-	// Version 4: the family directory.
-	index = binary.AppendUvarint(index, uint64(len(runs)))
-	for _, fr := range runs {
-		index = binary.AppendUvarint(index, uint64(len(fr.name)))
-		index = append(index, fr.name...)
-		index = binary.AppendUvarint(index, uint64(fr.lo))
-		index = binary.AppendUvarint(index, uint64(fr.hi))
-	}
+	index = appendBloom(index, buildBloom(w.rowHashes))
+	index = appendBloom(index, buildBloom(w.pairHashes))
+	index = appendFamilyDir(index, runs)
 	if _, err := w.f.Write(index); err != nil {
 		w.f.Close()
 		return err
@@ -307,6 +274,18 @@ func (w *Writer) Finish() error {
 		return err
 	}
 	return w.f.Close()
+}
+
+// appendFamilyDir serialises the family directory onto the index blob.
+func appendFamilyDir(buf []byte, runs []famRun) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(runs)))
+	for _, fr := range runs {
+		buf = binary.AppendUvarint(buf, uint64(len(fr.name)))
+		buf = append(buf, fr.name...)
+		buf = binary.AppendUvarint(buf, uint64(fr.lo))
+		buf = binary.AppendUvarint(buf, uint64(fr.hi))
+	}
+	return buf
 }
 
 // Abort discards a partially-written file.
@@ -355,8 +334,8 @@ type Reader struct {
 	blocks    []blockMeta
 	count     int
 	bloom     bloomFilter // over distinct rows
-	colqBloom bloomFilter // over distinct (row, colQ) pairs (v3+)
-	families  []famRun    // locality-group directory (v4+); nil before
+	colqBloom bloomFilter // over distinct (row, colQ) pairs
+	families  []famRun    // locality-group directory; tiles blocks
 	cache     *cache.BlockCache
 	stats     *telemetry.StatSet
 
@@ -404,10 +383,9 @@ func OpenWithOptions(path string, opts ReaderOptions) (*Reader, error) {
 		f.Close()
 		return nil, fmt.Errorf("rfile: %s: bad magic %#x", path, got)
 	}
-	v := binary.LittleEndian.Uint32(tr[16:])
-	if v < 1 || v > version {
+	if v := binary.LittleEndian.Uint32(tr[16:]); v != version {
 		f.Close()
-		return nil, fmt.Errorf("rfile: %s: unsupported version %d", path, v)
+		return nil, fmt.Errorf("rfile: %s: %w %d (want %d)", path, ErrUnsupportedVersion, v, version)
 	}
 	indexOff := binary.LittleEndian.Uint64(tr[0:])
 	indexLen := binary.LittleEndian.Uint32(tr[8:])
@@ -423,7 +401,7 @@ func OpenWithOptions(path string, opts ReaderOptions) (*Reader, error) {
 		return nil, closeWith(f, fmt.Errorf("rfile: %s: index checksum mismatch", path))
 	}
 	r := &Reader{f: f, path: path, cache: opts.Cache, stats: opts.Stats}
-	if err := r.parseIndex(index, v, indexOff); err != nil {
+	if err := r.parseIndex(index, indexOff); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -441,7 +419,7 @@ func closeWith(f *os.File, err error) error {
 // claiming more entries than its bytes could encode — is rejected here
 // so no block load can be tricked into a huge allocation or an
 // out-of-range read.
-func (r *Reader) parseIndex(index []byte, v uint32, dataLen uint64) error {
+func (r *Reader) parseIndex(index []byte, dataLen uint64) error {
 	nblocks, k := binary.Uvarint(index)
 	if k <= 0 {
 		return fmt.Errorf("rfile: %s: truncated index header", r.path)
@@ -499,41 +477,23 @@ func (r *Reader) parseIndex(index []byte, v uint32, dataLen uint64) error {
 	}
 	r.count = int(total)
 	index = index[k:]
-	// Version 2 appends an optional row-bloom section; its absence
-	// (bloom disabled at write time, or a version-1 file) leaves a nil
-	// filter that admits every row. Version 3+ always carries two
-	// sections — row bloom then (row, colQ) bloom — with zero-length
-	// sections standing for disabled filters. Version 4 follows them
-	// with the family directory.
-	if v == 2 && len(index) > 0 {
-		bloom, _, err := parseBloom(index)
-		if err != nil {
-			return fmt.Errorf("rfile: %s: %v", r.path, err)
-		}
-		r.bloom = bloom
+	bloom, rest, err := parseBloom(index)
+	if err != nil {
+		return fmt.Errorf("rfile: %s: row bloom: %v", r.path, err)
 	}
-	if v >= 3 {
-		bloom, rest, err := parseBloom(index)
-		if err != nil {
-			return fmt.Errorf("rfile: %s: row bloom: %v", r.path, err)
-		}
-		colq, rest, err := parseBloom(rest)
-		if err != nil {
-			return fmt.Errorf("rfile: %s: colq bloom: %v", r.path, err)
-		}
-		r.bloom, r.colqBloom = bloom, colq
-		index = rest
+	colq, rest, err := parseBloom(rest)
+	if err != nil {
+		return fmt.Errorf("rfile: %s: colq bloom: %v", r.path, err)
 	}
-	if v >= 4 {
-		if err := r.parseFamilyDir(index); err != nil {
-			return err
-		}
-	}
-	return nil
+	r.bloom, r.colqBloom = bloom, colq
+	return r.parseFamilyDir(rest)
 }
 
-// parseFamilyDir decodes the v4 family directory, validating that every
-// run's block range is in bounds and runs do not overlap.
+// parseFamilyDir decodes the family directory, validating that family
+// names strictly ascend and that the runs tile the block list exactly:
+// each run starts where the previous one ended, is non-empty, and the
+// last ends at the final block. A gap would leave blocks that no
+// iterator ever reads — silently dropped data — so it is corruption.
 func (r *Reader) parseFamilyDir(dir []byte) error {
 	nfam, k := binary.Uvarint(dir)
 	if k <= 0 {
@@ -564,11 +524,18 @@ func (r *Reader) parseFamilyDir(dir []byte) error {
 			return fmt.Errorf("rfile: %s: truncated family run %d", r.path, i)
 		}
 		dir = dir[k:]
-		if lo > hi || hi > uint64(len(r.blocks)) || int(lo) < prevHi {
-			return fmt.Errorf("rfile: %s: family %q run [%d,%d) invalid for %d blocks", r.path, name, lo, hi, len(r.blocks))
+		if lo != uint64(prevHi) || hi <= lo || hi > uint64(len(r.blocks)) {
+			return fmt.Errorf("rfile: %s: family %q run [%d,%d) does not continue the tiling of %d blocks at %d",
+				r.path, name, lo, hi, len(r.blocks), prevHi)
+		}
+		if i > 0 && name <= r.families[i-1].name {
+			return fmt.Errorf("rfile: %s: family %q out of order after %q", r.path, name, r.families[i-1].name)
 		}
 		prevHi = int(hi)
 		r.families = append(r.families, famRun{name: name, lo: int(lo), hi: int(hi)})
+	}
+	if prevHi != len(r.blocks) {
+		return fmt.Errorf("rfile: %s: family runs cover %d of %d blocks", r.path, prevHi, len(r.blocks))
 	}
 	return nil
 }
@@ -593,7 +560,7 @@ func (r *Reader) Count() int { return r.count }
 func (r *Reader) Path() string { return r.path }
 
 // Families returns the family directory's family names, in stored
-// order; empty for pre-v4 files (which have no directory).
+// (ascending) order.
 func (r *Reader) Families() []string {
 	out := make([]string, len(r.families))
 	for i, fr := range r.families {
@@ -629,12 +596,7 @@ func (r *Reader) Close() error {
 // shared cache when resident, else by reading, CRC-verifying, and
 // decoding it from disk (and feeding the cache). Cached slices are
 // shared across iterators and must be treated as immutable.
-func (r *Reader) loadBlock(i int) ([]skv.Entry, error) { return r.loadBlockFor(i, "") }
-
-// loadBlockFor is loadBlock with the cache insert charged to tenant —
-// the per-tenant cache-partition accounting of scans that carry a
-// tenant label.
-func (r *Reader) loadBlockFor(i int, tenant string) ([]skv.Entry, error) {
+func (r *Reader) loadBlock(i int) ([]skv.Entry, error) {
 	if cached, ok := r.cache.Get(r.path, i); ok {
 		return cached, nil
 	}
@@ -656,47 +618,24 @@ func (r *Reader) loadBlockFor(i int, tenant string) ([]skv.Entry, error) {
 		raw = rest
 	}
 	if !r.dead.Load() {
-		r.cache.PutFor(r.path, i, tenant, entries)
+		r.cache.Put(r.path, i, entries)
 	}
 	return entries, nil
 }
 
-// groupRuns returns the file's block runs: the family directory for v4
-// files, or one implicit run covering every block for older files.
-func (r *Reader) groupRuns() []famRun {
-	if r.families != nil {
-		return r.families
-	}
-	return []famRun{{lo: 0, hi: len(r.blocks)}}
-}
-
 // Iter returns a fresh, unseeked iterator over the whole file; it
-// implements iterator.SKVI. Multi-family v4 files merge their family
-// runs back into global key order.
-func (r *Reader) Iter() iterator.SKVI { return r.IterFor("") }
-
-// IterFor is Iter with the iterator's cache inserts charged to tenant.
-func (r *Reader) IterFor(tenant string) iterator.SKVI {
-	runs := r.groupRuns()
-	if len(runs) <= 1 {
-		return &Iter{r: r, tenant: tenant, lo: 0, hi: len(r.blocks), probe: true, blk: -1}
-	}
-	return r.mergeRuns(tenant, runs)
-}
+// implements iterator.SKVI. Multi-family files merge their family runs
+// back into global key order.
+func (r *Reader) Iter() iterator.SKVI { return r.iterRuns(r.families) }
 
 // IterFamilies returns an iterator constrained to a set of column
-// families. With a family directory (v4) only the matching families'
-// block runs are touched; blocks the constraint skipped are counted as
-// telemetry.LocalityBlocksSkipped. Pre-v4 files fall back to a full
-// scan with a per-entry family filter. An empty family set means
+// families: only the matching families' block runs are touched, and
+// the blocks the constraint skipped are counted as
+// telemetry.LocalityBlocksSkipped. An empty family set means
 // unconstrained.
-func (r *Reader) IterFamilies(tenant string, families []string) iterator.SKVI {
+func (r *Reader) IterFamilies(families []string) iterator.SKVI {
 	if len(families) == 0 {
-		return r.IterFor(tenant)
-	}
-	if r.families == nil {
-		// No directory: every block may hold any family.
-		return iterator.NewColumnFilterIter(r.IterFor(tenant), families...)
+		return r.Iter()
 	}
 	want := make(map[string]bool, len(families))
 	for _, f := range families {
@@ -712,23 +651,22 @@ func (r *Reader) IterFamilies(tenant string, families []string) iterator.SKVI {
 		}
 	}
 	r.stats.Add(telemetry.LocalityBlocksSkipped, int64(skipped))
-	switch len(runs) {
-	case 0:
-		return &Iter{r: r, tenant: tenant, lo: 0, hi: 0, blk: -1}
-	case 1:
-		return &Iter{r: r, tenant: tenant, lo: runs[0].lo, hi: runs[0].hi, probe: true, blk: -1}
-	default:
-		return r.mergeRuns(tenant, runs)
-	}
+	return r.iterRuns(runs)
 }
 
-// mergeRuns merges several family block runs back into global key
-// order, with the file-level bloom probes hoisted above the merge so a
-// negative is counted once, not per run.
-func (r *Reader) mergeRuns(tenant string, runs []famRun) iterator.SKVI {
+// iterRuns serves a set of family block runs. Several runs merge back
+// into global key order, with the file-level bloom probes hoisted above
+// the merge so a negative is counted once, not per run.
+func (r *Reader) iterRuns(runs []famRun) iterator.SKVI {
+	switch len(runs) {
+	case 0:
+		return &Iter{r: r, blk: -1}
+	case 1:
+		return &Iter{r: r, lo: runs[0].lo, hi: runs[0].hi, probe: true, blk: -1}
+	}
 	sources := make([]iterator.SKVI, len(runs))
 	for i, fr := range runs {
-		sources[i] = &Iter{r: r, tenant: tenant, lo: fr.lo, hi: fr.hi, blk: -1}
+		sources[i] = &Iter{r: r, lo: fr.lo, hi: fr.hi, blk: -1}
 	}
 	// Keys cannot collide across family runs (ColF differs), so a plain
 	// merge suffices.
@@ -736,12 +674,12 @@ func (r *Reader) mergeRuns(tenant string, runs []famRun) iterator.SKVI {
 }
 
 // Iter is a seekable sorted iterator over one contiguous block run of
-// an rfile — the whole file for v1–v3, one locality group for v4.
+// an rfile: one locality group, or the whole file when it holds a
+// single family.
 type Iter struct {
 	r       *Reader
-	tenant  string // cache-partition charge label; "" = default
-	lo, hi  int    // block subrange [lo, hi) this iterator serves
-	probe   bool   // consult the file's bloom filters on Seek
+	lo, hi  int  // block subrange [lo, hi) this iterator serves
+	probe   bool // consult the file's bloom filters on Seek
 	rng     skv.Range
 	blk     int // current block index; -1 before Seek / hi at EOF
 	entries []skv.Entry
@@ -855,7 +793,7 @@ func (it *Iter) loadBlock(i int) error {
 		it.entries = nil
 		return nil
 	}
-	entries, err := it.r.loadBlockFor(i, it.tenant)
+	entries, err := it.r.loadBlock(i)
 	if err != nil {
 		it.err = err
 		it.entries = nil

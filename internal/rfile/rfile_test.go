@@ -399,35 +399,6 @@ func TestBloomSkipsAbsentRows(t *testing.T) {
 	}
 }
 
-// TestBloomDisabled writes a filterless file and checks every row seek
-// still works and nothing is counted as a negative.
-func TestBloomDisabled(t *testing.T) {
-	entries := buildEntries(100)
-	path := filepath.Join(t.TempDir(), "nobloom.rf")
-	if err := WriteAll(path, entries, WriterOptions{BlockSize: 512, BloomBitsPerKey: -1}); err != nil {
-		t.Fatal(err)
-	}
-	var stats telemetry.StatSet
-	r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.MayContainRow("definitely-absent") {
-		t.Fatal("filterless reader claimed proof of absence")
-	}
-	it := r.Iter()
-	if err := it.Seek(skv.ExactRow("row00007")); err != nil {
-		t.Fatal(err)
-	}
-	if !it.HasTop() {
-		t.Fatal("present row not found without bloom")
-	}
-	if stats.Get(telemetry.BloomNegatives) != 0 {
-		t.Fatalf("negatives counted without a filter: %d", stats.Get(telemetry.BloomNegatives))
-	}
-}
-
 // TestMarkDeadStopsCacheFeeding pins the displaced-Reader contract: a
 // Reader whose file was deleted by compaction keeps serving in-flight
 // scans but must neither hold nor repopulate shared cache capacity.
@@ -472,9 +443,9 @@ func TestMarkDeadStopsCacheFeeding(t *testing.T) {
 	}
 }
 
-// TestColQBloomSkipsAbsentCells pins the v3 (row, column-qualifier)
-// bloom: cell-confined seeks for pairs the file does not hold
-// short-circuit without a block load (and count as ColQBloomNegatives),
+// TestColQBloomSkipsAbsentCells pins the (row, column-qualifier) bloom:
+// cell-confined seeks for pairs the file does not hold short-circuit
+// without a block load (and count as ColQBloomNegatives),
 // while present pairs are never filtered. The probe rows all exist in
 // the file, so the row bloom admits every one of them — only the pair
 // filter can reject.
@@ -525,38 +496,5 @@ func TestColQBloomSkipsAbsentCells(t *testing.T) {
 	loads := c.Misses() + c.Hits() - before
 	if int(loads) != probes-int(neg) {
 		t.Fatalf("block lookups = %d, want one per false positive (%d)", loads, probes-int(neg))
-	}
-}
-
-// TestColQBloomDisabled writes a file with the pair filter off and
-// checks cell seeks still work, row blooms stay active, and nothing is
-// counted as a pair negative.
-func TestColQBloomDisabled(t *testing.T) {
-	entries := buildEntries(100)
-	path := filepath.Join(t.TempDir(), "nocolq.rf")
-	if err := WriteAll(path, entries, WriterOptions{BlockSize: 512, ColQBloomBits: -1}); err != nil {
-		t.Fatal(err)
-	}
-	var stats telemetry.StatSet
-	r, err := OpenWithOptions(path, ReaderOptions{Stats: &stats})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Close()
-	if !r.MayContainCell("row00007", "definitely-absent") {
-		t.Fatal("pair-filterless reader claimed proof of absence")
-	}
-	if !r.MayContainRow("row00007") {
-		t.Fatal("row bloom should still be active")
-	}
-	it := r.Iter()
-	if err := it.Seek(skv.ExactCell("row00007", "f", "q1")); err != nil {
-		t.Fatal(err)
-	}
-	if !it.HasTop() {
-		t.Fatal("present cell not found without pair bloom")
-	}
-	if stats.Get(telemetry.ColQBloomNegatives) != 0 {
-		t.Fatalf("pair negatives counted without a filter: %d", stats.Get(telemetry.ColQBloomNegatives))
 	}
 }

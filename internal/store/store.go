@@ -101,17 +101,6 @@ type Options struct {
 	// BlockCacheBytes bounds the shared rfile block cache (0 selects
 	// cache.DefaultMaxBytes; negative disables caching).
 	BlockCacheBytes int64
-	// CacheTenantSoftCapBytes, when positive, soft-caps each tenant's
-	// share of the block cache (see cache.BlockCache.SetTenantSoftCap).
-	CacheTenantSoftCapBytes int64
-	// BloomFilterBits sizes per-rfile row bloom filters in bits per
-	// distinct row (0 selects rfile.DefaultBloomBitsPerKey; negative
-	// disables the filters).
-	BloomFilterBits int
-	// ColQBloomBits sizes per-rfile (row, colQ) bloom filters in bits
-	// per distinct pair (0 selects rfile.DefaultBloomBitsPerKey;
-	// negative disables the filters).
-	ColQBloomBits int
 	// Stats, when non-nil, is the process counter block the directory's
 	// block cache and rfile Readers count into.
 	Stats *telemetry.StatSet
@@ -139,9 +128,6 @@ func Open(path string, opts Options) (*Dir, error) {
 	if opts.BlockCacheBytes >= 0 {
 		d.blockCache = cache.New(opts.BlockCacheBytes)
 		d.blockCache.CountInto(opts.Stats)
-		if opts.CacheTenantSoftCapBytes > 0 {
-			d.blockCache.SetTenantSoftCap(opts.CacheTenantSoftCapBytes)
-		}
 	}
 	d.clock = func() int64 { return d.man.Clock }
 	raw, err := os.ReadFile(filepath.Join(path, manifestName))
@@ -499,12 +485,7 @@ func (d *Dir) newRFileLocked(entries []skv.Entry) (string, *rfile.Reader, error)
 	name := rfileName(d.man.NextID)
 	d.man.NextID++
 	path := d.rfPath(name)
-	wopts := rfile.WriterOptions{
-		BlockSize:       d.opts.BlockSize,
-		BloomBitsPerKey: d.opts.BloomFilterBits,
-		ColQBloomBits:   d.opts.ColQBloomBits,
-	}
-	if err := rfile.WriteAll(path, entries, wopts); err != nil {
+	if err := rfile.WriteAll(path, entries, rfile.WriterOptions{BlockSize: d.opts.BlockSize}); err != nil {
 		return "", nil, err
 	}
 	// Sync the rf/ directory entry before the manifest can reference

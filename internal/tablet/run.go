@@ -14,15 +14,10 @@ import (
 type run interface {
 	// iter returns a fresh, unseeked sorted iterator over the run.
 	iter() iterator.SKVI
-	// iterFor is iter with block-cache inserts charged to tenant —
-	// meaningful only for disk-backed runs; in-memory runs ignore the
-	// label.
-	iterFor(tenant string) iterator.SKVI
-	// iterFamilies is iterFor constrained to a column-family set
-	// (empty = unconstrained). Disk-backed runs with a locality-group
-	// directory serve it by touching only the matching families' block
-	// runs; in-memory runs filter per entry.
-	iterFamilies(tenant string, families []string) iterator.SKVI
+	// iterFamilies is iter constrained to a non-empty column-family
+	// set. Disk-backed runs serve it by touching only the matching
+	// families' block runs; in-memory runs filter per entry.
+	iterFamilies(families []string) iterator.SKVI
 	// count returns the number of entries stored.
 	count() int
 }
@@ -48,11 +43,10 @@ func newMemRun(entries []skv.Entry) *memRun {
 	return r
 }
 
-func (r *memRun) iter() iterator.SKVI          { return &memRunIter{r: r} }
-func (r *memRun) iterFor(string) iterator.SKVI { return &memRunIter{r: r} }
-func (r *memRun) count() int                   { return len(r.entries) }
+func (r *memRun) iter() iterator.SKVI { return &memRunIter{r: r} }
+func (r *memRun) count() int          { return len(r.entries) }
 
-func (r *memRun) iterFamilies(_ string, families []string) iterator.SKVI {
+func (r *memRun) iterFamilies(families []string) iterator.SKVI {
 	return iterator.NewColumnFilterIter(&memRunIter{r: r}, families...)
 }
 
@@ -116,10 +110,6 @@ type diskRun struct {
 	rd *rfile.Reader
 }
 
-func (d diskRun) iter() iterator.SKVI                 { return d.rd.Iter() }
-func (d diskRun) iterFor(tenant string) iterator.SKVI { return d.rd.IterFor(tenant) }
-func (d diskRun) count() int                          { return d.rd.Count() }
-
-func (d diskRun) iterFamilies(tenant string, families []string) iterator.SKVI {
-	return d.rd.IterFamilies(tenant, families)
-}
+func (d diskRun) iter() iterator.SKVI                          { return d.rd.Iter() }
+func (d diskRun) iterFamilies(families []string) iterator.SKVI { return d.rd.IterFamilies(families) }
+func (d diskRun) count() int                                   { return d.rd.Count() }

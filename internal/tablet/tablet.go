@@ -36,7 +36,8 @@
 //     flushes the queue to runs (serialised on compactMu with manual
 //     compactions), so Write never runs a minor compaction inline.
 //     Scans merge active + frozen + runs. When the frozen queue backs
-//     up past maxFrozen, writers stall and the stall time is counted.
+//     up past DefaultMaxFrozen, writers stall and the stall time is
+//     counted.
 //
 // # Read-path maintenance
 //
@@ -73,11 +74,17 @@ import (
 	"graphulo/internal/telemetry"
 )
 
-// DefaultMaxFrozen is the default frozen-memtable queue depth; writers
-// stall once the background flusher falls this far behind, converting
-// unbounded memory growth into measured backpressure
-// (telemetry.WriteStallNanos). Override per tablet with SetMaxFrozen.
+// DefaultMaxFrozen is every tablet's frozen-memtable queue depth;
+// writers stall once the background flusher falls this far behind,
+// converting unbounded memory growth into measured backpressure
+// (telemetry.WriteStallNanos).
 const DefaultMaxFrozen = 2
+
+// DefaultFlushBytes is the approximate memtable byte footprint that
+// freezes a tablet's memtable regardless of its entry count: wide
+// values spill on bytes, narrow values on the entry limit, whichever
+// trips first.
+const DefaultFlushBytes = 64 << 20
 
 // Backing is the durability hook a durable tablet calls into; the
 // internal/store package implements it on a data directory. All entry
@@ -151,8 +158,7 @@ type Tablet struct {
 	flushErr   error        // last background flush failure (cleared on success)
 	runs       []run
 	memLimit   int   // entries before freeze
-	flushBytes int   // approx memtable bytes before freeze (0 = count-only)
-	maxFrozen  int   // frozen-queue depth before writers stall
+	flushBytes int   // approx memtable bytes before freeze
 	seed       int64 // kept for split lineage naming; level draws are per-goroutine
 	backing    Backing
 	retired    bool // set by SplitAt; the tablet must absorb no more work
@@ -179,11 +185,11 @@ func New(startRow, endRow string, memLimit int, seed int64) *Tablet {
 		memLimit = 1 << 14
 	}
 	t := &Tablet{
-		StartRow:  startRow,
-		EndRow:    endRow,
-		memLimit:  memLimit,
-		maxFrozen: DefaultMaxFrozen,
-		seed:      seed,
+		StartRow:   startRow,
+		EndRow:     endRow,
+		memLimit:   memLimit,
+		flushBytes: DefaultFlushBytes,
+		seed:       seed,
 	}
 	t.active.Store(newMemtable())
 	t.flushCond = sync.NewCond(&t.mu)
@@ -206,21 +212,10 @@ func NewDurable(startRow, endRow string, memLimit int, seed int64, b Backing, ru
 	return t
 }
 
-// SetFlushBytes sets the approximate memtable byte budget that triggers
-// a freeze in addition to the entry-count limit (0 disables the byte
-// trigger). Call before the tablet takes traffic.
+// SetFlushBytes replaces DefaultFlushBytes as the approximate memtable
+// byte budget that triggers a freeze, so tests can exercise the byte
+// trigger with small writes. Call before the tablet takes traffic.
 func (t *Tablet) SetFlushBytes(n int) { t.flushBytes = n }
-
-// SetMaxFrozen sets the frozen-memtable queue depth writers may build
-// up before stalling (<= 0 restores DefaultMaxFrozen). A deeper queue
-// absorbs longer ingest bursts at the cost of more memory and a wider
-// scan merge. Call before the tablet takes traffic.
-func (t *Tablet) SetMaxFrozen(n int) {
-	if n <= 0 {
-		n = DefaultMaxFrozen
-	}
-	t.maxFrozen = n
-}
 
 // SetStats points the tablet at the counter block it counts into. Call
 // before the tablet takes traffic.
@@ -301,8 +296,7 @@ func (t *Tablet) Write(entries []skv.Entry) error {
 	for _, e := range entries {
 		mem.insert(e)
 	}
-	needFreeze := mem.count() >= t.memLimit ||
-		(t.flushBytes > 0 && mem.approxBytes() >= t.flushBytes)
+	needFreeze := mem.count() >= t.memLimit || mem.approxBytes() >= t.flushBytes
 	t.freezeMu.RUnlock()
 	if t.backing != nil {
 		if err := t.backing.WaitDurable(seq); err != nil {
@@ -321,12 +315,12 @@ func (t *Tablet) Write(entries []skv.Entry) error {
 // the writer instead of deadlocking it.
 func (t *Tablet) stallForFrozen() error {
 	t.mu.Lock()
-	if len(t.frozen) < t.maxFrozen || t.retired {
+	if len(t.frozen) < DefaultMaxFrozen || t.retired {
 		t.mu.Unlock()
 		return nil
 	}
 	start := time.Now()
-	for len(t.frozen) >= t.maxFrozen && t.flushErr == nil && !t.retired {
+	for len(t.frozen) >= DefaultMaxFrozen && t.flushErr == nil && !t.retired {
 		t.flushCond.Wait()
 	}
 	err := t.flushErr
@@ -665,21 +659,10 @@ func applyStack(src iterator.SKVI, stack func(iterator.SKVI) (iterator.SKVI, err
 // contents (active memtable + frozen memtables + all runs), valid
 // independently of later writes: the memtable sources carry a
 // sequence-number watermark instead of copying entries, so taking a
-// snapshot is O(sources) and never blocks writers.
-func (t *Tablet) Snapshot() iterator.SKVI { return t.SnapshotFor("") }
-
-// SnapshotFor is Snapshot with the scan's block-cache inserts charged
-// to tenant — the cache-partition accounting for scans that carry a
-// tenant label. Memtable sources ignore the label.
-func (t *Tablet) SnapshotFor(tenant string) iterator.SKVI {
-	return t.SnapshotForFamilies(tenant, nil)
-}
-
-// SnapshotForFamilies is SnapshotFor constrained to a column-family set
-// (empty = unconstrained). Disk runs with a locality-group directory
-// serve the constraint by loading only the matching families' block
-// runs; memtable sources (and pre-v4 files) filter per entry.
-func (t *Tablet) SnapshotForFamilies(tenant string, families []string) iterator.SKVI {
+// snapshot is O(sources) and never blocks writers. Naming families
+// constrains the snapshot to them: disk runs load only the matching
+// families' block runs, memtable sources filter per entry.
+func (t *Tablet) Snapshot(families ...string) iterator.SKVI {
 	// Load the active memtable before the frozen list: freeze queues
 	// the old memtable before swapping, so at every instant old is in
 	// at least one of the two views (duplicates collapse in the merge).
@@ -692,14 +675,14 @@ func (t *Tablet) SnapshotForFamilies(tenant string, families []string) iterator.
 	}
 	if len(families) == 0 {
 		for i := len(t.runs) - 1; i >= 0; i-- {
-			sources = append(sources, t.runs[i].iterFor(tenant))
+			sources = append(sources, t.runs[i].iter())
 		}
 	} else {
 		for i := len(sources) - 1; i >= 0; i-- {
 			sources[i] = iterator.NewColumnFilterIter(sources[i], families...)
 		}
 		for i := len(t.runs) - 1; i >= 0; i-- {
-			sources = append(sources, t.runs[i].iterFamilies(tenant, families))
+			sources = append(sources, t.runs[i].iterFamilies(families))
 		}
 	}
 	t.mu.Unlock()
@@ -748,10 +731,7 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 
 	left := New(t.StartRow, row, t.memLimit, t.seed*2+1)
 	right := New(row, t.EndRow, t.memLimit, t.seed*2+2)
-	left.SetFlushBytes(t.flushBytes)
-	right.SetFlushBytes(t.flushBytes)
-	left.SetMaxFrozen(t.maxFrozen)
-	right.SetMaxFrozen(t.maxFrozen)
+	left.flushBytes, right.flushBytes = t.flushBytes, t.flushBytes
 	left.SetStats(t.stats)
 	right.SetStats(t.stats)
 	left.SetFlushNotify(t.flushNotify)
