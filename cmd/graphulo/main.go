@@ -75,10 +75,9 @@ var (
 	slowQuery   = flag.Duration("slow-query-threshold", 0, "log kernel queries at least this slow as JSON lines (0 disables)")
 	slowLogPath = flag.String("slow-query-log", "", "append slow-query lines to this file instead of stderr")
 
-	tenantF     = flag.String("tenant", "", "tenant label for kernel queries: fair-share scheduling, budgets, per-tenant telemetry (empty = \"default\")")
+	tenantF     = flag.String("tenant", "", "tenant label for kernel queries: budgets and per-tenant telemetry (empty = \"default\")")
 	maxQueries  = flag.Int("max-concurrent-queries", 0, "kernel queries admitted concurrently (0 = default of 64, negative = unlimited)")
 	maxQueued   = flag.Int("max-queued-queries", 0, "admission queue depth before queries are rejected outright (0 = default of 256)")
-	maxPasses   = flag.Int("max-concurrent-passes", 0, "physical tablet scan passes executing at once across all queries; enables per-tenant fair-share pass queues and shared-scan folding (0 = unbounded)")
 	scanBudget  = flag.Int64("scan-entry-budget", 0, "per-query scan-entry budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 	writeBudget = flag.Int64("write-byte-budget", 0, "per-query write wire-byte budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 )
@@ -119,7 +118,6 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 		DefaultTenant:        *tenantF,
 		MaxConcurrentQueries: *maxQueries,
 		MaxQueuedQueries:     *maxQueued,
-		MaxConcurrentPasses:  *maxPasses,
 		ScanEntryBudget:      *scanBudget,
 		WriteByteBudget:      *writeBudget,
 	})

@@ -1,11 +1,10 @@
-// Command loadgen drives the query scheduler with a concurrent mixed
-// kernel stream — the standalone twin of BenchmarkConcurrentKernels
-// for soak runs against real daemons. N workers share one graph's
-// tables and rotate through AdjBFS, Jaccard, and TableMult, spread
-// across weighted tenants, while admission control, the pass limit
-// (fair-share + shared-scan folding), and per-query budgets are live.
-// The run prints aggregate throughput, end-to-end latency quantiles,
-// scheduler queue wait, and a per-tenant breakdown.
+// Command loadgen drives query admission with a concurrent mixed kernel
+// stream, for soak runs against real daemons. N workers share one
+// graph's tables and rotate through AdjBFS, Jaccard, and TableMult,
+// spread across tenant labels, while bounded FIFO admission and
+// per-query budgets are live. The run prints aggregate throughput,
+// end-to-end latency quantiles, admission queue wait, and a per-tenant
+// breakdown.
 //
 // Usage:
 //
@@ -13,9 +12,9 @@
 //	loadgen -transport tcp -workers 8                  # TCP loopback
 //	loadgen -servers 127.0.0.1:9471,127.0.0.1:9472     # external daemons
 //
-// Scheduler knobs mirror cmd/graphulo: -max-concurrent-queries,
-// -max-queued-queries, -max-concurrent-passes, -tenants (workers are
-// spread across t0..t{k-1}, with t0 weighted 2x).
+// Admission knobs mirror cmd/graphulo: -max-concurrent-queries,
+// -max-queued-queries, -scan-entry-budget; -tenants spreads the workers
+// across t0..t{k-1}.
 package main
 
 import (
@@ -39,7 +38,6 @@ var (
 	tenantsF   = flag.Int("tenants", 2, "tenant labels to spread workers across")
 	maxQ       = flag.Int("max-concurrent-queries", 0, "query slots (0 = default)")
 	maxQueued  = flag.Int("max-queued-queries", 0, "admission wait-queue depth (0 = default)")
-	maxPasses  = flag.Int("max-concurrent-passes", 4, "concurrent tablet passes (0 = unlimited)")
 	scanBudget = flag.Int64("scan-entry-budget", 0, "per-query scan-entry budget (0 = unlimited)")
 )
 
@@ -52,14 +50,15 @@ func main() {
 }
 
 func run() error {
+	if *tenantsF < 1 {
+		return fmt.Errorf("-tenants must be at least 1, got %d", *tenantsF)
+	}
 	cfg := graphulo.ClusterConfig{
 		Transport:            *transportF,
 		TabletServers:        4,
 		MaxConcurrentQueries: *maxQ,
 		MaxQueuedQueries:     *maxQueued,
-		MaxConcurrentPasses:  *maxPasses,
 		ScanEntryBudget:      *scanBudget,
-		TenantWeights:        map[string]int{"t0": 2},
 	}
 	if *serversF != "" {
 		cfg.Servers = strings.Split(*serversF, ",")
@@ -134,14 +133,13 @@ func run() error {
 		}
 		return lats[int(q*float64(len(lats)-1))]
 	}
-	// Scheduler accounting from the per-query telemetry this run minted.
+	// Admission accounting from the per-query telemetry this run minted.
 	type tenantAgg struct {
 		queries   int
 		queueWait int64
-		folds     int64
 	}
 	perTenant := map[string]*tenantAgg{}
-	var queueWait, folds int64
+	var queueWait int64
 	for _, qs := range db.QueryStats() {
 		agg := perTenant[qs.Tenant]
 		if agg == nil {
@@ -150,16 +148,14 @@ func run() error {
 		}
 		agg.queries++
 		agg.queueWait += qs.Counters["queue_wait_nanos"]
-		agg.folds += qs.Counters["shared_scan_folds"]
 		queueWait += qs.Counters["queue_wait_nanos"]
-		folds += qs.Counters["shared_scan_folds"]
 	}
 
 	ops := len(lats)
-	fmt.Printf("loadgen: %d kernels in %s  qps=%.1f  p50=%s p99=%s  queue-wait/op=%s  shared-folds=%d\n",
+	fmt.Printf("loadgen: %d kernels in %s  qps=%.1f  p50=%s p99=%s  queue-wait/op=%s\n",
 		ops, wall.Round(time.Millisecond), float64(ops)/wall.Seconds(),
 		quantile(0.50).Round(time.Millisecond), quantile(0.99).Round(time.Millisecond),
-		(time.Duration(queueWait) / time.Duration(max(ops, 1))).Round(time.Microsecond), folds)
+		(time.Duration(queueWait) / time.Duration(max(ops, 1))).Round(time.Microsecond))
 	tenants := make([]string, 0, len(perTenant))
 	for tn := range perTenant {
 		tenants = append(tenants, tn)

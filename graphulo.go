@@ -368,10 +368,6 @@ type ScanStats struct {
 	// fused kTruss creates one survivor table per peel round, and fused
 	// Jaccard/TriangleCount create none.
 	ScratchTablesCreated int64
-	// SharedScanFolds counts scans that rode another scan's physical
-	// tablet pass instead of executing their own — shared-scan folding,
-	// active when MaxConcurrentPasses queues compatible scans together.
-	SharedScanFolds int64
 }
 
 // ScanMetrics snapshots the read-path gauges and counters — the typed
@@ -398,7 +394,6 @@ func (db *DB) ScanMetrics() ScanStats {
 		EntriesPrunedByRange:  k[telemetry.EntriesPrunedByRange],
 		PartialProductsFolded: k[telemetry.PartialProductsFolded],
 		ScratchTablesCreated:  k[telemetry.ScratchTablesCreated],
-		SharedScanFolds:       k[telemetry.SharedScanFolds],
 	}
 }
 

@@ -59,7 +59,10 @@ func TestKernelScanBudgetCancelsCleanly(t *testing.T) {
 }
 
 // TestKernelWriteBudgetCancels: the write-byte budget cancels a kernel
-// at the write path with the typed error.
+// at the write path with the typed error — server-side writes
+// (TableMult's RemoteWrite) and the client-side survivor tables kTruss
+// writes alike — and kTruss leaves no scratch table behind. Without a
+// budget, kTruss's writes are counted in its own query.
 func TestKernelWriteBudgetCancels(t *testing.T) {
 	db := mustOpen(ClusterConfig{WriteByteBudget: 16})
 	defer db.Close()
@@ -78,6 +81,37 @@ func TestKernelWriteBudgetCancels(t *testing.T) {
 	}
 	if be.Resource != "write bytes" {
 		t.Fatalf("BudgetError resource = %q, want write bytes", be.Resource)
+	}
+
+	before := listTables(db)
+	be = nil
+	if _, err := tg.KTruss(3); !errors.As(err, &be) || be.Resource != "write bytes" {
+		t.Fatalf("KTruss error = %v, want a write-bytes *BudgetError", err)
+	}
+	if after := listTables(db); !reflect.DeepEqual(after, before) {
+		t.Fatalf("tables after kTruss budget cancellation = %v, want %v (scratch leak)", after, before)
+	}
+
+	free := mustOpen(ClusterConfig{})
+	defer free.Close()
+	ftg, err := free.CreateGraph("G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ftg.Ingest(PaperGraph()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ftg.KTruss(3); err != nil {
+		t.Fatal(err)
+	}
+	var written int64 = -1
+	for _, qs := range free.QueryStats() {
+		if qs.Kernel == "kTruss" {
+			written = qs.Counters["entries_written"]
+		}
+	}
+	if written <= 0 {
+		t.Fatalf("kTruss query entries_written = %d, want > 0", written)
 	}
 }
 
@@ -109,11 +143,11 @@ func TestKernelAdmissionRejection(t *testing.T) {
 	}
 }
 
-// TestConcurrentKernelsByteIdenticalScheduled pins the scheduler's
-// correctness claim end to end: N concurrent mixed kernels (AdjBFS,
-// Jaccard, TriangleCount, TableMult) on shared tables, running under
-// admission control, a pass limit (fair-share + folding active), two
-// tenants, and concurrent freeze-and-swap ingest load, produce results
+// TestConcurrentKernelsByteIdenticalScheduled pins the admission
+// layer's correctness claim end to end: N concurrent mixed kernels
+// (AdjBFS, Jaccard, TriangleCount, TableMult) on shared tables, queuing
+// for fewer admission slots than there are workers, under two tenants
+// and concurrent freeze-and-swap ingest load, produce results
 // byte-identical to the serial, unscheduled reference — on all three
 // transports.
 func TestConcurrentKernelsByteIdenticalScheduled(t *testing.T) {
@@ -191,9 +225,8 @@ func TestConcurrentKernelsByteIdenticalScheduled(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := c.cfg(t)
 			cfg.MemLimit = 128 // small memtables: the load forces freeze-and-swap
-			cfg.MaxConcurrentQueries = workers * 4
-			cfg.MaxConcurrentPasses = 2 // fair-share queues + folding engage
-			cfg.TenantWeights = map[string]int{"t0": 2, "t1": 1}
+			// Fewer query slots than workers: admission really queues.
+			cfg.MaxConcurrentQueries = workers / 2
 			db := mustOpen(cfg)
 			defer db.Close()
 			tg, err := db.CreateGraph("G")
@@ -292,9 +325,14 @@ func TestConcurrentKernelsByteIdenticalScheduled(t *testing.T) {
 				}
 			}
 
+			// Sixteen kernel queries over two slots: some waited.
+			tel := db.Connector().Cluster().Telemetry()
+			if n := tel.QueueWait.Snapshot().Count; n == 0 {
+				t.Error("no kernel query waited for admission")
+			}
 			// Both tenants ran kernels; their telemetry accumulated.
 			tenants := map[string]bool{}
-			for _, ts := range db.Connector().Cluster().Telemetry().TenantSnapshots() {
+			for _, ts := range tel.TenantSnapshots() {
 				tenants[ts.Tenant] = true
 			}
 			if !tenants["t0"] || !tenants["t1"] {

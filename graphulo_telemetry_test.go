@@ -357,7 +357,7 @@ func scrapeFamilies(t *testing.T, addr string) map[string]string {
 // of a standalone tablet server. Every family either process served
 // before the counter table existed is still served by it under the same
 // TYPE; a standalone server now also serves the storage counters (its
-// table is the coordinator's); the scheduler gauges stay coordinator-only
+// table is the coordinator's); the admission gauges stay coordinator-only
 // (only it has a scheduler to read); and the only new names are the three
 // counters that used to exist per query alone.
 func TestMetricsFamilies(t *testing.T) {
@@ -367,9 +367,8 @@ func TestMetricsFamilies(t *testing.T) {
 		"scans_started_total": "counter", "tablet_scans_total": "counter",
 		"tablets_pruned_by_range_total": "counter", "entries_pruned_by_range_total": "counter",
 		"partial_products_folded_total": "counter", "scratch_tables_created_total": "counter",
-		"shared_scan_folds_total": "counter", "major_compactions_total": "counter",
-		"major_compaction_errors_total": "counter",
-		"scans_in_flight":               "gauge", "max_scans_in_flight": "gauge",
+		"major_compactions_total": "counter", "major_compaction_errors_total": "counter",
+		"scans_in_flight": "gauge", "max_scans_in_flight": "gauge",
 		"entries_buffered": "gauge", "max_entries_buffered": "gauge",
 		"memtable_freezes_total": "counter", "write_stall_nanos_total": "counter",
 		"queries_total":     "counter",
@@ -385,10 +384,9 @@ func TestMetricsFamilies(t *testing.T) {
 		"locality_blocks_skipped_total": "counter",
 	}
 	coordinatorOnly := map[string]string{
-		"queries_running": "gauge", "queries_queued": "gauge", "passes_queued": "gauge",
+		"queries_running": "gauge", "queries_queued": "gauge",
 		"tenant_queries_total": "counter", "tenant_entries_scanned_total": "counter",
 		"tenant_entries_written_total": "counter", "tenant_queue_wait_nanos_total": "counter",
-		"tenant_shared_scan_folds_total": "counter",
 	}
 	for c := telemetry.Counter(0); c < telemetry.NumCounters; c++ {
 		if name := c.String(); both[name] == "" && both[name+"_total"] == "" && coordinatorOnly[name] == "" {

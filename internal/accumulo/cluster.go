@@ -154,8 +154,8 @@ type Config struct {
 	SlowQueryLog io.Writer
 	// DefaultTenant labels kernel queries that carry no explicit tenant
 	// (MultOptions.Tenant, AdjBFSOptions.Tenant); "" is itself a valid
-	// (default) tenant label. Tenants are the unit of fair-share
-	// scheduling, budget accounting, and per-tenant telemetry.
+	// (default) tenant label. Tenants are the unit of budget
+	// accounting and per-tenant telemetry.
 	DefaultTenant string
 	// MaxConcurrentQueries bounds kernel queries executing at once; the
 	// excess queues for admission. 0 selects the default (64); negative
@@ -166,16 +166,6 @@ type Config struct {
 	// waiting. 0 selects the default (256); negative rejects immediately
 	// once the concurrency slots are full.
 	MaxQueuedQueries int
-	// MaxConcurrentPasses, when positive, bounds tablet scan passes
-	// dispatched at once across all queries and schedules the excess by
-	// weighted fair queuing across tenants (TenantWeights). Queued
-	// compatible scans of the same tablet fold onto one physical pass
-	// (counted as shared_scan_folds). 0 or negative leaves pass dispatch
-	// unscheduled — the pre-scheduler behaviour.
-	MaxConcurrentPasses int
-	// TenantWeights assigns fair-share weights; unlisted tenants weigh 1.
-	// Only consulted when MaxConcurrentPasses > 0.
-	TenantWeights map[string]int
 	// ScanEntryBudget, when positive, bounds the entries any one kernel
 	// query may scan; crossing it cancels the query with a typed
 	// BudgetError surfaced through EntryStream.Err.
@@ -215,7 +205,7 @@ func (c Config) withDefaults() Config {
 
 // MiniCluster is the cluster's coordinator: the metadata authority
 // (tables, splits, iterator settings, tablet→server assignment), the
-// durable directory, admin ops, and query admission and pass scheduling.
+// durable directory, admin ops, and query admission.
 // The tablets themselves live on TabletServers — launched here on the
 // coordinator's transport, or standalone processes it dials — and all
 // data-plane traffic reaches them through a router over a topology
@@ -233,12 +223,9 @@ type MiniCluster struct {
 	tel    *telemetry.Registry
 	telSrv *telemetry.Server
 
-	// sched is the coordinator's query scheduler: admission slots,
-	// per-tenant fair queuing of tablet passes, and per-query budgets.
-	// folds registers queued compatible tablet scans for shared-scan
-	// folding; nil unless Config.MaxConcurrentPasses > 0.
+	// sched is the coordinator's query scheduler: bounded FIFO
+	// admission and per-query budgets.
 	sched *sched.Scheduler
-	folds *sched.Folder[*foldSub]
 
 	// tr carries the data plane; endpoints[i] is the dialable address
 	// of tablet server i. servers holds the servers this cluster
@@ -320,14 +307,9 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 	mc.sched = sched.New(sched.Config{
 		MaxConcurrentQueries: cfg.MaxConcurrentQueries,
 		MaxQueuedQueries:     cfg.MaxQueuedQueries,
-		MaxConcurrentPasses:  cfg.MaxConcurrentPasses,
-		TenantWeights:        cfg.TenantWeights,
 		ScanEntryBudget:      cfg.ScanEntryBudget,
 		WriteByteBudget:      cfg.WriteByteBudget,
 	})
-	if mc.sched.PassLimited() {
-		mc.folds = sched.NewFolder[*foldSub]()
-	}
 	mc.tel = telemetry.NewRegistry(telemetry.Options{
 		Host:               "coordinator",
 		SlowQueryThreshold: cfg.SlowQueryThreshold,
@@ -335,7 +317,6 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 	})
 	mc.tel.GaugeFunc(telemetry.QueriesRunning, func() int64 { return int64(mc.sched.QueriesRunning()) })
 	mc.tel.GaugeFunc(telemetry.QueriesQueued, func() int64 { return int64(mc.sched.QueriesQueued()) })
-	mc.tel.GaugeFunc(telemetry.PassesQueued, func() int64 { return int64(mc.sched.PassesQueued()) })
 	if err := mc.openTransport(); err != nil {
 		return nil, err
 	}
@@ -513,9 +494,6 @@ func (mc *MiniCluster) router() *router {
 		// Standalone servers count their work in their own process; their
 		// pass trailers are how it reaches the coordinator's globals.
 		foldGlobals: mc.external(),
-	}
-	if mc.folds != nil {
-		r.dispatch = mc.dispatchPass
 	}
 	mc.routing.Store(r)
 	return r
@@ -772,7 +750,7 @@ func (mc *MiniCluster) compactionStack(meta *tableMeta, scope Scope) func(iterat
 		return nil
 	}
 	return func(src iterator.SKVI) (iterator.SKVI, error) {
-		env := &scanEnv{r: mc.router(), tc: traceCtx{nested: true}}
+		env := &scanEnv{r: mc.router()}
 		stack, err := iterator.BuildStack(src, settings, env)
 		if err != nil {
 			env.close()

@@ -39,43 +39,6 @@ type router struct {
 	// only its own work globally — the pass's trailer carries the
 	// aggregate up to the query's origin.
 	foldGlobals bool
-	// dispatch, when set, schedules each per-tablet fetch of a
-	// client-issued scan (the coordinator's pass-limited dispatch and
-	// shared-scan folding) instead of relaying it immediately.
-	dispatch func(f *tabletFetch, out *tabletScan, done <-chan struct{})
-}
-
-// tabletFetch is one tablet's share of a scan: everything that goes into
-// its scan request, and where its results and trailer go.
-type tabletFetch struct {
-	r         *router
-	table     string
-	tablet    topoTablet
-	ranges    []skv.Range // the scan's ranges clipped to the tablet
-	settings  []iterator.Setting
-	families  []string
-	q         *telemetry.Query
-	spanID    uint64
-	onTrailer func(*telemetry.Trailer) error
-}
-
-// request encodes the tablet's scan request over ranges (f.ranges, or a
-// folded pass's union).
-func (f *tabletFetch) request(ranges []skv.Range) []byte {
-	return encodeScanReq(scanReq{
-		table: f.table, start: f.tablet.start, end: f.tablet.end,
-		ranges: ranges, settings: f.settings,
-		batch:   f.r.topo.wireBatch,
-		traceID: uint64(f.q.Trace()), spanID: f.spanID,
-		tenant:   f.q.Tenant(),
-		families: f.families,
-		topoRaw:  f.r.topoRaw,
-	})
-}
-
-// relay runs the fetch as its own physical pass.
-func (f *tabletFetch) relay(out *tabletScan, done <-chan struct{}) {
-	relayScan(f.r.tr, f.r.tel, f.q, f.tablet.endpoint, f.request(f.ranges), out, done, f.onTrailer)
 }
 
 // openStream starts a streaming scan over one or more ranges: per
@@ -117,26 +80,31 @@ func (r *router) openStream(table string, ranges []skv.Range, families []string,
 		}
 		return q.ChargeWriteBytes(t.Counts.Get(telemetry.WriteWireBytes))
 	}
-	var fetches []*tabletFetch
+	type fetch struct {
+		tablet topoTablet
+		ranges []skv.Range // the scan's ranges clipped to the tablet
+	}
+	var fetches []fetch
 	for _, tb := range tt.tablets {
 		if clipped := clipRanges(ranges, tb.start, tb.end); len(clipped) > 0 {
-			fetches = append(fetches, &tabletFetch{
-				r: r, table: table, tablet: tb, ranges: clipped,
-				settings: settings, families: families,
-				q: q, spanID: span.ID(), onTrailer: onTrailer,
-			})
+			fetches = append(fetches, fetch{tb, clipped})
 		}
 	}
 	r.tel.Count(q, telemetry.TabletsPrunedByRange, int64(len(tt.tablets)-len(fetches)))
+	spanID := span.ID()
 	s := startStream(&r.tel.Stats, r.topo.scanPar, len(fetches),
 		func(i int, out *tabletScan, done <-chan struct{}) {
-			// A nested scan — issued from inside a pass that already holds
-			// a slot — is never scheduled: dispatch immediately.
-			if r.dispatch == nil || tc.nested {
-				fetches[i].relay(out, done)
-				return
-			}
-			r.dispatch(fetches[i], out, done)
+			f := fetches[i]
+			req := encodeScanReq(scanReq{
+				table: table, start: f.tablet.start, end: f.tablet.end,
+				ranges: f.ranges, settings: settings,
+				batch:   r.topo.wireBatch,
+				traceID: uint64(q.Trace()), spanID: spanID,
+				tenant:   q.Tenant(),
+				families: families,
+				topoRaw:  r.topoRaw,
+			})
+			out.err = relayScan(r.tr, r.tel, q, f.tablet.endpoint, req, out.batches, done, onTrailer)
 		})
 	s.onDone = span.End
 	return s, nil

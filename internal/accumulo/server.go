@@ -276,7 +276,7 @@ func (h *tabletHandler) Stream(op byte, req []byte, send func([]byte) error) err
 		fmt.Sprintf("pass %s [%s,%s)", sr.table, sr.start, sr.end)).WithTenant(sr.tenant)
 	env := &scanEnv{
 		r:  &router{tr: s.tr, tel: s.tel, topo: sr.topo, topoRaw: sr.topoRaw},
-		tc: traceCtx{q: pass, nested: true},
+		tc: traceCtx{q: pass},
 	}
 	defer env.close()
 	before := s.tel.Stats.Counts()

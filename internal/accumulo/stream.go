@@ -19,8 +19,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -37,12 +35,6 @@ import (
 type traceCtx struct {
 	q      *telemetry.Query
 	parent uint64
-	// nested marks a scan opened from inside a tablet pass (or a
-	// compaction) rather than by a client. Nested scans bypass the
-	// shared-scan folder and the pass limit: the outer pass already holds
-	// a slot, and letting its server-side reads queue for another one
-	// deadlocks the moment passes-in-flight reach the limit.
-	nested bool
 }
 
 // EntryStream is a streaming cursor over one scan's sorted results.
@@ -134,218 +126,14 @@ func startStream(stats *telemetry.StatSet, par, n int, fetch func(i int, out *ta
 	return s
 }
 
-// dispatchPass is the coordinator's wrapper around the one per-tablet
-// fetch when Config.MaxConcurrentPasses bounds tablet passes: the fetch
-// joins the fold group for its tablet before queuing — if a compatible
-// scan is already waiting for its slot, this one rides its physical pass
-// instead of queuing a second one — then waits its tenant's turn for a
-// pass slot and runs one physical pass for everything that folded onto
-// it meanwhile.
-func (mc *MiniCluster) dispatchPass(f *tabletFetch, out *tabletScan, done <-chan struct{}) {
-	q := f.q
-	sub := &foldSub{ranges: f.ranges, out: out, q: q, done: done, finished: make(chan struct{})}
-	g, leader := mc.folds.Join(foldKey(f), sub)
-	if !leader {
-		mc.tel.Count(q, telemetry.SharedScanFolds, 1)
-		// The worker must stay alive until the leader is done with
-		// our channels: returning here would close out.batches
-		// under the leader's sends.
-		<-sub.finished
-		return
-	}
-	release, wait := mc.sched.AcquirePass(q.Tenant())
-	defer release()
-	if wait > 0 {
-		mc.tel.Count(q, telemetry.QueueWaitNanos, int64(wait))
-		mc.tel.QueueWait.Observe(wait)
-	}
-	subs := g.Seal()
-	if len(subs) == 1 {
-		f.relay(out, done)
-		return
-	}
-	// One physical pass over the union of every subscriber's
-	// ranges, re-clipped per subscriber on delivery.
-	var union []skv.Range
-	for _, sb := range subs {
-		union = append(union, sb.ranges...)
-	}
-	mc.runFoldedScan(f.tablet.endpoint, f.request(skv.CoalesceRanges(union)), subs, f.onTrailer)
-}
-
-// foldSub is one scan's subscription to a fold group: the ranges its
-// consumer asked for (the leader re-clips deliveries to them), its
-// cursor channel, and its query for per-query accounting. finished is
-// closed by the leader once it will never touch out again — the
-// subscriber's fetch worker must not return (closing out.batches)
-// before that.
-type foldSub struct {
-	ranges   []skv.Range
-	out      *tabletScan
-	q        *telemetry.Query
-	done     <-chan struct{}
-	finished chan struct{}
-	// dead marks a subscriber the leader dropped (consumer cancelled or
-	// budget exhausted); leader-goroutine-local after Seal.
-	dead bool
-}
-
-// foldKey fingerprints a tablet pass for shared-scan folding: two scans
-// fold only when the physical work is identical — same endpoint, table,
-// tablet band, merged iterator stack, wire batch size, and column-family
-// constraint. Setting opts are serialised in sorted key order so equal
-// stacks always collide.
-func foldKey(f *tabletFetch) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s|%d", f.tablet.endpoint, f.table, f.tablet.start, f.tablet.end, f.r.topo.wireBatch)
-	for _, cf := range f.families {
-		fmt.Fprintf(&b, "|cf:%s", cf)
-	}
-	for _, s := range f.settings {
-		fmt.Fprintf(&b, "|%s#%d", s.Name, s.Priority)
-		keys := make([]string, 0, len(s.Opts))
-		for k := range s.Opts {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, ";%s=%s", k, s.Opts[k])
-		}
-	}
-	return b.String()
-}
-
-// clipBatch filters a delivered batch to the entries inside any of the
-// subscriber's ranges. The common fold — identical whole-table scans —
-// keeps every entry, so the input batch is returned unchanged when
-// nothing is clipped.
-func clipBatch(batch []skv.Entry, ranges []skv.Range) []skv.Entry {
-	keep := batch[:0:0]
-	all := true
-	for _, e := range batch {
-		in := false
-		for _, r := range ranges {
-			if !r.BeforeStart(e.K) && !r.AfterEnd(e.K) {
-				in = true
-				break
-			}
-		}
-		if in {
-			keep = append(keep, e)
-		} else {
-			all = false
-		}
-	}
-	if all {
-		return batch
-	}
-	return keep
-}
-
-// runFoldedScan executes one physical tablet pass on behalf of every
-// folded subscriber. The leader's query pays the pass's wire accounting
-// and receives its telemetry trailer; each delivered batch is re-clipped
-// to each subscriber's own ranges and counted against that subscriber's
-// query (including its scan budget). A subscriber that cancels or
-// exhausts its budget drops out without stopping the others; the pass
-// stops early only when every subscriber is gone.
-func (mc *MiniCluster) runFoldedScan(endpoint string, req []byte, subs []*foldSub, onTrailer func(*telemetry.Trailer) error) {
-	leader := subs[0]
-	live := len(subs)
-	drop := func(sub *foldSub) {
-		if !sub.dead {
-			sub.dead = true
-			live--
-			close(sub.finished)
-		}
-	}
-	err := relayScanCore(mc.tr, mc.tel, leader.q, endpoint, req, nil, onTrailer,
-		func(batch []skv.Entry) error {
-			for _, sub := range subs {
-				if sub.dead {
-					continue
-				}
-				clipped := clipBatch(batch, sub.ranges)
-				if len(clipped) == 0 {
-					// Nothing for this subscriber, but still notice a
-					// cancelled consumer so its Close does not wait out
-					// the whole pass.
-					select {
-					case <-sub.done:
-						drop(sub)
-					default:
-					}
-					continue
-				}
-				mc.tel.Stats.Add(telemetry.EntriesBuffered, int64(len(clipped)))
-				select {
-				case sub.out.batches <- clipped:
-					mc.tel.Count(sub.q, telemetry.EntriesScanned, int64(len(clipped)))
-					if err := sub.q.ChargeScanEntries(int64(len(clipped))); err != nil {
-						sub.out.err = err
-						drop(sub)
-					}
-				case <-sub.done:
-					mc.tel.Stats.Add(telemetry.EntriesBuffered, -int64(len(clipped)))
-					drop(sub)
-				}
-			}
-			if live == 0 {
-				return errRelayStop
-			}
-			return nil
-		})
-	for _, sub := range subs {
-		if !sub.dead {
-			if err != nil && sub.out.err == nil {
-				sub.out.err = err
-			}
-			drop(sub)
-		}
-	}
-}
-
 // relayScan is one per-tablet fetch worker: it opens the remote scan and
 // relays decoded batches to the cursor channel with backpressure,
 // honouring cancellation from the consumer side (done) and failure from
-// the server side (Recv errors). Wire traffic is counted
-// into both the process registry and the query q (nil = untraced); a
-// telemetry trailer frame — the stream's final payload — is handed to
-// onTrailer (nil = dropped).
-func relayScan(tr transport.Transport, tel *telemetry.Registry, q *telemetry.Query, endpoint string, req []byte, out *tabletScan, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error) {
-	err := relayScanCore(tr, tel, q, endpoint, req, done, onTrailer,
-		func(batch []skv.Entry) error {
-			tel.Stats.Add(telemetry.EntriesBuffered, int64(len(batch)))
-			select {
-			case out.batches <- batch:
-				// Only batches the consumer can still receive count as
-				// returned to the scan client — and only counted batches
-				// charge the query's scan budget.
-				tel.Count(q, telemetry.EntriesScanned, int64(len(batch)))
-				return q.ChargeScanEntries(int64(len(batch)))
-			case <-done:
-				tel.Stats.Add(telemetry.EntriesBuffered, -int64(len(batch)))
-				return errRelayStop
-			}
-		})
-	if err != nil {
-		out.err = err
-	}
-}
-
-// errRelayStop tells relayScanCore to stop relaying without recording a
-// failure — the consumer side is done with the stream.
-var errRelayStop = errors.New("accumulo: relay stopped")
-
-// relayScanCore is the transport half of a fetch worker: it opens the
-// remote scan and hands each decoded batch to deliver, which owns
-// routing and per-consumer accounting (the plain path sends to one
-// cursor channel; the folded path fans out to every subscriber). A
-// deliver error stops the relay — errRelayStop silently, anything else
-// as the relay's failure. done (nil = never) unblocks a relay stuck in
-// Recv when the consumer cancels. Wire traffic is counted into tel and
-// q; the telemetry trailer frame goes to onTrailer (nil = dropped).
-func relayScanCore(tr transport.Transport, tel *telemetry.Registry, q *telemetry.Query, endpoint string, req []byte, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error, deliver func([]skv.Entry) error) error {
+// the server side (Recv errors), which it returns. Wire traffic is
+// counted into both the process registry and the query q (nil =
+// untraced); a telemetry trailer frame — the stream's final payload — is
+// handed to onTrailer (nil = dropped).
+func relayScan(tr transport.Transport, tel *telemetry.Registry, q *telemetry.Query, endpoint string, req []byte, batches chan<- []skv.Entry, done <-chan struct{}, onTrailer func(*telemetry.Trailer) error) error {
 	conn, err := tr.Dial(endpoint)
 	if err != nil {
 		return err
@@ -408,11 +196,19 @@ func relayScanCore(tr transport.Transport, tel *telemetry.Registry, q *telemetry
 		if err != nil {
 			return fmt.Errorf("accumulo: wire corruption: %w", err)
 		}
-		if err := deliver(batch); err != nil {
-			if errors.Is(err, errRelayStop) {
-				return nil
+		tel.Stats.Add(telemetry.EntriesBuffered, int64(len(batch)))
+		select {
+		case batches <- batch:
+			// Only batches the consumer can still receive count as
+			// returned to the scan client — and only counted batches
+			// charge the query's scan budget.
+			tel.Count(q, telemetry.EntriesScanned, int64(len(batch)))
+			if err := q.ChargeScanEntries(int64(len(batch))); err != nil {
+				return err
 			}
-			return err
+		case <-done:
+			tel.Stats.Add(telemetry.EntriesBuffered, -int64(len(batch)))
+			return nil
 		}
 	}
 }

@@ -40,8 +40,8 @@ type AdjBFSOptions struct {
 	// scans never touch tablets outside the band. "" leaves that side
 	// unbounded.
 	RowStart, RowEnd string
-	// Tenant labels the query for fair-share scheduling, budgets, and
-	// per-tenant telemetry ("" = the cluster's default tenant).
+	// Tenant labels the query for budgets and per-tenant telemetry
+	// ("" = the cluster's default tenant).
 	Tenant string
 }
 
@@ -243,7 +243,6 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 		return
 	}
 	defer func() { done(err) }()
-	ops := conn.TableOperations()
 	trace := q.Trace().String()
 	cur := table
 	var scratchTables []string
@@ -273,33 +272,20 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 			}
 		}
 		if !removed {
-			// Fixed point: copy into outTable; the deferred cleanup
-			// reclaims every intermediate.
-			if ops.Exists(outTable) {
-				if err := ops.Delete(outTable); err != nil {
-					return iterCount, err
-				}
-			}
-			if err := createSumTable(conn, outTable); err != nil {
+			// Fixed point: write the survivors into outTable; the deferred
+			// cleanup reclaims every intermediate.
+			if err := freshSumTable(conn, outTable); err != nil {
 				return iterCount, err
 			}
-			if err := schema.WriteAssoc(conn, outTable, assoc.New(keep, aCur.Ring())); err != nil {
-				return iterCount, err
-			}
-			return iterCount, nil
+			return iterCount, writeEntries(conn, outTable, keep, q)
 		}
 		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
-		if ops.Exists(next) {
-			if err := ops.Delete(next); err != nil {
-				return iterCount, err
-			}
-		}
 		scratchTables = append(scratchTables, next)
 		noteScratch(conn)
-		if err := createSumTable(conn, next); err != nil {
+		if err := freshSumTable(conn, next); err != nil {
 			return iterCount, err
 		}
-		if err := schema.WriteAssoc(conn, next, assoc.New(keep, aCur.Ring())); err != nil {
+		if err := writeEntries(conn, next, keep, q); err != nil {
 			return iterCount, err
 		}
 		cur = next
@@ -312,6 +298,43 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 // ⊕).
 func createSumTable(conn *accumulo.Connector, name string) error {
 	return ensureResultTable(conn, name, semiring.PlusTimes)
+}
+
+// freshSumTable drops name if it exists and recreates it sum-combined,
+// so no stale cell folds into what the caller writes next.
+func freshSumTable(conn *accumulo.Connector, name string) error {
+	if ops := conn.TableOperations(); ops.Exists(name) {
+		if err := ops.Delete(name); err != nil {
+			return err
+		}
+	}
+	return createSumTable(conn, name)
+}
+
+// tracedWriter opens a batch writer on table whose flushes belong to q:
+// they land in the query's counters and are charged to its write budget.
+func tracedWriter(conn *accumulo.Connector, table string, q *telemetry.Query) (*accumulo.BatchWriter, error) {
+	w, err := conn.CreateBatchWriter(table, accumulo.BatchWriterConfig{})
+	if err != nil {
+		return nil, err
+	}
+	w.SetTrace(q)
+	return w, nil
+}
+
+// writeEntries writes associative-array entries (row → colQ) into table
+// on behalf of q.
+func writeEntries(conn *accumulo.Connector, table string, entries []assoc.Entry, q *telemetry.Query) error {
+	w, err := tracedWriter(conn, table, q)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		if err := w.PutFloat(e.Row, "", e.Col, e.Val); err != nil {
+			return err
+		}
+	}
+	return w.Close()
 }
 
 // JaccardTable computes Jaccard coefficients for the graph in an
@@ -345,11 +368,10 @@ func writeJaccard(conn *accumulo.Connector, outTable string, num *assoc.Assoc, d
 	if err := createSumTable(conn, outTable); err != nil {
 		return 0, err
 	}
-	w, err := conn.CreateBatchWriter(outTable, accumulo.BatchWriterConfig{})
+	w, err := tracedWriter(conn, outTable, q)
 	if err != nil {
 		return 0, err
 	}
-	w.SetTrace(q)
 	for _, e := range num.Entries() {
 		if e.Row >= e.Col { // upper triangle only
 			continue
@@ -394,19 +416,13 @@ func NMFTable(conn *accumulo.Connector, table, wTable, hTable string, cfg algo.N
 	} {
 		// Rebuild the factor tables from scratch: a stale table's sum
 		// combiner would fold old factors into the new ones.
-		if conn.TableOperations().Exists(spec.name) {
-			if err := conn.TableOperations().Delete(spec.name); err != nil {
-				return res, err
-			}
-		}
-		if err := createSumTable(conn, spec.name); err != nil {
+		if err := freshSumTable(conn, spec.name); err != nil {
 			return res, err
 		}
-		w, err := conn.CreateBatchWriter(spec.name, accumulo.BatchWriterConfig{})
+		w, err := tracedWriter(conn, spec.name, q)
 		if err != nil {
 			return res, err
 		}
-		w.SetTrace(q)
 		for i := 0; i < spec.d.R; i++ {
 			for j := 0; j < spec.d.C; j++ {
 				if v := spec.d.At(i, j); v > 1e-12 {

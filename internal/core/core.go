@@ -88,9 +88,9 @@ type MultOptions struct {
 	// through so every inner multiply lands in one trace. nil mints a
 	// fresh per-call query record.
 	Query *telemetry.Query
-	// Tenant labels the query for fair-share scheduling, budgets, and
-	// per-tenant telemetry ("" = the cluster's default tenant). Ignored
-	// when Query is set — the owning query already carries its tenant.
+	// Tenant labels the query for budgets and per-tenant telemetry
+	// ("" = the cluster's default tenant). Ignored when Query is set —
+	// the owning query already carries its tenant.
 	Tenant string
 }
 

@@ -7,6 +7,7 @@ import (
 	"graphulo/internal/iterator"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // This file hosts the incidence-table operations: EdgeBFS (Graphulo's
@@ -118,7 +119,7 @@ func KTrussEdgeTable(conn *accumulo.Connector, inc *schema.IncidenceSchema, k in
 		}
 		// Strip the diagonal client-side into A' (diag(EᵀE) = degrees).
 		aPrime := scratch("Ad")
-		if err := copyTableNoDiag(conn, aTable, aPrime); err != nil {
+		if err := copyTableNoDiag(conn, aTable, aPrime, q); err != nil {
 			return nil, err
 		}
 		// R = E·A' via TableMult(ET, A').
@@ -149,7 +150,7 @@ func KTrussEdgeTable(conn *accumulo.Connector, inc *schema.IncidenceSchema, k in
 			return nil, err
 		}
 		// Every current edge; edges absent from s have zero support.
-		eEntries, err := scanTable(conn, curE)
+		eEntries, err := scanTable(conn, curE, q)
 		if err != nil {
 			return nil, err
 		}
@@ -168,110 +169,69 @@ func KTrussEdgeTable(conn *accumulo.Connector, inc *schema.IncidenceSchema, k in
 		}
 		if !removed || len(survivors) == 0 {
 			// Fixed point (or empty): write the result schema.
-			outE, outET := outBase+"E", outBase+"ET"
-			for _, name := range []string{outE, outET} {
-				if ops.Exists(name) {
-					if err := ops.Delete(name); err != nil {
-						return nil, err
-					}
-				}
-				if err := createSumTable(conn, name); err != nil {
-					return nil, err
-				}
-			}
-			keep := map[string]bool{}
-			for _, s := range survivors {
-				keep[s] = true
-			}
-			wE, err := conn.CreateBatchWriter(outE, accumulo.BatchWriterConfig{})
-			if err != nil {
-				return nil, err
-			}
-			wT, err := conn.CreateBatchWriter(outET, accumulo.BatchWriterConfig{})
-			if err != nil {
-				return nil, err
-			}
-			for _, e := range eEntries {
-				if !keep[e.K.Row] {
-					continue
-				}
-				if err := wE.Put(e.K.Row, "", e.K.ColQ, e.V); err != nil {
-					return nil, err
-				}
-				if err := wT.Put(e.K.ColQ, "", e.K.Row, e.V); err != nil {
-					return nil, err
-				}
-			}
-			if err := wE.Close(); err != nil {
-				return nil, err
-			}
-			if err := wT.Close(); err != nil {
+			if err := writeSurvivors(conn, eEntries, survivors, outBase+"E", outBase+"ET", q); err != nil {
 				return nil, err
 			}
 			return survivors, nil
 		}
 		// Rewrite the surviving incidence rows into fresh tables.
 		nextE, nextET := scratch("En"), scratch("ETn")
-		for _, name := range []string{nextE, nextET} {
-			if ops.Exists(name) {
-				if err := ops.Delete(name); err != nil {
-					return nil, err
-				}
-			}
-			if err := createSumTable(conn, name); err != nil {
-				return nil, err
-			}
-		}
-		keep := map[string]bool{}
-		for _, s := range survivors {
-			keep[s] = true
-		}
-		wE, err := conn.CreateBatchWriter(nextE, accumulo.BatchWriterConfig{})
-		if err != nil {
-			return nil, err
-		}
-		wT, err := conn.CreateBatchWriter(nextET, accumulo.BatchWriterConfig{})
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range eEntries {
-			if !keep[e.K.Row] {
-				continue
-			}
-			if err := wE.Put(e.K.Row, "", e.K.ColQ, e.V); err != nil {
-				return nil, err
-			}
-			if err := wT.Put(e.K.ColQ, "", e.K.Row, e.V); err != nil {
-				return nil, err
-			}
-		}
-		if err := wE.Close(); err != nil {
-			return nil, err
-		}
-		if err := wT.Close(); err != nil {
+		if err := writeSurvivors(conn, eEntries, survivors, nextE, nextET, q); err != nil {
 			return nil, err
 		}
 		curE, curET = nextE, nextET
 	}
 }
 
-// copyTableNoDiag copies a table dropping entries whose row equals the
-// column qualifier (the diagonal).
-func copyTableNoDiag(conn *accumulo.Connector, in, out string) error {
-	entries, err := scanTable(conn, in)
-	if err != nil {
-		return err
-	}
-	ops := conn.TableOperations()
-	if ops.Exists(out) {
-		if err := ops.Delete(out); err != nil {
+// writeSurvivors rebuilds eTable and etTable as sum tables holding the
+// incidence entries of the surviving edges and their transpose, written
+// on behalf of q.
+func writeSurvivors(conn *accumulo.Connector, eEntries []skv.Entry, survivors []string, eTable, etTable string, q *telemetry.Query) error {
+	for _, name := range []string{eTable, etTable} {
+		if err := freshSumTable(conn, name); err != nil {
 			return err
 		}
 	}
-	if err := createSumTable(conn, out); err != nil {
+	keep := map[string]bool{}
+	for _, s := range survivors {
+		keep[s] = true
+	}
+	wE, err := tracedWriter(conn, eTable, q)
+	if err != nil {
 		return err
 	}
-	w, err := conn.CreateBatchWriter(out, accumulo.BatchWriterConfig{})
+	wT, err := tracedWriter(conn, etTable, q)
+	if err != nil {
+		return err
+	}
+	for _, e := range eEntries {
+		if !keep[e.K.Row] {
+			continue
+		}
+		if err := wE.Put(e.K.Row, "", e.K.ColQ, e.V); err != nil {
+			return err
+		}
+		if err := wT.Put(e.K.ColQ, "", e.K.Row, e.V); err != nil {
+			return err
+		}
+	}
+	if err := wE.Close(); err != nil {
+		return err
+	}
+	return wT.Close()
+}
+
+// copyTableNoDiag copies a table dropping entries whose row equals the
+// column qualifier (the diagonal), reading and writing on behalf of q.
+func copyTableNoDiag(conn *accumulo.Connector, in, out string, q *telemetry.Query) error {
+	entries, err := scanTable(conn, in, q)
+	if err != nil {
+		return err
+	}
+	if err := freshSumTable(conn, out); err != nil {
+		return err
+	}
+	w, err := tracedWriter(conn, out, q)
 	if err != nil {
 		return err
 	}
@@ -286,10 +246,12 @@ func copyTableNoDiag(conn *accumulo.Connector, in, out string) error {
 	return w.Close()
 }
 
-func scanTable(conn *accumulo.Connector, table string) ([]skv.Entry, error) {
+// scanTable reads a whole table on behalf of q.
+func scanTable(conn *accumulo.Connector, table string, q *telemetry.Query) ([]skv.Entry, error) {
 	sc, err := conn.CreateScanner(table)
 	if err != nil {
 		return nil, err
 	}
+	sc.SetTrace(q)
 	return sc.Entries()
 }

@@ -71,19 +71,13 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 		x[v] = 1 / n
 	}
 	writeVector := func(name string, vals map[string]float64) error {
-		if ops.Exists(name) {
-			if err := ops.Delete(name); err != nil {
-				return err
-			}
-		}
-		if err := createSumTable(conn, name); err != nil {
+		if err := freshSumTable(conn, name); err != nil {
 			return err
 		}
-		w, err := conn.CreateBatchWriter(name, accumulo.BatchWriterConfig{})
+		w, err := tracedWriter(conn, name, q)
 		if err != nil {
 			return err
 		}
-		w.SetTrace(q)
 		for v, r := range vals {
 			if err := w.PutFloat(v, "", "r", r); err != nil {
 				return err

@@ -151,7 +151,7 @@ func (p *Plan) runStep(step *Step, env Env) (*Result, error) {
 			res.Entries = append(res.Entries, e)
 		}
 	case SinkCollectFold:
-		fold, err := cellFolder(step.Semiring, res)
+		fold, err := cellFold(step.Semiring, res)
 		if err != nil {
 			return nil, err
 		}
@@ -164,11 +164,11 @@ func (p *Plan) runStep(step *Step, env Env) (*Result, error) {
 	return res, st.Err()
 }
 
-// cellFolder readies res.Cells and returns the client half of a folding
+// cellFold readies res.Cells and returns the client half of a folding
 // collect: each entry ⊕-folds into its output cell. A value that does
 // not decode is an error naming the key — the fold stage passes such
 // entries through, and dropping one here would silently lose data.
-func cellFolder(ringName string, res *Result) (func(skv.Entry) error, error) {
+func cellFold(ringName string, res *Result) (func(skv.Entry) error, error) {
 	ring, ok := semiring.ByName(ringName)
 	if !ok {
 		return nil, fmt.Errorf("plan: unknown semiring %q", ringName)
@@ -210,7 +210,7 @@ func (p *Plan) runBatchStep(step *Step, env Env) (*Result, error) {
 	visit := env.Visit
 	switch {
 	case step.Sink == SinkCollectFold:
-		if visit, err = cellFolder(step.Semiring, res); err != nil {
+		if visit, err = cellFold(step.Semiring, res); err != nil {
 			return nil, err
 		}
 	case visit == nil:

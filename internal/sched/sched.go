@@ -1,16 +1,15 @@
-// Package sched is the concurrent query serving layer: it decides which
-// queries may run (admission control), how much work each may do
-// (per-query scan/write budgets), and in what order tablet scan passes
-// from different tenants reach the storage layer (weighted fair-share
-// queues). It also hosts the shared-scan folding machinery that lets
-// concurrent compatible scans of the same tablet ride one physical
-// iterator pass (fold.go).
+// Package sched is the query admission layer: it decides which kernel
+// queries may run — a fixed number of execution slots plus a bounded
+// wait queue, granted in arrival order — and how much work each may do
+// (per-query scan-entry and write-byte budgets, budget.go). Tablet
+// passes are not scheduled: once admitted, a query's scans run as
+// ordinary tablet-server scans.
 //
-// The package is deliberately dependency-free: the accumulo layer
-// threads a *Scheduler through its scan and write entry points, and the
-// telemetry layer consumes budgets through its BudgetHook interface.
-// A nil *Scheduler means "scheduling off" — every method is
-// nil-receiver safe and grants immediately.
+// The package is deliberately dependency-free: the accumulo layer admits
+// every kernel query through a *Scheduler, and the telemetry layer
+// consumes budgets through its BudgetHook interface. A nil *Scheduler
+// means "scheduling off" — every method is nil-receiver safe and grants
+// immediately.
 package sched
 
 import (
@@ -37,21 +36,8 @@ type Config struct {
 	// MaxQueuedQueries bounds the admission wait queue; a query arriving
 	// with the queue full is rejected with *AdmissionError. 0 selects
 	// DefaultMaxQueuedQueries; negative rejects immediately when all
-	// slots are busy. Queued queries are dequeued by tenant fair share
-	// (TenantWeights), not arrival order: under a saturated admission
-	// queue each tenant's granted slots approach weight/Σweights.
+	// slots are busy. Queued queries are granted in arrival order.
 	MaxQueuedQueries int
-	// MaxConcurrentPasses bounds tablet scan passes in flight across the
-	// whole process; waiting passes are dispatched from per-tenant
-	// weighted queues (start-time fair queuing). 0 or negative leaves
-	// passes unlimited — fair-share and shared-scan folding then never
-	// engage, because no pass ever waits.
-	MaxConcurrentPasses int
-	// TenantWeights maps tenant label → fair-share weight, applied to
-	// both the admission wait queue and the tablet-pass queues. Tenants
-	// not listed get weight 1. Under saturation each tenant's grants
-	// approach weight/Σweights of the total.
-	TenantWeights map[string]int
 	// ScanEntryBudget bounds the entries one query may receive from
 	// scans; 0 or negative is unlimited.
 	ScanEntryBudget int64
@@ -73,89 +59,92 @@ func (e *AdmissionError) Error() string {
 		e.Tenant, e.Limit, e.Queued)
 }
 
-// Scheduler implements admission control and fair-share pass dispatch.
-// All methods are safe for concurrent use and nil-receiver safe.
+// Scheduler implements bounded FIFO admission and mints per-query
+// budgets. All methods are safe for concurrent use and nil-receiver
+// safe.
 type Scheduler struct {
 	cfg       Config
-	admit     *fairQueue
+	limit     int // query slots; 0 = admission off
 	maxQueued int
-	pass      *fairQueue
+
+	mu      sync.Mutex
+	running int
+	// waiters are the queued queries, oldest first. A waiter exists only
+	// while every slot is taken: release hands its slot to waiters[0].
+	waiters []chan struct{}
 }
 
 // New builds a Scheduler from cfg (see Config for zero-value defaults).
 func New(cfg Config) *Scheduler {
-	s := &Scheduler{cfg: cfg}
-	maxQ := cfg.MaxConcurrentQueries
-	if maxQ == 0 {
-		maxQ = DefaultMaxConcurrentQueries
+	s := &Scheduler{cfg: cfg, limit: cfg.MaxConcurrentQueries, maxQueued: cfg.MaxQueuedQueries}
+	if s.limit == 0 {
+		s.limit = DefaultMaxConcurrentQueries
 	}
-	if maxQ > 0 {
-		s.admit = newFairQueue(maxQ, cfg.TenantWeights)
-		queued := cfg.MaxQueuedQueries
-		if queued == 0 {
-			queued = DefaultMaxQueuedQueries
-		}
-		if queued < 0 {
-			queued = 0
-		}
-		s.maxQueued = queued
+	if s.maxQueued == 0 {
+		s.maxQueued = DefaultMaxQueuedQueries
 	}
-	if cfg.MaxConcurrentPasses > 0 {
-		s.pass = newFairQueue(cfg.MaxConcurrentPasses, cfg.TenantWeights)
-	}
+	s.limit, s.maxQueued = max(s.limit, 0), max(s.maxQueued, 0)
 	return s
 }
 
 // Admit claims a query execution slot, blocking in the bounded wait
-// queue when all slots are busy. Queued queries are dispatched by
-// tenant fair share (Config.TenantWeights), not arrival order, so a
-// tenant flooding the admission queue cannot starve the others. It
-// returns the release func (call exactly once when the query finishes)
-// and the time spent queued, or an *AdmissionError when the wait queue
-// is full too.
+// queue when all slots are busy; queued queries are granted in arrival
+// order, whatever their tenant. It returns the release func (call
+// exactly once when the query finishes) and the time spent queued, or
+// an *AdmissionError when the wait queue is full too.
 func (s *Scheduler) Admit(tenant string) (release func(), wait time.Duration, err error) {
-	if s == nil || s.admit == nil {
+	if s == nil || s.limit == 0 {
 		return func() {}, 0, nil
 	}
-	release, wait, ok := s.admit.acquireBounded(tenant, s.maxQueued)
-	if !ok {
-		return nil, 0, &AdmissionError{Tenant: tenant, Limit: s.admit.limit, Queued: s.maxQueued}
+	s.mu.Lock()
+	if s.running < s.limit {
+		s.running++
+		s.mu.Unlock()
+		return s.release, 0, nil
 	}
-	return release, wait, nil
+	if len(s.waiters) >= s.maxQueued {
+		s.mu.Unlock()
+		return nil, 0, &AdmissionError{Tenant: tenant, Limit: s.limit, Queued: s.maxQueued}
+	}
+	ch := make(chan struct{})
+	s.waiters = append(s.waiters, ch)
+	s.mu.Unlock()
+	start := time.Now()
+	<-ch
+	return s.release, time.Since(start), nil
+}
+
+// release frees a slot, or hands it straight to the oldest waiter.
+func (s *Scheduler) release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.waiters) == 0 {
+		s.running--
+		return
+	}
+	close(s.waiters[0])
+	s.waiters[0] = nil
+	s.waiters = s.waiters[1:]
 }
 
 // QueriesRunning returns the number of admitted queries in flight.
 func (s *Scheduler) QueriesRunning() int {
-	if s == nil || s.admit == nil {
+	if s == nil {
 		return 0
 	}
-	s.admit.mu.Lock()
-	defer s.admit.mu.Unlock()
-	return s.admit.running
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.running
 }
 
 // QueriesQueued returns the number of queries waiting at admission.
 func (s *Scheduler) QueriesQueued() int {
-	if s == nil || s.admit == nil {
+	if s == nil {
 		return 0
 	}
-	return s.admit.queued()
-}
-
-// PassLimited reports whether tablet passes contend for slots — the
-// precondition for fair-share dispatch and shared-scan folding.
-func (s *Scheduler) PassLimited() bool { return s != nil && s.pass != nil }
-
-// AcquirePass claims a tablet-pass slot for tenant, waiting in the
-// tenant's fair-share queue when the process-wide pass limit is
-// reached. release must be called exactly once when the pass completes;
-// wait reports time spent queued. With no pass limit configured the
-// grant is immediate.
-func (s *Scheduler) AcquirePass(tenant string) (release func(), wait time.Duration) {
-	if s == nil || s.pass == nil {
-		return func() {}, 0
-	}
-	return s.pass.acquire(tenant)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return len(s.waiters)
 }
 
 // NewBudget mints a per-query budget from the configured limits, or nil
@@ -169,154 +158,4 @@ func (s *Scheduler) NewBudget(tenant string) *Budget {
 		scanLimit:  s.cfg.ScanEntryBudget,
 		writeLimit: s.cfg.WriteByteBudget,
 	}
-}
-
-// --- fair-share dispatch ---
-
-// fairQueue grants slots under a concurrency limit using start-time
-// fair queuing: each tenant's virtual time advances by 1/weight per
-// granted slot, and the pending tenant with the smallest virtual time
-// is granted next. A tenant going active after idling re-enters at the
-// queue's virtual clock, so it cannot bank credit while idle or be
-// punished for it. One instance backs the admission wait queue (query
-// slots) and another the tablet-pass queue.
-type fairQueue struct {
-	limit   int
-	weights map[string]int
-
-	mu      sync.Mutex
-	running int
-	vclock  float64
-	tenants map[string]*tenantQueue
-}
-
-type tenantQueue struct {
-	name    string
-	weight  float64
-	vtime   float64
-	waiters []chan struct{}
-}
-
-func newFairQueue(limit int, weights map[string]int) *fairQueue {
-	return &fairQueue{limit: limit, weights: weights, tenants: map[string]*tenantQueue{}}
-}
-
-func (p *fairQueue) tenantLocked(name string) *tenantQueue {
-	tq, ok := p.tenants[name]
-	if !ok {
-		w := p.weights[name]
-		if w <= 0 {
-			w = 1
-		}
-		tq = &tenantQueue{name: name, weight: float64(w)}
-		p.tenants[name] = tq
-	}
-	return tq
-}
-
-func (p *fairQueue) acquire(tenant string) (func(), time.Duration) {
-	release, wait, _ := p.acquireBounded(tenant, -1)
-	return release, wait
-}
-
-// acquireBounded is acquire with a bound on the wait queue: when all
-// slots are busy and maxQueued (≥ 0) waiters are already queued, it
-// refuses instead of waiting (ok=false). maxQueued < 0 never refuses.
-func (p *fairQueue) acquireBounded(tenant string, maxQueued int) (release func(), wait time.Duration, ok bool) {
-	p.mu.Lock()
-	tq := p.tenantLocked(tenant)
-	if p.running < p.limit && !p.pendingLocked() {
-		p.grantLocked(tq)
-		p.mu.Unlock()
-		return p.release, 0, true
-	}
-	if maxQueued >= 0 && p.queuedLocked() >= maxQueued {
-		p.mu.Unlock()
-		return nil, 0, false
-	}
-	if len(tq.waiters) == 0 && tq.vtime < p.vclock {
-		tq.vtime = p.vclock
-	}
-	ch := make(chan struct{})
-	tq.waiters = append(tq.waiters, ch)
-	p.mu.Unlock()
-	start := time.Now()
-	<-ch
-	return p.release, time.Since(start), true
-}
-
-// pendingLocked reports whether any tenant has queued waiters.
-func (p *fairQueue) pendingLocked() bool {
-	for _, tq := range p.tenants {
-		if len(tq.waiters) > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// grantLocked accounts one granted pass to tq. The floor mirrors the
-// enqueue-time reset for fast-path grants (a tenant going active after
-// idling banks no credit) and keeps the virtual clock monotone.
-func (p *fairQueue) grantLocked(tq *tenantQueue) {
-	p.running++
-	if tq.vtime < p.vclock {
-		tq.vtime = p.vclock
-	}
-	p.vclock = tq.vtime
-	tq.vtime += 1 / tq.weight
-}
-
-func (p *fairQueue) release() {
-	p.mu.Lock()
-	p.running--
-	p.dispatchLocked()
-	p.mu.Unlock()
-}
-
-// dispatchLocked grants freed slots to waiters, smallest virtual time
-// first (ties broken by tenant name for determinism).
-func (p *fairQueue) dispatchLocked() {
-	for p.running < p.limit {
-		var best *tenantQueue
-		for _, tq := range p.tenants {
-			if len(tq.waiters) == 0 {
-				continue
-			}
-			if best == nil || tq.vtime < best.vtime ||
-				(tq.vtime == best.vtime && tq.name < best.name) {
-				best = tq
-			}
-		}
-		if best == nil {
-			return
-		}
-		ch := best.waiters[0]
-		best.waiters = best.waiters[1:]
-		p.grantLocked(best)
-		close(ch)
-	}
-}
-
-// queuedLocked counts waiters across every tenant.
-func (p *fairQueue) queuedLocked() int {
-	n := 0
-	for _, tq := range p.tenants {
-		n += len(tq.waiters)
-	}
-	return n
-}
-
-func (p *fairQueue) queued() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.queuedLocked()
-}
-
-// PassesQueued returns the number of tablet passes waiting for a slot.
-func (s *Scheduler) PassesQueued() int {
-	if s == nil || s.pass == nil {
-		return 0
-	}
-	return s.pass.queued()
 }

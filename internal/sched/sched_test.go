@@ -2,9 +2,8 @@ package sched
 
 import (
 	"errors"
-	"math"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -96,172 +95,56 @@ func TestNilSchedulerIsOpen(t *testing.T) {
 		t.Fatalf("nil Admit: wait=%v err=%v", wait, err)
 	}
 	rel()
-	rel2, wait := s.AcquirePass("x")
-	if wait != 0 {
-		t.Fatalf("nil AcquirePass wait = %v", wait)
-	}
-	rel2()
-	if s.PassLimited() || s.NewBudget("x") != nil {
+	if s.QueriesRunning() != 0 || s.QueriesQueued() != 0 || s.NewBudget("x") != nil {
 		t.Fatal("nil scheduler must be unlimited")
 	}
 }
 
-// TestFairShareRatios: with a full backlog queued, the grant order
-// tracks tenant weights. The backlog is built behind a held slot and
-// grants serialize through the single pass slot (a worker's release is
-// what frees the slot for the next dispatch), so the recorded order is
-// exactly the dispatcher's weighted order — no scheduling races.
-func TestFairShareRatios(t *testing.T) {
-	const perTenant = 120
-	s := New(Config{
-		MaxConcurrentQueries: -1,
-		MaxConcurrentPasses:  1,
-		TenantWeights:        map[string]int{"gold": 3, "bronze": 1},
-	})
-	blocker, _ := s.AcquirePass("gold")
-	var (
-		mu    sync.Mutex
-		order []string
-		wg    sync.WaitGroup
-	)
-	for _, tenant := range []string{"gold", "bronze"} {
-		for w := 0; w < perTenant; w++ {
-			wg.Add(1)
-			go func(tenant string) {
-				defer wg.Done()
-				release, _ := s.AcquirePass(tenant)
-				mu.Lock()
-				order = append(order, tenant)
-				mu.Unlock()
-				release()
-			}(tenant)
-		}
-	}
-	deadline := time.After(10 * time.Second)
-	for s.PassesQueued() < 2*perTenant {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d of %d passes queued", s.PassesQueued(), 2*perTenant)
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	blocker()
-	wg.Wait()
-	if len(order) != 2*perTenant {
-		t.Fatalf("granted %d passes, want %d", len(order), 2*perTenant)
-	}
-	// While both tenants still have queued passes (the first 4/3·perTenant
-	// grants), gold is granted 3× as often as bronze.
-	window := order[:perTenant+perTenant/3]
-	gold := 0
-	for _, tenant := range window {
-		if tenant == "gold" {
-			gold++
-		}
-	}
-	bronze := len(window) - gold
-	ratio := float64(gold) / float64(bronze)
-	if math.Abs(ratio-3) > 0.3 {
-		t.Fatalf("gold:bronze grant ratio = %.2f (gold=%d bronze=%d in first %d grants), want ≈3",
-			ratio, gold, bronze, len(window))
-	}
-}
-
-// TestAdmitFairShareRatios: the admission wait queue dequeues by tenant
-// weight, not arrival order. A full backlog is built behind a held
-// query slot; grants then serialize through the single slot, so the
-// recorded order is exactly the dispatcher's weighted order, and within
-// the window where both tenants still have queued queries the 3:1
-// weights pin a 3:1 grant ratio.
-func TestAdmitFairShareRatios(t *testing.T) {
-	const perTenant = 120
-	s := New(Config{
-		MaxConcurrentQueries: 1,
-		MaxQueuedQueries:     4 * perTenant,
-		TenantWeights:        map[string]int{"gold": 3, "bronze": 1},
-	})
-	blocker, _, err := s.Admit("gold")
+// TestAdmitFIFO: queued queries are granted in arrival order, whatever
+// their tenant. Three queries queue one at a time behind the held slot;
+// each granted query records itself and releases, handing the slot on.
+func TestAdmitFIFO(t *testing.T) {
+	s := New(Config{MaxConcurrentQueries: 1, MaxQueuedQueries: 8})
+	hold, _, err := s.Admit("a")
 	if err != nil {
-		t.Fatalf("blocker Admit: %v", err)
+		t.Fatalf("Admit: %v", err)
 	}
 	var (
 		mu    sync.Mutex
 		order []string
 		wg    sync.WaitGroup
 	)
-	for _, tenant := range []string{"gold", "bronze"} {
-		for w := 0; w < perTenant; w++ {
-			wg.Add(1)
-			go func(tenant string) {
-				defer wg.Done()
-				release, _, err := s.Admit(tenant)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				mu.Lock()
-				order = append(order, tenant)
-				mu.Unlock()
-				release()
-			}(tenant)
+	for i, tenant := range []string{"a", "a", "b"} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			release, _, err := s.Admit(tenant)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			mu.Lock()
+			order = append(order, tenant)
+			mu.Unlock()
+			release()
+		}()
+		deadline := time.After(2 * time.Second)
+		for s.QueriesQueued() < i+1 {
+			select {
+			case <-deadline:
+				t.Fatalf("query %d (tenant %s) never queued", i, tenant)
+			default:
+				time.Sleep(time.Millisecond)
+			}
 		}
-	}
-	deadline := time.After(10 * time.Second)
-	for s.QueriesQueued() < 2*perTenant {
-		select {
-		case <-deadline:
-			t.Fatalf("only %d of %d queries queued", s.QueriesQueued(), 2*perTenant)
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	blocker()
-	wg.Wait()
-	if len(order) != 2*perTenant {
-		t.Fatalf("admitted %d queries, want %d", len(order), 2*perTenant)
-	}
-	window := order[:perTenant+perTenant/3]
-	gold := 0
-	for _, tenant := range window {
-		if tenant == "gold" {
-			gold++
-		}
-	}
-	bronze := len(window) - gold
-	ratio := float64(gold) / float64(bronze)
-	if math.Abs(ratio-3) > 0.3 {
-		t.Fatalf("gold:bronze admission ratio = %.2f (gold=%d bronze=%d in first %d grants), want ≈3",
-			ratio, gold, bronze, len(window))
-	}
-}
-
-// TestFairShareIdleTenantNotPenalized: a tenant joining late is not
-// starved by the incumbent's accumulated virtual time.
-func TestFairShareIdleTenantNotPenalized(t *testing.T) {
-	s := New(Config{MaxConcurrentQueries: -1, MaxConcurrentPasses: 1})
-	// Tenant a burns many grants while b idles.
-	for i := 0; i < 100; i++ {
-		release, _ := s.AcquirePass("a")
-		release()
-	}
-	// Hold the only slot so b must queue, then verify b is granted
-	// promptly on release (its vtime was reset to the clock).
-	hold, _ := s.AcquirePass("a")
-	done := make(chan struct{})
-	go func() {
-		release, _ := s.AcquirePass("b")
-		release()
-		close(done)
-	}()
-	for s.PassesQueued() == 0 {
-		time.Sleep(time.Millisecond)
 	}
 	hold()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("late tenant starved after incumbent released")
+	wg.Wait()
+	if got := strings.Join(order, ","); got != "a,a,b" {
+		t.Fatalf("grant order = %s, want a,a,b", got)
+	}
+	if s.QueriesRunning() != 0 || s.QueriesQueued() != 0 {
+		t.Fatalf("after drain: running=%d queued=%d", s.QueriesRunning(), s.QueriesQueued())
 	}
 }
 
@@ -314,75 +197,5 @@ func TestSchedulerNewBudget(t *testing.T) {
 	}
 	if err := b.ChargeScanEntries(11); err == nil {
 		t.Fatal("over-limit charge must fail")
-	}
-}
-
-// TestFoldJoinSeal: the first joiner leads, later ones follow, Seal
-// closes the group and hands back every subscriber in join order.
-func TestFoldJoinSeal(t *testing.T) {
-	f := NewFolder[int]()
-	g, leader := f.Join("k", 1)
-	if !leader {
-		t.Fatal("first join must lead")
-	}
-	g2, leader2 := f.Join("k", 2)
-	if leader2 || g2 != g {
-		t.Fatalf("second join: leader=%v sameGroup=%v", leader2, g2 == g)
-	}
-	if n := g.Subscribers(); n != 2 {
-		t.Fatalf("Subscribers = %d, want 2", n)
-	}
-	subs := g.Seal()
-	if len(subs) != 2 || subs[0] != 1 || subs[1] != 2 {
-		t.Fatalf("Seal subs = %v", subs)
-	}
-	// After Seal the key is free: the next join leads a fresh group.
-	g3, leader3 := f.Join("k", 3)
-	if !leader3 || g3 == g {
-		t.Fatal("join after Seal must lead a fresh group")
-	}
-	// Distinct keys never fold.
-	if _, lead := f.Join("other", 4); !lead {
-		t.Fatal("distinct key must lead")
-	}
-}
-
-// TestFoldNilFolder: a nil folder degrades to solo groups.
-func TestFoldNilFolder(t *testing.T) {
-	var f *Folder[string]
-	g, leader := f.Join("k", "solo")
-	if !leader {
-		t.Fatal("nil folder join must lead")
-	}
-	if subs := g.Seal(); len(subs) != 1 || subs[0] != "solo" {
-		t.Fatalf("nil folder Seal = %v", subs)
-	}
-}
-
-// TestFoldConcurrentJoins: many concurrent joiners of one key produce
-// exactly one leader, and Seal sees every member.
-func TestFoldConcurrentJoins(t *testing.T) {
-	f := NewFolder[int]()
-	const n = 64
-	var leaders atomic.Int64
-	var wg sync.WaitGroup
-	groups := make([]*Group[int], n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			g, leader := f.Join("k", i)
-			groups[i] = g
-			if leader {
-				leaders.Add(1)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if leaders.Load() != 1 {
-		t.Fatalf("leaders = %d, want 1", leaders.Load())
-	}
-	if subs := groups[0].Seal(); len(subs) != n {
-		t.Fatalf("Seal saw %d subs, want %d", len(subs), n)
 	}
 }

@@ -17,7 +17,8 @@ import (
 
 // Counter indexes one slot of a StatSet. Values are wire indices
 // (trailers ship them), so existing ones keep their position and new
-// ones append.
+// ones append; removing one renumbers those after it and needs a new
+// trailerVersion.
 type Counter int
 
 // The declared counters.
@@ -38,7 +39,6 @@ const (
 	LocalityBlocksSkipped
 	CompactionKicks
 	WriteWireBytes
-	SharedScanFolds
 	QueueWaitNanos
 	ScratchTablesCreated
 	MajorCompactions
@@ -51,7 +51,6 @@ const (
 	MaxEntriesBuffered
 	QueriesRunning
 	QueriesQueued
-	PassesQueued
 	NumCounters
 )
 
@@ -107,8 +106,7 @@ var descs = [NumCounters]desc{
 	LocalityBlocksSkipped: {name: "locality_blocks_skipped", help: "Rfile blocks skipped by locality-group family constraints.", storage: true},
 	CompactionKicks:       {name: "compaction_kicks", help: "Prompts sent to background compaction schedulers by writes."},
 	WriteWireBytes:        {name: "write_wire_bytes", help: "Encoded bytes of write batches shipped to tablet servers."},
-	SharedScanFolds:       {name: "shared_scan_folds", help: "Scans folded onto another scan's physical tablet pass.", tenant: true},
-	QueueWaitNanos:        {name: "queue_wait_nanos", help: "Nanoseconds spent waiting in scheduler queues.", tenant: true},
+	QueueWaitNanos:        {name: "queue_wait_nanos", help: "Nanoseconds spent waiting for admission.", tenant: true},
 	ScratchTablesCreated:  {name: "scratch_tables_created", help: "Intermediate tables materialised by kernel drivers."},
 	MajorCompactions:      {name: "major_compactions", help: "Completed major compactions."},
 	MajorCompactionErrors: {name: "major_compaction_errors", help: "Failed scheduled major compactions."},
@@ -120,7 +118,6 @@ var descs = [NumCounters]desc{
 	MaxEntriesBuffered:    {name: "max_entries_buffered", help: "High-water mark of buffered entries.", kind: kindHighWater},
 	QueriesRunning:        {name: "queries_running", help: "Kernel queries holding admission slots.", kind: kindReadGauge},
 	QueriesQueued:         {name: "queries_queued", help: "Kernel queries waiting for admission.", kind: kindReadGauge},
-	PassesQueued:          {name: "passes_queued", help: "Tablet scan passes waiting in tenant queues.", kind: kindReadGauge},
 }
 
 // String returns the counter's stable snake_case name, used in JSON

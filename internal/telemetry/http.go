@@ -102,7 +102,7 @@ func renderMetrics(reg *Registry) []byte {
 	renderHist(&b, "graphulo_kernel_seconds",
 		"End-to-end latency of kernel queries finished by this process.", reg.Kernel.Snapshot())
 	renderHist(&b, "graphulo_queue_wait_seconds",
-		"Time queries and tablet passes spent waiting in scheduler queues.", reg.QueueWait.Snapshot())
+		"Time queries spent waiting for admission.", reg.QueueWait.Snapshot())
 	renderTenants(&b, reg.TenantSnapshots())
 	return []byte(b.String())
 }

@@ -482,7 +482,7 @@ type Registry struct {
 	WriteBatch Histogram // one per write batch shipped from here
 	WALSync    Histogram // one per WAL fsync issued here
 	Kernel     Histogram // one per kernel query finished here
-	QueueWait  Histogram // one per scheduler queue wait (admission or pass)
+	QueueWait  Histogram // one per admission queue wait
 
 	started atomic.Int64
 

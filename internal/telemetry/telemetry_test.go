@@ -193,7 +193,7 @@ func TestTrailerDecodeHostile(t *testing.T) {
 	// A gauge or high-water index from a confused peer decodes, but its
 	// value reaches no block: not the trailer's Counts, so neither a query
 	// nor the process registry it is folded into.
-	for _, c := range []Counter{ScansInFlight, MaxEntriesBuffered, PassesQueued} {
+	for _, c := range []Counter{ScansInFlight, MaxEntriesBuffered, QueriesQueued} {
 		stray := []byte{trailerVersion, 2, byte(c), 5, byte(RPCs), 3, 0, 0, 0, 0, 0, 0, 0}
 		got, err := DecodeTrailer(stray)
 		if err != nil {
@@ -209,14 +209,21 @@ func TestTrailerDecodeHostile(t *testing.T) {
 	}
 }
 
-// goldenTrailer is a trailer encoded by the build before the counter
-// table grew past the original 18 per-query counters: counter i holds
-// (i+1)*1000, two scan passes, one write batch, two spans.
-const goldenTrailer = "011200e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d10e8840111d08c0102c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
+// goldenTrailer is a version-2 trailer: counters TabletScans through
+// QueueWaitNanos, counter i holding (i+1)*1000, two scan passes, one
+// write batch, two spans.
+const goldenTrailer = "021100e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d10e8840102c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
+
+// goldenTrailerV1 is the same trailer as encoded before shared_scan_folds
+// was dropped (version 1: counter i holding (i+1)*1000 over the original
+// 18 per-query counters). Its indices mean different counters now, so it
+// must be refused, not misread.
+const goldenTrailerV1 = "011200e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d10e8840111d08c0102c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
 
 // TestTrailerGoldenBytes pins wire compatibility: existing counters keep
-// their indices, so an old peer's trailer decodes to the same counts and
-// re-encodes to the same bytes.
+// their indices within a trailer version, so a peer's trailer decodes to
+// the same counts and re-encodes to the same bytes; a trailer of the
+// previous version is rejected by its version byte.
 func TestTrailerGoldenBytes(t *testing.T) {
 	raw, err := hex.DecodeString(goldenTrailer)
 	if err != nil {
@@ -241,6 +248,14 @@ func TestTrailerGoldenBytes(t *testing.T) {
 	}
 	if again := AppendTrailer(nil, got); !bytes.Equal(again, raw) {
 		t.Errorf("golden trailer re-encodes differently:\n got %x\nwant %x", again, raw)
+	}
+
+	old, err := hex.DecodeString(goldenTrailerV1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTrailer(old); err == nil || !strings.Contains(err.Error(), "unknown trailer version 1") {
+		t.Fatalf("version-1 trailer: err = %v, want unknown trailer version 1", err)
 	}
 }
 

@@ -24,8 +24,9 @@ type Trailer struct {
 	Spans      []SpanSnapshot
 }
 
-// trailerVersion guards the trailer layout.
-const trailerVersion = 1
+// trailerVersion guards the trailer layout. Version 2 dropped the
+// shared_scan_folds counter, renumbering every counter after it.
+const trailerVersion = 2
 
 // AppendTrailer encodes t onto dst.
 func AppendTrailer(dst []byte, t Trailer) []byte {
