@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
@@ -573,10 +572,12 @@ func (w *BatchWriter) Close() error { return w.Flush() }
 
 // --- Scanner ---
 
-// Scanner is a single-threaded sorted scan over one range — or, with
-// SetRanges, over several disjoint ranges served in key order by one
-// streaming pipeline. Either way only tablets overlapping the ranges
-// execute the scan's iterator stack (SpRef-style range push-down).
+// Scanner is the one client read path: a sorted scan over one range —
+// or, with SetRanges, over many ranges served in key order by one
+// streaming pipeline, in which each overlapping tablet runs a single
+// pass over its clips of every range. Either way only tablets
+// overlapping the ranges execute the scan's iterator stack (SpRef-style
+// range push-down), up to ScanParallelism of them at once.
 type Scanner struct {
 	mc       *MiniCluster
 	table    string
@@ -648,151 +649,4 @@ func (s *Scanner) Entries() ([]skv.Entry, error) {
 		return nil, err
 	}
 	return st.Collect()
-}
-
-// --- BatchScanner ---
-
-// BatchScanner scans many ranges in parallel; like Accumulo's, results
-// are NOT globally sorted.
-type BatchScanner struct {
-	mc       *MiniCluster
-	table    string
-	ranges   []skv.Range
-	families []string
-	extra    []iterator.Setting
-	threads  int
-	q        *telemetry.Query
-}
-
-// CreateBatchScanner opens a parallel scanner. threads ≤ 0 selects the
-// default of 4; the effective worker count is clamped to the number of
-// ranges at scan time.
-func (c *Connector) CreateBatchScanner(table string, threads int) (*BatchScanner, error) {
-	if _, err := c.mc.getTable(table); err != nil {
-		return nil, err
-	}
-	if threads <= 0 {
-		threads = 4
-	}
-	return &BatchScanner{mc: c.mc, table: table, threads: threads}, nil
-}
-
-// clampThreads bounds a scan worker count to [1, n]: zero or negative
-// requests and requests past the number of ranges both collapse to a
-// sane pool size. Every BatchScanner execution path sizes its pool
-// through this one function.
-func clampThreads(threads, n int) int {
-	if threads > n {
-		threads = n
-	}
-	if threads < 1 {
-		threads = 1
-	}
-	return threads
-}
-
-// SetRanges assigns the ranges to scan.
-func (b *BatchScanner) SetRanges(ranges []skv.Range) { b.ranges = ranges }
-
-// AddScanIterator attaches a per-scan iterator setting.
-func (b *BatchScanner) AddScanIterator(setting iterator.Setting) { b.extra = append(b.extra, setting) }
-
-// SetFamilies constrains every range's scan to a column-family set
-// (nil/empty = unconstrained); see Scanner.SetFamilies.
-func (b *BatchScanner) SetFamilies(families ...string) {
-	b.families = append([]string(nil), families...)
-}
-
-// SetTrace attributes the scanner's streams to a kernel query (nil
-// leaves them untraced).
-func (b *BatchScanner) SetTrace(q *telemetry.Query) { b.q = q }
-
-// ForEach streams every entry of every configured range through fn
-// without materialising results: ranges are distributed over a clamped
-// worker pool and each worker consumes its scan one wire batch at a
-// time. Calls to fn are serialised (fn needs no locking), but entries
-// from different ranges interleave and are NOT globally sorted. The
-// first fn error or scan failure cancels the remaining work and is
-// returned.
-func (b *BatchScanner) ForEach(fn func(skv.Entry) error) error {
-	ranges := b.ranges
-	if len(ranges) == 0 {
-		ranges = []skv.Range{skv.FullRange()}
-	}
-	threads := clampThreads(b.threads, len(ranges))
-	work := make(chan skv.Range, len(ranges))
-	for _, r := range ranges {
-		work <- r
-	}
-	close(work)
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex // serialises fn and guards firstErr
-		firstErr error
-		failed   atomic.Bool
-	)
-	setErr := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-		failed.Store(true)
-	}
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for rng := range work {
-				if failed.Load() {
-					continue
-				}
-				s, err := b.mc.openStream(b.table, []skv.Range{rng}, b.families, b.extra, traceCtx{q: b.q})
-				if err != nil {
-					setErr(err)
-					continue
-				}
-				for e, ok := s.Next(); ok; e, ok = s.Next() {
-					mu.Lock()
-					err := fn(e)
-					mu.Unlock()
-					if err != nil {
-						setErr(err)
-						break
-					}
-					if failed.Load() {
-						break
-					}
-				}
-				if err := s.Err(); err != nil {
-					setErr(err)
-				}
-				s.Close()
-			}
-		}()
-	}
-	wg.Wait()
-	return firstErr
-}
-
-// Entries runs all range scans across worker goroutines and returns the
-// concatenated (unordered) results — the collect-all convenience over
-// ForEach.
-func (b *BatchScanner) Entries() ([]skv.Entry, error) {
-	var out []skv.Entry
-	if err := b.ForEach(func(e skv.Entry) error {
-		out = append(out, e)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// SortEntries sorts entries by key, for callers of BatchScanner that
-// need global order.
-func SortEntries(entries []skv.Entry) {
-	sort.Slice(entries, func(i, j int) bool {
-		return skv.Compare(entries[i].K, entries[j].K) < 0
-	})
 }

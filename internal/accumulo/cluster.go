@@ -1,8 +1,7 @@
 // Package accumulo implements an embedded Accumulo-style mini-cluster:
 // multiple tablet servers hosting row-range tablets, tables with splits
-// and per-scope iterator stacks, and thin clients (BatchWriter, Scanner,
-// BatchScanner) that talk to the servers through a serialised wire
-// protocol.
+// and per-scope iterator stacks, and thin clients (BatchWriter, Scanner)
+// that talk to the servers through a serialised wire protocol.
 //
 // This is the substitution for the paper's Apache Accumulo deployment
 // (see docs/ARCHITECTURE.md): the storage contract — sorted (row, colF,
@@ -31,8 +30,11 @@
 // buffers wire batches, never the table, and the heavy per-tablet work
 // (iterator stacks, TwoTableIterator products, RemoteWrite batching)
 // runs in parallel across tablets exactly as the paper's tablet servers
-// do. Scanner.Entries and BatchScanner.Entries remain as collect-all
-// conveniences on top of the cursor.
+// do. A multi-range scan (Scanner.SetRanges — a BFS frontier, say) is
+// the same cursor: each overlapping tablet serves its clips of every
+// range in one pass, so its cost is one pass per tablet, not per range.
+// Scanner.Entries remains as a collect-all convenience on top of the
+// cursor.
 //
 // The cluster runs in one of two durability modes. With an empty
 // Config.DataDir everything lives in memory, as a test harness expects.

@@ -250,93 +250,3 @@ func TestScanParallelismOneMatchesParallel(t *testing.T) {
 		}
 	}
 }
-
-func TestClampThreads(t *testing.T) {
-	cases := []struct{ threads, n, want int }{
-		{0, 5, 1},
-		{-3, 5, 1},
-		{8, 3, 3},
-		{2, 3, 2},
-		{4, 1, 1},
-		{0, 0, 1},
-		{7, -1, 1},
-	}
-	for _, c := range cases {
-		if got := clampThreads(c.threads, c.n); got != c.want {
-			t.Errorf("clampThreads(%d, %d) = %d, want %d", c.threads, c.n, got, c.want)
-		}
-	}
-}
-
-func TestBatchScannerThreadEdgeCases(t *testing.T) {
-	conn := streamTestCluster(t, Config{WireBatch: 16}, "T", quartileSplits(80), 80, 2)
-	fullCount := 160
-	ranges := []skv.Range{skv.RowRange("", "r0040"), skv.RowRange("r0040", "")}
-	for _, tc := range []struct {
-		name    string
-		threads int
-		ranges  []skv.Range
-	}{
-		{"zero-threads-defaulted-ranges", 0, nil},
-		{"negative-threads", -5, ranges},
-		{"threads-exceed-ranges", 64, ranges},
-		{"one-thread-many-ranges", 1, ranges},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bs, err := conn.CreateBatchScanner("T", tc.threads)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Bypass the constructor default to hit the clamp directly on
-			// zero/negative requests.
-			bs.threads = tc.threads
-			bs.SetRanges(tc.ranges)
-			entries, err := bs.Entries()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(entries) != fullCount {
-				t.Fatalf("got %d entries, want %d", len(entries), fullCount)
-			}
-		})
-	}
-}
-
-func TestBatchScannerForEachSerialisesAndCancels(t *testing.T) {
-	conn := streamTestCluster(t, Config{WireBatch: 8}, "F", quartileSplits(100), 100, 2)
-	bs, err := conn.CreateBatchScanner("F", 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs.SetRanges([]skv.Range{
-		skv.RowRange("", "r0025"), skv.RowRange("r0025", "r0050"),
-		skv.RowRange("r0050", "r0075"), skv.RowRange("r0075", ""),
-	})
-	// fn is documented as serialised: an unguarded counter must stay
-	// consistent (the -race build enforces the claim).
-	count := 0
-	if err := bs.ForEach(func(skv.Entry) error {
-		count++
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if count != 200 {
-		t.Fatalf("ForEach visited %d entries, want 200", count)
-	}
-	// An fn error cancels the remaining work and is returned.
-	calls := 0
-	err = bs.ForEach(func(skv.Entry) error {
-		calls++
-		if calls == 10 {
-			return fmt.Errorf("stop here")
-		}
-		return nil
-	})
-	if err == nil || err.Error() != "stop here" {
-		t.Fatalf("ForEach error = %v, want stop here", err)
-	}
-	if calls >= 200 {
-		t.Fatalf("ForEach did not cancel: %d calls", calls)
-	}
-}

@@ -57,10 +57,10 @@ func (o AdjBFSOptions) inBand(v string) bool {
 }
 
 // AdjBFS runs a k-hop breadth-first search over an adjacency table:
-// each hop batch-scans the frontier's rows (one exact-row range per
-// frontier vertex, scanned in parallel across tablets), unions the
-// neighbours, and removes already-visited vertices. It returns the
-// visited vertex → hop-level map.
+// each hop reads the frontier's rows in one multi-range scan (one
+// exact-row range per frontier vertex, one pass per overlapping tablet),
+// unions the neighbours, and removes already-visited vertices. It
+// returns the visited vertex → hop-level map.
 func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, opts AdjBFSOptions) (visited map[string]int, err error) {
 	q, done, err := startQuery(conn, "AdjBFS", nil, opts.Tenant)
 	if err != nil {
@@ -101,36 +101,44 @@ func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, op
 		frontier = append(frontier, s)
 	}
 	for hop := 1; hop <= hops && len(frontier) > 0; hop++ {
-		ranges := make([]skv.Range, len(frontier))
-		for i, v := range frontier {
-			ranges[i] = skv.ExactRow(v)
-		}
-		// Each hop is a collect plan over the frontier's rows — a
-		// multi-range scan the executor fans out across tablets in
-		// parallel. The visitor folds neighbour entries into the visited
-		// set as each row scan produces them, so a hop never materialises
-		// the expansion (which can approach the edge count on dense
-		// frontiers).
+		// The visitor folds neighbour entries into the visited set as they
+		// arrive, so a hop never materialises the expansion (which can
+		// approach the edge count on dense frontiers).
 		var next []string
-		_, err := runPlanVisit(conn, plan.Collect(plan.ScanRanges(table, ranges)), "AdjBFS", "", q,
-			func(e skv.Entry) error {
-				nb := e.K.ColQ
-				if _, seen := visited[nb]; seen {
-					return nil
-				}
-				if !opts.inBand(nb) || !degOK(nb) {
-					return nil
-				}
-				visited[nb] = hop
-				next = append(next, nb)
+		err := visitRows(conn, table, frontier, "AdjBFS", q, func(e skv.Entry) error {
+			nb := e.K.ColQ
+			if _, seen := visited[nb]; seen {
 				return nil
-			})
+			}
+			if !opts.inBand(nb) || !degOK(nb) {
+				return nil
+			}
+			visited[nb] = hop
+			next = append(next, nb)
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		frontier = next
 	}
 	return visited, nil
+}
+
+// visitRows streams the given rows of table to visit through a collect
+// plan on the kernel's query: one exact-row range per row, all in one
+// multi-range scan, so a BFS hop costs at most one pass per tablet
+// however large its frontier. No rows means no scan.
+func visitRows(conn *accumulo.Connector, table string, rows []string, kernel string, q *telemetry.Query, visit func(skv.Entry) error) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	ranges := make([]skv.Range, len(rows))
+	for i, r := range rows {
+		ranges[i] = skv.ExactRow(r)
+	}
+	_, err := runPlanVisit(conn, plan.Collect(plan.ScanRanges(table, ranges)), kernel, "", q, visit)
+	return err
 }
 
 // readDegrees folds a degree-style table into row → value. A non-empty

@@ -17,61 +17,50 @@ import (
 
 // EdgeBFS runs a k-hop BFS over an incidence schema: per hop, frontier
 // vertices pull their incident edges from ET, then the edges pull their
-// endpoints from E — two parallel batch scans per hop. Returns vertex →
-// hop level, and the set of traversed edge ids.
-func EdgeBFS(conn *accumulo.Connector, inc *schema.IncidenceSchema, seeds []string, hops int) (map[string]int, map[string]bool, error) {
-	visited := map[string]int{}
-	edges := map[string]bool{}
+// endpoints from E — two multi-range scans per hop, each one pass per
+// overlapping tablet. It runs as one traced query under the cluster's
+// default tenant, so admission and budgets apply. Returns vertex → hop
+// level, and the set of traversed edge ids.
+func EdgeBFS(conn *accumulo.Connector, inc *schema.IncidenceSchema, seeds []string, hops int) (visited map[string]int, edges map[string]bool, err error) {
+	q, done, err := startQuery(conn, "EdgeBFS", nil, "")
+	if err != nil {
+		return
+	}
+	defer func() { done(err) }()
+	visited = map[string]int{}
+	edges = map[string]bool{}
 	frontier := append([]string(nil), seeds...)
 	for _, s := range seeds {
 		visited[s] = 0
 	}
 	for hop := 1; hop <= hops && len(frontier) > 0; hop++ {
 		// Vertices → incident edges via ET.
-		incEdges, err := batchScanRows(conn, inc.TableT, frontier)
-		if err != nil {
-			return nil, nil, err
-		}
 		var edgeIDs []string
-		for _, e := range incEdges {
+		err := visitRows(conn, inc.TableT, frontier, "EdgeBFS", q, func(e skv.Entry) error {
 			if !edges[e.K.ColQ] {
 				edges[e.K.ColQ] = true
 				edgeIDs = append(edgeIDs, e.K.ColQ)
 			}
-		}
-		// Edges → endpoints via E.
-		endpoints, err := batchScanRows(conn, inc.Table, edgeIDs)
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
+		// Edges → endpoints via E.
 		var next []string
-		for _, e := range endpoints {
-			v := e.K.ColQ
-			if _, seen := visited[v]; !seen {
-				visited[v] = hop
-				next = append(next, v)
+		err = visitRows(conn, inc.Table, edgeIDs, "EdgeBFS", q, func(e skv.Entry) error {
+			if _, seen := visited[e.K.ColQ]; !seen {
+				visited[e.K.ColQ] = hop
+				next = append(next, e.K.ColQ)
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 		frontier = next
 	}
 	return visited, edges, nil
-}
-
-// batchScanRows scans the exact rows in parallel.
-func batchScanRows(conn *accumulo.Connector, table string, rows []string) ([]skv.Entry, error) {
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	bs, err := conn.CreateBatchScanner(table, 8)
-	if err != nil {
-		return nil, err
-	}
-	ranges := make([]skv.Range, len(rows))
-	for i, r := range rows {
-		ranges[i] = skv.ExactRow(r)
-	}
-	bs.SetRanges(ranges)
-	return bs.Entries()
 }
 
 // KTrussEdgeTable computes the k-truss on an incidence schema — the

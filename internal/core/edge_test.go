@@ -1,11 +1,14 @@
 package core
 
 import (
+	"errors"
 	"sort"
 	"testing"
 
+	"graphulo/internal/accumulo"
 	"graphulo/internal/algo"
 	"graphulo/internal/gen"
+	"graphulo/internal/sched"
 	"graphulo/internal/schema"
 )
 
@@ -57,6 +60,40 @@ func TestEdgeBFSOneHop(t *testing.T) {
 	}
 	if len(edges) != 4 {
 		t.Fatalf("edges = %v", edges)
+	}
+}
+
+// TestEdgeBFSIsOneBudgetedQuery: EdgeBFS runs as one admitted, traced
+// query like every other kernel driver, so a scan budget stops it with
+// a typed error and the run leaves one finished EdgeBFS query record.
+func TestEdgeBFSIsOneBudgetedQuery(t *testing.T) {
+	mc := accumulo.NewMiniCluster(accumulo.Config{ScanEntryBudget: 1})
+	defer mc.Close()
+	conn := mc.Connector()
+	inc, err := schema.NewIncidenceSchema(conn, "Bud")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inc.IngestGraph(gen.PaperGraph()); err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = EdgeBFS(conn, inc, []string{schema.VertexName(4)}, 3)
+	var be *sched.BudgetError
+	if !errors.As(err, &be) || be.Resource != "scan entries" {
+		t.Fatalf("EdgeBFS under a 1-entry scan budget returned %v, want a scan-entries *sched.BudgetError", err)
+	}
+	var records int
+	for _, q := range mc.Telemetry().Snapshot() {
+		if q.Kernel != "EdgeBFS" {
+			continue
+		}
+		records++
+		if !q.Done || q.Err == "" {
+			t.Errorf("EdgeBFS query record done=%v err=%q, want finished with the budget error", q.Done, q.Err)
+		}
+	}
+	if records != 1 {
+		t.Fatalf("telemetry holds %d EdgeBFS queries, want 1", records)
 	}
 }
 

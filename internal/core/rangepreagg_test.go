@@ -372,39 +372,56 @@ func TestRemoteWriteRejectsBadPreAggOptions(t *testing.T) {
 func TestScannerMultiRange(t *testing.T) {
 	conn := testConn(t)
 	loadSplitMatrix(t, conn, "MR", splits16(), 128, 1, func(i, j int) float64 { return float64(i + 1) })
-	sc, err := conn.CreateScanner("MR")
-	if err != nil {
-		t.Fatal(err)
+	rows := func(lo, hi int) []string {
+		var out []string
+		for i := lo; i < hi; i++ {
+			out = append(out, innerRow(i))
+		}
+		return out
 	}
 	m := &conn.Cluster().Telemetry().Stats
-	prunedBefore := m.Get(telemetry.TabletsPrunedByRange)
-	sc.SetRanges([]skv.Range{
-		skv.RowRange(innerRow(40), innerRow(48)),
-		skv.RowRange(innerRow(0), innerRow(8)),
-		skv.RowRange(innerRow(44), innerRow(56)), // overlaps the first
-	})
-	entries, err := sc.Entries()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantRows []string
-	for i := 0; i < 8; i++ {
-		wantRows = append(wantRows, innerRow(i))
-	}
-	for i := 40; i < 56; i++ {
-		wantRows = append(wantRows, innerRow(i))
-	}
-	if len(entries) != len(wantRows) {
-		t.Fatalf("multi-range scan returned %d entries, want %d", len(entries), len(wantRows))
-	}
-	for i, e := range entries {
-		if e.K.Row != wantRows[i] {
-			t.Fatalf("entry %d row = %s, want %s (sorted union)", i, e.K.Row, wantRows[i])
+	for _, c := range []struct {
+		name     string
+		ranges   []skv.Range
+		wantRows []string
+		pruned   int64
+	}{
+		// Unsorted and overlapping: served as the sorted union. The ranges
+		// cover tablets 0, 5, and 6 — the other 13 must be pruned.
+		{"overlapping", []skv.Range{
+			skv.RowRange(innerRow(40), innerRow(48)),
+			skv.RowRange(innerRow(0), innerRow(8)),
+			skv.RowRange(innerRow(44), innerRow(56)),
+		}, append(rows(0, 8), rows(40, 56)...), 13},
+		// A partition of the key space cut off the split points: the
+		// whole table, in order, with nothing pruned.
+		{"partition", []skv.Range{
+			skv.RowRange("", innerRow(37)),
+			skv.RowRange(innerRow(37), innerRow(90)),
+			skv.RowRange(innerRow(90), ""),
+		}, rows(0, 128), 0},
+	} {
+		sc, err := conn.CreateScanner("MR")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Ranges cover tablets 0, 5, and 6 — the other 13 must be pruned.
-	if got := m.Get(telemetry.TabletsPrunedByRange) - prunedBefore; got != 13 {
-		t.Errorf("multi-range scan pruned %d tablets, want 13", got)
+		prunedBefore := m.Get(telemetry.TabletsPrunedByRange)
+		sc.SetRanges(c.ranges)
+		entries, err := sc.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != len(c.wantRows) {
+			t.Fatalf("%s: multi-range scan returned %d entries, want %d", c.name, len(entries), len(c.wantRows))
+		}
+		for i, e := range entries {
+			if e.K.Row != c.wantRows[i] {
+				t.Fatalf("%s: entry %d row = %s, want %s (sorted union)", c.name, i, e.K.Row, c.wantRows[i])
+			}
+		}
+		if got := m.Get(telemetry.TabletsPrunedByRange) - prunedBefore; got != c.pruned {
+			t.Errorf("%s: multi-range scan pruned %d tablets, want %d", c.name, got, c.pruned)
+		}
 	}
 
 	// Zero ranges select zero keys — a dynamically computed empty range

@@ -16,6 +16,7 @@ import (
 	"graphulo/internal/accumulo"
 	"graphulo/internal/gen"
 	"graphulo/internal/iterator"
+	"graphulo/internal/plan"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
@@ -197,6 +198,87 @@ func TestKernelTransportEquivalence(t *testing.T) {
 		}
 		if !reflect.DeepEqual(res.bfs, base.bfs) {
 			t.Errorf("%s: AdjBFS levels = %v, inproc = %v", name, res.bfs, base.bfs)
+		}
+	}
+}
+
+// TestFrontierCollectOnePassPerTablet pins what a BFS frontier costs: a
+// collect over N exact rows spread across T < N tablets is one scan and
+// at most T tablet passes — never one per row — on every local
+// transport, both through plan.Execute directly and hop by hop through
+// AdjBFS.
+func TestFrontierCollectOnePassPerTablet(t *testing.T) {
+	const n, tablets = 64, 4
+	for name, cfg := range transportConfigs() {
+		conn := equivCluster(t, cfg)
+		sch, err := schema.NewAdjacencySchema(conn, "F")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sch.IngestGraph(gen.ErdosRenyi(n, 4*n, 7)); err != nil {
+			t.Fatal(err)
+		}
+		splits := []string{schema.VertexName(n / 4), schema.VertexName(n / 2), schema.VertexName(3 * n / 4)}
+		if err := conn.TableOperations().AddSplits(sch.Table, splits); err != nil {
+			t.Fatal(err)
+		}
+		m := &conn.Cluster().Telemetry().Stats
+		cost := func(run func() error) (scans, passes int64) {
+			t.Helper()
+			s0, p0 := m.Get(telemetry.ScansStarted), m.Get(telemetry.TabletScans)
+			if err := run(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return m.Get(telemetry.ScansStarted) - s0, m.Get(telemetry.TabletScans) - p0
+		}
+
+		var ranges []skv.Range
+		for v := 0; v < n; v += 2 {
+			ranges = append(ranges, skv.ExactRow(schema.VertexName(v)))
+		}
+		p, err := plan.Compile(plan.Collect(plan.ScanRanges(sch.Table, ranges)), plan.Options{Kernel: "frontier", TraceID: "t"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *plan.Result
+		scans, passes := cost(func() error {
+			q, done, err := conn.Cluster().StartKernelQuery("frontier", "")
+			if err != nil {
+				return err
+			}
+			defer done(nil)
+			res, err = p.Execute(planEnv(conn, q))
+			return err
+		})
+		if len(res.Entries) == 0 {
+			t.Fatalf("%s: frontier collect over %d rows returned nothing; scenario is broken", name, len(ranges))
+		}
+		if scans != 1 || passes > tablets {
+			t.Errorf("%s: collect over %d rows on %d tablets cost %d scans and %d tablet passes, want 1 and ≤ %d",
+				name, len(ranges), tablets, scans, passes, tablets)
+		}
+
+		const hops = 2
+		var levels map[string]int
+		scans, passes = cost(func() (err error) {
+			levels, err = AdjBFS(conn, sch.Table, []string{schema.VertexName(0)}, hops, AdjBFSOptions{
+				MinDegree: 1, DegTable: sch.DegTable,
+			})
+			return err
+		})
+		reached := 0
+		for _, l := range levels {
+			if l == hops {
+				reached++
+			}
+		}
+		if reached == 0 {
+			t.Fatalf("%s: AdjBFS reached nothing at hop %d; scenario is broken", name, hops)
+		}
+		// One scan per hop plus the degree-table read (a single tablet).
+		if scans != hops+1 || passes > hops*tablets+1 {
+			t.Errorf("%s: %d-hop AdjBFS cost %d scans and %d tablet passes, want %d and ≤ %d",
+				name, hops, scans, passes, hops+1, hops*tablets+1)
 		}
 	}
 }

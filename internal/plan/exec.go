@@ -35,8 +35,7 @@ type Result struct {
 	// terminal step (folded cells under a fold stage, raw partial
 	// products without one).
 	Written int
-	// Entries holds a SinkCollect terminal step's stream, in arrival
-	// order.
+	// Entries holds a SinkCollect terminal step's stream, in key order.
 	Entries []skv.Entry
 	// Cells holds a SinkCollectFold terminal step's ⊕-folded output.
 	Cells map[Cell]float64
@@ -45,7 +44,9 @@ type Result struct {
 // Execute runs the plan's steps in order. Each step is one scan
 // carrying its fused iterator stack — executed through the ordinary
 // Scanner/EntryStream machinery, so it behaves identically on inproc,
-// TCP, and external-daemon transports. Scratch tables created by
+// TCP, and external-daemon transports. A step over explicit ranges (a
+// BFS frontier) is the same one scan: each overlapping tablet serves
+// its clips of every range in a single pass. Scratch tables created by
 // materialisation steps are dropped before returning, on success and on
 // error. The returned Result is the terminal step's.
 func (p *Plan) Execute(env Env) (res *Result, err error) {
@@ -100,14 +101,6 @@ func (p *Plan) runStep(step *Step, env Env) (*Result, error) {
 		if err := env.EnsureTable(step.OutTable, step.Semiring); err != nil {
 			return nil, err
 		}
-	}
-	// A multi-range collect (a BFS frontier) runs through the
-	// BatchScanner so the ranges fan out across tablets in parallel;
-	// everything else streams through a plain Scanner. Write sinks stay
-	// on the Scanner even with ranges: their results land server-side,
-	// the client only sums monitoring entries.
-	if step.Sink != SinkWrite && len(step.Ranges) > 1 {
-		return p.runBatchStep(step, env)
 	}
 	sc, err := env.Conn.CreateScanner(step.Source)
 	if err != nil {
@@ -186,43 +179,6 @@ func cellFold(ringName string, res *Result) (func(skv.Entry) error, error) {
 		res.Cells[c] = v
 		return nil
 	}, nil
-}
-
-// runBatchStep runs a multi-range collect through the BatchScanner:
-// ranges execute across tablets in parallel and entries arrive
-// unordered, which both sink kinds tolerate (a fold is order-free under
-// an associative ⊕; raw collects of frontier expansions fold into maps
-// client-side).
-func (p *Plan) runBatchStep(step *Step, env Env) (*Result, error) {
-	bs, err := env.Conn.CreateBatchScanner(step.Source, 8)
-	if err != nil {
-		return nil, err
-	}
-	bs.SetTrace(env.Query)
-	if len(step.Constraint.Families) > 0 {
-		bs.SetFamilies(step.Constraint.Families...)
-	}
-	bs.SetRanges(step.Ranges)
-	for _, s := range step.Settings {
-		bs.AddScanIterator(s)
-	}
-	res := &Result{}
-	visit := env.Visit
-	switch {
-	case step.Sink == SinkCollectFold:
-		if visit, err = cellFold(step.Semiring, res); err != nil {
-			return nil, err
-		}
-	case visit == nil:
-		visit = func(e skv.Entry) error {
-			res.Entries = append(res.Entries, e)
-			return nil
-		}
-	}
-	if err := bs.ForEach(visit); err != nil {
-		return nil, err
-	}
-	return res, nil
 }
 
 // stepSpanName labels a step's telemetry span with its fused shape.

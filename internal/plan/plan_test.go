@@ -1,14 +1,19 @@
 package plan
 
 import (
+	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 func compileOK(t *testing.T, root *Node, opts Options) *Plan {
@@ -211,12 +216,81 @@ func TestFoldingCollectRefusesNonNumeric(t *testing.T) {
 	}
 	defer done(nil)
 	step := finalize(chain{source: "T"}, SinkCollectFold, "", "plus.times", 0, DefaultPreAggBytes)
-	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // Scanner, BatchScanner
+	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // one range, many ranges
 		step.Ranges = ranges
 		_, err := (&Plan{Kernel: "test", Steps: []Step{step}}).Execute(Env{Conn: conn, Query: q})
 		if err == nil || !strings.Contains(err.Error(), "b :y") || !strings.Contains(err.Error(), "not-a-number") {
 			t.Fatalf("ranges %v: folding collect over a non-numeric entry returned %v, want an error naming key b :y", ranges, err)
 		}
+	}
+}
+
+// TestVisitErrorStopsMultiRangeCollect: a visitor error on a collect
+// over many ranges spread across tablets is returned as is, stops the
+// stream early, and leaves no tablet pass or fetch worker running.
+func TestVisitErrorStopsMultiRangeCollect(t *testing.T) {
+	mc := accumulo.NewMiniCluster(accumulo.Config{WireBatch: 8})
+	defer mc.Close()
+	conn := mc.Connector()
+	if err := conn.TableOperations().CreateWithSplits("F", []string{"r025", "r050", "r075"}); err != nil {
+		t.Fatal(err)
+	}
+	w, err := conn.CreateBatchWriter("F", accumulo.BatchWriterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ranges []skv.Range
+	for i := 0; i < 100; i++ {
+		row := fmt.Sprintf("r%03d", i)
+		ranges = append(ranges, skv.ExactRow(row))
+		for j := 0; j < 2; j++ {
+			if err := w.PutFloat(row, "", fmt.Sprintf("c%d", j), 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	q, done, err := mc.StartKernelQuery("test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done(nil)
+	p := compileOK(t, Collect(ScanRanges("F", ranges)), Options{Kernel: "test", TraceID: "t"})
+	count := 0
+	if _, err := p.Execute(Env{Conn: conn, Query: q, Visit: func(skv.Entry) error { count++; return nil }}); err != nil {
+		t.Fatal(err)
+	}
+	if count != 200 {
+		t.Fatalf("collect visited %d entries, want 200", count)
+	}
+
+	runtime.GC()
+	before := runtime.NumGoroutine()
+	stop := errors.New("stop here")
+	calls := 0
+	_, err = p.Execute(Env{Conn: conn, Query: q, Visit: func(skv.Entry) error {
+		calls++
+		if calls == 10 {
+			return stop
+		}
+		return nil
+	}})
+	if !errors.Is(err, stop) {
+		t.Fatalf("Execute error = %v, want the visitor's", err)
+	}
+	if calls != 10 {
+		t.Fatalf("visitor called %d times, want the stream stopped at its error (10)", calls)
+	}
+	stats := &mc.Telemetry().Stats
+	deadline := time.Now().Add(5 * time.Second)
+	for stats.Get(telemetry.ScansInFlight) != 0 || runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("after a visitor error: %d tablet passes in flight, %d goroutines (started with %d)",
+				stats.Get(telemetry.ScansInFlight), runtime.NumGoroutine(), before)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
