@@ -363,8 +363,7 @@ type ScanStats struct {
 	// crossing the write path or the wire individually.
 	PartialProductsFolded int64
 	// ScratchTablesCreated counts intermediate tables materialised by
-	// kernel drivers and plan execution — each one a write-then-rescan
-	// round-trip. The fused kernel plans exist to keep this low: a
+	// kernel drivers — each one a write-then-rescan round-trip. The fused kernel plans exist to keep this low: a
 	// fused kTruss creates one survivor table per peel round, and fused
 	// Jaccard/TriangleCount create none.
 	ScratchTablesCreated int64
@@ -638,7 +637,7 @@ func (db *DB) dropIfExists(name string) error {
 // TriangleCount counts triangles with a fused server-side multiply
 // plan (no scratch table).
 func (g *TableGraph) TriangleCount() (float64, error) {
-	return core.TriangleCountTable(g.db.conn, g.schema.Table, g.name+"TCsq")
+	return core.TriangleCountTable(g.db.conn, g.schema.Table)
 }
 
 // PageRank runs the power iteration with the adjacency matrix staying

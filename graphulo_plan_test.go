@@ -9,8 +9,8 @@ import (
 )
 
 // planTestGraph is a fixed graph with a non-trivial k-truss: barbell
-// graphs peel their bridge path, so the fused and materializing kTruss
-// drivers both iterate at least twice.
+// graphs peel their bridge path, so the kTruss driver iterates at least
+// twice.
 func planTestGraph() Graph { return DedupGraph(Barbell(4, 1)) }
 
 // matchesReference checks an associative array read back from a kernel's

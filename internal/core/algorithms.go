@@ -137,7 +137,7 @@ func visitRows(conn *accumulo.Connector, table string, rows []string, kernel str
 	for i, r := range rows {
 		ranges[i] = skv.ExactRow(r)
 	}
-	_, err := runPlanVisit(conn, plan.Collect(plan.ScanRanges(table, ranges)), kernel, "", q, visit)
+	_, err := runPlan(conn, plan.Collect(plan.ScanRanges(table, ranges)), kernel, q, visit)
 	return err
 }
 
@@ -189,7 +189,7 @@ func noteScratch(conn *accumulo.Connector) {
 // restricts the scan to those locality groups.
 func planReadAssoc(conn *accumulo.Connector, table, kernel string, q *telemetry.Query, families ...string) (*assoc.Assoc, error) {
 	b := assoc.NewBuilder(semiring.PlusTimes)
-	_, err := runPlanVisit(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: families})), kernel, "", q,
+	_, err := runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: families})), kernel, q,
 		func(e skv.Entry) error {
 			if v, ok := skv.DecodeFloat(e.V); ok {
 				b.Add(e.K.Row, e.K.ColQ, v)
@@ -258,7 +258,7 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 	// scratch tables and must be read at return time.
 	defer func() { dropScratch(conn, scratchTables, &err) }()
 	for round := 0; ; round++ {
-		res, err := runPlan(conn, adjSquareFoldPlan(cur), "kTruss", scratch, q)
+		res, err := runPlan(conn, adjSquareFoldPlan(cur), "kTruss", q, nil)
 		if err != nil {
 			return iterCount, err
 		}
@@ -358,7 +358,7 @@ func JaccardTable(conn *accumulo.Connector, table, degTable, outTable string) (w
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, adjSquareFoldPlan(table), "Jaccard", outTable, q)
+	res, err := runPlan(conn, adjSquareFoldPlan(table), "Jaccard", q, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -469,15 +469,14 @@ func TableDegrees(conn *accumulo.Connector, table, degTable string) (int, error)
 // TriangleCountTable counts triangles in the graph held by an adjacency
 // table: a fused plan streams the A² partial products back and ⊕-folds
 // them client-side, then the client streams A once and accumulates
-// Σ A∘A² / 6. No scratch table is created; the scratch parameter is
-// the materialisation base should the planner ever need one.
-func TriangleCountTable(conn *accumulo.Connector, table, scratch string) (count float64, err error) {
+// Σ A∘A² / 6. No scratch table is created.
+func TriangleCountTable(conn *accumulo.Connector, table string) (count float64, err error) {
 	q, done, err := startQuery(conn, "TriangleCount", nil, "")
 	if err != nil {
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, adjSquareFoldPlan(table), "TriangleCount", scratch, q)
+	res, err := runPlan(conn, adjSquareFoldPlan(table), "TriangleCount", q, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -495,7 +494,7 @@ func TriangleCountTable(conn *accumulo.Connector, table, scratch string) (count 
 // visitTableEntries streams a table's decodable entries to fn through a
 // collect plan on the kernel's trace, banded to the edge channel.
 func visitTableEntries(conn *accumulo.Connector, table string, q *telemetry.Query, fn func(row, col string)) error {
-	_, err := runPlanVisit(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()})), "TriangleCount", "", q,
+	_, err := runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()})), "TriangleCount", q,
 		func(e skv.Entry) error {
 			if _, ok := skv.DecodeFloat(e.V); ok {
 				fn(e.K.Row, e.K.ColQ)

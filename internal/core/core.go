@@ -113,17 +113,10 @@ func planEnv(conn *accumulo.Connector, q *telemetry.Query) plan.Env {
 }
 
 // runPlan compiles and executes a node tree under the kernel's query.
-func runPlan(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase string, q *telemetry.Query) (*plan.Result, error) {
-	return runPlanVisit(conn, root, kernel, scratchBase, q, nil)
-}
-
-// runPlanVisit is runPlan with a streaming visitor: a terminal collect
-// step hands entries to visit as they arrive instead of accumulating
-// them in the result.
-func runPlanVisit(conn *accumulo.Connector, root *plan.Node, kernel, scratchBase string, q *telemetry.Query, visit func(skv.Entry) error) (*plan.Result, error) {
-	// Scratch tables are suffixed with the query's trace id so concurrent
-	// kernels on the same tables never collide.
-	p, err := plan.Compile(root, plan.Options{Kernel: kernel, ScratchBase: scratchBase, TraceID: q.Trace().String()})
+// A non-nil visit streams a collect's entries to the caller as they
+// arrive instead of accumulating them in the result.
+func runPlan(conn *accumulo.Connector, root *plan.Node, kernel string, q *telemetry.Query, visit func(skv.Entry) error) (*plan.Result, error) {
+	p, err := plan.Compile(root, plan.Options{Kernel: kernel})
 	if err != nil {
 		return nil, err
 	}
@@ -179,7 +172,7 @@ func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts Mu
 			return 0, fmt.Errorf("core: input table %q does not exist", t)
 		}
 	}
-	res, err := runPlan(conn, multPlan(tableAT, tableB, tableC, opts), "TableMult", tableC, q)
+	res, err := runPlan(conn, multPlan(tableAT, tableB, tableC, opts), "TableMult", q, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -389,7 +382,7 @@ func OneTable(conn *accumulo.Connector, tableIn, tableOut string, settings []ite
 // the entry point for composite kernels that own their trace. It runs
 // as a single fused scan-apply-write plan step.
 func oneTableQ(conn *accumulo.Connector, tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint, q *telemetry.Query) (int, error) {
-	res, err := runPlan(conn, oneTablePlan(tableIn, tableOut, settings, c), "OneTable", tableOut, q)
+	res, err := runPlan(conn, oneTablePlan(tableIn, tableOut, settings, c), "OneTable", q, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -423,7 +416,7 @@ func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, c
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, rowReducePlan(tableIn, tableOut, monoid, colF, colQ, c), "TableRowReduce", tableOut, q)
+	res, err := runPlan(conn, rowReducePlan(tableIn, tableOut, monoid, colF, colQ, c), "TableRowReduce", q, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -454,7 +447,7 @@ func TableAssign(conn *accumulo.Connector, tableIn, tableOut, rowOffset, colOffs
 	if !conn.TableOperations().Exists(tableIn) {
 		return 0, fmt.Errorf("core: input table %q does not exist", tableIn)
 	}
-	res, err := runPlan(conn, assignPlan(tableIn, tableOut, rowOffset, colOffset, c), "TableAssign", tableOut, q)
+	res, err := runPlan(conn, assignPlan(tableIn, tableOut, rowOffset, colOffset, c), "TableAssign", q, nil)
 	if err != nil {
 		return 0, err
 	}

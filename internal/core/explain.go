@@ -19,6 +19,16 @@ import (
 // Kernels: mult, apply, degrees (reduce), bfs, ktruss, jaccard,
 // tricount, assign (spAsgn).
 func ExplainPlan(kernel, table, out string) (string, error) {
+	p, err := explainCompile(kernel, table, out)
+	if err != nil {
+		return "", err
+	}
+	return p.Format(), nil
+}
+
+// explainCompile compiles the named kernel's plan as ExplainPlan prints
+// it.
+func explainCompile(kernel, table, out string) (*plan.Plan, error) {
 	var root *plan.Node
 	var name string
 	switch strings.ToLower(kernel) {
@@ -49,13 +59,9 @@ func ExplainPlan(kernel, table, out string) (string, error) {
 		name = "TableAssign"
 		root = assignPlan(table, out, "p|", "q|", ScanConstraint{})
 	default:
-		return "", fmt.Errorf("core: no plan for kernel %q (try mult, apply, degrees, bfs, ktruss, jaccard, tricount, assign)", kernel)
+		return nil, fmt.Errorf("core: no plan for kernel %q (try mult, apply, degrees, bfs, ktruss, jaccard, tricount, assign)", kernel)
 	}
-	p, err := plan.Compile(root, plan.Options{Kernel: name, ScratchBase: out, TraceID: "explain"})
-	if err != nil {
-		return "", err
-	}
-	return p.Format(), nil
+	return plan.Compile(root, plan.Options{Kernel: name})
 }
 
 // ExplainKernels lists the kernel names ExplainPlan accepts, in display

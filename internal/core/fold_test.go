@@ -182,7 +182,7 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 		}
 		m := &conn.Cluster().Telemetry().Stats
 		before := m.Get(telemetry.EntriesScanned)
-		res, err := runPlan(conn, adjSquareFoldPlan(sch.Table), "square", "sq", q)
+		res, err := runPlan(conn, adjSquareFoldPlan(sch.Table), "square", q, nil)
 		done(err)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -230,7 +230,7 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 			}
 		}
 
-		triangles, err := TriangleCountTable(conn, sch.Table, "triScratch")
+		triangles, err := TriangleCountTable(conn, sch.Table)
 		if err != nil {
 			t.Fatalf("%s: TriangleCount: %v", name, err)
 		}

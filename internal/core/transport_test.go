@@ -236,7 +236,7 @@ func TestFrontierCollectOnePassPerTablet(t *testing.T) {
 		for v := 0; v < n; v += 2 {
 			ranges = append(ranges, skv.ExactRow(schema.VertexName(v)))
 		}
-		p, err := plan.Compile(plan.Collect(plan.ScanRanges(sch.Table, ranges)), plan.Options{Kernel: "frontier", TraceID: "t"})
+		p, err := plan.Compile(plan.Collect(plan.ScanRanges(sch.Table, ranges)), plan.Options{Kernel: "frontier"})
 		if err != nil {
 			t.Fatal(err)
 		}

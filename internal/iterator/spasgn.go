@@ -6,9 +6,10 @@ import "graphulo/internal/skv"
 // key gains rowOffset as a prefix and every column qualifier gains
 // colOffset — the assignment dual of the SpRef range push-down, C(i+p,
 // j+q) = A(i, j) for string keys. Seek passes through untouched: the
-// scan range addresses the *source* coordinates (the planner places the
-// remap directly below the sink, above every filter and kernel stage,
-// so nothing downstream re-seeks in destination coordinates).
+// scan range addresses the *source* coordinates, so a stage above the
+// remap that re-seeks would seek the wrong keys. The planner therefore
+// refuses any stage over a spAsgn; only the sink (and, over a
+// multiply, the fold stage) sits above it.
 type SpAsgnIter struct {
 	src       SKVI
 	rowOffset string

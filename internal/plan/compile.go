@@ -42,9 +42,9 @@ const (
 	SinkCollectFold
 )
 
-// Step is one compiled server-side pass: a single scan of Source
-// carrying the fused iterator stack, ending in a sink. Every node fused
-// into the step executes inside that one pass — no intermediate table.
+// Step is the one compiled server-side pass: a single scan of Source
+// carrying the fused iterator stack, ending in a sink. Every node of
+// the plan executes inside that one pass — no intermediate table.
 type Step struct {
 	Source     string
 	Ranges     []skv.Range
@@ -54,9 +54,6 @@ type Step struct {
 	OutTable   string
 	Semiring   string
 	BatchSize  int
-	// Scratch marks a planner-created intermediate table that Execute
-	// drops when the plan finishes.
-	Scratch bool
 	// Ops labels the operators fused into this step, upstream first,
 	// for explain output. A step with any non-scan operator label is a
 	// fused group.
@@ -64,9 +61,7 @@ type Step struct {
 }
 
 // Fused reports whether the step fuses at least one kernel operator
-// (mult/apply/reduce/spAsgn) into its scan — i.e. work that a
-// materializing driver would have paid a scratch-table round-trip for
-// runs inside this single pass instead.
+// (mult/apply/reduce/spAsgn) into its scan.
 func (s Step) Fused() bool {
 	for _, op := range s.Ops {
 		switch firstWord(op) {
@@ -81,42 +76,17 @@ func (s Step) Fused() bool {
 type Options struct {
 	// Kernel names the kernel for explain output and telemetry spans.
 	Kernel string
-	// ScratchBase and TraceID name materialisation tables:
-	// <base>_m<i>_<trace>. The trace suffix keeps concurrent kernels on
-	// the same tables from clobbering each other's intermediates.
+	// ScratchBase and TraceID are ignored: a plan is one pass and never
+	// creates an intermediate table. They remain only because the
+	// benchmark ladder (bench/ladder.go) still sets them.
 	ScratchBase string
 	TraceID     string
 }
 
-// Plan is a compiled kernel: steps execute in order, each one a single
-// server-side pass (or a materialisation another step then scans).
+// Plan is a compiled kernel: exactly one server-side pass.
 type Plan struct {
 	Kernel string
-	Steps  []Step
-}
-
-// ScratchTables returns the planner-created intermediate table names,
-// in creation order.
-func (p *Plan) ScratchTables() []string {
-	var out []string
-	for _, s := range p.Steps {
-		if s.Scratch {
-			out = append(out, s.OutTable)
-		}
-	}
-	return out
-}
-
-// FusedGroups counts steps that fuse at least one kernel operator into
-// their scan.
-func (p *Plan) FusedGroups() int {
-	n := 0
-	for _, s := range p.Steps {
-		if s.Fused() {
-			n++
-		}
-	}
-	return n
+	Step   Step
 }
 
 // stage is one chain operator awaiting fusion: its settings (Priority 0
@@ -124,38 +94,36 @@ func (p *Plan) FusedGroups() int {
 type stage struct {
 	label    string
 	settings []iterator.Setting
-	spAsgn   bool
 }
 
-// chain is a partially compiled fusible pipeline: a scan of source plus
-// the stages stacked over it so far.
+// chain is a partially compiled pipeline: a scan of source plus the
+// stages stacked over it so far.
 type chain struct {
 	source     string
 	ranges     []skv.Range
 	constraint Constraint
 	stages     []stage
 	hasMult    bool
-	semiring   string // semiring of the mult in the chain, if any
 }
 
-// Compile lowers a node tree into an executable plan, fusing every
-// operator that is expressible as iterators over its upstream scan into
-// a single server-side pass.
+// Compile lowers a node tree into a plan of exactly one server-side
+// pass, or returns an error naming the operator pair that cannot share
+// one. The planner fuses or refuses; it never materialises.
 //
 // Fusion rules:
 //
-//   - Apply and SpAsgn fuse unconditionally (per-entry transforms).
-//   - Reduce fuses over a sorted stream (scan/apply/spAsgn chains) but
-//     not over a multiply, whose partial-product stream is not grouped
-//     by output row — that boundary materialises.
-//   - Mult fuses over a sorted stream; a multiply feeding another
-//     multiply materialises for the same reason.
-//   - SpAsgn placement is the planner's: the remap is hoisted to sit
-//     directly below the sink, so SpRef filters and kernel stages see
-//     source coordinates and the offset copy itself never round-trips.
-//   - Write and Collect terminate the fused stack (RemoteWrite or the
-//     wire back to the client); over a multiply, a Write or folding
-//     Collect gets the bounded ⊕-fold stage directly below it.
+//   - Apply, Reduce, Mult and SpAsgn fuse over a scan and over each
+//     other, in tree order, except as below.
+//   - Nothing but SpAsgn or a sink fuses over a Mult. Its partial
+//     products are neither sorted nor grouped by output row, so a Reduce
+//     or a second Mult cannot align on them, and an Apply would sit
+//     below the ⊕-fold stage and judge unfolded products instead of
+//     cells.
+//   - Nothing but a sink fuses over a SpAsgn: the remap passes seeks
+//     through in source coordinates, so it must be the last stage.
+//   - Write and Collect terminate the stack (RemoteWrite or the wire
+//     back to the client); over a multiply, a Write or folding Collect
+//     gets the bounded ⊕-fold stage directly below it.
 func Compile(root *Node, opts Options) (*Plan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("plan: nil root")
@@ -163,140 +131,101 @@ func Compile(root *Node, opts Options) (*Plan, error) {
 	if root.Op != OpWrite && root.Op != OpCollect {
 		return nil, fmt.Errorf("plan: root must be a Write or Collect sink, got %s", root.Op)
 	}
-	p := &Plan{Kernel: opts.Kernel}
-	c, err := compileNode(root.Input, p, opts)
+	c, err := compileNode(root.Input)
 	if err != nil {
 		return nil, err
 	}
+	var step Step
 	switch root.Op {
 	case OpWrite:
 		sem := root.Semiring
 		if sem == "" {
 			sem = "plus.times"
 		}
-		step := finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, foldBudget(root.PreAggBytes, c))
+		step = finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, foldBudget(root.PreAggBytes, c))
 		step.Ops = append(step.Ops, "write "+root.OutTable)
-		p.Steps = append(p.Steps, step)
 	case OpCollect:
 		sink, budget, label := SinkCollect, 0, "collect"
 		if root.Fold {
 			sink, budget, label = SinkCollectFold, foldBudget(0, c), "collect ⊕-fold"
 		}
-		step := finalize(c, sink, "", root.Semiring, 0, budget)
+		step = finalize(c, sink, "", root.Semiring, 0, budget)
 		step.Ops = append(step.Ops, label+" [streams to client, no scratch table]")
-		p.Steps = append(p.Steps, step)
 	}
-	return p, nil
+	return &Plan{Kernel: opts.Kernel, Step: step}, nil
 }
 
-// compileNode lowers the subtree under n into a fusible chain, emitting
-// materialisation steps into p wherever fusion is illegal.
-func compileNode(n *Node, p *Plan, opts Options) (chain, error) {
+// compileNode lowers the subtree under n into a chain of stages over
+// one scan.
+func compileNode(n *Node) (chain, error) {
 	if n == nil {
 		return chain{}, fmt.Errorf("plan: operator chain ends without a Scan leaf")
 	}
 	switch n.Op {
 	case OpScan:
 		return chain{source: n.Table, ranges: n.Ranges, constraint: n.Constraint}, nil
-
+	case OpWrite, OpCollect:
+		return chain{}, fmt.Errorf("plan: %s node in the middle of a chain (sinks terminate plans)", n.Op)
+	}
+	c, err := compileNode(n.Input)
+	if err != nil {
+		return chain{}, err
+	}
+	if err := unfusible(n); err != nil {
+		return chain{}, err
+	}
+	var st stage
+	switch n.Op {
 	case OpApply:
-		c, err := compileNode(n.Input, p, opts)
-		if err != nil {
-			return chain{}, err
-		}
-		c.stages = append(c.stages, stage{label: applyLabel(n.Settings), settings: n.Settings})
-		return c, nil
-
+		st = stage{label: applyLabel(n.Settings), settings: n.Settings}
 	case OpSpAsgn:
-		c, err := compileNode(n.Input, p, opts)
-		if err != nil {
-			return chain{}, err
-		}
-		c.stages = append(c.stages, stage{
-			label:  fmt.Sprintf("spAsgn row+%q col+%q", n.RowOffset, n.ColOffset),
-			spAsgn: true,
+		st = stage{
+			label: fmt.Sprintf("spAsgn row+%q col+%q", n.RowOffset, n.ColOffset),
 			settings: []iterator.Setting{{Name: "spAsgn", Opts: map[string]string{
 				"rowOffset": n.RowOffset, "colOffset": n.ColOffset,
 			}}},
-		})
-		return c, nil
-
+		}
 	case OpReduce:
-		c, err := compileNode(n.Input, p, opts)
-		if err != nil {
-			return chain{}, err
-		}
-		if c.hasMult {
-			// Partial products are not grouped by output row; the reduce
-			// needs a sorted rescan of the materialised result.
-			c, err = materialize(c, p, opts)
-			if err != nil {
-				return chain{}, err
-			}
-		}
-		c.stages = append(c.stages, stage{
+		st = stage{
 			label: fmt.Sprintf("reduce %s→%s", n.Monoid, n.ColQ),
 			settings: []iterator.Setting{{Name: "rowReduce", Opts: map[string]string{
 				"monoid": n.Monoid, "colF": n.ColF, "colQ": n.ColQ,
 			}}},
-		})
-		return c, nil
-
+		}
 	case OpMult:
-		c, err := compileNode(n.Input, p, opts)
-		if err != nil {
-			return chain{}, err
-		}
-		if c.hasMult {
-			// A multiply's output stream is not sorted by row, but the
-			// TwoTableIterator aligns on a sorted hosted stream.
-			c, err = materialize(c, p, opts)
-			if err != nil {
-				return chain{}, err
-			}
-		}
 		label := fmt.Sprintf("mult ⊗ %s (%s)", n.TableAT, n.Semiring)
 		multOpts := map[string]string{"tableAT": n.TableAT, "semiring": n.Semiring}
 		if len(n.FamiliesAT) > 0 {
 			multOpts["familiesAT"] = iterator.EncodeFamiliesOpt(n.FamiliesAT)
 			label += " [cf " + strings.Join(n.FamiliesAT, ",") + "]"
 		}
-		c.stages = append(c.stages, stage{
-			label:    label,
-			settings: []iterator.Setting{{Name: "twoTable", Opts: multOpts}},
-		})
+		st = stage{label: label, settings: []iterator.Setting{{Name: "twoTable", Opts: multOpts}}}
 		c.hasMult = true
-		c.semiring = n.Semiring
-		return c, nil
-
-	case OpWrite, OpCollect:
-		return chain{}, fmt.Errorf("plan: %s node in the middle of a chain (sinks terminate plans)", n.Op)
+	default:
+		return chain{}, fmt.Errorf("plan: unknown operator %d", int(n.Op))
 	}
-	return chain{}, fmt.Errorf("plan: unknown operator %d", int(n.Op))
+	c.stages = append(c.stages, st)
+	return c, nil
 }
 
-// materialize spills the chain into a scratch table and returns a fresh
-// chain scanning it — the only place a plan touches an intermediate.
-func materialize(c chain, p *Plan, opts Options) (chain, error) {
-	base := opts.ScratchBase
-	if base == "" {
-		base = "plan"
+// unfusible returns the error naming the operator pair when n cannot
+// run in the same pass as its input, or nil when it fuses.
+func unfusible(n *Node) error {
+	pair := n.Op.String() + " over " + n.Input.Op.String()
+	switch {
+	case n.Input.Op == OpSpAsgn:
+		return fmt.Errorf("plan: cannot fuse %s: spAsgn passes seeks through in source coordinates, so only a sink may sit over it", pair)
+	case n.Input.Op != OpMult || n.Op == OpSpAsgn:
+		return nil
+	case n.Op == OpApply:
+		return fmt.Errorf("plan: cannot fuse %s: the apply would sit below the ⊕-fold stage and judge unfolded partial products, not cells (needs a post-fold stage)", pair)
 	}
-	name := fmt.Sprintf("%s_m%d_%s", base, len(p.Steps), opts.TraceID)
-	sem := c.semiring
-	if sem == "" {
-		sem = "plus.times"
-	}
-	step := finalize(c, SinkWrite, name, sem, 4096, foldBudget(0, c))
-	step.Scratch = true
-	step.Ops = append(step.Ops, "materialize "+name+" [scratch table]")
-	p.Steps = append(p.Steps, step)
-	return chain{source: name}, nil
+	return fmt.Errorf("plan: cannot fuse %s: partial products are not sorted by output row", pair)
 }
 
 // finalize assembles a chain into one executable step: the constraint's
-// column filter at priority 25, the fused stages (spAsgn hoisted last)
-// from 30 upward, the fold stage (preAggBytes > 0) at 89 and — for
+// column filter at priority 25, the fused stages in chain order from 30
+// upward, the fold stage (preAggBytes > 0) at 89 and — for
 // write sinks — RemoteWrite at 90.
 func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preAggBytes int) Step {
 	step := Step{
@@ -313,7 +242,7 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preA
 		step.Settings = append(step.Settings, colFilter)
 	}
 	prio := 30
-	addStage := func(st stage) {
+	for _, st := range c.stages {
 		step.Ops = append(step.Ops, st.label)
 		for _, s := range st.settings {
 			if s.Priority == 0 {
@@ -321,18 +250,6 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preA
 				prio++
 			}
 			step.Settings = append(step.Settings, s)
-		}
-	}
-	// SpAsgn placement: the remap runs last, directly below the sink, so
-	// every other stage sees source coordinates.
-	for _, st := range c.stages {
-		if !st.spAsgn {
-			addStage(st)
-		}
-	}
-	for _, st := range c.stages {
-		if st.spAsgn {
-			addStage(st)
 		}
 	}
 	if preAggBytes > 0 {

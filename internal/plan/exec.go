@@ -29,72 +29,29 @@ type Cell struct {
 	Row, ColF, ColQ string
 }
 
-// Result is what a plan's terminal sink produced.
+// Result is what a plan's sink produced.
 type Result struct {
 	// Written is the entry count RemoteWrite reported for a SinkWrite
-	// terminal step (folded cells under a fold stage, raw partial
-	// products without one).
+	// step (folded cells under a fold stage, raw partial products
+	// without one).
 	Written int
-	// Entries holds a SinkCollect terminal step's stream, in key order.
+	// Entries holds a SinkCollect step's stream, in key order.
 	Entries []skv.Entry
-	// Cells holds a SinkCollectFold terminal step's ⊕-folded output.
+	// Cells holds a SinkCollectFold step's ⊕-folded output.
 	Cells map[Cell]float64
 }
 
-// Execute runs the plan's steps in order. Each step is one scan
-// carrying its fused iterator stack — executed through the ordinary
+// Execute runs the plan's one pass under its own telemetry span: a
+// scan carrying the fused iterator stack, executed through the ordinary
 // Scanner/EntryStream machinery, so it behaves identically on inproc,
-// TCP, and external-daemon transports. A step over explicit ranges (a
+// TCP, and external-daemon transports. A pass over explicit ranges (a
 // BFS frontier) is the same one scan: each overlapping tablet serves
-// its clips of every range in a single pass. Scratch tables created by
-// materialisation steps are dropped before returning, on success and on
-// error. The returned Result is the terminal step's.
-func (p *Plan) Execute(env Env) (res *Result, err error) {
-	if len(p.Steps) == 0 {
-		return nil, fmt.Errorf("plan: empty plan")
-	}
-	var scratch []string
-	defer func() {
-		ops := env.Conn.TableOperations()
-		for _, name := range scratch {
-			if !ops.Exists(name) {
-				continue
-			}
-			if derr := ops.Delete(name); derr != nil && err == nil {
-				err = fmt.Errorf("plan: dropping scratch table %q: %w", name, derr)
-			}
-		}
-	}()
-	for i := range p.Steps {
-		step := &p.Steps[i]
-		if step.Scratch {
-			scratch = append(scratch, step.OutTable)
-		}
-		res, err = p.runStep(step, env)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return res, nil
-}
-
-// runStep executes one compiled step under its own telemetry span.
-func (p *Plan) runStep(step *Step, env Env) (*Result, error) {
+// its clips of every range in a single pass.
+func (p *Plan) Execute(env Env) (*Result, error) {
+	step := &p.Step
 	span := env.Query.StartSpan(env.Query.RootID(), stepSpanName(step))
 	defer span.End()
 	if step.Sink == SinkWrite {
-		ops := env.Conn.TableOperations()
-		if step.Scratch {
-			// A stale table under this name would ⊕-fold its leftovers
-			// into ours; trace-suffixed names make collisions vanishingly
-			// rare, but a crash can leave one behind.
-			if ops.Exists(step.OutTable) {
-				if err := ops.Delete(step.OutTable); err != nil {
-					return nil, err
-				}
-			}
-			env.Conn.Cluster().Telemetry().Stats.Add(telemetry.ScratchTablesCreated, 1)
-		}
 		if env.EnsureTable == nil {
 			return nil, fmt.Errorf("plan: write sink %q needs Env.EnsureTable", step.OutTable)
 		}

@@ -1,13 +1,12 @@
-// Package plan represents server-side kernels as DAGs of composable
+// Package plan represents server-side kernels as trees of composable
 // operator nodes — the NewSQL direction of "From NoSQL Accumulo to
 // NewSQL Graphulo": a kernel is no longer a hand-sequenced list of
-// table operations but a tree of Scan/Mult/Apply/Reduce/SpAsgn/Write
-// nodes that a small planner compiles into as few server-side iterator
-// stacks as possible. Wherever a downstream node is expressible as
-// iterators over the upstream scan, the planner fuses it into the same
-// stack, so the fused steps never materialise a scratch table between
-// them; only genuinely order-breaking boundaries (a multiply feeding
-// another multiply or a row reduction) still write an intermediate.
+// table operations but a chain of Scan/Mult/Apply/Reduce/SpAsgn nodes
+// under a Write or Collect sink, which a small planner compiles into
+// exactly one server-side iterator stack. The planner fuses or
+// refuses: a chain it cannot run as one pass (a reduce, apply or
+// second multiply over a multiply, any stage over a spAsgn) is a
+// compile error naming the operator pair, never an intermediate table.
 //
 // Plans execute through the ordinary scan machinery — Scanner →
 // EntryStream → serveScan — so a fused stack runs identically on the

@@ -33,69 +33,76 @@ func TestCompileFusesApplyReduceSpAsgn(t *testing.T) {
 				"plus", "", "deg"),
 			"p|", ""),
 		"C", "plus.times", 0, -1)
-	p := compileOK(t, root, Options{Kernel: "fuseAll", TraceID: "t"})
-	if len(p.Steps) != 1 {
-		t.Fatalf("apply+reduce+spAsgn should fuse into one step, got %d: %+v", len(p.Steps), p.Steps)
+	p := compileOK(t, root, Options{Kernel: "fuseAll"})
+	if !p.Step.Fused() {
+		t.Fatalf("apply+reduce+spAsgn should be a fused group, got ops %v", p.Step.Ops)
 	}
-	if got := p.FusedGroups(); got != 1 {
-		t.Fatalf("FusedGroups = %d, want 1", got)
-	}
-	if len(p.ScratchTables()) != 0 {
-		t.Fatalf("fully fused plan created scratch tables: %v", p.ScratchTables())
-	}
-	// SpAsgn is hoisted to run last, directly below the sink.
-	step := p.Steps[0]
-	var names []string
-	for _, s := range step.Settings {
-		names = append(names, s.Name)
-	}
-	last := names[len(names)-1]
-	if last != "remoteWrite" || names[len(names)-2] != "spAsgn" {
-		t.Fatalf("spAsgn must sit directly below the sink, got settings %v", names)
+	// Stages keep tree order: the spAsgn is the top of the tree, so it
+	// sits directly below the sink.
+	if got, want := settingNames(p.Step), []string{"scale", "rowReduce", "spAsgn", "remoteWrite"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("stack %v, want %v", got, want)
 	}
 }
 
-func TestCompileMaterializesReduceOverMult(t *testing.T) {
-	root := Write(
-		Reduce(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "plus", "", "deg"),
-		"C", "plus.times", 0, -1)
-	p := compileOK(t, root, Options{Kernel: "degOfSquare", ScratchBase: "C", TraceID: "abc"})
-	if len(p.Steps) != 2 {
-		t.Fatalf("reduce over mult must materialize: want 2 steps, got %d", len(p.Steps))
+// TestCompileRefusesUnfusible: a chain that cannot run as one pass is a
+// compile error naming both operators; the pairs that do fuse compile
+// to one stack in tree order.
+func TestCompileRefusesUnfusible(t *testing.T) {
+	scan := func() *Node { return Scan("A", Constraint{}) }
+	mult := func(in *Node) *Node { return Mult(in, "AT", "plus.times") }
+	apply := func(in *Node) *Node {
+		return Apply(in, iterator.Setting{Name: "threshold", Opts: map[string]string{"min": "2"}})
 	}
-	scratch := p.ScratchTables()
-	if len(scratch) != 1 || scratch[0] != "C_m0_abc" {
-		t.Fatalf("scratch tables = %v, want [C_m0_abc]", scratch)
+	reduce := func(in *Node) *Node { return Reduce(in, "plus", "", "deg") }
+	spAsgn := func(in *Node) *Node { return SpAsgn(in, "p|", "q|") }
+	write := func(in *Node) *Node { return Write(in, "C", "plus.times", 0, 0) }
+	cases := []struct {
+		name    string
+		root    *Node
+		refused string   // the operator pair the error must name
+		stack   []string // the accepted plan's stack
+	}{
+		{name: "apply over mult", root: write(apply(mult(scan()))), refused: "apply over mult"},
+		{name: "reduce over mult", root: write(reduce(mult(scan()))), refused: "reduce over mult"},
+		{name: "mult over mult", root: write(mult(mult(scan()))), refused: "mult over mult"},
+		{name: "apply over spAsgn", root: write(apply(spAsgn(scan()))), refused: "apply over spAsgn"},
+		{name: "reduce over spAsgn", root: write(reduce(spAsgn(scan()))), refused: "reduce over spAsgn"},
+		{name: "mult over spAsgn", root: write(mult(spAsgn(scan()))), refused: "mult over spAsgn"},
+		{name: "spAsgn over mult", root: write(spAsgn(mult(scan()))),
+			stack: []string{"twoTable", "spAsgn", "fold", "remoteWrite"}},
+		{name: "mult over apply", root: write(mult(apply(scan()))),
+			stack: []string{"threshold", "twoTable", "fold", "remoteWrite"}},
+		{name: "mult over reduce", root: write(mult(reduce(scan()))),
+			stack: []string{"rowReduce", "twoTable", "fold", "remoteWrite"}},
 	}
-	if !p.Steps[0].Scratch || p.Steps[0].OutTable != "C_m0_abc" {
-		t.Fatalf("step 0 should write the scratch table, got %+v", p.Steps[0])
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			p, err := Compile(c.root, Options{Kernel: c.name})
+			if c.refused != "" {
+				if err == nil || !strings.Contains(err.Error(), c.refused) {
+					t.Fatalf("Compile = %v, want an error naming %q", err, c.refused)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Compile: %v", err)
+			}
+			if got := settingNames(p.Step); !reflect.DeepEqual(got, c.stack) {
+				t.Fatalf("stack %v, want %v", got, c.stack)
+			}
+		})
 	}
-	if p.Steps[1].Source != "C_m0_abc" {
-		t.Fatalf("step 1 should rescan the scratch table, got source %q", p.Steps[1].Source)
-	}
-}
-
-func TestCompileMaterializesMultOverMult(t *testing.T) {
-	root := Write(
-		Mult(Mult(Scan("A", Constraint{}), "A", "plus.times"), "A", "plus.times"),
-		"C", "plus.times", 0, -1)
-	p := compileOK(t, root, Options{Kernel: "cube", ScratchBase: "C", TraceID: "x"})
-	if len(p.Steps) != 2 {
-		t.Fatalf("mult over mult must materialize: want 2 steps, got %d", len(p.Steps))
-	}
-	if got := p.FusedGroups(); got != 2 {
-		t.Fatalf("both steps carry a mult, FusedGroups = %d, want 2", got)
+	// The apply-over-mult refusal says what would lift it.
+	if _, err := Compile(write(apply(mult(scan()))), Options{}); err == nil || !strings.Contains(err.Error(), "post-fold stage") {
+		t.Fatalf("apply over mult: %v, want the error to name the missing post-fold stage", err)
 	}
 }
 
 func TestCompileCollectFoldNeedsNoScratch(t *testing.T) {
 	root := CollectFold(Mult(Scan("A", Constraint{}), "A", "plus.times"), "plus.times")
-	p := compileOK(t, root, Options{Kernel: "square", TraceID: "t"})
-	if len(p.Steps) != 1 || len(p.ScratchTables()) != 0 {
-		t.Fatalf("collect-fold over mult should be a single scratch-free step, got %+v", p.Steps)
-	}
-	if p.Steps[0].Sink != SinkCollectFold {
-		t.Fatalf("sink = %v, want SinkCollectFold", p.Steps[0].Sink)
+	p := compileOK(t, root, Options{Kernel: "square"})
+	if p.Step.Sink != SinkCollectFold || p.Step.OutTable != "" {
+		t.Fatalf("collect-fold over mult should stream to the client, got %+v", p.Step)
 	}
 }
 
@@ -115,7 +122,7 @@ func TestConstraintBecomesColRangeSetting(t *testing.T) {
 	c := Constraint{RowStart: "a", RowEnd: "m", ColQStart: "b", ColQEnd: "k"}
 	root := Write(Scan("A", c), "C", "plus.times", 0, -1)
 	p := compileOK(t, root, Options{Kernel: "band"})
-	step := p.Steps[0]
+	step := p.Step
 	found := false
 	for _, s := range step.Settings {
 		if s.Name == "colRange" {
@@ -146,8 +153,8 @@ func settingNames(s Step) []string {
 }
 
 // TestFoldStagePlacement: every multiply chain gets the one fold stage
-// directly below its sink — write, materialize and folding collect
-// alike, spAsgn included — with the one fixed budget; nothing else does.
+// directly below its sink — write and folding collect alike, spAsgn
+// included — with the one fixed budget; nothing else does.
 func TestFoldStagePlacement(t *testing.T) {
 	mult := func() *Node { return Mult(Scan("A", Constraint{}), "AT", "min.plus") }
 	cases := []struct {
@@ -165,8 +172,7 @@ func TestFoldStagePlacement(t *testing.T) {
 		{"no multiply", Write(Scan("A", Constraint{}), "C", "plus.times", 0, 0), []string{"remoteWrite"}, 0},
 	}
 	for _, c := range cases {
-		p := compileOK(t, c.root, Options{Kernel: c.name, TraceID: "t"})
-		step := p.Steps[len(p.Steps)-1]
+		step := compileOK(t, c.root, Options{Kernel: c.name}).Step
 		if got := settingNames(step); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: stack %v, want %v", c.name, got, c.want)
 		}
@@ -178,12 +184,6 @@ func TestFoldStagePlacement(t *testing.T) {
 				t.Errorf("%s: remoteWrite still carries fold options: %v", c.name, s.Opts)
 			}
 		}
-	}
-	// A materialised multiply folds in front of its scratch table too.
-	p := compileOK(t, Write(Reduce(Mult(Scan("A", Constraint{}), "AT", ""), "plus", "", "deg"), "C", "", 0, 0),
-		Options{Kernel: "degOfSquare", ScratchBase: "C", TraceID: "t"})
-	if got, want := settingNames(p.Steps[0]), []string{"twoTable", "fold", "remoteWrite"}; !reflect.DeepEqual(got, want) {
-		t.Errorf("materialize: stack %v, want %v", got, want)
 	}
 }
 
@@ -218,7 +218,7 @@ func TestFoldingCollectRefusesNonNumeric(t *testing.T) {
 	step := finalize(chain{source: "T"}, SinkCollectFold, "", "plus.times", 0, DefaultPreAggBytes)
 	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // one range, many ranges
 		step.Ranges = ranges
-		_, err := (&Plan{Kernel: "test", Steps: []Step{step}}).Execute(Env{Conn: conn, Query: q})
+		_, err := (&Plan{Kernel: "test", Step: step}).Execute(Env{Conn: conn, Query: q})
 		if err == nil || !strings.Contains(err.Error(), "b :y") || !strings.Contains(err.Error(), "not-a-number") {
 			t.Fatalf("ranges %v: folding collect over a non-numeric entry returned %v, want an error naming key b :y", ranges, err)
 		}
@@ -257,7 +257,7 @@ func TestVisitErrorStopsMultiRangeCollect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer done(nil)
-	p := compileOK(t, Collect(ScanRanges("F", ranges)), Options{Kernel: "test", TraceID: "t"})
+	p := compileOK(t, Collect(ScanRanges("F", ranges)), Options{Kernel: "test"})
 	count := 0
 	if _, err := p.Execute(Env{Conn: conn, Query: q, Visit: func(skv.Entry) error { count++; return nil }}); err != nil {
 		t.Fatal(err)
@@ -295,22 +295,16 @@ func TestVisitErrorStopsMultiRangeCollect(t *testing.T) {
 }
 
 func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
-	root := Write(
-		Reduce(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "plus", "", "deg"),
-		"C", "plus.times", 0, 0)
-	p := compileOK(t, root, Options{Kernel: "degOfSquare", ScratchBase: "C", TraceID: "t"})
+	p := compileOK(t, Write(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "C", "plus.times", 0, 0),
+		Options{Kernel: "mult"})
 	out := p.Format()
-	if !strings.Contains(out, "fused group") {
-		t.Fatalf("Format output missing fused-group marker:\n%s", out)
+	if !strings.HasPrefix(out, "plan mult\n  - fused group: scan A\n") {
+		t.Fatalf("Format output missing the header or fused-group marker:\n%s", out)
 	}
-	if !strings.Contains(out, "scratch table") {
-		t.Fatalf("Format output missing scratch-table marker:\n%s", out)
+	if strings.Contains(out, "steps=") || strings.Contains(out, "fused-groups=") || strings.Contains(out, "step 1") {
+		t.Fatalf("Format output still counts or numbers steps:\n%s", out)
 	}
-	if !strings.Contains(out, "fused-groups=") {
-		t.Fatalf("Format output missing fused-groups header:\n%s", out)
-	}
-
-	if !strings.Contains(out, "    - fold ⊕ plus.times ≤16 MiB\n    - materialize ") {
+	if !strings.Contains(out, "    - fold ⊕ plus.times ≤16 MiB\n    - write C\n") {
 		t.Fatalf("Format output missing the fold stage's own line below the mult:\n%s", out)
 	}
 
@@ -322,5 +316,9 @@ func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
 	}
 	if !strings.Contains(out, "    - fold ⊕ plus.times ≤16 MiB\n    - collect ⊕-fold") {
 		t.Fatalf("collect-fold Format missing the fold stage's line:\n%s", out)
+	}
+
+	if out := compileOK(t, Collect(Scan("A", Constraint{})), Options{Kernel: "read"}).Format(); out != "plan read\n  - pass: scan A\n    - collect [streams to client, no scratch table]\n" {
+		t.Fatalf("unfused Format output:\n%s", out)
 	}
 }
