@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"graphulo/internal/accumulo"
 )
@@ -267,6 +268,19 @@ func TestConcurrentKernelsByteIdenticalScheduled(t *testing.T) {
 				}(w)
 			}
 
+			// Hold every query slot until a kernel has queued behind them,
+			// so the admission wait asserted below is forced, not left to
+			// how the workers happen to interleave.
+			sch := db.Connector().Cluster().Scheduler()
+			var held []func()
+			for i := 0; i < cfg.MaxConcurrentQueries; i++ {
+				release, _, err := sch.Admit("hold")
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, release)
+			}
+
 			var wg sync.WaitGroup
 			errs := make([]error, workers)
 			for i := 0; i < workers; i++ {
@@ -315,6 +329,15 @@ func TestConcurrentKernelsByteIdenticalScheduled(t *testing.T) {
 						errs[i] = fmt.Errorf("worker %d TableMult output diverged", i)
 					}
 				}(i)
+			}
+			for deadline := time.Now().Add(10 * time.Second); sch.QueriesQueued() == 0; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Error("no kernel queued behind the held slots")
+					break
+				}
+			}
+			for _, release := range held {
+				release()
 			}
 			wg.Wait()
 			stop.Store(true)

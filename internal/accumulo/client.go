@@ -97,11 +97,8 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 		case t.mc.external():
 			// The tablet lives in the external server process; assign it
 			// there and keep only the routing entry.
-			conn, err := t.mc.tr.Dial(ref.endpoint)
-			if err == nil {
-				_, err = conn.Call(opAssign, encodeAssignReq(assignReq{table: name, start: rng[0], end: rng[1]}))
-			}
-			if err != nil {
+			hdr := reqHeader{table: name, start: rng[0], end: rng[1]}
+			if err := call(t.mc.tr, ref.endpoint, opAssign, encodeCall(opAssign, hdr, nil)); err != nil {
 				return fmt.Errorf("accumulo: assigning tablet of %q to %s: %w", name, ref.endpoint, err)
 			}
 		case backings != nil:
@@ -169,10 +166,7 @@ func (t *TableOperations) Delete(name string) error {
 			// endpoint whose drop failed are replaced at the next assign.
 			var firstErr error
 			for _, ep := range t.mc.endpoints {
-				conn, err := t.mc.tr.Dial(ep)
-				if err == nil {
-					_, err = conn.Call(opDrop, appendStr(nil, name))
-				}
+				err := call(t.mc.tr, ep, opDrop, encodeCall(opDrop, reqHeader{table: name}, nil))
 				if err != nil && firstErr == nil {
 					firstErr = fmt.Errorf("accumulo: dropping table %q on %s: %w", name, ep, err)
 				}

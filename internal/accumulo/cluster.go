@@ -401,13 +401,10 @@ func (mc *MiniCluster) openTransport() error {
 		}
 		mc.tr = transport.NewTCP()
 		mc.endpoints = append([]string(nil), mc.cfg.Servers...)
-		// Fail fast on unreachable servers.
+		// Fail fast on unreachable servers and on servers speaking another
+		// wire version (ErrWireVersion).
 		for _, ep := range mc.endpoints {
-			conn, err := mc.tr.Dial(ep)
-			if err == nil {
-				_, err = conn.Call(opPing, nil)
-			}
-			if err != nil {
+			if err := call(mc.tr, ep, opPing, encodeCall(opPing, reqHeader{}, nil)); err != nil {
 				mc.tr.Close()
 				return fmt.Errorf("accumulo: tablet server %s: %w", ep, err)
 			}

@@ -95,12 +95,12 @@ func (r *router) openStream(table string, ranges []skv.Range, families []string,
 	s := startStream(&r.tel.Stats, r.topo.scanPar, len(fetches),
 		func(i int, out *tabletScan, done <-chan struct{}) {
 			f := fetches[i]
-			req := encodeScanReq(scanReq{
+			req := encodeScanReq(reqHeader{
 				table: table, start: f.tablet.start, end: f.tablet.end,
+				trace: uint64(q.Trace()), span: spanID, tenant: q.Tenant(),
+			}, scanReq{
 				ranges: f.ranges, settings: settings,
-				batch:   r.topo.wireBatch,
-				traceID: uint64(q.Trace()), spanID: spanID,
-				tenant:   q.Tenant(),
+				batch:    r.topo.wireBatch,
 				families: families,
 				topoRaw:  r.topoRaw,
 			})
@@ -176,14 +176,8 @@ func (r *router) write(table string, entries []skv.Entry, q *telemetry.Query) er
 		r.tel.Count(q, telemetry.WireBytes, int64(len(wire)))
 		r.tel.Count(q, telemetry.WriteWireBytes, int64(len(wire)))
 		r.tel.Count(q, telemetry.RPCs, 1)
-		conn, err := r.tr.Dial(tb.endpoint)
-		if err == nil {
-			_, err = conn.Call(opWrite, encodeWriteReq(writeReq{
-				table: table, start: tb.start, end: tb.end, batch: wire,
-				traceID: uint64(q.Trace()), tenant: q.Tenant(),
-			}))
-		}
-		if err != nil {
+		hdr := reqHeader{table: table, start: tb.start, end: tb.end, trace: uint64(q.Trace()), tenant: q.Tenant()}
+		if err := call(r.tr, tb.endpoint, opWrite, encodeCall(opWrite, hdr, wire)); err != nil {
 			if !wrote && errors.Is(err, transport.ErrUnavailable) {
 				// The server was unreachable before any tablet absorbed
 				// entries: the whole batch is retriable.

@@ -205,36 +205,26 @@ type tabletHandler struct {
 	s *TabletServer
 }
 
-// Call implements transport.Handler.
+// Call implements transport.Handler. The header is read, and the
+// request rejected if malformed, before any op acts.
 func (h *tabletHandler) Call(op byte, req []byte) ([]byte, error) {
 	s := h.s
+	hdr, batch, err := decodeCall(op, req)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case opPing:
-		return nil, nil
 	case opAssign:
-		ar, err := decodeAssignReq(req)
-		if err != nil {
-			return nil, err
-		}
-		s.assign(ar.table, ar.start, ar.end)
-		return nil, nil
+		s.assign(hdr.table, hdr.start, hdr.end)
 	case opDrop:
-		table, _, err := readStr(req)
-		if err != nil {
-			return nil, err
-		}
-		s.drop(table)
-		return nil, nil
+		s.drop(hdr.table)
 	case opWrite:
-		wr, err := decodeWriteReq(req)
-		if err != nil {
-			return nil, err
-		}
-		entries, err := skv.DecodeBatch(wr.batch)
+		entries, err := skv.DecodeBatch(batch)
 		if err != nil {
 			return nil, fmt.Errorf("accumulo: wire corruption: %w", err)
 		}
-		tab, err := s.resolve(wr.table, wr.start, wr.end)
+		tab, err := s.resolve(hdr.table, hdr.start, hdr.end)
 		if err != nil {
 			return nil, err
 		}
@@ -250,10 +240,10 @@ func (h *tabletHandler) Call(op byte, req []byte) ([]byte, error) {
 		if err := tab.Write(entries); err != nil {
 			return nil, fmt.Errorf("accumulo: tablet write: %w", err)
 		}
-		return nil, nil
 	default:
 		return nil, fmt.Errorf("accumulo: unknown unary op %d", op)
 	}
+	return nil, nil
 }
 
 // Stream implements transport.Handler: opScan — the only streaming op —
@@ -264,16 +254,16 @@ func (h *tabletHandler) Stream(op byte, req []byte, send func([]byte) error) err
 	if op != opScan {
 		return fmt.Errorf("accumulo: unknown streaming op %d", op)
 	}
-	sr, err := decodeScanReq(req)
+	hdr, sr, err := decodeScanReq(req)
 	if err != nil {
 		return err
 	}
-	tab, err := s.resolve(sr.table, sr.start, sr.end)
+	tab, err := s.resolve(hdr.table, hdr.start, hdr.end)
 	if err != nil {
 		return err
 	}
-	pass := s.tel.StartPass(telemetry.TraceID(sr.traceID), sr.spanID,
-		fmt.Sprintf("pass %s [%s,%s)", sr.table, sr.start, sr.end)).WithTenant(sr.tenant)
+	pass := s.tel.StartPass(telemetry.TraceID(hdr.trace), hdr.span,
+		fmt.Sprintf("pass %s [%s,%s)", hdr.table, hdr.start, hdr.end)).WithTenant(hdr.tenant)
 	env := &scanEnv{
 		r:  &router{tr: s.tr, tel: s.tel, topo: sr.topo, topoRaw: sr.topoRaw},
 		tc: traceCtx{q: pass},

@@ -214,7 +214,7 @@ func TestLaunchedAndStandaloneServeIdentically(t *testing.T) {
 	}
 
 	// Dropped tablets answer the typed not-hosted error on both.
-	req := encodeScanReq(scanReq{table: "out", batch: 4})
+	req := encodeScanReq(reqHeader{table: "out"}, scanReq{batch: 4})
 	for name, s := range map[string]*TabletServer{"launched": launched.servers[0], "standalone": srv} {
 		err := (&tabletHandler{s: s}).Stream(opScan, req, func([]byte) error { return nil })
 		if !errors.Is(err, errNotHosted) {
@@ -275,14 +275,14 @@ func TestAddSplitsRehosts(t *testing.T) {
 	}
 
 	// A request still routed by the old range is refused, typed.
-	old := encodeScanReq(scanReq{table: "T", batch: 4})
+	old := encodeScanReq(reqHeader{table: "T"}, scanReq{batch: 4})
 	for i, s := range mc.servers {
 		err := (&tabletHandler{s: s}).Stream(opScan, old, func([]byte) error { return nil })
 		if !errors.Is(err, errNotHosted) {
 			t.Errorf("server %d: scan of the pre-split range: err = %v, want errNotHosted", i, err)
 		}
 	}
-	stale := encodeWriteReq(writeReq{table: "T", batch: skv.EncodeBatch(nil)})
+	stale := encodeCall(opWrite, reqHeader{table: "T"}, skv.EncodeBatch(nil))
 	if _, err := (&tabletHandler{s: mc.servers[0]}).Call(opWrite, stale); !errors.Is(err, errNotHosted) {
 		t.Errorf("write to the pre-split range: err = %v, want errNotHosted", err)
 	}

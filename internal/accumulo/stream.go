@@ -163,7 +163,7 @@ func relayScan(tr transport.Transport, tel *telemetry.Registry, q *telemetry.Que
 			return nil // cancelled by the consumer via done
 		}
 		if err != nil {
-			return err
+			return remoteErr(err)
 		}
 		tel.Count(q, telemetry.WireBytes, int64(len(payload)))
 		if len(payload) == 0 {

@@ -1,9 +1,9 @@
 package accumulo
 
-// Wire-level tests for the telemetry fields: the trace/span ids carried
-// by scan and write requests must round-trip across the codec, and any
-// truncated or hostile frame must fail with a decode error rather than
-// a panic — these frames arrive from real sockets.
+// Wire-level tests for the scan stream's telemetry frames: any truncated
+// or hostile frame must fail with a decode error rather than a panic —
+// these frames arrive from real sockets. The request header's trace,
+// span and tenant fields are covered by TestRequestCodecEveryOp.
 
 import (
 	"fmt"
@@ -12,80 +12,6 @@ import (
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
-
-// TestTraceIDWireRoundTrip pins that the trace ids survive the codec:
-// a daemon can only attach its pass spans to the originating kernel
-// query if the ids arrive intact.
-func TestTraceIDWireRoundTrip(t *testing.T) {
-	sr := scanReq{
-		table: "T", start: "a", end: "z",
-		ranges:  []skv.Range{skv.RowRange("a", "c")},
-		batch:   16,
-		traceID: 0xdeadbeefcafef00d,
-		spanID:  0x0123456789abcdef,
-	}
-	got, err := decodeScanReq(encodeScanReq(sr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.traceID != sr.traceID || got.spanID != sr.spanID {
-		t.Errorf("scanReq ids = %x/%x, want %x/%x", got.traceID, got.spanID, sr.traceID, sr.spanID)
-	}
-
-	// The zero (untraced) ids round-trip as zero.
-	plain, err := decodeScanReq(encodeScanReq(scanReq{table: "T", batch: 1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.traceID != 0 || plain.spanID != 0 {
-		t.Errorf("untraced scanReq ids = %x/%x, want 0/0", plain.traceID, plain.spanID)
-	}
-
-	wr := writeReq{
-		table: "T", start: "m", end: "q",
-		batch:   skv.EncodeBatch([]skv.Entry{{K: skv.Key{Row: "r", ColQ: "c", Ts: 3}, V: skv.EncodeFloat(1)}}),
-		traceID: 0xfeedface12345678,
-	}
-	gotW, err := decodeWriteReq(encodeWriteReq(wr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotW.traceID != wr.traceID {
-		t.Errorf("writeReq traceID = %x, want %x", gotW.traceID, wr.traceID)
-	}
-	if string(gotW.batch) != string(wr.batch) {
-		t.Error("writeReq batch corrupted by trace field")
-	}
-}
-
-// TestTraceReqTruncatedFrames feeds every strict prefix of valid
-// request frames through the decoders: all must error, none may panic.
-// A frame cut inside the trailing trace ids is the regression this
-// guards — they are fixed-width-less uvarints at the frame tail.
-func TestTraceReqTruncatedFrames(t *testing.T) {
-	sr := encodeScanReq(scanReq{
-		table: "tbl", start: "a", end: "z",
-		ranges:  []skv.Range{skv.RowRange("b", "c")},
-		batch:   8,
-		traceID: ^uint64(0), // max-width uvarints: 10 bytes each
-		spanID:  ^uint64(0),
-	})
-	for i := 0; i < len(sr); i++ {
-		if _, err := decodeScanReq(sr[:i]); err == nil {
-			t.Errorf("decodeScanReq accepted a %d/%d-byte prefix", i, len(sr))
-		}
-	}
-	wr := encodeWriteReq(writeReq{
-		table: "tbl", start: "a", end: "z",
-		batch:   skv.EncodeBatch([]skv.Entry{{K: skv.Key{Row: "r"}, V: skv.EncodeFloat(2)}}),
-		traceID: ^uint64(0),
-	})
-	for i := 0; i < len(wr); i++ {
-		if _, err := decodeWriteReq(wr[:i]); err == nil {
-			t.Errorf("decodeWriteReq accepted a %d/%d-byte prefix", i, len(wr))
-		}
-	}
-}
 
 // TestScanStreamFrameKinds pins the scan-stream frame protocol at the
 // consumer: an empty payload and an unknown kind byte are wire

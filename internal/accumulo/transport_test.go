@@ -187,56 +187,22 @@ func TestScanOrderAcrossTransports(t *testing.T) {
 	}
 }
 
-// TestWireDecodeRejectsHostileCounts pins that corrupt (or hostile)
-// frames whose item counts exceed the payload fail with a decode error
-// instead of a huge-allocation panic that would kill the server.
+// TestWireDecodeRejectsHostileCounts pins that a corrupt (or hostile)
+// entry batch whose count exceeds the payload fails with a decode error
+// instead of a huge-allocation panic that would kill the server. The
+// request decoders' hostile counts are inputs of TestRequestCodecEveryOp.
 func TestWireDecodeRejectsHostileCounts(t *testing.T) {
-	req := appendStr(nil, "T")
-	req = appendStr(req, "")
-	req = appendStr(req, "")
-	req = appendRanges(req, nil)
-	req = binary.AppendUvarint(req, 1<<50) // settings count
-	if _, err := decodeScanReq(req); err == nil {
-		t.Error("decodeScanReq accepted a settings count of 1<<50")
-	}
-	hostile := appendStr(nil, "T")
-	hostile = appendStr(hostile, "")
-	hostile = appendStr(hostile, "")
-	hostile = binary.AppendUvarint(hostile, 1<<50) // ranges count
-	if _, err := decodeScanReq(hostile); err == nil {
-		t.Error("decodeScanReq accepted a ranges count of 1<<50")
-	}
 	batch := binary.AppendUvarint(nil, 1<<50)
 	if _, err := skv.DecodeBatch(batch); err == nil {
 		t.Error("skv.DecodeBatch accepted an entry count of 1<<50")
 	}
 }
 
-// TestScanReqRangeListRoundTrip pins the wire encoding of a scan's
-// constrained-range set: a multi-range request crosses the codec intact
-// (SpRef push-down must survive real sockets), and an empty list — the
-// full-tablet scan — round-trips as empty rather than growing a range.
+// TestScanReqRangeListRoundTrip pins that an empty range list — the
+// full-tablet scan — crosses the codec as empty rather than growing a
+// range. Multi-range requests are inputs of TestRequestCodecEveryOp.
 func TestScanReqRangeListRoundTrip(t *testing.T) {
-	ranges := []skv.Range{
-		skv.RowRange("a", "c"),
-		skv.RowRange("f", ""),
-		{Start: skv.Key{Row: "d", ColF: "cf", ColQ: "q", Ts: 7}, HasStart: true,
-			End: skv.Key{Row: "e", Ts: skv.MaxTs}, HasEnd: true},
-	}
-	req := scanReq{table: "T", start: "a", end: "z", ranges: ranges, batch: 16}
-	got, err := decodeScanReq(encodeScanReq(req))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.ranges) != len(ranges) {
-		t.Fatalf("round-tripped %d ranges, want %d", len(got.ranges), len(ranges))
-	}
-	for i, r := range ranges {
-		if got.ranges[i] != r {
-			t.Errorf("range %d = %+v, want %+v", i, got.ranges[i], r)
-		}
-	}
-	empty, err := decodeScanReq(encodeScanReq(scanReq{table: "T", batch: 1}))
+	_, empty, err := decodeScanReq(encodeScanReq(reqHeader{table: "T"}, scanReq{batch: 1}))
 	if err != nil {
 		t.Fatal(err)
 	}

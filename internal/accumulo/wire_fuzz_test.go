@@ -1,103 +1,217 @@
 package accumulo
 
-// Fuzz coverage for the request codecs. The decoders face bytes from
-// the network, so beyond round-trip fidelity the key property is that
-// arbitrary input returns an error instead of panicking or
-// over-allocating. Seeds cover every field, including the tenant label
-// added after the trace/span ids.
+// Coverage for the request codecs. Every request leads with the one
+// versioned header; the decoders face bytes from the network, so beyond
+// round-trip fidelity the key property is that arbitrary input returns
+// an error instead of panicking or over-allocating.
 
 import (
+	"encoding/binary"
+	"errors"
 	"reflect"
 	"testing"
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/transport"
 )
 
-func fuzzScanSeed() scanReq {
-	return scanReq{
-		table: "edges",
-		start: "a",
-		end:   "m",
-		ranges: []skv.Range{
-			{HasStart: true, Start: skv.Key{Row: "b", ColF: "", ColQ: "x", Ts: 7}},
-			{HasStart: true, HasEnd: true,
-				Start: skv.Key{Row: "c"}, End: skv.Key{Row: "d", Ts: -1}},
-		},
-		settings: []iterator.Setting{
-			{Name: "plus", Priority: 21, Opts: map[string]string{"type": "sum"}},
-		},
-		batch:   4096,
-		traceID: 1 << 63,
-		spanID:  42,
-		tenant:  "acme",
-		topo: &topology{
-			wireBatch: 2048,
-			scanPar:   4,
-			tables: []topoTable{{
-				name: "edges",
-				scan: []iterator.Setting{{Name: "vers", Priority: 20}},
-				tablets: []topoTablet{
-					{start: "", end: "m", endpoint: "127.0.0.1:9001"},
-					{start: "m", end: "", endpoint: "127.0.0.1:9002"},
-				},
-			}},
-		},
+func fuzzScanSeed() (reqHeader, scanReq) {
+	return reqHeader{
+			table: "edges", start: "a", end: "m",
+			trace: 1 << 63, span: 42, tenant: "acme",
+		}, scanReq{
+			ranges: []skv.Range{
+				{HasStart: true, Start: skv.Key{Row: "b", ColF: "", ColQ: "x", Ts: 7}},
+				{HasStart: true, HasEnd: true,
+					Start: skv.Key{Row: "c"}, End: skv.Key{Row: "d", Ts: -1}},
+				skv.RowRange("f", ""),
+				{Start: skv.Key{Row: "d", ColF: "cf", ColQ: "q", Ts: 7}, HasStart: true,
+					End: skv.Key{Row: "e", Ts: skv.MaxTs}, HasEnd: true},
+			},
+			settings: []iterator.Setting{
+				{Name: "plus", Priority: 21, Opts: map[string]string{"type": "sum"}},
+			},
+			batch:    4096,
+			families: []string{"", "edge"},
+			topo: &topology{
+				wireBatch: 2048,
+				scanPar:   4,
+				tables: []topoTable{{
+					name: "edges",
+					scan: []iterator.Setting{{Name: "vers", Priority: 20}},
+					tablets: []topoTablet{
+						{start: "", end: "m", endpoint: "127.0.0.1:9001"},
+						{start: "m", end: "", endpoint: "127.0.0.1:9002"},
+					},
+				}},
+			},
+		}
+}
+
+// reqCase is one request of one op.
+type reqCase struct {
+	name  string
+	op    byte
+	hdr   reqHeader
+	batch []byte  // opWrite's tail
+	scan  scanReq // opScan's tail
+}
+
+func (c reqCase) encode() []byte {
+	if c.op == opScan {
+		return encodeScanReq(c.hdr, c.scan)
+	}
+	return encodeCall(c.op, c.hdr, c.batch)
+}
+
+// decodeAs decodes src as a request of op, returning the header and the
+// op's tail (the scan tail without its raw-topology view).
+func decodeAs(op byte, src []byte) (reqHeader, any, error) {
+	if op == opScan {
+		h, r, err := decodeScanReq(src)
+		r.topoRaw = nil
+		return h, r, err
+	}
+	return decodeCall(op, src)
+}
+
+func (c reqCase) tail() any {
+	if c.op == opScan {
+		return c.scan
+	}
+	return c.batch
+}
+
+// everyOp is one request per op, header fields at full width.
+func everyOp() []reqCase {
+	full := reqHeader{table: "tbl", start: "a", end: "z", trace: ^uint64(0), span: ^uint64(0), tenant: "gold"}
+	hdr, scan := fuzzScanSeed()
+	return []reqCase{
+		{name: "ping", op: opPing},
+		{name: "assign", op: opAssign, hdr: reqHeader{table: "tbl", start: "a", end: "z"}},
+		{name: "drop", op: opDrop, hdr: reqHeader{table: "tbl"}},
+		{name: "write", op: opWrite, hdr: full,
+			batch: skv.EncodeBatch([]skv.Entry{{K: skv.Key{Row: "r", ColQ: "c", Ts: 3}, V: skv.EncodeFloat(1)}})},
+		{name: "scan", op: opScan, hdr: hdr, scan: scan},
+		{name: "scan, untraced full tablet", op: opScan, hdr: reqHeader{table: "T"}, scan: scanReq{batch: 1}},
+		{name: "scan, max ids", op: opScan, hdr: full, scan: scanReq{
+			ranges: []skv.Range{skv.RowRange("b", "c")}, batch: 8}},
 	}
 }
 
-// TestScanReqRoundTrip pins the codec: every field survives
-// encode/decode, including the spliced raw-topology view.
-func TestScanReqRoundTrip(t *testing.T) {
-	want := fuzzScanSeed()
-	got, err := decodeScanReq(encodeScanReq(want))
-	if err != nil {
-		t.Fatal(err)
+// TestRequestCodecEveryOp: each op's request round-trips, and is
+// rejected when cut to any strict prefix or given one trailing byte;
+// hostile counts fail with an error instead of sizing an allocation.
+func TestRequestCodecEveryOp(t *testing.T) {
+	for _, c := range everyOp() {
+		t.Run(c.name, func(t *testing.T) {
+			enc := c.encode()
+			h, tail, err := decodeAs(c.op, enc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if h != c.hdr {
+				t.Errorf("header = %+v, want %+v", h, c.hdr)
+			}
+			if !reflect.DeepEqual(tail, c.tail()) {
+				t.Errorf("tail = %+v, want %+v", tail, c.tail())
+			}
+			for i := 0; i < len(enc); i++ {
+				if _, _, err := decodeAs(c.op, enc[:i]); err == nil {
+					t.Errorf("accepted a %d/%d-byte prefix", i, len(enc))
+				}
+			}
+			if _, _, err := decodeAs(c.op, append(enc, 0)); err == nil {
+				t.Error("accepted a trailing byte")
+			}
+		})
 	}
-	if got.table != want.table || got.start != want.start || got.end != want.end ||
-		got.batch != want.batch || got.traceID != want.traceID ||
-		got.spanID != want.spanID || got.tenant != want.tenant {
-		t.Fatalf("scalar fields differ: got %+v", got)
-	}
-	if !reflect.DeepEqual(got.ranges, want.ranges) {
-		t.Fatalf("ranges differ: got %+v", got.ranges)
-	}
-	if !reflect.DeepEqual(got.settings, want.settings) {
-		t.Fatalf("settings differ: got %+v", got.settings)
-	}
-	if !reflect.DeepEqual(got.topo, want.topo) {
-		t.Fatalf("topology differs: got %+v", got.topo)
-	}
-	// The raw view re-splices into an identical request.
-	re, err := decodeScanReq(encodeScanReq(scanReq{
-		table: want.table, start: want.start, end: want.end,
-		ranges: want.ranges, settings: want.settings, batch: want.batch,
-		traceID: want.traceID, spanID: want.spanID, tenant: want.tenant,
-		topoRaw: got.topoRaw,
-	}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(re.topo, want.topo) {
-		t.Fatalf("topoRaw splice differs: got %+v", re.topo)
-	}
+	t.Run("scan, spliced raw topology", func(t *testing.T) {
+		hdr, want := fuzzScanSeed()
+		_, got, err := decodeScanReq(encodeScanReq(hdr, want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		re := want
+		re.topo, re.topoRaw = nil, got.topoRaw
+		if _, again, err := decodeScanReq(encodeScanReq(hdr, re)); err != nil || !reflect.DeepEqual(again.topo, want.topo) {
+			t.Fatalf("topoRaw splice: %+v, %v", again.topo, err)
+		}
+	})
+	t.Run("hostile counts", func(t *testing.T) {
+		head := appendHeader(nil, reqHeader{table: "T"})
+		settings := binary.AppendUvarint(binary.AppendUvarint(append([]byte(nil), head...), 0), 1<<50)
+		ranges := binary.AppendUvarint(append([]byte(nil), head...), 1<<50)
+		for name, req := range map[string][]byte{"settings": settings, "ranges": ranges} {
+			if _, _, err := decodeScanReq(req); err == nil {
+				t.Errorf("decodeScanReq accepted a %s count of 1<<50", name)
+			}
+		}
+	})
 }
 
-// TestWriteReqRoundTrip pins the write codec including the tenant field.
-func TestWriteReqRoundTrip(t *testing.T) {
-	want := writeReq{
-		table: "edges", start: "a", end: "",
-		batch:   []byte{1, 2, 3},
-		traceID: 99, tenant: "acme",
+// otherVersion serves requests as a tablet server built with another
+// wire version would: it sees every request's version byte changed.
+type otherVersion struct{ transport.Handler }
+
+func bumpVersion(req []byte) []byte {
+	req = append([]byte(nil), req...)
+	req[0]++
+	return req
+}
+
+func (h otherVersion) Call(op byte, req []byte) ([]byte, error) {
+	return h.Handler.Call(op, bumpVersion(req))
+}
+
+func (h otherVersion) Stream(op byte, req []byte, send func([]byte) error) error {
+	return h.Handler.Stream(op, bumpVersion(req), send)
+}
+
+// TestWireVersionRejectedEveryOp sends every op's request with a wrong
+// version byte straight to a tablet server, over inproc and tcp: each
+// fails with ErrWireVersion on the calling side. A coordinator dialing a
+// server of another version fails at open, at its ping.
+func TestWireVersionRejectedEveryOp(t *testing.T) {
+	for _, mode := range []string{TransportInProc, TransportTCP} {
+		t.Run(mode, func(t *testing.T) {
+			mc, err := OpenMiniCluster(Config{Transport: mode, TabletServers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mc.Close()
+			ep := mc.endpoints[0]
+			for _, c := range everyOp() {
+				req := bumpVersion(c.encode())
+				if c.op == opScan {
+					done := make(chan struct{})
+					err = relayScan(mc.tr, mc.tel, nil, ep, req, make(chan []skv.Entry, 1), done, nil)
+					close(done)
+				} else {
+					err = call(mc.tr, ep, c.op, req)
+				}
+				if !errors.Is(err, ErrWireVersion) {
+					t.Errorf("%s: err = %v, want ErrWireVersion", c.name, err)
+				}
+			}
+		})
 	}
-	got, err := decodeWriteReq(encodeWriteReq(want))
+
+	srv, err := ListenAndServeTablets("127.0.0.1:0", 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.table != want.table || got.start != want.start || got.end != want.end ||
-		string(got.batch) != string(want.batch) ||
-		got.traceID != want.traceID || got.tenant != want.tenant {
-		t.Fatalf("decodeWriteReq = %+v, want %+v", got, want)
+	defer srv.Close()
+	other, err := srv.tr.Listen("", otherVersion{&tabletHandler{s: srv}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc, err := OpenMiniCluster(Config{Servers: []string{other.Addr()}}); !errors.Is(err, ErrWireVersion) {
+		if err == nil {
+			mc.Close()
+		}
+		t.Fatalf("open against a server of another wire version: err = %v, want ErrWireVersion", err)
 	}
 }
 
@@ -105,51 +219,47 @@ func TestWriteReqRoundTrip(t *testing.T) {
 // cleanly must re-encode to a decodable request with identical fields.
 func FuzzDecodeScanReq(f *testing.F) {
 	f.Add(encodeScanReq(fuzzScanSeed()))
-	f.Add(encodeScanReq(scanReq{table: "t"}))
-	f.Add(encodeScanReq(scanReq{table: "t", tenant: "gold", batch: 1}))
-	f.Add(encodeScanReq(scanReq{
+	f.Add(encodeScanReq(reqHeader{table: "t"}, scanReq{}))
+	f.Add(encodeScanReq(reqHeader{table: "t", tenant: "gold"}, scanReq{batch: 1}))
+	f.Add(encodeScanReq(reqHeader{}, scanReq{
 		ranges:   []skv.Range{{HasEnd: true, End: skv.Key{Row: "z"}}},
 		settings: []iterator.Setting{{Name: "f", Priority: 1}},
 	}))
 	f.Add([]byte{})
-	f.Add([]byte{0})
+	f.Add([]byte{wireVersion})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeScanReq(data)
+		h, r, err := decodeScanReq(data)
 		if err != nil {
 			return
 		}
-		again, err := decodeScanReq(encodeScanReq(r))
+		h2, again, err := decodeScanReq(encodeScanReq(h, r))
 		if err != nil {
 			t.Fatalf("re-decode of valid request failed: %v", err)
 		}
-		if again.table != r.table || again.tenant != r.tenant ||
-			again.traceID != r.traceID || again.spanID != r.spanID ||
-			again.batch != r.batch || len(again.ranges) != len(r.ranges) ||
-			len(again.settings) != len(r.settings) {
-			t.Fatalf("round trip diverged: %+v vs %+v", again, r)
+		if h2 != h || again.batch != r.batch || len(again.ranges) != len(r.ranges) ||
+			len(again.settings) != len(r.settings) || !reflect.DeepEqual(again.families, r.families) {
+			t.Fatalf("round trip diverged: %+v %+v vs %+v %+v", h2, again, h, r)
 		}
 	})
 }
 
-// FuzzDecodeWriteReq: same contract for the write codec.
+// FuzzDecodeWriteReq: same contract for the write request.
 func FuzzDecodeWriteReq(f *testing.F) {
-	f.Add(encodeWriteReq(writeReq{table: "t", start: "a", end: "b",
-		batch: []byte{9}, traceID: 7, tenant: "acme"}))
-	f.Add(encodeWriteReq(writeReq{}))
+	f.Add(encodeCall(opWrite, reqHeader{table: "t", start: "a", end: "b", trace: 7, tenant: "acme"}, []byte{9}))
+	f.Add(encodeCall(opWrite, reqHeader{}, nil))
 	f.Add([]byte{})
-	f.Add([]byte{2, 'h', 'i'})
+	f.Add([]byte{wireVersion, 2, 'h', 'i'})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := decodeWriteReq(data)
+		h, batch, err := decodeCall(opWrite, data)
 		if err != nil {
 			return
 		}
-		again, err := decodeWriteReq(encodeWriteReq(r))
+		h2, again, err := decodeCall(opWrite, encodeCall(opWrite, h, batch))
 		if err != nil {
 			t.Fatalf("re-decode of valid request failed: %v", err)
 		}
-		if again.table != r.table || again.tenant != r.tenant ||
-			again.traceID != r.traceID || string(again.batch) != string(r.batch) {
-			t.Fatalf("round trip diverged: %+v vs %+v", again, r)
+		if h2 != h || string(again) != string(batch) {
+			t.Fatalf("round trip diverged: %+v %q vs %+v %q", h2, again, h, batch)
 		}
 	})
 }

@@ -43,9 +43,9 @@ type recordingHandler struct {
 
 func (r *recordingHandler) Call(op byte, req []byte) ([]byte, error) {
 	if op == opWrite {
-		if wr, err := decodeWriteReq(req); err == nil {
+		if hdr, _, err := decodeCall(op, req); err == nil {
 			r.log.mu.Lock()
-			r.log.starts = append(r.log.starts, wr.start)
+			r.log.starts = append(r.log.starts, hdr.start)
 			r.log.mu.Unlock()
 		}
 	}

@@ -348,21 +348,22 @@ func TestTableMultClientHonorsBatchSize(t *testing.T) {
 }
 
 // TestRemoteWriteRejectsBadPreAggOptions pins option validation in the
-// registered factory.
+// registered fold factory — the one way a pre-aggregation stage is
+// placed under a RemoteWrite sink.
 func TestRemoteWriteRejectsBadPreAggOptions(t *testing.T) {
 	conn := testConn(t)
 	loadMatrix(t, conn, "RWin", []string{"r0"}, []string{"c0"}, [][]float64{{1}})
-	_, err := OneTable(conn, "RWin", "RWout", []iterator.Setting{
-		{Name: "remoteWrite", Opts: map[string]string{"table": "RWout", "preAggBytes": "nope"}},
-	}, ScanConstraint{})
-	if err == nil {
-		t.Fatal("bad preAggBytes accepted")
-	}
-	_, err = OneTable(conn, "RWin", "RWout2", []iterator.Setting{
-		{Name: "remoteWrite", Opts: map[string]string{"table": "RWout2", "semiring": "nope"}},
-	}, ScanConstraint{})
-	if err == nil {
-		t.Fatal("bad semiring accepted")
+	for out, opts := range map[string]map[string]string{
+		"RWout":  {"bytes": "nope"},
+		"RWout2": {"bytes": "4096", "semiring": "nope"},
+	} {
+		_, err := OneTable(conn, "RWin", out, []iterator.Setting{
+			{Name: "fold", Priority: 89, Opts: opts},
+			{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": out}},
+		}, ScanConstraint{})
+		if err == nil {
+			t.Errorf("fold options %v accepted", opts)
+		}
 	}
 }
 

@@ -554,19 +554,7 @@ func init() {
 			}
 			bs = v
 		}
-		preAgg := 0
-		if s := opts["preAggBytes"]; s != "" {
-			v, err := strconv.Atoi(s)
-			if err != nil {
-				return nil, fmt.Errorf("remoteWrite: bad preAggBytes %q", s)
-			}
-			preAgg = v
-		}
-		ring, err := ringOpt("remoteWrite", opts["semiring"])
-		if err != nil {
-			return nil, err
-		}
-		return NewPreAggRemoteWriteIterator(src, table, bs, preAgg, ring, env), nil
+		return NewRemoteWriteIterator(src, table, bs, env), nil
 	})
 	Register("colRange", func(src SKVI, opts map[string]string, env Env) (SKVI, error) {
 		min, max := opts["minColQ"], opts["maxColQ"]

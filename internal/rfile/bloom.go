@@ -2,8 +2,11 @@ package rfile
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/fnv"
+
+	"graphulo/internal/skv"
 )
 
 // This file implements the per-rfile bloom filter over row keys. The
@@ -88,35 +91,23 @@ func (f bloomFilter) mayContain(h uint64) bool {
 }
 
 // appendBloom serialises the filter onto the index blob: uvarint k,
-// uvarint byte length, then the bit array.
+// then the bit array as length-prefixed bytes.
 func appendBloom(buf []byte, f bloomFilter) []byte {
-	buf = binary.AppendUvarint(buf, uint64(f.k))
-	buf = binary.AppendUvarint(buf, uint64(len(f.bits)))
-	return append(buf, f.bits...)
+	return skv.AppendBytes(binary.AppendUvarint(buf, uint64(f.k)), f.bits)
 }
 
-// parseBloom decodes a filter appended by appendBloom. Every writer
-// emits a non-empty filter with at least one probe, so a zero-length
-// or zero-probe section is corruption, not a disabled filter.
-func parseBloom(buf []byte) (bloomFilter, []byte, error) {
-	k, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return bloomFilter{}, nil, fmt.Errorf("truncated bloom probe count")
+// parseBloom decodes a filter appended by appendBloom; a failure is
+// recorded in d. Every writer emits a non-empty filter with at least one
+// probe, so a zero-length or zero-probe section is corruption, not a
+// disabled filter.
+func parseBloom(d *skv.Decoder) bloomFilter {
+	k := d.Uvarint()
+	if d.Err() == nil && (k == 0 || k > maxBloomProbes) {
+		d.Fail(fmt.Errorf("corrupt bloom probe count %d", k))
 	}
-	if k == 0 || k > maxBloomProbes {
-		return bloomFilter{}, nil, fmt.Errorf("corrupt bloom probe count %d", k)
+	bits := d.Bytes()
+	if d.Err() == nil && len(bits) == 0 {
+		d.Fail(errors.New("corrupt zero-length bloom"))
 	}
-	buf = buf[n:]
-	nbytes, n := binary.Uvarint(buf)
-	if n <= 0 {
-		return bloomFilter{}, nil, fmt.Errorf("truncated bloom length")
-	}
-	if nbytes == 0 {
-		return bloomFilter{}, nil, fmt.Errorf("corrupt zero-length bloom")
-	}
-	buf = buf[n:]
-	if uint64(len(buf)) < nbytes {
-		return bloomFilter{}, nil, fmt.Errorf("truncated bloom bits")
-	}
-	return bloomFilter{bits: buf[:nbytes], k: int(k)}, buf[nbytes:], nil
+	return bloomFilter{bits: bits, k: int(k)}
 }

@@ -280,8 +280,7 @@ func (w *Writer) Finish() error {
 func appendFamilyDir(buf []byte, runs []famRun) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(runs)))
 	for _, fr := range runs {
-		buf = binary.AppendUvarint(buf, uint64(len(fr.name)))
-		buf = append(buf, fr.name...)
+		buf = skv.AppendString(buf, fr.name)
 		buf = binary.AppendUvarint(buf, uint64(fr.lo))
 		buf = binary.AppendUvarint(buf, uint64(fr.hi))
 	}
@@ -420,122 +419,85 @@ func closeWith(f *os.File, err error) error {
 // so no block load can be tricked into a huge allocation or an
 // out-of-range read.
 func (r *Reader) parseIndex(index []byte, dataLen uint64) error {
-	nblocks, k := binary.Uvarint(index)
-	if k <= 0 {
-		return fmt.Errorf("rfile: %s: truncated index header", r.path)
-	}
-	index = index[k:]
+	d := skv.NewDecoder(index)
 	// An index entry is at least a key (4 length prefixes + varint ts),
-	// three uvarints, and a 4-byte crc; reject counts the payload cannot
-	// hold so a hostile header cannot force a huge allocation.
-	if nblocks > uint64(len(index))/8 {
-		return fmt.Errorf("rfile: %s: block count %d exceeds index size", r.path, nblocks)
-	}
+	// three uvarints, and a 4-byte crc.
+	nblocks := d.Count(8)
 	r.blocks = make([]blockMeta, 0, nblocks)
-	for i := uint64(0); i < nblocks; i++ {
+	for i := 0; i < nblocks && d.Err() == nil; i++ {
 		var b blockMeta
-		e, rest, err := skv.DecodeEntry(index)
-		if err != nil {
-			return fmt.Errorf("rfile: %s: index entry %d: %w", r.path, i, err)
-		}
-		b.firstKey = e.K
-		index = rest
-		var fields [3]uint64
-		for j := range fields {
-			v, k := binary.Uvarint(index)
-			if k <= 0 {
-				return fmt.Errorf("rfile: %s: truncated index entry %d", r.path, i)
-			}
-			fields[j] = v
-			index = index[k:]
-		}
-		if len(index) < 4 {
-			return fmt.Errorf("rfile: %s: truncated index crc %d", r.path, i)
-		}
-		b.off, b.len, b.count = fields[0], fields[1], int(fields[2])
-		if b.off+b.len < b.off || b.off+b.len > dataLen {
-			return fmt.Errorf("rfile: %s: block %d range [%d,+%d) outside data region (%d bytes)",
-				r.path, i, b.off, b.len, dataLen)
-		}
-		if fields[2] > b.len {
+		b.firstKey = d.Entry().K
+		b.off = d.Uvarint()
+		b.len = d.Uvarint()
+		count := d.Uvarint()
+		b.count = int(count)
+		b.crc = d.Fixed32()
+		switch {
+		case d.Err() != nil:
+		case b.off+b.len < b.off || b.off+b.len > dataLen:
+			d.Fail(fmt.Errorf("block %d range [%d,+%d) outside data region (%d bytes)", i, b.off, b.len, dataLen))
+		case count > b.len:
 			// Every encoded entry takes at least one byte, so a count
 			// above the block's byte length is corrupt.
-			return fmt.Errorf("rfile: %s: block %d entry count %d exceeds block size %d",
-				r.path, i, fields[2], b.len)
+			d.Fail(fmt.Errorf("block %d entry count %d exceeds block size %d", i, count, b.len))
 		}
-		b.crc = binary.LittleEndian.Uint32(index)
-		index = index[4:]
 		r.blocks = append(r.blocks, b)
 	}
-	total, k := binary.Uvarint(index)
-	if k <= 0 {
-		return fmt.Errorf("rfile: %s: truncated entry count", r.path)
+	// As per block, and compaction sizes its output by this count.
+	if total := d.Uvarint(); total > dataLen {
+		d.Fail(fmt.Errorf("entry count %d exceeds data size %d", total, dataLen))
+	} else {
+		r.count = int(total)
 	}
-	if total > dataLen {
-		// As per block, and compaction sizes its output by this count.
-		return fmt.Errorf("rfile: %s: entry count %d exceeds data size %d", r.path, total, dataLen)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("rfile: %s: index: %w", r.path, err)
 	}
-	r.count = int(total)
-	index = index[k:]
-	bloom, rest, err := parseBloom(index)
-	if err != nil {
-		return fmt.Errorf("rfile: %s: row bloom: %v", r.path, err)
+	r.bloom = parseBloom(&d)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("rfile: %s: row bloom: %w", r.path, err)
 	}
-	colq, rest, err := parseBloom(rest)
-	if err != nil {
-		return fmt.Errorf("rfile: %s: colq bloom: %v", r.path, err)
+	r.colqBloom = parseBloom(&d)
+	if err := d.Err(); err != nil {
+		return fmt.Errorf("rfile: %s: colq bloom: %w", r.path, err)
 	}
-	r.bloom, r.colqBloom = bloom, colq
-	return r.parseFamilyDir(rest)
+	if err := r.parseFamilyDir(&d); err != nil {
+		return fmt.Errorf("rfile: %s: family directory: %w", r.path, err)
+	}
+	return nil
 }
 
-// parseFamilyDir decodes the family directory, validating that family
-// names strictly ascend and that the runs tile the block list exactly:
-// each run starts where the previous one ended, is non-empty, and the
-// last ends at the final block. A gap would leave blocks that no
-// iterator ever reads — silently dropped data — so it is corruption.
-func (r *Reader) parseFamilyDir(dir []byte) error {
-	nfam, k := binary.Uvarint(dir)
-	if k <= 0 {
-		return fmt.Errorf("rfile: %s: truncated family directory", r.path)
-	}
-	dir = dir[k:]
+// parseFamilyDir decodes the family directory, the index's last section,
+// validating that family names strictly ascend and that the runs tile
+// the block list exactly: each run starts where the previous one ended,
+// is non-empty, and the last ends at the final block. A gap would leave
+// blocks that no iterator ever reads — silently dropped data — so it is
+// corruption.
+func (r *Reader) parseFamilyDir(d *skv.Decoder) error {
 	// A family entry is at least a name prefix and two uvarints.
-	if nfam > uint64(len(dir))/3+1 {
-		return fmt.Errorf("rfile: %s: family count %d exceeds directory size", r.path, nfam)
-	}
+	nfam := d.Count(3)
 	prevHi := 0
 	r.families = make([]famRun, 0, nfam)
-	for i := uint64(0); i < nfam; i++ {
-		nameLen, k := binary.Uvarint(dir)
-		if k <= 0 || uint64(len(dir[k:])) < nameLen {
-			return fmt.Errorf("rfile: %s: truncated family name %d", r.path, i)
+	for i := 0; i < nfam; i++ {
+		name := d.Str()
+		lo, hi := d.Uvarint(), d.Uvarint()
+		if err := d.Err(); err != nil {
+			return err
 		}
-		dir = dir[k:]
-		name := string(dir[:nameLen])
-		dir = dir[nameLen:]
-		lo, k := binary.Uvarint(dir)
-		if k <= 0 {
-			return fmt.Errorf("rfile: %s: truncated family run %d", r.path, i)
-		}
-		dir = dir[k:]
-		hi, k := binary.Uvarint(dir)
-		if k <= 0 {
-			return fmt.Errorf("rfile: %s: truncated family run %d", r.path, i)
-		}
-		dir = dir[k:]
 		if lo != uint64(prevHi) || hi <= lo || hi > uint64(len(r.blocks)) {
-			return fmt.Errorf("rfile: %s: family %q run [%d,%d) does not continue the tiling of %d blocks at %d",
-				r.path, name, lo, hi, len(r.blocks), prevHi)
+			return fmt.Errorf("family %q run [%d,%d) does not continue the tiling of %d blocks at %d",
+				name, lo, hi, len(r.blocks), prevHi)
 		}
 		if i > 0 && name <= r.families[i-1].name {
-			return fmt.Errorf("rfile: %s: family %q out of order after %q", r.path, name, r.families[i-1].name)
+			return fmt.Errorf("family %q out of order after %q", name, r.families[i-1].name)
 		}
 		prevHi = int(hi)
 		r.families = append(r.families, famRun{name: name, lo: int(lo), hi: int(hi)})
 	}
+	if err := d.Done(); err != nil {
+		return err
+	}
 	if prevHi != len(r.blocks) {
-		return fmt.Errorf("rfile: %s: family runs cover %d of %d blocks", r.path, prevHi, len(r.blocks))
+		return fmt.Errorf("family runs cover %d of %d blocks", prevHi, len(r.blocks))
 	}
 	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -257,6 +258,33 @@ func TestTrailerGoldenBytes(t *testing.T) {
 	if _, err := DecodeTrailer(old); err == nil || !strings.Contains(err.Error(), "unknown trailer version 1") {
 		t.Fatalf("version-1 trailer: err = %v, want unknown trailer version 1", err)
 	}
+}
+
+// FuzzDecodeTrailer: a trailer arrives from another process, so
+// arbitrary bytes never panic the decoder, and whatever decodes
+// re-encodes to bytes that decode to the same trailer.
+func FuzzDecodeTrailer(f *testing.F) {
+	golden, err := hex.DecodeString(goldenTrailer)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	f.Add([]byte{})
+	f.Add([]byte{trailerVersion})
+	f.Add([]byte{trailerVersion, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0x7F}) // span count past the payload
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := DecodeTrailer(data)
+		if err != nil {
+			return
+		}
+		again, err := DecodeTrailer(AppendTrailer(nil, tr))
+		if err != nil {
+			t.Fatalf("re-decode of a decoded trailer failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("round trip diverged:\n got %+v\nwant %+v", again, tr)
+		}
+	})
 }
 
 // TestCounterTableSurfaces ranges over every declared counter and checks
