@@ -100,45 +100,27 @@ func everyOp() []reqCase {
 	}
 }
 
-// TestRequestCodecEveryOp: each op's request round-trips, and is
-// rejected when cut to any strict prefix or given one trailing byte;
-// hostile counts fail with an error instead of sizing an allocation.
+// roundTrip decodes c's encoding and checks the header and tail survive.
+func roundTrip(t *testing.T, c reqCase) {
+	t.Helper()
+	h, tail, err := decodeAs(c.op, c.encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != c.hdr {
+		t.Errorf("header = %+v, want %+v", h, c.hdr)
+	}
+	if !reflect.DeepEqual(tail, c.tail()) {
+		t.Errorf("tail = %+v, want %+v", tail, c.tail())
+	}
+}
+
+// TestRequestCodecEveryOp: each op's request round-trips; hostile
+// counts fail with an error instead of sizing an allocation.
 func TestRequestCodecEveryOp(t *testing.T) {
 	for _, c := range everyOp() {
-		t.Run(c.name, func(t *testing.T) {
-			enc := c.encode()
-			h, tail, err := decodeAs(c.op, enc)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if h != c.hdr {
-				t.Errorf("header = %+v, want %+v", h, c.hdr)
-			}
-			if !reflect.DeepEqual(tail, c.tail()) {
-				t.Errorf("tail = %+v, want %+v", tail, c.tail())
-			}
-			for i := 0; i < len(enc); i++ {
-				if _, _, err := decodeAs(c.op, enc[:i]); err == nil {
-					t.Errorf("accepted a %d/%d-byte prefix", i, len(enc))
-				}
-			}
-			if _, _, err := decodeAs(c.op, append(enc, 0)); err == nil {
-				t.Error("accepted a trailing byte")
-			}
-		})
+		t.Run(c.name, func(t *testing.T) { roundTrip(t, c) })
 	}
-	t.Run("scan, spliced raw topology", func(t *testing.T) {
-		hdr, want := fuzzScanSeed()
-		_, got, err := decodeScanReq(encodeScanReq(hdr, want))
-		if err != nil {
-			t.Fatal(err)
-		}
-		re := want
-		re.topo, re.topoRaw = nil, got.topoRaw
-		if _, again, err := decodeScanReq(encodeScanReq(hdr, re)); err != nil || !reflect.DeepEqual(again.topo, want.topo) {
-			t.Fatalf("topoRaw splice: %+v, %v", again.topo, err)
-		}
-	})
 	t.Run("hostile counts", func(t *testing.T) {
 		head := appendHeader(nil, reqHeader{table: "T"})
 		settings := binary.AppendUvarint(binary.AppendUvarint(append([]byte(nil), head...), 0), 1<<50)
@@ -149,6 +131,73 @@ func TestRequestCodecEveryOp(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestScanReqRoundTrip pins the scan codec: every field survives
+// encode/decode, and the raw-topology view re-splices into an identical
+// request.
+func TestScanReqRoundTrip(t *testing.T) {
+	hdr, want := fuzzScanSeed()
+	roundTrip(t, reqCase{name: "scan", op: opScan, hdr: hdr, scan: want})
+	_, got, err := decodeScanReq(encodeScanReq(hdr, want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	re := want
+	re.topo, re.topoRaw = nil, got.topoRaw
+	if _, again, err := decodeScanReq(encodeScanReq(hdr, re)); err != nil || !reflect.DeepEqual(again.topo, want.topo) {
+		t.Fatalf("topoRaw splice: %+v, %v", again.topo, err)
+	}
+}
+
+// TestWriteReqRoundTrip pins the write codec: the header, tenant
+// included, and the entry batch behind it survive intact.
+func TestWriteReqRoundTrip(t *testing.T) {
+	hdr := reqHeader{table: "edges", start: "a", end: "", trace: 99, tenant: "acme"}
+	batch := []byte{1, 2, 3}
+	h, got, err := decodeCall(opWrite, encodeCall(opWrite, hdr, batch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h != hdr || string(got) != string(batch) {
+		t.Fatalf("decodeCall = %+v %v, want %+v %v", h, got, hdr, batch)
+	}
+}
+
+// TestTraceIDWireRoundTrip pins that the trace ids survive the codec at
+// full width and as zero: a daemon can only attach its pass spans to
+// the originating kernel query if the ids arrive intact.
+func TestTraceIDWireRoundTrip(t *testing.T) {
+	for _, c := range everyOp() {
+		if c.op != opScan && c.op != opWrite {
+			continue
+		}
+		h, _, err := decodeAs(c.op, c.encode())
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if h.trace != c.hdr.trace || h.span != c.hdr.span {
+			t.Errorf("%s: ids = %x/%x, want %x/%x", c.name, h.trace, h.span, c.hdr.trace, c.hdr.span)
+		}
+	}
+}
+
+// TestTraceReqTruncatedFrames feeds every strict prefix of every op's
+// request, and the request with one trailing byte, through the
+// decoders: all must error, none may panic. The header's trace ids are
+// max-width uvarints, so cuts land inside them too.
+func TestTraceReqTruncatedFrames(t *testing.T) {
+	for _, c := range everyOp() {
+		enc := c.encode()
+		for i := 0; i < len(enc); i++ {
+			if _, _, err := decodeAs(c.op, enc[:i]); err == nil {
+				t.Errorf("%s: accepted a %d/%d-byte prefix", c.name, i, len(enc))
+			}
+		}
+		if _, _, err := decodeAs(c.op, append(enc, 0)); err == nil {
+			t.Errorf("%s: accepted a trailing byte", c.name)
+		}
+	}
 }
 
 // otherVersion serves requests as a tablet server built with another
