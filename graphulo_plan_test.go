@@ -1,6 +1,7 @@
 package graphulo
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -102,8 +103,44 @@ func TestFusedDriversMatchMaterialized(t *testing.T) {
 			if want := TriangleCount(adj); tri != want {
 				t.Fatalf("triangles = %v, in-memory = %v", tri, want)
 			}
+
+			// A multigraph: ingest sums a repeated edge to 2, and support
+			// must still count it once, as the reference does on the 0/1
+			// pattern.
+			mg, err := db.CreateGraph("Multi")
+			if err != nil {
+				t.Fatal(err)
+			}
+			multi := multigraphDiamond()
+			if err := mg.Ingest(multi); err != nil {
+				t.Fatal(err)
+			}
+			multiAdj := AdjacencyPat(multi)
+			for _, k := range []int{3, 4} {
+				truss, err := mg.KTruss(k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matchesReference(t, fmt.Sprintf("multigraph %d-truss", k), truss, KTrussAdj(multiAdj, k))
+			}
+			if tri, err := mg.TriangleCount(); err != nil || tri != TriangleCount(multiAdj) {
+				t.Fatalf("multigraph triangles = %v (err %v), in-memory = %v", tri, err, TriangleCount(multiAdj))
+			}
 		})
 	}
+}
+
+// multigraphDiamond is the diamond {ab, ac, ad, bc, bd} — two triangles,
+// abc and abd — with ac and bc listed twice. Its 3-truss is every edge
+// and its 4-truss is empty; weighting support by the stored 2s instead
+// counts abc as a 4-truss and 11/3 triangles.
+func multigraphDiamond() Graph {
+	const a, b, c, d = 0, 1, 2, 3
+	g := Graph{N: 4}
+	for _, uv := range [][2]int{{a, b}, {a, c}, {a, d}, {b, c}, {b, d}, {a, c}, {b, c}} {
+		g.Edges = append(g.Edges, Edge{U: uv[0], V: uv[1]})
+	}
+	return g
 }
 
 // TestConcurrentKTrussNoScratchCollision runs four kTruss computations
@@ -234,9 +271,15 @@ func TestExplainPlanSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for kernel, out := range map[string]string{"mult": mult, "ktruss": kt} {
-		if !strings.Contains(out, "- fold ⊕ plus.times ≤16 MiB\n") || strings.Contains(out, "pre-agg") {
+	// kTruss counts support under plus.and, so its fold stage folds
+	// under plus.and.
+	for kernel, out := range map[string]string{"mult plus.times": mult, "ktruss plus.and": kt} {
+		ring := strings.Fields(kernel)[1]
+		if !strings.Contains(out, "- fold ⊕ "+ring+" ≤16 MiB\n") || strings.Contains(out, "pre-agg") {
 			t.Fatalf("%s explain must show the fold stage on its own line:\n%s", kernel, out)
 		}
+	}
+	if !strings.Contains(kt, "⟨mask A") {
+		t.Fatalf("kTruss explain must show the mask on the mult line:\n%s", kt)
 	}
 }

@@ -213,13 +213,12 @@ func cellsToAssoc(cells map[plan.Cell]float64) *assoc.Assoc {
 	return b.Build()
 }
 
-// adjSquareFoldPlan is the fused A² pattern shared by kTruss (per
-// round), Jaccard (the numerator), and TriangleCount: the multiply's
-// partial products stream from the TwoTableIterator straight back to
-// the client, which ⊕-folds them per cell — the scratch table that used
-// to hold A² and its write-then-rescan round-trip are gone. The fold is
-// exact: + over float64 partial products is the same ⊕ the scratch
-// table's sum combiner applied. Shared with Explain.
+// adjSquareFoldPlan is Jaccard's fused A² (the numerator, whose support
+// is all of A²): the multiply's partial products stream from the
+// TwoTableIterator straight back to the client, which ⊕-folds them per
+// cell — no scratch table holds A². The fold is exact: + over float64
+// partial products is the same ⊕ a scratch table's sum combiner would
+// apply. Shared with Explain.
 //
 // Both sides of the multiply scan an adjacency table, so both carry the
 // edge-channel family band: the hosted B scan through the step's
@@ -233,55 +232,74 @@ func adjSquareFoldPlan(table string) *plan.Node {
 		"plus.times")
 }
 
+// edgeSupportPlan is the fused triangle support of every edge of an
+// adjacency table A, shared by kTruss (per round) and TriangleCount:
+// C⟨A⟩ = A ⊕.⊗ A under plus.and, so cell (u, v) counts the common
+// neighbours of u and v, and only for edges (u, v) of A. Multiplying
+// the 0/1 pattern (plus.and) rather than the stored values keeps an edge
+// ingested twice — stored with value 2 — from counting twice. The
+// mask, read with the same edge band as the operands, drops every
+// product off an edge where it is formed, so a pass returns at most
+// nnz(A) cells and an edge with no triangle does not appear at all.
+// Shared with Explain.
+func edgeSupportPlan(table string) *plan.Node {
+	band := schema.EdgeBand()
+	return plan.CollectFold(
+		plan.MultMasked(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band, table, band),
+		"plus.and")
+}
+
 // KTrussAdjTable computes the k-truss of the graph stored in an
-// adjacency table and writes the surviving adjacency matrix to outTable.
-// Per iteration, the triangle-support matrix A² runs as a fused plan:
-// the multiply's partial products (cur holds a symmetric matrix = its
-// own transpose) stream back and ⊕-fold client-side, so a round only
-// materialises the survivor table the next round must scan — the
-// support matrix itself never touches a scratch table. The peel set is
-// decided client-side from the folded support, exactly the Graphulo
-// kTrussAdj loop structure. Returns the number of peel iterations.
-// Every `<scratch>_it<N>_<trace>` intermediate (trace-suffixed, so
-// concurrent kernels on one table cannot collide) is deleted before
-// returning, on success and on error.
+// adjacency table and writes the surviving adjacency pattern (every
+// value 1) to outTable. A peel round is one fused pass: the masked
+// support of cur's edges (edgeSupportPlan; cur is symmetric, so it is
+// its own transpose) streams back ⊕-folded, and the edges with support
+// ≥ k−2 survive — an edge in no triangle never appears, so it drops on
+// its own. The survivors are written to a scratch table the next round
+// reads. A round is the fixed point when its survivor count equals the
+// count the previous round wrote: survivors are a subset of cur's
+// edges, so equal counts mean nothing was peeled. Round 0 has no
+// previous count, so a graph that is already a k-truss costs one round
+// more than its peel needs. Returns the number of rounds. Every
+// `<scratch>_it<N>_<trace>` intermediate (trace-suffixed, so concurrent
+// kernels on one table cannot collide) is deleted before returning, on
+// success and on error.
 func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scratch string) (iterCount int, err error) {
 	q, done, err := startQuery(conn, "kTruss", nil, "")
 	if err != nil {
 		return
 	}
 	defer func() { done(err) }()
+	if k < 3 {
+		// Every graph is its own 2-truss, edges in no triangle included —
+		// which a support pass never reports.
+		if err := freshSumTable(conn, outTable); err != nil {
+			return 0, err
+		}
+		return 1, copyPattern(conn, table, outTable, q)
+	}
 	trace := q.Trace().String()
 	cur := table
 	var scratchTables []string
 	// Closure, not a direct defer: the slice grows as rounds allocate
 	// scratch tables and must be read at return time.
 	defer func() { dropScratch(conn, scratchTables, &err) }()
+	wrote := -1 // survivors the previous round wrote; none before round 0
 	for round := 0; ; round++ {
-		res, err := runPlan(conn, adjSquareFoldPlan(cur), "kTruss", q, nil)
+		res, err := runPlan(conn, edgeSupportPlan(cur), "kTruss", q, nil)
 		if err != nil {
 			return iterCount, err
 		}
 		iterCount++
-		// Surviving edges: edge (u,v) survives when A²(u,v) ≥ k−2 and
-		// (u,v) is an edge of cur.
-		aSq := cellsToAssoc(res.Cells)
-		aCur, err := planReadAssoc(conn, cur, "kTruss", q, schema.EdgeBand()...)
-		if err != nil {
-			return iterCount, err
-		}
-		var keep []assoc.Entry
-		removed := false
-		for _, e := range aCur.Entries() {
-			if aSq.At(e.Row, e.Col) >= float64(k-2) {
-				keep = append(keep, e)
-			} else {
-				removed = true
+		keep := make([]assoc.Entry, 0, len(res.Cells))
+		for c, support := range res.Cells {
+			if support >= float64(k-2) {
+				keep = append(keep, assoc.Entry{Row: c.Row, Col: c.ColQ, Val: 1})
 			}
 		}
-		if !removed {
-			// Fixed point: write the survivors into outTable; the deferred
-			// cleanup reclaims every intermediate.
+		if len(keep) == wrote {
+			// Fixed point: cur is the truss. The deferred cleanup reclaims
+			// every intermediate.
 			if err := freshSumTable(conn, outTable); err != nil {
 				return iterCount, err
 			}
@@ -296,8 +314,28 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 		if err := writeEntries(conn, next, keep, q); err != nil {
 			return iterCount, err
 		}
-		cur = next
+		cur, wrote = next, len(keep)
 	}
+}
+
+// copyPattern writes the pattern of table's edge band — each numeric
+// entry as value 1 — into outTable on behalf of q.
+func copyPattern(conn *accumulo.Connector, table, outTable string, q *telemetry.Query) error {
+	w, err := tracedWriter(conn, outTable, q)
+	if err != nil {
+		return err
+	}
+	_, err = runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()})), "kTruss", q,
+		func(e skv.Entry) error {
+			if _, ok := skv.DecodeFloat(e.V); !ok {
+				return nil
+			}
+			return w.PutFloat(e.K.Row, "", e.K.ColQ, 1)
+		})
+	if err != nil {
+		return err
+	}
+	return w.Close()
 }
 
 // createSumTable makes name a sum-combined table, installing the
@@ -467,39 +505,22 @@ func TableDegrees(conn *accumulo.Connector, table, degTable string) (int, error)
 }
 
 // TriangleCountTable counts triangles in the graph held by an adjacency
-// table: a fused plan streams the A² partial products back and ⊕-folds
-// them client-side, then the client streams A once and accumulates
-// Σ A∘A² / 6. No scratch table is created.
+// table in one fused pass: the masked edge support (edgeSupportPlan,
+// A² ∘ A on the 0/1 pattern) streams back ⊕-folded, and every triangle
+// is counted once per directed edge, so the count is Σ support / 6. No
+// scratch table is created.
 func TriangleCountTable(conn *accumulo.Connector, table string) (count float64, err error) {
 	q, done, err := startQuery(conn, "TriangleCount", nil, "")
 	if err != nil {
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, adjSquareFoldPlan(table), "TriangleCount", q, nil)
+	res, err := runPlan(conn, edgeSupportPlan(table), "TriangleCount", q, nil)
 	if err != nil {
 		return 0, err
 	}
-	sq := cellsToAssoc(res.Cells)
-	total := 0.0
-	err = visitTableEntries(conn, table, q, func(row, col string) {
-		total += sq.At(row, col)
-	})
-	if err != nil {
-		return 0, err
+	for _, support := range res.Cells {
+		count += support
 	}
-	return total / 6, nil
-}
-
-// visitTableEntries streams a table's decodable entries to fn through a
-// collect plan on the kernel's trace, banded to the edge channel.
-func visitTableEntries(conn *accumulo.Connector, table string, q *telemetry.Query, fn func(row, col string)) error {
-	_, err := runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()})), "TriangleCount", q,
-		func(e skv.Entry) error {
-			if _, ok := skv.DecodeFloat(e.V); ok {
-				fn(e.K.Row, e.K.ColQ)
-			}
-			return nil
-		})
-	return err
+	return count / 6, nil
 }

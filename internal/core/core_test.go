@@ -627,6 +627,86 @@ func TestKTrussScratchTablesReclaimed(t *testing.T) {
 	}
 }
 
+// TestKTrussFixedPointCostsOneRound: K5 is already a 4-truss, so its
+// first round peels nothing — but round 0 has no previous survivor
+// count to compare with, so the driver writes the survivors once and
+// confirms the fixed point in a second round. The result equals the
+// reference with every value 1, and the one scratch table is dropped.
+func TestKTrussFixedPointCostsOneRound(t *testing.T) {
+	conn := testConn(t)
+	g := gen.Complete(5)
+	sch, err := schema.NewAdjacencySchema(conn, "K5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.IngestGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	stats := &conn.Cluster().Telemetry().Stats
+	scratchBefore := stats.Get(telemetry.ScratchTablesCreated)
+	rounds, err := KTrussAdjTable(conn, sch.Table, "K5Out", 4, "K5scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds != 2 {
+		t.Errorf("K5 4-truss took %d rounds, want 2", rounds)
+	}
+	if n := stats.Get(telemetry.ScratchTablesCreated) - scratchBefore; n != 1 {
+		t.Errorf("K5 4-truss created %d scratch tables, want 1", n)
+	}
+	for _, name := range conn.TableOperations().List() {
+		if strings.HasPrefix(name, "K5scratch_") {
+			t.Fatalf("scratch table %q leaked", name)
+		}
+	}
+	got := readMatrix(t, conn, "K5Out")
+	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 4)
+	cells := 0
+	for _, row := range got {
+		cells += len(row)
+	}
+	if cells != want.NNZ() || cells != 20 {
+		t.Fatalf("K5 4-truss has %d cells, reference %d, want 20", cells, want.NNZ())
+	}
+	for _, tr := range want.Triples() {
+		if v := got[schema.VertexName(tr.Row)][schema.VertexName(tr.Col)]; v != tr.Val {
+			t.Fatalf("cell (%d,%d) = %v, reference %v", tr.Row, tr.Col, v, tr.Val)
+		}
+	}
+}
+
+// TestKTrussBelowThreeKeepsEveryEdge: every graph is its own 2-truss,
+// edges in no triangle included, though a support pass never reports
+// those edges.
+func TestKTrussBelowThreeKeepsEveryEdge(t *testing.T) {
+	conn := testConn(t)
+	g := gen.Dedup(gen.Barbell(4, 1))
+	sch, err := schema.NewAdjacencySchema(conn, "K2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.IngestGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := KTrussAdjTable(conn, sch.Table, "K2Out", 2, "K2scratch"); err != nil {
+		t.Fatal(err)
+	}
+	got := readMatrix(t, conn, "K2Out")
+	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 2)
+	cells := 0
+	for _, row := range got {
+		cells += len(row)
+	}
+	if cells != want.NNZ() {
+		t.Fatalf("2-truss has %d cells, reference %d", cells, want.NNZ())
+	}
+	for _, tr := range want.Triples() {
+		if v := got[schema.VertexName(tr.Row)][schema.VertexName(tr.Col)]; v != 1 {
+			t.Fatalf("cell (%d,%d) = %v, want 1", tr.Row, tr.Col, v)
+		}
+	}
+}
+
 // TestJaccardNumeratorReclaimed checks JaccardTable deletes its
 // `<out>_num` intermediate on success and on error.
 func TestJaccardNumeratorReclaimed(t *testing.T) {

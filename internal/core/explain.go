@@ -48,13 +48,13 @@ func explainCompile(kernel, table, out string) (*plan.Plan, error) {
 		root = plan.Collect(plan.ScanRanges(table, []skv.Range{skv.ExactRow("<frontier>")}))
 	case "ktruss":
 		name = "kTruss"
-		root = adjSquareFoldPlan(table)
+		root = edgeSupportPlan(table)
 	case "jaccard":
 		name = "Jaccard"
 		root = adjSquareFoldPlan(table)
 	case "tricount", "trianglecount":
 		name = "TriangleCount"
-		root = adjSquareFoldPlan(table)
+		root = edgeSupportPlan(table)
 	case "assign", "spasgn":
 		name = "TableAssign"
 		root = assignPlan(table, out, "p|", "q|", ScanConstraint{})

@@ -161,11 +161,12 @@ func TestTableMultFoldsInSitu(t *testing.T) {
 	}
 }
 
-// TestFoldingCollectFoldsBeforeTheWire: one A² pass of the kernels'
-// shared plan delivers at most half as many entries as it forms partial
-// products (every scan of the pass counted, the nested Aᵀ reads
-// included), and kTruss, Jaccard and TriangleCount built on it still
-// equal the in-memory reference cell for cell, on every transport.
+// TestFoldingCollectFoldsBeforeTheWire: one pass of Jaccard's A² plan
+// delivers at most half as many entries as it forms partial products
+// (every scan of the pass counted, the nested Aᵀ reads included), and
+// Jaccard built on it — and kTruss and TriangleCount on the masked
+// support plan — still equal the in-memory reference cell for cell, on
+// every transport.
 func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 	g := gen.Dedup(gen.RMAT(gen.Graph500(7, 11)))
 	adj := gen.AdjacencyPattern(g)
