@@ -563,13 +563,11 @@ func (g *TableGraph) BFSWithOptions(seeds []int, hops int, opts BFSOptions) (map
 	return core.AdjBFS(g.db.conn, g.schema.Table, keys, hops, opts)
 }
 
-// Degrees computes the degree table server-side and returns it.
+// Degrees computes the degree table server-side and returns it. The
+// table is private to the call and dropped before returning.
 func (g *TableGraph) Degrees() (map[string]float64, error) {
-	out := g.name + "DegOut"
-	// A stale output table would sum with the fresh reduction.
-	if err := g.db.dropIfExists(out); err != nil {
-		return nil, err
-	}
+	out := fmt.Sprintf("%sDegOut_%d", g.name, kernelSeq.Add(1))
+	defer g.db.dropIfExists(out)
 	if _, err := core.TableDegrees(g.db.conn, g.schema.Table, out); err != nil {
 		return nil, err
 	}

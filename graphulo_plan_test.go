@@ -191,6 +191,70 @@ func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 	}
 }
 
+// TestConcurrentPageRankNoScratchCollision runs four PageRank
+// computations over the same graph concurrently: each must equal a
+// sequential run, so the walk matrix and the rank-vector tables (named
+// by the query's trace id) may not be shared — and none may outlive its
+// call.
+func TestConcurrentPageRankNoScratchCollision(t *testing.T) {
+	db := mustOpen(ClusterConfig{TabletServers: 2})
+	defer db.Close()
+	g, err := db.CreateGraph("PR")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Ingest(planTestGraph()); err != nil {
+		t.Fatal(err)
+	}
+	tables := db.conn.TableOperations().List()
+	want, wantIters, err := g.PageRank(0.15, 1e-12, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := db.conn.TableOperations().List(); !reflect.DeepEqual(after, tables) {
+		t.Fatalf("tables after PageRank = %v, before %v", after, tables)
+	}
+
+	type result struct {
+		ranks map[string]float64
+		iters int
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 4)
+	results := make(chan result, 4)
+	for i := 0; i < 4; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ranks, iters, err := g.PageRank(0.15, 1e-12, 200)
+			if err != nil {
+				errs <- err
+				return
+			}
+			results <- result{ranks, iters}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	close(results)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for r := range results {
+		if r.iters != wantIters || len(r.ranks) != len(want) {
+			t.Fatalf("concurrent PageRank took %d iterations over %d vertices, sequential %d over %d", r.iters, len(r.ranks), wantIters, len(want))
+		}
+		for v, x := range want {
+			if math.Abs(r.ranks[v]-x) > 1e-12 {
+				t.Fatalf("concurrent PageRank diverged at %s: %v, sequential %v", v, r.ranks[v], x)
+			}
+		}
+	}
+	if after := db.conn.TableOperations().List(); !reflect.DeepEqual(after, tables) {
+		t.Fatalf("tables after concurrent PageRank = %v, before %v", after, tables)
+	}
+}
+
 // TestTableAssign checks the SpAsgn kernel: entries land in the
 // destination sub-array with row/col offsets prefixed, server-side,
 // honouring the scan constraint.

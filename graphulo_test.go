@@ -2,6 +2,7 @@ package graphulo
 
 import (
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -196,6 +197,7 @@ func TestTableGraphMethodsAreRerunSafe(t *testing.T) {
 	if err := g.Ingest(PaperGraph()); err != nil {
 		t.Fatal(err)
 	}
+	tables := db.conn.TableOperations().List()
 	d1, err := g.Degrees()
 	if err != nil {
 		t.Fatal(err)
@@ -203,6 +205,10 @@ func TestTableGraphMethodsAreRerunSafe(t *testing.T) {
 	d2, err := g.Degrees()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Each call's degree table is its own and dropped on return.
+	if after := db.conn.TableOperations().List(); !reflect.DeepEqual(after, tables) {
+		t.Fatalf("tables after Degrees() = %v, before %v", after, tables)
 	}
 	for k, v := range d1 {
 		if d2[k] != v {

@@ -251,19 +251,9 @@ func edgeSupportPlan(table string) *plan.Node {
 
 // KTrussAdjTable computes the k-truss of the graph stored in an
 // adjacency table and writes the surviving adjacency pattern (every
-// value 1) to outTable. A peel round is one fused pass: the masked
-// support of cur's edges (edgeSupportPlan; cur is symmetric, so it is
-// its own transpose) streams back ⊕-folded, and the edges with support
-// ≥ k−2 survive — an edge in no triangle never appears, so it drops on
-// its own. The survivors are written to a scratch table the next round
-// reads. A round is the fixed point when its survivor count equals the
-// count the previous round wrote: survivors are a subset of cur's
-// edges, so equal counts mean nothing was peeled. Round 0 has no
-// previous count, so a graph that is already a k-truss costs one round
-// more than its peel needs. Returns the number of rounds. Every
-// `<scratch>_it<N>_<trace>` intermediate (trace-suffixed, so concurrent
-// kernels on one table cannot collide) is deleted before returning, on
-// success and on error.
+// value 1) to outTable. The peel rounds are kTrussLoop's; returns their
+// number. Every `<scratch>_it<N>_<trace>` intermediate is deleted
+// before returning, on success and on error.
 func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scratch string) (iterCount int, err error) {
 	q, done, err := startQuery(conn, "kTruss", nil, "")
 	if err != nil {
@@ -278,6 +268,32 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 		}
 		return 1, copyPattern(conn, table, outTable, q)
 	}
+	truss, iterCount, err := kTrussLoop(conn, q, table, k, scratch)
+	if err != nil {
+		return iterCount, err
+	}
+	if err := freshSumTable(conn, outTable); err != nil {
+		return iterCount, err
+	}
+	return iterCount, writeEntries(conn, outTable, truss, q)
+}
+
+// kTrussLoop peels the graph in adjacency table to its k-truss (k ≥ 3)
+// on behalf of q and returns the surviving pattern, both orientations
+// of every edge with value 1, and the number of rounds. A peel round is
+// one fused pass: the masked support of cur's edges (edgeSupportPlan;
+// cur is symmetric, so it is its own transpose) streams back ⊕-folded,
+// and the edges with support ≥ k−2 survive — an edge in no triangle
+// never appears, so it drops on its own. The survivors are written to a
+// scratch table the next round reads. A round is the fixed point when
+// its survivor count equals the count the previous round wrote:
+// survivors are a subset of cur's edges, so equal counts mean nothing
+// was peeled. Round 0 has no previous count, so a graph that is already
+// a k-truss costs one round more than its peel needs. Each scratch
+// table is named `<scratch>_it<N>_<trace>` (trace-suffixed, so
+// concurrent kernels on one table cannot collide) and dropped before
+// returning.
+func kTrussLoop(conn *accumulo.Connector, q *telemetry.Query, table string, k int, scratch string) (truss []assoc.Entry, rounds int, err error) {
 	trace := q.Trace().String()
 	cur := table
 	var scratchTables []string
@@ -288,9 +304,9 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 	for round := 0; ; round++ {
 		res, err := runPlan(conn, edgeSupportPlan(cur), "kTruss", q, nil)
 		if err != nil {
-			return iterCount, err
+			return nil, rounds, err
 		}
-		iterCount++
+		rounds++
 		keep := make([]assoc.Entry, 0, len(res.Cells))
 		for c, support := range res.Cells {
 			if support >= float64(k-2) {
@@ -298,21 +314,16 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 			}
 		}
 		if len(keep) == wrote {
-			// Fixed point: cur is the truss. The deferred cleanup reclaims
-			// every intermediate.
-			if err := freshSumTable(conn, outTable); err != nil {
-				return iterCount, err
-			}
-			return iterCount, writeEntries(conn, outTable, keep, q)
+			return keep, rounds, nil
 		}
 		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
 		scratchTables = append(scratchTables, next)
 		noteScratch(conn)
 		if err := freshSumTable(conn, next); err != nil {
-			return iterCount, err
+			return nil, rounds, err
 		}
 		if err := writeEntries(conn, next, keep, q); err != nil {
-			return iterCount, err
+			return nil, rounds, err
 		}
 		cur, wrote = next, len(keep)
 	}

@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"graphulo/internal/accumulo"
-	"graphulo/internal/iterator"
+	"graphulo/internal/assoc"
+	"graphulo/internal/plan"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
@@ -64,112 +65,96 @@ func EdgeBFS(conn *accumulo.Connector, inc *schema.IncidenceSchema, seeds []stri
 }
 
 // KTrussEdgeTable computes the k-truss on an incidence schema — the
-// paper's Algorithm 1 with the heavy products running server-side:
+// paper's Algorithm 1 — by running the adjacency k-truss loop on the
+// pattern E describes. Algorithm 1's steps map onto that loop as
 //
-//	A = EᵀE − diag      → TableMult(E, E) (rows of E are the inner dim)
-//	R = EA              → TableMult(ET, A)
-//	s = (R == 2)·1      → OneTable(equalsIndicator ∘ rowReduce)
-//	x = find(s < k−2)   → one scan of the small support table
+//	A = EᵀE − diag        → the 0/1 pattern of every two-endpoint edge
+//	                        of E, written once to a scratch table
+//	R = EA, s = (R==2)·1  → the masked support pass C⟨A⟩ = A ⊕.⊗ A
+//	                        (edgeSupportPlan), one per peel round
+//	x = find(s < k−2)     → the loop's survivor filter
 //
-// and the surviving edge rows rewritten for the next round (the table
-// variant recomputes rather than applying the in-memory incremental
-// update, matching Graphulo's loop structure). It writes the final
-// incidence matrix to outBase-E/-ET and returns the surviving edge ids.
+// R(e, w) = A(u, w) + A(v, w) for edge e = (u, v), so R(e, w) == 2
+// exactly when w closes a triangle on e, and s(e) = C(u, v): the two
+// supports are equal on a simple graph. On a multigraph they are not —
+// A = EᵀE − diag stores a repeated pair as 2, which breaks R == 2 — and
+// the pattern, like algo.KTrussAdj, counts the repeated edge once.
+//
+// An edge id survives when its endpoint pair is in the truss (for
+// k < 3, every edge survives). The surviving incidence rows are written
+// to outBase-E/-ET, and the surviving edge ids returned. The adjacency
+// scratch table `<outBase>_A_<trace>` and the loop's per-round tables
+// are deleted before returning, on success and on error.
 func KTrussEdgeTable(conn *accumulo.Connector, inc *schema.IncidenceSchema, k int, outBase string) (survivorIDs []string, err error) {
 	q, done, err := startQuery(conn, "kTruss", nil, "")
 	if err != nil {
 		return
 	}
 	defer func() { done(err) }()
-	ops := conn.TableOperations()
-	curE, curET := inc.Table, inc.TableT
-	trace := q.Trace().String()
-	var scratchTables []string
-	defer func() { dropScratch(conn, scratchTables, &err) }()
-	for round := 0; ; round++ {
-		// Trace-suffixed like every other driver's intermediates, so
-		// concurrent k-truss runs over the same outBase never collide —
-		// and reclaimed on the way out now that each run names its own.
-		scratch := func(name string) string {
-			noteScratch(conn)
-			t := fmt.Sprintf("%s_%s%d_%s", outBase, name, round, trace)
-			scratchTables = append(scratchTables, t)
-			return t
-		}
-		// A = EᵀE with the diagonal dropped at scan time below.
-		aTable := scratch("A")
-		if ops.Exists(aTable) {
-			if err := ops.Delete(aTable); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := TableMult(conn, curE, curE, aTable, MultOptions{Query: q}); err != nil {
-			return nil, err
-		}
-		// Strip the diagonal client-side into A' (diag(EᵀE) = degrees).
-		aPrime := scratch("Ad")
-		if err := copyTableNoDiag(conn, aTable, aPrime, q); err != nil {
-			return nil, err
-		}
-		// R = E·A' via TableMult(ET, A').
-		rTable := scratch("R")
-		if ops.Exists(rTable) {
-			if err := ops.Delete(rTable); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := TableMult(conn, curET, aPrime, rTable, MultOptions{Query: q}); err != nil {
-			return nil, err
-		}
-		// s = (R==2)·1 server-side.
-		sTable := scratch("S")
-		if ops.Exists(sTable) {
-			if err := ops.Delete(sTable); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := oneTableQ(conn, rTable, sTable, []iterator.Setting{
-			{Name: "equalsIndicator", Priority: 30, Opts: map[string]string{"target": "2"}},
-			{Name: "rowReduce", Priority: 31, Opts: map[string]string{"monoid": "plus", "colQ": "support"}},
-		}, ScanConstraint{}, q); err != nil {
-			return nil, err
-		}
-		support, err := readDegrees(conn, sTable, q)
-		if err != nil {
-			return nil, err
-		}
-		// Every current edge; edges absent from s have zero support.
-		eEntries, err := scanTable(conn, curE, q)
-		if err != nil {
-			return nil, err
-		}
-		edgeSet := map[string]bool{}
-		for _, e := range eEntries {
-			edgeSet[e.K.Row] = true
-		}
-		var survivors []string
-		removed := false
-		for edge := range edgeSet {
-			if support[edge] >= float64(k-2) {
-				survivors = append(survivors, edge)
-			} else {
-				removed = true
-			}
-		}
-		if !removed || len(survivors) == 0 {
-			// Fixed point (or empty): write the result schema.
-			if err := writeSurvivors(conn, eEntries, survivors, outBase+"E", outBase+"ET", q); err != nil {
-				return nil, err
-			}
-			return survivors, nil
-		}
-		// Rewrite the surviving incidence rows into fresh tables.
-		nextE, nextET := scratch("En"), scratch("ETn")
-		if err := writeSurvivors(conn, eEntries, survivors, nextE, nextET, q); err != nil {
-			return nil, err
-		}
-		curE, curET = nextE, nextET
+	res, err := runPlan(conn, plan.Collect(plan.Scan(inc.Table, plan.Constraint{})), "kTruss", q, nil)
+	if err != nil {
+		return nil, err
 	}
+	endpoints := map[string][]string{}
+	var ids []string
+	for _, e := range res.Entries {
+		if endpoints[e.K.Row] == nil {
+			ids = append(ids, e.K.Row)
+		}
+		endpoints[e.K.Row] = append(endpoints[e.K.Row], e.K.ColQ)
+	}
+	var truss map[[2]string]bool
+	if k >= 3 {
+		if truss, err = edgeIncidenceTruss(conn, q, endpoints, k, outBase); err != nil {
+			return nil, err
+		}
+	}
+	for _, id := range ids {
+		uv := endpoints[id]
+		if k < 3 || len(uv) == 2 && truss[[2]string{uv[0], uv[1]}] {
+			survivorIDs = append(survivorIDs, id)
+		}
+	}
+	if err := writeSurvivors(conn, res.Entries, survivorIDs, outBase+"E", outBase+"ET", q); err != nil {
+		return nil, err
+	}
+	return survivorIDs, nil
+}
+
+// edgeIncidenceTruss writes the adjacency pattern of the two-endpoint
+// edges to a trace-suffixed scratch table, runs kTrussLoop on it, and
+// returns the truss as a set of ordered endpoint pairs (both
+// orientations of every surviving edge).
+func edgeIncidenceTruss(conn *accumulo.Connector, q *telemetry.Query, endpoints map[string][]string, k int, outBase string) (truss map[[2]string]bool, err error) {
+	adj := fmt.Sprintf("%s_A_%s", outBase, q.Trace())
+	noteScratch(conn)
+	defer dropScratch(conn, []string{adj}, &err)
+	// An incidence row's endpoints arrive in key order, so a repeated
+	// pair has the same key whichever edge id carries it.
+	seen := map[[2]string]bool{}
+	var entries []assoc.Entry
+	for _, uv := range endpoints {
+		if len(uv) != 2 || seen[[2]string{uv[0], uv[1]}] {
+			continue
+		}
+		seen[[2]string{uv[0], uv[1]}] = true
+		entries = append(entries, assoc.Entry{Row: uv[0], Col: uv[1], Val: 1}, assoc.Entry{Row: uv[1], Col: uv[0], Val: 1})
+	}
+	if err := freshSumTable(conn, adj); err != nil {
+		return nil, err
+	}
+	if err := writeEntries(conn, adj, entries, q); err != nil {
+		return nil, err
+	}
+	survivors, _, err := kTrussLoop(conn, q, adj, k, outBase)
+	if err != nil {
+		return nil, err
+	}
+	truss = make(map[[2]string]bool, len(survivors))
+	for _, e := range survivors {
+		truss[[2]string{e.Row, e.Col}] = true
+	}
+	return truss, nil
 }
 
 // writeSurvivors rebuilds eTable and etTable as sum tables holding the
@@ -208,39 +193,4 @@ func writeSurvivors(conn *accumulo.Connector, eEntries []skv.Entry, survivors []
 		return err
 	}
 	return wT.Close()
-}
-
-// copyTableNoDiag copies a table dropping entries whose row equals the
-// column qualifier (the diagonal), reading and writing on behalf of q.
-func copyTableNoDiag(conn *accumulo.Connector, in, out string, q *telemetry.Query) error {
-	entries, err := scanTable(conn, in, q)
-	if err != nil {
-		return err
-	}
-	if err := freshSumTable(conn, out); err != nil {
-		return err
-	}
-	w, err := tracedWriter(conn, out, q)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.K.Row == e.K.ColQ {
-			continue
-		}
-		if err := w.Put(e.K.Row, "", e.K.ColQ, e.V); err != nil {
-			return err
-		}
-	}
-	return w.Close()
-}
-
-// scanTable reads a whole table on behalf of q.
-func scanTable(conn *accumulo.Connector, table string, q *telemetry.Query) ([]skv.Entry, error) {
-	sc, err := conn.CreateScanner(table)
-	if err != nil {
-		return nil, err
-	}
-	sc.SetTrace(q)
-	return sc.Entries()
 }

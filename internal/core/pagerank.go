@@ -38,7 +38,6 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	ops := conn.TableOperations()
 	// Vertex set and dangling detection from the degree table.
 	degs, err := readDegrees(conn, degTable, q, schema.DegBand()...)
 	if err != nil {
@@ -49,13 +48,18 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 	}
 	n := float64(len(degs))
 
-	// Mᵀ = D⁻¹A, built once server-side.
-	mt := table + "_prMT"
-	if ops.Exists(mt) {
-		if err := ops.Delete(mt); err != nil {
-			return PageRankTableResult{}, err
-		}
+	// The walk matrix and the two rank vectors are trace-suffixed, so
+	// concurrent runs over one graph never share them, and dropped on
+	// the way out, on success and on error.
+	trace := q.Trace().String()
+	mt, vec, next := table+"_prMT_"+trace, table+"_prV_"+trace, table+"_prVn_"+trace
+	scratch := []string{mt, vec, next}
+	for range scratch {
+		noteScratch(conn)
 	}
+	defer dropScratch(conn, scratch, &err)
+
+	// Mᵀ = D⁻¹A, built once server-side.
 	if _, err := oneTableQ(conn, table, mt, []iterator.Setting{
 		{Name: "rowScale", Priority: 30, Opts: map[string]string{
 			"table": degTable, "families": iterator.EncodeFamiliesOpt(schema.DegBand()),
@@ -64,8 +68,7 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 		return PageRankTableResult{}, err
 	}
 
-	// Rank vector table, initialised uniform.
-	vec := table + "_prV"
+	// Rank vector, initialised uniform.
 	x := make(map[string]float64, len(degs))
 	for v := range degs {
 		x[v] = 1 / n
@@ -89,11 +92,8 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 		if err := writeVector(vec, x); err != nil {
 			return PageRankTableResult{}, err
 		}
-		next := table + "_prVn"
-		if ops.Exists(next) {
-			if err := ops.Delete(next); err != nil {
-				return PageRankTableResult{}, err
-			}
+		if err := freshSumTable(conn, next); err != nil {
+			return PageRankTableResult{}, err
 		}
 		// y[u] = Σ_v Mᵀ[v][u]·x[v], server-side.
 		if _, err := TableMult(conn, mt, vec, next, MultOptions{Query: q}); err != nil {
