@@ -7,9 +7,8 @@
 //	graphulo <algorithm> [flags]
 //	graphulo serve -listen host:port
 //
-// Algorithms: mult, bfs, degrees, pagerank, eigen, katz, betweenness,
-// ktruss, tricount, jaccard, nmf, sssp, components, info. `trace` runs
-// the mult kernel and prints its telemetry span tree (coordinator scans
+// Algorithms are listed in the usage line. `trace` runs the mult
+// kernel and prints its telemetry span tree (coordinator scans
 // and flushes plus per-daemon tablet passes) with per-query counters.
 //
 // Observability: -metrics-addr serves /metrics (Prometheus text),
@@ -18,9 +17,10 @@
 // kernels as JSON lines (to -slow-query-log or stderr).
 //
 // The kernel subcommands honour SpRef push-down flags: -row-start /
-// -row-end restrict mult and bfs to a row band (only overlapping
+// -row-end restrict mult, trace and bfs to a row band (only overlapping
 // tablets execute the kernel) and -colq-start / -colq-end restrict
-// mult's output columns server-side.
+// mult's and trace's output columns server-side. Any other subcommand
+// given a band flag fails rather than ignoring it.
 //
 // The -graph flag selects the workload:
 //
@@ -41,6 +41,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -62,13 +63,10 @@ var (
 	servers    = flag.String("servers", "", "comma-separated tablet-server endpoints from `graphulo serve` (implies -db and tcp)")
 	listen     = flag.String("listen", "127.0.0.1:0", "serve mode: address to listen on")
 	dataDir    = flag.String("data-dir", "", "durable cluster directory: graphs built in one invocation are queried in the next (implies -db)")
-	scanPar    = flag.Int("scan-parallelism", 0, "tablets scanned concurrently per kernel pass (0 = cluster default)")
-	cacheBy    = flag.Int64("block-cache-bytes", 0, "rfile block cache capacity in bytes (0 = 32 MiB default, negative disables)")
-	maxRuns    = flag.Int("max-runs-per-tablet", 8, "background-majc run threshold per tablet (0 disables the compaction scheduler)")
-	rowStart   = flag.String("row-start", "", "restrict mult/bfs to rows >= this key (SpRef push-down; empty = unbounded)")
-	rowEnd     = flag.String("row-end", "", "restrict mult/bfs to rows < this key (SpRef push-down; empty = unbounded)")
-	colqStart  = flag.String("colq-start", "", "restrict mult to column qualifiers >= this key (empty = unbounded)")
-	colqEnd    = flag.String("colq-end", "", "restrict mult to column qualifiers < this key (empty = unbounded)")
+	rowStart   = flag.String("row-start", "", "restrict mult/trace/bfs to rows >= this key (SpRef push-down; empty = unbounded)")
+	rowEnd     = flag.String("row-end", "", "restrict mult/trace/bfs to rows < this key (SpRef push-down; empty = unbounded)")
+	colqStart  = flag.String("colq-start", "", "restrict mult/trace to column qualifiers >= this key (empty = unbounded)")
+	colqEnd    = flag.String("colq-end", "", "restrict mult/trace to column qualifiers < this key (empty = unbounded)")
 	semiringF  = flag.String("semiring", "plus.times", "mult ⊕.⊗ semiring (plus.times, min.plus, max.plus, or.and, max.min)")
 
 	metricsAddr = flag.String("metrics-addr", "", "serve telemetry over HTTP on this address (/metrics, /queries, /debug/pprof); works for kernel runs and serve mode")
@@ -81,6 +79,34 @@ var (
 	scanBudget  = flag.Int64("scan-entry-budget", 0, "per-query scan-entry budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 	writeBudget = flag.Int64("write-byte-budget", 0, "per-query write wire-byte budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 )
+
+// algorithms lists the subcommands run accepts, as the usage line
+// prints them.
+const algorithms = "mult trace bfs degrees pagerank eigen katz betweenness closeness hits clustering svd nominate ktruss tricount jaccard nmf sssp communities components info"
+
+// bandHonoured maps each band flag to the subcommands that pass it to
+// a kernel.
+var bandHonoured = []struct {
+	flag string
+	val  *string
+	by   []string
+}{
+	{"row-start", rowStart, []string{"mult", "trace", "bfs"}},
+	{"row-end", rowEnd, []string{"mult", "trace", "bfs"}},
+	{"colq-start", colqStart, []string{"mult", "trace"}},
+	{"colq-end", colqEnd, []string{"mult", "trace"}},
+}
+
+// checkBands refuses a band flag that algorithm would ignore, naming
+// the flag and the subcommands that honour it.
+func checkBands(algorithm string) error {
+	for _, b := range bandHonoured {
+		if *b.val != "" && !slices.Contains(b.by, algorithm) {
+			return fmt.Errorf("-%s is honoured only by %s, not %s", b.flag, strings.Join(b.by, ", "), algorithm)
+		}
+	}
+	return nil
+}
 
 // openDB starts the embedded cluster, durable when -data-dir is set,
 // and returns the graph handle: the persisted graph when it already
@@ -105,11 +131,9 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 	}
 	db, err := graphulo.Open(graphulo.ClusterConfig{
 		DataDir:          *dataDir,
-		ScanParallelism:  *scanPar,
 		Transport:        *transportF,
 		Servers:          serverList,
-		BlockCacheBytes:  *cacheBy,
-		MaxRunsPerTablet: *maxRuns,
+		MaxRunsPerTablet: 8, // background-compaction run threshold per tablet
 
 		MetricsAddr:        *metricsAddr,
 		SlowQueryThreshold: *slowQuery,
@@ -148,7 +172,7 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: graphulo <algorithm> [flags]\n")
-		fmt.Fprintf(os.Stderr, "algorithms: mult trace bfs degrees pagerank eigen katz betweenness closeness hits clustering svd nominate ktruss tricount jaccard nmf sssp components info\n")
+		fmt.Fprintf(os.Stderr, "algorithms: %s\n", algorithms)
 		fmt.Fprintf(os.Stderr, "explain [kernel]: print a kernel's compiled plan with fused groups marked (all kernels when omitted)\n\n")
 		flag.PrintDefaults()
 	}
@@ -237,6 +261,9 @@ func makeGraph() graphulo.Graph {
 }
 
 func run(algorithm string) error {
+	if err := checkBands(algorithm); err != nil {
+		return err
+	}
 	g := makeGraph()
 	adj := graphulo.AdjacencyPat(g)
 	fmt.Printf("graph: %d vertices, %d edges\n", g.N, len(g.Edges))
@@ -245,7 +272,7 @@ func run(algorithm string) error {
 	}
 	if *rowStart != "" || *rowEnd != "" {
 		// Row bands are a server-side kernel option (SpRef push-down);
-		// the in-memory algorithms take no band, so these flags imply a
+		// the in-memory BFS takes no band, so these flags imply a
 		// cluster-backed run rather than being silently dropped.
 		*useDB = true
 	}

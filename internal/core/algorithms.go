@@ -101,11 +101,15 @@ func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, op
 		frontier = append(frontier, s)
 	}
 	for hop := 1; hop <= hops && len(frontier) > 0; hop++ {
+		ranges := make([]skv.Range, len(frontier))
+		for i, v := range frontier {
+			ranges[i] = skv.ExactRow(v)
+		}
 		// The visitor folds neighbour entries into the visited set as they
 		// arrive, so a hop never materialises the expansion (which can
 		// approach the edge count on dense frontiers).
 		var next []string
-		err := visitRows(conn, table, frontier, "AdjBFS", q, func(e skv.Entry) error {
+		_, err := runPlan(conn, plan.Collect(plan.ScanRanges(table, ranges)), "AdjBFS", q, func(e skv.Entry) error {
 			nb := e.K.ColQ
 			if _, seen := visited[nb]; seen {
 				return nil
@@ -123,22 +127,6 @@ func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, op
 		frontier = next
 	}
 	return visited, nil
-}
-
-// visitRows streams the given rows of table to visit through a collect
-// plan on the kernel's query: one exact-row range per row, all in one
-// multi-range scan, so a BFS hop costs at most one pass per tablet
-// however large its frontier. No rows means no scan.
-func visitRows(conn *accumulo.Connector, table string, rows []string, kernel string, q *telemetry.Query, visit func(skv.Entry) error) error {
-	if len(rows) == 0 {
-		return nil
-	}
-	ranges := make([]skv.Range, len(rows))
-	for i, r := range rows {
-		ranges[i] = skv.ExactRow(r)
-	}
-	_, err := runPlan(conn, plan.Collect(plan.ScanRanges(table, ranges)), kernel, q, visit)
-	return err
 }
 
 // readDegrees folds a degree-style table into row → value. A non-empty
@@ -250,10 +238,21 @@ func edgeSupportPlan(table string) *plan.Node {
 }
 
 // KTrussAdjTable computes the k-truss of the graph stored in an
-// adjacency table and writes the surviving adjacency pattern (every
-// value 1) to outTable. The peel rounds are kTrussLoop's; returns their
-// number. Every `<scratch>_it<N>_<trace>` intermediate is deleted
-// before returning, on success and on error.
+// adjacency table and writes the surviving adjacency pattern (both
+// orientations of every edge, value 1) to outTable; returns the number
+// of peel rounds. A peel round is one fused pass: the masked support of
+// cur's edges (edgeSupportPlan; cur is symmetric, so it is its own
+// transpose) streams back ⊕-folded, and the edges with support ≥ k−2
+// survive — an edge in no triangle never appears, so it drops on its
+// own. The survivors are written to a scratch table the next round
+// reads. A round is the fixed point when its survivor count equals the
+// count the previous round wrote: survivors are a subset of cur's
+// edges, so equal counts mean nothing was peeled. Round 0 has no
+// previous count, so a graph that is already a k-truss costs one round
+// more than its peel needs. Each scratch table is named
+// `<scratch>_it<N>_<trace>` (trace-suffixed, so concurrent kernels on
+// one table cannot collide) and dropped before returning, on success
+// and on error.
 func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scratch string) (iterCount int, err error) {
 	q, done, err := startQuery(conn, "kTruss", nil, "")
 	if err != nil {
@@ -268,32 +267,6 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 		}
 		return 1, copyPattern(conn, table, outTable, q)
 	}
-	truss, iterCount, err := kTrussLoop(conn, q, table, k, scratch)
-	if err != nil {
-		return iterCount, err
-	}
-	if err := freshSumTable(conn, outTable); err != nil {
-		return iterCount, err
-	}
-	return iterCount, writeEntries(conn, outTable, truss, q)
-}
-
-// kTrussLoop peels the graph in adjacency table to its k-truss (k ≥ 3)
-// on behalf of q and returns the surviving pattern, both orientations
-// of every edge with value 1, and the number of rounds. A peel round is
-// one fused pass: the masked support of cur's edges (edgeSupportPlan;
-// cur is symmetric, so it is its own transpose) streams back ⊕-folded,
-// and the edges with support ≥ k−2 survive — an edge in no triangle
-// never appears, so it drops on its own. The survivors are written to a
-// scratch table the next round reads. A round is the fixed point when
-// its survivor count equals the count the previous round wrote:
-// survivors are a subset of cur's edges, so equal counts mean nothing
-// was peeled. Round 0 has no previous count, so a graph that is already
-// a k-truss costs one round more than its peel needs. Each scratch
-// table is named `<scratch>_it<N>_<trace>` (trace-suffixed, so
-// concurrent kernels on one table cannot collide) and dropped before
-// returning.
-func kTrussLoop(conn *accumulo.Connector, q *telemetry.Query, table string, k int, scratch string) (truss []assoc.Entry, rounds int, err error) {
 	trace := q.Trace().String()
 	cur := table
 	var scratchTables []string
@@ -304,9 +277,9 @@ func kTrussLoop(conn *accumulo.Connector, q *telemetry.Query, table string, k in
 	for round := 0; ; round++ {
 		res, err := runPlan(conn, edgeSupportPlan(cur), "kTruss", q, nil)
 		if err != nil {
-			return nil, rounds, err
+			return iterCount, err
 		}
-		rounds++
+		iterCount++
 		keep := make([]assoc.Entry, 0, len(res.Cells))
 		for c, support := range res.Cells {
 			if support >= float64(k-2) {
@@ -314,16 +287,19 @@ func kTrussLoop(conn *accumulo.Connector, q *telemetry.Query, table string, k in
 			}
 		}
 		if len(keep) == wrote {
-			return keep, rounds, nil
+			if err := freshSumTable(conn, outTable); err != nil {
+				return iterCount, err
+			}
+			return iterCount, writeEntries(conn, outTable, keep, q)
 		}
 		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
 		scratchTables = append(scratchTables, next)
 		noteScratch(conn)
 		if err := freshSumTable(conn, next); err != nil {
-			return nil, rounds, err
+			return iterCount, err
 		}
 		if err := writeEntries(conn, next, keep, q); err != nil {
-			return nil, rounds, err
+			return iterCount, err
 		}
 		cur, wrote = next, len(keep)
 	}

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -12,6 +14,7 @@ import (
 	"graphulo/internal/gen"
 	"graphulo/internal/iterator"
 	"graphulo/internal/plan"
+	"graphulo/internal/sched"
 	"graphulo/internal/schema"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
@@ -352,33 +355,114 @@ func TestAdjBFSDegreeFilter(t *testing.T) {
 	}
 }
 
-func TestKTrussAdjTableMatchesInMemory(t *testing.T) {
-	conn := testConn(t)
-	g := gen.Dedup(gen.Barbell(4, 1))
-	sch, err := schema.NewAdjacencySchema(conn, "K")
+// TestAdjBFSIsOneBudgetedQuery: AdjBFS runs as one admitted, traced
+// query like every other kernel driver, so a scan budget stops it with
+// a typed error and the run leaves one finished AdjBFS query record.
+func TestAdjBFSIsOneBudgetedQuery(t *testing.T) {
+	mc := accumulo.NewMiniCluster(accumulo.Config{ScanEntryBudget: 1})
+	defer mc.Close()
+	conn := mc.Connector()
+	sch, err := schema.NewAdjacencySchema(conn, "Bud")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sch.IngestGraph(g); err != nil {
+	if err := sch.IngestGraph(gen.PaperGraph()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KTrussAdjTable(conn, sch.Table, "KOut", 4, "Kscratch"); err != nil {
-		t.Fatal(err)
+	_, err = AdjBFS(conn, sch.Table, []string{schema.VertexName(4)}, 3, AdjBFSOptions{})
+	var be *sched.BudgetError
+	if !errors.As(err, &be) || be.Resource != "scan entries" {
+		t.Fatalf("AdjBFS under a 1-entry scan budget returned %v, want a scan-entries *sched.BudgetError", err)
 	}
-	got := readMatrix(t, conn, "KOut")
-	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 4)
-	for _, tr := range want.Triples() {
-		r, c := schema.VertexName(tr.Row), schema.VertexName(tr.Col)
-		if got[r][c] == 0 {
-			t.Fatalf("truss edge (%s,%s) missing from table result", r, c)
+	var records int
+	for _, q := range mc.Telemetry().Snapshot() {
+		if q.Kernel != "AdjBFS" {
+			continue
+		}
+		records++
+		if !q.Done || q.Err == "" {
+			t.Errorf("AdjBFS query record done=%v err=%q, want finished with the budget error", q.Done, q.Err)
 		}
 	}
-	count := 0
-	for _, row := range got {
-		count += len(row)
+	if records != 1 {
+		t.Fatalf("telemetry holds %d AdjBFS queries, want 1", records)
 	}
-	if count != want.NNZ() {
-		t.Fatalf("table truss has %d entries, want %d", count, want.NNZ())
+}
+
+// TestKTrussAdjTableMatchesInMemory is the table k-truss's differential
+// test on both local transports: the output table equals algo.KTrussAdj
+// on the graph's 0/1 pattern, cell for cell. The multigraphs store a
+// repeated pair with value 2; the plus.and support pass counts it once,
+// as the pattern does. Barbell(4,1) at k=4 peels its bridge in round 0
+// and confirms the fixed point in round 1, so it writes one scratch
+// table; every call leaves the table list as before plus outTable.
+func TestKTrussAdjTableMatchesInMemory(t *testing.T) {
+	// The triangle {01, 12, 02} with 01 listed twice, and the diamond
+	// {ab, ac, ad, bc, bd} with ac and bc listed twice.
+	triangle := gen.Graph{N: 3, Edges: []gen.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 0, V: 1}}}
+	diamond := gen.Graph{N: 4, Edges: []gen.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 0, V: 2}, {U: 1, V: 2}}}
+	er := gen.Dedup(gen.ErdosRenyi(30, 150, 5))
+	rmat := gen.Dedup(gen.RMAT(gen.Graph500(6, 3)))
+	cases := []struct {
+		name      string
+		g         gen.Graph
+		k         int
+		scratches int64 // pinned ScratchTablesCreated delta; 0 = unpinned
+	}{
+		{name: "barbell4", g: gen.Dedup(gen.Barbell(4, 1)), k: 4, scratches: 1},
+		{name: "er3", g: er, k: 3},
+		{name: "er4", g: er, k: 4},
+		{name: "er5", g: er, k: 5},
+		{name: "rmat3", g: rmat, k: 3},
+		{name: "rmat4", g: rmat, k: 4},
+		{name: "rmat5", g: rmat, k: 5},
+		{name: "multitriangle3", g: triangle, k: 3},
+		{name: "multidiamond4", g: diamond, k: 4},
+	}
+	for transport, cfg := range transportConfigs() {
+		conn := equivCluster(t, cfg)
+		for _, tc := range cases {
+			t.Run(transport+"/"+tc.name, func(t *testing.T) {
+				sch, err := schema.NewAdjacencySchema(conn, tc.name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sch.IngestGraph(tc.g); err != nil {
+					t.Fatal(err)
+				}
+				ops := conn.TableOperations()
+				tablesBefore := ops.List()
+				stats := &conn.Cluster().Telemetry().Stats
+				scratchBefore := stats.Get(telemetry.ScratchTablesCreated)
+				outTable := tc.name + "Out"
+				if _, err := KTrussAdjTable(conn, sch.Table, outTable, tc.k, tc.name+"scratch"); err != nil {
+					t.Fatal(err)
+				}
+				if n := stats.Get(telemetry.ScratchTablesCreated) - scratchBefore; tc.scratches != 0 && n != tc.scratches {
+					t.Errorf("created %d scratch tables, want %d", n, tc.scratches)
+				}
+				wantTables := append(tablesBefore, outTable)
+				sort.Strings(wantTables)
+				if tables := ops.List(); !reflect.DeepEqual(tables, wantTables) {
+					t.Errorf("tables after the call = %v, want %v", tables, wantTables)
+				}
+				got := readMatrix(t, conn, outTable)
+				want := algo.KTrussAdj(gen.AdjacencyPattern(tc.g), tc.k)
+				cells := 0
+				for _, row := range got {
+					cells += len(row)
+				}
+				if cells != want.NNZ() {
+					t.Fatalf("%d-truss has %d cells, in-memory %d", tc.k, cells, want.NNZ())
+				}
+				for _, tr := range want.Triples() {
+					r, c := schema.VertexName(tr.Row), schema.VertexName(tr.Col)
+					if v := got[r][c]; v != tr.Val {
+						t.Fatalf("%d-truss cell (%s,%s) = %v, in-memory %v", tc.k, r, c, v, tr.Val)
+					}
+				}
+			})
+		}
 	}
 }
 

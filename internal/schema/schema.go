@@ -1,7 +1,7 @@
 // Package schema implements the paper's §II.B graph schemas on NoSQL
-// tables: the adjacency-matrix schema, the incidence-matrix schema, the
-// degree table, and the D4M 2.0 four-table schema (Tedge, TedgeT, Tdeg,
-// Traw) with exploded column keys.
+// tables: the adjacency-matrix schema, the degree table, and the D4M 2.0
+// four-table schema (Tedge, TedgeT, Tdeg, Traw) with exploded column
+// keys.
 package schema
 
 import (
@@ -21,7 +21,7 @@ import (
 // place each channel in its own rfile locality group (format v4) and a
 // scan over one channel skips the others' blocks entirely.
 const (
-	// EdgeFamily holds adjacency/incidence matrix entries.
+	// EdgeFamily holds adjacency (and D4M Tedge) matrix entries.
 	EdgeFamily = "edge"
 	// DegFamily holds degree (and other per-row reduction) entries.
 	DegFamily = "deg"
@@ -49,9 +49,6 @@ func ParseVertex(key string) (int, error) {
 	}
 	return strconv.Atoi(key[1:])
 }
-
-// EdgeName formats edge ids for incidence-schema row keys.
-func EdgeName(e int) string { return fmt.Sprintf("e%08d", e) }
 
 // AdjacencySchema manages a pair of tables holding a graph's adjacency
 // matrix and its transpose, plus a degree table — the layout Graphulo
@@ -221,67 +218,6 @@ func WriteAssoc(conn *accumulo.Connector, table string, a *assoc.Assoc) error {
 		}
 	}
 	return w.Close()
-}
-
-// IncidenceSchema manages the incidence-matrix layout of §II.B.2 on
-// tables: E (row = edge id, colQ = vertex) and its transpose ET
-// (row = vertex, colQ = edge id). The paper's Algorithm 1 runs on this
-// pair.
-type IncidenceSchema struct {
-	Table  string // E
-	TableT string // Eᵀ
-	conn   *accumulo.Connector
-}
-
-// NewIncidenceSchema creates (or reuses) the two tables.
-func NewIncidenceSchema(conn *accumulo.Connector, base string) (*IncidenceSchema, error) {
-	s := &IncidenceSchema{Table: base + "E", TableT: base + "ET", conn: conn}
-	ops := conn.TableOperations()
-	for _, name := range []string{s.Table, s.TableT} {
-		if !ops.Exists(name) {
-			if err := ops.Create(name); err != nil {
-				return nil, err
-			}
-			if err := ops.RemoveIterator(name, "versioning"); err != nil {
-				return nil, err
-			}
-			if err := ops.AttachIterator(name, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return s, nil
-}
-
-// IngestGraph writes the unoriented incidence matrix of g: edge i gets
-// E(eᵢ, u) = E(eᵢ, v) = 1.
-func (s *IncidenceSchema) IngestGraph(g gen.Graph) error {
-	wE, err := s.conn.CreateBatchWriter(s.Table, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return err
-	}
-	wT, err := s.conn.CreateBatchWriter(s.TableT, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return err
-	}
-	for i, e := range g.Edges {
-		edge := EdgeName(i)
-		for _, v := range []int{e.U, e.V} {
-			vert := VertexName(v)
-			if err := wE.PutFloat(edge, EdgeFamily, vert, 1); err != nil {
-				return err
-			}
-			if err := wT.PutFloat(vert, EdgeFamily, edge, 1); err != nil {
-				return err
-			}
-		}
-	}
-	for _, w := range []*accumulo.BatchWriter{wE, wT} {
-		if err := w.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // D4M implements the D4M 2.0 schema of §II.B.3: Tedge holds one row per
