@@ -16,115 +16,161 @@ import (
 // scan against a flat in-memory reference model with summing semantics.
 // This is the strongest correctness statement about the storage stack:
 // no sequence of structural events (memtable spills, run merges, tablet
-// splits) may change scan results.
+// splits) may change scan results. The durable arm runs the same
+// sequences on a data directory with a compaction scheduler of 2–4 runs
+// per tablet, so scheduled merges interleave with flushes, compactions
+// and splits, and adds a close-and-reopen op checked against the same
+// model.
 func TestQuickClusterMatchesReferenceModel(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		mc := NewMiniCluster(Config{TabletServers: 1 + rng.Intn(3), MemLimit: 8 + rng.Intn(32), WireBatch: 1 + rng.Intn(64)})
-		conn := mc.Connector()
-		ops := conn.TableOperations()
-		if err := ops.Create("M"); err != nil {
-			return false
+	for _, durable := range []bool{false, true} {
+		name := "memory"
+		if durable {
+			name = "durable"
 		}
-		// Summing semantics to make the model deterministic under
-		// versions.
-		if err := ops.RemoveIterator("M", "versioning"); err != nil {
-			return false
-		}
-		if err := ops.AttachIterator("M", iterator.Setting{Name: "sum", Priority: 10}); err != nil {
-			return false
-		}
-		w, err := conn.CreateBatchWriter("M", BatchWriterConfig{})
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool { return clusterMatchesModel(t, seed, durable) }
+			if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// clusterMatchesModel runs one random op sequence for
+// TestQuickClusterMatchesReferenceModel, reporting whether every scan
+// matched the model.
+func clusterMatchesModel(t *testing.T, seed int64, durable bool) bool {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := Config{TabletServers: 1 + rng.Intn(3), MemLimit: 8 + rng.Intn(32), WireBatch: 1 + rng.Intn(64)}
+	if durable {
+		cfg.DataDir, cfg.NoSync, cfg.MaxRunsPerTablet = t.TempDir(), true, 2+rng.Intn(3)
+	}
+	mc, err := OpenMiniCluster(cfg)
+	if err != nil {
+		t.Log(err)
+		return false
+	}
+	defer func() { mc.Close() }()
+	conn := mc.Connector()
+	ops := conn.TableOperations()
+	if err := ops.Create("M"); err != nil {
+		return false
+	}
+	// Summing semantics to make the model deterministic under versions.
+	if err := ops.RemoveIterator("M", "versioning"); err != nil {
+		return false
+	}
+	if err := ops.AttachIterator("M", iterator.Setting{Name: "sum", Priority: 10}); err != nil {
+		return false
+	}
+	w, err := conn.CreateBatchWriter("M", BatchWriterConfig{})
+	if err != nil {
+		return false
+	}
+	model := map[[2]string]float64{}
+
+	rows := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
+	cols := []string{"x", "y", "z"}
+	checkScan := func(lo, hi string) bool {
+		s, err := conn.CreateScanner("M")
 		if err != nil {
 			return false
 		}
-		model := map[[2]string]float64{}
-
-		rows := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
-		cols := []string{"x", "y", "z"}
-		checkScan := func(lo, hi string) bool {
-			s, err := conn.CreateScanner("M")
-			if err != nil {
+		s.SetRange(skv.RowRange(lo, hi))
+		entries, err := s.Entries()
+		if err != nil {
+			return false
+		}
+		got := map[[2]string]float64{}
+		var prev *skv.Key
+		for _, e := range entries {
+			if prev != nil && skv.Compare(*prev, e.K) > 0 {
+				return false // unsorted
+			}
+			k := e.K
+			prev = &k
+			v, ok := skv.DecodeFloat(e.V)
+			if !ok {
 				return false
 			}
-			s.SetRange(skv.RowRange(lo, hi))
-			entries, err := s.Entries()
-			if err != nil {
+			got[[2]string{e.K.Row, e.K.ColQ}] += v
+		}
+		for k, v := range model {
+			inRange := (lo == "" || k[0] >= lo) && (hi == "" || k[0] < hi)
+			if inRange {
+				if got[k] != v {
+					return false
+				}
+				delete(got, k)
+			}
+		}
+		return len(got) == 0
+	}
+
+	nOps := 12
+	if durable {
+		nOps = 13
+	}
+	for op := 0; op < 120; op++ {
+		switch rng.Intn(nOps) {
+		case 0, 1, 2, 3, 4, 5: // put
+			r := rows[rng.Intn(len(rows))]
+			c := cols[rng.Intn(len(cols))]
+			v := float64(1 + rng.Intn(9))
+			if err := w.PutFloat(r, "", c, v); err != nil {
 				return false
 			}
-			got := map[[2]string]float64{}
-			var prev *skv.Key
-			for _, e := range entries {
-				if prev != nil && skv.Compare(*prev, e.K) > 0 {
-					return false // unsorted
-				}
-				k := e.K
-				prev = &k
-				v, ok := skv.DecodeFloat(e.V)
-				if !ok {
-					return false
-				}
-				got[[2]string{e.K.Row, e.K.ColQ}] += v
+			if err := w.Flush(); err != nil {
+				return false
 			}
-			for k, v := range model {
-				inRange := (lo == "" || k[0] >= lo) && (hi == "" || k[0] < hi)
-				if inRange {
-					if got[k] != v {
-						return false
-					}
-					delete(got, k)
-				}
+			model[[2]string{r, c}] += v
+		case 6:
+			if err := ops.Flush("M"); err != nil {
+				return false
 			}
-			return len(got) == 0
-		}
-
-		for op := 0; op < 120; op++ {
-			switch rng.Intn(12) {
-			case 0, 1, 2, 3, 4, 5: // put
-				r := rows[rng.Intn(len(rows))]
-				c := cols[rng.Intn(len(cols))]
-				v := float64(1 + rng.Intn(9))
-				if err := w.PutFloat(r, "", c, v); err != nil {
-					return false
-				}
-				if err := w.Flush(); err != nil {
-					return false
-				}
-				model[[2]string{r, c}] += v
-			case 6:
-				if err := ops.Flush("M"); err != nil {
-					return false
-				}
-			case 7:
-				if err := ops.Compact("M"); err != nil {
-					return false
-				}
-			case 8:
-				split := rows[rng.Intn(len(rows))]
-				if err := ops.AddSplits("M", []string{split}); err != nil {
-					return false
-				}
-			default: // range scan check
-				lo, hi := "", ""
-				if rng.Intn(2) == 0 {
-					lo = rows[rng.Intn(len(rows))]
-				}
-				if rng.Intn(2) == 0 {
-					hi = rows[rng.Intn(len(rows))]
-				}
-				if hi != "" && lo > hi {
-					lo, hi = hi, lo
-				}
-				if !checkScan(lo, hi) {
-					return false
-				}
+		case 7:
+			if err := ops.Compact("M"); err != nil {
+				return false
+			}
+		case 8:
+			split := rows[rng.Intn(len(rows))]
+			if err := ops.AddSplits("M", []string{split}); err != nil {
+				return false
+			}
+		case 12: // close and reopen the data directory (durable only)
+			if err := mc.Close(); err != nil {
+				t.Log(err)
+				return false
+			}
+			if mc, err = OpenMiniCluster(cfg); err != nil {
+				t.Log(err)
+				return false
+			}
+			conn = mc.Connector()
+			ops = conn.TableOperations()
+			if w, err = conn.CreateBatchWriter("M", BatchWriterConfig{}); err != nil {
+				return false
+			}
+			if !checkScan("", "") {
+				return false
+			}
+		default: // range scan check
+			lo, hi := "", ""
+			if rng.Intn(2) == 0 {
+				lo = rows[rng.Intn(len(rows))]
+			}
+			if rng.Intn(2) == 0 {
+				hi = rows[rng.Intn(len(rows))]
+			}
+			if hi != "" && lo > hi {
+				lo, hi = hi, lo
+			}
+			if !checkScan(lo, hi) {
+				return false
 			}
 		}
-		return checkScan("", "")
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+	return checkScan("", "")
 }
 
 // A multi-range scan over any partition of the key space must return

@@ -49,22 +49,6 @@ func (b *Budget) ChargeWriteBytes(n int64) error {
 	return nil
 }
 
-// ScanEntriesUsed returns the entries charged so far.
-func (b *Budget) ScanEntriesUsed() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.scanUsed.Load()
-}
-
-// WriteBytesUsed returns the wire bytes charged so far.
-func (b *Budget) WriteBytesUsed() int64 {
-	if b == nil {
-		return 0
-	}
-	return b.writeUsed.Load()
-}
-
 // BudgetError reports a query cancelled for exhausting its budget.
 type BudgetError struct {
 	Tenant   string

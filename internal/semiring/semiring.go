@@ -51,11 +51,6 @@ type Semiring struct {
 	One float64
 }
 
-// AddMonoid returns the semiring's additive monoid.
-func (s Semiring) AddMonoid() Monoid {
-	return Monoid{Name: s.Name + ".add", Op: s.Add, Identity: s.Zero}
-}
-
 // IsZero reports whether v equals the semiring's zero element, treating
 // NaN as never zero (NaN signals a poisoned computation, not emptiness).
 func (s Semiring) IsZero(v float64) bool {

@@ -370,7 +370,7 @@ func (d *Dir) openTabletStoreLocked(table string, tb *tabletManifest) (*TabletSt
 // the manifest (oldest first), replays the tablet's WAL segments into
 // entries, and opens a fresh WAL segment for new writes. maxTs is the
 // largest timestamp seen in the replayed WAL.
-func (d *Dir) OpenTablet(table string, info TabletInfo) (ts *TabletStore, runs []*rfile.Reader, replay []skv.Entry, maxTs int64, err error) {
+func (d *Dir) OpenTablet(table string, info TabletInfo) (ts *TabletStore, runs []tablet.Run, replay []skv.Entry, maxTs int64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	tm, ok := d.man.Tables[table]
@@ -526,106 +526,79 @@ func (ts *TabletStore) WaitDurable(seq uint64) error { return ts.log.WaitDurable
 // Rotate implements tablet.Backing.
 func (ts *TabletStore) Rotate() (uint64, error) { return ts.log.Rotate() }
 
-// Flush implements tablet.Backing: write the rfile, commit it in the
-// manifest, then drop the WAL segments it supersedes. A crash before
-// the manifest commit leaves the WAL intact (the rfile is GC'd); a
-// crash after it merely replays entries the rfile already holds, which
-// the memtable-first merge order dedupes.
+// Replace implements tablet.Backing: write the rfile, commit the new
+// file list in the manifest, delete the replaced files, then drop the
+// WAL segments through mark. A crash before the manifest commit leaves
+// the old files and the WAL intact (the new rfile is GC'd); a crash
+// after it merely replays entries the rfile already holds, which the
+// memtable-first merge order dedupes.
+func (ts *TabletStore) Replace(entries []skv.Entry, lo, hi int, mark uint64) (tablet.Run, error) {
+	rd, err := ts.replace(entries, lo, hi, mark)
+	return asRun(rd), err
+}
+
+// Flush is Replace's append case, returning the new rfile's reader
+// (nil with no entries).
 func (ts *TabletStore) Flush(entries []skv.Entry, mark uint64) (*rfile.Reader, error) {
+	ts.dir.mu.Lock()
+	n := len(ts.rec.RFiles)
+	ts.dir.mu.Unlock()
+	return ts.replace(entries, n, n, mark)
+}
+
+func (ts *TabletStore) replace(entries []skv.Entry, lo, hi int, mark uint64) (*rfile.Reader, error) {
 	d := ts.dir
 	d.mu.Lock()
+	old := ts.rec.RFiles
+	if lo < 0 || hi > len(old) || lo > hi {
+		d.mu.Unlock()
+		return nil, fmt.Errorf("store: replace group [%d,%d) out of range (%d rfiles)", lo, hi, len(old))
+	}
 	name, rd, err := d.newRFileLocked(entries)
 	if err != nil {
 		d.mu.Unlock()
 		return nil, err
 	}
-	if name != "" {
-		ts.rec.RFiles = append(ts.rec.RFiles, name)
+	if name != "" || hi > lo {
+		files := make([]string, 0, len(old)-(hi-lo)+1)
+		files = append(files, old[:lo]...)
+		if name != "" {
+			files = append(files, name)
+		}
+		ts.rec.RFiles = append(files, old[hi:]...)
 		if err := d.writeManifestLocked(); err != nil {
-			ts.rec.RFiles = ts.rec.RFiles[:len(ts.rec.RFiles)-1]
+			ts.rec.RFiles = old
 			d.mu.Unlock()
 			return nil, err
 		}
+		// Past the commit point: reclaim the replaced files.
+		for _, f := range old[lo:hi] {
+			d.removeRFile(f)
+		}
 	}
 	d.mu.Unlock()
-	// Best effort: the flush is durable once the manifest commits. A
+	// Best effort: the change is durable once the manifest commits. A
 	// segment that survives a failed delete is replayed after a crash,
-	// which the memtable-first merge order dedupes harmlessly.
-	ts.log.DropThrough(mark)
+	// which the memtable-first merge order dedupes harmlessly. Mark 0 (a
+	// run merge) covers no segment, so it skips the directory listing.
+	if mark > 0 {
+		ts.log.DropThrough(mark)
+	}
 	return rd, nil
 }
 
-// Compact implements tablet.Backing: the merged rfile atomically
-// replaces every previous one.
-func (ts *TabletStore) Compact(entries []skv.Entry, mark uint64) (*rfile.Reader, error) {
-	d := ts.dir
-	d.mu.Lock()
-	name, rd, err := d.newRFileLocked(entries)
-	if err != nil {
-		d.mu.Unlock()
-		return nil, err
+// asRun returns rd as a tablet.Run, and a nil reader as a nil Run: a
+// nil *rfile.Reader stored in the interface would be a non-nil Run.
+func asRun(rd *rfile.Reader) tablet.Run {
+	if rd == nil {
+		return nil
 	}
-	old := ts.rec.RFiles
-	if name != "" {
-		ts.rec.RFiles = []string{name}
-	} else {
-		ts.rec.RFiles = nil
-	}
-	if err := d.writeManifestLocked(); err != nil {
-		ts.rec.RFiles = old
-		d.mu.Unlock()
-		return nil, err
-	}
-	for _, f := range old {
-		d.removeRFile(f)
-	}
-	d.mu.Unlock()
-	// Best effort, as in Flush.
-	ts.log.DropThrough(mark)
-	return rd, nil
-}
-
-// Merge implements tablet.Backing: the merged rfile atomically replaces
-// the files at positions [lo, hi) of this tablet's oldest-first rfile
-// list (a size-tiered partial compaction). The WAL is untouched — the
-// merge only rewrites data already durable in rfiles.
-func (ts *TabletStore) Merge(entries []skv.Entry, lo, hi int) (*rfile.Reader, error) {
-	d := ts.dir
-	d.mu.Lock()
-	if lo < 0 || hi > len(ts.rec.RFiles) || lo >= hi {
-		d.mu.Unlock()
-		return nil, fmt.Errorf("store: merge group [%d,%d) out of range (%d rfiles)", lo, hi, len(ts.rec.RFiles))
-	}
-	name, rd, err := d.newRFileLocked(entries)
-	if err != nil {
-		d.mu.Unlock()
-		return nil, err
-	}
-	old := ts.rec.RFiles
-	replaced := append([]string(nil), old[lo:hi]...)
-	files := make([]string, 0, len(old)-len(replaced)+1)
-	files = append(files, old[:lo]...)
-	if name != "" {
-		files = append(files, name)
-	}
-	files = append(files, old[hi:]...)
-	ts.rec.RFiles = files
-	if err := d.writeManifestLocked(); err != nil {
-		ts.rec.RFiles = old
-		d.mu.Unlock()
-		return nil, err
-	}
-	// Past the commit point: reclaim the replaced files.
-	for _, f := range replaced {
-		d.removeRFile(f)
-	}
-	d.mu.Unlock()
-	return rd, nil
+	return rd
 }
 
 // Split implements tablet.Backing: both halves' rfiles are written and
 // committed in a single manifest swap before any old file is deleted.
-func (ts *TabletStore) Split(row string, left, right []skv.Entry) (tablet.Backing, tablet.Backing, *rfile.Reader, *rfile.Reader, error) {
+func (ts *TabletStore) Split(row string, left, right []skv.Entry) (tablet.Backing, tablet.Backing, tablet.Run, tablet.Run, error) {
 	d := ts.dir
 	d.mu.Lock()
 	tm, ok := d.man.Tables[ts.table]
@@ -700,18 +673,5 @@ func (ts *TabletStore) Split(row string, left, right []skv.Entry) (tablet.Backin
 	for _, f := range oldRFiles {
 		d.removeRFile(f)
 	}
-	return lts, rts, lrd, rrd, nil
-}
-
-// Drop implements tablet.Backing: delete this tablet's files. The
-// manifest entry is handled by the table-level DropTable.
-func (ts *TabletStore) Drop() error {
-	err := ts.log.Remove()
-	ts.dir.mu.Lock()
-	for _, f := range ts.rec.RFiles {
-		ts.dir.removeRFile(f)
-	}
-	delete(ts.dir.stores, ts.rec.ID)
-	ts.dir.mu.Unlock()
-	return err
+	return lts, rts, asRun(lrd), asRun(rrd), nil
 }

@@ -39,7 +39,7 @@ func BenchmarkRunSeek(b *testing.B) {
 	r := newMemRun(sorted)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ri := r.iter()
+		ri := r.Iter()
 		ri.Seek(skv.RowRange(fmt.Sprintf("row%07d", i%(1<<16)), ""))
 		if ri.HasTop() {
 			_ = ri.Top()

@@ -4,22 +4,47 @@ import (
 	"sort"
 
 	"graphulo/internal/iterator"
-	"graphulo/internal/rfile"
 	"graphulo/internal/skv"
 )
 
-// A run is one immutable sorted file of entries produced by compaction.
+// A Run is one immutable sorted file of entries produced by compaction.
 // In-memory tablets hold memRuns (the original stand-in for an Accumulo
-// RFile); durable tablets hold diskRuns backed by on-disk rfiles.
-type run interface {
-	// iter returns a fresh, unseeked sorted iterator over the run.
-	iter() iterator.SKVI
-	// iterFamilies is iter constrained to a non-empty column-family
+// RFile); durable tablets hold the *rfile.Reader their store hands back.
+type Run interface {
+	// Iter returns a fresh, unseeked sorted iterator over the run.
+	Iter() iterator.SKVI
+	// IterFamilies is Iter constrained to a non-empty column-family
 	// set. Disk-backed runs serve it by touching only the matching
 	// families' block runs; in-memory runs filter per entry.
-	iterFamilies(families []string) iterator.SKVI
-	// count returns the number of entries stored.
-	count() int
+	IterFamilies(families []string) iterator.SKVI
+	// Count returns the number of entries stored.
+	Count() int
+}
+
+// memBacking is an in-memory tablet's Backing: there is no log, so
+// every mark is 0, and a replaced run group becomes a memRun on the
+// heap.
+type memBacking struct{}
+
+func (memBacking) LogAsync([]skv.Entry) (uint64, error) { return 0, nil }
+func (memBacking) WaitDurable(uint64) error             { return nil }
+func (memBacking) Rotate() (uint64, error)              { return 0, nil }
+
+func (memBacking) Replace(entries []skv.Entry, _, _ int, _ uint64) (Run, error) {
+	return memRunOf(entries), nil
+}
+
+func (memBacking) Split(_ string, left, right []skv.Entry) (Backing, Backing, Run, Run, error) {
+	return memBacking{}, memBacking{}, memRunOf(left), memRunOf(right), nil
+}
+
+// memRunOf builds a run over sorted entries; no entries is no run (a
+// nil Run, never an empty one).
+func memRunOf(entries []skv.Entry) Run {
+	if len(entries) == 0 {
+		return nil
+	}
+	return newMemRun(entries)
 }
 
 // memRun is an in-memory run. A sparse block index accelerates seeks
@@ -43,10 +68,10 @@ func newMemRun(entries []skv.Entry) *memRun {
 	return r
 }
 
-func (r *memRun) iter() iterator.SKVI { return &memRunIter{r: r} }
-func (r *memRun) count() int          { return len(r.entries) }
+func (r *memRun) Iter() iterator.SKVI { return &memRunIter{r: r} }
+func (r *memRun) Count() int          { return len(r.entries) }
 
-func (r *memRun) iterFamilies(families []string) iterator.SKVI {
+func (r *memRun) IterFamilies(families []string) iterator.SKVI {
 	return iterator.NewColumnFilterIter(&memRunIter{r: r}, families...)
 }
 
@@ -104,12 +129,3 @@ func (it *memRunIter) Next() error {
 	it.pos++
 	return nil
 }
-
-// diskRun is a run backed by an on-disk rfile.
-type diskRun struct {
-	rd *rfile.Reader
-}
-
-func (d diskRun) iter() iterator.SKVI                          { return d.rd.Iter() }
-func (d diskRun) iterFamilies(families []string) iterator.SKVI { return d.rd.IterFamilies(families) }
-func (d diskRun) count() int                                   { return d.rd.Count() }

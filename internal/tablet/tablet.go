@@ -8,15 +8,24 @@
 // partition its range (the split receiver is retired and refuses further
 // compactions).
 //
-// Tablets come in two durability modes. An in-memory tablet (New) keeps
-// its runs on the heap and loses everything at process exit. A durable
-// tablet (NewDurable) is wired to a Backing — implemented by
-// internal/store — and follows the Accumulo write path: every write
-// batch is appended to a write-ahead log before entering the memtable,
-// minor compaction flushes the memtable to an on-disk rfile and drops
-// the WAL segments it covers, and major compaction replaces all rfiles
-// with one merged file. After a crash, the store replays the WAL into
-// the memtable, so scans see exactly the acknowledged writes.
+// Every tablet runs the same code over one of two Backings, the only
+// place durability is decided. An in-memory tablet (New) has a no-op
+// log and keeps its runs on the heap, losing everything at process
+// exit. A durable tablet (NewDurable) is wired to the Backing that
+// internal/store implements and follows the Accumulo write path: every
+// write batch is appended to a write-ahead log before entering the
+// memtable, and each compaction writes one rfile and drops the WAL
+// segments it covers. After a crash, the store replays the WAL into the
+// memtable, so scans see exactly the acknowledged writes.
+//
+// # One compaction routine
+//
+// The run list changes in one way: replaceLocked merges the oldest k
+// frozen memtables with the runs at [lo, hi) and swaps the result in
+// at lo through Backing.Replace. A background flush is (1, [n,n), the
+// memtable's rotation mark), MajorCompact is (every frozen memtable,
+// [0,n), the mark of its own rotation), and the size-tiered MergeRuns
+// is (0, [lo,hi), mark 0: no WAL is touched).
 //
 // # Write-path concurrency
 //
@@ -69,7 +78,6 @@ import (
 	"time"
 
 	"graphulo/internal/iterator"
-	"graphulo/internal/rfile"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
@@ -86,9 +94,10 @@ const DefaultMaxFrozen = 2
 // trips first.
 const DefaultFlushBytes = 64 << 20
 
-// Backing is the durability hook a durable tablet calls into; the
-// internal/store package implements it on a data directory. All entry
-// slices handed over are sorted and fully merged.
+// Backing is where a tablet's log and runs live: memBacking for an
+// in-memory tablet, the internal/store package's data directory for a
+// durable one. All entry slices handed over are sorted and fully
+// merged.
 type Backing interface {
 	// LogAsync appends one write batch to the tablet's WAL without
 	// waiting for the fsync, returning a token for WaitDurable. Called
@@ -105,27 +114,16 @@ type Backing interface {
 	// records logged so far. Called with the freeze lock held exclusive
 	// at memtable swap time, so the swap and the mark agree.
 	Rotate() (mark uint64, err error)
-	// Flush persists a minor compaction: entries become a new rfile
-	// registered as the tablet's newest run, and WAL segments <= mark
-	// are dropped. With no entries it only drops the segments and
-	// returns a nil reader.
-	Flush(entries []skv.Entry, mark uint64) (*rfile.Reader, error)
-	// Compact persists a major compaction: entries replace every
-	// existing rfile, and WAL segments <= mark are dropped. With no
-	// entries the tablet becomes empty on disk and the reader is nil.
-	Compact(entries []skv.Entry, mark uint64) (*rfile.Reader, error)
-	// Merge persists a partial (size-tiered) compaction: entries become
-	// one new rfile replacing exactly the files at positions [lo, hi)
-	// of the tablet's oldest-first rfile list, which matches the
-	// tablet's run order. The memtable and WAL are untouched. With no
-	// entries the group simply disappears and the reader is nil.
-	Merge(entries []skv.Entry, lo, hi int) (*rfile.Reader, error)
-	// Split atomically replaces this tablet's on-disk state with two
-	// halves at the row boundary, returning each half's backing and its
-	// initial run (nil when that half is empty).
-	Split(row string, left, right []skv.Entry) (lb, rb Backing, lrun, rrun *rfile.Reader, err error)
-	// Drop deletes the tablet's files (table deletion).
-	Drop() error
+	// Replace persists one change of the run list: entries become one
+	// new run in place of the runs at [lo, hi) of the tablet's
+	// oldest-first list (a flush appends: lo == hi == len), and, when
+	// mark is non-zero, WAL segments <= mark are dropped. With no
+	// entries the group simply disappears and the returned Run is nil.
+	Replace(entries []skv.Entry, lo, hi int, mark uint64) (Run, error)
+	// Split atomically replaces this tablet's state with two halves at
+	// the row boundary, returning each half's backing and its initial
+	// run (nil when that half is empty).
+	Split(row string, left, right []skv.Entry) (lb, rb Backing, lrun, rrun Run, err error)
 }
 
 // frozenMem is an immutable memtable awaiting background flush, paired
@@ -155,8 +153,8 @@ type Tablet struct {
 	mu         sync.Mutex
 	flushCond  *sync.Cond   // signalled when the frozen queue drains
 	frozen     []*frozenMem // oldest first, awaiting background flush
-	flushErr   error        // last background flush failure (cleared on success)
-	runs       []run
+	flushErr   error        // last flush failure; cleared by a success that consumes frozen memtables
+	runs       []Run
 	memLimit   int   // entries before freeze
 	flushBytes int   // approx memtable bytes before freeze
 	seed       int64 // kept for split lineage naming; level draws are per-goroutine
@@ -181,34 +179,31 @@ type Tablet struct {
 
 // New creates an empty in-memory tablet over [startRow, endRow).
 func New(startRow, endRow string, memLimit int, seed int64) *Tablet {
+	return NewDurable(startRow, endRow, memLimit, seed, memBacking{}, nil, nil)
+}
+
+// NewDurable creates a tablet wired to backing b. runs are the
+// recovered runs, oldest first, and replay holds WAL entries to restore
+// into the memtable (both nil for a fresh tablet).
+func NewDurable(startRow, endRow string, memLimit int, seed int64, b Backing, runs []Run, replay []skv.Entry) *Tablet {
 	if memLimit <= 0 {
 		memLimit = 1 << 14
 	}
 	t := &Tablet{
 		StartRow:   startRow,
 		EndRow:     endRow,
+		runs:       runs,
 		memLimit:   memLimit,
 		flushBytes: DefaultFlushBytes,
 		seed:       seed,
+		backing:    b,
 	}
-	t.active.Store(newMemtable())
 	t.flushCond = sync.NewCond(&t.mu)
-	return t
-}
-
-// NewDurable creates a tablet wired to a durable backing. runs are the
-// recovered on-disk runs, oldest first, and replay holds WAL entries to
-// restore into the memtable (both nil for a fresh tablet).
-func NewDurable(startRow, endRow string, memLimit int, seed int64, b Backing, runs []*rfile.Reader, replay []skv.Entry) *Tablet {
-	t := New(startRow, endRow, memLimit, seed)
-	t.backing = b
-	for _, rd := range runs {
-		t.runs = append(t.runs, diskRun{rd})
-	}
-	mem := t.active.Load()
+	mem := newMemtable()
 	for _, e := range replay {
 		mem.insert(e)
 	}
+	t.active.Store(mem)
 	return t
 }
 
@@ -227,9 +222,6 @@ func (t *Tablet) SetStats(s *telemetry.StatSet) { t.stats = s }
 // before the tablet takes traffic.
 func (t *Tablet) SetFlushNotify(f func()) { t.flushNotify = f }
 
-// Backing returns the tablet's durability hook (nil when in-memory).
-func (t *Tablet) Backing() Backing { return t.backing }
-
 // RunCount returns the number of live immutable runs — the k-way merge
 // width a scan pays on top of the memtables. The background compaction
 // scheduler polls it.
@@ -246,7 +238,7 @@ func (t *Tablet) RunSizes() []int {
 	defer t.mu.Unlock()
 	out := make([]int, len(t.runs))
 	for i, r := range t.runs {
-		out[i] = r.count()
+		out[i] = r.Count()
 	}
 	return out
 }
@@ -259,38 +251,24 @@ func (t *Tablet) Retired() bool {
 	return t.retired
 }
 
-// OwnsRow reports whether the tablet's range contains row.
-func (t *Tablet) OwnsRow(row string) bool {
-	if t.StartRow != "" && row < t.StartRow {
-		return false
-	}
-	if t.EndRow != "" && row >= t.EndRow {
-		return false
-	}
-	return true
-}
-
 // Range returns the tablet's row range.
 func (t *Tablet) Range() skv.Range { return skv.RowRange(t.StartRow, t.EndRow) }
 
 // Write logs entries (which must belong to this tablet's range) to the
-// WAL when durable and inserts them into the active memtable. The
-// critical section is the freeze lock's read side around WAL-append +
-// insert, so concurrent writers proceed in parallel; the fsync wait
-// happens outside it (group commit), and a full memtable is frozen for
+// backing's WAL and inserts them into the active memtable. The critical
+// section is the freeze lock's read side around WAL-append + insert, so
+// concurrent writers proceed in parallel; the fsync wait happens
+// outside it (group commit), and a full memtable is frozen for
 // background flush rather than compacted inline.
 func (t *Tablet) Write(entries []skv.Entry) error {
 	if err := t.stallForFrozen(); err != nil {
 		return err
 	}
 	t.freezeMu.RLock()
-	var seq uint64
-	if t.backing != nil {
-		var err error
-		if seq, err = t.backing.LogAsync(entries); err != nil {
-			t.freezeMu.RUnlock()
-			return err
-		}
+	seq, err := t.backing.LogAsync(entries)
+	if err != nil {
+		t.freezeMu.RUnlock()
+		return err
 	}
 	mem := t.active.Load()
 	for _, e := range entries {
@@ -298,10 +276,8 @@ func (t *Tablet) Write(entries []skv.Entry) error {
 	}
 	needFreeze := mem.count() >= t.memLimit || mem.approxBytes() >= t.flushBytes
 	t.freezeMu.RUnlock()
-	if t.backing != nil {
-		if err := t.backing.WaitDurable(seq); err != nil {
-			return err
-		}
+	if err := t.backing.WaitDurable(seq); err != nil {
+		return err
 	}
 	if needFreeze {
 		return t.freeze(mem)
@@ -329,110 +305,83 @@ func (t *Tablet) stallForFrozen() error {
 	return err
 }
 
-// freeze swaps a fresh active memtable in place of old and queues old
-// (with a WAL mark covering exactly its records) for background flush.
-// A no-op if old is no longer the active memtable — concurrent writers
-// that all saw the memtable full race here, and one wins.
+// freeze queues old for background flush and swaps in a fresh active
+// memtable. A no-op if old is no longer the active memtable —
+// concurrent writers that all saw the memtable full race here, and one
+// wins.
 func (t *Tablet) freeze(old *memtable) error {
 	t.freezeMu.Lock()
 	if t.active.Load() != old || old.count() == 0 {
 		t.freezeMu.Unlock()
 		return nil
 	}
-	var mark uint64
-	if t.backing != nil {
-		var err error
-		if mark, err = t.backing.Rotate(); err != nil {
-			t.freezeMu.Unlock()
-			return err
-		}
-	}
-	// Queue before swapping: a concurrent Snapshot loads the active
-	// memtable first and the frozen list second, so old is visible in
-	// at least one of the two at every instant (both for a moment — the
-	// dedup merge collapses that harmlessly).
-	t.mu.Lock()
-	t.frozen = append(t.frozen, &frozenMem{mem: old, mark: mark})
-	t.mu.Unlock()
-	t.active.Store(newMemtable())
+	_, err := t.rotateLocked()
 	t.freezeMu.Unlock()
-	t.stats.Add(telemetry.MemtableFreezes, 1)
-	go t.flushFrozen()
-	return nil
+	if err == nil {
+		go t.flushFrozen()
+	}
+	return err
 }
 
-// flushFrozen drains the frozen queue to runs, oldest first, stopping
-// at the first failure (the failed memtable stays queued and scannable,
-// its WAL segments intact, so nothing is lost — the error is surfaced
-// to stalled writers and retried by the next freeze or MinorCompact).
+// rotateLocked rotates the WAL and, when the active memtable holds
+// entries, queues it frozen under the rotation mark and swaps in a
+// fresh one. Caller holds freezeMu exclusively, so no writer is between
+// WAL-append and insert: the mark covers exactly the records of the
+// frozen queue.
+func (t *Tablet) rotateLocked() (mark uint64, err error) {
+	if mark, err = t.backing.Rotate(); err != nil {
+		return 0, err
+	}
+	if old := t.active.Load(); old.count() > 0 {
+		// Queue before swapping: a concurrent Snapshot loads the active
+		// memtable first and the frozen list second, so old is visible
+		// in at least one of the two at every instant (both for a
+		// moment — the dedup merge collapses that harmlessly).
+		t.mu.Lock()
+		t.frozen = append(t.frozen, &frozenMem{mem: old, mark: mark})
+		t.mu.Unlock()
+		t.active.Store(newMemtable())
+		t.stats.Add(telemetry.MemtableFreezes, 1)
+	}
+	return mark, nil
+}
+
+// flushFrozen is the background flusher a freeze starts.
 func (t *Tablet) flushFrozen() {
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	_ = t.drainFrozenLocked(nil) // a failure is kept in flushErr for writers
 }
 
-// drainFrozenLocked flushes the frozen queue, oldest first, until it is
-// empty or a flush fails. A retired tablet's queue is never drained
-// (flushFrozenLocked leaves it alone: the split carried its entries to
-// the halves), so retirement ends the loop too. Caller holds compactMu.
+// drainFrozenLocked flushes the frozen queue to runs, oldest first,
+// until it is empty or a flush fails. A failed memtable stays queued
+// and scannable, its WAL segments intact, so nothing is lost: the error
+// is parked in flushErr for stalled writers and retried by the next
+// freeze or MinorCompact. A retired tablet's queue is never drained
+// (the split carried its entries to the halves). Caller holds
+// compactMu.
 func (t *Tablet) drainFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, error)) error {
 	for {
 		t.mu.Lock()
-		done := t.retired || len(t.frozen) == 0
-		t.mu.Unlock()
-		if done {
+		if t.retired || len(t.frozen) == 0 {
+			t.mu.Unlock()
 			return nil
 		}
-		if err := t.flushFrozenLocked(stack); err != nil {
+		n, mark := len(t.runs), t.frozen[0].mark
+		t.mu.Unlock()
+		r, err := t.replaceLocked(1, n, n, mark, stack)
+		if err != nil {
+			// flushErr is set only here, by a failed flush.
+			t.mu.Lock()
+			t.flushErr = err
+			t.flushCond.Broadcast()
+			t.mu.Unlock()
 			return err
 		}
-	}
-}
-
-// flushFrozenLocked persists the oldest frozen memtable as a run.
-// Caller holds compactMu.
-func (t *Tablet) flushFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, error)) error {
-	t.mu.Lock()
-	if t.retired || len(t.frozen) == 0 {
-		t.mu.Unlock()
-		return nil
-	}
-	f := t.frozen[0]
-	t.mu.Unlock()
-
-	entries, err := applyStack(f.mem.iter(), stack, f.mem.count())
-	var newRun run
-	if err == nil {
-		if t.backing != nil {
-			var rd *rfile.Reader
-			if rd, err = t.backing.Flush(entries, f.mark); err == nil && rd != nil {
-				newRun = diskRun{rd}
-			}
-		} else if len(entries) > 0 {
-			newRun = newMemRun(entries)
+		if r != nil && t.flushNotify != nil {
+			t.flushNotify()
 		}
 	}
-	t.mu.Lock()
-	if err != nil {
-		t.flushErr = err
-		t.flushCond.Broadcast()
-		t.mu.Unlock()
-		return err
-	}
-	// Swap the memtable out of the frozen queue and its run in under
-	// one lock hold, so a concurrent Snapshot sees the data in exactly
-	// one place.
-	if newRun != nil {
-		t.runs = append(t.runs, newRun)
-	}
-	t.frozen = t.frozen[1:]
-	t.flushErr = nil
-	t.flushCond.Broadcast()
-	t.mu.Unlock()
-	if t.flushNotify != nil && newRun != nil {
-		t.flushNotify()
-	}
-	return nil
 }
 
 // WaitFlush blocks until every queued frozen memtable has been flushed
@@ -453,36 +402,25 @@ func (t *Tablet) WaitFlush() error {
 // minc scope. Durable tablets write each run as an rfile and reclaim
 // the WAL segments it covers.
 func (t *Tablet) MinorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) error {
-	if err := t.freeze(t.active.Load()); err != nil {
-		return err
-	}
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
-	if err := t.drainFrozenLocked(stack); err != nil {
-		return err
+	if t.Retired() {
+		return nil // the halves own the data now
 	}
-	if t.backing == nil {
-		return nil
-	}
-	// Nothing buffered anywhere: every logged record is already
-	// flushed, so rotate and reclaim stale WAL segments (they pile up
-	// across reopens otherwise). The exclusive freeze lock fences out
-	// writers, so no record can slip under the mark unflushed; Rotate
-	// is a no-op when the log is empty.
 	t.freezeMu.Lock()
-	t.mu.Lock()
-	idle := !t.retired && len(t.frozen) == 0 && t.active.Load().count() == 0
-	t.mu.Unlock()
-	if !idle {
-		t.freezeMu.Unlock()
-		return nil // raced a writer; its own freeze will flush
-	}
-	mark, err := t.backing.Rotate()
+	mark, err := t.rotateLocked()
 	t.freezeMu.Unlock()
 	if err != nil {
 		return err
 	}
-	_, err = t.backing.Flush(nil, mark)
+	if err := t.drainFrozenLocked(stack); err != nil {
+		return err
+	}
+	// Every record under mark is in a run now. Reclaim the WAL segments
+	// through it even when no memtable was flushed: they pile up across
+	// reopens otherwise.
+	n := t.RunCount()
+	_, err = t.replaceLocked(0, n, n, mark, nil)
 	return err
 }
 
@@ -498,75 +436,20 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 		// tablet, then SplitAt replaced it. The halves own the data now.
 		return nil
 	}
-	// Freeze the active memtable under the exclusive freeze lock; the
-	// rotation mark then covers exactly the records of everything this
-	// compaction merges (frozen queue + runs).
+	// The rotation mark covers exactly the records of everything this
+	// compaction merges: the frozen queue (the active memtable joins
+	// it) and the runs.
 	t.freezeMu.Lock()
-	var mark uint64
-	if t.backing != nil {
-		var err error
-		if mark, err = t.backing.Rotate(); err != nil {
-			t.freezeMu.Unlock()
-			return err
-		}
-	}
-	old := t.active.Load()
-	if old.count() > 0 {
-		t.mu.Lock()
-		t.frozen = append(t.frozen, &frozenMem{mem: old, mark: mark})
-		t.mu.Unlock()
-		t.active.Store(newMemtable())
-		t.stats.Add(telemetry.MemtableFreezes, 1)
-	}
+	mark, err := t.rotateLocked()
 	t.freezeMu.Unlock()
-
-	t.mu.Lock()
-	consumed := len(t.frozen)
-	sources := make([]iterator.SKVI, 0, consumed+len(t.runs))
-	size := 0
-	for i := consumed - 1; i >= 0; i-- {
-		sources = append(sources, t.frozen[i].mem.iter())
-		size += t.frozen[i].mem.count()
-	}
-	for i := len(t.runs) - 1; i >= 0; i-- {
-		sources = append(sources, t.runs[i].iter())
-		size += t.runs[i].count()
-	}
-	t.mu.Unlock()
-
-	if len(sources) == 0 && t.backing == nil {
-		return nil
-	}
-	entries, err := applyStack(iterator.NewDedupMergeIter(sources...), stack, size)
 	if err != nil {
-		return err // frozen memtables stay queued and scannable
-	}
-	var merged run
-	if t.backing != nil {
-		rd, err := t.backing.Compact(entries, mark)
-		if err != nil {
-			return err
-		}
-		if rd != nil {
-			merged = diskRun{rd}
-		}
-	} else if len(entries) > 0 {
-		merged = newMemRun(entries)
+		return err
 	}
 	t.mu.Lock()
-	if merged == nil {
-		t.runs = nil
-	} else {
-		t.runs = []run{merged}
-	}
-	// Only the frozen memtables this compaction consumed are retired;
-	// ones queued by writers since stay for the background flusher
-	// (which has been waiting on compactMu).
-	t.frozen = t.frozen[consumed:]
-	t.flushErr = nil
-	t.flushCond.Broadcast()
+	k, n := len(t.frozen), len(t.runs)
 	t.mu.Unlock()
-	return nil
+	_, err = t.replaceLocked(k, 0, n, mark, stack)
+	return err // on failure the frozen memtables stay queued and scannable
 }
 
 // MergeRuns folds the contiguous run group [lo, hi) — positions in the
@@ -578,8 +461,7 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 // its position, preserving newest-shadows-oldest order across the rest
 // of the run list; the compaction stack's ⊕ combiners are associative
 // and commutative, so folding a subset now and the rest at scan time
-// yields the same cells. Durable tablets atomically swap the group's
-// rfiles for the merged one; the WAL is untouched (the group's data is
+// yields the same cells. The WAL is untouched (the group's data is
 // already durable in rfiles).
 //
 // The indices are validated against the current run list under the
@@ -589,52 +471,77 @@ func (t *Tablet) MergeRuns(lo, hi int, stack func(iterator.SKVI) (iterator.SKVI,
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	t.mu.Lock()
-	if t.retired {
-		// As in MajorCompact: a background scheduler can race a split.
-		t.mu.Unlock()
-		return nil
+	retired, n := t.retired, len(t.runs)
+	t.mu.Unlock()
+	if retired {
+		return nil // as in MajorCompact: a background scheduler can race a split
 	}
-	if lo < 0 || hi > len(t.runs) || hi-lo < 2 {
-		n := len(t.runs)
-		t.mu.Unlock()
+	if lo < 0 || hi > n || hi-lo < 2 {
 		return fmt.Errorf("tablet: merge group [%d,%d) invalid for %d runs", lo, hi, n)
 	}
-	sources := make([]iterator.SKVI, 0, hi-lo)
+	// Mark 0: a merge drops no WAL segment, so the store skips the
+	// directory listing a drop costs.
+	_, err := t.replaceLocked(0, lo, hi, 0, stack)
+	return err
+}
+
+// replaceLocked is the one way the run list changes: it merges the
+// oldest k frozen memtables with the runs at [lo, hi) through the
+// optional stack, persists the result with Backing.Replace (which drops
+// WAL segments <= mark, none when mark is 0), and swaps it in at lo. It
+// returns the new run, nil when the stack left no entry. Caller holds
+// compactMu, so neither the run list nor the oldest k frozen memtables
+// change under it.
+func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.SKVI) (iterator.SKVI, error)) (Run, error) {
+	t.mu.Lock()
+	sources := make([]iterator.SKVI, 0, k+hi-lo)
 	size := 0
-	for i := hi - 1; i >= lo; i-- { // newest first, as Snapshot orders them
-		sources = append(sources, t.runs[i].iter())
-		size += t.runs[i].count()
+	for i := k - 1; i >= 0; i-- { // newest first, as Snapshot orders them
+		sources = append(sources, t.frozen[i].mem.iter())
+		size += t.frozen[i].mem.count()
+	}
+	for i := hi - 1; i >= lo; i-- {
+		sources = append(sources, t.runs[i].Iter())
+		size += t.runs[i].Count()
 	}
 	t.mu.Unlock()
 
-	entries, err := applyStack(iterator.NewDedupMergeIter(sources...), stack, size)
+	// One source (a flush) is drained directly: a single sorted source
+	// needs no merge wrapper.
+	var src iterator.SKVI
+	if len(sources) == 1 {
+		src = sources[0]
+	} else {
+		src = iterator.NewDedupMergeIter(sources...)
+	}
+	entries, err := applyStack(src, stack, size)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	var merged run
-	if t.backing != nil {
-		rd, err := t.backing.Merge(entries, lo, hi)
-		if err != nil {
-			return err
-		}
-		if rd != nil {
-			merged = diskRun{rd}
-		}
-	} else if len(entries) > 0 {
-		merged = newMemRun(entries)
+	r, err := t.backing.Replace(entries, lo, hi, mark)
+	if err != nil {
+		return nil, err
 	}
+	// Swap the memtables out of the frozen queue and the run in under
+	// one lock hold, so a concurrent Snapshot sees the data in exactly
+	// one place.
 	t.mu.Lock()
-	// compactMu is held, so the run list (and the group's indices) are
-	// unchanged since the snapshot above.
-	runs := make([]run, 0, len(t.runs)-(hi-lo)+1)
+	runs := make([]Run, 0, len(t.runs)-(hi-lo)+1)
 	runs = append(runs, t.runs[:lo]...)
-	if merged != nil {
-		runs = append(runs, merged)
+	if r != nil {
+		runs = append(runs, r)
 	}
-	runs = append(runs, t.runs[hi:]...)
-	t.runs = runs
+	t.runs = append(runs, t.runs[hi:]...)
+	if k > 0 {
+		// Memtables queued by writers since stay for the background
+		// flusher (waiting on compactMu). flushErr is cleared only by a
+		// success that consumed frozen memtables.
+		t.frozen = t.frozen[k:]
+		t.flushErr = nil
+		t.flushCond.Broadcast()
+	}
 	t.mu.Unlock()
-	return nil
+	return r, nil
 }
 
 // applyStack drains src through the optional stack into a slice sized
@@ -675,14 +582,14 @@ func (t *Tablet) Snapshot(families ...string) iterator.SKVI {
 	}
 	if len(families) == 0 {
 		for i := len(t.runs) - 1; i >= 0; i-- {
-			sources = append(sources, t.runs[i].iter())
+			sources = append(sources, t.runs[i].Iter())
 		}
 	} else {
 		for i := len(sources) - 1; i >= 0; i-- {
 			sources[i] = iterator.NewColumnFilterIter(sources[i], families...)
 		}
 		for i := len(t.runs) - 1; i >= 0; i-- {
-			sources = append(sources, t.runs[i].iterFamilies(families))
+			sources = append(sources, t.runs[i].IterFamilies(families))
 		}
 	}
 	t.mu.Unlock()
@@ -700,15 +607,15 @@ func (t *Tablet) EntryEstimate() int {
 		n += f.mem.count()
 	}
 	for _, r := range t.runs {
-		n += r.count()
+		n += r.Count()
 	}
 	return n
 }
 
 // SplitAt partitions the tablet at row boundary (which must lie strictly
 // inside its range), returning the two halves [start, row) and
-// [row, end). The receiver must not be used afterwards. Durable tablets
-// atomically swap their on-disk state for the two halves'.
+// [row, end). The receiver must not be used afterwards. The backing
+// swaps its state for the two halves' atomically.
 func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	// Callers serialise splits against writes; the compaction lock
 	// additionally fences out in-flight background flushes and major
@@ -729,34 +636,19 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	})
 	leftE, rightE := entries[:cut], entries[cut:]
 
-	left := New(t.StartRow, row, t.memLimit, t.seed*2+1)
-	right := New(row, t.EndRow, t.memLimit, t.seed*2+2)
-	left.flushBytes, right.flushBytes = t.flushBytes, t.flushBytes
-	left.SetStats(t.stats)
-	right.SetStats(t.stats)
-	left.SetFlushNotify(t.flushNotify)
-	right.SetFlushNotify(t.flushNotify)
-	if t.backing == nil {
-		if len(leftE) > 0 {
-			left.runs = append(left.runs, newMemRun(leftE))
-		}
-		if len(rightE) > 0 {
-			right.runs = append(right.runs, newMemRun(rightE))
-		}
-		t.retire()
-		return left, right, nil
-	}
 	lb, rb, lrun, rrun, err := t.backing.Split(row, leftE, rightE)
 	if err != nil {
 		return nil, nil, err
 	}
-	left.backing, right.backing = lb, rb
-	if lrun != nil {
-		left.runs = append(left.runs, diskRun{lrun})
+	half := func(start, end string, seed int64, b Backing, r Run) *Tablet {
+		h := NewDurable(start, end, t.memLimit, seed, b, nil, nil)
+		h.flushBytes, h.stats, h.flushNotify = t.flushBytes, t.stats, t.flushNotify
+		if r != nil {
+			h.runs = []Run{r}
+		}
+		return h
 	}
-	if rrun != nil {
-		right.runs = append(right.runs, diskRun{rrun})
-	}
+	left, right := half(t.StartRow, row, t.seed*2+1, lb, lrun), half(row, t.EndRow, t.seed*2+2, rb, rrun)
 	t.retire()
 	return left, right, nil
 }

@@ -76,7 +76,7 @@ func TestRunSeek(t *testing.T) {
 		entries = append(entries, ent(fmt.Sprintf("row%04d", i), "q", 1, float64(i)))
 	}
 	r := newMemRun(entries)
-	it := r.iter()
+	it := r.Iter()
 	if err := it.Seek(skv.RowRange("row0500", "row0503")); err != nil {
 		t.Fatal(err)
 	}
@@ -175,20 +175,6 @@ func TestTabletMajorCompactionWithSummingStack(t *testing.T) {
 	tab.mu.Unlock()
 	if nRuns != 1 {
 		t.Fatalf("majc should leave one run, got %d", nRuns)
-	}
-}
-
-func TestTabletOwnsRow(t *testing.T) {
-	tab := New("f", "m", 0, 5)
-	cases := map[string]bool{"f": true, "g": true, "lzz": true, "m": false, "e": false, "": false}
-	for row, want := range cases {
-		if got := tab.OwnsRow(row); got != want {
-			t.Errorf("OwnsRow(%q) = %v, want %v", row, got, want)
-		}
-	}
-	open := New("", "", 0, 6)
-	if !open.OwnsRow("") || !open.OwnsRow("anything") {
-		t.Errorf("open tablet should own everything")
 	}
 }
 
