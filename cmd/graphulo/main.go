@@ -133,7 +133,7 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 		DataDir:          *dataDir,
 		Transport:        *transportF,
 		Servers:          serverList,
-		MaxRunsPerTablet: 8, // background-compaction run threshold per tablet
+		MaxRunsPerTablet: 8, // run bound per tablet, kept by every flush
 
 		MetricsAddr:        *metricsAddr,
 		SlowQueryThreshold: *slowQuery,

@@ -64,9 +64,10 @@
 // rfile block is read, CRC-checked, and decoded once while resident)
 // and per-rfile bloom filters over rows (single-row reads skip files
 // that cannot contain the row); ClusterConfig.MaxRunsPerTablet
-// additionally enables a background compaction scheduler that keeps
-// per-tablet run counts — scan merge width — bounded under sustained
-// ingest. DB.ScanMetrics exposes all of it: cache hits and misses,
+// additionally bounds per-tablet run counts — scan merge width — on
+// every tablet, in memory or durable: a flush that leaves a tablet over
+// the bound folds a size tier of its runs, one merge at a time per
+// table. DB.ScanMetrics exposes all of it: cache hits and misses,
 // bloom negatives, and major compaction counts.
 package graphulo
 
@@ -343,8 +344,8 @@ type ScanStats struct {
 	// total means ingest outruns the flush pipeline.
 	MemtableFreezes int64
 	WriteStallNanos int64
-	// MajorCompactions counts completed major compactions, manual and
-	// scheduler-triggered alike.
+	// MajorCompactions counts completed major compactions, manual ones
+	// and the size-tiered merges that keep the run bound alike.
 	MajorCompactions int64
 	// TabletScans counts tablet scan passes that actually executed an
 	// iterator stack; TabletsPrunedByRange counts tablets skipped
@@ -485,8 +486,8 @@ func (db *DB) FormatQueryTraces() []string {
 }
 
 // TabletRuns returns a table's per-tablet immutable-run counts — the
-// merge width its scans pay, bounded by ClusterConfig.MaxRunsPerTablet
-// when the background compaction scheduler is enabled.
+// merge width its scans pay, at most ClusterConfig.MaxRunsPerTablet
+// after every flush when that is set.
 func (db *DB) TabletRuns(table string) ([]int, error) {
 	return db.conn.TableOperations().TabletRuns(table)
 }

@@ -376,7 +376,7 @@ func TestMetricsFamilies(t *testing.T) {
 		"wal_sync_seconds": "histogram", "kernel_seconds": "histogram",
 		"queue_wait_seconds": "histogram",
 		// New on /metrics: per-query-only before.
-		"compaction_kicks_total": "counter", "write_wire_bytes_total": "counter",
+		"write_wire_bytes_total": "counter",
 		"queue_wait_nanos_total": "counter",
 		// New on a standalone server.
 		"cache_hits_total": "counter", "cache_misses_total": "counter",

@@ -53,10 +53,7 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 	if _, dup := t.mc.tables[name]; dup {
 		return fmt.Errorf("accumulo: table %q already exists", name)
 	}
-	meta := &tableMeta{
-		name:  name,
-		iters: map[Scope][]iterator.Setting{},
-	}
+	meta := t.mc.newTableMeta(name)
 	for _, s := range AllScopes {
 		meta.iters[s] = []iterator.Setting{{Name: "versioning", Priority: 20,
 			Opts: map[string]string{"maxVersions": "1"}}}
@@ -113,7 +110,6 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 		}
 		meta.tablets = append(meta.tablets, ref)
 	}
-	t.mc.startScheduler(meta)
 	t.mc.tables[name] = meta
 	t.mc.topologyChanged()
 	return nil
@@ -121,60 +117,49 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 
 // Delete removes a table, including its on-disk files in durable mode.
 func (t *TableOperations) Delete(name string) error {
-	// Stop the table's compaction scheduler before taking the cluster
-	// lock: Stop waits out any in-flight scheduled compaction, which
-	// may itself need cluster reads (remote majc-scope iterators).
-	// Stopping happens outside the lock, so re-check that the meta we
-	// stopped is still the one registered — a concurrent delete+create
-	// may have replaced it with one whose scheduler is live.
-	for {
-		t.mc.mu.RLock()
-		meta := t.mc.tables[name]
-		t.mc.mu.RUnlock()
-		if meta != nil && meta.sched != nil {
-			meta.sched.Stop()
+	meta, err := t.mc.getTable(name)
+	if err != nil {
+		return err
+	}
+	// Close the run bound before taking the cluster lock: Close waits
+	// out an in-flight merge, whose majc stack may need cluster reads
+	// (the router, remote majc-scope iterators). Nothing merges into the
+	// table's files after this.
+	meta.bound.Close()
+	t.mc.mu.Lock()
+	defer t.mc.mu.Unlock()
+	if t.mc.tables[name] != meta {
+		// A concurrent Delete removed it first.
+		return fmt.Errorf("accumulo: table %q does not exist", name)
+	}
+	if t.mc.dir != nil {
+		if err := t.mc.dir.DropTable(name); err != nil {
+			return fmt.Errorf("accumulo: dropping table %q: %w", name, err)
 		}
-		t.mc.mu.Lock()
-		cur, ok := t.mc.tables[name]
-		if !ok {
-			t.mc.mu.Unlock()
-			return fmt.Errorf("accumulo: table %q does not exist", name)
-		}
-		if cur != meta {
-			t.mc.mu.Unlock()
-			continue
-		}
-		defer t.mc.mu.Unlock()
-		if t.mc.dir != nil {
-			if err := t.mc.dir.DropTable(name); err != nil {
-				return fmt.Errorf("accumulo: dropping table %q: %w", name, err)
-			}
-		}
-		delete(t.mc.tables, name)
-		t.mc.topologyChanged()
-		// Release the hosted tablets — by pointer on launched servers,
-		// over the wire on standalone ones.
-		for _, srv := range t.mc.servers {
-			srv.drop(name)
-		}
-		if t.mc.external() {
-			// A recreated table of the same name must start empty on the
-			// servers too. The local entry is
-			// already gone — a per-endpoint failure must not leave a
-			// half-dropped table still routable — and every endpoint is
-			// attempted before reporting the first error; tablets on an
-			// endpoint whose drop failed are replaced at the next assign.
-			var firstErr error
-			for _, ep := range t.mc.endpoints {
-				err := call(t.mc.tr, ep, opDrop, encodeCall(opDrop, reqHeader{table: name}, nil))
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("accumulo: dropping table %q on %s: %w", name, ep, err)
-				}
-			}
-			return firstErr
-		}
+	}
+	delete(t.mc.tables, name)
+	t.mc.topologyChanged()
+	// Release the hosted tablets — by pointer on launched servers, over
+	// the wire on standalone ones.
+	for _, srv := range t.mc.servers {
+		srv.drop(name)
+	}
+	if !t.mc.external() {
 		return nil
 	}
+	// A recreated table of the same name must start empty on the servers
+	// too. The local entry is already gone — a per-endpoint failure must
+	// not leave a half-dropped table still routable — and every endpoint
+	// is attempted before reporting the first error; tablets on an
+	// endpoint whose drop failed are replaced at the next assign.
+	var firstErr error
+	for _, ep := range t.mc.endpoints {
+		err := call(t.mc.tr, ep, opDrop, encodeCall(opDrop, reqHeader{table: name}, nil))
+		if err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("accumulo: dropping table %q on %s: %w", name, ep, err)
+		}
+	}
+	return firstErr
 }
 
 // Exists reports whether the table exists.
@@ -328,7 +313,8 @@ func (t *TableOperations) RemoveIterator(name, iterName string, scopes ...Scope)
 	return t.mc.persistIters(meta)
 }
 
-// Flush minor-compacts every tablet, applying the minc stack.
+// Flush minor-compacts every tablet, applying the minc stack; each
+// tablet then folds runs past Config.MaxRunsPerTablet.
 func (t *TableOperations) Flush(name string) error {
 	if err := t.mc.errExternal("Flush"); err != nil {
 		return err
@@ -342,10 +328,6 @@ func (t *TableOperations) Flush(name string) error {
 		if err := tr.tab.MinorCompact(stack); err != nil {
 			return err
 		}
-	}
-	if meta.sched != nil {
-		// Each flush adds a run; let the scheduler fold promptly.
-		meta.sched.Kick()
 	}
 	return nil
 }
@@ -370,9 +352,8 @@ func (t *TableOperations) Compact(name string) error {
 }
 
 // TabletRuns returns the table's per-tablet immutable-run counts, in
-// tablet order — the k-way merge width each tablet's scans pay. The
-// background compaction scheduler keeps these at or under
-// Config.MaxRunsPerTablet.
+// tablet order — the k-way merge width each tablet's scans pay. After
+// every flush each is at most Config.MaxRunsPerTablet, when set.
 func (t *TableOperations) TabletRuns(name string) ([]int, error) {
 	if err := t.mc.errExternal("TabletRuns"); err != nil {
 		return nil, err

@@ -50,6 +50,7 @@ package accumulo
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -176,12 +177,13 @@ type Config struct {
 	// kernel query may write; crossing it fails the write with a typed
 	// BudgetError.
 	WriteByteBudget int64
-	// MaxRunsPerTablet, when positive, starts a background compaction
-	// scheduler per durable table: a tablet whose immutable-run count
-	// exceeds this threshold has a contiguous group of similar-sized
-	// runs merged (size-tiered picking, with the table's majc iterator
-	// stack), bounding k-way merge width under sustained ingest without
-	// rewriting the largest runs on every pass. 0 or negative keeps
+	// MaxRunsPerTablet, when positive, bounds every tablet's
+	// immutable-run count, in-memory and durable alike: a flush that
+	// leaves a tablet over it folds contiguous groups of similar-sized
+	// runs (size-tiered picking, with the table's majc iterator stack)
+	// until the tablet is back under, one merge at a time per table.
+	// That bounds k-way merge width under sustained ingest without
+	// rewriting the largest runs on every merge. 0 or negative keeps
 	// major compaction manual-only.
 	MaxRunsPerTablet int
 }
@@ -270,11 +272,10 @@ type tabletRef struct {
 type tableMeta struct {
 	name string
 
-	// sched is the table's background compaction scheduler (durable
-	// clusters with Config.MaxRunsPerTablet > 0; nil otherwise). Set
-	// once before the table becomes visible, stopped at table delete
-	// and cluster close.
-	sched *tablet.Scheduler
+	// bound is the run bound the table's tablets share
+	// (Config.MaxRunsPerTablet > 0; nil otherwise), closed at table
+	// delete and cluster close.
+	bound *tablet.RunBound
 
 	mu      sync.RWMutex
 	splits  []string // sorted row boundaries
@@ -346,11 +347,8 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 	mc.dir = dir
 	clockFloor := dir.Clock()
 	for _, ti := range dir.Tables() {
-		meta := &tableMeta{
-			name:   ti.Name,
-			splits: ti.Splits,
-			iters:  map[Scope][]iterator.Setting{},
-		}
+		meta := mc.newTableMeta(ti.Name)
+		meta.splits = ti.Splits
 		for scopeName, settings := range ti.Iters {
 			if s, ok := scopeFromName(scopeName); ok {
 				meta.iters[s] = settings
@@ -360,7 +358,7 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 			ts, runs, replay, maxTs, err := dir.OpenTablet(ti.Name, tbi)
 			if err != nil {
 				// Unwind what is up: servers, metrics endpoint, the
-				// schedulers of tables recovered so far, the directory.
+				// directory.
 				mc.Close()
 				return nil, fmt.Errorf("accumulo: recovering table %q: %w", ti.Name, err)
 			}
@@ -379,7 +377,6 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 				endpoint: mc.endpoints[server],
 			})
 		}
-		mc.startScheduler(meta)
 		mc.tables[ti.Name] = meta
 	}
 	mc.clock.Store(clockFloor)
@@ -498,46 +495,23 @@ func (mc *MiniCluster) router() *router {
 	return r
 }
 
-// initTablet wires a freshly created tablet into the cluster's
-// write-path plumbing: the process counter block, and a flush hook that
-// kicks the table's compaction scheduler so background freezes feed
-// size-tiered merging the same way explicit flushes do. meta.sched is
-// read at notify time — the scheduler starts after tablet creation but
-// before the table is visible to writers.
-func (mc *MiniCluster) initTablet(tab *tablet.Tablet, meta *tableMeta) {
-	tab.SetStats(&mc.tel.Stats)
-	tab.SetFlushNotify(func() {
-		if meta.sched != nil {
-			meta.sched.Kick()
-		}
-	})
+// newTableMeta makes an empty table's metadata, with the run bound
+// Config.MaxRunsPerTablet asks for.
+func (mc *MiniCluster) newTableMeta(name string) *tableMeta {
+	meta := &tableMeta{name: name, iters: map[Scope][]iterator.Setting{}}
+	if mc.cfg.MaxRunsPerTablet > 0 {
+		meta.bound = tablet.NewRunBound(mc.cfg.MaxRunsPerTablet, func() func(iterator.SKVI) (iterator.SKVI, error) {
+			return mc.compactionStack(meta, MajcScope)
+		})
+	}
+	return meta
 }
 
-// startScheduler launches the table's background compaction scheduler
-// when the cluster is durable and Config.MaxRunsPerTablet asks for one.
-// Must run before the table becomes visible to other goroutines, so
-// meta.sched is immutable afterwards.
-func (mc *MiniCluster) startScheduler(meta *tableMeta) {
-	if mc.dir == nil || mc.cfg.MaxRunsPerTablet <= 0 {
-		return
-	}
-	meta.sched = tablet.StartScheduler(tablet.SchedulerConfig{
-		MaxRuns: mc.cfg.MaxRunsPerTablet,
-		Tablets: func() []*tablet.Tablet {
-			meta.mu.RLock()
-			defer meta.mu.RUnlock()
-			out := make([]*tablet.Tablet, len(meta.tablets))
-			for i, tr := range meta.tablets {
-				out[i] = tr.tab
-			}
-			return out
-		},
-		Stack: func() func(iterator.SKVI) (iterator.SKVI, error) {
-			return mc.compactionStack(meta, MajcScope)
-		},
-		OnCompact: func(*tablet.Tablet) { mc.tel.Stats.Add(telemetry.MajorCompactions, 1) },
-		OnError:   func(error) { mc.tel.Stats.Add(telemetry.MajorCompactionErrors, 1) },
-	})
+// initTablet wires a freshly created tablet into the cluster: the
+// process counter block, and the table's run bound.
+func (mc *MiniCluster) initTablet(tab *tablet.Tablet, meta *tableMeta) {
+	tab.SetStats(&mc.tel.Stats)
+	tab.SetRunBound(meta.bound)
 }
 
 // StartKernelQuery admits one kernel query through the scheduler and
@@ -615,26 +589,16 @@ func (mc *MiniCluster) Close() error {
 	}
 	if mc.dir != nil {
 		mc.mu.RLock()
-		var names []string
-		var scheds []*tablet.Scheduler
-		for name, meta := range mc.tables {
-			names = append(names, name)
-			if meta.sched != nil {
-				scheds = append(scheds, meta.sched)
-			}
-		}
+		metas := maps.Clone(mc.tables)
 		mc.mu.RUnlock()
-		// Stop every compaction scheduler first: Stop returns only once
-		// any in-flight scheduled compaction has finished, so nothing
-		// races the final flushes or writes after the directory closes.
-		for _, s := range scheds {
-			s.Stop()
-		}
 		ops := &TableOperations{mc: mc}
-		for _, name := range names {
+		for name, meta := range metas {
 			if err := ops.Flush(name); err != nil && firstErr == nil {
 				firstErr = err
 			}
+			// Close waits out a background flush's in-flight merge, so
+			// nothing merges into the directory once it closes.
+			meta.bound.Close()
 		}
 		if err := mc.dir.Close(); err != nil && firstErr == nil {
 			firstErr = err
@@ -697,28 +661,18 @@ func (t *tableMeta) scopeStack(s Scope) []iterator.Setting {
 	return append([]iterator.Setting(nil), t.iters[s]...)
 }
 
-// write is the client-side ingest path: the routed write, plus failure
-// injection before it and a prompt to the table's compaction scheduler
-// after it. q (nil = untraced) receives the batch's per-query counters.
+// write is the client-side ingest path: the routed write, with failure
+// injection before it. q (nil = untraced) receives the batch's
+// per-query counters.
 func (mc *MiniCluster) write(table string, entries []skv.Entry, q *telemetry.Query) error {
-	meta, err := mc.getTable(table)
-	if err != nil {
+	if _, err := mc.getTable(table); err != nil {
 		return err
 	}
 	if mc.failWrites.Load() > 0 && mc.failWrites.Add(-1) >= 0 {
 		// Fails before any tablet absorbed entries, so a retry is safe.
 		return fmt.Errorf("accumulo: %w", ErrTransient)
 	}
-	if err := mc.router().write(table, entries, q); err != nil {
-		return err
-	}
-	if meta.sched != nil {
-		// Prompt the compaction scheduler: an auto-minc above may have
-		// pushed a tablet past its run threshold.
-		meta.sched.Kick()
-		mc.tel.Count(q, telemetry.CompactionKicks, 1)
-	}
-	return nil
+	return mc.router().write(table, entries, q)
 }
 
 // openStream starts a client-issued streaming scan, routed by the

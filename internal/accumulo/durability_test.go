@@ -97,13 +97,10 @@ func TestDurableRecoveryAfterUncleanShutdown(t *testing.T) {
 	}
 	// Unclean shutdown: the cluster is simply dropped, no Close. A
 	// crashed process does no more work, but this one's background
-	// flusher and compaction scheduler would keep writing rfiles, the
-	// manifest and WAL reclaims into the directory the reopen is
-	// recovering from; let them settle first. The active memtable stays
-	// unflushed, so recovery still replays the WAL.
-	if s := mc.tables["T"].sched; s != nil {
-		s.Stop()
-	}
+	// flushes and their merges would keep writing rfiles, the manifest
+	// and WAL reclaims into the directory the reopen is recovering from;
+	// let them settle first (WaitFlush covers the merge step). The
+	// active memtable stays unflushed, so recovery still replays the WAL.
 	for _, ref := range mc.tables["T"].tablets {
 		if err := ref.tab.WaitFlush(); err != nil {
 			t.Fatal(err)

@@ -16,11 +16,11 @@ import (
 // scan against a flat in-memory reference model with summing semantics.
 // This is the strongest correctness statement about the storage stack:
 // no sequence of structural events (memtable spills, run merges, tablet
-// splits) may change scan results. The durable arm runs the same
-// sequences on a data directory with a compaction scheduler of 2–4 runs
-// per tablet, so scheduled merges interleave with flushes, compactions
-// and splits, and adds a close-and-reopen op checked against the same
-// model.
+// splits) may change scan results. Both arms bound tablets at 2–4 runs,
+// so the flushes' merges interleave with compactions and splits, and
+// every flush op checks the bound holds on every tablet once it
+// returns. The durable arm runs the same sequences on a data directory
+// and adds a close-and-reopen op checked against the same model.
 func TestQuickClusterMatchesReferenceModel(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"
@@ -41,9 +41,10 @@ func TestQuickClusterMatchesReferenceModel(t *testing.T) {
 // matched the model.
 func clusterMatchesModel(t *testing.T, seed int64, durable bool) bool {
 	rng := rand.New(rand.NewSource(seed))
-	cfg := Config{TabletServers: 1 + rng.Intn(3), MemLimit: 8 + rng.Intn(32), WireBatch: 1 + rng.Intn(64)}
+	cfg := Config{TabletServers: 1 + rng.Intn(3), MemLimit: 8 + rng.Intn(32), WireBatch: 1 + rng.Intn(64),
+		MaxRunsPerTablet: 2 + rng.Intn(3)}
 	if durable {
-		cfg.DataDir, cfg.NoSync, cfg.MaxRunsPerTablet = t.TempDir(), true, 2+rng.Intn(3)
+		cfg.DataDir, cfg.NoSync = t.TempDir(), true
 	}
 	mc, err := OpenMiniCluster(cfg)
 	if err != nil {
@@ -127,6 +128,16 @@ func clusterMatchesModel(t *testing.T, seed int64, durable bool) bool {
 		case 6:
 			if err := ops.Flush("M"); err != nil {
 				return false
+			}
+			runs, err := ops.TabletRuns("M")
+			if err != nil {
+				return false
+			}
+			for _, n := range runs {
+				if n > cfg.MaxRunsPerTablet {
+					t.Logf("seed %d: tablet runs %v after Flush, bound %d", seed, runs, cfg.MaxRunsPerTablet)
+					return false
+				}
 			}
 		case 7:
 			if err := ops.Compact("M"); err != nil {

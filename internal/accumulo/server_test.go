@@ -360,9 +360,9 @@ func TestServerCloseLeavesNoGoroutines(t *testing.T) {
 // TestFailedRecoveryLeavesNoGoroutines: a durable directory whose second
 // table holds rfiles the reader rejects fails every reopen with the
 // reader's typed error, and each failed reopen unwinds what it had
-// started — the tcp listeners, the metrics endpoint, the compaction
-// scheduler of the table recovered first, the directory's WAL logs — so
-// repeated attempts leave the goroutine count where it began.
+// started — the tcp listeners, the metrics endpoint, the directory's
+// WAL logs — so repeated attempts leave the goroutine count where it
+// began.
 func TestFailedRecoveryLeavesNoGoroutines(t *testing.T) {
 	runtime.GC()
 	before := runtime.NumGoroutine()
@@ -383,7 +383,7 @@ func TestFailedRecoveryLeavesNoGoroutines(t *testing.T) {
 
 	// Stamp table b's rfiles with format version 3, which the reader no
 	// longer accepts; table a recovers first (tables recover in name
-	// order) and starts its scheduler before b fails.
+	// order) and is up before b fails.
 	raw, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
 	if err != nil {
 		t.Fatal(err)

@@ -24,8 +24,9 @@
 // frozen memtables with the runs at [lo, hi) and swaps the result in
 // at lo through Backing.Replace. A background flush is (1, [n,n), the
 // memtable's rotation mark), MajorCompact is (every frozen memtable,
-// [0,n), the mark of its own rotation), and the size-tiered MergeRuns
-// is (0, [lo,hi), mark 0: no WAL is touched).
+// [0,n), the mark of its own rotation), and a size-tiered merge —
+// MergeRuns, or the run bound's post-flush step — is (0, [lo,hi),
+// mark 0: no WAL is touched).
 //
 // # Write-path concurrency
 //
@@ -51,23 +52,21 @@
 // # Read-path maintenance
 //
 // Every scan k-way merges the memtable with all live runs, so scan cost
-// grows with the run count, which sustained ingest grows without bound:
-// each memtable spill adds a run and only major compaction removes
-// them. Two mechanisms keep the read path fast:
+// grows with the run count, which every memtable spill grows. Two
+// mechanisms keep the read path fast:
 //
 //   - The durable runs' rfiles carry bloom filters and share the data
 //     directory's block cache (see internal/rfile), so merged reads
 //     skip files that cannot contain a sought row and decode each
 //     resident block once across scans.
-//   - A background compaction Scheduler (one per durable table, started
-//     by the cluster layer) watches RunCount and, whenever the count
-//     exceeds its threshold, merges a contiguous group of similar-sized
-//     runs — size-tiered picking via MergeRuns, with the table's majc
-//     iterator stack — so steady ingest folds its tier of fresh small
-//     runs without rewriting the large old ones. Scheduled compactions
-//     serialise against manual compactions and splits on the per-tablet
-//     compaction mutex, and scans stay live and correct throughout: a
-//     scan's snapshot pins the pre-compaction runs until it finishes.
+//   - Runs are bounded where they are made. After every flush, a tablet
+//     over its RunBound folds contiguous tiers of similar-sized runs
+//     with the table's majc stack until it is back under, so steady
+//     ingest folds its fresh small runs without rewriting large old
+//     ones. The merge runs once the flush releases compactMu, under the
+//     bound's lock, which the table's tablets share: one merge at a time
+//     per table, and a flush never waits on another tablet's merge. A
+//     scan's snapshot pins the pre-merge runs until it finishes.
 package tablet
 
 import (
@@ -163,9 +162,10 @@ type Tablet struct {
 
 	// stats receives the write-path pressure counters: MemtableFreezes
 	// per freeze-and-swap, WriteStallNanos for the time writers spent
-	// stalled on frozen-queue backpressure. nil counts nothing.
-	stats       *telemetry.StatSet
-	flushNotify func() // optional: invoked after a background flush adds a run
+	// stalled on frozen-queue backpressure, and the bound's merges and
+	// merge failures. nil counts nothing.
+	stats *telemetry.StatSet
+	bound *RunBound // caps the run count after every flush; nil: unbounded
 
 	// compactMu serialises frozen-queue flushes, minor/major
 	// compactions, and splits against each other (writes and scans stay
@@ -216,15 +216,13 @@ func (t *Tablet) SetFlushBytes(n int) { t.flushBytes = n }
 // before the tablet takes traffic.
 func (t *Tablet) SetStats(s *telemetry.StatSet) { t.stats = s }
 
-// SetFlushNotify registers a hook invoked after a background flush
-// registers a new run — the cluster layer points it at the compaction
-// scheduler's Kick so freshly spilled runs are folded promptly. Call
-// before the tablet takes traffic.
-func (t *Tablet) SetFlushNotify(f func()) { t.flushNotify = f }
+// SetRunBound makes every flush fold runs past b's bound (nil leaves
+// the run count unbounded). Call before the tablet takes traffic; split
+// halves inherit it.
+func (t *Tablet) SetRunBound(b *RunBound) { t.bound = b }
 
 // RunCount returns the number of live immutable runs — the k-way merge
-// width a scan pays on top of the memtables. The background compaction
-// scheduler polls it.
+// width a scan pays on top of the memtables.
 func (t *Tablet) RunCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -346,8 +344,10 @@ func (t *Tablet) rotateLocked() (mark uint64, err error) {
 	return mark, nil
 }
 
-// flushFrozen is the background flusher a freeze starts.
+// flushFrozen is the background flusher a freeze starts: it drains the
+// frozen queue, then runs the post-flush merge step.
 func (t *Tablet) flushFrozen() {
+	defer t.boundRuns() // deferred first: runs once compactMu is released
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	_ = t.drainFrozenLocked(nil) // a failure is kept in flushErr for writers
@@ -369,8 +369,7 @@ func (t *Tablet) drainFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, err
 		}
 		n, mark := len(t.runs), t.frozen[0].mark
 		t.mu.Unlock()
-		r, err := t.replaceLocked(1, n, n, mark, stack)
-		if err != nil {
+		if err := t.replaceLocked(1, n, n, mark, stack); err != nil {
 			// flushErr is set only here, by a failed flush.
 			t.mu.Lock()
 			t.flushErr = err
@@ -378,30 +377,31 @@ func (t *Tablet) drainFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, err
 			t.mu.Unlock()
 			return err
 		}
-		if r != nil && t.flushNotify != nil {
-			t.flushNotify()
-		}
 	}
 }
 
 // WaitFlush blocks until every queued frozen memtable has been flushed
-// by the background flusher (or a flush failure is pending), for
-// callers that need a settled run list without forcing a freeze.
+// by the background flusher (or a flush failure is pending), then runs
+// the post-flush merge step, for callers that need a settled, bounded
+// run list without forcing a freeze.
 func (t *Tablet) WaitFlush() error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
 	for len(t.frozen) > 0 && t.flushErr == nil {
 		t.flushCond.Wait()
 	}
-	return t.flushErr
+	err := t.flushErr
+	t.mu.Unlock()
+	t.boundRuns()
+	return err
 }
 
 // MinorCompact synchronously freezes the active memtable and drains the
 // whole frozen queue into runs, applying the optional compaction
 // iterator stack (e.g. a summing combiner) on the way out — Accumulo's
-// minc scope. Durable tablets write each run as an rfile and reclaim
-// the WAL segments it covers.
+// minc scope — then runs the post-flush merge step. Durable tablets
+// write each run as an rfile and reclaim the WAL segments it covers.
 func (t *Tablet) MinorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) error {
+	defer t.boundRuns() // deferred first: runs once compactMu is released
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	if t.Retired() {
@@ -420,8 +420,7 @@ func (t *Tablet) MinorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	// through it even when no memtable was flushed: they pile up across
 	// reopens otherwise.
 	n := t.RunCount()
-	_, err = t.replaceLocked(0, n, n, mark, nil)
-	return err
+	return t.replaceLocked(0, n, n, mark, nil)
 }
 
 // MajorCompact merges all runs (and the memtables) into a single run,
@@ -432,8 +431,8 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
 	if t.Retired() {
-		// A background scheduler can race a split: it fetched this
-		// tablet, then SplitAt replaced it. The halves own the data now.
+		// A caller can race a split: it fetched this tablet, then
+		// SplitAt replaced it. The halves own the data now.
 		return nil
 	}
 	// The rotation mark covers exactly the records of everything this
@@ -448,8 +447,8 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	t.mu.Lock()
 	k, n := len(t.frozen), len(t.runs)
 	t.mu.Unlock()
-	_, err = t.replaceLocked(k, 0, n, mark, stack)
-	return err // on failure the frozen memtables stay queued and scannable
+	// On failure the frozen memtables stay queued and scannable.
+	return t.replaceLocked(k, 0, n, mark, stack)
 }
 
 // MergeRuns folds the contiguous run group [lo, hi) — positions in the
@@ -474,25 +473,101 @@ func (t *Tablet) MergeRuns(lo, hi int, stack func(iterator.SKVI) (iterator.SKVI,
 	retired, n := t.retired, len(t.runs)
 	t.mu.Unlock()
 	if retired {
-		return nil // as in MajorCompact: a background scheduler can race a split
+		return nil // as in MajorCompact: a caller can race a split
 	}
 	if lo < 0 || hi > n || hi-lo < 2 {
 		return fmt.Errorf("tablet: merge group [%d,%d) invalid for %d runs", lo, hi, n)
 	}
 	// Mark 0: a merge drops no WAL segment, so the store skips the
 	// directory listing a drop costs.
-	_, err := t.replaceLocked(0, lo, hi, 0, stack)
-	return err
+	return t.replaceLocked(0, lo, hi, 0, stack)
+}
+
+// DefaultMergeRatio is the size-similarity bound for tiered picking:
+// runs belong to one tier when the group's largest is at most this
+// multiple of its smallest.
+const DefaultMergeRatio = 2
+
+// RunBound is one table's run-count bound, shared by its tablets: after
+// every flush a tablet holding more than maxRuns runs folds size tiers
+// until it is back under. Its lock admits one merge per table at a time
+// and is taken before any tablet's compaction mutex, never after.
+type RunBound struct {
+	maxRuns int
+	stack   func() func(iterator.SKVI) (iterator.SKVI, error)
+
+	mu     sync.Mutex // held across a tablet's merge step
+	closed bool
+}
+
+// NewRunBound bounds a table's tablets at maxRuns (>= 1) runs; stack
+// returns the table's current majc iterator stack, read per merge so
+// iterator changes are picked up.
+func NewRunBound(maxRuns int, stack func() func(iterator.SKVI) (iterator.SKVI, error)) *RunBound {
+	return &RunBound{maxRuns: max(maxRuns, 1), stack: stack}
+}
+
+// Close waits out an in-flight merge and refuses every later one, so
+// nothing merges into the tablets' storage after it returns. A nil
+// bound has nothing to close.
+func (b *RunBound) Close() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	b.closed = true
+	b.mu.Unlock()
+}
+
+// boundRuns is the post-flush merge step: under the bound's lock, while
+// the tablet holds more than the bound's runs, it folds one size tier
+// with the table's majc stack. A failed merge is counted and leaves the
+// runs for the next flush; it never fails the flush.
+func (t *Tablet) boundRuns() {
+	b := t.bound
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for !b.closed && t.RunCount() > b.maxRuns {
+		// The stack is built outside compactMu: building it reads the
+		// table's metadata, which a split holds across SplitAt.
+		merged, err := t.mergeTier(b.maxRuns, b.stack())
+		if err != nil {
+			t.stats.Add(telemetry.MajorCompactionErrors, 1)
+			return
+		}
+		if !merged {
+			return
+		}
+		t.stats.Add(telemetry.MajorCompactions, 1)
+	}
+}
+
+// mergeTier folds the pickMergeGroup tier when the tablet, not retired,
+// holds more than maxRuns runs, re-checking both under compactMu.
+func (t *Tablet) mergeTier(maxRuns int, stack func(iterator.SKVI) (iterator.SKVI, error)) (bool, error) {
+	t.compactMu.Lock()
+	defer t.compactMu.Unlock()
+	// Both change only under compactMu.
+	sizes := t.RunSizes()
+	if t.Retired() || len(sizes) <= maxRuns {
+		return false, nil
+	}
+	lo, hi := pickMergeGroup(sizes, DefaultMergeRatio)
+	err := t.replaceLocked(0, lo, hi, 0, stack)
+	return err == nil, err
 }
 
 // replaceLocked is the one way the run list changes: it merges the
 // oldest k frozen memtables with the runs at [lo, hi) through the
 // optional stack, persists the result with Backing.Replace (which drops
-// WAL segments <= mark, none when mark is 0), and swaps it in at lo. It
-// returns the new run, nil when the stack left no entry. Caller holds
-// compactMu, so neither the run list nor the oldest k frozen memtables
-// change under it.
-func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.SKVI) (iterator.SKVI, error)) (Run, error) {
+// WAL segments <= mark, none when mark is 0), and swaps it in at lo
+// (nothing when the stack left no entry). Caller holds compactMu, so
+// neither the run list nor the oldest k frozen memtables change under
+// it.
+func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.SKVI) (iterator.SKVI, error)) error {
 	t.mu.Lock()
 	sources := make([]iterator.SKVI, 0, k+hi-lo)
 	size := 0
@@ -516,11 +591,11 @@ func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.S
 	}
 	entries, err := applyStack(src, stack, size)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	r, err := t.backing.Replace(entries, lo, hi, mark)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	// Swap the memtables out of the frozen queue and the run in under
 	// one lock hold, so a concurrent Snapshot sees the data in exactly
@@ -541,7 +616,7 @@ func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.S
 		t.flushCond.Broadcast()
 	}
 	t.mu.Unlock()
-	return r, nil
+	return nil
 }
 
 // applyStack drains src through the optional stack into a slice sized
@@ -642,7 +717,7 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	}
 	half := func(start, end string, seed int64, b Backing, r Run) *Tablet {
 		h := NewDurable(start, end, t.memLimit, seed, b, nil, nil)
-		h.flushBytes, h.stats, h.flushNotify = t.flushBytes, t.stats, t.flushNotify
+		h.flushBytes, h.stats, h.bound = t.flushBytes, t.stats, t.bound
 		if r != nil {
 			h.runs = []Run{r}
 		}
@@ -653,12 +728,56 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	return left, right, nil
 }
 
-// retire marks the tablet split-away: a compaction scheduler holding a
-// stale pointer must not fold it once its halves own the data. Caller
-// holds compactMu.
+// retire marks the tablet split-away: a caller holding a stale pointer
+// must not fold it once its halves own the data. Caller holds
+// compactMu.
 func (t *Tablet) retire() {
 	t.mu.Lock()
 	t.retired = true
 	t.flushCond.Broadcast()
 	t.mu.Unlock()
+}
+
+// pickMergeGroup chooses the contiguous run group [lo, hi) a merge
+// folds, from the oldest-first size profile. It prefers the longest
+// window whose sizes lie within ratio of each other (ties broken by the
+// smallest total rewrite), so a tier of fresh small runs folds together
+// while dissimilar large runs stay untouched; when no two neighbours
+// are size-similar it falls back to the cheapest adjacent pair, which
+// keeps the run count bounded without rewriting the largest run unless
+// it truly is the cheapest option. len(sizes) must be >= 2.
+func pickMergeGroup(sizes []int, ratio int) (lo, hi int) {
+	bestLo, bestHi, bestTotal := -1, -1, 0
+	for i := 0; i < len(sizes); i++ {
+		min, max, total := sizes[i], sizes[i], sizes[i]
+		for j := i + 1; j < len(sizes); j++ {
+			if sizes[j] < min {
+				min = sizes[j]
+			}
+			if sizes[j] > max {
+				max = sizes[j]
+			}
+			total += sizes[j]
+			// An empty run is similar to anything.
+			if min > 0 && max > ratio*min {
+				break
+			}
+			length := j - i + 1
+			if bestLo < 0 || length > bestHi-bestLo ||
+				(length == bestHi-bestLo && total < bestTotal) {
+				bestLo, bestHi, bestTotal = i, j+1, total
+			}
+		}
+	}
+	if bestLo >= 0 {
+		return bestLo, bestHi
+	}
+	// No size-similar neighbours at all: merge the cheapest pair.
+	lo = 0
+	for i := 1; i+1 < len(sizes); i++ {
+		if sizes[i]+sizes[i+1] < sizes[lo]+sizes[lo+1] {
+			lo = i
+		}
+	}
+	return lo, lo + 2
 }

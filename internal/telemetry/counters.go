@@ -37,7 +37,6 @@ const (
 	BloomNegatives
 	ColQBloomNegatives
 	LocalityBlocksSkipped
-	CompactionKicks
 	WriteWireBytes
 	QueueWaitNanos
 	ScratchTablesCreated
@@ -104,12 +103,11 @@ var descs = [NumCounters]desc{
 	BloomNegatives:        {name: "bloom_negatives", help: "Bloom-filter negative row lookups.", storage: true},
 	ColQBloomNegatives:    {name: "colq_bloom_negatives", help: "Column-bloom negative cell lookups.", storage: true},
 	LocalityBlocksSkipped: {name: "locality_blocks_skipped", help: "Rfile blocks skipped by locality-group family constraints.", storage: true},
-	CompactionKicks:       {name: "compaction_kicks", help: "Prompts sent to background compaction schedulers by writes."},
 	WriteWireBytes:        {name: "write_wire_bytes", help: "Encoded bytes of write batches shipped to tablet servers."},
 	QueueWaitNanos:        {name: "queue_wait_nanos", help: "Nanoseconds spent waiting for admission.", tenant: true},
 	ScratchTablesCreated:  {name: "scratch_tables_created", help: "Intermediate tables materialised by kernel drivers."},
 	MajorCompactions:      {name: "major_compactions", help: "Completed major compactions."},
-	MajorCompactionErrors: {name: "major_compaction_errors", help: "Failed scheduled major compactions."},
+	MajorCompactionErrors: {name: "major_compaction_errors", help: "Failed size-tiered merges."},
 	MemtableFreezes:       {name: "memtable_freezes", help: "Memtables frozen and handed to background flush."},
 	WriteStallNanos:       {name: "write_stall_nanos", help: "Nanoseconds writers spent stalled on flush backpressure."},
 	ScansInFlight:         {name: "scans_in_flight", help: "Tablet scan passes currently executing.", kind: kindGauge, high: MaxScansInFlight},

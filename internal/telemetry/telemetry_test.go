@@ -210,10 +210,17 @@ func TestTrailerDecodeHostile(t *testing.T) {
 	}
 }
 
-// goldenTrailer is a version-2 trailer: counters TabletScans through
+// goldenTrailer is a version-3 trailer: counters TabletScans through
 // QueueWaitNanos, counter i holding (i+1)*1000, two scan passes, one
 // write batch, two spans.
-const goldenTrailer = "021100e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d10e8840102c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
+const goldenTrailer = "031000e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d02c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
+
+// goldenTrailerV2 is the same trailer as encoded before the
+// compaction-kick counter was dropped (version 2: counter i holding
+// (i+1)*1000 over the 17 counters then TabletScans through
+// QueueWaitNanos). Its indices mean different counters now, so it must
+// be refused, not misread.
+const goldenTrailerV2 = "021100e80701d00f02b81703a01f04882705f02e06d83607c03e08a84609904e0af8550be05d0cc8650db06d0e98750f807d10e8840102c08db701020a010b0101a0c21e010901020b070c706173732054205b612c62290b6461656d6f6e3a393437318080a8b1e39fe7cb1780897a010c0b0b737461636b2073657475700b6461656d6f6e3a39343731a08daeb1e39fe7cb17c0b80201"
 
 // goldenTrailerV1 is the same trailer as encoded before shared_scan_folds
 // was dropped (version 1: counter i holding (i+1)*1000 over the original
@@ -223,8 +230,8 @@ const goldenTrailerV1 = "011200e80701d00f02b81703a01f04882705f02e06d83607c03e08a
 
 // TestTrailerGoldenBytes pins wire compatibility: existing counters keep
 // their indices within a trailer version, so a peer's trailer decodes to
-// the same counts and re-encodes to the same bytes; a trailer of the
-// previous version is rejected by its version byte.
+// the same counts and re-encodes to the same bytes; a trailer of an
+// earlier version is rejected by its version byte.
 func TestTrailerGoldenBytes(t *testing.T) {
 	raw, err := hex.DecodeString(goldenTrailer)
 	if err != nil {
@@ -251,12 +258,15 @@ func TestTrailerGoldenBytes(t *testing.T) {
 		t.Errorf("golden trailer re-encodes differently:\n got %x\nwant %x", again, raw)
 	}
 
-	old, err := hex.DecodeString(goldenTrailerV1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := DecodeTrailer(old); err == nil || !strings.Contains(err.Error(), "unknown trailer version 1") {
-		t.Fatalf("version-1 trailer: err = %v, want unknown trailer version 1", err)
+	for v, golden := range map[int]string{1: goldenTrailerV1, 2: goldenTrailerV2} {
+		old, err := hex.DecodeString(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := fmt.Sprintf("unknown trailer version %d", v)
+		if _, err := DecodeTrailer(old); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("version-%d trailer: err = %v, want %s", v, err, want)
+		}
 	}
 }
 

@@ -27,8 +27,9 @@ type Trailer struct {
 }
 
 // trailerVersion guards the trailer layout. Version 2 dropped the
-// shared_scan_folds counter, renumbering every counter after it.
-const trailerVersion = 2
+// shared_scan_folds counter and version 3 the compaction-kick counter,
+// each renumbering every counter after it.
+const trailerVersion = 3
 
 // AppendTrailer encodes t onto dst.
 func AppendTrailer(dst []byte, t Trailer) []byte {
