@@ -351,7 +351,7 @@ func run(algorithm string) error {
 			if err != nil {
 				return err
 			}
-			fmt.Printf("degree table built server-side: %d vertices\n", len(degs))
+			fmt.Printf("degrees reduced server-side: %d vertices\n", len(degs))
 			reportScanPipeline(db)
 			return nil
 		}

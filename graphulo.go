@@ -73,7 +73,6 @@ package graphulo
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"graphulo/internal/accumulo"
@@ -364,9 +363,10 @@ type ScanStats struct {
 	// crossing the write path or the wire individually.
 	PartialProductsFolded int64
 	// ScratchTablesCreated counts intermediate tables materialised by
-	// kernel drivers — each one a write-then-rescan round-trip. The fused kernel plans exist to keep this low: a
-	// fused kTruss creates one survivor table per peel round, and fused
-	// Jaccard/TriangleCount create none.
+	// kernel drivers — each one a write-then-rescan round-trip. The fused
+	// kernel plans exist to keep this low: kTruss creates one survivor
+	// table per peel round but the last, PageRank two (the walk matrix
+	// and the rank vector), and Degrees, Jaccard and TriangleCount none.
 	ScratchTablesCreated int64
 }
 
@@ -564,73 +564,24 @@ func (g *TableGraph) BFSWithOptions(seeds []int, hops int, opts BFSOptions) (map
 	return core.AdjBFS(g.db.conn, g.schema.Table, keys, hops, opts)
 }
 
-// Degrees computes the degree table server-side and returns it. The
-// table is private to the call and dropped before returning.
+// Degrees returns every vertex's degree, reduced server-side and
+// streamed back as one query; no table is created.
 func (g *TableGraph) Degrees() (map[string]float64, error) {
-	out := fmt.Sprintf("%sDegOut_%d", g.name, kernelSeq.Add(1))
-	defer g.db.dropIfExists(out)
-	if _, err := core.TableDegrees(g.db.conn, g.schema.Table, out); err != nil {
-		return nil, err
-	}
-	sc, err := g.db.conn.CreateScanner(out)
-	if err != nil {
-		return nil, err
-	}
-	st, err := sc.Stream()
-	if err != nil {
-		return nil, err
-	}
-	return st.CollectFloatByRow()
+	return core.Degrees(g.db.conn, g.schema.Table)
 }
 
 // KTruss computes the k-truss server-side, returning the surviving
-// adjacency as an associative array.
+// adjacency pattern as an associative array. The per-round survivor
+// tables are the call's own and dropped before returning.
 func (g *TableGraph) KTruss(k int) (*Assoc, error) {
-	out := fmt.Sprintf("%sKT%d_%d", g.name, k, kernelSeq.Add(1))
-	defer g.db.dropIfExists(out)
-	if _, err := core.KTrussAdjTable(g.db.conn, g.schema.Table, out, k, g.name+"KTs"); err != nil {
-		return nil, err
-	}
-	return schema.ReadAssoc(g.db.conn, out)
-}
-
-// kernelSeq numbers kernel invocations so each gets private derived
-// tables: fixed names would make concurrent calls on one graph race on
-// drop-and-rebuild of each other's in-flight tables.
-var kernelSeq atomic.Uint64
-
-// jaccardTables mints invocation-unique names for Jaccard's transient
-// degree and output tables; the caller drops both before returning.
-func (g *TableGraph) jaccardTables() (deg, out string) {
-	n := kernelSeq.Add(1)
-	return fmt.Sprintf("%sJDeg_%d", g.name, n), fmt.Sprintf("%sJOut_%d", g.name, n)
+	truss, _, err := core.KTruss(g.db.conn, g.schema.Table, k, g.name+"KTs")
+	return truss, err
 }
 
 // Jaccard computes all-pairs Jaccard coefficients (upper triangle),
-// returning them as an associative array.
+// returning them as an associative array; no table is created.
 func (g *TableGraph) Jaccard() (*Assoc, error) {
-	deg, out := g.jaccardTables()
-	defer func() {
-		g.db.dropIfExists(deg)
-		g.db.dropIfExists(out)
-	}()
-	if _, err := core.TableDegrees(g.db.conn, g.schema.Table, deg); err != nil {
-		return nil, err
-	}
-	if _, err := core.JaccardTable(g.db.conn, g.schema.Table, deg, out); err != nil {
-		return nil, err
-	}
-	return schema.ReadAssoc(g.db.conn, out)
-}
-
-// dropIfExists deletes a table when present, so derived outputs are
-// rebuilt from scratch rather than combined with stale entries.
-func (db *DB) dropIfExists(name string) error {
-	ops := db.conn.TableOperations()
-	if ops.Exists(name) {
-		return ops.Delete(name)
-	}
-	return nil
+	return core.Jaccard(g.db.conn, g.schema.Table)
 }
 
 // TriangleCount counts triangles with a fused server-side multiply

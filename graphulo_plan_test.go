@@ -145,8 +145,8 @@ func multigraphDiamond() Graph {
 
 // TestConcurrentKTrussNoScratchCollision runs four kTruss computations
 // over the same graph concurrently: each must get the reference answer,
-// so neither the per-round survivor tables (named by the query's trace
-// id) nor the output table (named per invocation) may be shared.
+// so the per-round survivor tables (named by the query's trace id) may
+// not be shared.
 func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 	db := mustOpen(ClusterConfig{TabletServers: 2})
 	defer db.Close()
@@ -193,7 +193,7 @@ func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 
 // TestConcurrentPageRankNoScratchCollision runs four PageRank
 // computations over the same graph concurrently: each must equal a
-// sequential run, so the walk matrix and the rank-vector tables (named
+// sequential run, so the walk matrix and the rank-vector table (named
 // by the query's trace id) may not be shared — and none may outlive its
 // call.
 func TestConcurrentPageRankNoScratchCollision(t *testing.T) {

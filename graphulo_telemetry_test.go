@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -436,4 +437,91 @@ func TestMetricsFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("standalone", scrapeFamilies(t, addr), both)
+}
+
+// TestGraphCallIsOneQuery: every TableGraph kernel call is exactly one
+// finished query record, on every transport, and a result the client
+// reads streams back instead of passing through a table. Degrees,
+// Jaccard and TriangleCount write nothing; KTruss writes only the
+// survivors of its non-final rounds (Barbell(4,1) at k = 4: the 24
+// directed edges of its two K4s, once); no call changes the table
+// list; PageRank materialises its walk matrix and rank vector only.
+func TestGraphCallIsOneQuery(t *testing.T) {
+	type record struct {
+		Kernel   string
+		Written  int64
+		Scratch  int64
+		Finished bool
+	}
+	results := runThreeWay(t, func(t *testing.T, db *DB) map[string]record {
+		tg, err := db.CreateGraph("G")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tg.Ingest(planTestGraph()); err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]record{}
+		for _, call := range []struct {
+			name string
+			run  func() error
+		}{
+			{"Degrees", func() error { _, err := tg.Degrees(); return err }},
+			{"Jaccard", func() error { _, err := tg.Jaccard(); return err }},
+			{"KTruss", func() error { _, err := tg.KTruss(4); return err }},
+			{"TriangleCount", func() error { _, err := tg.TriangleCount(); return err }},
+			{"PageRank", func() error { _, _, err := tg.PageRank(0.15, 1e-9, 50); return err }},
+		} {
+			seen := map[string]bool{}
+			for _, q := range db.QueryStats() {
+				seen[q.TraceID] = true
+			}
+			tables := listTables(db)
+			scratch := db.ScanMetrics().ScratchTablesCreated
+			if err := call.run(); err != nil {
+				t.Fatalf("%s: %v", call.name, err)
+			}
+			var fresh []QueryStats
+			for _, q := range db.QueryStats() {
+				if !seen[q.TraceID] {
+					fresh = append(fresh, q)
+				}
+			}
+			if len(fresh) != 1 {
+				kernels := make([]string, len(fresh))
+				for i, q := range fresh {
+					kernels[i] = q.Kernel
+				}
+				t.Fatalf("%s added %d query records %v, want 1", call.name, len(fresh), kernels)
+			}
+			if after := listTables(db); !reflect.DeepEqual(after, tables) {
+				t.Errorf("%s changed the table list: %v, was %v", call.name, after, tables)
+			}
+			q := fresh[0]
+			out[call.name] = record{
+				Kernel:   q.Kernel,
+				Written:  q.Counters["entries_written"],
+				Scratch:  db.ScanMetrics().ScratchTablesCreated - scratch,
+				Finished: q.Done && q.Err == "",
+			}
+		}
+		return out
+	})
+	requireAgreement(t, results)
+	for name, r := range results["inproc"] {
+		if !r.Finished {
+			t.Errorf("%s: query record not finished cleanly", name)
+		}
+	}
+	for _, name := range []string{"Degrees", "Jaccard", "TriangleCount"} {
+		if w := results["inproc"][name].Written; w != 0 {
+			t.Errorf("%s recorded entries_written %d, want 0", name, w)
+		}
+	}
+	if w := results["inproc"]["KTruss"].Written; w != 24 {
+		t.Errorf("KTruss recorded entries_written %d, want 24 (one non-final round's survivors)", w)
+	}
+	if s := results["inproc"]["PageRank"].Scratch; s != 2 {
+		t.Errorf("PageRank created %d scratch tables, want 2", s)
+	}
 }

@@ -206,7 +206,7 @@ func TestTableGraphMethodsAreRerunSafe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Each call's degree table is its own and dropped on return.
+	// The degrees stream back; no call leaves a table behind.
 	if after := db.conn.TableOperations().List(); !reflect.DeepEqual(after, tables) {
 		t.Fatalf("tables after Degrees() = %v, before %v", after, tables)
 	}

@@ -424,6 +424,53 @@ func TestCloneTable(t *testing.T) {
 	}
 }
 
+// TestCloneCopiesServerSide clones a pre-split, sum-combined table whose
+// tablets each hold several wire batches and several remoteWrite batches
+// of cells, on both local transports: the clone equals the source cell
+// for cell, with every cell's two versions already summed, and keeps
+// summing new writes.
+func TestCloneCopiesServerSide(t *testing.T) {
+	for _, transport := range []string{"inproc", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			mc := NewMiniCluster(Config{Transport: transport, TabletServers: 3, WireBatch: 32})
+			defer mc.Close()
+			c := mc.Connector()
+			mustCreate(t, c, "Src", "g", "p")
+			ops := c.TableOperations()
+			if err := ops.RemoveIterator("Src", "versioning"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ops.AttachIterator("Src", iterator.Setting{Name: "sum", Priority: 10}); err != nil {
+				t.Fatal(err)
+			}
+			cells := map[string]float64{}
+			for _, row := range []string{"c", "k", "t"} { // one per tablet
+				for i := 0; i < 5000; i++ {
+					cells[fmt.Sprintf("%s%04d q%d", row, i/10, i%10)] = 1
+				}
+			}
+			writeCells(t, c, "Src", cells)
+			writeCells(t, c, "Src", cells)
+			if err := ops.Clone("Src", "Dst"); err != nil {
+				t.Fatal(err)
+			}
+			src, dst := scanFloats(t, c, "Src"), scanFloats(t, c, "Dst")
+			if len(dst) != len(cells) {
+				t.Fatalf("clone holds %d cells, source %d", len(dst), len(cells))
+			}
+			for k, v := range src {
+				if v != 2 || dst[k] != v {
+					t.Fatalf("cell %s: source %v, clone %v, want 2 on both", k, v, dst[k])
+				}
+			}
+			writeCells(t, c, "Dst", map[string]float64{"c0000 q0": 10})
+			if got := scanFloats(t, c, "Dst")["c0000 q0"]; got != 12 {
+				t.Fatalf("clone cell after a write = %v, want 12 (combiner lost)", got)
+			}
+		})
+	}
+}
+
 func TestDeleteRows(t *testing.T) {
 	c := newTestCluster(t)
 	mustCreate(t, c, "DR", "g")

@@ -373,7 +373,10 @@ func (t *TableOperations) TabletRuns(name string) ([]int, error) {
 
 // Clone copies a table's current contents and iterator configuration
 // into a new table, as Accumulo's clone does (ours copies data rather
-// than sharing files, which an in-memory store can afford).
+// than sharing files, which an in-memory store can afford). The copy is
+// one server-side pass: each source tablet runs its scan stack with a
+// remoteWrite sink into dst on top, so combiner semantics stay intact
+// and no entry visits the coordinator.
 func (t *TableOperations) Clone(src, dst string) error {
 	meta, err := t.mc.getTable(src)
 	if err != nil {
@@ -401,16 +404,13 @@ func (t *TableOperations) Clone(src, dst string) error {
 	if err != nil {
 		return err
 	}
-	// Copy the data through the normal read/write paths so combiner
-	// semantics stay intact.
-	entries, err := t.mc.scan(src, skv.FullRange(), nil)
+	sink := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": dst}}
+	st, err := t.mc.openStream(src, []skv.Range{skv.FullRange()}, nil, []iterator.Setting{sink}, traceCtx{})
 	if err != nil {
 		return err
 	}
-	if len(entries) == 0 {
-		return nil
-	}
-	return t.mc.write(dst, entries, nil)
+	_, err = st.Collect() // one monitoring entry per tablet
+	return err
 }
 
 // DeleteRows removes every entry whose row lies in [startRow, endRow)

@@ -681,18 +681,6 @@ func (mc *MiniCluster) openStream(table string, ranges []skv.Range, families []s
 	return mc.router().openStream(table, ranges, families, extra, tc)
 }
 
-// scan executes a range scan server-side and collects the whole result —
-// the materialising convenience over openStream, kept for callers whose
-// results are small (monitoring entries, vectors, admin copies).
-// Streaming consumers use Scanner.Stream / EntryStream directly.
-func (mc *MiniCluster) scan(table string, rng skv.Range, extra []iterator.Setting) ([]skv.Entry, error) {
-	s, err := mc.openStream(table, []skv.Range{rng}, nil, extra, traceCtx{})
-	if err != nil {
-		return nil, err
-	}
-	return s.Collect()
-}
-
 // compactionStack adapts a scope's settings to the tablet compaction
 // callback signature. The stack's env is released as soon as the
 // compaction drains the stack (envClosingIter), so remote streams

@@ -26,14 +26,10 @@ type AdjBFSOptions struct {
 	// (Graphulo's AdjBFS degree filtering); 0 disables a bound.
 	MinDegree float64
 	MaxDegree float64
-	// DegTable is required when a degree bound is set.
+	// DegTable is required when a degree bound is set. It is read in
+	// the degree band (schema.DegBand), so on a durable cluster the read
+	// touches only the matching rfile locality groups.
 	DegTable string
-	// DegFamilies bands the degree-table read to a column-family set,
-	// so on a durable cluster it touches only the matching rfile
-	// locality groups. nil selects the standard degree band (the "deg"
-	// family plus the unnamed family, covering both schema-ingested and
-	// TableRowReduce-built degree tables).
-	DegFamilies []string
 	// RowStart/RowEnd restrict the search to a row band (sub-graph BFS,
 	// the SpRef form of the frontier expansion): vertices outside
 	// [RowStart, RowEnd) are neither expanded nor visited, so frontier
@@ -57,12 +53,13 @@ func (o AdjBFSOptions) inBand(v string) bool {
 }
 
 // AdjBFS runs a k-hop breadth-first search over an adjacency table:
-// each hop reads the frontier's rows in one multi-range scan (one
-// exact-row range per frontier vertex, one pass per overlapping tablet),
-// unions the neighbours, and removes already-visited vertices. It
-// returns the visited vertex → hop-level map.
+// each hop reads the frontier's rows in one multi-range scan of the edge
+// band (bfsHopPlan: one exact-row range per frontier vertex, one pass
+// per overlapping tablet), unions the neighbours, and removes
+// already-visited vertices. It returns the visited vertex → hop-level
+// map.
 func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, opts AdjBFSOptions) (visited map[string]int, err error) {
-	q, done, err := startQuery(conn, "AdjBFS", nil, opts.Tenant)
+	q, done, err := startQuery(conn, "AdjBFS", opts.Tenant)
 	if err != nil {
 		return
 	}
@@ -72,11 +69,7 @@ func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, op
 		if opts.DegTable == "" {
 			return nil, fmt.Errorf("core: degree bounds need DegTable")
 		}
-		degBand := opts.DegFamilies
-		if degBand == nil {
-			degBand = schema.DegBand()
-		}
-		degs, err := readDegrees(conn, opts.DegTable, q, degBand...)
+		degs, err := readDegrees(conn, opts.DegTable, q)
 		if err != nil {
 			return nil, err
 		}
@@ -101,15 +94,11 @@ func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, op
 		frontier = append(frontier, s)
 	}
 	for hop := 1; hop <= hops && len(frontier) > 0; hop++ {
-		ranges := make([]skv.Range, len(frontier))
-		for i, v := range frontier {
-			ranges[i] = skv.ExactRow(v)
-		}
 		// The visitor folds neighbour entries into the visited set as they
 		// arrive, so a hop never materialises the expansion (which can
 		// approach the edge count on dense frontiers).
 		var next []string
-		_, err := runPlan(conn, plan.Collect(plan.ScanRanges(table, ranges)), "AdjBFS", q, func(e skv.Entry) error {
+		_, err := runPlan(conn, bfsHopPlan(table, frontier), "AdjBFS", q, func(e skv.Entry) error {
 			nb := e.K.ColQ
 			if _, seen := visited[nb]; seen {
 				return nil
@@ -129,18 +118,30 @@ func AdjBFS(conn *accumulo.Connector, table string, seeds []string, hops int, op
 	return visited, nil
 }
 
-// readDegrees folds a degree-style table into row → value. A non-empty
-// families band is pushed into the scan so it reads only the matching
-// locality groups of a mixed table.
-func readDegrees(conn *accumulo.Connector, table string, q *telemetry.Query, families ...string) (map[string]float64, error) {
+// bfsHopPlan is one AdjBFS hop: the frontier's rows, one exact-row range
+// per vertex, collected in the edge band — so a degree or other
+// channel's cell stored beside a vertex's edges (the D4M single-table
+// layout) is never mistaken for a neighbour. Shared with Explain.
+func bfsHopPlan(table string, frontier []string) *plan.Node {
+	ranges := make([]skv.Range, len(frontier))
+	for i, v := range frontier {
+		ranges[i] = skv.ExactRow(v)
+	}
+	scan := plan.ScanRanges(table, ranges)
+	scan.Constraint.Families = schema.EdgeBand()
+	return plan.Collect(scan)
+}
+
+// readDegrees folds a degree table into row → value, reading only its
+// degree band (schema.DegBand), so on a mixed table the scan touches
+// only the matching locality groups.
+func readDegrees(conn *accumulo.Connector, table string, q *telemetry.Query) (map[string]float64, error) {
 	sc, err := conn.CreateScanner(table)
 	if err != nil {
 		return nil, err
 	}
 	sc.SetTrace(q)
-	if len(families) > 0 {
-		sc.SetFamilies(families...)
-	}
+	sc.SetFamilies(schema.DegBand()...)
 	st, err := sc.Stream()
 	if err != nil {
 		return nil, err
@@ -190,17 +191,6 @@ func planReadAssoc(conn *accumulo.Connector, table, kernel string, q *telemetry.
 	return b.Build(), nil
 }
 
-// cellsToAssoc folds a plan's ⊕-folded collect cells into an
-// associative array, exactly as reading the materialised table back
-// would have (ReadAssoc also keys by row and colQ).
-func cellsToAssoc(cells map[plan.Cell]float64) *assoc.Assoc {
-	b := assoc.NewBuilder(semiring.PlusTimes)
-	for c, v := range cells {
-		b.Add(c.Row, c.ColQ, v)
-	}
-	return b.Build()
-}
-
 // adjSquareFoldPlan is Jaccard's fused A² (the numerator, whose support
 // is all of A²): the multiply's partial products stream from the
 // TwoTableIterator straight back to the client, which ⊕-folds them per
@@ -237,24 +227,24 @@ func edgeSupportPlan(table string) *plan.Node {
 		"plus.and")
 }
 
-// KTrussAdjTable computes the k-truss of the graph stored in an
-// adjacency table and writes the surviving adjacency pattern (both
-// orientations of every edge, value 1) to outTable; returns the number
-// of peel rounds. A peel round is one fused pass: the masked support of
-// cur's edges (edgeSupportPlan; cur is symmetric, so it is its own
-// transpose) streams back ⊕-folded, and the edges with support ≥ k−2
-// survive — an edge in no triangle never appears, so it drops on its
-// own. The survivors are written to a scratch table the next round
-// reads. A round is the fixed point when its survivor count equals the
-// count the previous round wrote: survivors are a subset of cur's
-// edges, so equal counts mean nothing was peeled. Round 0 has no
+// KTruss computes the k-truss of the graph stored in an adjacency table
+// and returns the surviving adjacency pattern (both orientations of
+// every edge, value 1) and the number of peel rounds. A peel round is
+// one fused pass: the masked support of cur's edges (edgeSupportPlan;
+// cur is symmetric, so it is its own transpose) streams back ⊕-folded,
+// and the edges with support ≥ k−2 survive — an edge in no triangle
+// never appears, so it drops on its own. The survivors are written to a
+// scratch table the next round reads. A round is the fixed point when
+// its survivor count equals the count the previous round wrote:
+// survivors are a subset of cur's edges, so equal counts mean nothing
+// was peeled, and that round's survivors are the truss. Round 0 has no
 // previous count, so a graph that is already a k-truss costs one round
 // more than its peel needs. Each scratch table is named
 // `<scratch>_it<N>_<trace>` (trace-suffixed, so concurrent kernels on
 // one table cannot collide) and dropped before returning, on success
 // and on error.
-func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scratch string) (iterCount int, err error) {
-	q, done, err := startQuery(conn, "kTruss", nil, "")
+func KTruss(conn *accumulo.Connector, table string, k int, scratch string) (truss *assoc.Assoc, iterCount int, err error) {
+	q, done, err := startQuery(conn, "kTruss", "")
 	if err != nil {
 		return
 	}
@@ -262,10 +252,18 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 	if k < 3 {
 		// Every graph is its own 2-truss, edges in no triangle included —
 		// which a support pass never reports.
-		if err := freshSumTable(conn, outTable); err != nil {
-			return 0, err
+		var edges []assoc.Entry
+		_, err := runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()})), "kTruss", q,
+			func(e skv.Entry) error {
+				if _, ok := skv.DecodeFloat(e.V); ok {
+					edges = append(edges, assoc.Entry{Row: e.K.Row, Col: e.K.ColQ})
+				}
+				return nil
+			})
+		if err != nil {
+			return nil, 0, err
 		}
-		return 1, copyPattern(conn, table, outTable, q)
+		return patternOf(edges), 1, nil
 	}
 	trace := q.Trace().String()
 	cur := table
@@ -277,7 +275,7 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 	for round := 0; ; round++ {
 		res, err := runPlan(conn, edgeSupportPlan(cur), "kTruss", q, nil)
 		if err != nil {
-			return iterCount, err
+			return nil, iterCount, err
 		}
 		iterCount++
 		keep := make([]assoc.Entry, 0, len(res.Cells))
@@ -287,50 +285,34 @@ func KTrussAdjTable(conn *accumulo.Connector, table, outTable string, k int, scr
 			}
 		}
 		if len(keep) == wrote {
-			if err := freshSumTable(conn, outTable); err != nil {
-				return iterCount, err
-			}
-			return iterCount, writeEntries(conn, outTable, keep, q)
+			return patternOf(keep), iterCount, nil
 		}
 		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
 		scratchTables = append(scratchTables, next)
 		noteScratch(conn)
 		if err := freshSumTable(conn, next); err != nil {
-			return iterCount, err
+			return nil, iterCount, err
 		}
 		if err := writeEntries(conn, next, keep, q); err != nil {
-			return iterCount, err
+			return nil, iterCount, err
 		}
 		cur, wrote = next, len(keep)
 	}
 }
 
-// copyPattern writes the pattern of table's edge band — each numeric
-// entry as value 1 — into outTable on behalf of q.
-func copyPattern(conn *accumulo.Connector, table, outTable string, q *telemetry.Query) error {
-	w, err := tracedWriter(conn, outTable, q)
-	if err != nil {
-		return err
+// patternOf is the 0/1 associative array over the entries' (row, col)
+// cells: a cell listed more than once — stored under both edge-band
+// families, say — is still 1.
+func patternOf(entries []assoc.Entry) *assoc.Assoc {
+	seen := make(map[[2]string]bool, len(entries))
+	cells := make([]assoc.Entry, 0, len(entries))
+	for _, e := range entries {
+		if c := [2]string{e.Row, e.Col}; !seen[c] {
+			seen[c] = true
+			cells = append(cells, assoc.Entry{Row: e.Row, Col: e.Col, Val: 1})
+		}
 	}
-	_, err = runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()})), "kTruss", q,
-		func(e skv.Entry) error {
-			if _, ok := skv.DecodeFloat(e.V); !ok {
-				return nil
-			}
-			return w.PutFloat(e.K.Row, "", e.K.ColQ, 1)
-		})
-	if err != nil {
-		return err
-	}
-	return w.Close()
-}
-
-// createSumTable makes name a sum-combined table, installing the
-// combiner even when the table pre-exists (see ensureResultTable — a
-// pre-created table would otherwise keep versioning semantics and drop
-// ⊕).
-func createSumTable(conn *accumulo.Connector, name string) error {
-	return ensureResultTable(conn, name, semiring.PlusTimes)
+	return assoc.New(cells, semiring.PlusTimes)
 }
 
 // freshSumTable drops name if it exists and recreates it sum-combined,
@@ -341,7 +323,7 @@ func freshSumTable(conn *accumulo.Connector, name string) error {
 			return err
 		}
 	}
-	return createSumTable(conn, name)
+	return ensureResultTable(conn, name, semiring.PlusTimes)
 }
 
 // tracedWriter opens a batch writer on table whose flushes belong to q:
@@ -370,55 +352,42 @@ func writeEntries(conn *accumulo.Connector, table string, entries []assoc.Entry,
 	return w.Close()
 }
 
-// JaccardTable computes Jaccard coefficients for the graph in an
-// adjacency table: the common-neighbour counts come from a fused
-// multiply plan (A·A through the table kernels, ⊕-folded at the client
-// instead of materialised in a numerator table), the degree
-// normalisation from the degree table, and the result lands in
-// outTable. Only the strict upper triangle (by key order) is written,
-// matching Algorithm 2's output shape. No scratch table is created.
-func JaccardTable(conn *accumulo.Connector, table, degTable, outTable string) (written int, err error) {
-	q, done, err := startQuery(conn, "Jaccard", nil, "")
+// Jaccard computes Jaccard coefficients for the graph in an adjacency
+// table as one query of two passes, both streaming to the client: the
+// common-neighbour counts come from the fused A² (adjSquareFoldPlan,
+// ⊕-folded at the client instead of materialised in a numerator table)
+// and the degrees from degreesPlan over the same adjacency. Only the
+// strict upper triangle (by key order) is returned, matching
+// Algorithm 2's output shape. No table is created.
+func Jaccard(conn *accumulo.Connector, table string) (jac *assoc.Assoc, err error) {
+	q, done, err := startQuery(conn, "Jaccard", "")
 	if err != nil {
 		return
 	}
 	defer func() { done(err) }()
 	res, err := runPlan(conn, adjSquareFoldPlan(table), "Jaccard", q, nil)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	degs, err := readDegrees(conn, degTable, q, schema.DegBand()...)
+	degs, err := collectDegrees(conn, table, "Jaccard", q)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return writeJaccard(conn, outTable, cellsToAssoc(res.Cells), degs, q)
-}
-
-// writeJaccard normalises the common-neighbour counts and writes the
-// strict upper triangle into outTable — the client-side tail of
-// JaccardTable.
-func writeJaccard(conn *accumulo.Connector, outTable string, num *assoc.Assoc, degs map[string]float64, q *telemetry.Query) (written int, err error) {
-	if err := createSumTable(conn, outTable); err != nil {
-		return 0, err
-	}
-	w, err := tracedWriter(conn, outTable, q)
-	if err != nil {
-		return 0, err
-	}
-	for _, e := range num.Entries() {
-		if e.Row >= e.Col { // upper triangle only
-			continue
+	// Fold the cells per (row, colQ) first, as a table read would: the
+	// normalisation is not linear in the count.
+	common := map[[2]string]float64{}
+	for c, v := range res.Cells {
+		if c.Row < c.ColQ { // upper triangle only
+			common[[2]string{c.Row, c.ColQ}] += v
 		}
-		union := degs[e.Row] + degs[e.Col] - e.Val
-		if union <= 0 {
-			continue
-		}
-		if err := w.PutFloat(e.Row, "", e.Col, e.Val/union); err != nil {
-			return written, err
-		}
-		written++
 	}
-	return written, w.Close()
+	b := assoc.NewBuilder(semiring.PlusTimes)
+	for c, n := range common {
+		if union := degs[c[0]] + degs[c[1]] - n; union > 0 {
+			b.Add(c[0], c[1], n/union)
+		}
+	}
+	return b.Build(), nil
 }
 
 // NMFTable stages the paper's Algorithm 5 against a table: the sparse
@@ -427,7 +396,7 @@ func writeJaccard(conn *accumulo.Connector, outTable string, num *assoc.Assoc, d
 // are written back to wTable and hTable. The k×k dense solves stay
 // client-side, as in Graphulo's NMF.
 func NMFTable(conn *accumulo.Connector, table, wTable, hTable string, cfg algo.NMFConfig) (res algo.NMFResult, err error) {
-	q, done, err := startQuery(conn, "NMF", nil, "")
+	q, done, err := startQuery(conn, "NMF", "")
 	if err != nil {
 		return
 	}
@@ -480,15 +449,39 @@ func topicNames(k int) []string {
 	return out
 }
 
-// TableDegrees builds a degree table server-side from an adjacency
-// table via the rowReduce iterator and returns the number of vertices.
-// The input scan rides the edge band — on locality-grouped storage
-// only the edge-family block runs load — and output entries land in
-// the degree channel family (schema.DegFamily), so grouped storage
-// places them in their own block run.
-func TableDegrees(conn *accumulo.Connector, table, degTable string) (int, error) {
-	return TableRowReduce(conn, table, degTable, "plus", schema.DegFamily, "deg",
-		ScanConstraint{Families: schema.EdgeBand()})
+// Degrees returns every vertex's degree — the sum of its edge-band
+// values — reduced server-side by the rowReduce iterator and streamed
+// back (degreesPlan). No table is created.
+func Degrees(conn *accumulo.Connector, table string) (degs map[string]float64, err error) {
+	q, done, err := startQuery(conn, "Degrees", "")
+	if err != nil {
+		return
+	}
+	defer func() { done(err) }()
+	return collectDegrees(conn, table, "Degrees", q)
+}
+
+// degreesPlan reduces each row of an adjacency table's edge band to one
+// degree cell in the degree channel and streams it to the client. A row
+// lives in one tablet, so each vertex arrives once. Shared with Explain.
+func degreesPlan(table string) *plan.Node {
+	return plan.Collect(plan.Reduce(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()}),
+		"plus", schema.DegFamily, "deg"))
+}
+
+// collectDegrees runs degreesPlan under q and folds it into row → degree.
+func collectDegrees(conn *accumulo.Connector, table, kernel string, q *telemetry.Query) (map[string]float64, error) {
+	degs := map[string]float64{}
+	_, err := runPlan(conn, degreesPlan(table), kernel, q, func(e skv.Entry) error {
+		if v, ok := skv.DecodeFloat(e.V); ok {
+			degs[e.K.Row] += v
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return degs, nil
 }
 
 // TriangleCountTable counts triangles in the graph held by an adjacency
@@ -497,7 +490,7 @@ func TableDegrees(conn *accumulo.Connector, table, degTable string) (int, error)
 // is counted once per directed edge, so the count is Σ support / 6. No
 // scratch table is created.
 func TriangleCountTable(conn *accumulo.Connector, table string) (count float64, err error) {
-	q, done, err := startQuery(conn, "TriangleCount", nil, "")
+	q, done, err := startQuery(conn, "TriangleCount", "")
 	if err != nil {
 		return
 	}

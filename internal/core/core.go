@@ -83,14 +83,8 @@ type MultOptions struct {
 	// value forces constant spilling. It is a test hook: results are
 	// cell-identical whatever the value, only write volume changes.
 	PreAggBytes int
-	// Query attaches the multiply to a caller-owned telemetry query —
-	// composite kernels (kTruss, Jaccard, PageRank, …) thread theirs
-	// through so every inner multiply lands in one trace. nil mints a
-	// fresh per-call query record.
-	Query *telemetry.Query
 	// Tenant labels the query for budgets and per-tenant telemetry
-	// ("" = the cluster's default tenant). Ignored when Query is set —
-	// the owning query already carries its tenant.
+	// ("" = the cluster's default tenant).
 	Tenant string
 }
 
@@ -125,17 +119,12 @@ func runPlan(conn *accumulo.Connector, root *plan.Node, kernel string, q *teleme
 	return p.Execute(env)
 }
 
-// startQuery resolves the telemetry query a kernel call runs under:
-// the caller's, when it owns one (composite kernels thread theirs into
-// inner calls), or a freshly minted per-kernel record admitted through
-// the cluster's query scheduler under tenant ("" = the cluster's
-// default tenant). done finishes only freshly minted queries — an owner
-// finishes its own. A scheduler rejection (admission queue full)
-// surfaces as a *sched.AdmissionError and the kernel never starts.
-func startQuery(conn *accumulo.Connector, kernel string, owned *telemetry.Query, tenant string) (*telemetry.Query, func(error), error) {
-	if owned != nil {
-		return owned, func(error) {}, nil
-	}
+// startQuery mints the per-kernel telemetry query a kernel call runs
+// under, admitted through the cluster's query scheduler under tenant
+// ("" = the cluster's default tenant); done finishes it. A scheduler
+// rejection (admission queue full) surfaces as a *sched.AdmissionError
+// and the kernel never starts.
+func startQuery(conn *accumulo.Connector, kernel, tenant string) (*telemetry.Query, func(error), error) {
 	return conn.Cluster().StartKernelQuery(kernel, tenant)
 }
 
@@ -155,7 +144,7 @@ func startQuery(conn *accumulo.Connector, kernel string, owned *telemetry.Query,
 // This is the Graphulo TableMult data flow: the client only triggers the
 // scan and reads back one monitoring entry per tablet.
 func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts MultOptions) (written int, err error) {
-	q, done, err := startQuery(conn, "TableMult", opts.Query, opts.Tenant)
+	q, done, err := startQuery(conn, "TableMult", opts.Tenant)
 	if err != nil {
 		return
 	}
@@ -285,7 +274,7 @@ func ensureResultTable(conn *accumulo.Connector, tableC string, ring semiring.Se
 // to the client, multiplies there, and writes the result back through a
 // BatchWriter. Same answer, but every operand entry crosses the wire.
 func TableMultClient(conn *accumulo.Connector, tableAT, tableB, tableC string, opts MultOptions) (written int, err error) {
-	q, done, err := startQuery(conn, "TableMultClient", opts.Query, opts.Tenant)
+	q, done, err := startQuery(conn, "TableMultClient", opts.Tenant)
 	if err != nil {
 		return
 	}
@@ -370,7 +359,7 @@ func TableMultClient(conn *accumulo.Connector, tableAT, tableB, tableC string, o
 // scan (only overlapping tablets run the stack) and the column band
 // filters server-side below the settings.
 func OneTable(conn *accumulo.Connector, tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint) (n int, err error) {
-	q, done, err := startQuery(conn, "OneTable", nil, "")
+	q, done, err := startQuery(conn, "OneTable", "")
 	if err != nil {
 		return
 	}
@@ -411,7 +400,7 @@ func oneTablePlan(tableIn, tableOut string, settings []iterator.Setting, c ScanC
 // reduce, and a column band reduces only the selected qualifiers of each
 // row.
 func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, colQ string, c ScanConstraint) (n int, err error) {
-	q, done, err := startQuery(conn, "TableRowReduce", nil, "")
+	q, done, err := startQuery(conn, "TableRowReduce", "")
 	if err != nil {
 		return
 	}
@@ -439,7 +428,7 @@ func rowReducePlan(tableIn, tableOut, monoid, colF, colQ string, c ScanConstrain
 // colOffset directly below the RemoteWrite sink, and nothing touches
 // the client or a scratch table.
 func TableAssign(conn *accumulo.Connector, tableIn, tableOut, rowOffset, colOffset string, c ScanConstraint) (n int, err error) {
-	q, done, err := startQuery(conn, "TableAssign", nil, "")
+	q, done, err := startQuery(conn, "TableAssign", "")
 	if err != nil {
 		return
 	}
@@ -465,7 +454,7 @@ func assignPlan(tableIn, tableOut, rowOffset, colOffset string, c ScanConstraint
 // combiner: the associative-array addition of §II.A executed as
 // server-side copies.
 func TableSum(conn *accumulo.Connector, inputs []string, tableOut string) (total int, err error) {
-	q, done, err := startQuery(conn, "TableSum", nil, "")
+	q, done, err := startQuery(conn, "TableSum", "")
 	if err != nil {
 		return
 	}

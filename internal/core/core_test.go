@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"sort"
 	"strings"
 	"testing"
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/algo"
+	"graphulo/internal/assoc"
 	"graphulo/internal/gen"
 	"graphulo/internal/iterator"
 	"graphulo/internal/plan"
@@ -75,6 +75,19 @@ func readMatrix(t *testing.T, conn *accumulo.Connector, table string) map[string
 			out[e.K.Row] = map[string]float64{}
 		}
 		out[e.K.Row][e.K.ColQ] = v
+	}
+	return out
+}
+
+// assocMatrix is readMatrix's shape for a kernel result the client
+// received as an associative array.
+func assocMatrix(a *assoc.Assoc) map[string]map[string]float64 {
+	out := map[string]map[string]float64{}
+	for _, e := range a.Entries() {
+		if out[e.Row] == nil {
+			out[e.Row] = map[string]float64{}
+		}
+		out[e.Row][e.Col] = e.Val
 	}
 	return out
 }
@@ -269,19 +282,21 @@ func TestTableRowReduceDegrees(t *testing.T) {
 	if err := sch.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TableDegrees(conn, sch.Table, "PDeg2"); err != nil {
+	before := conn.TableOperations().List()
+	degs, err := Degrees(conn, sch.Table)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := readMatrix(t, conn, "PDeg2")
 	want := map[string]float64{
 		schema.VertexName(0): 3, schema.VertexName(1): 3,
 		schema.VertexName(2): 3, schema.VertexName(3): 2,
 		schema.VertexName(4): 1,
 	}
-	for v, d := range want {
-		if out[v]["deg"] != d {
-			t.Fatalf("deg[%s] = %v, want %v", v, out[v]["deg"], d)
-		}
+	if !reflect.DeepEqual(degs, want) {
+		t.Fatalf("degrees = %v, want %v", degs, want)
+	}
+	if after := conn.TableOperations().List(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("tables after Degrees = %v, want %v", after, before)
 	}
 }
 
@@ -355,6 +370,41 @@ func TestAdjBFSDegreeFilter(t *testing.T) {
 	}
 }
 
+// TestAdjBFSSkipsDegreeCells: in the D4M single-table layout a vertex
+// row carries its degree cell (family "deg", qualifier "deg") beside its
+// edges. A hop reads only the edge band, so BFS without a degree bound
+// never visits the qualifier "deg" as a vertex.
+func TestAdjBFSSkipsDegreeCells(t *testing.T) {
+	conn := testConn(t)
+	sch, err := schema.NewAdjacencySchema(conn, "BD")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.IngestGraph(gen.Path(3)); err != nil {
+		t.Fatal(err)
+	}
+	w, err := conn.CreateBatchWriter(sch.Table, accumulo.BatchWriterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := 0; v < 3; v++ {
+		if err := w.PutFloat(schema.VertexName(v), schema.DegFamily, "deg", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	visited, err := AdjBFS(conn, sch.Table, []string{schema.VertexName(0)}, 3, AdjBFSOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{schema.VertexName(0): 0, schema.VertexName(1): 1, schema.VertexName(2): 2}
+	if !reflect.DeepEqual(visited, want) {
+		t.Fatalf("visited = %v, want %v", visited, want)
+	}
+}
+
 // TestAdjBFSIsOneBudgetedQuery: AdjBFS runs as one admitted, traced
 // query like every other kernel driver, so a scan budget stops it with
 // a typed error and the run leaves one finished AdjBFS query record.
@@ -389,14 +439,14 @@ func TestAdjBFSIsOneBudgetedQuery(t *testing.T) {
 	}
 }
 
-// TestKTrussAdjTableMatchesInMemory is the table k-truss's differential
-// test on both local transports: the output table equals algo.KTrussAdj
-// on the graph's 0/1 pattern, cell for cell. The multigraphs store a
+// TestKTrussMatchesInMemory is the table k-truss's differential test on
+// both local transports: the returned pattern equals algo.KTrussAdj on
+// the graph's 0/1 pattern, cell for cell. The multigraphs store a
 // repeated pair with value 2; the plus.and support pass counts it once,
 // as the pattern does. Barbell(4,1) at k=4 peels its bridge in round 0
 // and confirms the fixed point in round 1, so it writes one scratch
-// table; every call leaves the table list as before plus outTable.
-func TestKTrussAdjTableMatchesInMemory(t *testing.T) {
+// table; every call leaves the table list as it found it.
+func TestKTrussMatchesInMemory(t *testing.T) {
 	// The triangle {01, 12, 02} with 01 listed twice, and the diamond
 	// {ab, ac, ad, bc, bd} with ac and bc listed twice.
 	triangle := gen.Graph{N: 3, Edges: []gen.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 0, V: 1}}}
@@ -434,19 +484,17 @@ func TestKTrussAdjTableMatchesInMemory(t *testing.T) {
 				tablesBefore := ops.List()
 				stats := &conn.Cluster().Telemetry().Stats
 				scratchBefore := stats.Get(telemetry.ScratchTablesCreated)
-				outTable := tc.name + "Out"
-				if _, err := KTrussAdjTable(conn, sch.Table, outTable, tc.k, tc.name+"scratch"); err != nil {
+				truss, _, err := KTruss(conn, sch.Table, tc.k, tc.name+"scratch")
+				if err != nil {
 					t.Fatal(err)
 				}
 				if n := stats.Get(telemetry.ScratchTablesCreated) - scratchBefore; tc.scratches != 0 && n != tc.scratches {
 					t.Errorf("created %d scratch tables, want %d", n, tc.scratches)
 				}
-				wantTables := append(tablesBefore, outTable)
-				sort.Strings(wantTables)
-				if tables := ops.List(); !reflect.DeepEqual(tables, wantTables) {
-					t.Errorf("tables after the call = %v, want %v", tables, wantTables)
+				if tables := ops.List(); !reflect.DeepEqual(tables, tablesBefore) {
+					t.Errorf("tables after the call = %v, want %v", tables, tablesBefore)
 				}
-				got := readMatrix(t, conn, outTable)
+				got := assocMatrix(truss)
 				want := algo.KTrussAdj(gen.AdjacencyPattern(tc.g), tc.k)
 				cells := 0
 				for _, row := range got {
@@ -466,7 +514,7 @@ func TestKTrussAdjTableMatchesInMemory(t *testing.T) {
 	}
 }
 
-func TestJaccardTableMatchesInMemory(t *testing.T) {
+func TestJaccardMatchesInMemory(t *testing.T) {
 	conn := testConn(t)
 	g := gen.PaperGraph()
 	sch, err := schema.NewAdjacencySchema(conn, "J")
@@ -476,26 +524,25 @@ func TestJaccardTableMatchesInMemory(t *testing.T) {
 	if err := sch.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TableDegrees(conn, sch.Table, "JDegT"); err != nil {
-		t.Fatal(err)
-	}
-	n, err := JaccardTable(conn, sch.Table, "JDegT", "JOut")
+	jac, err := Jaccard(conn, sch.Table)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n == 0 {
-		t.Fatalf("no Jaccard entries written")
-	}
-	got := readMatrix(t, conn, "JOut")
+	got := assocMatrix(jac)
 	want := algo.Jaccard(gen.AdjacencyPattern(g))
+	upper := 0
 	for _, tr := range want.Triples() {
 		if tr.Row >= tr.Col {
 			continue
 		}
+		upper++
 		r, c := schema.VertexName(tr.Row), schema.VertexName(tr.Col)
 		if math.Abs(got[r][c]-tr.Val) > 1e-12 {
 			t.Fatalf("J[%s][%s] = %v, want %v", r, c, got[r][c], tr.Val)
 		}
+	}
+	if jac.NNZ() != upper {
+		t.Fatalf("Jaccard has %d cells, the reference's upper triangle %d", jac.NNZ(), upper)
 	}
 }
 
@@ -698,7 +745,8 @@ func TestKTrussScratchTablesReclaimed(t *testing.T) {
 	if err := sch.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KTrussAdjTable(conn, sch.Table, "KLOut", 4, "KLscratch"); err != nil {
+	truss, _, err := KTruss(conn, sch.Table, 4, "KLscratch")
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range conn.TableOperations().List() {
@@ -706,8 +754,8 @@ func TestKTrussScratchTablesReclaimed(t *testing.T) {
 			t.Fatalf("scratch table %q leaked", name)
 		}
 	}
-	if !conn.TableOperations().Exists("KLOut") {
-		t.Fatal("output table missing after cleanup")
+	if truss.NNZ() == 0 {
+		t.Fatal("barbell 4-truss came back empty")
 	}
 }
 
@@ -728,7 +776,7 @@ func TestKTrussFixedPointCostsOneRound(t *testing.T) {
 	}
 	stats := &conn.Cluster().Telemetry().Stats
 	scratchBefore := stats.Get(telemetry.ScratchTablesCreated)
-	rounds, err := KTrussAdjTable(conn, sch.Table, "K5Out", 4, "K5scratch")
+	truss, rounds, err := KTruss(conn, sch.Table, 4, "K5scratch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +791,7 @@ func TestKTrussFixedPointCostsOneRound(t *testing.T) {
 			t.Fatalf("scratch table %q leaked", name)
 		}
 	}
-	got := readMatrix(t, conn, "K5Out")
+	got := assocMatrix(truss)
 	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 4)
 	cells := 0
 	for _, row := range got {
@@ -761,7 +809,7 @@ func TestKTrussFixedPointCostsOneRound(t *testing.T) {
 
 // TestKTrussBelowThreeKeepsEveryEdge: every graph is its own 2-truss,
 // edges in no triangle included, though a support pass never reports
-// those edges.
+// those edges. An edge stored under both edge-band families is still 1.
 func TestKTrussBelowThreeKeepsEveryEdge(t *testing.T) {
 	conn := testConn(t)
 	g := gen.Dedup(gen.Barbell(4, 1))
@@ -772,10 +820,22 @@ func TestKTrussBelowThreeKeepsEveryEdge(t *testing.T) {
 	if err := sch.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := KTrussAdjTable(conn, sch.Table, "K2Out", 2, "K2scratch"); err != nil {
+	// Restate one edge under the unnamed family too.
+	w, err := conn.CreateBatchWriter(sch.Table, accumulo.BatchWriterConfig{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := readMatrix(t, conn, "K2Out")
+	if err := w.PutFloat(schema.VertexName(0), "", schema.VertexName(1), 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	truss, _, err := KTruss(conn, sch.Table, 2, "K2scratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := assocMatrix(truss)
 	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 2)
 	cells := 0
 	for _, row := range got {
@@ -791,8 +851,8 @@ func TestKTrussBelowThreeKeepsEveryEdge(t *testing.T) {
 	}
 }
 
-// TestJaccardNumeratorReclaimed checks JaccardTable deletes its
-// `<out>_num` intermediate on success and on error.
+// TestJaccardNumeratorReclaimed checks Jaccard leaves no table behind —
+// neither a numerator nor a degree table — on success and on error.
 func TestJaccardNumeratorReclaimed(t *testing.T) {
 	conn := testConn(t)
 	g := gen.Dedup(gen.Complete(4))
@@ -803,19 +863,19 @@ func TestJaccardNumeratorReclaimed(t *testing.T) {
 	if err := sch.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := JaccardTable(conn, sch.Table, sch.DegTable, "JLOut"); err != nil {
+	before := conn.TableOperations().List()
+	if _, err := Jaccard(conn, sch.Table); err != nil {
 		t.Fatal(err)
 	}
-	if conn.TableOperations().Exists("JLOut_num") {
-		t.Fatal("JLOut_num leaked on success path")
+	if after := conn.TableOperations().List(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("tables after Jaccard = %v, want %v", after, before)
 	}
-	// Error path: a missing degree table fails after the numerator
-	// TableMult created the scratch — it must still be reclaimed.
-	if _, err := JaccardTable(conn, sch.Table, "no-such-deg-table", "JLErr"); err == nil {
-		t.Fatal("JaccardTable with missing degree table succeeded")
+	// Error path: a missing adjacency table fails the first pass.
+	if _, err := Jaccard(conn, "no-such-table"); err == nil {
+		t.Fatal("Jaccard over a missing table succeeded")
 	}
-	if conn.TableOperations().Exists("JLErr_num") {
-		t.Fatal("JLErr_num leaked on error path")
+	if after := conn.TableOperations().List(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("tables after the failed Jaccard = %v, want %v", after, before)
 	}
 }
 

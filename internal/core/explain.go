@@ -6,8 +6,6 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/plan"
-	"graphulo/internal/schema"
-	"graphulo/internal/skv"
 )
 
 // ExplainPlan compiles the named kernel's plan over table (writing to
@@ -16,8 +14,8 @@ import (
 // the printed plan is the executed plan. Compilation reads nothing from
 // a cluster, so none is needed.
 //
-// Kernels: mult, apply, degrees (reduce), bfs, ktruss, jaccard,
-// tricount, assign (spAsgn).
+// Kernels: mult, apply, degrees, bfs, ktruss, jaccard, tricount, assign
+// (spAsgn).
 func ExplainPlan(kernel, table, out string) (string, error) {
 	p, err := explainCompile(kernel, table, out)
 	if err != nil {
@@ -39,13 +37,12 @@ func explainCompile(kernel, table, out string) (*plan.Plan, error) {
 		name = "OneTable"
 		root = oneTablePlan(table, out,
 			[]iterator.Setting{{Name: "scale", Opts: map[string]string{"factor": "2"}}}, ScanConstraint{})
-	case "degrees", "reduce":
-		name = "TableRowReduce"
-		root = rowReducePlan(table, out, "plus", schema.DegFamily, "deg",
-			ScanConstraint{Families: schema.EdgeBand()})
+	case "degrees":
+		name = "Degrees"
+		root = degreesPlan(table)
 	case "bfs":
 		name = "AdjBFS"
-		root = plan.Collect(plan.ScanRanges(table, []skv.Range{skv.ExactRow("<frontier>")}))
+		root = bfsHopPlan(table, []string{"<frontier>"})
 	case "ktruss":
 		name = "kTruss"
 		root = edgeSupportPlan(table)

@@ -13,7 +13,8 @@ import (
 // still materialise and hoist: every kernel already compiled to one
 // pass there, and the one-pass planner must reproduce those stacks —
 // except kTruss and TriangleCount, which have since moved onto the
-// masked multiply.
+// masked multiply, and degrees, whose reduce now streams back to the
+// client instead of into a table.
 func TestExplainKernelStacksPinned(t *testing.T) {
 	fold := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.times"}}
 	write := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"batchSize": "4096", "table": "C"}}
@@ -38,7 +39,6 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 		},
 		"degrees": {
 			{Name: "rowReduce", Priority: 30, Opts: map[string]string{"colF": "deg", "colQ": "deg", "monoid": "plus"}},
-			write,
 		},
 		"bfs":      nil,
 		"ktruss":   support,

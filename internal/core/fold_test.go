@@ -177,7 +177,7 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 		conn := equivCluster(t, cfg)
 		sch := loadSplitGraph(t, conn, "G", g, splits)
 
-		q, done, err := startQuery(conn, "square", nil, "")
+		q, done, err := startQuery(conn, "square", "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -191,17 +191,21 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 		if delivered := int(m.Get(telemetry.EntriesScanned) - before); 2*delivered > pp {
 			t.Errorf("%s: A² pass delivered %d entries for %d partial products, want at most half", name, delivered, pp)
 		}
-		sq := cellsToAssoc(res.Cells)
+		sq := map[[2]string]float64{}
+		for c, v := range res.Cells {
+			sq[[2]string{c.Row, c.ColQ}] += v
+		}
 		for _, tr := range sparse.SpGEMM(adj, adj, semiring.PlusTimes).Triples() {
-			if got := sq.At(schema.VertexName(tr.Row), schema.VertexName(tr.Col)); got != tr.Val {
+			if got := sq[[2]string{schema.VertexName(tr.Row), schema.VertexName(tr.Col)}]; got != tr.Val {
 				t.Fatalf("%s: A²(%d,%d) = %v, want %v", name, tr.Row, tr.Col, got, tr.Val)
 			}
 		}
 
-		if _, err := KTrussAdjTable(conn, sch.Table, "Truss", 3, "trussScratch"); err != nil {
+		trussA, _, err := KTruss(conn, sch.Table, 3, "trussScratch")
+		if err != nil {
 			t.Fatalf("%s: kTruss: %v", name, err)
 		}
-		truss := readMatrix(t, conn, "Truss")
+		truss := assocMatrix(trussA)
 		cells := 0
 		for _, row := range truss {
 			cells += len(row)
@@ -215,13 +219,11 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 			}
 		}
 
-		if _, err := TableDegrees(conn, sch.Table, "Deg"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := JaccardTable(conn, sch.Table, "Deg", "Jaccard"); err != nil {
+		jacA, err := Jaccard(conn, sch.Table)
+		if err != nil {
 			t.Fatalf("%s: Jaccard: %v", name, err)
 		}
-		jac := readMatrix(t, conn, "Jaccard")
+		jac := assocMatrix(jacA)
 		for _, tr := range wantJaccard.Triples() {
 			if tr.Row >= tr.Col {
 				continue

@@ -5,7 +5,9 @@ import (
 	"math"
 
 	"graphulo/internal/accumulo"
+	"graphulo/internal/assoc"
 	"graphulo/internal/iterator"
+	"graphulo/internal/plan"
 	"graphulo/internal/schema"
 )
 
@@ -19,15 +21,16 @@ type PageRankTableResult struct {
 // PageRankTable runs PageRank with the adjacency matrix staying in the
 // database: the column-stochastic walk matrix Mᵀ = D⁻¹A is materialised
 // once server-side (OneTable with the rowScale iterator over the degree
-// table), and every power-iteration step is a server-side TableMult of
-// Mᵀ with the current rank-vector table. Only the rank vector (O(V)
+// table), and every power-iteration step is a server-side multiply of
+// Mᵀ with the current rank-vector table whose ⊕-folded product streams
+// back to the client (rankStepPlan). Only the rank vector (O(V)
 // entries) crosses the wire per iteration — the Graphulo division of
 // labour for iterative algorithms.
 //
 // alpha is the jump probability (paper convention: the principal
 // eigenvector of α/N·1 + (1−α)AᵀD⁻¹).
 func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol float64, maxIter int) (res PageRankTableResult, err error) {
-	q, done, err := startQuery(conn, "PageRank", nil, "")
+	q, done, err := startQuery(conn, "PageRank", "")
 	if err != nil {
 		return
 	}
@@ -39,7 +42,7 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 		maxIter = 200
 	}
 	// Vertex set and dangling detection from the degree table.
-	degs, err := readDegrees(conn, degTable, q, schema.DegBand()...)
+	degs, err := readDegrees(conn, degTable, q)
 	if err != nil {
 		return PageRankTableResult{}, err
 	}
@@ -48,12 +51,12 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 	}
 	n := float64(len(degs))
 
-	// The walk matrix and the two rank vectors are trace-suffixed, so
+	// The walk matrix and the rank vector are trace-suffixed, so
 	// concurrent runs over one graph never share them, and dropped on
 	// the way out, on success and on error.
 	trace := q.Trace().String()
-	mt, vec, next := table+"_prMT_"+trace, table+"_prV_"+trace, table+"_prVn_"+trace
-	scratch := []string{mt, vec, next}
+	mt, vec := table+"_prMT_"+trace, table+"_prV_"+trace
+	scratch := []string{mt, vec}
 	for range scratch {
 		noteScratch(conn)
 	}
@@ -73,37 +76,28 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 	for v := range degs {
 		x[v] = 1 / n
 	}
-	writeVector := func(name string, vals map[string]float64) error {
-		if err := freshSumTable(conn, name); err != nil {
-			return err
-		}
-		w, err := tracedWriter(conn, name, q)
-		if err != nil {
-			return err
-		}
-		for v, r := range vals {
-			if err := w.PutFloat(v, "", "r", r); err != nil {
-				return err
-			}
-		}
-		return w.Close()
-	}
 	for it := 1; it <= maxIter; it++ {
-		if err := writeVector(vec, x); err != nil {
+		// Rewrite the vector from scratch: a stale rank would fold into
+		// the new one under the sum combiner.
+		if err := freshSumTable(conn, vec); err != nil {
 			return PageRankTableResult{}, err
 		}
-		if err := freshSumTable(conn, next); err != nil {
+		ranks := make([]assoc.Entry, 0, len(x))
+		for v, r := range x {
+			ranks = append(ranks, assoc.Entry{Row: v, Col: "r", Val: r})
+		}
+		if err := writeEntries(conn, vec, ranks, q); err != nil {
 			return PageRankTableResult{}, err
 		}
-		// y[u] = Σ_v Mᵀ[v][u]·x[v], server-side.
-		if _, err := TableMult(conn, mt, vec, next, MultOptions{Query: q}); err != nil {
-			return PageRankTableResult{}, err
-		}
-		// Read the small rank vector back through the row-keyed stream
-		// fold (the same read path the degree tables use).
-		walked, err := readDegrees(conn, next, q)
+		// y[u] = Σ_v Mᵀ[v][u]·x[v], multiplied server-side and ⊕-folded
+		// on its way back.
+		res, err := runPlan(conn, rankStepPlan(mt, vec), "PageRank", q, nil)
 		if err != nil {
 			return PageRankTableResult{}, err
+		}
+		walked := make(map[string]float64, len(res.Cells))
+		for c, v := range res.Cells {
+			walked[c.Row] += v
 		}
 		// Teleport + dangling mass client-side (O(V) work on the small
 		// vector, per the paper's "summing the vector entries" note).
@@ -127,4 +121,10 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 		}
 	}
 	return PageRankTableResult{Ranks: x, Iterations: maxIter, Converged: false}, nil
+}
+
+// rankStepPlan is one power-iteration step: the rank vector multiplied
+// against the walk matrix Mᵀ, streamed back ⊕-folded per vertex.
+func rankStepPlan(mt, vec string) *plan.Node {
+	return plan.CollectFold(plan.Mult(plan.Scan(vec, plan.Constraint{}), mt, "plus.times"), "plus.times")
 }

@@ -319,7 +319,7 @@ func startExternalServers(t *testing.T, n int) accumulo.Config {
 }
 
 // TestExternalServersKernelsMatchInProc runs TableMult (via the paper
-// graph's squared adjacency), TableDegrees, and AdjBFS against
+// graph's squared adjacency), Degrees, and AdjBFS against
 // standalone tablet servers and demands cell-identical results with the
 // in-process cluster. Timestamps are excluded: external servers stamp
 // RemoteWrite results from their own clock bands.
@@ -345,10 +345,10 @@ func TestExternalServersKernelsMatchInProc(t *testing.T) {
 			t.Fatal(err)
 		}
 		res.sq = cellValues(t, conn, "Gsq")
-		if _, err := TableDegrees(conn, sch.Table, "GdegOut"); err != nil {
+		res.deg, err = Degrees(conn, sch.Table)
+		if err != nil {
 			t.Fatal(err)
 		}
-		res.deg = cellValues(t, conn, "GdegOut")
 		res.bfs, err = AdjBFS(conn, sch.Table, []string{schema.VertexName(1)}, 2, AdjBFSOptions{})
 		if err != nil {
 			t.Fatal(err)

@@ -96,8 +96,6 @@ type Options struct {
 	NoSync bool
 	// BlockSize overrides the rfile data-block size.
 	BlockSize int
-	// MaxWALSegmentBytes overrides the WAL rotation threshold.
-	MaxWALSegmentBytes int64
 	// BlockCacheBytes bounds the shared rfile block cache (0 selects
 	// cache.DefaultMaxBytes; negative disables caching).
 	BlockCacheBytes int64
@@ -354,9 +352,8 @@ func (d *Dir) CreateTable(name string, splits []string, iters map[string][]itera
 // one tablet record. Caller holds d.mu.
 func (d *Dir) openTabletStoreLocked(table string, tb *tabletManifest) (*TabletStore, error) {
 	log, err := wal.Open(d.walPath(), tabletIDName(tb.ID), wal.Options{
-		NoSync:          d.opts.NoSync,
-		MaxSegmentBytes: d.opts.MaxWALSegmentBytes,
-		SyncObserver:    d.opts.WALSyncObserver,
+		NoSync:       d.opts.NoSync,
+		SyncObserver: d.opts.WALSyncObserver,
 	})
 	if err != nil {
 		return nil, err

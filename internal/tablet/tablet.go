@@ -249,9 +249,6 @@ func (t *Tablet) Retired() bool {
 	return t.retired
 }
 
-// Range returns the tablet's row range.
-func (t *Tablet) Range() skv.Range { return skv.RowRange(t.StartRow, t.EndRow) }
-
 // Write logs entries (which must belong to this tablet's range) to the
 // backing's WAL and inserts them into the active memtable. The critical
 // section is the freeze lock's read side around WAL-append + insert, so
