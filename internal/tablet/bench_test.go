@@ -2,6 +2,7 @@ package tablet
 
 import (
 	"fmt"
+	"sort"
 	"testing"
 
 	"graphulo/internal/iterator"
@@ -19,16 +20,33 @@ func benchEntries(n int) []skv.Entry {
 	return out
 }
 
+// BenchmarkMemtableInsert inserts 1<<14 entries as 32 batches of 512
+// whose keys spread over the whole key space, as RemoteWrite's fold
+// generations do: "sorted" batches are in key order (the finger
+// search's case), "shuffled" ones are not.
 func BenchmarkMemtableInsert(b *testing.B) {
-	entries := benchEntries(1 << 14)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := newMemtable()
-		for _, e := range entries {
-			m.insert(e)
+	const batch = 512
+	for _, sorted := range []bool{true, false} {
+		entries := benchEntries(1 << 14)
+		name := "shuffled"
+		if sorted {
+			name = "sorted"
+			for lo := 0; lo < len(entries); lo += batch {
+				p := entries[lo : lo+batch]
+				sort.Slice(p, func(i, j int) bool { return skv.Compare(p[i].K, p[j].K) < 0 })
+			}
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := newMemtable()
+				for lo := 0; lo < len(entries); lo += batch {
+					m.insertBatch(entries[lo : lo+batch])
+				}
+			}
+			b.ReportMetric(float64(len(entries)), "entries/op")
+		})
 	}
-	b.ReportMetric(float64(len(entries)), "entries/op")
 }
 
 func BenchmarkRunSeek(b *testing.B) {

@@ -108,7 +108,7 @@ func TestMemtableScanDoesNotCopy(t *testing.T) {
 	m := newMemtable()
 	const n = 20000
 	for i := 0; i < n; i++ {
-		m.insert(ent(fmt.Sprintf("r%06d", i), "q", 1, float64(i)))
+		insertOne(m, ent(fmt.Sprintf("r%06d", i), "q", 1, float64(i)))
 	}
 	allocs := testing.AllocsPerRun(10, func() {
 		it := m.iter()
@@ -136,10 +136,10 @@ func TestMemtableScanDoesNotCopy(t *testing.T) {
 // sequence numbers above its watermark and stay invisible to it.
 func TestMemtableWatermarkHidesLaterWrites(t *testing.T) {
 	m := newMemtable()
-	m.insert(ent("a", "q", 1, 1))
-	m.insert(ent("c", "q", 1, 3))
+	insertOne(m, ent("a", "q", 1, 1))
+	insertOne(m, ent("c", "q", 1, 3))
 	it := m.iter()
-	m.insert(ent("b", "q", 1, 2)) // after the watermark: must not appear
+	insertOne(m, ent("b", "q", 1, 2)) // after the watermark: must not appear
 	if err := it.Seek(skv.FullRange()); err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@
 package tablet
 
 import (
+	"math/bits"
 	"math/rand/v2"
 	"sync/atomic"
 
@@ -24,6 +25,11 @@ const maxLevel = 16
 // iterator captures the sequence-number watermark at creation and walks
 // the live structure, skipping entries inserted after the watermark, so
 // scans never block writers and writers never block scans.
+//
+// A write batch is inserted as a batch (insertBatch): its nodes, values
+// and towers come from three slabs, not three heap objects per entry.
+// While its keys ascend strictly, each search resumes from the previous
+// insert's predecessors (a finger); any other step searches from the head.
 //
 // The snapshot contract is per-entry, matching what the merged read
 // path needs: every entry inserted before the watermark is visible
@@ -62,113 +68,140 @@ func newMemtable() *memtable {
 	}
 }
 
-// randomLevel draws a tower height with P(level > L) = 2^-L. The
-// math/rand/v2 top-level generator keeps per-goroutine state, so
-// concurrent inserters never contend on a shared rand.Rand.
-func randomLevel() int {
-	lvl := 1
-	for lvl < maxLevel && rand.Uint64()&1 == 0 {
-		lvl++
-	}
-	return lvl
+// levelOf turns a uniform draw into a tower height with
+// P(level > L) = 2^-L.
+func levelOf(r uint64) int {
+	return min(1+bits.TrailingZeros64(r), maxLevel)
 }
 
-// find locates k, filling preds/succs with the last node before k and
-// the first node at-or-after k on every level, and returns the node
-// whose key equals k if one is linked.
-func (m *memtable) find(k skv.Key, preds, succs *[maxLevel]*memNode) *memNode {
-	x := m.head
-	for i := maxLevel - 1; i >= 0; i-- {
+// findGE fills preds[i] and succs[i], on every level i up to the one
+// it descends from, with the last node before k and the first node at
+// or after k, and returns succs[0] and whether its key equals k. Every
+// preds[i] from level lo up must be a node before k — the head or a
+// finger left by a smaller key: the search climbs from lo to the first
+// level whose successor is at or after k and descends from there.
+//
+// A successor counts as >= k only by a Compare or by identity with the
+// node last proven so — never because it is a finger's, which a
+// concurrent insert may have moved — and succs keeps the very load that
+// proved it: a re-load could see a concurrently linked smaller key, and
+// a CAS against that would splice the new node ahead of it.
+func (m *memtable) findGE(k skv.Key, lo int, preds, succs *[maxLevel]*memNode) (*memNode, bool) {
+	var ge *memNode // the node last proven >= k; nil sorts after every key
+	eq := false
+	top := lo
+	for ; top < maxLevel-1; top++ {
+		s := preds[top].next[top].Load()
+		if s == nil {
+			break
+		}
+		if c := skv.Compare(s.k, k); c >= 0 {
+			ge, eq = s, c == 0
+			break
+		}
+	}
+	x := preds[top]
+	for i := top; i >= 0; i-- {
 		for {
 			nxt := x.next[i].Load()
-			if nxt != nil && skv.Compare(nxt.k, k) < 0 {
-				x = nxt
-				continue
+			if nxt != ge {
+				c := 1
+				if nxt != nil {
+					c = skv.Compare(nxt.k, k)
+				}
+				if c < 0 {
+					x = nxt
+					continue
+				}
+				ge, eq = nxt, c == 0
 			}
-			// succs must be the very load that proved >= k: re-loading
-			// here could observe a concurrently linked node with a
-			// smaller key, and insert's CAS against that stale succ
-			// would splice the new node ahead of it, breaking the
-			// bottom-level sort order a flush relies on.
 			preds[i], succs[i] = x, nxt
 			break
 		}
 	}
-	if s := succs[0]; s != nil && skv.Compare(s.k, k) == 0 {
-		return s
-	}
-	return nil
+	return ge, eq
 }
 
-// findGE returns the first node with key >= k.
-func (m *memtable) findGE(k skv.Key) *memNode {
-	x := m.head
-	var ge *memNode
-	for i := maxLevel - 1; i >= 0; i-- {
+// insertBatch adds entries; safe for any number of concurrent
+// inserters. Duplicate full keys (including timestamp) overwrite in
+// place, the last in batch order winning; distinct timestamps coexist
+// as separate versions.
+func (m *memtable) insertBatch(entries []skv.Entry) {
+	// Tower heights are drawn twice from one seeded generator: once to
+	// size the tower slab exactly, once as each node is built.
+	s1, s2 := rand.Uint64(), rand.Uint64()
+	g := rand.NewPCG(s1, s2)
+	slots := 0
+	for range entries {
+		slots += levelOf(g.Uint64())
+	}
+	g.Seed(s1, s2)
+	nodes := make([]memNode, len(entries))
+	vals := make([]memVal, len(entries))
+	towers := make([]atomic.Pointer[memNode], slots)
+
+	var preds, succs [maxLevel]*memNode
+	var added, bytes int64
+	for i, e := range entries {
+		n, v := &nodes[i], &vals[i]
+		lvl := levelOf(g.Uint64())
+		n.k, n.next, towers = e.K, towers[:lvl:lvl], towers[lvl:]
+		// The finger holds nodes before the previous key, so it serves
+		// only a key that sorts strictly after it.
+		lo := lvl - 1
+		if i == 0 || skv.Compare(entries[i-1].K, e.K) >= 0 {
+			lo, preds[maxLevel-1] = maxLevel-1, m.head
+		}
 		for {
-			nxt := x.next[i].Load()
-			if nxt != nil && skv.Compare(nxt.k, k) < 0 {
-				x = nxt
+			if exist, eq := m.findGE(e.K, lo, &preds, &succs); eq {
+				// Overwrite keeps the original insert's sequence number, so
+				// a reader whose watermark already admits the key keeps
+				// seeing it (with the freshest value) instead of losing it.
+				// v is unpublished until the CAS lands, so it is reused
+				// across attempts.
+				for {
+					cur := exist.val.Load()
+					*v = memVal{v: e.V, seq: cur.seq}
+					if exist.val.CompareAndSwap(cur, v) {
+						bytes += int64(len(e.V) - len(cur.v))
+						break
+					}
+				}
+				break
+			}
+			if v.seq == 0 {
+				*v = memVal{v: e.V, seq: m.seq.Add(1)}
+				n.val.Store(v)
+			}
+			for j := 0; j < lvl; j++ {
+				n.next[j].Store(succs[j])
+			}
+			// The bottom-level CAS publishes the node; a failure means a
+			// neighbour (or this very key) got linked first — search
+			// again from the still-valid preds and retry.
+			if !preds[0].next[0].CompareAndSwap(succs[0], n) {
 				continue
 			}
-			// Keep the node this load proved >= k; a fresh load at the
-			// end could observe a concurrent insert with a smaller key.
-			ge = nxt
+			// Link the express levels. Losing a CAS here only delays
+			// search shortcuts, never visibility, so each level retries
+			// locally against a fresh search from the head.
+			for j := 1; j < lvl; j++ {
+				for !preds[j].next[j].CompareAndSwap(succs[j], n) {
+					preds[maxLevel-1] = m.head
+					m.findGE(e.K, maxLevel-1, &preds, &succs)
+					n.next[j].Store(succs[j])
+				}
+			}
+			for j := 0; j < lvl; j++ {
+				preds[j] = n
+			}
+			added++
+			bytes += int64(len(e.K.Row) + len(e.K.ColF) + len(e.K.ColQ) + 8 + len(e.V))
 			break
 		}
 	}
-	return ge
-}
-
-// insert adds an entry; safe for any number of concurrent inserters.
-// Duplicate full keys (including timestamp) overwrite in place;
-// distinct timestamps coexist as separate versions.
-func (m *memtable) insert(e skv.Entry) {
-	var preds, succs [maxLevel]*memNode
-	var n *memNode
-	lvl := randomLevel()
-	for {
-		if exist := m.find(e.K, &preds, &succs); exist != nil {
-			// Overwrite keeps the original insert's sequence number, so a
-			// reader whose watermark already admits the key keeps seeing
-			// it (with the freshest value) instead of losing it.
-			for {
-				cur := exist.val.Load()
-				if exist.val.CompareAndSwap(cur, &memVal{v: e.V, seq: cur.seq}) {
-					m.bytes.Add(int64(len(e.V) - len(cur.v)))
-					return
-				}
-			}
-		}
-		if n == nil {
-			n = &memNode{k: e.K, next: make([]atomic.Pointer[memNode], lvl)}
-			n.val.Store(&memVal{v: e.V, seq: m.seq.Add(1)})
-		}
-		for i := 0; i < lvl; i++ {
-			n.next[i].Store(succs[i])
-		}
-		// The bottom-level CAS publishes the node; a failure means a
-		// neighbour (or this very key) got linked first — re-find and
-		// retry from scratch.
-		if !preds[0].next[0].CompareAndSwap(succs[0], n) {
-			continue
-		}
-		// Link the express levels. Losing a CAS here only delays search
-		// shortcuts, never visibility, so each level retries locally
-		// against refreshed preds/succs.
-		for i := 1; i < lvl; i++ {
-			for {
-				if preds[i].next[i].CompareAndSwap(succs[i], n) {
-					break
-				}
-				m.find(e.K, &preds, &succs)
-				n.next[i].Store(succs[i])
-			}
-		}
-		m.size.Add(1)
-		m.bytes.Add(int64(len(e.K.Row) + len(e.K.ColF) + len(e.K.ColQ) + 8 + len(e.V)))
-		return
-	}
+	m.size.Add(added)
+	m.bytes.Add(bytes)
 }
 
 // iter returns a lock-free iterator over the live structure, admitting
@@ -212,7 +245,9 @@ type memIter struct {
 func (it *memIter) Seek(rng skv.Range) error {
 	it.rng = rng
 	if rng.HasStart {
-		it.cur = it.m.findGE(rng.Start)
+		var preds, succs [maxLevel]*memNode
+		preds[maxLevel-1] = it.m.head
+		it.cur, _ = it.m.findGE(rng.Start, maxLevel-1, &preds, &succs)
 	} else {
 		it.cur = it.m.head.next[0].Load()
 	}

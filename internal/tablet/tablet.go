@@ -36,7 +36,10 @@
 //   - The memtable is a lock-free concurrent skip list; concurrent
 //     Write calls insert in parallel, and scans iterate the live
 //     structure under a sequence-number watermark instead of copying
-//     it.
+//     it. Each Write inserts its entries as a batch: one slab each for
+//     the nodes, values and towers, and a finger search from the
+//     previous key, used only while the keys ascend strictly and
+//     validated level by level against concurrent inserts.
 //   - Writers hold freezeMu.RLock around WAL-append + insert; a freeze
 //     takes the write side to atomically rotate the WAL and swap in a
 //     fresh memtable. That keeps the durability invariant — every WAL
@@ -200,9 +203,7 @@ func NewDurable(startRow, endRow string, memLimit int, seed int64, b Backing, ru
 	}
 	t.flushCond = sync.NewCond(&t.mu)
 	mem := newMemtable()
-	for _, e := range replay {
-		mem.insert(e)
-	}
+	mem.insertBatch(replay)
 	t.active.Store(mem)
 	return t
 }
@@ -250,11 +251,13 @@ func (t *Tablet) Retired() bool {
 }
 
 // Write logs entries (which must belong to this tablet's range) to the
-// backing's WAL and inserts them into the active memtable. The critical
-// section is the freeze lock's read side around WAL-append + insert, so
-// concurrent writers proceed in parallel; the fsync wait happens
-// outside it (group commit), and a full memtable is frozen for
-// background flush rather than compacted inline.
+// backing's WAL and inserts them into the active memtable as one batch:
+// slabs allocated per batch, and a search that resumes from the
+// previous key while the keys ascend. The critical section is the freeze lock's read
+// side around WAL-append + insert, so concurrent writers proceed in
+// parallel; the fsync wait happens outside it (group commit), and a
+// full memtable is frozen for background flush rather than compacted
+// inline.
 func (t *Tablet) Write(entries []skv.Entry) error {
 	if err := t.stallForFrozen(); err != nil {
 		return err
@@ -266,9 +269,7 @@ func (t *Tablet) Write(entries []skv.Entry) error {
 		return err
 	}
 	mem := t.active.Load()
-	for _, e := range entries {
-		mem.insert(e)
-	}
+	mem.insertBatch(entries)
 	needFreeze := mem.count() >= t.memLimit || mem.approxBytes() >= t.flushBytes
 	t.freezeMu.RUnlock()
 	if err := t.backing.WaitDurable(seq); err != nil {

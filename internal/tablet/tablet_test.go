@@ -31,9 +31,9 @@ func scanAll(t *testing.T, tab *Tablet) []skv.Entry {
 
 func TestMemtableInsertAndSnapshot(t *testing.T) {
 	m := newMemtable()
-	m.insert(ent("b", "q", 1, 2))
-	m.insert(ent("a", "q", 1, 1))
-	m.insert(ent("c", "q", 1, 3))
+	insertOne(m, ent("b", "q", 1, 2))
+	insertOne(m, ent("a", "q", 1, 1))
+	insertOne(m, ent("c", "q", 1, 3))
 	snap := m.snapshot()
 	if len(snap) != 3 || snap[0].K.Row != "a" || snap[2].K.Row != "c" {
 		t.Fatalf("snapshot order wrong: %v", snap)
@@ -45,8 +45,8 @@ func TestMemtableInsertAndSnapshot(t *testing.T) {
 
 func TestMemtableOverwriteSameFullKey(t *testing.T) {
 	m := newMemtable()
-	m.insert(ent("r", "q", 7, 1))
-	m.insert(ent("r", "q", 7, 99)) // same key incl. ts: overwrite
+	insertOne(m, ent("r", "q", 7, 1))
+	insertOne(m, ent("r", "q", 7, 99)) // same key incl. ts: overwrite
 	snap := m.snapshot()
 	if len(snap) != 1 {
 		t.Fatalf("want 1 entry, got %d", len(snap))
@@ -58,8 +58,8 @@ func TestMemtableOverwriteSameFullKey(t *testing.T) {
 
 func TestMemtableVersionsCoexist(t *testing.T) {
 	m := newMemtable()
-	m.insert(ent("r", "q", 1, 10))
-	m.insert(ent("r", "q", 2, 20))
+	insertOne(m, ent("r", "q", 1, 10))
+	insertOne(m, ent("r", "q", 2, 20))
 	snap := m.snapshot()
 	if len(snap) != 2 {
 		t.Fatalf("want 2 versions, got %d", len(snap))
