@@ -173,23 +173,26 @@ func (m *memtable) insertBatch(entries []skv.Entry) {
 				*v = memVal{v: e.V, seq: m.seq.Add(1)}
 				n.val.Store(v)
 			}
-			for j := 0; j < lvl; j++ {
-				n.next[j].Store(succs[j])
-			}
 			// The bottom-level CAS publishes the node; a failure means a
 			// neighbour (or this very key) got linked first — search
 			// again from the still-valid preds and retry.
+			n.next[0].Store(succs[0])
 			if !preds[0].next[0].CompareAndSwap(succs[0], n) {
 				continue
 			}
 			// Link the express levels. Losing a CAS here only delays
 			// search shortcuts, never visibility, so each level retries
-			// locally against a fresh search from the head.
+			// locally against a fresh search from the head. That search
+			// refreshes every level's succs, so each level's next is set
+			// just before its own CAS, to the successor it CASes on.
 			for j := 1; j < lvl; j++ {
-				for !preds[j].next[j].CompareAndSwap(succs[j], n) {
+				for {
+					n.next[j].Store(succs[j])
+					if preds[j].next[j].CompareAndSwap(succs[j], n) {
+						break
+					}
 					preds[maxLevel-1] = m.head
 					m.findGE(e.K, maxLevel-1, &preds, &succs)
-					n.next[j].Store(succs[j])
 				}
 			}
 			for j := 0; j < lvl; j++ {

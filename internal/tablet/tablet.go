@@ -253,11 +253,11 @@ func (t *Tablet) Retired() bool {
 // Write logs entries (which must belong to this tablet's range) to the
 // backing's WAL and inserts them into the active memtable as one batch:
 // slabs allocated per batch, and a search that resumes from the
-// previous key while the keys ascend. The critical section is the freeze lock's read
-// side around WAL-append + insert, so concurrent writers proceed in
-// parallel; the fsync wait happens outside it (group commit), and a
-// full memtable is frozen for background flush rather than compacted
-// inline.
+// previous key while the keys ascend. The critical section is the
+// freeze lock's read side around WAL-append + insert, so concurrent
+// writers proceed in parallel; the fsync wait happens outside it (group
+// commit), and a full memtable is frozen for background flush rather
+// than compacted inline.
 func (t *Tablet) Write(entries []skv.Entry) error {
 	if err := t.stallForFrozen(); err != nil {
 		return err
