@@ -8,6 +8,14 @@
 // size; hits and misses are counted into a telemetry.StatSet — the
 // cache's own, or the process block it is pointed at (CountInto).
 //
+// A decoded block is one lifetime unit: skv.DecodeBlock puts all of its
+// key fields in one string and all of its values in one byte slice, and
+// every entry points into those two arenas. The charge (entriesSize)
+// is payload bytes plus a fixed per-entry overhead. A key that
+// outlives its block's eviction — held by an iterator, a fold buffer,
+// an interned cell name — keeps that block's whole key arena (no larger
+// than the block, ≈ 32 KiB) alive while it is held.
+//
 // A nil *BlockCache is a valid "cache disabled" value: every method is
 // nil-receiver safe and behaves as a permanent miss, so callers thread
 // the pointer through unconditionally.
@@ -79,7 +87,10 @@ func entriesSize(entries []skv.Entry) int64 {
 }
 
 // Get returns the cached block and records a hit or miss. The returned
-// slice is shared — callers must treat it as immutable.
+// slice is shared — callers must treat it as immutable. Its keys are
+// substrings of the block's key arena, so a caller that keeps one key
+// keeps the whole arena alive; copy a key (strings.Clone) to retain it
+// beyond the block.
 func (c *BlockCache) Get(file string, blockIdx int) ([]skv.Entry, bool) {
 	if c == nil {
 		return nil, false

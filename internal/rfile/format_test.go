@@ -44,10 +44,11 @@ func fixtureEntries() []skv.Entry {
 
 // image is a file taken apart at its index sections.
 type image struct {
-	data      []byte   // data region
-	head      []byte   // index up to and including the total entry count
-	row, colq []byte   // encoded bloom sections
-	dir       []famRun // family directory
+	data      []byte      // data region
+	blocks    []blockMeta // block index
+	count     int         // total entry count
+	row, colq []byte      // encoded bloom sections
+	dir       []famRun    // family directory
 }
 
 // splitImage writes entries to a file and takes it apart.
@@ -67,9 +68,8 @@ func splitImage(t testing.TB, entries []skv.Entry) image {
 	}
 	defer r.Close()
 	indexOff := binary.LittleEndian.Uint64(raw[len(raw)-trailerLen:])
-	index := raw[indexOff : len(raw)-trailerLen]
-	im := image{data: raw[:indexOff], row: appendBloom(nil, r.bloom), colq: appendBloom(nil, r.colqBloom), dir: r.families}
-	im.head = index[:len(index)-len(im.row)-len(im.colq)-len(appendFamilyDir(nil, im.dir))]
+	im := image{data: raw[:indexOff], blocks: r.blocks, count: r.count,
+		row: appendBloom(nil, r.bloom), colq: appendBloom(nil, r.colqBloom), dir: r.families}
 	if !bytes.Equal(im.encode(version), raw) {
 		t.Fatal("reassembled image differs from the written file")
 	}
@@ -78,7 +78,7 @@ func splitImage(t testing.TB, entries []skv.Entry) image {
 
 // encode reassembles the image under trailer version v.
 func (im image) encode(v uint32) []byte {
-	index := append(append(append([]byte(nil), im.head...), im.row...), im.colq...)
+	index := append(append(appendBlockIndex(nil, im.blocks, im.count), im.row...), im.colq...)
 	index = appendFamilyDir(index, im.dir)
 	out := append(append([]byte(nil), im.data...), index...)
 	var tr [trailerLen]byte
@@ -94,6 +94,13 @@ func (im image) encode(v uint32) []byte {
 func (im image) withDir(fn func(dir []famRun)) image {
 	im.dir = append([]famRun(nil), im.dir...)
 	fn(im.dir)
+	return im
+}
+
+// withBlocks returns a copy of the image whose block index fn edits.
+func (im image) withBlocks(fn func(blocks []blockMeta)) image {
+	im.blocks = append([]blockMeta(nil), im.blocks...)
+	fn(im.blocks)
 	return im
 }
 
@@ -225,6 +232,33 @@ func TestBloomSectionHostile(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), "bloom") {
 				t.Fatalf("error %q does not name the bloom section", err)
+			}
+		})
+	}
+}
+
+// TestBlockCountMismatch: a block decodes exactly the entry count its
+// index records. An index whose count disagrees with a CRC-valid block
+// opens — the count is plausible — but the block's first load fails
+// with skv.ErrEntryCount naming the file and block, instead of serving
+// however many entries the bytes happen to hold.
+func TestBlockCountMismatch(t *testing.T) {
+	im := splitImage(t, fixtureEntries())
+	for name, delta := range map[string]int{"one more": 1, "one fewer": -1} {
+		t.Run(name, func(t *testing.T) {
+			bad := im.withBlocks(func(blocks []blockMeta) { blocks[0].count += delta })
+			path := writeBytes(t, bad.encode(version))
+			r, err := Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			err = r.Iter().Seek(skv.FullRange())
+			if !errors.Is(err, skv.ErrEntryCount) {
+				t.Fatalf("Seek = %v, want skv.ErrEntryCount", err)
+			}
+			if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "block 0") {
+				t.Fatalf("error %q does not name %s block 0", err, path)
 			}
 		})
 	}

@@ -243,15 +243,7 @@ func (w *Writer) Finish() error {
 		}
 		runs = append(runs, famRun{name: name, lo: lo, hi: len(blocks)})
 	}
-	index := binary.AppendUvarint(nil, uint64(len(blocks)))
-	for _, b := range blocks {
-		index = skv.EncodeEntry(index, skv.Entry{K: b.firstKey})
-		index = binary.AppendUvarint(index, b.off)
-		index = binary.AppendUvarint(index, b.len)
-		index = binary.AppendUvarint(index, uint64(b.count))
-		index = binary.LittleEndian.AppendUint32(index, b.crc)
-	}
-	index = binary.AppendUvarint(index, uint64(w.count))
+	index := appendBlockIndex(nil, blocks, w.count)
 	index = appendBloom(index, buildBloom(w.rowHashes))
 	index = appendBloom(index, buildBloom(w.pairHashes))
 	index = appendFamilyDir(index, runs)
@@ -274,6 +266,20 @@ func (w *Writer) Finish() error {
 		return err
 	}
 	return w.f.Close()
+}
+
+// appendBlockIndex serialises the block list and the file's total
+// entry count, the index's first section.
+func appendBlockIndex(buf []byte, blocks []blockMeta, count int) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(blocks)))
+	for _, b := range blocks {
+		buf = skv.EncodeEntry(buf, skv.Entry{K: b.firstKey})
+		buf = binary.AppendUvarint(buf, b.off)
+		buf = binary.AppendUvarint(buf, b.len)
+		buf = binary.AppendUvarint(buf, uint64(b.count))
+		buf = binary.LittleEndian.AppendUint32(buf, b.crc)
+	}
+	return binary.AppendUvarint(buf, uint64(count))
 }
 
 // appendFamilyDir serialises the family directory onto the index blob.
@@ -556,8 +562,9 @@ func (r *Reader) Close() error {
 
 // loadBlock returns the decoded entries of data block i, from the
 // shared cache when resident, else by reading, CRC-verifying, and
-// decoding it from disk (and feeding the cache). Cached slices are
-// shared across iterators and must be treated as immutable.
+// decoding exactly the index's entry count from disk (and feeding the
+// cache). Cached slices are shared across iterators and must be treated
+// as immutable.
 func (r *Reader) loadBlock(i int) ([]skv.Entry, error) {
 	if cached, ok := r.cache.Get(r.path, i); ok {
 		return cached, nil
@@ -570,14 +577,9 @@ func (r *Reader) loadBlock(i int) ([]skv.Entry, error) {
 	if crc32.Checksum(raw, castagnoli) != b.crc {
 		return nil, fmt.Errorf("rfile: %s: block %d checksum mismatch", r.path, i)
 	}
-	entries := make([]skv.Entry, 0, b.count)
-	for len(raw) > 0 {
-		e, rest, err := skv.DecodeEntry(raw)
-		if err != nil {
-			return nil, fmt.Errorf("rfile: %s: block %d decode: %w", r.path, i, err)
-		}
-		entries = append(entries, e)
-		raw = rest
+	entries, err := skv.DecodeBlock(raw, b.count)
+	if err != nil {
+		return nil, fmt.Errorf("rfile: %s: block %d decode: %w", r.path, i, err)
 	}
 	if !r.dead.Load() {
 		r.cache.Put(r.path, i, entries)
@@ -710,19 +712,14 @@ func (r *Reader) bloomRejects(rng skv.Range) bool {
 	return false
 }
 
-// Seek implements SKVI.
+// Seek implements SKVI. A seek whose start falls in the block the
+// iterator already holds reuses it, so sorted seeks within one block —
+// a multi-range pass over neighbouring rows — cost one block lookup.
 func (it *Iter) Seek(rng skv.Range) error {
 	it.rng = rng
 	it.err = nil
-	it.entries = nil
-	if it.lo >= it.hi {
-		it.blk = it.hi
-		it.pos = 0
-		return nil
-	}
-	if it.probe && it.r.bloomRejects(rng) {
-		it.blk = it.hi
-		it.pos = 0
+	if it.lo >= it.hi || (it.probe && it.r.bloomRejects(rng)) {
+		it.blk, it.entries, it.pos = it.hi, nil, 0
 		return nil
 	}
 	blk := it.lo
@@ -735,8 +732,10 @@ func (it *Iter) Seek(rng skv.Range) error {
 			blk = n - 1
 		}
 	}
-	if err := it.loadBlock(blk); err != nil {
-		return err
+	if blk != it.blk || it.entries == nil {
+		if err := it.loadBlock(blk); err != nil {
+			return err
+		}
 	}
 	if rng.HasStart {
 		it.pos = sort.Search(len(it.entries), func(i int) bool {
@@ -766,10 +765,15 @@ func (it *Iter) loadBlock(i int) error {
 }
 
 // settle advances across block boundaries until a current entry exists
-// or the run ends.
+// or the run ends. It stops short of a block whose first key is already
+// past the range end: that block cannot hold an entry of the range.
 func (it *Iter) settle() error {
 	for it.pos >= len(it.entries) && it.blk < it.hi {
-		if err := it.loadBlock(it.blk + 1); err != nil {
+		next := it.blk + 1
+		if next < it.hi && it.rng.AfterEnd(it.r.blocks[next].firstKey) {
+			return nil
+		}
+		if err := it.loadBlock(next); err != nil {
 			return err
 		}
 	}

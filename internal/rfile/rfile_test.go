@@ -352,6 +352,44 @@ func TestBlockCacheAccounting(t *testing.T) {
 	}
 }
 
+// TestSortedSeeksInOneBlockOneLookup: sorted exact-row seeks on one
+// iterator whose rows all lie in one block — neighbouring rows of a BFS
+// frontier in one multi-range pass — cost one block lookup, not one per
+// seek, and draining the block's last row does not load the next block.
+func TestSortedSeeksInOneBlockOneLookup(t *testing.T) {
+	entries := buildEntries(2000)
+	c := cache.New(1 << 20)
+	r, err := OpenWithOptions(writeFile(t, entries, 512), ReaderOptions{Cache: c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	// Block 1's rows after its first: an exact-row seek's start key
+	// sorts before its row's first entry, so a seek to a block's first
+	// row starts in the block before.
+	lo := r.blocks[0].count
+	rows := entries[lo+1 : lo+r.blocks[1].count]
+	if len(rows) < 4 {
+		t.Fatalf("block 1 holds %d rows, want ≥ 4", len(rows))
+	}
+	it := r.Iter()
+	for _, e := range rows {
+		if err := it.Seek(skv.ExactRow(e.K.Row)); err != nil {
+			t.Fatal(err)
+		}
+		got, err := iterator.Collect(it)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].K != e.K {
+			t.Fatalf("seek %s = %v, want its one entry", e.K.Row, got)
+		}
+	}
+	if lookups := c.Hits() + c.Misses(); lookups != 1 {
+		t.Fatalf("%d sorted seeks in one block made %d block lookups, want 1", len(rows), lookups)
+	}
+}
+
 // TestBloomSkipsAbsentRows checks the end-to-end bloom path: seeks for
 // absent rows are answered without block loads and counted, and the
 // false-positive rate at the default density stays small.

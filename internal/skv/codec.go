@@ -2,8 +2,11 @@ package skv
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"strings"
 )
 
 // The wire codec serialises entry batches the way a thin client's RPC
@@ -195,45 +198,143 @@ func EncodeEntry(dst []byte, e Entry) []byte {
 
 // DecodeEntry parses one entry from src, returning the remainder.
 func DecodeEntry(src []byte) (Entry, []byte, error) {
-	var e Entry
-	var err error
-	if e.K.Row, src, err = readString(src); err != nil {
-		return e, nil, err
+	var p entryParts
+	rest, err := p.cut(src)
+	if err != nil {
+		return Entry{}, nil, err
 	}
-	if e.K.ColF, src, err = readString(src); err != nil {
-		return e, nil, err
+	k := Key{Row: string(p.row), ColF: string(p.colF), ColQ: string(p.colQ), Ts: p.ts}
+	return Entry{K: k, V: append(Value(nil), p.val...)}, rest, nil
+}
+
+// ErrEntryCount is wrapped by DecodeBlock's error when the bytes hold
+// fewer or more entries than the caller's count.
+var ErrEntryCount = errors.New("skv: entry count mismatch")
+
+// DecodeBlock parses exactly n entries written back to back by
+// EncodeEntry — an rfile data block — and rejects leftover bytes. It
+// allocates at most three objects however large n is: the entry slice,
+// one string holding every key field, and one slice holding every
+// value. Keys are substrings of that string and values capped
+// subslices of that slice, so appending to one value never overwrites
+// the next, and nothing aliases src. The arenas live as long as any
+// entry does: one retained key keeps its whole block's key string
+// alive.
+func DecodeBlock(src []byte, n int) ([]Entry, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("%w: negative count %d", ErrEntryCount, n)
 	}
-	if e.K.ColQ, src, err = readString(src); err != nil {
-		return e, nil, err
+	// Validate and size: nothing is allocated until every entry parses,
+	// so a hostile count cannot size more than src could encode.
+	var p entryParts
+	var keyBytes, valBytes int
+	rest := src
+	for i := 0; i < n; i++ {
+		if len(rest) == 0 {
+			return nil, fmt.Errorf("%w: block ends after %d of %d entries", ErrEntryCount, i, n)
+		}
+		before := len(rest)
+		var err error
+		if rest, err = p.cut(rest); err != nil {
+			return nil, fmt.Errorf("skv: block entry %d: %w", i, err)
+		}
+		if before-len(rest) != p.size() {
+			// EncodeEntry writes minimal varints, so a longer one is
+			// corruption, and rejecting it gives every entry one encoding.
+			return nil, fmt.Errorf("skv: block entry %d: non-minimal varint", i)
+		}
+		keyBytes += len(p.row) + len(p.colF) + len(p.colQ)
+		valBytes += len(p.val)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d bytes left after %d entries", ErrEntryCount, len(rest), n)
+	}
+	// Fill. Both arenas are sized exactly, so neither regrows and every
+	// entry points into the same two objects. An empty value stays nil,
+	// as DecodeEntry leaves it.
+	out := make([]Entry, n)
+	var keys strings.Builder
+	keys.Grow(keyBytes)
+	vals := make([]byte, 0, valBytes)
+	rest = src
+	for i := range out {
+		rest, _ = p.cut(rest) // validated above
+		a := keys.Len()
+		keys.Write(p.row)
+		keys.Write(p.colF)
+		keys.Write(p.colQ)
+		s := keys.String()
+		b, c := a+len(p.row), a+len(p.row)+len(p.colF)
+		out[i].K = Key{Row: s[a:b], ColF: s[b:c], ColQ: s[c:], Ts: p.ts}
+		if len(p.val) > 0 {
+			v := len(vals)
+			vals = append(vals, p.val...)
+			out[i].V = vals[v:len(vals):len(vals)]
+		}
+	}
+	return out, nil
+}
+
+// entryParts is one wire entry cut into its fields; the byte fields
+// alias the source.
+type entryParts struct {
+	row, colF, colQ, val []byte
+	ts                   int64
+}
+
+// cut splits the entry at the head of src into p's fields, returning
+// the remainder.
+func (p *entryParts) cut(src []byte) (rest []byte, err error) {
+	if p.row, src, err = readBytes(src); err != nil {
+		return nil, err
+	}
+	if p.colF, src, err = readBytes(src); err != nil {
+		return nil, err
+	}
+	if p.colQ, src, err = readBytes(src); err != nil {
+		return nil, err
 	}
 	ts, k := binary.Varint(src)
 	if k <= 0 {
-		return e, nil, fmt.Errorf("skv: truncated timestamp")
+		return nil, fmt.Errorf("skv: truncated timestamp")
 	}
 	src = src[k:]
-	e.K.Ts = ts
+	p.ts = ts
 	n, k := binary.Uvarint(src)
 	if k <= 0 {
-		return e, nil, fmt.Errorf("skv: truncated value length")
+		return nil, fmt.Errorf("skv: truncated value length")
 	}
 	src = src[k:]
 	if uint64(len(src)) < n {
-		return e, nil, fmt.Errorf("skv: truncated value payload")
+		return nil, fmt.Errorf("skv: truncated value payload")
 	}
-	e.V = append(Value(nil), src[:n]...)
-	return e, src[n:], nil
+	p.val = src[:n]
+	return src[n:], nil
 }
 
-func readString(src []byte) (string, []byte, error) {
+// size is the byte length of p's encoding as EncodeEntry writes it.
+func (p *entryParts) size() int {
+	zigzag := uint64(p.ts)<<1 ^ uint64(p.ts>>63)
+	return uvarintLen(uint64(len(p.row))) + len(p.row) +
+		uvarintLen(uint64(len(p.colF))) + len(p.colF) +
+		uvarintLen(uint64(len(p.colQ))) + len(p.colQ) +
+		uvarintLen(zigzag) +
+		uvarintLen(uint64(len(p.val))) + len(p.val)
+}
+
+// uvarintLen is the byte length of v's minimal uvarint encoding.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+func readBytes(src []byte) ([]byte, []byte, error) {
 	n, k := binary.Uvarint(src)
 	if k <= 0 {
-		return "", nil, fmt.Errorf("skv: truncated length prefix")
+		return nil, nil, fmt.Errorf("skv: truncated length prefix")
 	}
 	src = src[k:]
 	if uint64(len(src)) < n {
-		return "", nil, fmt.Errorf("skv: truncated string payload: want %d have %d", n, len(src))
+		return nil, nil, fmt.Errorf("skv: truncated string payload: want %d have %d", n, len(src))
 	}
-	return string(src[:n]), src[n:], nil
+	return src[:n], src[n:], nil
 }
 
 // EncodeBatch serialises a batch of entries with a count header.
