@@ -1,15 +1,17 @@
-// Command graphulo runs the library's graph algorithms on generated
-// workloads, against the embedded NoSQL cluster or in memory — and can
-// run as a standalone tablet server for a multi-process cluster.
+// Command graphulo runs the paper's graph kernels on generated
+// workloads inside the embedded NoSQL cluster — and can run as a
+// standalone tablet server for a multi-process cluster.
 //
 // Usage:
 //
 //	graphulo <algorithm> [flags]
 //	graphulo serve -listen host:port
 //
-// Algorithms are listed in the usage line. `trace` runs the mult
-// kernel and prints its telemetry span tree (coordinator scans
-// and flushes plus per-daemon tablet passes) with per-query counters.
+// Algorithms are listed in the usage line. Each table kernel runs its
+// table driver on the cluster, prints that answer beside the in-memory
+// reference's, and fails when the two differ. `trace` runs the mult
+// kernel and prints its telemetry span tree (coordinator scans and
+// flushes plus per-daemon tablet passes) with per-query counters.
 //
 // Observability: -metrics-addr serves /metrics (Prometheus text),
 // /queries (JSON span trees), and /debug/pprof over HTTP from kernel
@@ -29,16 +31,18 @@
 //	-graph paper                    the paper's Fig. 1 graph
 //	-graph clique  -n 100 -k 8      planted clique
 //
-// Cluster-backed runs (-db) choose their wire with -transport inproc
-// (default) or -transport tcp; -servers host:port,host:port points the
-// run at standalone tablet-server processes started with `graphulo
-// serve`, so the kernels' tablet→tablet flows cross process boundaries.
+// The cluster is in memory unless -data-dir makes it durable (a graph
+// built in one run is reopened in the next). Its wire is -transport
+// inproc (default) or tcp; -servers host:port,host:port points the run
+// at standalone tablet-server processes started with `graphulo serve`,
+// so the kernels' tablet→tablet flows cross process boundaries.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"slices"
@@ -58,11 +62,10 @@ var (
 	kFlag      = flag.Int("k", 4, "truss k / clique size / hops / topics")
 	seed       = flag.Uint64("seed", 1, "generator seed")
 	source     = flag.Int("source", 0, "BFS/SSSP source vertex")
-	useDB      = flag.Bool("db", false, "run through the embedded NoSQL cluster where supported")
 	transportF = flag.String("transport", "", "cluster wire: inproc (default) or tcp — tcp runs every tablet server on its own socket")
-	servers    = flag.String("servers", "", "comma-separated tablet-server endpoints from `graphulo serve` (implies -db and tcp)")
+	servers    = flag.String("servers", "", "comma-separated tablet-server endpoints from `graphulo serve` (tcp)")
 	listen     = flag.String("listen", "127.0.0.1:0", "serve mode: address to listen on")
-	dataDir    = flag.String("data-dir", "", "durable cluster directory: graphs built in one invocation are queried in the next (implies -db)")
+	dataDir    = flag.String("data-dir", "", "durable cluster directory: graphs built in one invocation are queried in the next")
 	rowStart   = flag.String("row-start", "", "restrict mult/trace/bfs to rows >= this key (SpRef push-down; empty = unbounded)")
 	rowEnd     = flag.String("row-end", "", "restrict mult/trace/bfs to rows < this key (SpRef push-down; empty = unbounded)")
 	colqStart  = flag.String("colq-start", "", "restrict mult/trace to column qualifiers >= this key (empty = unbounded)")
@@ -80,9 +83,20 @@ var (
 	writeBudget = flag.Int64("write-byte-budget", 0, "per-query write wire-byte budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 )
 
-// algorithms lists the subcommands run accepts, as the usage line
-// prints them.
-const algorithms = "mult trace bfs degrees pagerank eigen katz betweenness closeness hits clustering svd nominate ktruss tricount jaccard nmf sssp communities components info"
+// The subcommands run accepts, as the usage line prints them: the
+// table kernels, each checked against its in-memory reference; the raw
+// multiply; and the kernels that run in memory only.
+const (
+	tableKernels = "bfs degrees ktruss pagerank jaccard tricount nmf"
+	multiply     = "mult trace"
+	inMemory     = "betweenness nominate sssp info"
+	algorithms   = tableKernels + " " + multiply + " " + inMemory
+)
+
+// movedToReproduce names the former in-memory subcommands that are now
+// rows of `reproduce -exp table1`; run's error for an unknown name
+// lists them.
+const movedToReproduce = "eigen katz hits clustering svd closeness communities components"
 
 // bandHonoured maps each band flag to the subcommands that pass it to
 // a kernel.
@@ -108,11 +122,9 @@ func checkBands(algorithm string) error {
 	return nil
 }
 
-// openDB starts the embedded cluster, durable when -data-dir is set,
-// and returns the graph handle: the persisted graph when it already
-// exists in the data dir (skipping re-ingest), a freshly ingested one
-// otherwise.
-func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
+// openDB starts the embedded cluster: in memory, durable when -data-dir
+// is set, or over the -servers daemons.
+func openDB() (*graphulo.DB, error) {
 	var serverList []string
 	if *servers != "" {
 		for _, s := range strings.Split(*servers, ",") {
@@ -125,7 +137,7 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 	if *slowLogPath != "" {
 		f, err := os.OpenFile(*slowLogPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		slowLog = f
 	}
@@ -146,33 +158,37 @@ func openDB(g graphulo.Graph) (*graphulo.DB, *graphulo.TableGraph, error) {
 		WriteByteBudget:      *writeBudget,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if addr := db.MetricsAddr(); addr != "" {
 		fmt.Printf("telemetry on http://%s (/metrics, /queries, /debug/pprof)\n", addr)
 	}
+	return db, nil
+}
+
+// openGraph returns the graph handle: the persisted graph when it
+// already exists in the data dir (skipping re-ingest), a freshly
+// ingested one otherwise.
+func openGraph(db *graphulo.DB, g graphulo.Graph) (*graphulo.TableGraph, error) {
 	if *dataDir != "" {
 		if tg, err := db.OpenGraph("G"); err == nil {
 			fmt.Printf("reopened persisted graph from %s\n", *dataDir)
-			return db, tg, nil
+			return tg, nil
 		}
 	}
 	tg, err := db.CreateGraph("G")
 	if err != nil {
-		db.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	if err := tg.Ingest(g); err != nil {
-		db.Close()
-		return nil, nil, err
-	}
-	return db, tg, nil
+	return tg, tg.Ingest(g)
 }
 
 func main() {
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: graphulo <algorithm> [flags]\n")
-		fmt.Fprintf(os.Stderr, "algorithms: %s\n", algorithms)
+		fmt.Fprintf(os.Stderr, "table kernels, checked against the in-memory reference: %s\n", tableKernels)
+		fmt.Fprintf(os.Stderr, "table multiply: %s\n", multiply)
+		fmt.Fprintf(os.Stderr, "in memory: %s\n", inMemory)
 		fmt.Fprintf(os.Stderr, "explain [kernel]: print a kernel's compiled plan with fused groups marked (all kernels when omitted)\n\n")
 		flag.PrintDefaults()
 	}
@@ -184,21 +200,16 @@ func main() {
 	if err := flag.CommandLine.Parse(os.Args[2:]); err != nil {
 		os.Exit(2)
 	}
-	if algorithm == "serve" {
-		if err := serve(); err != nil {
-			fmt.Fprintln(os.Stderr, "graphulo:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch algorithm {
+	case "serve":
+		err = serve()
+	case "explain":
+		err = explain()
+	default:
+		err = run(algorithm)
 	}
-	if algorithm == "explain" {
-		if err := explain(); err != nil {
-			fmt.Fprintln(os.Stderr, "graphulo:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(algorithm); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphulo:", err)
 		os.Exit(1)
 	}
@@ -264,18 +275,15 @@ func run(algorithm string) error {
 	if err := checkBands(algorithm); err != nil {
 		return err
 	}
+	if !slices.Contains(strings.Fields(algorithms), algorithm) {
+		return fmt.Errorf("unknown algorithm %q (%s are rows of `reproduce -exp table1`)", algorithm, movedToReproduce)
+	}
 	g := makeGraph()
+	if *source < 0 || *source >= g.N {
+		return fmt.Errorf("-source %d is not a vertex of the %d-vertex graph", *source, g.N)
+	}
 	adj := graphulo.AdjacencyPat(g)
 	fmt.Printf("graph: %d vertices, %d edges\n", g.N, len(g.Edges))
-	if *dataDir != "" || *servers != "" {
-		*useDB = true
-	}
-	if *rowStart != "" || *rowEnd != "" {
-		// Row bands are a server-side kernel option (SpRef push-down);
-		// the in-memory BFS takes no band, so these flags imply a
-		// cluster-backed run rather than being silently dropped.
-		*useDB = true
-	}
 
 	switch algorithm {
 	case "info":
@@ -287,17 +295,53 @@ func run(algorithm string) error {
 			}
 		}
 		fmt.Printf("max degree %v, triangles %v\n", maxD, graphulo.TriangleCount(adj))
+		return nil
 
-	case "mult", "trace":
-		// C ⊕= Aᵀ·A over the ingested graph — the raw TableMult kernel,
-		// honouring the SpRef constraint flags. The
-		// trace variant additionally prints the query's span tree and
-		// per-query counters after the multiply.
-		db, tg, err := openDB(g)
-		if err != nil {
+	case "betweenness":
+		printTop("betweenness", graphulo.BetweennessCentrality(adj))
+		return nil
+
+	case "nominate":
+		scores := graphulo.VertexNomination(adj, []int{*source}, 0.15, 500)
+		scores[*source] = 0 // hide the cue itself
+		printTop("nominated", scores)
+		return nil
+
+	case "sssp":
+		// Re-weight the graph and run Bellman–Ford under min.plus.
+		w := weighted(g, *seed)
+		dist, neg := graphulo.BellmanFord(w, *source)
+		if neg {
+			return fmt.Errorf("negative cycle")
+		}
+		reach := 0
+		for _, d := range dist {
+			if d < 1e308 {
+				reach++
+			}
+		}
+		fmt.Printf("shortest paths from %d reach %d vertices\n", *source, reach)
+		return nil
+	}
+
+	db, err := openDB()
+	if err != nil {
+		return err
+	}
+	defer db.Close()
+	var tg *graphulo.TableGraph
+	if algorithm != "nmf" {
+		if tg, err = openGraph(db, g); err != nil {
 			return err
 		}
-		defer db.Close()
+	}
+	var cluster, ref answer
+	tol := 0.0
+	switch algorithm {
+	case "mult", "trace":
+		// C ⊕= Aᵀ·A over the ingested graph — the raw TableMult kernel,
+		// honouring the SpRef constraint flags. The trace variant also
+		// prints the query's span tree and per-query counters.
 		a, at, _ := tg.Tables()
 		n, err := db.TableMultOpts(at, a, "Gsq", graphulo.MultOptions{
 			Semiring: *semiringF,
@@ -317,156 +361,183 @@ func run(algorithm string) error {
 		return nil
 
 	case "bfs":
-		if *useDB {
-			db, tg, err := openDB(g)
-			if err != nil {
-				return err
-			}
-			defer db.Close()
-			levels, err := tg.BFSWithOptions([]int{*source}, *kFlag, graphulo.BFSOptions{
-				RowStart: *rowStart, RowEnd: *rowEnd,
-			})
-			if err != nil {
-				return err
-			}
-			fmt.Printf("visited %d vertices within %d hops (server-side)\n", len(levels), *kFlag)
-			reportScanPipeline(db)
-			return nil
+		levels, err := tg.BFSWithOptions([]int{*source}, *kFlag, graphulo.BFSOptions{
+			RowStart: *rowStart, RowEnd: *rowEnd,
+		})
+		if err != nil {
+			return err
 		}
-		levels := graphulo.BFSLevels(adj, *source)
-		hist := map[int]int{}
-		for _, l := range levels {
-			hist[l]++
+		fmt.Printf("visited %d vertices within %d hops (server-side)\n", len(levels), *kFlag)
+		cluster = answer{}
+		for v, l := range levels {
+			cluster[v] = float64(l)
 		}
-		fmt.Printf("BFS level histogram from %d: %v\n", *source, hist)
+		ref = bfsReference(adj)
 
 	case "degrees":
-		if *useDB {
-			db, tg, err := openDB(g)
-			if err != nil {
-				return err
-			}
-			defer db.Close()
-			degs, err := tg.Degrees()
-			if err != nil {
-				return err
-			}
-			fmt.Printf("degrees reduced server-side: %d vertices\n", len(degs))
-			reportScanPipeline(db)
-			return nil
+		degs, err := tg.Degrees()
+		if err != nil {
+			return err
 		}
-		printTop("degree", graphulo.DegreeCentrality(adj))
-
-	case "pagerank":
-		res := graphulo.PageRank(adj, 0.15, 1e-12, 1000)
-		fmt.Printf("converged=%v iterations=%d\n", res.Converged, res.Iterations)
-		printTop("pagerank", res.Scores)
-
-	case "eigen":
-		res := graphulo.EigenvectorCentrality(adj, 1e-10, 2000)
-		fmt.Printf("converged=%v iterations=%d\n", res.Converged, res.Iterations)
-		printTop("eigenvector", res.Scores)
-
-	case "katz":
-		res := graphulo.KatzCentrality(adj, 0.001, 1e-12, 500)
-		fmt.Printf("converged=%v iterations=%d\n", res.Converged, res.Iterations)
-		printTop("katz", res.Scores)
-
-	case "betweenness":
-		printTop("betweenness", graphulo.BetweennessCentrality(adj))
-
-	case "closeness":
-		printTop("closeness", graphulo.ClosenessCentrality(adj))
-		printTop("harmonic", graphulo.HarmonicCentrality(adj))
-
-	case "hits":
-		res := graphulo.HITS(adj, 1e-10, 2000)
-		fmt.Printf("converged=%v iterations=%d\n", res.Converged, res.Iterations)
-		printTop("hubs", res.Hubs)
-		printTop("authorities", res.Authorities)
-
-	case "clustering":
-		printTop("local clustering", graphulo.LocalClustering(adj))
-		fmt.Printf("global clustering coefficient: %.4f\n", graphulo.GlobalClustering(adj))
-
-	case "svd":
-		res := graphulo.TruncatedSVD(adj, *kFlag, 1e-10, 2000)
-		fmt.Printf("top-%d singular values: %.4g (in %d power iterations)\n",
-			*kFlag, res.S, res.Iterations)
-
-	case "nominate":
-		scores := graphulo.VertexNomination(adj, []int{*source}, 0.15, 500)
-		scores[*source] = 0 // hide the cue itself
-		printTop("nominated", scores)
+		fmt.Printf("degrees reduced server-side: %d vertices\n", len(degs))
+		cluster, ref = degs, onEdges(adj, graphulo.DegreeCentrality(adj))
 
 	case "ktruss":
-		if *useDB {
-			db, tg, err := openDB(g)
-			if err != nil {
-				return err
-			}
-			defer db.Close()
-			truss, err := tg.KTruss(*kFlag)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("%d-truss: %d directed entries (server-side)\n", *kFlag, truss.NNZ())
-			reportScanPipeline(db)
-			return nil
+		truss, err := tg.KTruss(*kFlag)
+		if err != nil {
+			return err
 		}
-		E := graphulo.Incidence(g)
-		truss := graphulo.KTrussEdge(E, *kFlag)
-		fmt.Printf("%d-truss keeps %d of %d edges\n", *kFlag, truss.Rows(), E.Rows())
+		fmt.Printf("%d-truss: %d directed entries (server-side)\n", *kFlag, truss.NNZ())
+		cluster, ref = assocCells(truss), matrixCells(graphulo.KTrussAdj(adj, *kFlag))
 
-	case "tricount":
-		fmt.Printf("triangles: %v\n", graphulo.TriangleCount(adj))
+	case "pagerank":
+		ranks, iters, err := tg.PageRank(0.15, 1e-12, 1000)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("PageRank: %d power iterations (server-side)\n", iters)
+		// The table holds only vertices with an edge, so both sides
+		// compare ranks normalised over that support.
+		cluster = normalised(ranks)
+		ref = normalised(onEdges(adj, graphulo.PageRank(adj, 0.15, 1e-12, 1000).Scores))
+		tol = 1e-6
 
 	case "jaccard":
-		J := graphulo.Jaccard(adj)
-		fmt.Printf("nonzero Jaccard pairs: %d\n", J.NNZ()/2)
-		preds := graphulo.LinkPrediction(adj, 5)
-		for _, p := range preds {
-			fmt.Printf("predicted link (%d,%d) score %.3f\n", p.U, p.V, p.Score)
+		J, err := tg.Jaccard()
+		if err != nil {
+			return err
 		}
+		fmt.Printf("nonzero Jaccard pairs: %d (server-side)\n", J.NNZ())
+		cluster, ref = assocCells(J), matrixCells(graphulo.Triu(graphulo.Jaccard(adj), 1))
+		tol = 1e-12
+
+	case "tricount":
+		n, err := tg.TriangleCount()
+		if err != nil {
+			return err
+		}
+		cluster, ref = answer{"triangles": n}, answer{"triangles": graphulo.TriangleCount(adj)}
 
 	case "nmf":
 		corpus := graphulo.NewTweets(graphulo.TweetCorpusConfig{NumTweets: 2000, Seed: *seed})
-		m, _, _ := corpus.A.Matrix()
-		res := graphulo.NMF(m, graphulo.NMFConfig{Topics: *kFlag, MaxIter: 40, Seed: *seed})
-		fmt.Printf("NMF k=%d: residual %.2f after %d iterations\n", *kFlag, res.Residual, res.Iterations)
-
-	case "sssp":
-		// Re-weight the graph and run Bellman–Ford under min.plus.
-		w := weighted(g, *seed)
-		dist, neg := graphulo.BellmanFord(w, *source)
-		if neg {
-			return fmt.Errorf("negative cycle")
+		cfg := graphulo.NMFConfig{Topics: *kFlag, MaxIter: 40, Seed: *seed}
+		if err := db.WriteAssoc("Tweets", corpus.A); err != nil {
+			return err
 		}
-		reach := 0
-		for _, d := range dist {
-			if d < 1e308 {
-				reach++
+		res, err := db.NMFTopics("Tweets", "TweetsW", "TweetsH", cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("NMF k=%d: residual %.2f after %d iterations (table driver)\n", *kFlag, res.Residual, res.Iterations)
+		m, _, _ := corpus.A.Matrix()
+		cluster, ref = answer{"residual": res.Residual}, answer{"residual": graphulo.NMF(m, cfg).Residual}
+		tol = 1e-6
+	}
+	reportScanPipeline(db)
+	return checkReference(algorithm, cluster, ref, tol)
+}
+
+// answer is a kernel's result keyed by vertex or by "row,col" cell: the
+// one shape checkReference compares.
+type answer map[string]float64
+
+// String summarises an answer for the side-by-side line: its value
+// when it has one key, otherwise its size and sum.
+func (a answer) String() string {
+	sum := 0.0
+	for _, v := range a {
+		sum += v
+	}
+	if len(a) == 1 {
+		return fmt.Sprintf("%.10g", sum)
+	}
+	return fmt.Sprintf("%d values summing to %.10g", len(a), sum)
+}
+
+// checkReference prints a kernel's cluster answer beside its in-memory
+// reference and returns an error naming the kernel unless both hold the
+// same keys and every value agrees to within tol·max(1, |reference|):
+// absolute for values up to 1, relative above.
+func checkReference(kernel string, cluster, ref answer, tol float64) error {
+	fmt.Printf("%s: cluster %v; in-memory reference %v\n", kernel, cluster, ref)
+	for _, side := range []answer{ref, cluster} {
+		for k := range side {
+			got, inCluster := cluster[k]
+			want, inRef := ref[k]
+			if !inCluster || !inRef || !(math.Abs(got-want) <= tol*math.Max(1, math.Abs(want))) {
+				return fmt.Errorf("%s: at %s the cluster answer has %v (present: %v), the in-memory reference %v (present: %v)",
+					kernel, k, got, inCluster, want, inRef)
 			}
 		}
-		fmt.Printf("shortest paths from %d reach %d vertices\n", *source, reach)
-
-	case "communities":
-		labels := graphulo.LabelPropagation(adj, 100, *seed)
-		fmt.Printf("%d communities, modularity %.4f\n",
-			graphulo.CommunityCount(labels), graphulo.Modularity(adj, labels))
-
-	case "components":
-		cc := graphulo.ConnectedComponents(adj)
-		sizes := map[int]int{}
-		for _, c := range cc {
-			sizes[c]++
-		}
-		fmt.Printf("%d connected components\n", len(sizes))
-
-	default:
-		return fmt.Errorf("unknown algorithm %q", algorithm)
 	}
 	return nil
+}
+
+// bfsReference is BFSLevels from -source cut at -k hops, on the
+// subgraph the row band induces (its vertices and the edges between
+// them): the graph the table BFS walks.
+func bfsReference(adj *graphulo.Matrix) answer {
+	inBand := func(v int) bool {
+		key := graphulo.VertexName(v)
+		return key >= *rowStart && (*rowEnd == "" || key < *rowEnd)
+	}
+	var band []graphulo.Triple
+	for _, t := range adj.Triples() {
+		if inBand(t.Row) && inBand(t.Col) {
+			band = append(band, t)
+		}
+	}
+	ref := answer{}
+	for v, l := range graphulo.BFSLevels(graphulo.NewMatrix(adj.Rows(), adj.Cols(), band, graphulo.PlusTimes), *source) {
+		if l >= 0 && l <= *kFlag && inBand(v) {
+			ref[graphulo.VertexName(v)] = float64(l)
+		}
+	}
+	return ref
+}
+
+// onEdges keys per-vertex scores by vertex name, keeping the vertices
+// that have an edge: the adjacency table holds no row for the others.
+func onEdges(adj *graphulo.Matrix, scores []float64) answer {
+	deg := graphulo.DegreeCentrality(adj)
+	a := answer{}
+	for v, s := range scores {
+		if deg[v] > 0 {
+			a[graphulo.VertexName(v)] = s
+		}
+	}
+	return a
+}
+
+// normalised scales an answer to sum to 1.
+func normalised(a answer) answer {
+	sum := 0.0
+	for _, v := range a {
+		sum += v
+	}
+	for k := range a {
+		a[k] /= sum
+	}
+	return a
+}
+
+// assocCells keys an associative array's cells by "row,col".
+func assocCells(a *graphulo.Assoc) answer {
+	cells := answer{}
+	for _, e := range a.Entries() {
+		cells[e.Row+","+e.Col] = e.Val
+	}
+	return cells
+}
+
+// matrixCells keys a vertex-indexed matrix's stored cells as assocCells
+// keys the table's.
+func matrixCells(m *graphulo.Matrix) answer {
+	cells := answer{}
+	for _, t := range m.Triples() {
+		cells[graphulo.VertexName(t.Row)+","+graphulo.VertexName(t.Col)] = t.Val
+	}
+	return cells
 }
 
 // reportScanPipeline prints the streaming-scan gauges after a

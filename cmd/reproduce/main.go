@@ -10,7 +10,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"time"
 
 	"graphulo"
@@ -45,7 +47,8 @@ func main() {
 	f()
 }
 
-// table1 demonstrates one algorithm per class of the paper's Table I.
+// table1 demonstrates one or more algorithms per class of the paper's
+// Table I.
 func table1() {
 	g := graphulo.DedupGraph(graphulo.RMAT(graphulo.Graph500(8, 3)))
 	adj := graphulo.AdjacencyPat(g)
@@ -72,6 +75,13 @@ func table1() {
 		}
 		return fmt.Sprintf("reached %d/%d vertices", reached, g.N)
 	})
+	add("Exploration & Traversal", "connected components", func() string {
+		sizes := map[int]int{}
+		for _, c := range graphulo.ConnectedComponents(adj) {
+			sizes[c]++
+		}
+		return fmt.Sprintf("%d components", len(sizes))
+	})
 	add("Subgraph Detection", "k-truss (Algorithm 1)", func() string {
 		E := graphulo.Incidence(g)
 		truss := graphulo.KTrussEdge(E, 4)
@@ -80,6 +90,15 @@ func table1() {
 	add("Centrality", "PageRank (power method)", func() string {
 		res := graphulo.PageRank(adj, 0.15, 1e-12, 1000)
 		return fmt.Sprintf("converged in %d iterations", res.Iterations)
+	})
+	add("Centrality", "eigenvector, Katz, HITS", func() string {
+		e, k, h := graphulo.EigenvectorCentrality(adj, 1e-10, 2000), graphulo.KatzCentrality(adj, 0.001, 1e-12, 500), graphulo.HITS(adj, 1e-10, 2000)
+		return fmt.Sprintf("converged in %d, %d, %d iterations", e.Iterations, k.Iterations, h.Iterations)
+	})
+	add("Centrality", "closeness, clustering", func() string {
+		return fmt.Sprintf("max closeness %.4f, max harmonic %.4g, clustering global %.4f max local %.4f",
+			slices.Max(graphulo.ClosenessCentrality(adj)), slices.Max(graphulo.HarmonicCentrality(adj)),
+			graphulo.GlobalClustering(adj), slices.Max(graphulo.LocalClustering(adj)))
 	})
 	add("Similarity", "Jaccard (Algorithm 2)", func() string {
 		J := graphulo.Jaccard(adj)
@@ -90,6 +109,15 @@ func table1() {
 		m, _, _ := corpus.A.Matrix()
 		res := graphulo.NMF(m, graphulo.NMFConfig{Topics: 5, MaxIter: 30, Seed: 2})
 		return fmt.Sprintf("k=5 residual %.1f", res.Residual)
+	})
+	add("Community Detection", "truncated SVD (power method)", func() string {
+		res := graphulo.TruncatedSVD(adj, 4, 1e-10, 2000)
+		return fmt.Sprintf("top-4 singular values %.4g", res.S)
+	})
+	add("Community Detection", "label propagation", func() string {
+		labels := graphulo.LabelPropagation(adj, 100, 3)
+		return fmt.Sprintf("%d communities, modularity %.4f",
+			graphulo.CommunityCount(labels), graphulo.Modularity(adj, labels))
 	})
 	add("Prediction", "link prediction (Jaccard)", func() string {
 		preds := graphulo.LinkPrediction(adj, 3)
@@ -213,7 +241,7 @@ func alg4() {
 				if i == j {
 					want = 1
 				}
-				if d := abs(residual.At(i, j) - want); d > maxErr {
+				if d := math.Abs(residual.At(i, j) - want); d > maxErr {
 					maxErr = d
 				}
 			}
@@ -246,6 +274,7 @@ func ablations() {
 		fmt.Println("error:", err)
 		return
 	}
+	defer db.Close()
 	tg, err := db.CreateGraph("Ab")
 	if err != nil {
 		fmt.Println("error:", err)
@@ -303,11 +332,4 @@ func diagDominant(n int) *graphulo.Dense {
 		d.Data[i*n+i] = row + 1.5
 	}
 	return d
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

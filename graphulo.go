@@ -186,48 +186,39 @@ var (
 
 // Graph algorithms (§III; one or more per Table I class).
 var (
-	BFSLevels              = algo.BFSLevels
-	BFSParents             = algo.BFSParents
-	DFSOrder               = algo.DFSOrder
-	ConnectedComponents    = algo.ConnectedComponents
-	DegreeCentrality       = algo.DegreeCentrality
-	EigenvectorCentrality  = algo.EigenvectorCentrality
-	KatzCentrality         = algo.KatzCentrality
-	PageRank               = algo.PageRank
-	BetweennessCentrality  = algo.BetweennessCentrality
-	KTrussEdge             = algo.KTrussEdge
-	KTrussAdj              = algo.KTrussAdj
-	EdgeSupport            = algo.EdgeSupport
-	EdgeSupportFused       = algo.EdgeSupportFused
-	TrussDecomposition     = algo.TrussDecomposition
-	TriangleCount          = algo.TriangleCount
-	Jaccard                = algo.Jaccard
-	JaccardDense           = algo.JaccardDense
-	LinkPrediction         = algo.LinkPrediction
-	NMF                    = algo.NMF
-	Inverse                = algo.Inverse
-	InverseDense           = algo.InverseDense
-	TopTerms               = algo.TopTerms
-	AssignTopics           = algo.AssignTopics
-	TopicPurity            = algo.TopicPurity
-	LabelPropagation       = algo.LabelPropagation
-	Modularity             = algo.Modularity
-	CommunityCount         = algo.CommunityCount
-	TruncatedSVD           = algo.TruncatedSVD
-	PCA                    = algo.PCA
-	VertexNomination       = algo.VertexNomination
-	ClosenessCentrality    = algo.ClosenessCentrality
-	HarmonicCentrality     = algo.HarmonicCentrality
-	ClosenessWeighted      = algo.ClosenessWeighted
-	HITS                   = algo.HITS
-	LocalClustering        = algo.LocalClusteringCoefficient
-	GlobalClustering       = algo.GlobalClusteringCoefficient
-	BellmanFord            = algo.BellmanFord
-	Dijkstra               = algo.Dijkstra
-	APSP                   = algo.APSP
-	FloydWarshall          = algo.FloydWarshall
-	Johnson                = algo.Johnson
-	IncidenceFromAdjacency = algo.IncidenceFromAdjacency
+	BFSLevels             = algo.BFSLevels
+	ConnectedComponents   = algo.ConnectedComponents
+	DegreeCentrality      = algo.DegreeCentrality
+	EigenvectorCentrality = algo.EigenvectorCentrality
+	KatzCentrality        = algo.KatzCentrality
+	PageRank              = algo.PageRank
+	BetweennessCentrality = algo.BetweennessCentrality
+	KTrussEdge            = algo.KTrussEdge
+	KTrussAdj             = algo.KTrussAdj
+	TriangleCount         = algo.TriangleCount
+	Jaccard               = algo.Jaccard
+	JaccardDense          = algo.JaccardDense
+	LinkPrediction        = algo.LinkPrediction
+	NMF                   = algo.NMF
+	InverseDense          = algo.InverseDense
+	TopTerms              = algo.TopTerms
+	AssignTopics          = algo.AssignTopics
+	TopicPurity           = algo.TopicPurity
+	LabelPropagation      = algo.LabelPropagation
+	Modularity            = algo.Modularity
+	CommunityCount        = algo.CommunityCount
+	TruncatedSVD          = algo.TruncatedSVD
+	VertexNomination      = algo.VertexNomination
+	ClosenessCentrality   = algo.ClosenessCentrality
+	HarmonicCentrality    = algo.HarmonicCentrality
+	HITS                  = algo.HITS
+	LocalClustering       = algo.LocalClusteringCoefficient
+	GlobalClustering      = algo.GlobalClusteringCoefficient
+	BellmanFord           = algo.BellmanFord
+	Dijkstra              = algo.Dijkstra
+	APSP                  = algo.APSP
+	FloydWarshall         = algo.FloydWarshall
+	Johnson               = algo.Johnson
 )
 
 // Generators.
@@ -671,15 +662,6 @@ func (db *DB) TableMultClient(tableAT, tableB, tableC, semiringName string) (int
 // scratch table.
 func (db *DB) TableAssign(tableIn, tableOut, rowOffset, colOffset string, c ScanConstraint) (int, error) {
 	return core.TableAssign(db.conn, tableIn, tableOut, rowOffset, colOffset, c)
-}
-
-// ExplainPlan renders the named kernel's compiled plan over table
-// (writing to out where the kernel writes) with fused groups marked —
-// built by the same plan constructors the drivers execute, so the
-// printed plan is the executed plan. Kernels: mult, apply, degrees,
-// bfs, ktruss, jaccard, tricount, assign.
-func (db *DB) ExplainPlan(kernel, table, out string) (string, error) {
-	return core.ExplainPlan(kernel, table, out)
 }
 
 // ExplainPlan renders a kernel's compiled plan without a cluster: the

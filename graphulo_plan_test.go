@@ -310,10 +310,8 @@ func TestTableAssign(t *testing.T) {
 // compiles, kTruss reports a fused group, and both sinks of a multiply
 // show the fold stage as its own line.
 func TestExplainPlanSurface(t *testing.T) {
-	db := mustOpen(ClusterConfig{})
-	defer db.Close()
 	for _, k := range ExplainKernels() {
-		out, err := db.ExplainPlan(k, "A", "C")
+		out, err := ExplainPlan(k, "A", "C")
 		if err != nil {
 			t.Fatalf("ExplainPlan(%q): %v", k, err)
 		}
@@ -321,7 +319,7 @@ func TestExplainPlanSurface(t *testing.T) {
 			t.Fatalf("ExplainPlan(%q) output missing plan header:\n%s", k, out)
 		}
 	}
-	kt, err := db.ExplainPlan("ktruss", "A", "C")
+	kt, err := ExplainPlan("ktruss", "A", "C")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -264,3 +264,46 @@ func TestNMFTopicsRerunSafe(t *testing.T) {
 		t.Fatalf("H rows = %v", h.Rows())
 	}
 }
+
+// TestNMFTopicsMatchesInMemory: the table NMF driver on a written
+// corpus must equal algo.NMF on the corpus matrix under the same
+// config — residual, W and H, each to a relative 1e-6 — on every
+// deployment.
+func TestNMFTopicsMatchesInMemory(t *testing.T) {
+	corpus := NewTweets(TweetCorpusConfig{NumTweets: 200, Seed: 3})
+	cfg := NMFConfig{Topics: 5, MaxIter: 30, Seed: 2}
+	m, _, _ := corpus.A.Matrix()
+	want := NMF(m, cfg)
+	relDiff := func(got, want []float64) float64 {
+		num, den := 0.0, 0.0
+		for i := range want {
+			num += (got[i] - want[i]) * (got[i] - want[i])
+			den += want[i] * want[i]
+		}
+		return math.Sqrt(num / den)
+	}
+	runThreeWay(t, func(t *testing.T, db *DB) struct{} {
+		if err := db.WriteAssoc("Docs", corpus.A); err != nil {
+			t.Fatal(err)
+		}
+		got, err := db.NMFTopics("Docs", "W", "H", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := math.Abs(got.Residual-want.Residual) / want.Residual; d > 1e-6 {
+			t.Errorf("residual %v, in-memory %v (relative difference %.3g)", got.Residual, want.Residual, d)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want *Dense
+		}{{"W", got.W, want.W}, {"H", got.H, want.H}} {
+			if f.got.R != f.want.R || f.got.C != f.want.C {
+				t.Fatalf("%s is %d×%d, in-memory %d×%d", f.name, f.got.R, f.got.C, f.want.R, f.want.C)
+			}
+			if d := relDiff(f.got.Data, f.want.Data); d > 1e-6 {
+				t.Errorf("%s differs from in-memory by a relative %.3g", f.name, d)
+			}
+		}
+		return struct{}{}
+	})
+}

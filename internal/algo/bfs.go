@@ -85,19 +85,6 @@ func BFSParents(adj *sparse.Matrix, source int) []int {
 	return parents
 }
 
-// KHopNeighbors returns the vertices reachable from source in exactly ≤ k
-// hops (excluding the source itself), via k rounds of frontier expansion.
-func KHopNeighbors(adj *sparse.Matrix, source, k int) []int {
-	levels := BFSLevels(adj, source)
-	var out []int
-	for v, l := range levels {
-		if l > 0 && l <= k {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // DFSOrder returns a depth-first preorder from source. DFS is inherently
 // sequential (Table I lists it; it does not vectorise the way BFS does),
 // so this is the classical stack algorithm reading adjacency rows.

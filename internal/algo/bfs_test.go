@@ -64,14 +64,6 @@ func TestBFSParentsTreeValid(t *testing.T) {
 	}
 }
 
-func TestKHopNeighbors(t *testing.T) {
-	adj := gen.AdjacencyPattern(gen.Path(6))
-	got := KHopNeighbors(adj, 0, 2)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("2-hop from 0 = %v", got)
-	}
-}
-
 func TestDFSOrderVisitsComponent(t *testing.T) {
 	adj := gen.AdjacencyPattern(gen.Path(5))
 	order := DFSOrder(adj, 0)

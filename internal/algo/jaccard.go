@@ -71,30 +71,6 @@ func JaccardDense(adj *sparse.Matrix) *sparse.Matrix {
 	return sparse.NewFromTriples(n, n, ts, semiring.PlusTimes)
 }
 
-// JaccardPair returns the Jaccard coefficient of two vertices.
-func JaccardPair(adj *sparse.Matrix, u, v int) float64 {
-	uc, _ := adj.Row(u)
-	vc, _ := adj.Row(v)
-	i, j, inter := 0, 0, 0
-	for i < len(uc) && j < len(vc) {
-		switch {
-		case uc[i] < vc[j]:
-			i++
-		case vc[j] < uc[i]:
-			j++
-		default:
-			inter++
-			i++
-			j++
-		}
-	}
-	union := len(uc) + len(vc) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
-}
-
 // LinkPrediction scores non-adjacent vertex pairs by Jaccard similarity
 // and returns the topK highest-scoring candidate links — the paper's
 // §III.C motivation ("computing vertex similarity is important in
@@ -127,43 +103,4 @@ func LinkPrediction(adj *sparse.Matrix, topK int) []PredictedLink {
 		cands = cands[:topK]
 	}
 	return cands
-}
-
-// NeighborMatchingScore returns a similarity score in [0,1] between two
-// graphs on the same vertex set: the mean Jaccard similarity of
-// corresponding vertices' neighbourhoods (a light-weight member of
-// Table I's Similarity class alongside full graph isomorphism).
-func NeighborMatchingScore(a, b *sparse.Matrix) float64 {
-	if a.Rows() != b.Rows() {
-		panic("algo: NeighborMatchingScore needs equal vertex sets")
-	}
-	n := a.Rows()
-	if n == 0 {
-		return 1
-	}
-	total := 0.0
-	for v := 0; v < n; v++ {
-		ac, _ := a.Row(v)
-		bc, _ := b.Row(v)
-		i, j, inter := 0, 0, 0
-		for i < len(ac) && j < len(bc) {
-			switch {
-			case ac[i] < bc[j]:
-				i++
-			case bc[j] < ac[i]:
-				j++
-			default:
-				inter++
-				i++
-				j++
-			}
-		}
-		union := len(ac) + len(bc) - inter
-		if union == 0 {
-			total++ // both isolated: identical neighbourhoods
-		} else {
-			total += float64(inter) / float64(union)
-		}
-	}
-	return total / float64(n)
 }

@@ -92,22 +92,6 @@ func TestJaccardMatchesDenseFormulation(t *testing.T) {
 	}
 }
 
-func TestJaccardPairMatchesMatrix(t *testing.T) {
-	g := gen.Dedup(gen.ErdosRenyi(20, 60, 3))
-	adj := gen.AdjacencyPattern(g)
-	J := Jaccard(adj)
-	for u := 0; u < 20; u++ {
-		for v := 0; v < 20; v++ {
-			if u == v {
-				continue
-			}
-			if got, want := JaccardPair(adj, u, v), J.At(u, v); math.Abs(got-want) > 1e-12 {
-				t.Fatalf("pair (%d,%d): %v vs %v", u, v, got, want)
-			}
-		}
-	}
-}
-
 func TestJaccardCompleteGraph(t *testing.T) {
 	// In K_n any two vertices share n−2 neighbours out of n (union
 	// includes each other): J = (n−2)/n.
@@ -140,18 +124,6 @@ func TestLinkPrediction(t *testing.T) {
 		if adj.At(p.U, p.V) != 0 {
 			t.Fatalf("predicted an existing edge %+v", p)
 		}
-	}
-}
-
-func TestNeighborMatchingScore(t *testing.T) {
-	g := gen.Dedup(gen.ErdosRenyi(15, 40, 7))
-	adj := gen.AdjacencyPattern(g)
-	if got := NeighborMatchingScore(adj, adj); got != 1 {
-		t.Fatalf("self-similarity = %v, want 1", got)
-	}
-	empty := sparse.New(15, 15)
-	if got := NeighborMatchingScore(adj, empty); got >= 0.5 {
-		t.Fatalf("graph vs empty similarity = %v, should be small", got)
 	}
 }
 
