@@ -18,11 +18,13 @@
 // runs and serve-mode daemons alike; -slow-query-threshold logs slow
 // kernels as JSON lines (to -slow-query-log or stderr).
 //
-// The kernel subcommands honour SpRef push-down flags: -row-start /
-// -row-end restrict mult, trace and bfs to a row band (only overlapping
-// tablets execute the kernel) and -colq-start / -colq-end restrict
+// The SpRef push-down is one flag, -band ROWS[,COLS], each part a
+// half-open START:END key band whose empty bound is unbounded, as in
+// D4M's A(rows, cols): -band v00000010:v00000150 or -band :,:v00000100.
+// The rows part restricts mult, trace and bfs to a row band (only
+// overlapping tablets execute the kernel); the cols part restricts
 // mult's and trace's output columns server-side. Any other subcommand
-// given a band flag fails rather than ignoring it.
+// given a band part fails rather than ignoring it.
 //
 // The -graph flag selects the workload:
 //
@@ -30,6 +32,9 @@
 //	-graph er      -n 500 -m 2000   Erdős–Rényi
 //	-graph paper                    the paper's Fig. 1 graph
 //	-graph clique  -n 100 -k 8      planted clique
+//
+// A -scale, -n or -m given with a -graph that does not read it is an
+// error, not a silent no-op.
 //
 // The cluster is in memory unless -data-dir makes it durable (a graph
 // built in one run is reopened in the next). Its wire is -transport
@@ -66,10 +71,6 @@ var (
 	servers    = flag.String("servers", "", "comma-separated tablet-server endpoints from `graphulo serve` (tcp)")
 	listen     = flag.String("listen", "127.0.0.1:0", "serve mode: address to listen on")
 	dataDir    = flag.String("data-dir", "", "durable cluster directory: graphs built in one invocation are queried in the next")
-	rowStart   = flag.String("row-start", "", "restrict mult/trace/bfs to rows >= this key (SpRef push-down; empty = unbounded)")
-	rowEnd     = flag.String("row-end", "", "restrict mult/trace/bfs to rows < this key (SpRef push-down; empty = unbounded)")
-	colqStart  = flag.String("colq-start", "", "restrict mult/trace to column qualifiers >= this key (empty = unbounded)")
-	colqEnd    = flag.String("colq-end", "", "restrict mult/trace to column qualifiers < this key (empty = unbounded)")
 	semiringF  = flag.String("semiring", "plus.times", "mult ⊕.⊗ semiring (plus.times, min.plus, max.plus, or.and, max.min)")
 
 	metricsAddr = flag.String("metrics-addr", "", "serve telemetry over HTTP on this address (/metrics, /queries, /debug/pprof); works for kernel runs and serve mode")
@@ -77,8 +78,6 @@ var (
 	slowLogPath = flag.String("slow-query-log", "", "append slow-query lines to this file instead of stderr")
 
 	tenantF     = flag.String("tenant", "", "tenant label for kernel queries: budgets and per-tenant telemetry (empty = \"default\")")
-	maxQueries  = flag.Int("max-concurrent-queries", 0, "kernel queries admitted concurrently (0 = default of 64, negative = unlimited)")
-	maxQueued   = flag.Int("max-queued-queries", 0, "admission queue depth before queries are rejected outright (0 = default of 256)")
 	scanBudget  = flag.Int64("scan-entry-budget", 0, "per-query scan-entry budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 	writeBudget = flag.Int64("write-byte-budget", 0, "per-query write wire-byte budget; a query exceeding it is cancelled with a budget error (0 = unlimited)")
 )
@@ -98,28 +97,69 @@ const (
 // lists them.
 const movedToReproduce = "eigen katz hits clustering svd closeness communities components"
 
-// bandHonoured maps each band flag to the subcommands that pass it to
-// a kernel.
-var bandHonoured = []struct {
-	flag string
-	val  *string
-	by   []string
-}{
-	{"row-start", rowStart, []string{"mult", "trace", "bfs"}},
-	{"row-end", rowEnd, []string{"mult", "trace", "bfs"}},
-	{"colq-start", colqStart, []string{"mult", "trace"}},
-	{"colq-end", colqEnd, []string{"mult", "trace"}},
+// band is -band's SpRef sub-array, in the kernels' own band type.
+var band graphulo.ScanConstraint
+
+func init() {
+	flag.Func("band", "SpRef push-down `ROWS[,COLS]`, each part START:END (half-open; an empty bound is unbounded): rows restrict mult/trace/bfs, cols restrict mult/trace",
+		func(s string) (err error) {
+			band, err = parseBand(s)
+			return err
+		})
 }
 
-// checkBands refuses a band flag that algorithm would ignore, naming
-// the flag and the subcommands that honour it.
+// parseBand parses -band's ROWS[,COLS], each part START:END, into a
+// band; the empty string is the whole array.
+func parseBand(s string) (graphulo.ScanConstraint, error) {
+	var c graphulo.ScanConstraint
+	if s == "" {
+		return c, nil
+	}
+	parts := strings.Split(s, ",")
+	for i, p := range parts {
+		bounds := strings.Split(p, ":")
+		if len(parts) > 2 || len(bounds) != 2 {
+			return graphulo.ScanConstraint{}, fmt.Errorf("-band %q: want ROWS[,COLS], each part START:END", s)
+		}
+		if i == 0 {
+			c.RowStart, c.RowEnd = bounds[0], bounds[1]
+		} else {
+			c.ColQStart, c.ColQEnd = bounds[0], bounds[1]
+		}
+	}
+	return c, nil
+}
+
+// checkBands refuses a -band part that algorithm would ignore, naming
+// the part and the subcommands that honour it.
 func checkBands(algorithm string) error {
-	for _, b := range bandHonoured {
-		if *b.val != "" && !slices.Contains(b.by, algorithm) {
-			return fmt.Errorf("-%s is honoured only by %s, not %s", b.flag, strings.Join(b.by, ", "), algorithm)
+	for _, p := range []struct {
+		part string
+		set  bool
+		by   []string
+	}{
+		{"rows", band.RowStart != "" || band.RowEnd != "", []string{"mult", "trace", "bfs"}},
+		{"cols", band.ColQStart != "" || band.ColQEnd != "", []string{"mult", "trace"}},
+	} {
+		if p.set && !slices.Contains(p.by, algorithm) {
+			return fmt.Errorf("-band's %s part is honoured only by %s, not %s", p.part, strings.Join(p.by, ", "), algorithm)
 		}
 	}
 	return nil
+}
+
+// checkWorkload refuses a graph-shape flag set on the command line
+// that the chosen -graph does not read, naming the graphs that do. -k
+// and -seed are never refused: kernels read them too.
+func checkWorkload(fs *flag.FlagSet) error {
+	readBy := map[string][]string{"scale": {"rmat"}, "n": {"er", "clique"}, "m": {"er"}}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if by, ok := readBy[f.Name]; ok && err == nil && !slices.Contains(by, *graphKind) {
+			err = fmt.Errorf("-%s is read only by -graph %s, not -graph %s", f.Name, strings.Join(by, ", "), *graphKind)
+		}
+	})
+	return err
 }
 
 // openDB starts the embedded cluster: in memory, durable when -data-dir
@@ -151,11 +191,9 @@ func openDB() (*graphulo.DB, error) {
 		SlowQueryThreshold: *slowQuery,
 		SlowQueryLog:       slowLog,
 
-		DefaultTenant:        *tenantF,
-		MaxConcurrentQueries: *maxQueries,
-		MaxQueuedQueries:     *maxQueued,
-		ScanEntryBudget:      *scanBudget,
-		WriteByteBudget:      *writeBudget,
+		DefaultTenant:   *tenantF,
+		ScanEntryBudget: *scanBudget,
+		WriteByteBudget: *writeBudget,
 	})
 	if err != nil {
 		return nil, err
@@ -207,7 +245,9 @@ func main() {
 	case "explain":
 		err = explain()
 	default:
-		err = run(algorithm)
+		if err = checkWorkload(flag.CommandLine); err == nil {
+			err = run(algorithm)
+		}
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "graphulo:", err)
@@ -340,15 +380,12 @@ func run(algorithm string) error {
 	switch algorithm {
 	case "mult", "trace":
 		// C ⊕= Aᵀ·A over the ingested graph — the raw TableMult kernel,
-		// honouring the SpRef constraint flags. The trace variant also
-		// prints the query's span tree and per-query counters.
+		// honouring -band. The trace variant also prints the query's
+		// span tree and per-query counters.
 		a, at, _ := tg.Tables()
 		n, err := db.TableMultOpts(at, a, "Gsq", graphulo.MultOptions{
-			Semiring: *semiringF,
-			Constraint: graphulo.ScanConstraint{
-				RowStart: *rowStart, RowEnd: *rowEnd,
-				ColQStart: *colqStart, ColQEnd: *colqEnd,
-			},
+			Semiring:   *semiringF,
+			Constraint: band,
 		})
 		if err != nil {
 			return err
@@ -362,7 +399,7 @@ func run(algorithm string) error {
 
 	case "bfs":
 		levels, err := tg.BFSWithOptions([]int{*source}, *kFlag, graphulo.BFSOptions{
-			RowStart: *rowStart, RowEnd: *rowEnd,
+			RowStart: band.RowStart, RowEnd: band.RowEnd,
 		})
 		if err != nil {
 			return err
@@ -479,7 +516,7 @@ func checkReference(kernel string, cluster, ref answer, tol float64) error {
 func bfsReference(adj *graphulo.Matrix) answer {
 	inBand := func(v int) bool {
 		key := graphulo.VertexName(v)
-		return key >= *rowStart && (*rowEnd == "" || key < *rowEnd)
+		return key >= band.RowStart && (band.RowEnd == "" || key < band.RowEnd)
 	}
 	var band []graphulo.Triple
 	for _, t := range adj.Triples() {

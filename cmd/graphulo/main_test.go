@@ -2,6 +2,8 @@ package main
 
 import (
 	"flag"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -21,45 +23,141 @@ func setFlags(t *testing.T, kv ...string) {
 	}
 }
 
-// TestBandFlagsRefusedWhereIgnored: a band flag reaches a kernel only
-// through mult, trace (all four) and bfs (the row band). Every other
-// subcommand of the usage line, and every name moved to reproduce,
-// given a band flag must fail, naming the flag and the subcommands
-// that honour it, instead of running on the whole graph.
-func TestBandFlagsRefusedWhereIgnored(t *testing.T) {
-	honours := map[string][]string{
-		"mult":  {"row-start", "row-end", "colq-start", "colq-end"},
-		"trace": {"row-start", "row-end", "colq-start", "colq-end"},
-		"bfs":   {"row-start", "row-end"},
+// parseFresh parses args into a new flag set sharing the command
+// line's flag values, so the flags it names count as set for this test
+// only, and restores their defaults when the test ends.
+func parseFresh(t *testing.T, args ...string) *flag.FlagSet {
+	t.Helper()
+	fs := flag.NewFlagSet("graphulo", flag.ContinueOnError)
+	flag.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	if err := fs.Parse(args); err != nil {
+		t.Fatal(err)
 	}
-	honouredBy := map[string]string{
-		"row-start":  "mult, trace, bfs",
-		"row-end":    "mult, trace, bfs",
-		"colq-start": "mult, trace",
-		"colq-end":   "mult, trace",
+	fs.Visit(func(f *flag.Flag) {
+		t.Cleanup(func() { f.Value.Set(flag.Lookup(f.Name).DefValue) })
+	})
+	return fs
+}
+
+// TestFlagSurface pins the flags the command registers: the workload,
+// the cluster, one -band, telemetry, and the per-query tenant and
+// budgets. A one-query run has no admission knobs.
+func TestFlagSurface(t *testing.T) {
+	want := strings.Fields(`band data-dir graph k listen m metrics-addr n scale
+		scan-entry-budget seed semiring servers slow-query-log slow-query-threshold
+		source tenant transport write-byte-budget`)
+	var got []string
+	flag.VisitAll(func(f *flag.Flag) {
+		if !strings.HasPrefix(f.Name, "test.") {
+			got = append(got, f.Name)
+		}
+	})
+	if !slices.Equal(got, want) {
+		t.Fatalf("%d flags %v, want the %d %v", len(got), got, len(want), want)
+	}
+}
+
+// TestBandFlagParses: -band is ROWS[,COLS] with each part START:END
+// and an empty bound unbounded; anything else is an error naming -band.
+func TestBandFlagParses(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want graphulo.ScanConstraint
+		bad  bool
+	}{
+		{in: "a:b", want: graphulo.ScanConstraint{RowStart: "a", RowEnd: "b"}},
+		{in: ":,c:d", want: graphulo.ScanConstraint{ColQStart: "c", ColQEnd: "d"}},
+		{in: "a:b,c:d", want: graphulo.ScanConstraint{RowStart: "a", RowEnd: "b", ColQStart: "c", ColQEnd: "d"}},
+		{in: "a:", want: graphulo.ScanConstraint{RowStart: "a"}},
+		{in: ":b,:d", want: graphulo.ScanConstraint{RowEnd: "b", ColQEnd: "d"}},
+		{in: ":,:"},
+		{in: "a", bad: true},
+		{in: "a:b,c", bad: true},
+		{in: "a:b,c:d,e:f", bad: true},
+		{in: "a:b:c", bad: true},
+	} {
+		got, err := parseBand(tc.in)
+		switch {
+		case tc.bad && (err == nil || !strings.Contains(err.Error(), "-band")):
+			t.Errorf("%q: error %v, want one naming -band", tc.in, err)
+		case !tc.bad && err != nil:
+			t.Errorf("%q: %v", tc.in, err)
+		case !tc.bad && !reflect.DeepEqual(got, tc.want):
+			t.Errorf("%q parsed to %+v, want %+v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestBandFlagsRefusedWhereIgnored: -band's rows part reaches a kernel
+// only through mult, trace and bfs, its cols part only through mult and
+// trace. Every other subcommand of the usage line, and every name moved
+// to reproduce, given a band part must fail, naming the part and the
+// subcommands that honour it, instead of running on the whole graph.
+// Each part is probed at each of its bounds; a probe is named by the
+// bound it sets.
+func TestBandFlagsRefusedWhereIgnored(t *testing.T) {
+	honouredBy := map[string][]string{
+		"rows": {"mult", "trace", "bfs"},
+		"cols": {"mult", "trace"},
+	}
+	probes := []struct{ name, part, band string }{
+		{"row-start", "rows", "v00000003:"},
+		{"row-end", "rows", ":v00000003"},
+		{"colq-start", "cols", ":,v00000003:"},
+		{"colq-end", "cols", ":,:v00000003"},
 	}
 	for _, alg := range strings.Fields(algorithms + " " + movedToReproduce) {
-		for _, name := range []string{"row-start", "row-end", "colq-start", "colq-end"} {
-			t.Run(alg+"/"+name, func(t *testing.T) {
-				if err := flag.Set(name, "v00000003"); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { flag.Set(name, "") })
+		for _, p := range probes {
+			t.Run(alg+"/"+p.name, func(t *testing.T) {
+				setFlags(t, "band", p.band)
 				err := run(alg)
-				honoured := false
-				for _, h := range honours[alg] {
-					honoured = honoured || h == name
-				}
+				by := honouredBy[p.part]
+				honoured := slices.Contains(by, alg)
 				switch {
 				case honoured && err != nil:
-					t.Fatalf("%s -%s: %v", alg, name, err)
+					t.Fatalf("%s -band %s: %v", alg, p.band, err)
 				case !honoured && err == nil:
-					t.Fatalf("%s -%s ran, ignoring the band; want an error", alg, name)
-				case !honoured && (!strings.Contains(err.Error(), "-"+name) || !strings.Contains(err.Error(), honouredBy[name])):
-					t.Fatalf("%s -%s: error %q does not name the flag and %s", alg, name, err, honouredBy[name])
+					t.Fatalf("%s -band %s ran, ignoring the band; want an error", alg, p.band)
+				case !honoured && (!strings.Contains(err.Error(), "-band's "+p.part+" part") || !strings.Contains(err.Error(), strings.Join(by, ", "))):
+					t.Fatalf("%s -band %s: error %q does not name the %s part and %s", alg, p.band, err, p.part, strings.Join(by, ", "))
 				}
 			})
 		}
+	}
+}
+
+// TestWorkloadFlagsRefusedWhereIgnored: -scale is read only by rmat,
+// -n by er and clique, -m by er. Set on the command line beside any
+// other -graph, each fails naming the flag and the graphs that read it
+// (`degrees -graph paper -scale 12` once ran the 5-vertex paper graph).
+// -k and -seed are read by kernels too and pass with every graph.
+func TestWorkloadFlagsRefusedWhereIgnored(t *testing.T) {
+	readBy := map[string][]string{
+		"scale": {"rmat"},
+		"n":     {"er", "clique"},
+		"m":     {"er"},
+		"k":     {"rmat", "er", "paper", "clique"},
+		"seed":  {"rmat", "er", "paper", "clique"},
+	}
+	for _, graph := range []string{"rmat", "er", "paper", "clique"} {
+		for name, by := range readBy {
+			t.Run(graph+"/"+name, func(t *testing.T) {
+				err := checkWorkload(parseFresh(t, "-graph", graph, "-"+name, "6"))
+				read := slices.Contains(by, graph)
+				switch {
+				case read && err != nil:
+					t.Fatalf("-graph %s -%s: %v", graph, name, err)
+				case !read && err == nil:
+					t.Fatalf("-graph %s -%s passed, ignoring -%s; want an error", graph, name, name)
+				case !read && (!strings.Contains(err.Error(), "-"+name+" ") || !strings.Contains(err.Error(), strings.Join(by, ", "))):
+					t.Fatalf("-graph %s -%s: error %q does not name -%s and %s", graph, name, err, name, strings.Join(by, ", "))
+				}
+			})
+		}
+	}
+	// Unset, the shape flags' defaults are not refused.
+	if err := checkWorkload(parseFresh(t, "-graph", "paper")); err != nil {
+		t.Fatalf("-graph paper alone: %v", err)
 	}
 }
 

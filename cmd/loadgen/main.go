@@ -12,9 +12,10 @@
 //	loadgen -transport tcp -workers 8                  # TCP loopback
 //	loadgen -servers 127.0.0.1:9471,127.0.0.1:9472     # external daemons
 //
-// Admission knobs mirror cmd/graphulo: -max-concurrent-queries,
-// -max-queued-queries, -scan-entry-budget; -tenants spreads the workers
-// across t0..t{k-1}.
+// Admission knobs: -max-concurrent-queries and -max-queued-queries (only
+// a concurrent stream reaches them, so cmd/graphulo, which runs one
+// query at a time, has neither) and -scan-entry-budget; -tenants
+// spreads the workers across t0..t{k-1}.
 package main
 
 import (

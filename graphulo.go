@@ -515,9 +515,6 @@ func (db *DB) OpenGraph(name string) (*TableGraph, error) {
 // Ingest loads an undirected edge-list graph.
 func (g *TableGraph) Ingest(graph Graph) error { return g.schema.IngestGraph(graph) }
 
-// IngestDirected loads a directed edge-list graph.
-func (g *TableGraph) IngestDirected(graph Graph) error { return g.schema.IngestDirected(graph) }
-
 // Tables returns the underlying table names (A, Aᵀ, degree).
 func (g *TableGraph) Tables() (a, at, deg string) {
 	return g.schema.Table, g.schema.TableT, g.schema.DegTable

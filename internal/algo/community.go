@@ -14,9 +14,11 @@ import (
 
 // LabelPropagation partitions the graph by iterative plurality voting:
 // every vertex adopts the most common label among its neighbours
-// (ties broken toward the smallest label for determinism), until no
-// label changes or maxRounds is hit. Returns the community label of
-// each vertex. Deterministic: vertices update synchronously.
+// (ties broken toward the smallest label), until no label changes or
+// maxRounds is hit. Returns the community label of each vertex. Updates
+// are asynchronous: each round relabels vertices in place, in one
+// visit order shuffled from seed, so a vertex votes on the labels its
+// neighbours took earlier in the same round. Deterministic for a seed.
 func LabelPropagation(adj *sparse.Matrix, maxRounds int, seed uint64) []int {
 	n := adj.Rows()
 	if maxRounds <= 0 {

@@ -35,29 +35,9 @@ import (
 	"graphulo/internal/telemetry"
 )
 
-// ScanConstraint restricts a kernel to a sub-associative-array — the
-// SpRef push-down of §II. The row band is pushed into the scan itself,
-// so only tablets it overlaps execute the kernel's iterator stack
-// (pruned tablets count as telemetry.TabletsPrunedByRange) and, on a
-// durable cluster, rfile row-index and bloom pruning apply; the
-// column-qualifier band runs as a server-side filter below the kernel
-// stages (dropped entries count as telemetry.EntriesPrunedByRange). The
-// zero value constrains nothing.
-type ScanConstraint struct {
-	// RowStart/RowEnd bound the scanned rows, half-open [RowStart,
-	// RowEnd); "" leaves that side unbounded.
-	RowStart, RowEnd string
-	// ColQStart/ColQEnd bound column qualifiers, half-open; "" leaves
-	// that side unbounded.
-	ColQStart, ColQEnd string
-	// Families restricts the scan to a column-family set (nil/empty =
-	// unconstrained). Unlike the qualifier band, which filters
-	// server-side per entry, the family constraint is pushed into
-	// storage: tablets serve it from the matching rfile locality groups
-	// only, skipping every other family's blocks
-	// (telemetry.LocalityBlocksSkipped counts the savings).
-	Families []string
-}
+// ScanConstraint restricts a kernel to a sub-associative-array (SpRef):
+// it is the plan layer's band type, declared once in plan.Constraint.
+type ScanConstraint = plan.Constraint
 
 // DefaultPreAggBytes is the fixed budget of the ⊕-fold stage the planner
 // places below the sink of every multiply chain (see plan.Compile).
@@ -172,7 +152,7 @@ func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts Mu
 // pass — shared with Explain so the printed plan is the executed plan.
 func multPlan(tableAT, tableB, tableC string, opts MultOptions) *plan.Node {
 	return plan.Write(
-		plan.Mult(plan.Scan(tableB, plan.Constraint(opts.Constraint)), tableAT, opts.Semiring),
+		plan.Mult(plan.Scan(tableB, opts.Constraint), tableAT, opts.Semiring),
 		tableC, opts.Semiring, opts.BatchSize, opts.PreAggBytes)
 }
 
@@ -383,7 +363,7 @@ func oneTableQ(conn *accumulo.Connector, tableIn, tableOut string, settings []it
 // a multiply carries at most one entry per input cell, so there is
 // nothing to fold).
 func oneTablePlan(tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint) *plan.Node {
-	var n *plan.Node = plan.Scan(tableIn, plan.Constraint(c))
+	var n *plan.Node = plan.Scan(tableIn, c)
 	if len(settings) > 0 {
 		n = plan.Apply(n, settings...)
 	}
@@ -416,7 +396,7 @@ func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, c
 // the scan (its input is row-sorted), one pass end to end.
 func rowReducePlan(tableIn, tableOut, monoid, colF, colQ string, c ScanConstraint) *plan.Node {
 	return plan.Write(
-		plan.Reduce(plan.Scan(tableIn, plan.Constraint(c)), monoid, colF, colQ),
+		plan.Reduce(plan.Scan(tableIn, c), monoid, colF, colQ),
 		tableOut, "plus.times", 0, 0)
 }
 
@@ -446,7 +426,7 @@ func TableAssign(conn *accumulo.Connector, tableIn, tableOut, rowOffset, colOffs
 // assignPlan is TableAssign's node tree, shared with Explain.
 func assignPlan(tableIn, tableOut, rowOffset, colOffset string, c ScanConstraint) *plan.Node {
 	return plan.Write(
-		plan.SpAsgn(plan.Scan(tableIn, plan.Constraint(c)), rowOffset, colOffset),
+		plan.SpAsgn(plan.Scan(tableIn, c), rowOffset, colOffset),
 		tableOut, "plus.times", 0, 0)
 }
 

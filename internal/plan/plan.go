@@ -22,15 +22,27 @@ import (
 )
 
 // Constraint restricts a scan to a sub-associative-array — the SpRef
-// push-down: the row band prunes tablets before any pass launches, the
-// column band filters server-side below the kernel stages, and the
-// family set is pushed into storage so tablets read only the matching
-// rfile locality groups. The zero value constrains nothing.
+// push-down of §II, and the one band type every kernel takes (the core
+// package and the facade re-export it as ScanConstraint). The row band
+// is pushed into the scan itself, so only tablets it overlaps execute
+// the kernel's iterator stack (pruned tablets count as
+// telemetry.TabletsPrunedByRange) and, on a durable cluster, rfile
+// row-index and bloom pruning apply; the column-qualifier band runs as a
+// server-side filter below the kernel stages (dropped entries count as
+// telemetry.EntriesPrunedByRange). The zero value constrains nothing.
 type Constraint struct {
-	RowStart, RowEnd   string
+	// RowStart/RowEnd bound the scanned rows, half-open [RowStart,
+	// RowEnd); "" leaves that side unbounded.
+	RowStart, RowEnd string
+	// ColQStart/ColQEnd bound column qualifiers, half-open; "" leaves
+	// that side unbounded.
 	ColQStart, ColQEnd string
 	// Families restricts the scan to a column-family set (nil/empty =
-	// unconstrained); it rides the scan request down to the tablets.
+	// unconstrained). Unlike the qualifier band, which filters
+	// server-side per entry, the family constraint rides the scan
+	// request down to storage: tablets serve it from the matching rfile
+	// locality groups only, skipping every other family's blocks
+	// (telemetry.LocalityBlocksSkipped counts the savings).
 	Families []string
 }
 

@@ -55,21 +55,19 @@ func ParseVertex(key string) (int, error) {
 // kernels expect (A and Aᵀ so either orientation can be the multiply's
 // inner dimension).
 type AdjacencySchema struct {
-	Table     string // A: row = source, colQ = destination
-	TableT    string // Aᵀ
-	DegTable  string // row = vertex, value = out-degree
-	conn      *accumulo.Connector
-	batchSize int
+	Table    string // A: row = source, colQ = destination
+	TableT   string // Aᵀ
+	DegTable string // row = vertex, value = out-degree
+	conn     *accumulo.Connector
 }
 
 // NewAdjacencySchema creates (or reuses) the three tables.
 func NewAdjacencySchema(conn *accumulo.Connector, base string) (*AdjacencySchema, error) {
 	s := &AdjacencySchema{
-		Table:     base,
-		TableT:    base + "T",
-		DegTable:  base + "Deg",
-		conn:      conn,
-		batchSize: 4096,
+		Table:    base,
+		TableT:   base + "T",
+		DegTable: base + "Deg",
+		conn:     conn,
 	}
 	ops := conn.TableOperations()
 	for _, name := range []string{s.Table, s.TableT} {
