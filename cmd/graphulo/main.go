@@ -297,18 +297,20 @@ func serve() error {
 	return srv.Close()
 }
 
-func makeGraph() graphulo.Graph {
+// makeGraph builds the -graph workload; any other -graph is an error.
+func makeGraph() (graphulo.Graph, error) {
 	switch *graphKind {
 	case "rmat":
-		return graphulo.DedupGraph(graphulo.RMAT(graphulo.Graph500(*scale, *seed)))
+		return graphulo.DedupGraph(graphulo.RMAT(graphulo.Graph500(*scale, *seed))), nil
 	case "er":
-		return graphulo.DedupGraph(graphulo.ErdosRenyi(*nFlag, *mFlag, *seed))
+		return graphulo.DedupGraph(graphulo.ErdosRenyi(*nFlag, *mFlag, *seed)), nil
+	case "paper":
+		return graphulo.PaperGraph(), nil
 	case "clique":
 		g, _ := graphulo.PlantedClique(*nFlag, 0.05, *kFlag, *seed)
-		return graphulo.DedupGraph(g)
-	default:
-		return graphulo.PaperGraph()
+		return graphulo.DedupGraph(g), nil
 	}
+	return graphulo.Graph{}, fmt.Errorf("-graph %q is not one of rmat er paper clique", *graphKind)
 }
 
 func run(algorithm string) error {
@@ -318,7 +320,10 @@ func run(algorithm string) error {
 	if !slices.Contains(strings.Fields(algorithms), algorithm) {
 		return fmt.Errorf("unknown algorithm %q (%s are rows of `reproduce -exp table1`)", algorithm, movedToReproduce)
 	}
-	g := makeGraph()
+	g, err := makeGraph()
+	if err != nil {
+		return err
+	}
 	if *source < 0 || *source >= g.N {
 		return fmt.Errorf("-source %d is not a vertex of the %d-vertex graph", *source, g.N)
 	}
@@ -380,8 +385,9 @@ func run(algorithm string) error {
 	switch algorithm {
 	case "mult", "trace":
 		// C ⊕= Aᵀ·A over the ingested graph — the raw TableMult kernel,
-		// honouring -band. The trace variant also prints the query's
-		// span tree and per-query counters.
+		// honouring -band. A is its own transpose, so at and a are one
+		// table. The trace variant also prints the query's span tree
+		// and per-query counters.
 		a, at, _ := tg.Tables()
 		n, err := db.TableMultOpts(at, a, "Gsq", graphulo.MultOptions{
 			Semiring:   *semiringF,

@@ -161,6 +161,18 @@ func TestWorkloadFlagsRefusedWhereIgnored(t *testing.T) {
 	}
 }
 
+// TestUnknownGraphRefused: a -graph that names no workload fails,
+// naming the four that exist, on in-memory and table subcommands alike
+// (`degrees -graph rmatt` once ran the 5-vertex paper graph).
+func TestUnknownGraphRefused(t *testing.T) {
+	setFlags(t, "graph", "rmatt")
+	for _, alg := range []string{"degrees", "mult", "info"} {
+		if err := run(alg); err == nil || !strings.Contains(err.Error(), `"rmatt"`) || !strings.Contains(err.Error(), "rmat er paper clique") {
+			t.Errorf("%s -graph rmatt: error %v, want one naming rmatt and rmat er paper clique", alg, err)
+		}
+	}
+}
+
 // TestEverySubcommandRuns runs every subcommand of the usage line on a
 // small Erdős–Rényi graph, in memory, over tcp, against two standalone
 // tablet servers and on a data dir: each table kernel must agree with

@@ -483,7 +483,8 @@ func (db *DB) TabletRuns(table string) ([]int, error) {
 	return db.conn.TableOperations().TabletRuns(table)
 }
 
-// TableGraph is a graph stored in adjacency tables (A, Aᵀ, degree),
+// TableGraph is an undirected graph stored in two tables — its
+// adjacency matrix A, which is its own transpose, and a degree table —
 // with algorithms whose data-heavy kernels run server-side.
 type TableGraph struct {
 	db     *DB
@@ -491,9 +492,10 @@ type TableGraph struct {
 	name   string
 }
 
-// CreateGraph creates the table trio for a named graph. Tables that
-// already exist — e.g. recovered from a durable DataDir — are reused
-// with their persisted contents and iterator settings.
+// CreateGraph creates the named graph's two tables, name (A) and
+// name+"Deg" (degrees). Tables that already exist — e.g. recovered from
+// a durable DataDir — are reused with their persisted contents and
+// iterator settings.
 func (db *DB) CreateGraph(name string) (*TableGraph, error) {
 	s, err := schema.NewAdjacencySchema(db.conn, name)
 	if err != nil {
@@ -512,12 +514,15 @@ func (db *DB) OpenGraph(name string) (*TableGraph, error) {
 	return db.CreateGraph(name)
 }
 
-// Ingest loads an undirected edge-list graph.
+// Ingest loads an undirected edge-list graph: four entries per edge,
+// A in both orientations and both endpoints' degrees.
 func (g *TableGraph) Ingest(graph Graph) error { return g.schema.IngestGraph(graph) }
 
-// Tables returns the underlying table names (A, Aᵀ, degree).
+// Tables returns the underlying table names: A, Aᵀ and the degree
+// table. An undirected graph's adjacency matrix is its own transpose,
+// so a and at name the same table; TableMult(at, a, …) computes A·A.
 func (g *TableGraph) Tables() (a, at, deg string) {
-	return g.schema.Table, g.schema.TableT, g.schema.DegTable
+	return g.schema.Table, g.schema.Table, g.schema.DegTable
 }
 
 // VertexName converts an integer vertex id to its row key.

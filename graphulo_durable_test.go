@@ -1,6 +1,7 @@
 package graphulo
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -46,13 +47,8 @@ func TestDurableTableGraphSurvivesRestart(t *testing.T) {
 	}
 	defer db2.Close()
 	gotTables := db2.Connector().TableOperations().List()
-	if len(gotTables) < 3 {
-		t.Fatalf("recovered tables = %v, want at least A/AT/Deg", gotTables)
-	}
-	for i, name := range wantTables {
-		if gotTables[i] != name {
-			t.Fatalf("tables differ after restart: %v vs %v", wantTables, gotTables)
-		}
+	if want := []string{"G", "GDeg"}; !reflect.DeepEqual(wantTables, want) || !reflect.DeepEqual(gotTables, want) {
+		t.Fatalf("tables %v before restart, %v after; want exactly %v", wantTables, gotTables, want)
 	}
 	tg2, err := db2.OpenGraph("G")
 	if err != nil {

@@ -142,6 +142,52 @@ func TestEndToEndKTrussAndJaccard(t *testing.T) {
 	}
 }
 
+// TestGraphIsStoredOnce: an undirected graph's adjacency matrix is its
+// own transpose, so CreateGraph makes two tables (A and its degrees),
+// Ingest writes four entries per edge (A in both orientations and both
+// endpoint degrees), and TableMult with A as both operands is A·A cell
+// for cell.
+func TestGraphIsStoredOnce(t *testing.T) {
+	db := mustOpen(ClusterConfig{})
+	defer db.Close()
+	tg, err := db.CreateGraph("G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := db.Connector().TableOperations().List(); !reflect.DeepEqual(got, []string{"G", "GDeg"}) {
+		t.Fatalf("CreateGraph made tables %v, want [G GDeg]", got)
+	}
+	g := DedupGraph(ErdosRenyi(60, 200, 5))
+	_, _, before, _ := db.Metrics()
+	if err := tg.Ingest(g); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, after, _ := db.Metrics(); after-before != int64(4*len(g.Edges)) {
+		t.Fatalf("Ingest of %d edges wrote %d entries, want %d", len(g.Edges), after-before, 4*len(g.Edges))
+	}
+	a, at, _ := tg.Tables()
+	if at != a {
+		t.Fatalf("Tables() = (%s, %s, …): an undirected graph's A is its own transpose", a, at)
+	}
+	if _, err := db.TableMult(at, a, "Gsq", "plus.times"); err != nil {
+		t.Fatal(err)
+	}
+	got, err := db.ReadAssoc("Gsq")
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := Adjacency(g)
+	want := SpGEMM(adj, adj, PlusTimes)
+	if got.NNZ() != want.NNZ() {
+		t.Fatalf("A·A has %d cells on the cluster, want %d", got.NNZ(), want.NNZ())
+	}
+	for _, c := range want.Triples() {
+		if v := got.At(VertexName(c.Row), VertexName(c.Col)); v != c.Val {
+			t.Fatalf("A·A (%d,%d) = %v, want %v", c.Row, c.Col, v, c.Val)
+		}
+	}
+}
+
 func TestTableMultFacade(t *testing.T) {
 	db := mustOpen(ClusterConfig{})
 	a := NewAssoc([]AssocEntry{

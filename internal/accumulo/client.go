@@ -99,9 +99,9 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 				return fmt.Errorf("accumulo: assigning tablet of %q to %s: %w", name, ref.endpoint, err)
 			}
 		case backings != nil:
-			ref.tab = tablet.NewDurable(rng[0], rng[1], t.mc.cfg.MemLimit, t.mc.seed.Add(1), backings[i], nil, nil)
+			ref.tab = tablet.NewDurable(rng[0], rng[1], t.mc.cfg.MemLimit, backings[i], nil, nil)
 		default:
-			ref.tab = tablet.New(rng[0], rng[1], t.mc.cfg.MemLimit, t.mc.seed.Add(1))
+			ref.tab = tablet.New(rng[0], rng[1], t.mc.cfg.MemLimit, 0)
 		}
 		if ref.tab != nil {
 			// Built here, hosted on the launched server by pointer.

@@ -217,7 +217,6 @@ func (c Config) withDefaults() Config {
 type MiniCluster struct {
 	cfg   Config
 	clock atomic.Int64
-	seed  atomic.Int64
 
 	// tel is the coordinator's telemetry registry: the process counter
 	// block that this cluster's router, launched servers, tablets and
@@ -306,7 +305,6 @@ func NewMiniCluster(cfg Config) *MiniCluster {
 // versioning semantics survive restarts.
 func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 	mc := &MiniCluster{cfg: cfg.withDefaults(), tables: map[string]*tableMeta{}}
-	mc.seed.Store(42)
 	mc.sched = sched.New(sched.Config{
 		MaxConcurrentQueries: cfg.MaxConcurrentQueries,
 		MaxQueuedQueries:     cfg.MaxQueuedQueries,
@@ -365,7 +363,7 @@ func OpenMiniCluster(cfg Config) (*MiniCluster, error) {
 			if maxTs > clockFloor {
 				clockFloor = maxTs
 			}
-			tab := tablet.NewDurable(tbi.Start, tbi.End, mc.cfg.MemLimit, mc.seed.Add(1), ts, runs, replay)
+			tab := tablet.NewDurable(tbi.Start, tbi.End, mc.cfg.MemLimit, ts, runs, replay)
 			mc.initTablet(tab, meta)
 			server := i % mc.cfg.TabletServers
 			mc.servers[server].host(ti.Name, tbi.Start, tbi.End, tab)

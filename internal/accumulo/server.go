@@ -50,7 +50,6 @@ type TabletServer struct {
 	// counted into, and the record of the passes it serves.
 	tel *telemetry.Registry
 
-	seed   atomic.Int64
 	telSrv *telemetry.Server
 
 	mu     sync.RWMutex
@@ -92,7 +91,6 @@ func ListenAndServeTablets(addr string, memLimit int) (*TabletServer, error) {
 
 // listen starts the server's endpoint on its transport.
 func (s *TabletServer) listen(addr string) error {
-	s.seed.Store(42)
 	s.tables = map[string][]hostedTablet{}
 	srv, err := s.tr.Listen(addr, &tabletHandler{s: s})
 	if err != nil {
@@ -188,7 +186,7 @@ func (s *TabletServer) unhost(table, start, end string) {
 // coordinator that just created the table expects it empty, and stale
 // data from an earlier coordinator run must not leak into it.
 func (s *TabletServer) assign(table, start, end string) {
-	tab := tablet.New(start, end, s.memLimit, s.seed.Add(1))
+	tab := tablet.New(start, end, s.memLimit, 0)
 	tab.SetStats(&s.tel.Stats)
 	s.host(table, start, end, tab)
 }

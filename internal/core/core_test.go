@@ -158,13 +158,13 @@ func TestTableMultServerMovesFewerClientBytes(t *testing.T) {
 	}
 	m := &conn.Cluster().Telemetry().Stats
 	before := m.Get(telemetry.EntriesScanned)
-	if _, err := TableMult(conn, sch.TableT, sch.Table, "SqServer", MultOptions{}); err != nil {
+	if _, err := TableMult(conn, sch.Table, sch.Table, "SqServer", MultOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	serverScanned := m.Get(telemetry.EntriesScanned) - before
 
 	before = m.Get(telemetry.EntriesScanned)
-	if _, err := TableMultClient(conn, sch.TableT, sch.Table, "SqClient", MultOptions{}); err != nil {
+	if _, err := TableMultClient(conn, sch.Table, sch.Table, "SqClient", MultOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	clientScanned := m.Get(telemetry.EntriesScanned) - before

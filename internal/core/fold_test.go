@@ -46,21 +46,19 @@ func quartileSplits(g gen.Graph) []string {
 	return splits
 }
 
-// loadSplitGraph ingests g into an adjacency schema whose A and Aᵀ are
+// loadSplitGraph ingests g into an adjacency schema whose A is
 // pre-split (external clusters cannot split after the fact).
 func loadSplitGraph(t *testing.T, conn *accumulo.Connector, base string, g gen.Graph, splits []string) *schema.AdjacencySchema {
 	t.Helper()
 	ops := conn.TableOperations()
-	for _, tbl := range []string{base, base + "T"} {
-		if err := ops.CreateWithSplits(tbl, splits); err != nil {
-			t.Fatal(err)
-		}
-		if err := ops.RemoveIterator(tbl, "versioning"); err != nil {
-			t.Fatal(err)
-		}
-		if err := ops.AttachIterator(tbl, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
-			t.Fatal(err)
-		}
+	if err := ops.CreateWithSplits(base, splits); err != nil {
+		t.Fatal(err)
+	}
+	if err := ops.RemoveIterator(base, "versioning"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ops.AttachIterator(base, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
+		t.Fatal(err)
 	}
 	sch, err := schema.NewAdjacencySchema(conn, base)
 	if err != nil {
@@ -145,7 +143,7 @@ func TestTableMultFoldsInSitu(t *testing.T) {
 		}
 		m := &conn.Cluster().Telemetry().Stats
 		before := m.Get(telemetry.PartialProductsFolded)
-		written, err := TableMult(conn, sch.TableT, sch.Table, "C", MultOptions{})
+		written, err := TableMult(conn, sch.Table, sch.Table, "C", MultOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -340,7 +340,7 @@ func TestExternalServersKernelsMatchInProc(t *testing.T) {
 		if err := sch.IngestGraph(gen.PaperGraph()); err != nil {
 			t.Fatal(err)
 		}
-		res.mult, err = TableMult(conn, sch.TableT, sch.Table, "Gsq", MultOptions{})
+		res.mult, err = TableMult(conn, sch.Table, sch.Table, "Gsq", MultOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

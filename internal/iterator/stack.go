@@ -3,7 +3,6 @@ package iterator
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"graphulo/internal/semiring"
 	"graphulo/internal/skv"
@@ -340,16 +339,6 @@ func init() {
 			return nil, fmt.Errorf("rowReduce: unknown monoid %q", opts["monoid"])
 		}
 		return NewRowReduceIter(src, m, opts["colF"], opts["colQ"]), nil
-	})
-	Register("columnFilter", func(src SKVI, opts map[string]string, _ Env) (SKVI, error) {
-		fams := strings.Split(opts["families"], ",")
-		var clean []string
-		for _, f := range fams {
-			if f != "" {
-				clean = append(clean, f)
-			}
-		}
-		return NewColumnFilterIter(src, clean...), nil
 	})
 	Register("scale", func(src SKVI, opts map[string]string, _ Env) (SKVI, error) {
 		c, err := strconv.ParseFloat(opts["factor"], 64)

@@ -1,7 +1,9 @@
 // Package schema implements the paper's §II.B graph schemas on NoSQL
-// tables: the adjacency-matrix schema, the degree table, and the D4M 2.0
-// four-table schema (Tedge, TedgeT, Tdeg, Traw) with exploded column
-// keys.
+// tables: the adjacency-matrix schema (an undirected graph's adjacency
+// table, which is its own transpose, plus a degree table) and the D4M
+// 2.0 four-table schema (Tedge, TedgeT, Tdeg, Traw) with exploded
+// column keys, whose record×field matrix is not square and so keeps its
+// transpose.
 package schema
 
 import (
@@ -50,48 +52,38 @@ func ParseVertex(key string) (int, error) {
 	return strconv.Atoi(key[1:])
 }
 
-// AdjacencySchema manages a pair of tables holding a graph's adjacency
-// matrix and its transpose, plus a degree table — the layout Graphulo
-// kernels expect (A and Aᵀ so either orientation can be the multiply's
-// inner dimension).
+// AdjacencySchema manages the two tables that hold an undirected graph:
+// its adjacency matrix and a degree table. An undirected graph's
+// adjacency matrix is its own transpose, so the one table serves as
+// either operand of a multiply — TableMult's C ⊕= Aᵀ·B reads it as Aᵀ
+// and as B alike. A data directory written when the schema kept a
+// separate <base>T copy of A keeps that table; nothing reads it.
 type AdjacencySchema struct {
-	Table    string // A: row = source, colQ = destination
-	TableT   string // Aᵀ
-	DegTable string // row = vertex, value = out-degree
+	Table    string // A = Aᵀ: row = vertex, colQ = neighbour
+	DegTable string // row = vertex, value = degree
 	conn     *accumulo.Connector
 }
 
-// NewAdjacencySchema creates (or reuses) the three tables.
+// NewAdjacencySchema creates (or reuses) the two tables. Both sum their
+// entries at every scope, so edge weights and degrees accumulate.
 func NewAdjacencySchema(conn *accumulo.Connector, base string) (*AdjacencySchema, error) {
 	s := &AdjacencySchema{
 		Table:    base,
-		TableT:   base + "T",
 		DegTable: base + "Deg",
 		conn:     conn,
 	}
 	ops := conn.TableOperations()
-	for _, name := range []string{s.Table, s.TableT} {
-		if !ops.Exists(name) {
-			if err := ops.Create(name); err != nil {
-				return nil, err
-			}
-			// Edge weights accumulate: sum-combine at every scope.
-			if err := ops.RemoveIterator(name, "versioning"); err != nil {
-				return nil, err
-			}
-			if err := ops.AttachIterator(name, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
-				return nil, err
-			}
+	for _, name := range []string{s.Table, s.DegTable} {
+		if ops.Exists(name) {
+			continue
 		}
-	}
-	if !ops.Exists(s.DegTable) {
-		if err := ops.Create(s.DegTable); err != nil {
+		if err := ops.Create(name); err != nil {
 			return nil, err
 		}
-		if err := ops.RemoveIterator(s.DegTable, "versioning"); err != nil {
+		if err := ops.RemoveIterator(name, "versioning"); err != nil {
 			return nil, err
 		}
-		if err := ops.AttachIterator(s.DegTable, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
+		if err := ops.AttachIterator(name, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
 			return nil, err
 		}
 	}
@@ -99,14 +91,10 @@ func NewAdjacencySchema(conn *accumulo.Connector, base string) (*AdjacencySchema
 }
 
 // IngestGraph writes an undirected graph into the schema: every edge
-// lands in A, Aᵀ (same matrix for undirected graphs, kept anyway so the
-// multiply path is uniform), and increments both endpoint degrees.
+// lands in A in both orientations and increments both endpoint
+// degrees — four entries per edge.
 func (s *AdjacencySchema) IngestGraph(g gen.Graph) error {
 	wA, err := s.conn.CreateBatchWriter(s.Table, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return err
-	}
-	wT, err := s.conn.CreateBatchWriter(s.TableT, accumulo.BatchWriterConfig{})
 	if err != nil {
 		return err
 	}
@@ -122,12 +110,6 @@ func (s *AdjacencySchema) IngestGraph(g gen.Graph) error {
 		if err := wA.PutFloat(v, EdgeFamily, u, 1); err != nil {
 			return err
 		}
-		if err := wT.PutFloat(u, EdgeFamily, v, 1); err != nil {
-			return err
-		}
-		if err := wT.PutFloat(v, EdgeFamily, u, 1); err != nil {
-			return err
-		}
 		if err := wD.PutFloat(u, DegFamily, "deg", 1); err != nil {
 			return err
 		}
@@ -135,42 +117,7 @@ func (s *AdjacencySchema) IngestGraph(g gen.Graph) error {
 			return err
 		}
 	}
-	for _, w := range []*accumulo.BatchWriter{wA, wT, wD} {
-		if err := w.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IngestDirected writes a directed graph: A gets u→v, Aᵀ gets v→u, and
-// the degree table records out-degrees.
-func (s *AdjacencySchema) IngestDirected(g gen.Graph) error {
-	wA, err := s.conn.CreateBatchWriter(s.Table, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return err
-	}
-	wT, err := s.conn.CreateBatchWriter(s.TableT, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return err
-	}
-	wD, err := s.conn.CreateBatchWriter(s.DegTable, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return err
-	}
-	for _, e := range g.Edges {
-		u, v := VertexName(e.U), VertexName(e.V)
-		if err := wA.PutFloat(u, EdgeFamily, v, 1); err != nil {
-			return err
-		}
-		if err := wT.PutFloat(v, EdgeFamily, u, 1); err != nil {
-			return err
-		}
-		if err := wD.PutFloat(u, DegFamily, "deg", 1); err != nil {
-			return err
-		}
-	}
-	for _, w := range []*accumulo.BatchWriter{wA, wT, wD} {
+	for _, w := range []*accumulo.BatchWriter{wA, wD} {
 		if err := w.Close(); err != nil {
 			return err
 		}

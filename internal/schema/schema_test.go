@@ -64,29 +64,6 @@ func TestAdjacencySchemaIngestUndirected(t *testing.T) {
 	}
 }
 
-func TestAdjacencySchemaDirected(t *testing.T) {
-	c := conn(t)
-	s, err := NewAdjacencySchema(c, "D")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := gen.Graph{N: 3, Edges: []gen.Edge{{U: 0, V: 1}, {U: 1, V: 2}}}
-	if err := s.IngestDirected(g); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := ReadAssoc(c, s.Table)
-	if a.At(VertexName(0), VertexName(1)) != 1 {
-		t.Fatalf("forward edge missing")
-	}
-	if a.At(VertexName(1), VertexName(0)) != 0 {
-		t.Fatalf("directed ingest created reverse edge")
-	}
-	at, _ := ReadAssoc(c, s.TableT)
-	if at.At(VertexName(1), VertexName(0)) != 1 {
-		t.Fatalf("transpose table wrong")
-	}
-}
-
 func TestMultiEdgeWeightsAccumulate(t *testing.T) {
 	c := conn(t)
 	s, err := NewAdjacencySchema(c, "W")

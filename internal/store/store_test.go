@@ -79,7 +79,7 @@ func TestTabletFlushCompactRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := tablet.NewDurable("", "", 0, 1, stores[0], nil, nil)
+	tab := tablet.NewDurable("", "", 0, stores[0], nil, nil)
 	var want []skv.Entry
 	for i := 0; i < 60; i++ {
 		e := ent(fmt.Sprintf("r%03d", i), int64(i+1), fmt.Sprintf("v%d", i))
@@ -118,7 +118,7 @@ func TestTabletFlushCompactRecover(t *testing.T) {
 	if maxTs != 60 {
 		t.Fatalf("maxTs = %d, want 60", maxTs)
 	}
-	tab2 := tablet.NewDurable("", "", 0, 2, ts, runs, replay)
+	tab2 := tablet.NewDurable("", "", 0, ts, runs, replay)
 	got := scanTablet(t, tab2)
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d entries, want %d", len(got), len(want))
@@ -140,7 +140,7 @@ func TestSplitSwapsStateAtomically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := tablet.NewDurable("", "", 0, 1, stores[0], nil, nil)
+	tab := tablet.NewDurable("", "", 0, stores[0], nil, nil)
 	for i := 0; i < 40; i++ {
 		if err := tab.Write([]skv.Entry{ent(fmt.Sprintf("r%03d", i), int64(i+1), "v")}); err != nil {
 			t.Fatal(err)
@@ -177,7 +177,7 @@ func TestSplitSwapsStateAtomically(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tab := tablet.NewDurable(tbi.Start, tbi.End, 0, 9, ts, runs, replay)
+		tab := tablet.NewDurable(tbi.Start, tbi.End, 0, ts, runs, replay)
 		total += len(scanTablet(t, tab))
 	}
 	if total != 40 {
@@ -195,7 +195,7 @@ func TestGCRemovesOrphanFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := tablet.NewDurable("", "", 0, 1, stores[0], nil, nil)
+	tab := tablet.NewDurable("", "", 0, stores[0], nil, nil)
 	tab.Write([]skv.Entry{ent("a", 1, "v")})
 	tab.MinorCompact(nil)
 	d.Close()
@@ -241,7 +241,7 @@ func TestDropTableDeletesFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := tablet.NewDurable("", "", 0, 1, stores[0], nil, nil)
+	tab := tablet.NewDurable("", "", 0, stores[0], nil, nil)
 	tab.Write([]skv.Entry{ent("a", 1, "v")})
 	tab.MinorCompact(nil)
 	if err := d.DropTable("T"); err != nil {
@@ -275,7 +275,7 @@ func TestMergeRunsDurable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tab := tablet.NewDurable("", "", 0, 1, stores[0], nil, nil)
+	tab := tablet.NewDurable("", "", 0, stores[0], nil, nil)
 	var want []skv.Entry
 	for i := 0; i < 40; i++ {
 		e := ent(fmt.Sprintf("r%03d", i), int64(i+1), fmt.Sprintf("v%d", i))
@@ -331,7 +331,7 @@ func TestMergeRunsDurable(t *testing.T) {
 	if len(runs) != 3 {
 		t.Fatalf("recovered %d runs, want 3", len(runs))
 	}
-	tab2 := tablet.NewDurable("", "", 0, 2, ts, runs, replay)
+	tab2 := tablet.NewDurable("", "", 0, ts, runs, replay)
 	got = scanTablet(t, tab2)
 	if len(got) != len(want) {
 		t.Fatalf("recovered %d entries, want %d", len(got), len(want))

@@ -82,7 +82,7 @@ func TestTabletEmptyResultLeavesNoRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkRuns(t, tablet.NewDurable("", "", 0, 2, ts, runs, replay), tc.runs, tc.survivors)
+				checkRuns(t, tablet.NewDurable("", "", 0, ts, runs, replay), tc.runs, tc.survivors)
 				if got := rfileCount(t, dir); got != len(tc.runs) {
 					t.Fatalf("after reopen rf/ holds %d files, want %d", got, len(tc.runs))
 				}

@@ -27,7 +27,7 @@ func openDurableTablet(t *testing.T, dir string, memLimit int) (*store.Dir, *tab
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, tablet.NewDurable("", "", memLimit, 1, backings[0], nil, nil)
+	return d, tablet.NewDurable("", "", memLimit, backings[0], nil, nil)
 }
 
 // TestMultiWriterStressDurable drives 8 concurrent writers through the

@@ -157,9 +157,8 @@ type Tablet struct {
 	frozen     []*frozenMem // oldest first, awaiting background flush
 	flushErr   error        // last flush failure; cleared by a success that consumes frozen memtables
 	runs       []Run
-	memLimit   int   // entries before freeze
-	flushBytes int   // approx memtable bytes before freeze
-	seed       int64 // kept for split lineage naming; level draws are per-goroutine
+	memLimit   int // entries before freeze
+	flushBytes int // approx memtable bytes before freeze
 	backing    Backing
 	retired    bool // set by SplitAt; the tablet must absorb no more work
 
@@ -180,15 +179,17 @@ type Tablet struct {
 	compactMu sync.Mutex
 }
 
-// New creates an empty in-memory tablet over [startRow, endRow).
-func New(startRow, endRow string, memLimit int, seed int64) *Tablet {
-	return NewDurable(startRow, endRow, memLimit, seed, memBacking{}, nil, nil)
+// New creates an empty in-memory tablet over [startRow, endRow). The
+// fourth parameter is unused (skip-list tower heights are drawn per
+// batch); it stays for the benchmark ladder, which passes a seed.
+func New(startRow, endRow string, memLimit int, _ int64) *Tablet {
+	return NewDurable(startRow, endRow, memLimit, memBacking{}, nil, nil)
 }
 
 // NewDurable creates a tablet wired to backing b. runs are the
 // recovered runs, oldest first, and replay holds WAL entries to restore
 // into the memtable (both nil for a fresh tablet).
-func NewDurable(startRow, endRow string, memLimit int, seed int64, b Backing, runs []Run, replay []skv.Entry) *Tablet {
+func NewDurable(startRow, endRow string, memLimit int, b Backing, runs []Run, replay []skv.Entry) *Tablet {
 	if memLimit <= 0 {
 		memLimit = 1 << 14
 	}
@@ -198,7 +199,6 @@ func NewDurable(startRow, endRow string, memLimit int, seed int64, b Backing, ru
 		runs:       runs,
 		memLimit:   memLimit,
 		flushBytes: DefaultFlushBytes,
-		seed:       seed,
 		backing:    b,
 	}
 	t.flushCond = sync.NewCond(&t.mu)
@@ -713,15 +713,15 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	half := func(start, end string, seed int64, b Backing, r Run) *Tablet {
-		h := NewDurable(start, end, t.memLimit, seed, b, nil, nil)
+	half := func(start, end string, b Backing, r Run) *Tablet {
+		h := NewDurable(start, end, t.memLimit, b, nil, nil)
 		h.flushBytes, h.stats, h.bound = t.flushBytes, t.stats, t.bound
 		if r != nil {
 			h.runs = []Run{r}
 		}
 		return h
 	}
-	left, right := half(t.StartRow, row, t.seed*2+1, lb, lrun), half(row, t.EndRow, t.seed*2+2, rb, rrun)
+	left, right := half(t.StartRow, row, lb, lrun), half(row, t.EndRow, rb, rrun)
 	t.retire()
 	return left, right, nil
 }
