@@ -14,7 +14,7 @@
 //     a graph in adjacency tables and runs the same algorithms with the
 //     heavy kernels executing server-side (TableMult, RowReduce, Apply).
 //   - Generators: RMAT/Graph500 power-law graphs, Erdős–Rényi,
-//     structured graphs, the paper's Fig. 1 example, and the synthetic
+//     planted cliques, the paper's Fig. 1 example, and the synthetic
 //     tweet corpus used for the Fig. 3 topic-modeling experiment.
 //
 // # Execution model
@@ -146,42 +146,30 @@ type (
 var (
 	PlusTimes = semiring.PlusTimes
 	MinPlus   = semiring.MinPlus
-	MaxPlus   = semiring.MaxPlus
-	OrAnd     = semiring.OrAnd
 	MaxMin    = semiring.MaxMin
 
 	PlusMonoid = semiring.PlusMonoid
-	MinMonoid  = semiring.MinMonoid
-	MaxMonoid  = semiring.MaxMonoid
 )
 
 // In-memory kernel surface (the GraphBLAS set from §I).
 var (
-	NewMatrix        = sparse.NewFromTriples
-	NewMatrixDense   = sparse.NewFromDense
-	Eye              = sparse.Eye
-	SpGEMM           = sparse.SpGEMM
-	SpGEMMParallel   = sparse.SpGEMMParallel
-	SpMV             = sparse.SpMV
-	SpMSpV           = sparse.SpMSpV
-	EWiseAdd         = sparse.EWiseAdd
-	EWiseMult        = sparse.EWiseMult
-	SpRef            = sparse.SpRef
-	SpAsgn           = sparse.SpAsgn
-	Scale            = sparse.Scale
-	Apply            = sparse.Apply
-	Reduce           = sparse.Reduce
-	ReduceRows       = sparse.ReduceRows
-	ReduceCols       = sparse.ReduceCols
-	Transpose        = sparse.Transpose
-	Triu             = sparse.Triu
-	Tril             = sparse.Tril
-	Kron             = sparse.Kron
-	NewAssoc         = assoc.New
-	AssocAdd         = assoc.Add
-	AssocMultiply    = assoc.Multiply
-	AssocElementMult = assoc.ElementMult
-	ReadAssocTSV     = assoc.ReadTSV
+	NewMatrix     = sparse.NewFromTriples
+	SpGEMM        = sparse.SpGEMM
+	SpMV          = sparse.SpMV
+	SpMSpV        = sparse.SpMSpV
+	EWiseAdd      = sparse.EWiseAdd
+	EWiseMult     = sparse.EWiseMult
+	SpRef         = sparse.SpRef
+	SpAsgn        = sparse.SpAsgn
+	Scale         = sparse.Scale
+	Apply         = sparse.Apply
+	Reduce        = sparse.Reduce
+	ReduceRows    = sparse.ReduceRows
+	Transpose     = sparse.Transpose
+	Triu          = sparse.Triu
+	NewAssoc      = assoc.New
+	AssocAdd      = assoc.Add
+	AssocMultiply = assoc.Multiply
 )
 
 // Graph algorithms (§III; one or more per Table I class).
@@ -226,14 +214,8 @@ var (
 	RMAT          = gen.RMAT
 	Graph500      = gen.Graph500
 	ErdosRenyi    = gen.ErdosRenyi
-	PathGraph     = gen.Path
-	CycleGraph    = gen.Cycle
-	StarGraph     = gen.Star
-	CompleteGraph = gen.Complete
-	Barbell       = gen.Barbell
 	PlantedClique = gen.PlantedClique
 	PaperGraph    = gen.PaperGraph
-	Adjacency     = gen.Adjacency
 	AdjacencyPat  = gen.AdjacencyPattern
 	Incidence     = gen.Incidence
 	DedupGraph    = gen.Dedup

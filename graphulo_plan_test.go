@@ -7,12 +7,14 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"graphulo/internal/gen"
 )
 
 // planTestGraph is a fixed graph with a non-trivial k-truss: barbell
 // graphs peel their bridge path, so the kTruss driver iterates at least
 // twice.
-func planTestGraph() Graph { return DedupGraph(Barbell(4, 1)) }
+func planTestGraph() Graph { return DedupGraph(gen.Barbell(4, 1)) }
 
 // matchesReference checks an associative array read back from a kernel's
 // result table against the in-memory reference matrix over vertex ids.

@@ -4,6 +4,8 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"graphulo/internal/gen"
 )
 
 // The public-API tests exercise the facade end to end: in-memory
@@ -31,6 +33,26 @@ func TestInMemoryKernelSurface(t *testing.T) {
 	}
 	if Reduce(a, PlusMonoid) != 5 {
 		t.Fatalf("Reduce via facade wrong")
+	}
+	x := SpMSpV(a, &Vector{N: 2, Idx: []int{0}, Val: []float64{1}}, PlusTimes)
+	if !reflect.DeepEqual(x.Idx, []int{1}) || !reflect.DeepEqual(x.Val, []float64{2}) {
+		t.Fatalf("SpMSpV via facade wrong: %+v", x)
+	}
+	if r := SpRef(a, []int{1}, []int{0}); r.Rows() != 1 || r.Cols() != 1 || r.At(0, 0) != 3 {
+		t.Fatalf("SpRef via facade wrong:\n%v", r)
+	}
+	b := NewMatrix(1, 1, []Triple{{Row: 0, Col: 0, Val: 5}}, PlusTimes)
+	if s := SpAsgn(a, []int{0}, []int{0}, b); s.At(0, 0) != 5 || s.At(0, 1) != 2 || s.NNZ() != 3 {
+		t.Fatalf("SpAsgn via facade wrong:\n%v", s)
+	}
+	if s := EWiseAdd(a, c, PlusTimes); s.At(0, 0) != 6 || s.At(0, 1) != 2 || s.NNZ() != 4 {
+		t.Fatalf("EWiseAdd via facade wrong:\n%v", s)
+	}
+	if p := EWiseMult(a, a, PlusTimes); p.At(0, 1) != 4 || p.At(1, 0) != 9 || EWiseMult(a, c, PlusTimes).NNZ() != 0 {
+		t.Fatalf("EWiseMult via facade wrong:\n%v", p)
+	}
+	if s := Scale(a, 2); s.At(0, 1) != 4 || s.At(1, 0) != 6 {
+		t.Fatalf("Scale via facade wrong:\n%v", s)
 	}
 }
 
@@ -113,7 +135,7 @@ func TestEndToEndKTrussAndJaccard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	graph := DedupGraph(Barbell(4, 1))
+	graph := DedupGraph(gen.Barbell(4, 1))
 	if err := g.Ingest(graph); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +198,7 @@ func TestGraphIsStoredOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adj := Adjacency(g)
+	adj := gen.Adjacency(g)
 	want := SpGEMM(adj, adj, PlusTimes)
 	if got.NNZ() != want.NNZ() {
 		t.Fatalf("A·A has %d cells on the cluster, want %d", got.NNZ(), want.NNZ())

@@ -48,70 +48,6 @@ func BFSLevels(adj *sparse.Matrix, source int) []int {
 	return levels
 }
 
-// BFSParents runs BFS returning the parent tree: parents[v] is the
-// vertex that discovered v (source's parent is itself; unreachable is
-// −1). The parent is carried through the semiring product by encoding
-// vertex ids as values under a min-combine.
-func BFSParents(adj *sparse.Matrix, source int) []int {
-	n := adj.Rows()
-	parents := make([]int, n)
-	for i := range parents {
-		parents[i] = -1
-	}
-	parents[source] = source
-	// Frontier values carry the parent id + 1 (so 0 stays "empty");
-	// combining with min picks the smallest-id parent deterministically.
-	ring := semiring.Semiring{
-		Name: "min.first",
-		Add:  semiring.MinMonoid.Op,
-		Mul:  func(a, _ float64) float64 { return a },
-		Zero: semiring.MinMonoid.Identity,
-		One:  0,
-	}
-	frontier := sparse.NewVector(n, []int{source}, []float64{float64(source + 1)}, ring)
-	for frontier.NNZ() > 0 {
-		next := sparse.SpMSpV(adj, frontier, ring)
-		var idx []int
-		var val []float64
-		for k, j := range next.Idx {
-			if parents[j] == -1 {
-				parents[j] = int(next.Val[k]) - 1
-				idx = append(idx, j)
-				val = append(val, float64(j+1))
-			}
-		}
-		frontier = &sparse.Vector{N: n, Idx: idx, Val: val}
-	}
-	return parents
-}
-
-// DFSOrder returns a depth-first preorder from source. DFS is inherently
-// sequential (Table I lists it; it does not vectorise the way BFS does),
-// so this is the classical stack algorithm reading adjacency rows.
-func DFSOrder(adj *sparse.Matrix, source int) []int {
-	n := adj.Rows()
-	visited := make([]bool, n)
-	var order []int
-	stack := []int{source}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if visited[v] {
-			continue
-		}
-		visited[v] = true
-		order = append(order, v)
-		cols, _ := adj.Row(v)
-		// Push in reverse so lower-numbered neighbours pop first.
-		for i := len(cols) - 1; i >= 0; i-- {
-			if !visited[cols[i]] {
-				stack = append(stack, cols[i])
-			}
-		}
-	}
-	return order
-}
-
 // ConnectedComponents labels each vertex with the smallest vertex id in
 // its component, by iterating label = min(label, A·label) under the
 // min.first semiring until fixpoint.

@@ -37,44 +37,6 @@ func TestBFSLevelsPaperGraph(t *testing.T) {
 	}
 }
 
-func TestBFSParentsTreeValid(t *testing.T) {
-	g := gen.Dedup(gen.ErdosRenyi(30, 60, 9))
-	adj := gen.AdjacencyPattern(g)
-	parents := BFSParents(adj, 0)
-	levels := BFSLevels(adj, 0)
-	for v := range parents {
-		switch {
-		case v == 0:
-			if parents[v] != 0 {
-				t.Fatalf("source parent = %d", parents[v])
-			}
-		case levels[v] == -1:
-			if parents[v] != -1 {
-				t.Fatalf("unreachable %d has parent %d", v, parents[v])
-			}
-		default:
-			p := parents[v]
-			if adj.At(p, v) == 0 {
-				t.Fatalf("parent edge (%d,%d) missing", p, v)
-			}
-			if levels[p] != levels[v]-1 {
-				t.Fatalf("parent %d at level %d, child %d at %d", p, levels[p], v, levels[v])
-			}
-		}
-	}
-}
-
-func TestDFSOrderVisitsComponent(t *testing.T) {
-	adj := gen.AdjacencyPattern(gen.Path(5))
-	order := DFSOrder(adj, 0)
-	want := []int{0, 1, 2, 3, 4}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("DFS order = %v", order)
-		}
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g := gen.Graph{N: 7, Edges: []gen.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 3, V: 4}, {U: 5, V: 6}}}
 	cc := ConnectedComponents(gen.AdjacencyPattern(g))

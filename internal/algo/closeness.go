@@ -53,27 +53,6 @@ func HarmonicCentrality(adj *sparse.Matrix) []float64 {
 	return out
 }
 
-// ClosenessWeighted is closeness over weighted distances (min.plus
-// adjacency), one Bellman–Ford per vertex.
-func ClosenessWeighted(adj *sparse.Matrix) []float64 {
-	n := adj.Rows()
-	out := make([]float64, n)
-	for v := 0; v < n; v++ {
-		dist, _ := BellmanFord(adj, v)
-		sum, reach := 0.0, 0
-		for u, d := range dist {
-			if u != v && !math.IsInf(d, 1) {
-				sum += d
-				reach++
-			}
-		}
-		if sum > 0 {
-			out[v] = (float64(reach) / float64(n-1)) * (float64(reach) / sum)
-		}
-	}
-	return out
-}
-
 // HITSResult carries hub and authority scores.
 type HITSResult struct {
 	Hubs        []float64

@@ -5,8 +5,6 @@ import (
 	"testing"
 
 	"graphulo/internal/gen"
-	"graphulo/internal/semiring"
-	"graphulo/internal/sparse"
 )
 
 func TestClosenessPath(t *testing.T) {
@@ -45,25 +43,6 @@ func TestHarmonicCentrality(t *testing.T) {
 	// Ends: 1 + 1/2 = 1.5; centre: 1 + 1 = 2.
 	if math.Abs(h[0]-1.5) > 1e-12 || math.Abs(h[1]-2) > 1e-12 {
 		t.Fatalf("harmonic = %v", h)
-	}
-}
-
-func TestClosenessWeightedMatchesUnitWeights(t *testing.T) {
-	g := gen.Dedup(gen.ErdosRenyi(15, 40, 3))
-	adj01 := gen.AdjacencyPattern(g)
-	// Weighted closeness with all weights 1 equals BFS closeness.
-	var ts []sparse.Triple
-	for _, e := range g.Edges {
-		ts = append(ts, sparse.Triple{Row: e.U, Col: e.V, Val: 1},
-			sparse.Triple{Row: e.V, Col: e.U, Val: 1})
-	}
-	w := sparse.NewFromTriples(g.N, g.N, ts, semiring.MinPlus)
-	a := ClosenessCentrality(adj01)
-	b := ClosenessWeighted(w)
-	for i := range a {
-		if math.Abs(a[i]-b[i]) > 1e-12 {
-			t.Fatalf("closeness mismatch at %d: %v vs %v", i, a[i], b[i])
-		}
 	}
 }
 

@@ -54,50 +54,6 @@ func supportFromR(R *sparse.Matrix) []float64 {
 	return sparse.ReduceRows(ind, semiring.PlusMonoid)
 }
 
-// EdgeSupport returns each edge's triangle support, computed via the
-// full SpGEMM R = EA as the paper presents it.
-func EdgeSupport(E *sparse.Matrix) []float64 {
-	A := sparse.NoDiag(sparse.SpGEMM(sparse.Transpose(E), E, semiring.PlusTimes))
-	return supportFromR(sparse.SpGEMM(E, A, semiring.PlusTimes))
-}
-
-// EdgeSupportFused computes the same support without materialising R:
-// the "== 2" indicator is fused into the multiply so only matching
-// accumulator cells are counted. This is the optimisation the paper's
-// §IV discussion proposes (replacing + with an AND-like combine), which
-// it notes violates the semiring axioms — hence a dedicated fused kernel
-// rather than a semiring swap.
-func EdgeSupportFused(E *sparse.Matrix) []float64 {
-	A := sparse.NoDiag(sparse.SpGEMM(sparse.Transpose(E), E, semiring.PlusTimes))
-	m := E.Rows()
-	out := make([]float64, m)
-	accum := make([]float64, A.Cols())
-	touched := make([]int, 0, 64)
-	for i := 0; i < m; i++ {
-		cols, vals := E.Row(i)
-		for t, j := range cols {
-			av := vals[t]
-			acols, avals := A.Row(j)
-			for u, c := range acols {
-				if accum[c] == 0 {
-					touched = append(touched, c)
-				}
-				accum[c] += av * avals[u]
-			}
-		}
-		count := 0.0
-		for _, c := range touched {
-			if accum[c] == 2 {
-				count++
-			}
-			accum[c] = 0
-		}
-		touched = touched[:0]
-		out[i] = count
-	}
-	return out
-}
-
 // KTrussAdj computes the k-truss from an adjacency matrix, returning the
 // adjacency matrix of the truss. Internally it converts to an incidence
 // matrix, runs Algorithm 1, and converts back via A = EᵀE − diag.
@@ -122,75 +78,6 @@ func IncidenceFromAdjacency(adj *sparse.Matrix) *sparse.Matrix {
 		row++
 	}
 	return sparse.NewFromTriples(row, adj.Cols(), ts, semiring.PlusTimes)
-}
-
-// TrussDecomposition returns, for the graph with incidence matrix E, the
-// maximum k for which each edge of E belongs to a k-truss, following the
-// paper's procedure: compute the 3-truss, pass the result to k = 4, and
-// continue until the incidence matrix is empty. The result maps each
-// original edge row index to its truss number (2 if it survives no
-// higher truss).
-func TrussDecomposition(E *sparse.Matrix) []int {
-	m := E.Rows()
-	out := make([]int, m)
-	for i := range out {
-		out[i] = 2 // any graph is a 2-truss
-	}
-	// Track original row identities through the shrinking matrices.
-	alive := make([]int, m)
-	for i := range alive {
-		alive[i] = i
-	}
-	cur := E
-	for k := 3; cur.Rows() > 0; k++ {
-		next := KTrussEdge(cur, k)
-		if next.Rows() == 0 {
-			break
-		}
-		// Identify surviving rows of cur: KTrussEdge preserves row order,
-		// so match rows by walking both matrices.
-		surviving := survivingRows(cur, next)
-		newAlive := make([]int, 0, len(surviving))
-		for _, r := range surviving {
-			out[alive[r]] = k
-			newAlive = append(newAlive, alive[r])
-		}
-		alive = newAlive
-		cur = next
-	}
-	return out
-}
-
-// survivingRows maps each row of next back to its row index in cur.
-// KTrussEdge deletes rows but never reorders them, so a two-pointer walk
-// over the row contents recovers the mapping.
-func survivingRows(cur, next *sparse.Matrix) []int {
-	out := make([]int, 0, next.Rows())
-	ci := 0
-	for ni := 0; ni < next.Rows(); ni++ {
-		for ; ci < cur.Rows(); ci++ {
-			if sameRow(cur, ci, next, ni) {
-				out = append(out, ci)
-				ci++
-				break
-			}
-		}
-	}
-	return out
-}
-
-func sameRow(a *sparse.Matrix, ai int, b *sparse.Matrix, bi int) bool {
-	acols, avals := a.Row(ai)
-	bcols, bvals := b.Row(bi)
-	if len(acols) != len(bcols) {
-		return false
-	}
-	for i := range acols {
-		if acols[i] != bcols[i] || avals[i] != bvals[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TriangleCount returns the number of triangles in the simple undirected

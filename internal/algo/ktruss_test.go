@@ -192,44 +192,6 @@ func bruteForceKTrussAdj(adj *sparse.Matrix, k int) *sparse.Matrix {
 	}
 }
 
-func TestEdgeSupportStrategiesAgree(t *testing.T) {
-	for seed := uint64(0); seed < 4; seed++ {
-		g := gen.Dedup(gen.ErdosRenyi(25, 80, seed))
-		E := gen.Incidence(g)
-		a := EdgeSupport(E)
-		b := EdgeSupportFused(E)
-		if len(a) != len(b) {
-			t.Fatalf("length mismatch")
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d edge %d: SpGEMM support %v, fused %v", seed, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestTrussDecomposition(t *testing.T) {
-	// Barbell(4,1): K4 edges are 4-truss, the bridge edges only 2-truss.
-	g := gen.Barbell(4, 1)
-	E := gen.Incidence(g)
-	dec := TrussDecomposition(E)
-	adjToK := map[int]int{}
-	for i, e := range g.Edges {
-		_ = e
-		adjToK[i] = dec[i]
-	}
-	// Count edges by truss number: 12 clique edges at k=4, 2 bridge
-	// edges at k=2.
-	counts := map[int]int{}
-	for _, k := range dec {
-		counts[k]++
-	}
-	if counts[4] != 12 || counts[2] != 2 {
-		t.Fatalf("truss decomposition counts = %v", counts)
-	}
-}
-
 func TestTriangleCount(t *testing.T) {
 	cases := []struct {
 		g    gen.Graph
@@ -296,4 +258,11 @@ func TestQuickSupportTriangleIdentity(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// EdgeSupport returns each edge's triangle support, computed via the
+// full SpGEMM R = EA as the paper presents it.
+func EdgeSupport(E *sparse.Matrix) []float64 {
+	A := sparse.NoDiag(sparse.SpGEMM(sparse.Transpose(E), E, semiring.PlusTimes))
+	return supportFromR(sparse.SpGEMM(E, A, semiring.PlusTimes))
 }

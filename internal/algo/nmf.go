@@ -56,17 +56,6 @@ func InverseDense(a *sparse.Dense, eps float64, maxIter int) (*sparse.Dense, int
 	return x, maxIter, false
 }
 
-// Inverse computes A⁻¹ for a sparse square matrix with Algorithm 4,
-// using sparse kernels throughout (the paper's §IV notes this can
-// densify; it remains exact for well-conditioned inputs).
-func Inverse(a *sparse.Matrix, eps float64, maxIter int) (*sparse.Matrix, int, bool) {
-	inv, it, ok := InverseDense(sparse.ToDense(a), eps, maxIter)
-	if inv == nil {
-		return nil, it, ok
-	}
-	return inv.ToSparse(), it, ok
-}
-
 // NMFResult carries the factorisation and its convergence record.
 type NMFResult struct {
 	W          *sparse.Dense // m×k basis (documents × topics)

@@ -9,11 +9,11 @@ import (
 )
 
 // This file covers the remaining named members of the paper's Table I:
-// PCA / SVD under Community Detection ("Principle Component Analysis,
-// Singular Value Decomposition") and vertex nomination under Subgraph
-// Detection ("ranking vertices based on how likely they are to be
-// associated with a subset of 'cue' vertices" [10]). Both reduce to the
-// same iterated-SpMV machinery as §III.A.
+// SVD under Community Detection ("Singular Value Decomposition") and
+// vertex nomination under Subgraph Detection ("ranking vertices based
+// on how likely they are to be associated with a subset of 'cue'
+// vertices" [10]). Both reduce to the same iterated-SpMV machinery as
+// §III.A.
 
 // SVDResult holds a truncated singular value decomposition A ≈ UΣVᵀ.
 type SVDResult struct {
@@ -119,82 +119,6 @@ func deflate(x []float64, basis [][]float64) {
 			x[i] -= d * b[i]
 		}
 	}
-}
-
-// PCA computes the top-k principal components of the rows of A (each
-// row an observation) without densifying: the covariance action
-// Cx = AᵀAx/m − μ(μᵀx) uses one SpMV pair plus a rank-one mean
-// correction. Returns the components (n×k) and their variances.
-func PCA(a *sparse.Matrix, k int, tol float64, maxIter int) (*sparse.Dense, []float64) {
-	if tol <= 0 {
-		tol = 1e-10
-	}
-	if maxIter <= 0 {
-		maxIter = 500
-	}
-	m, n := a.Rows(), a.Cols()
-	if k > n {
-		k = n
-	}
-	mean := sparse.ReduceCols(a, semiring.PlusMonoid)
-	for i := range mean {
-		mean[i] /= float64(m)
-	}
-	at := sparse.Transpose(a)
-	apply := func(x []float64) []float64 {
-		ax := sparse.SpMV(a, x, semiring.PlusTimes)
-		atax := sparse.SpMV(at, ax, semiring.PlusTimes)
-		mx := dot(mean, x)
-		out := make([]float64, n)
-		for i := range out {
-			out[i] = atax[i]/float64(m) - mean[i]*mx
-		}
-		return out
-	}
-	comps := sparse.NewDense(n, k)
-	vars := make([]float64, k)
-	var found [][]float64
-	rng := gen.NewRand(999)
-	for c := 0; c < k; c++ {
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.Float64() - 0.5
-		}
-		deflate(v, found)
-		normalize(v)
-		lambda := 0.0
-		for it := 0; it < maxIter; it++ {
-			next := apply(v)
-			preNN := norm(next)
-			deflate(next, found)
-			nn := norm(next)
-			if nn == 0 || nn <= 1e-9*preNN || preNN == 0 {
-				lambda = 0
-				break
-			}
-			for i := range next {
-				next[i] /= nn
-			}
-			delta := 0.0
-			for i := range next {
-				delta += math.Abs(math.Abs(next[i]) - math.Abs(v[i]))
-			}
-			v = next
-			lambda = nn
-			if delta < tol {
-				break
-			}
-		}
-		if lambda == 0 {
-			break
-		}
-		vars[c] = lambda
-		for i := 0; i < n; i++ {
-			comps.Set(i, c, v[i])
-		}
-		found = append(found, append([]float64(nil), v...))
-	}
-	return comps, vars
 }
 
 // VertexNomination ranks vertices by affinity to a set of cue vertices

@@ -90,23 +90,6 @@ func TestTruncatedSVDLowRank(t *testing.T) {
 	}
 }
 
-func TestPCATwoClusters(t *testing.T) {
-	// Points along the x-axis in two clusters: first component ≈ e_x.
-	rows := [][]float64{
-		{10, 0.1}, {11, -0.1}, {10.5, 0},
-		{-10, 0.1}, {-11, 0}, {-10.5, -0.1},
-	}
-	a := sparse.NewFromDense(rows)
-	comps, vars := PCA(a, 2, 1e-12, 5000)
-	// First PC dominated by x.
-	if math.Abs(comps.At(0, 0)) < 0.99 {
-		t.Fatalf("first PC should align with x-axis: %v", comps.At(0, 0))
-	}
-	if vars[0] < 50*vars[1] {
-		t.Fatalf("variance ratio too small: %v", vars)
-	}
-}
-
 func TestVertexNominationFindsCommunity(t *testing.T) {
 	// Two cliques joined by one bridge edge; cues in clique A must
 	// nominate the remaining clique-A vertices above all of clique B.

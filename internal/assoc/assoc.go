@@ -112,9 +112,6 @@ func (a *Assoc) Cols() []string { return append([]string(nil), a.cols...) }
 // NNZ returns the number of stored entries.
 func (a *Assoc) NNZ() int { return a.mat.NNZ() }
 
-// Ring returns the array's semiring.
-func (a *Assoc) Ring() semiring.Semiring { return a.ring }
-
 // Matrix returns the underlying sparse matrix together with the label
 // slices. The returned matrix is a copy and safe to modify.
 func (a *Assoc) Matrix() (*sparse.Matrix, []string, []string) {
@@ -167,15 +164,6 @@ func Multiply(a, b *Assoc) *Assoc {
 	return FromMatrix(prod, a.rows, b.cols, a.ring)
 }
 
-// ElementMult returns A ⊗ B on the intersection of keys.
-func ElementMult(a, b *Assoc) *Assoc {
-	rows := unionKeys(a.rows, b.rows)
-	cols := unionKeys(a.cols, b.cols)
-	am := remap(a, rows, cols)
-	bm := remap(b, rows, cols)
-	return FromMatrix(sparse.EWiseMult(am, bm, a.ring), rows, cols, a.ring)
-}
-
 // Transpose returns Aᵀ.
 func (a *Assoc) Transpose() *Assoc {
 	return FromMatrix(sparse.Transpose(a.mat), a.cols, a.rows, a.ring)
@@ -207,24 +195,6 @@ func (a *Assoc) SubRef(rowSel, colSel []string) *Assoc {
 		ck = append(ck, c)
 	}
 	return FromMatrix(sparse.SpRef(a.mat, ri, ci), rk, ck, a.ring)
-}
-
-// SubRefRange extracts rows with key in [lo, hi) and columns with key in
-// [cLo, cHi); empty bounds select everything on that axis. This mirrors
-// a database range scan over the row key space.
-func (a *Assoc) SubRefRange(lo, hi, cLo, cHi string) *Assoc {
-	var rowSel, colSel []string
-	for _, r := range a.rows {
-		if (lo == "" || r >= lo) && (hi == "" || r < hi) {
-			rowSel = append(rowSel, r)
-		}
-	}
-	for _, c := range a.cols {
-		if (cLo == "" || c >= cLo) && (cHi == "" || c < cHi) {
-			colSel = append(colSel, c)
-		}
-	}
-	return a.SubRef(rowSel, colSel)
 }
 
 // ReduceRows folds each row with the monoid, returning rowKey → value.
@@ -358,21 +328,6 @@ func selectKeys(keys, sel []string) []string {
 		}
 	}
 	return ded
-}
-
-// remap re-labels a's matrix onto the (rows, cols) key spaces.
-func remap(a *Assoc, rows, cols []string) *sparse.Matrix {
-	ri := indexOf(rows)
-	ci := indexOf(cols)
-	var ts []sparse.Triple
-	for _, e := range a.Entries() {
-		i, okR := ri[e.Row]
-		j, okC := ci[e.Col]
-		if okR && okC {
-			ts = append(ts, sparse.Triple{Row: i, Col: j, Val: e.Val})
-		}
-	}
-	return sparse.NewFromTriples(len(rows), len(cols), ts, a.ring)
 }
 
 // remapCols re-labels only the column space, keeping a's rows.

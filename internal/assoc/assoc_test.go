@@ -1,7 +1,6 @@
 package assoc
 
 import (
-	"bytes"
 	"math/rand"
 	"strings"
 	"testing"
@@ -101,15 +100,6 @@ func TestMultiplyDisjointKeysIsEmpty(t *testing.T) {
 	}
 }
 
-func TestElementMult(t *testing.T) {
-	a := New([]Entry{{"r", "c", 3}, {"r", "d", 1}}, semiring.PlusTimes)
-	b := New([]Entry{{"r", "c", 4}, {"s", "c", 9}}, semiring.PlusTimes)
-	c := ElementMult(a, b)
-	if c.At("r", "c") != 12 || c.NNZ() != 1 {
-		t.Fatalf("element mult wrong: %v nnz=%d", c.At("r", "c"), c.NNZ())
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	a := small()
 	at := a.Transpose()
@@ -144,16 +134,6 @@ func TestSubRef(t *testing.T) {
 	}
 }
 
-func TestSubRefRange(t *testing.T) {
-	a := New([]Entry{
-		{"a1", "x", 1}, {"a2", "x", 1}, {"b1", "x", 1},
-	}, semiring.PlusTimes)
-	s := a.SubRefRange("a", "b", "", "")
-	if len(s.Rows()) != 2 {
-		t.Fatalf("range scan rows = %v", s.Rows())
-	}
-}
-
 func TestReduce(t *testing.T) {
 	a := small()
 	deg := a.ReduceRows(semiring.PlusMonoid)
@@ -163,41 +143,6 @@ func TestReduce(t *testing.T) {
 	in := a.ReduceCols(semiring.PlusMonoid)
 	if in["bob"] != 1 || in["carol"] != 5 {
 		t.Fatalf("col reduce = %v", in)
-	}
-}
-
-func TestTSVRoundTrip(t *testing.T) {
-	a := small()
-	var buf bytes.Buffer
-	if err := a.WriteTSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b, err := ReadTSV(&buf, semiring.PlusTimes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(a, b) {
-		t.Fatalf("TSV round trip changed array:\n%v\nvs\n%v", a, b)
-	}
-}
-
-func TestReadTSVErrors(t *testing.T) {
-	if _, err := ReadTSV(strings.NewReader("a\tb\n"), semiring.PlusTimes); err == nil {
-		t.Fatalf("want field-count error")
-	}
-	if _, err := ReadTSV(strings.NewReader("a\tb\tnotanumber\n"), semiring.PlusTimes); err == nil {
-		t.Fatalf("want parse error")
-	}
-	got, err := ReadTSV(strings.NewReader("# comment\n\na\tb\t2\n"), semiring.PlusTimes)
-	if err != nil || got.At("a", "b") != 2 {
-		t.Fatalf("comments/blank lines should be skipped: %v %v", got, err)
-	}
-}
-
-func TestWriteTSVRejectsTabKeys(t *testing.T) {
-	a := New([]Entry{{"bad\tkey", "c", 1}}, semiring.PlusTimes)
-	if err := a.WriteTSV(&bytes.Buffer{}); err == nil {
-		t.Fatalf("want error for tab in key")
 	}
 }
 

@@ -273,17 +273,6 @@ func Incidence(g Graph) *sparse.Matrix {
 	return sparse.NewFromTriples(len(g.Edges), g.N, ts, semiring.PlusTimes)
 }
 
-// IncidenceSigned builds the signed (oriented) incidence matrix of
-// §II.B.2: +1 into the head, −1 out of the tail.
-func IncidenceSigned(g Graph) *sparse.Matrix {
-	ts := make([]sparse.Triple, 0, 2*len(g.Edges))
-	for i, e := range g.Edges {
-		ts = append(ts, sparse.Triple{Row: i, Col: e.V, Val: 1},
-			sparse.Triple{Row: i, Col: e.U, Val: -1})
-	}
-	return sparse.NewFromTriples(len(g.Edges), g.N, ts, semiring.PlusTimes)
-}
-
 // Dedup returns g with duplicate and reversed-duplicate edges removed
 // (simple graph).
 func Dedup(g Graph) Graph {

@@ -162,14 +162,6 @@ func TestAdjacencyVariants(t *testing.T) {
 	}
 }
 
-func TestIncidenceSigned(t *testing.T) {
-	g := Graph{N: 2, Edges: []Edge{{0, 1}}}
-	e := IncidenceSigned(g)
-	if e.At(0, 0) != -1 || e.At(0, 1) != 1 {
-		t.Fatalf("signed incidence wrong:\n%v", e)
-	}
-}
-
 func TestDedup(t *testing.T) {
 	g := Graph{N: 3, Edges: []Edge{{0, 1}, {1, 0}, {1, 2}, {1, 1}}}
 	d := Dedup(g)

@@ -174,27 +174,6 @@ func MulSparseDense(a *Matrix, d *Dense) *Dense {
 	return out
 }
 
-// MulDenseSparse returns D · A for dense D and sparse A.
-func MulDenseSparse(d *Dense, a *Matrix) *Dense {
-	if d.C != a.r {
-		panic(fmt.Sprintf("sparse: dense·sparse shape %d×%d · %d×%d", d.R, d.C, a.r, a.c))
-	}
-	out := NewDense(d.R, a.c)
-	for i := 0; i < d.R; i++ {
-		orow := out.Data[i*a.c : (i+1)*a.c]
-		for l := 0; l < d.C; l++ {
-			dv := d.Data[i*d.C+l]
-			if dv == 0 {
-				continue
-			}
-			for k := a.rowPtr[l]; k < a.rowPtr[l+1]; k++ {
-				orow[a.colIdx[k]] += dv * a.val[k]
-			}
-		}
-	}
-	return out
-}
-
 // GaussJordanInverse inverts a small dense matrix exactly (partial
 // pivoting). It is the oracle the Newton–Schulz iteration (paper
 // Algorithm 4) is tested against; it returns false when the matrix is

@@ -35,20 +35,6 @@ func TestMixedSparseDenseProducts(t *testing.T) {
 	}
 }
 
-func TestMulDenseSparse(t *testing.T) {
-	a := randMatrix(4, 6, 0.5, 24)
-	d := DenseFromRows([][]float64{
-		{1, 0, 2, 0}, {0, 3, 0, 4},
-	})
-	got := MulDenseSparse(d, a)
-	want := d.MulDense(ToDense(a))
-	for i := range want.Data {
-		if math.Abs(got.Data[i]-want.Data[i]) > 1e-9 {
-			t.Fatalf("dense·sparse differs at %d", i)
-		}
-	}
-}
-
 func TestDenseOps(t *testing.T) {
 	d := DenseFromRows([][]float64{{1, -2}, {3, 4}})
 	if d.At(0, 1) != -2 {

@@ -99,9 +99,6 @@ func TestTriuOutOfBandOffsets(t *testing.T) {
 	if Triu(m, 5).NNZ() != 0 {
 		t.Fatalf("far upper band should be empty")
 	}
-	if !Equal(Tril(m, 5), m) {
-		t.Fatalf("wide lower band should keep everything")
-	}
 }
 
 func TestSpMSpVEmptyFrontier(t *testing.T) {
@@ -120,14 +117,6 @@ func TestReduceEmptyMatrix(t *testing.T) {
 	}
 	if got := Reduce(m, semiring.MinMonoid); !math.IsInf(got, 1) {
 		t.Fatalf("empty min reduce should be identity")
-	}
-}
-
-func TestDeleteAllRows(t *testing.T) {
-	m := NewFromDense([][]float64{{1}, {2}})
-	d := DeleteRows(m, []int{0, 1})
-	if d.Rows() != 0 || d.NNZ() != 0 {
-		t.Fatalf("delete-all wrong: %d rows", d.Rows())
 	}
 }
 

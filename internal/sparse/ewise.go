@@ -78,21 +78,6 @@ func EWiseMult(a, b *Matrix, ring semiring.Semiring) *Matrix {
 	return c
 }
 
-// EWiseDivide computes C[i][j] = A[i][j] / B[i][j] over the intersection
-// of patterns, dropping entries where B is unstored (division by the
-// implicit zero is undefined, so such entries are simply absent, matching
-// the paper's "computation is on non-zero entries" note under Fig. 2).
-func EWiseDivide(a, b *Matrix) *Matrix {
-	div := semiring.Semiring{
-		Name: "plus.div",
-		Add:  semiring.PlusTimes.Add,
-		Mul:  func(x, y float64) float64 { return x / y },
-		Zero: 0,
-		One:  1,
-	}
-	return EWiseMult(a, b, div)
-}
-
 // Apply maps f over every stored entry (the GraphBLAS Apply kernel),
 // dropping results equal to zero so sparsity is preserved.
 func Apply(a *Matrix, f semiring.UnaryOp) *Matrix {

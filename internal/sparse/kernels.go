@@ -2,8 +2,6 @@ package sparse
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"graphulo/internal/semiring"
 )
@@ -21,67 +19,6 @@ func SpGEMM(a, b *Matrix, ring semiring.Semiring) *Matrix {
 		spgemmRow(a, b, i, ring, acc)
 		acc.drain(ring, &c.colIdx, &c.val)
 		c.rowPtr[i+1] = len(c.colIdx)
-	}
-	return c
-}
-
-// SpGEMMParallel computes C = A ⊕.⊗ B with rows of A partitioned across
-// workers goroutines (workers ≤ 0 uses GOMAXPROCS). Each worker owns a
-// private accumulator; results are stitched without locks.
-func SpGEMMParallel(a, b *Matrix, ring semiring.Semiring, workers int) *Matrix {
-	if a.c != b.r {
-		panic(fmt.Sprintf("sparse: SpGEMM shape mismatch %d×%d · %d×%d", a.r, a.c, b.r, b.c))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.r {
-		workers = a.r
-	}
-	if workers <= 1 {
-		return SpGEMM(a, b, ring)
-	}
-
-	type part struct {
-		lo, hi int
-		colIdx []int
-		val    []float64
-		rowLen []int
-	}
-	parts := make([]part, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * a.r / workers
-		hi := (w + 1) * a.r / workers
-		parts[w] = part{lo: lo, hi: hi}
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			acc := newSpa(b.c, ring.Zero)
-			p.rowLen = make([]int, p.hi-p.lo)
-			for i := p.lo; i < p.hi; i++ {
-				spgemmRow(a, b, i, ring, acc)
-				before := len(p.colIdx)
-				acc.drain(ring, &p.colIdx, &p.val)
-				p.rowLen[i-p.lo] = len(p.colIdx) - before
-			}
-		}(&parts[w])
-	}
-	wg.Wait()
-
-	c := &Matrix{r: a.r, c: b.c, rowPtr: make([]int, a.r+1)}
-	total := 0
-	for _, p := range parts {
-		total += len(p.colIdx)
-	}
-	c.colIdx = make([]int, 0, total)
-	c.val = make([]float64, 0, total)
-	for _, p := range parts {
-		for i := p.lo; i < p.hi; i++ {
-			c.rowPtr[i+1] = c.rowPtr[i] + p.rowLen[i-p.lo]
-		}
-		c.colIdx = append(c.colIdx, p.colIdx...)
-		c.val = append(c.val, p.val...)
 	}
 	return c
 }
@@ -199,41 +136,6 @@ func SpMV(a *Matrix, x []float64, ring semiring.Semiring) []float64 {
 		}
 		y[i] = acc
 	}
-	return y
-}
-
-// SpMVParallel is SpMV with rows partitioned across workers.
-func SpMVParallel(a *Matrix, x []float64, ring semiring.Semiring, workers int) []float64 {
-	if len(x) != a.c {
-		panic(fmt.Sprintf("sparse: SpMV length mismatch %d vs %d", len(x), a.c))
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > a.r {
-		workers = a.r
-	}
-	if workers <= 1 {
-		return SpMV(a, x, ring)
-	}
-	y := make([]float64, a.r)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * a.r / workers
-		hi := (w + 1) * a.r / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				acc := ring.Zero
-				for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-					acc = ring.Add(acc, ring.Mul(a.val[k], x[a.colIdx[k]]))
-				}
-				y[i] = acc
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
 	return y
 }
 

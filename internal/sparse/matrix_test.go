@@ -162,18 +162,6 @@ func TestSpGEMMMinPlus(t *testing.T) {
 	_ = inf
 }
 
-func TestSpGEMMParallelMatchesSerial(t *testing.T) {
-	a := randMatrix(101, 83, 0.1, 7)
-	b := randMatrix(83, 67, 0.1, 8)
-	want := SpGEMM(a, b, semiring.PlusTimes)
-	for _, workers := range []int{1, 2, 3, 8, 24, 200} {
-		got := SpGEMMParallel(a, b, semiring.PlusTimes, workers)
-		if !Equal(got, want) {
-			t.Fatalf("parallel(%d) differs from serial", workers)
-		}
-	}
-}
-
 func TestSpGEMMShapeMismatchPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -195,21 +183,6 @@ func TestSpMVAgainstDense(t *testing.T) {
 		}
 		if math.Abs(y[i]-want) > 1e-12 {
 			t.Fatalf("y[%d] = %v, want %v", i, y[i], want)
-		}
-	}
-}
-
-func TestSpMVParallelMatchesSerial(t *testing.T) {
-	a := randMatrix(200, 150, 0.05, 4)
-	x := make([]float64, 150)
-	for i := range x {
-		x[i] = float64(i%5) - 2
-	}
-	want := SpMV(a, x, semiring.PlusTimes)
-	got := SpMVParallel(a, x, semiring.PlusTimes, 8)
-	for i := range want {
-		if want[i] != got[i] {
-			t.Fatalf("parallel SpMV differs at %d: %v vs %v", i, got[i], want[i])
 		}
 	}
 }

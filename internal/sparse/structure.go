@@ -39,24 +39,6 @@ func Triu(a *Matrix, k int) *Matrix {
 	return Select(a, func(i, j int, _ float64) bool { return j >= i+k })
 }
 
-// Tril extracts the lower triangle: entries with j ≤ i + k.
-func Tril(a *Matrix, k int) *Matrix {
-	return Select(a, func(i, j int, _ float64) bool { return j <= i+k })
-}
-
-// DiagOf returns the diagonal of A as a dense vector of length min(r, c).
-func DiagOf(a *Matrix) []float64 {
-	n := a.r
-	if a.c < n {
-		n = a.c
-	}
-	d := make([]float64, n)
-	for i := 0; i < n; i++ {
-		d[i] = a.At(i, i)
-	}
-	return d
-}
-
 // NoDiag removes the diagonal: A − diag(A) as used in the paper's
 // identity A = EᵀE − diag(EᵀE).
 func NoDiag(a *Matrix) *Matrix {
@@ -134,22 +116,6 @@ func SpAsgn(a *Matrix, rows, cols []int, b *Matrix) *Matrix {
 	return NewFromTriples(a.r, a.c, ts, semiring.PlusTimes)
 }
 
-// DeleteRows returns A with the given rows removed entirely (the matrix
-// shrinks). This is the E = E(xᶜ, :) step of the paper's Algorithm 1.
-func DeleteRows(a *Matrix, rows []int) *Matrix {
-	drop := make(map[int]bool, len(rows))
-	for _, i := range rows {
-		drop[i] = true
-	}
-	keep := make([]int, 0, a.r-len(drop))
-	for i := 0; i < a.r; i++ {
-		if !drop[i] {
-			keep = append(keep, i)
-		}
-	}
-	return SpRefRows(a, keep)
-}
-
 // Reduce folds all stored entries with the monoid.
 func Reduce(a *Matrix, m semiring.Monoid) float64 {
 	acc := m.Identity
@@ -223,29 +189,6 @@ func Complement(idx []int, n int) []int {
 	return out
 }
 
-// Kron returns the Kronecker product A ⊗ B: the (i,j) block of the
-// result is A(i,j)·B. RMAT graphs are iterated Kronecker products of a
-// 2×2 seed, which makes this kernel the generator-side dual of the
-// recursive quadrant descent in gen.RMAT.
-func Kron(a, b *Matrix, ring semiring.Semiring) *Matrix {
-	ts := make([]Triple, 0, a.NNZ()*b.NNZ())
-	bt := b.Triples()
-	for _, at := range a.Triples() {
-		for _, btr := range bt {
-			v := ring.Mul(at.Val, btr.Val)
-			if ring.IsZero(v) {
-				continue
-			}
-			ts = append(ts, Triple{
-				Row: at.Row*b.r + btr.Row,
-				Col: at.Col*b.c + btr.Col,
-				Val: v,
-			})
-		}
-	}
-	return NewFromTriples(a.r*b.r, a.c*b.c, ts, ring)
-}
-
 // FrobeniusNorm returns sqrt(Σ v²) over stored entries.
 func FrobeniusNorm(a *Matrix) float64 {
 	s := 0.0
@@ -253,35 +196,4 @@ func FrobeniusNorm(a *Matrix) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// MaxRowSum returns max_i Σ_j |A[i][j]| (the ∞-norm), used by the
-// paper's Algorithm 4 to scale the initial inverse iterate.
-func MaxRowSum(a *Matrix) float64 {
-	best := 0.0
-	for i := 0; i < a.r; i++ {
-		s := 0.0
-		for k := a.rowPtr[i]; k < a.rowPtr[i+1]; k++ {
-			s += math.Abs(a.val[k])
-		}
-		if s > best {
-			best = s
-		}
-	}
-	return best
-}
-
-// MaxColSum returns max_j Σ_i |A[i][j]| (the 1-norm).
-func MaxColSum(a *Matrix) float64 {
-	sums := make([]float64, a.c)
-	for k, j := range a.colIdx {
-		sums[j] += math.Abs(a.val[k])
-	}
-	best := 0.0
-	for _, s := range sums {
-		if s > best {
-			best = s
-		}
-	}
-	return best
 }
