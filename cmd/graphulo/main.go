@@ -51,7 +51,6 @@ import (
 	"os"
 	"os/signal"
 	"slices"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -66,7 +65,7 @@ var (
 	mFlag      = flag.Int("m", 800, "edges (er)")
 	kFlag      = flag.Int("k", 4, "truss k / clique size / hops / topics")
 	seed       = flag.Uint64("seed", 1, "generator seed")
-	source     = flag.Int("source", 0, "BFS/SSSP source vertex")
+	source     = flag.Int("source", 0, "BFS source vertex")
 	transportF = flag.String("transport", "", "cluster wire: inproc (default) or tcp — tcp runs every tablet server on its own socket")
 	servers    = flag.String("servers", "", "comma-separated tablet-server endpoints from `graphulo serve` (tcp)")
 	listen     = flag.String("listen", "127.0.0.1:0", "serve mode: address to listen on")
@@ -83,19 +82,18 @@ var (
 )
 
 // The subcommands run accepts, as the usage line prints them: the
-// table kernels, each checked against its in-memory reference; the raw
-// multiply; and the kernels that run in memory only.
+// table kernels, each checked against its in-memory reference, and the
+// raw multiply.
 const (
 	tableKernels = "bfs degrees ktruss pagerank jaccard tricount nmf"
 	multiply     = "mult trace"
-	inMemory     = "betweenness nominate sssp info"
-	algorithms   = tableKernels + " " + multiply + " " + inMemory
+	algorithms   = tableKernels + " " + multiply
 )
 
 // movedToReproduce names the former in-memory subcommands that are now
 // rows of `reproduce -exp table1`; run's error for an unknown name
 // lists them.
-const movedToReproduce = "eigen katz hits clustering svd closeness communities components"
+const movedToReproduce = "eigen katz hits clustering svd closeness communities components betweenness nominate sssp"
 
 // band is -band's SpRef sub-array, in the kernels' own band type.
 var band graphulo.ScanConstraint
@@ -226,7 +224,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: graphulo <algorithm> [flags]\n")
 		fmt.Fprintf(os.Stderr, "table kernels, checked against the in-memory reference: %s\n", tableKernels)
 		fmt.Fprintf(os.Stderr, "table multiply: %s\n", multiply)
-		fmt.Fprintf(os.Stderr, "in memory: %s\n", inMemory)
 		fmt.Fprintf(os.Stderr, "explain [kernel]: print a kernel's compiled plan with fused groups marked (all kernels when omitted)\n\n")
 		flag.PrintDefaults()
 	}
@@ -329,45 +326,6 @@ func run(algorithm string) error {
 	}
 	adj := graphulo.AdjacencyPat(g)
 	fmt.Printf("graph: %d vertices, %d edges\n", g.N, len(g.Edges))
-
-	switch algorithm {
-	case "info":
-		deg := graphulo.DegreeCentrality(adj)
-		maxD := 0.0
-		for _, d := range deg {
-			if d > maxD {
-				maxD = d
-			}
-		}
-		fmt.Printf("max degree %v, triangles %v\n", maxD, graphulo.TriangleCount(adj))
-		return nil
-
-	case "betweenness":
-		printTop("betweenness", graphulo.BetweennessCentrality(adj))
-		return nil
-
-	case "nominate":
-		scores := graphulo.VertexNomination(adj, []int{*source}, 0.15, 500)
-		scores[*source] = 0 // hide the cue itself
-		printTop("nominated", scores)
-		return nil
-
-	case "sssp":
-		// Re-weight the graph and run Bellman–Ford under min.plus.
-		w := weighted(g, *seed)
-		dist, neg := graphulo.BellmanFord(w, *source)
-		if neg {
-			return fmt.Errorf("negative cycle")
-		}
-		reach := 0
-		for _, d := range dist {
-			if d < 1e308 {
-				reach++
-			}
-		}
-		fmt.Printf("shortest paths from %d reach %d vertices\n", *source, reach)
-		return nil
-	}
 
 	db, err := openDB()
 	if err != nil {
@@ -617,35 +575,4 @@ func reportTraces(db *graphulo.DB) {
 				q.ScanPassP50, q.ScanPassP99, q.ScanPasses, q.WriteBatchP50, q.WriteBatches)
 		}
 	}
-}
-
-func weighted(g graphulo.Graph, seed uint64) *graphulo.Matrix {
-	var ts []graphulo.Triple
-	for i, e := range g.Edges {
-		w := 1 + float64((uint64(i)*seed+3)%7)
-		ts = append(ts, graphulo.Triple{Row: e.U, Col: e.V, Val: w},
-			graphulo.Triple{Row: e.V, Col: e.U, Val: w})
-	}
-	return graphulo.NewMatrix(g.N, g.N, ts, graphulo.MinPlus)
-}
-
-func printTop(name string, scores []float64) {
-	type vs struct {
-		v int
-		s float64
-	}
-	rs := make([]vs, len(scores))
-	for i, s := range scores {
-		rs[i] = vs{i, s}
-	}
-	sort.Slice(rs, func(i, j int) bool { return rs[i].s > rs[j].s })
-	n := 5
-	if n > len(rs) {
-		n = len(rs)
-	}
-	fmt.Printf("%s top%d:", name, n)
-	for _, r := range rs[:n] {
-		fmt.Printf(" v%d=%.4g", r.v, r.s)
-	}
-	fmt.Println()
 }

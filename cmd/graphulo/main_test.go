@@ -162,11 +162,11 @@ func TestWorkloadFlagsRefusedWhereIgnored(t *testing.T) {
 }
 
 // TestUnknownGraphRefused: a -graph that names no workload fails,
-// naming the four that exist, on in-memory and table subcommands alike
+// naming the four that exist, on table kernels and the multiply alike
 // (`degrees -graph rmatt` once ran the 5-vertex paper graph).
 func TestUnknownGraphRefused(t *testing.T) {
 	setFlags(t, "graph", "rmatt")
-	for _, alg := range []string{"degrees", "mult", "info"} {
+	for _, alg := range []string{"degrees", "mult"} {
 		if err := run(alg); err == nil || !strings.Contains(err.Error(), `"rmatt"`) || !strings.Contains(err.Error(), "rmat er paper clique") {
 			t.Errorf("%s -graph rmatt: error %v, want one naming rmatt and rmat er paper clique", alg, err)
 		}
@@ -226,10 +226,8 @@ func TestMovedSubcommandsPointAtReproduce(t *testing.T) {
 // error, not a panic in the in-memory reference.
 func TestSourceOutsideGraphRefused(t *testing.T) {
 	setFlags(t, "source", "999")
-	for _, alg := range []string{"bfs", "nominate", "sssp"} {
-		if err := run(alg); err == nil || !strings.Contains(err.Error(), "-source 999") {
-			t.Errorf("%s: error %v, want one naming -source 999", alg, err)
-		}
+	if err := run("bfs"); err == nil || !strings.Contains(err.Error(), "-source 999") {
+		t.Errorf("bfs: error %v, want one naming -source 999", err)
 	}
 }
 

@@ -87,6 +87,12 @@ func table1() {
 		truss := graphulo.KTrussEdge(E, 4)
 		return fmt.Sprintf("4-truss keeps %d/%d edges", truss.Rows(), E.Rows())
 	})
+	add("Subgraph Detection", "vertex nomination", func() string {
+		scores := graphulo.VertexNomination(adj, []int{0}, 0.15, 500)
+		scores[0] = 0 // the cue itself is not a nominee
+		top := slices.Index(scores, slices.Max(scores))
+		return fmt.Sprintf("top nominee for cue 0: vertex %d, score %.4g", top, scores[top])
+	})
 	add("Centrality", "PageRank (power method)", func() string {
 		res := graphulo.PageRank(adj, 0.15, 1e-12, 1000)
 		return fmt.Sprintf("converged in %d iterations", res.Iterations)
@@ -99,6 +105,11 @@ func table1() {
 		return fmt.Sprintf("max closeness %.4f, max harmonic %.4g, clustering global %.4f max local %.4f",
 			slices.Max(graphulo.ClosenessCentrality(adj)), slices.Max(graphulo.HarmonicCentrality(adj)),
 			graphulo.GlobalClustering(adj), slices.Max(graphulo.LocalClustering(adj)))
+	})
+	add("Centrality", "betweenness (Brandes)", func() string {
+		bc := graphulo.BetweennessCentrality(adj)
+		top := slices.Index(bc, slices.Max(bc))
+		return fmt.Sprintf("max betweenness %.4g at vertex %d", bc[top], top)
 	})
 	add("Similarity", "Jaccard (Algorithm 2)", func() string {
 		J := graphulo.Jaccard(adj)

@@ -130,7 +130,7 @@ type (
 	// HITSResult holds hub and authority scores.
 	HITSResult = algo.HITSResult
 	// MultOptions configures the server-side TableMult kernel: semiring,
-	// batch size, SpRef constraint, and fold-stage budget.
+	// SpRef constraint, and fold-stage budget.
 	MultOptions = core.MultOptions
 	// ScanConstraint restricts a kernel to a sub-associative-array (the
 	// paper's SpRef): a row band pushed into the scan so only
@@ -519,11 +519,6 @@ func (g *TableGraph) BFS(seeds []int, hops int) (map[string]int, error) {
 	return g.BFSWithOptions(seeds, hops, BFSOptions{})
 }
 
-// BFSFiltered is BFS with degree-table filtering (Graphulo's AdjBFS).
-func (g *TableGraph) BFSFiltered(seeds []int, hops int, minDeg, maxDeg float64) (map[string]int, error) {
-	return g.BFSWithOptions(seeds, hops, BFSOptions{MinDegree: minDeg, MaxDegree: maxDeg})
-}
-
 // BFSWithOptions is BFS with full kernel options: degree filtering
 // (BFSOptions.MinDegree/MaxDegree against the graph's degree table)
 // and/or the RowStart/RowEnd sub-graph band, which is pushed into every
@@ -575,12 +570,6 @@ func (g *TableGraph) PageRank(alpha, tol float64, maxIter int) (map[string]float
 	return res.Ranks, res.Iterations, nil
 }
 
-// Adjacency reads the graph back as an associative array (for handing
-// to the in-memory algorithms).
-func (g *TableGraph) Adjacency() (*Assoc, error) {
-	return schema.ReadAssoc(g.db.conn, g.schema.Table)
-}
-
 // EdgeWeight probes one adjacency cell: the weight of edge (u, v), or
 // ok=false when the graph has no such edge. The probe is a
 // cell-confined scan over exactly one (row, colQ) pair, so on a durable
@@ -589,26 +578,11 @@ func (g *TableGraph) Adjacency() (*Assoc, error) {
 // without touching a data block (counted by
 // ScanStats.ColQBloomNegatives).
 func (g *TableGraph) EdgeWeight(u, v int) (float64, bool, error) {
-	return g.db.LookupCell(g.schema.Table, schema.VertexName(u), schema.EdgeFamily, schema.VertexName(v))
-}
-
-// HasEdge reports whether edge (u, v) exists, via the same
-// bloom-accelerated cell probe as EdgeWeight.
-func (g *TableGraph) HasEdge(u, v int) (bool, error) {
-	_, ok, err := g.EdgeWeight(u, v)
-	return ok, err
-}
-
-// LookupCell reads a single cell — the newest version of (row, colF,
-// colQ) — decoded as a float. ok=false means the cell does not exist
-// (or holds a non-numeric payload). The scan range is cell-confined, so
-// rfile (row, colQ) bloom filters can reject files without block reads.
-func (db *DB) LookupCell(table, row, colF, colQ string) (float64, bool, error) {
-	sc, err := db.conn.CreateScanner(table)
+	sc, err := g.db.conn.CreateScanner(g.schema.Table)
 	if err != nil {
 		return 0, false, err
 	}
-	sc.SetRange(skv.ExactCell(row, colF, colQ))
+	sc.SetRange(skv.ExactCell(schema.VertexName(u), schema.EdgeFamily, schema.VertexName(v)))
 	entries, err := sc.Entries()
 	if err != nil {
 		return 0, false, err
@@ -618,6 +592,13 @@ func (db *DB) LookupCell(table, row, colF, colQ string) (float64, bool, error) {
 	}
 	f, ok := skv.DecodeFloat(entries[0].V)
 	return f, ok, nil
+}
+
+// HasEdge reports whether edge (u, v) exists, via the same
+// bloom-accelerated cell probe as EdgeWeight.
+func (g *TableGraph) HasEdge(u, v int) (bool, error) {
+	_, ok, err := g.EdgeWeight(u, v)
+	return ok, err
 }
 
 // TableMult exposes the server-side C ⊕= Aᵀ·B kernel on raw tables.

@@ -114,7 +114,7 @@ func TestKernelMetricsDeltasEqualThreeWay(t *testing.T) {
 		}{
 			{"TableMult", func() error { _, err := db.TableMult(at, a, "C", "plus.times"); return err }},
 			{"kTruss", func() error { _, err := tg.KTruss(4); return err }},
-			{"BFSFiltered", func() error { _, err := tg.BFSFiltered([]int{0}, 3, 2, 0); return err }},
+			{"BFS filtered", func() error { _, err := tg.BFSWithOptions([]int{0}, 3, BFSOptions{MinDegree: 2}); return err }},
 		} {
 			before := view(db)
 			if err := k.run(); err != nil {

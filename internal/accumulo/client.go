@@ -371,75 +371,6 @@ func (t *TableOperations) TabletRuns(name string) ([]int, error) {
 	return out, nil
 }
 
-// Clone copies a table's current contents and iterator configuration
-// into a new table, as Accumulo's clone does (ours copies data rather
-// than sharing files, which an in-memory store can afford). The copy is
-// one server-side pass: each source tablet runs its scan stack with a
-// remoteWrite sink into dst on top, so combiner semantics stay intact
-// and no entry visits the coordinator.
-func (t *TableOperations) Clone(src, dst string) error {
-	meta, err := t.mc.getTable(src)
-	if err != nil {
-		return err
-	}
-	meta.mu.RLock()
-	splits := append([]string(nil), meta.splits...)
-	iters := map[Scope][]iterator.Setting{}
-	for s, list := range meta.iters {
-		iters[s] = append([]iterator.Setting(nil), list...)
-	}
-	meta.mu.RUnlock()
-	if err := t.CreateWithSplits(dst, splits); err != nil {
-		return err
-	}
-	dstMeta, err := t.mc.getTable(dst)
-	if err != nil {
-		return err
-	}
-	dstMeta.mu.Lock()
-	dstMeta.iters = iters
-	err = t.mc.persistIters(dstMeta)
-	dstMeta.mu.Unlock()
-	t.mc.topologyChanged()
-	if err != nil {
-		return err
-	}
-	sink := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": dst}}
-	st, err := t.mc.openStream(src, []skv.Range{skv.FullRange()}, nil, []iterator.Setting{sink}, traceCtx{})
-	if err != nil {
-		return err
-	}
-	_, err = st.Collect() // one monitoring entry per tablet
-	return err
-}
-
-// DeleteRows removes every entry whose row lies in [startRow, endRow)
-// (empty bounds are infinite), by rewriting the affected tablets —
-// Accumulo's deleteRows.
-func (t *TableOperations) DeleteRows(name, startRow, endRow string) error {
-	if err := t.mc.errExternal("DeleteRows"); err != nil {
-		return err
-	}
-	meta, err := t.mc.getTable(name)
-	if err != nil {
-		return err
-	}
-	drop := skv.RowRange(startRow, endRow)
-	for _, tr := range meta.tabletsOverlapping(drop) {
-		// Snapshot, filter, and rebuild the tablet's contents via a
-		// major compaction with a range filter.
-		filter := func(src iterator.SKVI) (iterator.SKVI, error) {
-			return iterator.NewFilterIter(src, func(e skv.Entry) bool {
-				return !drop.Contains(e.K)
-			}), nil
-		}
-		if err := tr.tab.MajorCompact(filter); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // EntryEstimate sums the per-tablet entry estimates.
 func (t *TableOperations) EntryEstimate(name string) (int, error) {
 	if err := t.mc.errExternal("EntryEstimate"); err != nil {

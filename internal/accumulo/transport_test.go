@@ -255,8 +255,11 @@ func TestExternalAdminOpsRejected(t *testing.T) {
 	if err := ops.Compact("X"); err == nil {
 		t.Error("Compact must be rejected with external servers")
 	}
-	if err := ops.DeleteRows("X", "", ""); err == nil {
-		t.Error("DeleteRows must be rejected with external servers")
+	if _, err := ops.TabletRuns("X"); err == nil {
+		t.Error("TabletRuns must be rejected with external servers")
+	}
+	if _, err := ops.EntryEstimate("X"); err == nil {
+		t.Error("EntryEstimate must be rejected with external servers")
 	}
 	// Delete itself is supported and must clear the hosted tablets.
 	if err := ops.Delete("X"); err != nil {

@@ -169,14 +169,6 @@ func (a *Assoc) Transpose() *Assoc {
 	return FromMatrix(sparse.Transpose(a.mat), a.cols, a.rows, a.ring)
 }
 
-// Apply maps f over stored values, dropping zeros.
-func (a *Assoc) Apply(f semiring.UnaryOp) *Assoc {
-	return FromMatrix(sparse.Apply(a.mat, f), a.rows, a.cols, a.ring)
-}
-
-// Scale multiplies every stored value by s.
-func (a *Assoc) Scale(s float64) *Assoc { return a.Apply(semiring.ScaleBy(s)) }
-
 // SubRef extracts the sub-array with row keys in rowSel and column keys
 // in colSel (nil selects all). Unknown keys are ignored.
 func (a *Assoc) SubRef(rowSel, colSel []string) *Assoc {
@@ -195,26 +187,6 @@ func (a *Assoc) SubRef(rowSel, colSel []string) *Assoc {
 		ck = append(ck, c)
 	}
 	return FromMatrix(sparse.SpRef(a.mat, ri, ci), rk, ck, a.ring)
-}
-
-// ReduceRows folds each row with the monoid, returning rowKey → value.
-func (a *Assoc) ReduceRows(m semiring.Monoid) map[string]float64 {
-	v := sparse.ReduceRows(a.mat, m)
-	out := make(map[string]float64, len(a.rows))
-	for i, r := range a.rows {
-		out[r] = v[i]
-	}
-	return out
-}
-
-// ReduceCols folds each column with the monoid, returning colKey → value.
-func (a *Assoc) ReduceCols(m semiring.Monoid) map[string]float64 {
-	v := sparse.ReduceCols(a.mat, m)
-	out := make(map[string]float64, len(a.cols))
-	for j, c := range a.cols {
-		out[c] = v[j]
-	}
-	return out
 }
 
 // Equal reports whether two arrays have identical keys and values.

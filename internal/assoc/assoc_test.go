@@ -111,17 +111,6 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
-func TestApplyScale(t *testing.T) {
-	a := small().Scale(10)
-	if a.At("alice", "carol") != 20 {
-		t.Fatalf("scale wrong")
-	}
-	ind := small().Apply(semiring.EqualsIndicator(3))
-	if ind.NNZ() != 1 || ind.At("bob", "carol") != 1 {
-		t.Fatalf("indicator apply wrong")
-	}
-}
-
 func TestSubRef(t *testing.T) {
 	a := small()
 	s := a.SubRef([]string{"alice"}, nil)
@@ -131,18 +120,6 @@ func TestSubRef(t *testing.T) {
 	s2 := a.SubRef(nil, []string{"carol", "nosuch"})
 	if s2.NNZ() != 2 || len(s2.Cols()) != 1 {
 		t.Fatalf("SubRef cols wrong")
-	}
-}
-
-func TestReduce(t *testing.T) {
-	a := small()
-	deg := a.ReduceRows(semiring.PlusMonoid)
-	if deg["alice"] != 3 || deg["bob"] != 3 {
-		t.Fatalf("row reduce = %v", deg)
-	}
-	in := a.ReduceCols(semiring.PlusMonoid)
-	if in["bob"] != 1 || in["carol"] != 5 {
-		t.Fatalf("col reduce = %v", in)
 	}
 }
 

@@ -39,18 +39,12 @@ import (
 // it is the plan layer's band type, declared once in plan.Constraint.
 type ScanConstraint = plan.Constraint
 
-// DefaultPreAggBytes is the fixed budget of the ⊕-fold stage the planner
-// places below the sink of every multiply chain (see plan.Compile).
-const DefaultPreAggBytes = plan.DefaultPreAggBytes
-
 // MultOptions configures TableMult.
 type MultOptions struct {
 	// Semiring names the ⊕.⊗ pair (default "plus.times"). The ⊗ runs in
 	// the TwoTableIterator; the ⊕ is the summing combiner on the result
 	// table and, before that, the fold stage below RemoteWrite.
 	Semiring string
-	// BatchSize is the RemoteWrite batch size (default 4096).
-	BatchSize int
 	// Constraint restricts the multiply to a sub-array: RowStart/RowEnd
 	// bound the inner dimension (the rows of both Aᵀ and B — only B
 	// tablets overlapping the band execute the kernel, and each pass
@@ -153,7 +147,7 @@ func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts Mu
 func multPlan(tableAT, tableB, tableC string, opts MultOptions) *plan.Node {
 	return plan.Write(
 		plan.Mult(plan.Scan(tableB, opts.Constraint), tableAT, opts.Semiring),
-		tableC, opts.Semiring, opts.BatchSize, opts.PreAggBytes)
+		tableC, opts.Semiring, opts.PreAggBytes)
 }
 
 // combinerForRing names the combiner iterator implementing a semiring's
@@ -294,10 +288,7 @@ func TableMultClient(conn *accumulo.Connector, tableAT, tableB, tableC string, o
 	if err != nil {
 		return 0, err
 	}
-	// opts.BatchSize sizes the writer's buffer, exactly as it sizes the
-	// server-side RemoteWrite batches (it used to be silently ignored
-	// here, making the baseline's wire pattern incomparable).
-	w, err := conn.CreateBatchWriter(tableC, accumulo.BatchWriterConfig{MaxBufferEntries: opts.BatchSize})
+	w, err := conn.CreateBatchWriter(tableC, accumulo.BatchWriterConfig{})
 	if err != nil {
 		return 0, err
 	}
@@ -367,7 +358,7 @@ func oneTablePlan(tableIn, tableOut string, settings []iterator.Setting, c ScanC
 	if len(settings) > 0 {
 		n = plan.Apply(n, settings...)
 	}
-	return plan.Write(n, tableOut, "plus.times", 0, 0)
+	return plan.Write(n, tableOut, "plus.times", 0)
 }
 
 // TableRowReduce folds each row of tableIn with the monoid ("plus",
@@ -397,7 +388,7 @@ func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, c
 func rowReducePlan(tableIn, tableOut, monoid, colF, colQ string, c ScanConstraint) *plan.Node {
 	return plan.Write(
 		plan.Reduce(plan.Scan(tableIn, c), monoid, colF, colQ),
-		tableOut, "plus.times", 0, 0)
+		tableOut, "plus.times", 0)
 }
 
 // TableAssign writes a sub-array of tableIn into a destination
@@ -427,7 +418,7 @@ func TableAssign(conn *accumulo.Connector, tableIn, tableOut, rowOffset, colOffs
 func assignPlan(tableIn, tableOut, rowOffset, colOffset string, c ScanConstraint) *plan.Node {
 	return plan.Write(
 		plan.SpAsgn(plan.Scan(tableIn, c), rowOffset, colOffset),
-		tableOut, "plus.times", 0, 0)
+		tableOut, "plus.times", 0)
 }
 
 // TableSum unions the input tables into tableOut under a summing

@@ -17,7 +17,7 @@ import (
 // client instead of into a table.
 func TestExplainKernelStacksPinned(t *testing.T) {
 	fold := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.times"}}
-	write := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"batchSize": "4096", "table": "C"}}
+	write := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": "C"}}
 	square := []iterator.Setting{
 		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "semiring": "plus.times", "tableAT": "A"}},
 		fold,

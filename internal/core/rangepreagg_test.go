@@ -307,46 +307,6 @@ func TestPreAggSpillAtCapacity(t *testing.T) {
 	}
 }
 
-// TestTableMultClientHonorsBatchSize is the regression test for the
-// ignored-option bug: the client baseline's writer used to be created
-// with a zero config, so opts.BatchSize never reached it. A batch size
-// of 1 must now flush per entry — observable as one write RPC per
-// partial product instead of a handful of large batches.
-func TestTableMultClientHonorsBatchSize(t *testing.T) {
-	conn := testConn(t)
-	inner := []string{"i0", "i1", "i2", "i3"}
-	loadMatrix(t, conn, "ATw", inner, []string{"a0", "a1"},
-		[][]float64{{1, 2}, {3, 4}, {5, 6}, {7, 8}})
-	loadMatrix(t, conn, "Bw", inner, []string{"b0", "b1"},
-		[][]float64{{1, 1}, {2, 2}, {3, 3}, {4, 4}})
-
-	m := &conn.Cluster().Telemetry().Stats
-	run := func(tableC string, batch int) (products int, rpcs int64) {
-		before := m.Get(telemetry.RPCs)
-		n, err := TableMultClient(conn, "ATw", "Bw", tableC, MultOptions{BatchSize: batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return n, m.Get(telemetry.RPCs) - before
-	}
-	nBig, rpcsBig := run("CwBig", 0)
-	nOne, rpcsOne := run("CwOne", 1)
-	if nBig != nOne || nBig == 0 {
-		t.Fatalf("product counts differ: %d vs %d", nBig, nOne)
-	}
-	// With BatchSize 1 every partial product is its own write RPC; the
-	// default (4096) fits them all in far fewer.
-	if rpcsOne < int64(nOne) {
-		t.Errorf("BatchSize=1 issued %d RPCs for %d products — option still ignored", rpcsOne, nOne)
-	}
-	if rpcsOne <= rpcsBig {
-		t.Errorf("BatchSize=1 RPCs (%d) not above default's (%d)", rpcsOne, rpcsBig)
-	}
-	if a, b := readMatrix(t, conn, "CwBig"), readMatrix(t, conn, "CwOne"); len(a) != len(b) {
-		t.Fatalf("results differ across batch sizes")
-	}
-}
-
 // TestRemoteWriteRejectsBadPreAggOptions pins option validation in the
 // registered fold factory — the one way a pre-aggregation stage is
 // placed under a RemoteWrite sink.

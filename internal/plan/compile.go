@@ -53,7 +53,6 @@ type Step struct {
 	Sink       SinkKind
 	OutTable   string
 	Semiring   string
-	BatchSize  int
 	// Ops labels the operators fused into this step, upstream first,
 	// for explain output. A step with any non-scan operator label is a
 	// fused group.
@@ -142,14 +141,14 @@ func Compile(root *Node, opts Options) (*Plan, error) {
 		if sem == "" {
 			sem = "plus.times"
 		}
-		step = finalize(c, SinkWrite, root.OutTable, sem, root.BatchSize, foldBudget(root.PreAggBytes, c))
+		step = finalize(c, SinkWrite, root.OutTable, sem, foldBudget(root.PreAggBytes, c))
 		step.Ops = append(step.Ops, "write "+root.OutTable)
 	case OpCollect:
 		sink, budget, label := SinkCollect, 0, "collect"
 		if root.Fold {
 			sink, budget, label = SinkCollectFold, foldBudget(0, c), "collect ⊕-fold"
 		}
-		step = finalize(c, sink, "", root.Semiring, 0, budget)
+		step = finalize(c, sink, "", root.Semiring, budget)
 		step.Ops = append(step.Ops, label+" [streams to client, no scratch table]")
 	}
 	return &Plan{Kernel: opts.Kernel, Step: step}, nil
@@ -236,7 +235,7 @@ func unfusible(n *Node) error {
 // column filter at priority 25, the fused stages in chain order from 30
 // upward, the fold stage (preAggBytes > 0) at 89 and — for
 // write sinks — RemoteWrite at 90.
-func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preAggBytes int) Step {
+func finalize(c chain, sink SinkKind, outTable, semiring string, preAggBytes int) Step {
 	step := Step{
 		Source:     c.source,
 		Ranges:     c.ranges,
@@ -244,7 +243,6 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preA
 		Sink:       sink,
 		OutTable:   outTable,
 		Semiring:   semiring,
-		BatchSize:  batchSize,
 		Ops:        []string{scanOpLabel(c.source, c.constraint)},
 	}
 	if colFilter, ok := c.constraint.colSetting(25); ok {
@@ -268,11 +266,7 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, batchSize, preA
 		}})
 	}
 	if sink == SinkWrite {
-		opts := map[string]string{"table": outTable}
-		if batchSize > 0 {
-			opts["batchSize"] = strconv.Itoa(batchSize)
-		}
-		step.Settings = append(step.Settings, iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: opts})
+		step.Settings = append(step.Settings, iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": outTable}})
 	}
 	return step
 }

@@ -147,7 +147,6 @@ type Node struct {
 
 	// OpWrite
 	OutTable    string
-	BatchSize   int
 	PreAggBytes int // fold-stage budget: 0 = DefaultPreAggBytes under a multiply, negative = no fold stage
 
 	// OpCollect
@@ -212,15 +211,11 @@ func SpAsgn(in *Node, rowOffset, colOffset string) *Node {
 // semiring's ⊕ combiner. preAggBytes sizes the fold stage below the
 // sink: 0 is DefaultPreAggBytes under a multiply (and no stage
 // otherwise), negative places no fold stage.
-func Write(in *Node, table, semiring string, batchSize, preAggBytes int) *Node {
+func Write(in *Node, table, semiring string, preAggBytes int) *Node {
 	if semiring == "" {
 		semiring = "plus.times"
 	}
-	if batchSize <= 0 {
-		batchSize = 4096
-	}
-	return &Node{Op: OpWrite, Input: in, OutTable: table, Semiring: semiring,
-		BatchSize: batchSize, PreAggBytes: preAggBytes}
+	return &Node{Op: OpWrite, Input: in, OutTable: table, Semiring: semiring, PreAggBytes: preAggBytes}
 }
 
 // Collect sinks the input stream back to the client in arrival order.

@@ -32,7 +32,7 @@ func TestCompileFusesApplyReduceSpAsgn(t *testing.T) {
 				Apply(Scan("A", Constraint{}), iterator.Setting{Name: "scale", Opts: map[string]string{"factor": "2"}}),
 				"plus", "", "deg"),
 			"p|", ""),
-		"C", "plus.times", 0, -1)
+		"C", "plus.times", -1)
 	p := compileOK(t, root, Options{Kernel: "fuseAll"})
 	if !p.Step.Fused() {
 		t.Fatalf("apply+reduce+spAsgn should be a fused group, got ops %v", p.Step.Ops)
@@ -55,7 +55,7 @@ func TestCompileRefusesUnfusible(t *testing.T) {
 	}
 	reduce := func(in *Node) *Node { return Reduce(in, "plus", "", "deg") }
 	spAsgn := func(in *Node) *Node { return SpAsgn(in, "p|", "q|") }
-	write := func(in *Node) *Node { return Write(in, "C", "plus.times", 0, 0) }
+	write := func(in *Node) *Node { return Write(in, "C", "plus.times", 0) }
 	cases := []struct {
 		name    string
 		root    *Node
@@ -113,14 +113,14 @@ func TestCompileRejectsBadRoots(t *testing.T) {
 	if _, err := Compile(Scan("A", Constraint{}), Options{}); err == nil {
 		t.Fatal("non-sink root must error")
 	}
-	if _, err := Compile(Write(Write(Scan("A", Constraint{}), "B", "", 0, 0), "C", "", 0, 0), Options{}); err == nil {
+	if _, err := Compile(Write(Write(Scan("A", Constraint{}), "B", "", 0), "C", "", 0), Options{}); err == nil {
 		t.Fatal("sink in the middle of a chain must error")
 	}
 }
 
 func TestConstraintBecomesColRangeSetting(t *testing.T) {
 	c := Constraint{RowStart: "a", RowEnd: "m", ColQStart: "b", ColQEnd: "k"}
-	root := Write(Scan("A", c), "C", "plus.times", 0, -1)
+	root := Write(Scan("A", c), "C", "plus.times", -1)
 	p := compileOK(t, root, Options{Kernel: "band"})
 	step := p.Step
 	found := false
@@ -163,13 +163,13 @@ func TestFoldStagePlacement(t *testing.T) {
 		want  []string // the last step's stack
 		bytes int
 	}{
-		{"write", Write(mult(), "C", "min.plus", 0, 0), []string{"twoTable", "fold", "remoteWrite"}, DefaultPreAggBytes},
-		{"write+spAsgn", Write(SpAsgn(mult(), "p|", ""), "C", "min.plus", 0, 0), []string{"twoTable", "spAsgn", "fold", "remoteWrite"}, DefaultPreAggBytes},
+		{"write", Write(mult(), "C", "min.plus", 0), []string{"twoTable", "fold", "remoteWrite"}, DefaultPreAggBytes},
+		{"write+spAsgn", Write(SpAsgn(mult(), "p|", ""), "C", "min.plus", 0), []string{"twoTable", "spAsgn", "fold", "remoteWrite"}, DefaultPreAggBytes},
 		{"collect-fold", CollectFold(mult(), "min.plus"), []string{"twoTable", "fold"}, DefaultPreAggBytes},
-		{"write, explicit budget", Write(mult(), "C", "min.plus", 0, 4096), []string{"twoTable", "fold", "remoteWrite"}, 4096},
-		{"write, fold off", Write(mult(), "C", "min.plus", 0, -1), []string{"twoTable", "remoteWrite"}, 0},
+		{"write, explicit budget", Write(mult(), "C", "min.plus", 4096), []string{"twoTable", "fold", "remoteWrite"}, 4096},
+		{"write, fold off", Write(mult(), "C", "min.plus", -1), []string{"twoTable", "remoteWrite"}, 0},
 		{"raw collect", Collect(mult()), []string{"twoTable"}, 0},
-		{"no multiply", Write(Scan("A", Constraint{}), "C", "plus.times", 0, 0), []string{"remoteWrite"}, 0},
+		{"no multiply", Write(Scan("A", Constraint{}), "C", "plus.times", 0), []string{"remoteWrite"}, 0},
 	}
 	for _, c := range cases {
 		step := compileOK(t, c.root, Options{Kernel: c.name}).Step
@@ -215,7 +215,7 @@ func TestFoldingCollectRefusesNonNumeric(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer done(nil)
-	step := finalize(chain{source: "T"}, SinkCollectFold, "", "plus.times", 0, DefaultPreAggBytes)
+	step := finalize(chain{source: "T"}, SinkCollectFold, "", "plus.times", DefaultPreAggBytes)
 	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // one range, many ranges
 		step.Ranges = ranges
 		_, err := (&Plan{Kernel: "test", Step: step}).Execute(Env{Conn: conn, Query: q})
@@ -295,7 +295,7 @@ func TestVisitErrorStopsMultiRangeCollect(t *testing.T) {
 }
 
 func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
-	p := compileOK(t, Write(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "C", "plus.times", 0, 0),
+	p := compileOK(t, Write(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "C", "plus.times", 0),
 		Options{Kernel: "mult"})
 	out := p.Format()
 	if !strings.HasPrefix(out, "plan mult\n  - fused group: scan A\n") {

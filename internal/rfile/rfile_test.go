@@ -88,7 +88,7 @@ func TestSeekMatchesSliceIter(t *testing.T) {
 		skv.RowRange("row00998", ""),
 		skv.RowRange("zzz", ""),
 		skv.ExactRow("row00500"),
-		skv.PrefixRange("row0007"),
+		skv.RowRange("row0007", "row0008"),
 		skv.RowRange("row00099x", "row00101"), // start between keys
 	}
 	for _, rng := range ranges {

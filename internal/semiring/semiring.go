@@ -26,15 +26,6 @@ type Monoid struct {
 	Identity float64
 }
 
-// Reduce folds xs with the monoid, starting from the identity.
-func (m Monoid) Reduce(xs ...float64) float64 {
-	acc := m.Identity
-	for _, x := range xs {
-		acc = m.Op(acc, x)
-	}
-	return acc
-}
-
 // Semiring bundles the add monoid ⊕ and multiply operator ⊗ with the
 // additive identity (which is also the multiplicative annihilator, i.e.
 // the implicit value of unstored entries) and the multiplicative identity.
@@ -159,38 +150,19 @@ func ByName(name string) (Semiring, bool) {
 
 // Standard monoids for Reduce-style kernels.
 var (
-	PlusMonoid  = Monoid{Name: "plus", Op: add, Identity: 0}
-	TimesMonoid = Monoid{Name: "times", Op: mul, Identity: 1}
-	MinMonoid   = Monoid{Name: "min", Op: minOp, Identity: math.Inf(1)}
-	MaxMonoid   = Monoid{Name: "max", Op: maxOp, Identity: math.Inf(-1)}
-	OrMonoid    = Monoid{Name: "or", Op: orOp, Identity: 0}
-	AndMonoid   = Monoid{Name: "and", Op: andOp, Identity: 1}
+	PlusMonoid = Monoid{Name: "plus", Op: add, Identity: 0}
+	MinMonoid  = Monoid{Name: "min", Op: minOp, Identity: math.Inf(1)}
+	MaxMonoid  = Monoid{Name: "max", Op: maxOp, Identity: math.Inf(-1)}
 )
 
-// Common unary operators for the Apply kernel.
-var (
-	// Identity returns its argument.
-	Identity UnaryOp = func(a float64) float64 { return a }
-
-	// OneIfNonzero maps any nonzero to 1 (pattern extraction).
-	OneIfNonzero UnaryOp = func(a float64) float64 {
-		if a != 0 {
-			return 1
-		}
-		return 0
+// OneIfNonzero maps any nonzero to 1 (pattern extraction); a common
+// unary operator for the Apply kernel.
+var OneIfNonzero UnaryOp = func(a float64) float64 {
+	if a != 0 {
+		return 1
 	}
-
-	// Abs is absolute value.
-	Abs UnaryOp = math.Abs
-
-	// Reciprocal maps a to 1/a (and 0 to 0, keeping sparsity).
-	Reciprocal UnaryOp = func(a float64) float64 {
-		if a == 0 {
-			return 0
-		}
-		return 1 / a
-	}
-)
+	return 0
+}
 
 // EqualsIndicator returns a UnaryOp mapping v to 1 when v == target and
 // to 0 otherwise. The paper's k-truss algorithm uses target = 2 to pick
@@ -218,12 +190,4 @@ func ThresholdBelow(t float64) UnaryOp {
 		}
 		return a
 	}
-}
-
-// ClampNonNegative zeroes negative values; NMF's projection step.
-var ClampNonNegative UnaryOp = func(a float64) float64 {
-	if a < 0 {
-		return 0
-	}
-	return a
 }

@@ -121,33 +121,6 @@ func ExactCell(row, colF, colQ string) Range {
 	}
 }
 
-// PrefixRange covers all rows beginning with prefix.
-func PrefixRange(prefix string) Range {
-	if prefix == "" {
-		return FullRange()
-	}
-	r := Range{Start: Key{Row: prefix, Ts: MaxTs}, HasStart: true}
-	if succ := prefixSuccessor(prefix); succ != "" {
-		r.End = Key{Row: succ, Ts: MaxTs}
-		r.HasEnd = true
-	}
-	return r
-}
-
-// prefixSuccessor returns the smallest string greater than every string
-// with the given prefix.
-func prefixSuccessor(p string) string {
-	b := []byte(p)
-	for i := len(b) - 1; i >= 0; i-- {
-		if b[i] != 0xff {
-			b[i]++
-			return string(b[:i+1])
-		}
-	}
-	// All 0xff: no finite successor; caller gets an unbounded end via "".
-	return ""
-}
-
 // BeforeStart reports k < Start.
 func (r Range) BeforeStart(k Key) bool {
 	return r.HasStart && Compare(k, r.Start) < 0

@@ -64,27 +64,6 @@ func TestExactRow(t *testing.T) {
 	}
 }
 
-func TestPrefixRange(t *testing.T) {
-	r := PrefixRange("ab")
-	for _, row := range []string{"ab", "ab0", "ab\xff\xff", "abz"} {
-		if !r.Contains(Key{Row: row, Ts: 1}) {
-			t.Fatalf("prefix member %q excluded", row)
-		}
-	}
-	for _, row := range []string{"aa", "ac", "b"} {
-		if r.Contains(Key{Row: row, Ts: 1}) {
-			t.Fatalf("non-member %q included", row)
-		}
-	}
-	if PrefixRange("").HasEnd || PrefixRange("").HasStart {
-		t.Fatalf("empty prefix should be the full range")
-	}
-	// All-0xff prefix has no successor: unbounded end.
-	if PrefixRange("\xff").HasEnd {
-		t.Fatalf("\\xff prefix should have unbounded end")
-	}
-}
-
 func TestClipAndEmpty(t *testing.T) {
 	a := RowRange("b", "f")
 	b := RowRange("d", "z")

@@ -169,7 +169,7 @@ func TestEWiseMultIntersectionSemantics(t *testing.T) {
 
 func TestApplyAndScale(t *testing.T) {
 	a := NewFromDense([][]float64{{2, -3}, {0, 4}})
-	b := Apply(a, semiring.Abs)
+	b := Apply(a, math.Abs)
 	if b.At(0, 1) != 3 {
 		t.Fatalf("abs wrong")
 	}

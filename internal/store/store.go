@@ -94,8 +94,6 @@ type Dir struct {
 type Options struct {
 	// NoSync disables per-append WAL fsyncs (benchmarks, bulk loads).
 	NoSync bool
-	// BlockSize overrides the rfile data-block size.
-	BlockSize int
 	// BlockCacheBytes bounds the shared rfile block cache (0 selects
 	// cache.DefaultMaxBytes; negative disables caching).
 	BlockCacheBytes int64
@@ -482,7 +480,7 @@ func (d *Dir) newRFileLocked(entries []skv.Entry) (string, *rfile.Reader, error)
 	name := rfileName(d.man.NextID)
 	d.man.NextID++
 	path := d.rfPath(name)
-	if err := rfile.WriteAll(path, entries, rfile.WriterOptions{BlockSize: d.opts.BlockSize}); err != nil {
+	if err := rfile.WriteAll(path, entries, rfile.WriterOptions{}); err != nil {
 		return "", nil, err
 	}
 	// Sync the rf/ directory entry before the manifest can reference

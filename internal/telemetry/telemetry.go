@@ -287,13 +287,6 @@ func (q *Query) StartSpan(parent uint64, name string) *Span {
 	return s
 }
 
-// ObserveScanPass records one tablet-pass latency. Nil-safe.
-func (q *Query) ObserveScanPass(d time.Duration) {
-	if q != nil {
-		q.ScanPass.Observe(d)
-	}
-}
-
 // ObserveWriteBatch records one write-batch latency. Nil-safe.
 func (q *Query) ObserveWriteBatch(d time.Duration) {
 	if q != nil {

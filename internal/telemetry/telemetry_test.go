@@ -439,7 +439,7 @@ func TestSlowQueryLog(t *testing.T) {
 	r := NewRegistry(Options{Host: "c", SlowQueryThreshold: time.Nanosecond, SlowQueryLog: &buf, ListPasses: true})
 	q := r.StartQuery("TableMult")
 	q.Add(EntriesScanned, 9)
-	q.ObserveScanPass(5 * time.Millisecond)
+	q.ScanPass.Observe(5 * time.Millisecond)
 	time.Sleep(time.Millisecond)
 	q.Finish(fmt.Errorf("boom"))
 
@@ -496,7 +496,6 @@ func TestQuerySpanBudget(t *testing.T) {
 func TestNilQuerySafe(t *testing.T) {
 	var q *Query
 	q.Add(WireBytes, 1)
-	q.ObserveScanPass(time.Second)
 	q.ObserveWriteBatch(time.Second)
 	q.FoldTrailer(&Trailer{})
 	q.StartSpan(0, "x").End()
@@ -561,7 +560,7 @@ func TestFoldTrailerLinksSpans(t *testing.T) {
 func TestHTTPEndpoint(t *testing.T) {
 	reg := NewRegistry(Options{Host: "coordinator"})
 	q := reg.StartQuery("Jaccard")
-	q.ObserveScanPass(2 * time.Millisecond)
+	q.ScanPass.Observe(2 * time.Millisecond)
 	reg.ScanPass.Observe(2 * time.Millisecond)
 	reg.WALSync.Observe(40 * time.Microsecond)
 	q.Finish(nil)
