@@ -338,8 +338,8 @@ type ScanStats struct {
 	// ScratchTablesCreated counts intermediate tables materialised by
 	// kernel drivers — each one a write-then-rescan round-trip. The fused
 	// kernel plans exist to keep this low: kTruss creates one survivor
-	// table per peel round but the last, PageRank two (the walk matrix
-	// and the rank vector), and Degrees, Jaccard and TriangleCount none.
+	// table per peel round but the last, PageRank one (the rank
+	// vector), and Degrees, Jaccard and TriangleCount none.
 	ScratchTablesCreated int64
 }
 
@@ -563,7 +563,7 @@ func (g *TableGraph) TriangleCount() (float64, error) {
 // PageRank runs the power iteration with the adjacency matrix staying
 // server-side; only the O(V) rank vector crosses the wire per step.
 func (g *TableGraph) PageRank(alpha, tol float64, maxIter int) (map[string]float64, int, error) {
-	res, err := core.PageRankTable(g.db.conn, g.schema.Table, g.schema.DegTable, alpha, tol, maxIter)
+	res, err := core.PageRankTable(g.db.conn, g.schema.Table, alpha, tol, maxIter)
 	if err != nil {
 		return nil, 0, err
 	}

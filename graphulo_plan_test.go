@@ -195,8 +195,8 @@ func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 
 // TestConcurrentPageRankNoScratchCollision runs four PageRank
 // computations over the same graph concurrently: each must equal a
-// sequential run, so the walk matrix and the rank-vector table (named
-// by the query's trace id) may not be shared — and none may outlive its
+// sequential run, so the rank-vector table (named by the query's trace
+// id) may not be shared — and none may outlive its
 // call.
 func TestConcurrentPageRankNoScratchCollision(t *testing.T) {
 	db := mustOpen(ClusterConfig{TabletServers: 2})

@@ -445,7 +445,9 @@ func TestMetricsFamilies(t *testing.T) {
 // Jaccard and TriangleCount write nothing; KTruss writes only the
 // survivors of its non-final rounds (Barbell(4,1) at k = 4: the 24
 // directed edges of its two K4s, once); no call changes the table
-// list; PageRank materialises its walk matrix and rank vector only.
+// list; PageRank's one scratch table is its rank vector, and it writes
+// that vector once per iteration, one entry per vertex with an edge,
+// and nothing else.
 func TestGraphCallIsOneQuery(t *testing.T) {
 	type record struct {
 		Kernel   string
@@ -462,15 +464,16 @@ func TestGraphCallIsOneQuery(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := map[string]record{}
+		var vertices, iterations int
 		for _, call := range []struct {
 			name string
 			run  func() error
 		}{
-			{"Degrees", func() error { _, err := tg.Degrees(); return err }},
+			{"Degrees", func() error { d, err := tg.Degrees(); vertices = len(d); return err }},
 			{"Jaccard", func() error { _, err := tg.Jaccard(); return err }},
 			{"KTruss", func() error { _, err := tg.KTruss(4); return err }},
 			{"TriangleCount", func() error { _, err := tg.TriangleCount(); return err }},
-			{"PageRank", func() error { _, _, err := tg.PageRank(0.15, 1e-9, 50); return err }},
+			{"PageRank", func() error { _, n, err := tg.PageRank(0.15, 1e-9, 50); iterations = n; return err }},
 		} {
 			seen := map[string]bool{}
 			for _, q := range db.QueryStats() {
@@ -505,6 +508,9 @@ func TestGraphCallIsOneQuery(t *testing.T) {
 				Finished: q.Done && q.Err == "",
 			}
 		}
+		if w, want := out["PageRank"].Written, int64(iterations*vertices); w != want {
+			t.Errorf("PageRank recorded entries_written %d, want %d (%d iterations × %d vertices)", w, want, iterations, vertices)
+		}
 		return out
 	})
 	requireAgreement(t, results)
@@ -521,7 +527,7 @@ func TestGraphCallIsOneQuery(t *testing.T) {
 	if w := results["inproc"]["KTruss"].Written; w != 24 {
 		t.Errorf("KTruss recorded entries_written %d, want 24 (one non-final round's survivors)", w)
 	}
-	if s := results["inproc"]["PageRank"].Scratch; s != 2 {
-		t.Errorf("PageRank created %d scratch tables, want 2", s)
+	if s := results["inproc"]["PageRank"].Scratch; s != 1 {
+		t.Errorf("PageRank created %d scratch tables, want 1 (the rank vector)", s)
 	}
 }

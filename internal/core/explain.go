@@ -14,8 +14,7 @@ import (
 // the printed plan is the executed plan. Compilation reads nothing from
 // a cluster, so none is needed.
 //
-// Kernels: mult, apply, degrees, bfs, ktruss, jaccard, tricount, assign
-// (spAsgn).
+// Kernels: ExplainKernels.
 func ExplainPlan(kernel, table, out string) (string, error) {
 	p, err := explainCompile(kernel, table, out)
 	if err != nil {
@@ -52,11 +51,14 @@ func explainCompile(kernel, table, out string) (*plan.Plan, error) {
 	case "tricount", "trianglecount":
 		name = "TriangleCount"
 		root = edgeSupportPlan(table)
+	case "pagerank":
+		name = "PageRank"
+		root = rankStepPlan(table, out)
 	case "assign", "spasgn":
 		name = "TableAssign"
 		root = assignPlan(table, out, "p|", "q|", ScanConstraint{})
 	default:
-		return nil, fmt.Errorf("core: no plan for kernel %q (try mult, apply, degrees, bfs, ktruss, jaccard, tricount, assign)", kernel)
+		return nil, fmt.Errorf("core: no plan for kernel %q (try %s)", kernel, strings.Join(ExplainKernels(), ", "))
 	}
 	return plan.Compile(root, plan.Options{Kernel: name})
 }
@@ -64,5 +66,5 @@ func explainCompile(kernel, table, out string) (*plan.Plan, error) {
 // ExplainKernels lists the kernel names ExplainPlan accepts, in display
 // order.
 func ExplainKernels() []string {
-	return []string{"mult", "apply", "degrees", "bfs", "ktruss", "jaccard", "tricount", "assign"}
+	return []string{"mult", "apply", "degrees", "bfs", "ktruss", "jaccard", "tricount", "pagerank", "assign"}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"graphulo/internal/iterator"
@@ -14,7 +15,7 @@ import (
 // pass there, and the one-pass planner must reproduce those stacks —
 // except kTruss and TriangleCount, which have since moved onto the
 // masked multiply, and degrees, whose reduce now streams back to the
-// client instead of into a table.
+// client instead of into a table. PageRank's step was added since.
 func TestExplainKernelStacksPinned(t *testing.T) {
 	fold := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.times"}}
 	write := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": "C"}}
@@ -44,6 +45,12 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 		"ktruss":   support,
 		"jaccard":  square,
 		"tricount": support,
+		// PageRank's step scans A and multiplies it against the rank
+		// vector, here the out table.
+		"pagerank": {
+			{Name: "twoTable", Priority: 30, Opts: map[string]string{"semiring": "plus.times", "tableAT": "C"}},
+			fold,
+		},
 		"assign": {
 			{Name: "spAsgn", Priority: 30, Opts: map[string]string{"colOffset": "q|", "rowOffset": "p|"}},
 			write,
@@ -61,5 +68,10 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 		if got := p.Step.Settings; !reflect.DeepEqual(got, want[k]) {
 			t.Errorf("%s: stack\n got  %+v\n want %+v", k, got, want[k])
 		}
+	}
+	// An unknown kernel's error offers exactly the kernels above.
+	_, err := explainCompile("nope", "A", "C")
+	if err == nil || !strings.Contains(err.Error(), "(try "+strings.Join(kernels, ", ")+")") {
+		t.Errorf("unknown kernel: err = %v, want one listing %v", err, kernels)
 	}
 }

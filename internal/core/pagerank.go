@@ -6,7 +6,6 @@ import (
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/assoc"
-	"graphulo/internal/iterator"
 	"graphulo/internal/plan"
 	"graphulo/internal/schema"
 )
@@ -19,17 +18,17 @@ type PageRankTableResult struct {
 }
 
 // PageRankTable runs PageRank with the adjacency matrix staying in the
-// database: the column-stochastic walk matrix Mᵀ = D⁻¹A is materialised
-// once server-side (OneTable with the rowScale iterator over the degree
-// table), and every power-iteration step is a server-side multiply of
-// Mᵀ with the current rank-vector table whose ⊕-folded product streams
-// back to the client (rankStepPlan). Only the rank vector (O(V)
-// entries) crosses the wire per iteration — the Graphulo division of
-// labour for iterative algorithms.
+// database: the degrees are A's row sums, reduced server-side
+// (degreesPlan), and every power-iteration step is one server-side pass
+// over A itself, multiplied against the client-written vector x/d and
+// ⊕-folded on its way back (rankStepPlan). The D⁻¹ scaling is applied
+// to the O(V) rank vector, never to A, so only the vector crosses the
+// wire per iteration — the Graphulo division of labour for iterative
+// algorithms.
 //
 // alpha is the jump probability (paper convention: the principal
 // eigenvector of α/N·1 + (1−α)AᵀD⁻¹).
-func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol float64, maxIter int) (res PageRankTableResult, err error) {
+func PageRankTable(conn *accumulo.Connector, table string, alpha, tol float64, maxIter int) (res PageRankTableResult, err error) {
 	q, done, err := startQuery(conn, "PageRank", "")
 	if err != nil {
 		return
@@ -41,35 +40,22 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 	if maxIter <= 0 {
 		maxIter = 200
 	}
-	// Vertex set and dangling detection from the degree table.
-	degs, err := readDegrees(conn, degTable, q)
+	// Vertex set and degrees: A's row sums, reduced server-side.
+	degs, err := collectDegrees(conn, table, "PageRank", q)
 	if err != nil {
 		return PageRankTableResult{}, err
 	}
 	if len(degs) == 0 {
-		return PageRankTableResult{}, fmt.Errorf("core: empty degree table %q", degTable)
+		return PageRankTableResult{}, fmt.Errorf("core: PageRank over %q: no edges", table)
 	}
 	n := float64(len(degs))
 
-	// The walk matrix and the rank vector are trace-suffixed, so
-	// concurrent runs over one graph never share them, and dropped on
-	// the way out, on success and on error.
-	trace := q.Trace().String()
-	mt, vec := table+"_prMT_"+trace, table+"_prV_"+trace
-	scratch := []string{mt, vec}
-	for range scratch {
-		noteScratch(conn)
-	}
-	defer dropScratch(conn, scratch, &err)
-
-	// Mᵀ = D⁻¹A, built once server-side.
-	if _, err := oneTableQ(conn, table, mt, []iterator.Setting{
-		{Name: "rowScale", Priority: 30, Opts: map[string]string{
-			"table": degTable, "families": iterator.EncodeFamiliesOpt(schema.DegBand()),
-		}},
-	}, ScanConstraint{Families: schema.EdgeBand()}, q); err != nil {
-		return PageRankTableResult{}, err
-	}
+	// The rank vector is trace-suffixed, so concurrent runs over one
+	// graph never share it, and dropped on the way out, on success and
+	// on error.
+	vec := table + "_prV_" + q.Trace().String()
+	noteScratch(conn)
+	defer dropScratch(conn, []string{vec}, &err)
 
 	// Rank vector, initialised uniform.
 	x := make(map[string]float64, len(degs))
@@ -82,22 +68,24 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 		if err := freshSumTable(conn, vec); err != nil {
 			return PageRankTableResult{}, err
 		}
-		ranks := make([]assoc.Entry, 0, len(x))
+		scaled := make([]assoc.Entry, 0, len(x))
 		for v, r := range x {
-			ranks = append(ranks, assoc.Entry{Row: v, Col: "r", Val: r})
+			if d := degs[v]; d != 0 {
+				scaled = append(scaled, assoc.Entry{Row: v, Col: "r", Val: r / d})
+			}
 		}
-		if err := writeEntries(conn, vec, ranks, q); err != nil {
+		if err := writeEntries(conn, vec, scaled, q); err != nil {
 			return PageRankTableResult{}, err
 		}
-		// y[u] = Σ_v Mᵀ[v][u]·x[v], multiplied server-side and ⊕-folded
-		// on its way back.
-		res, err := runPlan(conn, rankStepPlan(mt, vec), "PageRank", q, nil)
+		// y[u] = Σ_v A[v][u]·x[v]/d[v], multiplied server-side and
+		// ⊕-folded on its way back.
+		res, err := runPlan(conn, rankStepPlan(table, vec), "PageRank", q, nil)
 		if err != nil {
 			return PageRankTableResult{}, err
 		}
 		walked := make(map[string]float64, len(res.Cells))
 		for c, v := range res.Cells {
-			walked[c.Row] += v
+			walked[c.ColQ] += v
 		}
 		// Teleport + dangling mass client-side (O(V) work on the small
 		// vector, per the paper's "summing the vector entries" note).
@@ -123,8 +111,12 @@ func PageRankTable(conn *accumulo.Connector, table, degTable string, alpha, tol 
 	return PageRankTableResult{Ranks: x, Iterations: maxIter, Converged: false}, nil
 }
 
-// rankStepPlan is one power-iteration step: the rank vector multiplied
-// against the walk matrix Mᵀ, streamed back ⊕-folded per vertex.
-func rankStepPlan(mt, vec string) *plan.Node {
-	return plan.CollectFold(plan.Mult(plan.Scan(vec, plan.Constraint{}), mt, "plus.times"), "plus.times")
+// rankStepPlan is one power-iteration step: A's edge band, the hosted
+// side, multiplied against the scaled rank vector, read remotely one
+// tablet's row band at a time. The product y[u] lands in cell (r, u)
+// and streams back ⊕-folded. Shared with Explain.
+func rankStepPlan(table, vec string) *plan.Node {
+	return plan.CollectFold(
+		plan.Mult(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()}), vec, "plus.times"),
+		"plus.times")
 }

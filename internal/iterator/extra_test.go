@@ -49,35 +49,8 @@ func TestRowReduceFactoryBadMonoid(t *testing.T) {
 	}
 }
 
-func TestRowScaleIter(t *testing.T) {
-	env := newFakeEnv()
-	env.tables["deg"] = []skv.Entry{
-		e("r1", "", "deg", 1, 2),
-		e("r2", "", "deg", 1, 4),
-	}
-	src := NewSliceIter([]skv.Entry{
-		e("r1", "", "c", 1, 1),
-		e("r2", "", "c", 1, 1),
-		e("r3", "", "c", 1, 1), // no scale entry: dropped
-	})
-	r := NewRowScaleIter(src, "deg", nil, env)
-	if err := r.Seek(skv.FullRange()); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := Collect(r)
-	if len(got) != 2 {
-		t.Fatalf("rows without scale must be dropped: %d", len(got))
-	}
-	if v, _ := skv.DecodeFloat(got[0].V); v != 0.5 {
-		t.Fatalf("r1 scaled to %v, want 0.5", v)
-	}
-	if v, _ := skv.DecodeFloat(got[1].V); v != 0.25 {
-		t.Fatalf("r2 scaled to %v, want 0.25", v)
-	}
-}
-
 func TestFactoriesRequireOptions(t *testing.T) {
-	for _, name := range []string{"remoteSource", "twoTable", "remoteWrite", "rowScale"} {
+	for _, name := range []string{"remoteSource", "twoTable", "remoteWrite"} {
 		f, err := Lookup(name)
 		if err != nil {
 			t.Fatalf("%s not registered", name)

@@ -498,82 +498,6 @@ func (c *ColQRangeIter) Next() error {
 	return c.skip()
 }
 
-// RowScaleIter divides each entry by its row's value in a remote
-// one-column table (e.g. a degree table): the server-side construction
-// of D⁻¹A, which is how the PageRank walk matrix is materialised
-// without moving A to the client.
-type RowScaleIter struct {
-	src      SKVI
-	scaleTbl string
-	families []string
-	env      Env
-	scales   map[string]float64
-	cur      skv.Entry
-	has      bool
-}
-
-// NewRowScaleIter wraps src, dividing by the remote per-row scale.
-// families bands the scale-table read (nil = unconstrained).
-func NewRowScaleIter(src SKVI, scaleTbl string, families []string, env Env) *RowScaleIter {
-	return &RowScaleIter{src: src, scaleTbl: scaleTbl, families: families, env: env}
-}
-
-// Seek implements SKVI.
-func (r *RowScaleIter) Seek(rng skv.Range) error {
-	if r.scales == nil {
-		it, err := OpenScannerFamilies(r.env, r.scaleTbl, skv.FullRange(), r.families)
-		if err != nil {
-			return fmt.Errorf("rowScale(%s): %w", r.scaleTbl, err)
-		}
-		r.scales = map[string]float64{}
-		for it.HasTop() {
-			if v, ok := skv.DecodeFloat(it.Top().V); ok {
-				r.scales[it.Top().K.Row] = v
-			}
-			if err := it.Next(); err != nil {
-				return err
-			}
-		}
-	}
-	if err := r.src.Seek(rng); err != nil {
-		return err
-	}
-	return r.fill()
-}
-
-func (r *RowScaleIter) fill() error {
-	r.has = false
-	for r.src.HasTop() {
-		e := r.src.Top()
-		d := r.scales[e.K.Row]
-		if d != 0 {
-			if v, ok := skv.DecodeFloat(e.V); ok {
-				r.cur = skv.Entry{K: e.K, V: skv.EncodeFloat(v / d)}
-				r.has = true
-				return nil
-			}
-		}
-		if err := r.src.Next(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// HasTop implements SKVI.
-func (r *RowScaleIter) HasTop() bool { return r.has }
-
-// Top implements SKVI.
-func (r *RowScaleIter) Top() skv.Entry { return r.cur }
-
-// Next implements SKVI.
-func (r *RowScaleIter) Next() error {
-	if err := r.src.Next(); err != nil {
-		return err
-	}
-	return r.fill()
-}
-
 // ringOpt resolves an iterator's "semiring" option ("" = plus.times).
 func ringOpt(iter, name string) (semiring.Semiring, error) {
 	if name == "" {
@@ -587,13 +511,6 @@ func ringOpt(iter, name string) (semiring.Semiring, error) {
 }
 
 func init() {
-	Register("rowScale", func(src SKVI, opts map[string]string, env Env) (SKVI, error) {
-		table := opts["table"]
-		if table == "" {
-			return nil, fmt.Errorf("rowScale: missing table option")
-		}
-		return NewRowScaleIter(src, table, DecodeFamiliesOpt(opts["families"]), env), nil
-	})
 	Register("remoteSource", func(_ SKVI, opts map[string]string, env Env) (SKVI, error) {
 		table := opts["table"]
 		if table == "" {
