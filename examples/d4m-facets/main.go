@@ -49,11 +49,11 @@ func main() {
 
 	// Correlation: TedgeTᵀ? No — TedgeT × Tedge correlates facet values
 	// by co-occurrence across records.
-	tt, err := schema.ReadAssoc(conn, d4m.TedgeT)
+	tt, err := schema.ReadAssoc(conn, d4m.TedgeT, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	te, err := schema.ReadAssoc(conn, d4m.Tedge)
+	te, err := schema.ReadAssoc(conn, d4m.Tedge, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

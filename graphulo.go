@@ -475,9 +475,10 @@ type TableGraph struct {
 }
 
 // CreateGraph creates the named graph's two tables, name (A) and
-// name+"Deg" (degrees). Tables that already exist — e.g. recovered from
-// a durable DataDir — are reused with their persisted contents and
-// iterator settings.
+// name+"Deg" (degrees), both summing at every scope. Tables that already
+// exist — e.g. recovered from a durable DataDir — are reused with their
+// persisted contents; one lacking the sum combiner at some scope is
+// upgraded in place, and one carrying another combiner is an error.
 func (db *DB) CreateGraph(name string) (*TableGraph, error) {
 	s, err := schema.NewAdjacencySchema(db.conn, name)
 	if err != nil {
@@ -647,12 +648,12 @@ func (db *DB) WriteAssoc(table string, a *Assoc) error {
 			return err
 		}
 	}
-	return schema.WriteAssoc(db.conn, table, a)
+	return schema.WriteAssoc(db.conn, table, a.Entries(), nil)
 }
 
 // ReadAssoc loads a table into an associative array.
 func (db *DB) ReadAssoc(table string) (*Assoc, error) {
-	return schema.ReadAssoc(db.conn, table)
+	return schema.ReadAssoc(db.conn, table, nil)
 }
 
 // NMFTopics factorises a document×term table into W and H tables and

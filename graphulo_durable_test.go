@@ -3,6 +3,8 @@ package graphulo
 import (
 	"reflect"
 	"testing"
+
+	"graphulo/internal/accumulo"
 )
 
 // The acceptance contract for the durable storage engine: a TableGraph
@@ -137,5 +139,61 @@ func TestDurableBuildThenQueryWorkflow(t *testing.T) {
 	// OpenGraph on a graph that never existed must fail loudly.
 	if _, err := db2.OpenGraph("nope"); err == nil {
 		t.Fatal("OpenGraph on missing graph succeeded")
+	}
+}
+
+// TestCreateGraphRepairsHalfMadeTable reopens a data directory whose
+// adjacency table G was left half-configured — created and stripped of
+// its versioning iterator, with no combiner attached yet, as a crash
+// between those admin calls leaves it. CreateGraph must upgrade G to
+// sum at every scope, so an edge ingested twice reads weight 2.
+func TestCreateGraphRepairsHalfMadeTable(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(ClusterConfig{TabletServers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := db.Connector().TableOperations()
+	if err := ops.Create("G"); err != nil {
+		t.Fatal(err)
+	}
+	if err := ops.RemoveIterator("G", "versioning"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	db2, err := Open(ClusterConfig{TabletServers: 2, DataDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	tg, err := db2.CreateGraph("G")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops = db2.Connector().TableOperations()
+	for _, scope := range accumulo.AllScopes {
+		settings, err := ops.IteratorSettings("G", scope)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, s := range settings {
+			names = append(names, s.Name)
+		}
+		if !reflect.DeepEqual(names, []string{"sum"}) {
+			t.Errorf("scope %d of G carries %v, want [sum]", scope, names)
+		}
+	}
+	edge := Graph{N: 2, Edges: []Edge{{U: 0, V: 1}}}
+	for i := 0; i < 2; i++ {
+		if err := tg.Ingest(edge); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w, ok, err := tg.EdgeWeight(0, 1); err != nil || !ok || w != 2 {
+		t.Fatalf("EdgeWeight(0, 1) = %v, %v, %v; want 2 for an edge ingested twice", w, ok, err)
 	}
 }

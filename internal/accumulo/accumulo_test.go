@@ -3,6 +3,9 @@ package accumulo
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -309,6 +312,98 @@ func TestAttachIteratorValidation(t *testing.T) {
 	}
 	if err := ops.AttachIterator("T", iterator.Setting{Name: "sum", Priority: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEnsureCombiner pins EnsureCombiner's four outcomes on a durable
+// cluster: an absent table is created summing at every scope, a
+// versioning-only table is upgraded in place, a table with another
+// combiner is refused and left untouched, and a table that already
+// sums is left alone — no topology change and no manifest write. The
+// created and the upgraded stacks survive a reopen.
+func TestEnsureCombiner(t *testing.T) {
+	dir := t.TempDir()
+	mc := openDurable(t, dir)
+	conn := mc.Connector()
+	ops := conn.TableOperations()
+	manifest := func() string {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+		if err != nil && !os.IsNotExist(err) {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	stacks := func(ops *TableOperations, table string) map[Scope][]string {
+		t.Helper()
+		out := map[Scope][]string{}
+		for _, s := range AllScopes {
+			settings, err := ops.IteratorSettings(table, s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, it := range settings {
+				out[s] = append(out[s], it.Name)
+			}
+		}
+		return out
+	}
+	sumEverywhere := map[Scope][]string{ScanScope: {"sum"}, MincScope: {"sum"}, MajcScope: {"sum"}}
+	ensure := func(table string, wantErr bool, wantBump uint64) {
+		t.Helper()
+		v, m := mc.metaVersion.Load(), manifest()
+		err := ops.EnsureCombiner(table, "sum")
+		if (err != nil) != wantErr {
+			t.Fatalf("EnsureCombiner(%q): err = %v, want error %v", table, err, wantErr)
+		}
+		if bump := mc.metaVersion.Load() - v; bump != wantBump {
+			t.Errorf("EnsureCombiner(%q) moved metaVersion by %d, want %d", table, bump, wantBump)
+		}
+		if changed := manifest() != m; changed != (wantBump == 1) {
+			t.Errorf("EnsureCombiner(%q) rewrote the manifest: %v, want %v", table, changed, wantBump == 1)
+		}
+	}
+
+	ensure("New", false, 1)
+	if got := stacks(ops, "New"); !reflect.DeepEqual(got, sumEverywhere) {
+		t.Errorf("created stacks = %v, want %v", got, sumEverywhere)
+	}
+
+	mustCreate(t, conn, "Plain")
+	ensure("Plain", false, 1)
+	if got := stacks(ops, "Plain"); !reflect.DeepEqual(got, sumEverywhere) {
+		t.Errorf("upgraded stacks = %v, want %v", got, sumEverywhere)
+	}
+
+	mustCreate(t, conn, "Min")
+	if err := ops.RemoveIterator("Min", "versioning", MajcScope); err != nil {
+		t.Fatal(err)
+	}
+	if err := ops.AttachIterator("Min", iterator.Setting{Name: "min", Priority: 10}, MajcScope); err != nil {
+		t.Fatal(err)
+	}
+	before := stacks(ops, "Min")
+	ensure("Min", true, 0)
+	if got := stacks(ops, "Min"); !reflect.DeepEqual(got, before) {
+		t.Errorf("refused table's stacks = %v, want them untouched: %v", got, before)
+	}
+
+	ensure("New", false, 0)
+	ensure("Plain", false, 0)
+
+	if err := ops.EnsureCombiner("Versioned", "versioning"); err == nil || ops.Exists("Versioned") {
+		t.Errorf("EnsureCombiner with a non-combiner: err = %v, table made = %v", err, ops.Exists("Versioned"))
+	}
+
+	if err := mc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mc2 := openDurable(t, dir)
+	defer mc2.Close()
+	for _, table := range []string{"New", "Plain"} {
+		if got := stacks(mc2.Connector().TableOperations(), table); !reflect.DeepEqual(got, sumEverywhere) {
+			t.Errorf("%s after reopen: stacks = %v, want %v", table, got, sumEverywhere)
+		}
 	}
 }
 

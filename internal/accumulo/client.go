@@ -45,18 +45,24 @@ func (t *TableOperations) Create(name string) error {
 // per-tablet storage — is registered in the manifest before the call
 // returns.
 func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
+	t.mc.mu.Lock()
+	defer t.mc.mu.Unlock()
+	return t.createLocked(name, splits, iterator.Setting{Name: "versioning", Priority: 20,
+		Opts: map[string]string{"maxVersions": "1"}})
+}
+
+// createLocked makes a table pre-split at splits whose every scope
+// holds the one setting. Caller holds mc.mu.
+func (t *TableOperations) createLocked(name string, splits []string, setting iterator.Setting) error {
 	if name == "" {
 		return fmt.Errorf("accumulo: empty table name")
 	}
-	t.mc.mu.Lock()
-	defer t.mc.mu.Unlock()
 	if _, dup := t.mc.tables[name]; dup {
 		return fmt.Errorf("accumulo: table %q already exists", name)
 	}
 	meta := t.mc.newTableMeta(name)
 	for _, s := range AllScopes {
-		meta.iters[s] = []iterator.Setting{{Name: "versioning", Priority: 20,
-			Opts: map[string]string{"maxVersions": "1"}}}
+		meta.iters[s] = []iterator.Setting{setting}
 	}
 	sorted := append([]string(nil), splits...)
 	sort.Strings(sorted)
@@ -72,12 +78,8 @@ func (t *TableOperations) CreateWithSplits(name string, splits []string) error {
 	}
 	var backings []*store.TabletStore
 	if t.mc.dir != nil {
-		iters := map[string][]iterator.Setting{}
-		for s, list := range meta.iters {
-			iters[scopeNames[s]] = list
-		}
 		var err error
-		backings, err = t.mc.dir.CreateTable(name, sorted, iters, ranges)
+		backings, err = t.mc.dir.CreateTable(name, sorted, manifestIters(meta.iters), ranges)
 		if err != nil {
 			return fmt.Errorf("accumulo: persisting table %q: %w", name, err)
 		}
@@ -272,7 +274,89 @@ func (t *TableOperations) AttachIterator(name string, setting iterator.Setting, 
 		meta.iters[s] = append(meta.iters[s], setting)
 	}
 	t.mc.topologyChanged()
-	return t.mc.persistIters(meta)
+	return t.mc.persistIters(name, meta.iters)
+}
+
+// EnsureCombiner makes name a ⊕ table: one whose combiner iterator
+// ("sum", "min" or "max") folds every cell's versions at every scope —
+// the result table a kernel writes partial products into. It does
+// exactly one of four things, under the table's metadata lock:
+//
+//   - an absent table is created with the combiner at every scope;
+//   - an existing table is upgraded in place: each scope lacking the
+//     combiner loses its versioning iterator and gains the combiner,
+//     so a table created plain (or left half-configured by a crash)
+//     is repaired;
+//   - a table carrying a different combiner at any scope is refused
+//     with an error and left untouched;
+//   - a table that already has the combiner at every scope is left
+//     as it is, with no manifest write and no topology change.
+//
+// A create or an upgrade is one manifest write and one topology change.
+func (t *TableOperations) EnsureCombiner(name, combiner string) error {
+	if !iterator.IsCombiner(combiner) {
+		return fmt.Errorf("accumulo: %q is not a combiner", combiner)
+	}
+	t.mc.mu.Lock()
+	meta, ok := t.mc.tables[name]
+	if !ok {
+		defer t.mc.mu.Unlock()
+		return t.createLocked(name, nil, iterator.Setting{Name: combiner, Priority: 10})
+	}
+	t.mc.mu.Unlock()
+	meta.mu.Lock()
+	defer meta.mu.Unlock()
+	next := make(map[Scope][]iterator.Setting, len(AllScopes))
+	changed := false
+	for _, s := range AllScopes {
+		stack, upgraded, err := withCombiner(meta.iters[s], combiner)
+		if err != nil {
+			return fmt.Errorf("accumulo: table %q, %s scope: %w", name, scopeNames[s], err)
+		}
+		next[s] = stack
+		changed = changed || upgraded
+	}
+	if !changed {
+		return nil
+	}
+	// Persist before publishing: a failed manifest write leaves the
+	// table as it was, in memory and on disk.
+	if err := t.mc.persistIters(name, next); err != nil {
+		return err
+	}
+	meta.iters = next
+	t.mc.topologyChanged()
+	return nil
+}
+
+// withCombiner returns one scope's stack with the combiner in place of
+// the versioning iterator, reporting whether it had to change: a stack
+// that already carries the combiner is returned as is, one carrying
+// another combiner is an error. The combiner takes priority 10, or the
+// next priority the stack leaves free.
+func withCombiner(stack []iterator.Setting, combiner string) ([]iterator.Setting, bool, error) {
+	present := false
+	var out []iterator.Setting
+	used := map[int]bool{}
+	for _, s := range stack {
+		switch {
+		case s.Name == combiner:
+			present = true
+		case iterator.IsCombiner(s.Name):
+			return nil, false, fmt.Errorf("has combiner %q, not %q", s.Name, combiner)
+		case s.Name != "versioning":
+			out = append(out, s)
+			used[s.Priority] = true
+		}
+	}
+	if present {
+		return stack, false, nil
+	}
+	prio := 10
+	for used[prio] {
+		prio++
+	}
+	return append(out, iterator.Setting{Name: combiner, Priority: prio}), true, nil
 }
 
 // IteratorSettings returns a copy of the table's iterator stack at one
@@ -310,7 +394,7 @@ func (t *TableOperations) RemoveIterator(name, iterName string, scopes ...Scope)
 		meta.iters[s] = kept
 	}
 	t.mc.topologyChanged()
-	return t.mc.persistIters(meta)
+	return t.mc.persistIters(name, meta.iters)
 }
 
 // Flush minor-compacts every tablet, applying the minc stack; each

@@ -610,16 +610,21 @@ func (mc *MiniCluster) Close() error {
 }
 
 // persistIters writes a table's iterator settings to the manifest in
-// durable mode. Caller holds meta.mu (read suffices).
-func (mc *MiniCluster) persistIters(meta *tableMeta) error {
+// durable mode. Caller holds the table's meta.mu.
+func (mc *MiniCluster) persistIters(name string, iters map[Scope][]iterator.Setting) error {
 	if mc.dir == nil {
 		return nil
 	}
-	out := map[string][]iterator.Setting{}
-	for s, list := range meta.iters {
+	return mc.dir.SetIters(name, manifestIters(iters))
+}
+
+// manifestIters keys iterator settings by the manifest's scope names.
+func manifestIters(iters map[Scope][]iterator.Setting) map[string][]iterator.Setting {
+	out := make(map[string][]iterator.Setting, len(iters))
+	for s, list := range iters {
 		out[scopeNames[s]] = list
 	}
-	return mc.dir.SetIters(meta.name, out)
+	return out
 }
 
 // Connector returns a client connection, as Instance.getConnector would.

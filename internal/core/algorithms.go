@@ -171,32 +171,13 @@ func noteScratch(conn *accumulo.Connector) {
 	conn.Cluster().Telemetry().Stats.Add(telemetry.ScratchTablesCreated, 1)
 }
 
-// planReadAssoc reads a whole table into an associative array through a
-// collect plan riding the kernel's trace: entries stream into the
-// array's builder one wire batch at a time, like schema.ReadAssoc, but
-// the scan lands in the kernel's span tree. A non-empty families band
-// restricts the scan to those locality groups.
-func planReadAssoc(conn *accumulo.Connector, table, kernel string, q *telemetry.Query, families ...string) (*assoc.Assoc, error) {
-	b := assoc.NewBuilder(semiring.PlusTimes)
-	_, err := runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: families})), kernel, q,
-		func(e skv.Entry) error {
-			if v, ok := skv.DecodeFloat(e.V); ok {
-				b.Add(e.K.Row, e.K.ColQ, v)
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return b.Build(), nil
-}
-
-// adjSquareFoldPlan is Jaccard's fused A² (the numerator, whose support
-// is all of A²): the multiply's partial products stream from the
-// TwoTableIterator straight back to the client, which ⊕-folds them per
-// cell — no scratch table holds A². The fold is exact: + over float64
-// partial products is the same ⊕ a scratch table's sum combiner would
-// apply. Shared with Explain.
+// adjSquareFoldPlan is Jaccard's one pass: A ⊕.⊗ A under plus.and, so
+// cell (u, v) counts the common neighbours of u and v on the 0/1
+// pattern — an edge ingested twice (stored as 2) counts once — and the
+// diagonal cell (u, u) is u's degree. The multiply's partial products
+// stream from the TwoTableIterator straight back to the client, which
+// ⊕-folds them per cell; no scratch table holds A². Shared with
+// Explain.
 //
 // Both sides of the multiply scan an adjacency table, so both carry the
 // edge-channel family band: the hosted B scan through the step's
@@ -206,8 +187,8 @@ func planReadAssoc(conn *accumulo.Connector, table, kernel string, q *telemetry.
 func adjSquareFoldPlan(table string) *plan.Node {
 	band := schema.EdgeBand()
 	return plan.CollectFold(
-		plan.MultBanded(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.times", band),
-		"plus.times")
+		plan.MultBanded(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band),
+		"plus.and")
 }
 
 // edgeSupportPlan is the fused triangle support of every edge of an
@@ -290,10 +271,11 @@ func KTruss(conn *accumulo.Connector, table string, k int, scratch string) (trus
 		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
 		scratchTables = append(scratchTables, next)
 		noteScratch(conn)
-		if err := freshSumTable(conn, next); err != nil {
+		// Each survivor is written once, so a plain table holds them.
+		if err := conn.TableOperations().Create(next); err != nil {
 			return nil, iterCount, err
 		}
-		if err := writeEntries(conn, next, keep, q); err != nil {
+		if err := schema.WriteAssoc(conn, next, keep, q); err != nil {
 			return nil, iterCount, err
 		}
 		cur, wrote = next, len(keep)
@@ -315,50 +297,13 @@ func patternOf(entries []assoc.Entry) *assoc.Assoc {
 	return assoc.New(cells, semiring.PlusTimes)
 }
 
-// freshSumTable drops name if it exists and recreates it sum-combined,
-// so no stale cell folds into what the caller writes next.
-func freshSumTable(conn *accumulo.Connector, name string) error {
-	if ops := conn.TableOperations(); ops.Exists(name) {
-		if err := ops.Delete(name); err != nil {
-			return err
-		}
-	}
-	return ensureResultTable(conn, name, semiring.PlusTimes)
-}
-
-// tracedWriter opens a batch writer on table whose flushes belong to q:
-// they land in the query's counters and are charged to its write budget.
-func tracedWriter(conn *accumulo.Connector, table string, q *telemetry.Query) (*accumulo.BatchWriter, error) {
-	w, err := conn.CreateBatchWriter(table, accumulo.BatchWriterConfig{})
-	if err != nil {
-		return nil, err
-	}
-	w.SetTrace(q)
-	return w, nil
-}
-
-// writeEntries writes associative-array entries (row → colQ) into table
-// on behalf of q.
-func writeEntries(conn *accumulo.Connector, table string, entries []assoc.Entry, q *telemetry.Query) error {
-	w, err := tracedWriter(conn, table, q)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if err := w.PutFloat(e.Row, "", e.Col, e.Val); err != nil {
-			return err
-		}
-	}
-	return w.Close()
-}
-
 // Jaccard computes Jaccard coefficients for the graph in an adjacency
-// table as one query of two passes, both streaming to the client: the
-// common-neighbour counts come from the fused A² (adjSquareFoldPlan,
-// ⊕-folded at the client instead of materialised in a numerator table)
-// and the degrees from degreesPlan over the same adjacency. Only the
-// strict upper triangle (by key order) is returned, matching
-// Algorithm 2's output shape. No table is created.
+// table as one query of one pass streaming to the client: the fused
+// A² under plus.and (adjSquareFoldPlan, ⊕-folded at the client instead
+// of materialised in a numerator table) holds the common-neighbour
+// counts off its diagonal and the degrees on it, both on the 0/1
+// pattern. Only the strict upper triangle (by key order) is returned,
+// matching Algorithm 2's output shape. No table is created.
 func Jaccard(conn *accumulo.Connector, table string) (jac *assoc.Assoc, err error) {
 	q, done, err := startQuery(conn, "Jaccard", "")
 	if err != nil {
@@ -369,15 +314,15 @@ func Jaccard(conn *accumulo.Connector, table string) (jac *assoc.Assoc, err erro
 	if err != nil {
 		return nil, err
 	}
-	degs, err := collectDegrees(conn, table, "Jaccard", q)
-	if err != nil {
-		return nil, err
-	}
 	// Fold the cells per (row, colQ) first, as a table read would: the
 	// normalisation is not linear in the count.
+	degs := map[string]float64{}
 	common := map[[2]string]float64{}
 	for c, v := range res.Cells {
-		if c.Row < c.ColQ { // upper triangle only
+		switch {
+		case c.Row == c.ColQ:
+			degs[c.Row] += v
+		case c.Row < c.ColQ: // upper triangle only
 			common[[2]string{c.Row, c.ColQ}] += v
 		}
 	}
@@ -401,12 +346,13 @@ func NMFTable(conn *accumulo.Connector, table, wTable, hTable string, cfg algo.N
 		return
 	}
 	defer func() { done(err) }()
-	a, err := planReadAssoc(conn, table, "NMF", q)
+	a, err := schema.ReadAssoc(conn, table, q)
 	if err != nil {
 		return algo.NMFResult{}, err
 	}
 	m, docs, terms := a.Matrix()
 	res = algo.NMF(m, cfg)
+	ops := conn.TableOperations()
 	for _, spec := range []struct {
 		name string
 		d    *sparse.Dense
@@ -416,25 +362,25 @@ func NMFTable(conn *accumulo.Connector, table, wTable, hTable string, cfg algo.N
 		{wTable, res.W, docs, topicNames(cfg.Topics)},
 		{hTable, res.H, topicNames(cfg.Topics), terms},
 	} {
-		// Rebuild the factor tables from scratch: a stale table's sum
-		// combiner would fold old factors into the new ones.
-		if err := freshSumTable(conn, spec.name); err != nil {
+		// Rebuild the factor tables from scratch: a stale table's cells
+		// would outlive the new factors.
+		if ops.Exists(spec.name) {
+			if err := ops.Delete(spec.name); err != nil {
+				return res, err
+			}
+		}
+		if err := ops.Create(spec.name); err != nil {
 			return res, err
 		}
-		w, err := tracedWriter(conn, spec.name, q)
-		if err != nil {
-			return res, err
-		}
+		var entries []assoc.Entry
 		for i := 0; i < spec.d.R; i++ {
 			for j := 0; j < spec.d.C; j++ {
 				if v := spec.d.At(i, j); v > 1e-12 {
-					if err := w.PutFloat(spec.rows[i], "", spec.cols[j], v); err != nil {
-						return res, err
-					}
+					entries = append(entries, assoc.Entry{Row: spec.rows[i], Col: spec.cols[j], Val: v})
 				}
 			}
 		}
-		if err := w.Close(); err != nil {
+		if err := schema.WriteAssoc(conn, spec.name, entries, q); err != nil {
 			return res, err
 		}
 	}

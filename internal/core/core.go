@@ -62,24 +62,6 @@ type MultOptions struct {
 	Tenant string
 }
 
-// planEnv builds the execution environment plans run under: the
-// connector, the kernel's telemetry query, and result-table preparation
-// through ensureResultTable (injected as a closure so the plan package
-// stays independent of core).
-func planEnv(conn *accumulo.Connector, q *telemetry.Query) plan.Env {
-	return plan.Env{
-		Conn:  conn,
-		Query: q,
-		EnsureTable: func(table, ringName string) error {
-			ring, ok := semiring.ByName(ringName)
-			if !ok {
-				return fmt.Errorf("core: unknown semiring %q", ringName)
-			}
-			return ensureResultTable(conn, table, ring)
-		},
-	}
-}
-
 // runPlan compiles and executes a node tree under the kernel's query.
 // A non-nil visit streams a collect's entries to the caller as they
 // arrive instead of accumulating them in the result.
@@ -88,9 +70,7 @@ func runPlan(conn *accumulo.Connector, root *plan.Node, kernel string, q *teleme
 	if err != nil {
 		return nil, err
 	}
-	env := planEnv(conn, q)
-	env.Visit = visit
-	return p.Execute(env)
+	return p.Execute(plan.Env{Conn: conn, Query: q, Visit: visit})
 }
 
 // startQuery mints the per-kernel telemetry query a kernel call runs
@@ -150,99 +130,6 @@ func multPlan(tableAT, tableB, tableC string, opts MultOptions) *plan.Node {
 		tableC, opts.Semiring, opts.PreAggBytes)
 }
 
-// combinerForRing names the combiner iterator implementing a semiring's
-// ⊕ on a result table.
-func combinerForRing(ring semiring.Semiring) string {
-	switch ring.Name {
-	case "min.plus", "min.max":
-		return "min"
-	case "max.plus", "max.min":
-		return "max"
-	case "or.and":
-		return "max" // OR over {0,1} is max
-	default:
-		return "sum"
-	}
-}
-
-// combinerNames is the set of iterator names that fold a cell's
-// versions with an ⊕ — derived from combinerForRing over the standard
-// semirings so it cannot drift when new rings map to new combiners. A
-// result table must carry exactly the kernel's.
-var combinerNames = func() map[string]bool {
-	names := map[string]bool{}
-	for _, ring := range semiring.Standard() {
-		names[combinerForRing(ring)] = true
-	}
-	return names
-}()
-
-// ensureResultTable makes tableC a valid ⊕ target for the semiring:
-// created with the matching combiner when absent, and — the case that
-// used to silently drop ⊕ — verified and upgraded when it already
-// exists. A pre-created table still carrying the default versioning
-// iterator keeps only the last write per cell, so TableMult partial
-// products would overwrite instead of summing; here the versioning
-// iterator is replaced with the semiring's combiner. A table configured
-// with a different combiner is a hard error rather than a silently
-// wrong answer.
-func ensureResultTable(conn *accumulo.Connector, tableC string, ring semiring.Semiring) error {
-	ops := conn.TableOperations()
-	combiner := combinerForRing(ring)
-	if !ops.Exists(tableC) {
-		if err := ops.Create(tableC); err != nil {
-			return err
-		}
-		if err := ops.RemoveIterator(tableC, "versioning"); err != nil {
-			return err
-		}
-		return ops.AttachIterator(tableC, iterator.Setting{Name: combiner, Priority: 10})
-	}
-	// Verify every scope before mutating any: a conflict at one scope
-	// must leave the user's table exactly as it was, not half-upgraded.
-	type install struct {
-		scope accumulo.Scope
-		prio  int
-	}
-	var installs []install
-	for _, scope := range accumulo.AllScopes {
-		settings, err := ops.IteratorSettings(tableC, scope)
-		if err != nil {
-			return err
-		}
-		present := false
-		usedPriority := map[int]bool{}
-		for _, s := range settings {
-			usedPriority[s.Priority] = true
-			if s.Name == combiner {
-				present = true
-				continue
-			}
-			if combinerNames[s.Name] {
-				return fmt.Errorf("core: result table %q already has combiner %q (scope %d), conflicting with required %q",
-					tableC, s.Name, scope, combiner)
-			}
-		}
-		if present {
-			continue
-		}
-		prio := 10
-		for usedPriority[prio] {
-			prio++
-		}
-		installs = append(installs, install{scope: scope, prio: prio})
-	}
-	for _, in := range installs {
-		if err := ops.RemoveIterator(tableC, "versioning", in.scope); err != nil {
-			return err
-		}
-		if err := ops.AttachIterator(tableC, iterator.Setting{Name: combiner, Priority: in.prio}, in.scope); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // TableMultClient is the thin-client baseline the Graphulo execution
 // model argues against (the §IV ablation): it scans both operand tables
 // to the client, multiplies there, and writes the result back through a
@@ -256,11 +143,12 @@ func TableMultClient(conn *accumulo.Connector, tableAT, tableB, tableC string, o
 	if opts.Semiring == "" {
 		opts.Semiring = "plus.times"
 	}
-	ring, ok := semiring.ByName(opts.Semiring)
-	if !ok {
-		return 0, fmt.Errorf("core: unknown semiring %q", opts.Semiring)
+	combiner, err := plan.Combiner(opts.Semiring)
+	if err != nil {
+		return 0, err
 	}
-	if err := ensureResultTable(conn, tableC, ring); err != nil {
+	ring, _ := semiring.ByName(opts.Semiring)
+	if err := conn.TableOperations().EnsureCombiner(tableC, combiner); err != nil {
 		return 0, err
 	}
 	scanRows := func(table string) (map[string][]skv.Entry, error) {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"graphulo/internal/accumulo"
@@ -514,35 +515,47 @@ func TestKTrussMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestJaccardMatchesInMemory checks the table Jaccard against the
+// in-memory reference on the graph's 0/1 pattern. The second input is
+// the paper graph with every edge ingested twice, so A stores 2 on each
+// edge: common neighbours and degrees must still count each edge once.
 func TestJaccardMatchesInMemory(t *testing.T) {
-	conn := testConn(t)
-	g := gen.PaperGraph()
-	sch, err := schema.NewAdjacencySchema(conn, "J")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sch.IngestGraph(g); err != nil {
-		t.Fatal(err)
-	}
-	jac, err := Jaccard(conn, sch.Table)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := assocMatrix(jac)
-	want := algo.Jaccard(gen.AdjacencyPattern(g))
-	upper := 0
-	for _, tr := range want.Triples() {
-		if tr.Row >= tr.Col {
-			continue
-		}
-		upper++
-		r, c := schema.VertexName(tr.Row), schema.VertexName(tr.Col)
-		if math.Abs(got[r][c]-tr.Val) > 1e-12 {
-			t.Fatalf("J[%s][%s] = %v, want %v", r, c, got[r][c], tr.Val)
-		}
-	}
-	if jac.NNZ() != upper {
-		t.Fatalf("Jaccard has %d cells, the reference's upper triangle %d", jac.NNZ(), upper)
+	paper := gen.PaperGraph()
+	twice := gen.Graph{N: paper.N, Edges: append(append([]gen.Edge(nil), paper.Edges...), paper.Edges...)}
+	for _, tc := range []struct {
+		name string
+		g    gen.Graph
+	}{{"J", paper}, {"Jtwice", twice}} {
+		t.Run(tc.name, func(t *testing.T) {
+			conn := testConn(t)
+			sch, err := schema.NewAdjacencySchema(conn, tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sch.IngestGraph(tc.g); err != nil {
+				t.Fatal(err)
+			}
+			jac, err := Jaccard(conn, sch.Table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := assocMatrix(jac)
+			want := algo.Jaccard(gen.AdjacencyPattern(tc.g))
+			upper := 0
+			for _, tr := range want.Triples() {
+				if tr.Row >= tr.Col {
+					continue
+				}
+				upper++
+				r, c := schema.VertexName(tr.Row), schema.VertexName(tr.Col)
+				if math.Abs(got[r][c]-tr.Val) > 1e-12 {
+					t.Fatalf("J[%s][%s] = %v, want %v", r, c, got[r][c], tr.Val)
+				}
+			}
+			if jac.NNZ() != upper {
+				t.Fatalf("Jaccard has %d cells, the reference's upper triangle %d", jac.NNZ(), upper)
+			}
+		})
 	}
 }
 
@@ -572,7 +585,7 @@ func TestNMFTable(t *testing.T) {
 	if err := ops.Create("Docs"); err != nil {
 		t.Fatal(err)
 	}
-	if err := schema.WriteAssoc(conn, "Docs", corpus.A); err != nil {
+	if err := schema.WriteAssoc(conn, "Docs", corpus.A.Entries(), nil); err != nil {
 		t.Fatal(err)
 	}
 	res, err := NMFTable(conn, "Docs", "W", "H", algo.NMFConfig{Topics: 5, MaxIter: 30, Seed: 2})
@@ -729,6 +742,47 @@ func TestTableSumIntoPreCreatedTable(t *testing.T) {
 	got := readMatrix(t, conn, "SumOut")
 	if got["r"]["c"] != 13 {
 		t.Fatalf("SumOut[r][c] = %v, want 13", got["r"]["c"])
+	}
+}
+
+// TestConcurrentTableMultIntoAbsentTable runs eight TableMults into one
+// result table that none of them finds: every call must succeed — the
+// first to ensure the table creates it summing, the others find it so —
+// and C must hold all eight products, 8·AᵀB. The cluster is durable, so
+// every table-metadata change is a synced manifest write that the other
+// calls can overtake.
+func TestConcurrentTableMultIntoAbsentTable(t *testing.T) {
+	mc, err := accumulo.OpenMiniCluster(accumulo.Config{TabletServers: 3, MemLimit: 128, WireBatch: 64, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mc.Close()
+	conn := mc.Connector()
+	inner := []string{"i0", "i1", "i2"}
+	loadMatrix(t, conn, "ATcc", inner, []string{"a0", "a1"}, [][]float64{{1, 2}, {0, 3}, {4, 0}})
+	loadMatrix(t, conn, "Bcc", inner, []string{"b0", "b1"}, [][]float64{{5, 0}, {1, 1}, {0, 2}})
+	const calls = 8
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < calls; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			if _, err := TableMult(conn, "ATcc", "Bcc", "Ccc", MultOptions{}); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	// AᵀB = [[5, 8], [13, 3]].
+	want := map[string]map[string]float64{
+		"a0": {"b0": calls * 5, "b1": calls * 8},
+		"a1": {"b0": calls * 13, "b1": calls * 3},
+	}
+	if got := readMatrix(t, conn, "Ccc"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("C = %v, want %v", got, want)
 	}
 }
 
@@ -930,7 +984,7 @@ func TestCollectMonitorRejectsBadValue(t *testing.T) {
 		Source: "Mon", Sink: plan.SinkWrite, OutTable: "MonOut",
 		Semiring: "plus.times", Ops: []string{"scan Mon", "write MonOut"},
 	}}
-	env := planEnv(conn, nil)
+	env := plan.Env{Conn: conn}
 	if _, err := p.Execute(env); err == nil {
 		t.Fatal("undecodable monitoring entry not surfaced as an error")
 	}

@@ -14,20 +14,24 @@ import (
 // still materialise and hoist: every kernel already compiled to one
 // pass there, and the one-pass planner must reproduce those stacks —
 // except kTruss and TriangleCount, which have since moved onto the
-// masked multiply, and degrees, whose reduce now streams back to the
-// client instead of into a table. PageRank's step was added since.
+// masked multiply, Jaccard, whose square now runs under plus.and, and
+// degrees, whose reduce now streams back to the client instead of into
+// a table. PageRank's step was added since.
 func TestExplainKernelStacksPinned(t *testing.T) {
 	fold := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.times"}}
 	write := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": "C"}}
+	foldAnd := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.and"}}
+	// Jaccard counts common neighbours and degrees on the 0/1 pattern:
+	// the unmasked square under plus.and, folded under plus.and.
 	square := []iterator.Setting{
-		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "semiring": "plus.times", "tableAT": "A"}},
-		fold,
+		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "semiring": "plus.and", "tableAT": "A"}},
+		foldAnd,
 	}
 	// kTruss and TriangleCount count support only on edges: the masked
 	// product under plus.and, folded under plus.and.
 	support := []iterator.Setting{
 		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "familiesMask": ",edge", "mask": "A", "semiring": "plus.and", "tableAT": "A"}},
-		{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.and"}},
+		foldAnd,
 	}
 	want := map[string][]iterator.Setting{
 		"mult": {

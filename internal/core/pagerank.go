@@ -52,10 +52,15 @@ func PageRankTable(conn *accumulo.Connector, table string, alpha, tol float64, m
 
 	// The rank vector is trace-suffixed, so concurrent runs over one
 	// graph never share it, and dropped on the way out, on success and
-	// on error.
+	// on error. It is made once, last-write-wins: every iteration
+	// rewrites the same vertex set, so each write replaces the rank the
+	// previous iteration left.
 	vec := table + "_prV_" + q.Trace().String()
 	noteScratch(conn)
 	defer dropScratch(conn, []string{vec}, &err)
+	if err := conn.TableOperations().Create(vec); err != nil {
+		return PageRankTableResult{}, err
+	}
 
 	// Rank vector, initialised uniform.
 	x := make(map[string]float64, len(degs))
@@ -63,18 +68,13 @@ func PageRankTable(conn *accumulo.Connector, table string, alpha, tol float64, m
 		x[v] = 1 / n
 	}
 	for it := 1; it <= maxIter; it++ {
-		// Rewrite the vector from scratch: a stale rank would fold into
-		// the new one under the sum combiner.
-		if err := freshSumTable(conn, vec); err != nil {
-			return PageRankTableResult{}, err
-		}
 		scaled := make([]assoc.Entry, 0, len(x))
 		for v, r := range x {
 			if d := degs[v]; d != 0 {
 				scaled = append(scaled, assoc.Entry{Row: v, Col: "r", Val: r / d})
 			}
 		}
-		if err := writeEntries(conn, vec, scaled, q); err != nil {
+		if err := schema.WriteAssoc(conn, vec, scaled, q); err != nil {
 			return PageRankTableResult{}, err
 		}
 		// y[u] = Σ_v A[v][u]·x[v]/d[v], multiplied server-side and

@@ -247,7 +247,7 @@ func TestFrontierCollectOnePassPerTablet(t *testing.T) {
 				return err
 			}
 			defer done(nil)
-			res, err = p.Execute(planEnv(conn, q))
+			res, err = p.Execute(plan.Env{Conn: conn, Query: q})
 			return err
 		})
 		if len(res.Entries) == 0 {

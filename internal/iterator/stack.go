@@ -306,6 +306,20 @@ func (r *RowReduceIter) Next() error { return r.fill() }
 
 // --- registered factories for the standard stack ---
 
+// combiners are the registered iterators that fold a cell's versions
+// with a monoid: the ⊕ of a result table.
+var combiners = map[string]semiring.Monoid{
+	"sum": semiring.PlusMonoid,
+	"min": semiring.MinMonoid,
+	"max": semiring.MaxMonoid,
+}
+
+// IsCombiner reports whether name is a combiner iterator.
+func IsCombiner(name string) bool {
+	_, ok := combiners[name]
+	return ok
+}
+
 func init() {
 	Register("versioning", func(src SKVI, opts map[string]string, _ Env) (SKVI, error) {
 		n := 1
@@ -318,15 +332,11 @@ func init() {
 		}
 		return NewVersioningIter(src, n), nil
 	})
-	Register("sum", func(src SKVI, _ map[string]string, _ Env) (SKVI, error) {
-		return NewCombinerIter(src, semiring.PlusMonoid), nil
-	})
-	Register("min", func(src SKVI, _ map[string]string, _ Env) (SKVI, error) {
-		return NewCombinerIter(src, semiring.MinMonoid), nil
-	})
-	Register("max", func(src SKVI, _ map[string]string, _ Env) (SKVI, error) {
-		return NewCombinerIter(src, semiring.MaxMonoid), nil
-	})
+	for name, m := range combiners {
+		Register(name, func(src SKVI, _ map[string]string, _ Env) (SKVI, error) {
+			return NewCombinerIter(src, m), nil
+		})
+	}
 	Register("rowReduce", func(src SKVI, opts map[string]string, _ Env) (SKVI, error) {
 		m := semiring.PlusMonoid
 		switch opts["monoid"] {

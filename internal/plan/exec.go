@@ -9,14 +9,10 @@ import (
 	"graphulo/internal/telemetry"
 )
 
-// Env is what a plan needs to run. EnsureTable prepares a write sink —
-// create the table if absent and install the semiring's ⊕ combiner
-// (core.ensureResultTable) — injected as a closure so plan does not
-// depend on core.
+// Env is what a plan needs to run.
 type Env struct {
-	Conn        *accumulo.Connector
-	Query       *telemetry.Query
-	EnsureTable func(table, semiring string) error
+	Conn  *accumulo.Connector
+	Query *telemetry.Query
 	// Visit, when set, streams a SinkCollect step's entries to the
 	// caller as they arrive instead of accumulating Result.Entries — so
 	// a collect whose consumer folds (a BFS hop into the visited set, a
@@ -52,10 +48,11 @@ func (p *Plan) Execute(env Env) (*Result, error) {
 	span := env.Query.StartSpan(env.Query.RootID(), stepSpanName(step))
 	defer span.End()
 	if step.Sink == SinkWrite {
-		if env.EnsureTable == nil {
-			return nil, fmt.Errorf("plan: write sink %q needs Env.EnsureTable", step.OutTable)
+		combiner, err := Combiner(step.Semiring)
+		if err != nil {
+			return nil, err
 		}
-		if err := env.EnsureTable(step.OutTable, step.Semiring); err != nil {
+		if err := env.Conn.TableOperations().EnsureCombiner(step.OutTable, combiner); err != nil {
 			return nil, err
 		}
 	}
@@ -112,6 +109,25 @@ func (p *Plan) Execute(env Env) (*Result, error) {
 		}
 	}
 	return res, st.Err()
+}
+
+// Combiner names the combiner iterator that applies a semiring's ⊕ on
+// a result table — the final ⊕ of a write sink, and of any driver that
+// writes partial products itself.
+func Combiner(ringName string) (string, error) {
+	if _, ok := semiring.ByName(ringName); !ok {
+		return "", fmt.Errorf("plan: unknown semiring %q", ringName)
+	}
+	switch ringName {
+	case "min.plus", "min.max":
+		return "min", nil
+	case "max.plus", "max.min":
+		return "max", nil
+	case "or.and":
+		return "max", nil // OR over {0,1} is max
+	default:
+		return "sum", nil
+	}
 }
 
 // cellFold readies res.Cells and returns the client half of a folding

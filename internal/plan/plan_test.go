@@ -12,6 +12,7 @@ import (
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
+	"graphulo/internal/semiring"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
@@ -320,5 +321,21 @@ func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
 
 	if out := compileOK(t, Collect(Scan("A", Constraint{})), Options{Kernel: "read"}).Format(); out != "plan read\n  - pass: scan A\n    - collect [streams to client, no scratch table]\n" {
 		t.Fatalf("unfused Format output:\n%s", out)
+	}
+}
+
+// TestCombinerEveryStandardRing: every semiring a kernel can name maps
+// to a combiner a result table can carry, so a write sink never asks
+// EnsureCombiner for an iterator it refuses; an unknown ring is an
+// error.
+func TestCombinerEveryStandardRing(t *testing.T) {
+	for _, ring := range semiring.Standard() {
+		c, err := Combiner(ring.Name)
+		if err != nil || !iterator.IsCombiner(c) {
+			t.Errorf("Combiner(%q) = %q, %v; want a combiner iterator", ring.Name, c, err)
+		}
+	}
+	if c, err := Combiner("nope"); err == nil {
+		t.Errorf("Combiner(\"nope\") = %q, want an error", c)
 	}
 }

@@ -14,9 +14,9 @@ import (
 	"graphulo/internal/accumulo"
 	"graphulo/internal/assoc"
 	"graphulo/internal/gen"
-	"graphulo/internal/iterator"
 	"graphulo/internal/semiring"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // Column families name the schema channels, so the storage layer can
@@ -65,7 +65,9 @@ type AdjacencySchema struct {
 }
 
 // NewAdjacencySchema creates (or reuses) the two tables. Both sum their
-// entries at every scope, so edge weights and degrees accumulate.
+// entries at every scope, so edge weights and degrees accumulate; an
+// existing table without the sum combiner at some scope is upgraded in
+// place, and one with another combiner is an error.
 func NewAdjacencySchema(conn *accumulo.Connector, base string) (*AdjacencySchema, error) {
 	s := &AdjacencySchema{
 		Table:    base,
@@ -74,16 +76,7 @@ func NewAdjacencySchema(conn *accumulo.Connector, base string) (*AdjacencySchema
 	}
 	ops := conn.TableOperations()
 	for _, name := range []string{s.Table, s.DegTable} {
-		if ops.Exists(name) {
-			continue
-		}
-		if err := ops.Create(name); err != nil {
-			return nil, err
-		}
-		if err := ops.RemoveIterator(name, "versioning"); err != nil {
-			return nil, err
-		}
-		if err := ops.AttachIterator(name, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
+		if err := ops.EnsureCombiner(name, "sum"); err != nil {
 			return nil, err
 		}
 	}
@@ -125,15 +118,17 @@ func (s *AdjacencySchema) IngestGraph(g gen.Graph) error {
 	return nil
 }
 
-// ReadAssoc scans a whole table back into an associative array. The
-// scan is consumed as a stream: entries fold into the array's builder
-// one wire batch at a time, so the transfer never holds the table twice
-// (raw entries plus array).
-func ReadAssoc(conn *accumulo.Connector, table string) (*assoc.Assoc, error) {
+// ReadAssoc scans a whole table back into an associative array,
+// attributed to q (nil = untraced): the scan lands in the query's span
+// tree and counters. The scan is consumed as a stream: entries fold
+// into the array's builder one wire batch at a time, so the transfer
+// never holds the table twice (raw entries plus array).
+func ReadAssoc(conn *accumulo.Connector, table string, q *telemetry.Query) (*assoc.Assoc, error) {
 	sc, err := conn.CreateScanner(table)
 	if err != nil {
 		return nil, err
 	}
+	sc.SetTrace(q)
 	st, err := sc.Stream()
 	if err != nil {
 		return nil, err
@@ -151,13 +146,16 @@ func ReadAssoc(conn *accumulo.Connector, table string) (*assoc.Assoc, error) {
 	return b.Build(), nil
 }
 
-// WriteAssoc writes an associative array into a table (row → colQ).
-func WriteAssoc(conn *accumulo.Connector, table string, a *assoc.Assoc) error {
+// WriteAssoc writes associative-array entries into a table (row →
+// colQ, unnamed family) on behalf of q (nil = untraced): its flushes
+// land in the query's counters and are charged to its write budget.
+func WriteAssoc(conn *accumulo.Connector, table string, entries []assoc.Entry, q *telemetry.Query) error {
 	w, err := conn.CreateBatchWriter(table, accumulo.BatchWriterConfig{})
 	if err != nil {
 		return err
 	}
-	for _, e := range a.Entries() {
+	w.SetTrace(q)
+	for _, e := range entries {
 		if err := w.PutFloat(e.Row, "", e.Col, e.Val); err != nil {
 			return err
 		}
@@ -176,7 +174,7 @@ type D4M struct {
 	conn   *accumulo.Connector
 }
 
-// NewD4M creates the four tables with the appropriate combiners.
+// NewD4M creates (or reuses) the four tables; Tdeg sums its counts.
 func NewD4M(conn *accumulo.Connector, base string) (*D4M, error) {
 	d := &D4M{
 		Tedge:  base + "edge",
@@ -193,16 +191,8 @@ func NewD4M(conn *accumulo.Connector, base string) (*D4M, error) {
 			}
 		}
 	}
-	if !ops.Exists(d.Tdeg) {
-		if err := ops.Create(d.Tdeg); err != nil {
-			return nil, err
-		}
-		if err := ops.RemoveIterator(d.Tdeg, "versioning"); err != nil {
-			return nil, err
-		}
-		if err := ops.AttachIterator(d.Tdeg, iterator.Setting{Name: "sum", Priority: 10}); err != nil {
-			return nil, err
-		}
+	if err := ops.EnsureCombiner(d.Tdeg, "sum"); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

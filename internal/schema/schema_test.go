@@ -40,7 +40,7 @@ func TestAdjacencySchemaIngestUndirected(t *testing.T) {
 	if err := s.IngestGraph(gen.PaperGraph()); err != nil {
 		t.Fatal(err)
 	}
-	a, err := ReadAssoc(c, s.Table)
+	a, err := ReadAssoc(c, s.Table, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestMultiEdgeWeightsAccumulate(t *testing.T) {
 	if err := s.IngestGraph(g); err != nil {
 		t.Fatal(err)
 	}
-	a, _ := ReadAssoc(c, s.Table)
+	a, _ := ReadAssoc(c, s.Table, nil)
 	if a.At(VertexName(0), VertexName(1)) != 3 {
 		t.Fatalf("multi-edge weight = %v, want 3 (sum combiner)", a.At(VertexName(0), VertexName(1)))
 	}
@@ -88,10 +88,10 @@ func TestWriteReadAssocRoundTrip(t *testing.T) {
 	a := assoc.New([]assoc.Entry{
 		{Row: "r1", Col: "c1", Val: 1.5}, {Row: "r2", Col: "c2", Val: -2},
 	}, semiring.PlusTimes)
-	if err := WriteAssoc(c, "RT", a); err != nil {
+	if err := WriteAssoc(c, "RT", a.Entries(), nil); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadAssoc(c, "RT")
+	got, err := ReadAssoc(c, "RT", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestD4MSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Tedge: r1 has columns color|red and size|L.
-	te, err := ReadAssoc(c, d.Tedge)
+	te, err := ReadAssoc(c, d.Tedge, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestD4MSchema(t *testing.T) {
 		t.Fatalf("Tedge wrong:\n%v", te)
 	}
 	// TedgeT is the transpose.
-	tt, err := ReadAssoc(c, d.TedgeT)
+	tt, err := ReadAssoc(c, d.TedgeT, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,8 +167,8 @@ func TestD4MCorrelation(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	tt, _ := ReadAssoc(c, d.TedgeT)
-	te, _ := ReadAssoc(c, d.Tedge)
+	tt, _ := ReadAssoc(c, d.TedgeT, nil)
+	te, _ := ReadAssoc(c, d.Tedge, nil)
 	corr := assoc.Multiply(tt, te)
 	// color|red co-occurs with size|L twice.
 	if corr.At("color|red", "size|L") != 2 {
