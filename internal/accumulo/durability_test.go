@@ -9,6 +9,7 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // openDurable opens a durable cluster over dir, failing the test on
@@ -146,6 +147,92 @@ func TestDurableRecoveryAfterUncleanShutdown(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("sum iterator not recovered: %+v", stack)
+	}
+}
+
+// TestDurableRecoveryReplaysInstalledBatches: a memtable that held
+// installed batches recovers from the WAL after an unclean shutdown —
+// one sorted record, which the replay installs again, and several
+// sorted records plus a skip-list write over one of their cells, which
+// the replay links — with the sum combiner's result intact.
+func TestDurableRecoveryReplaysInstalledBatches(t *testing.T) {
+	for _, batches := range []int{1, 3} {
+		t.Run(fmt.Sprintf("batches=%d", batches), func(t *testing.T) {
+			dir := t.TempDir()
+			// The default memtable limit: nothing freezes, so everything
+			// written is in the WAL and the memtable only.
+			cfg := Config{TabletServers: 1, DataDir: dir, NoSync: true}
+			mc, err := OpenMiniCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			conn := mc.Connector()
+			ops := conn.TableOperations()
+			if err := ops.Create("T"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ops.RemoveIterator("T", "versioning"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ops.AttachIterator("T", iterator.Setting{Name: "sum", Priority: 10}); err != nil {
+				t.Fatal(err)
+			}
+			w, err := conn.CreateBatchWriter("T", BatchWriterConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			// 300 cells a batch: above the memtable's install floor of 256.
+			for b := 0; b < batches; b++ {
+				for i := 0; i < 300; i++ {
+					if err := w.PutFloat("r", "", fmt.Sprintf("w%03d", i), float64(b+1)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := w.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if mc.Telemetry().Stats.Get(telemetry.MemtableInstalls) != int64(batches) {
+				t.Fatalf("%d batches installed, want %d", mc.Telemetry().Stats.Get(telemetry.MemtableInstalls), batches)
+			}
+			if batches > 1 {
+				if err := w.PutFloat("r", "", "w007", 100); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			want := scanTable(t, conn, "T")
+			total := float64(batches * (batches + 1) / 2)
+			if len(want) != 300 {
+				t.Fatalf("pre-restart scan = %d entries, want 300", len(want))
+			}
+			for _, e := range want {
+				v, _ := skv.DecodeFloat(e.V)
+				if e.K.ColQ == "w007" && batches > 1 {
+					v -= 100
+				}
+				if v != total {
+					t.Fatalf("pre-restart %s = %v, want %v", e.K.ColQ, v, total)
+				}
+			}
+			// Unclean shutdown, as in TestDurableRecoveryAfterUncleanShutdown.
+			for _, ref := range mc.tables["T"].tablets {
+				if err := ref.tab.WaitFlush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			mc2, err := OpenMiniCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mc2.Close()
+			if got := scanTable(t, mc2.Connector(), "T"); !sameEntries(want, got) {
+				t.Fatalf("post-recovery scan differs:\nwant %v\ngot  %v", want, got)
+			}
+		})
 	}
 }
 

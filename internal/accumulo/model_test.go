@@ -9,18 +9,25 @@ import (
 
 	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
+	"graphulo/internal/telemetry"
 )
 
 // Model-based test: drive the cluster with random operation sequences
-// (puts, flushes, compactions, splits, range scans) and compare every
-// scan against a flat in-memory reference model with summing semantics.
+// (puts, sorted batches, flushes, compactions, splits, range scans) and
+// compare every scan against a flat in-memory reference model with
+// summing semantics.
 // This is the strongest correctness statement about the storage stack:
 // no sequence of structural events (memtable spills, run merges, tablet
 // splits) may change scan results. Both arms bound tablets at 2–4 runs,
 // so the flushes' merges interleave with compactions and splits, and
 // every flush op checks the bound holds on every tablet once it
-// returns. The durable arm runs the same sequences on a data directory
-// and adds a close-and-reopen op checked against the same model.
+// returns. The sorted-batch op writes one row's cells, distinct and in
+// key order, as one batch above the memtable's install floor, twice:
+// the first write fills the memtable past its limit, so the second
+// lands in a fresh one and is installed whole, which the op checks on
+// the install counter. The durable arm runs the same sequences on a
+// data directory and adds a close-and-reopen op checked against the
+// same model.
 func TestQuickClusterMatchesReferenceModel(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		name := "memory"
@@ -108,9 +115,9 @@ func clusterMatchesModel(t *testing.T, seed int64, durable bool) bool {
 		return len(got) == 0
 	}
 
-	nOps := 12
+	nOps := 13
 	if durable {
-		nOps = 13
+		nOps = 14
 	}
 	for op := 0; op < 120; op++ {
 		switch rng.Intn(nOps) {
@@ -148,7 +155,28 @@ func clusterMatchesModel(t *testing.T, seed int64, durable bool) bool {
 			if err := ops.AddSplits("M", []string{split}); err != nil {
 				return false
 			}
-		case 12: // close and reopen the data directory (durable only)
+		case 12: // one sorted batch of distinct cells, written twice
+			r := rows[rng.Intn(len(rows))]
+			v := float64(1 + rng.Intn(9))
+			installs := mc.Telemetry().Stats.Get(telemetry.MemtableInstalls)
+			for range 2 {
+				// 300 cells: above the memtable's install floor of 256.
+				for i := 0; i < 300; i++ {
+					c := fmt.Sprintf("w%03d", i)
+					if err := w.PutFloat(r, "", c, v); err != nil {
+						return false
+					}
+					model[[2]string{r, c}] += v
+				}
+				if err := w.Flush(); err != nil {
+					return false
+				}
+			}
+			if mc.Telemetry().Stats.Get(telemetry.MemtableInstalls) == installs {
+				t.Logf("seed %d: a sorted batch into a fresh memtable was not installed", seed)
+				return false
+			}
+		case 13: // close and reopen the data directory (durable only)
 			if err := mc.Close(); err != nil {
 				t.Log(err)
 				return false

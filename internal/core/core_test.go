@@ -634,8 +634,9 @@ func TestTableMultMinPlus(t *testing.T) {
 // TestTableMultIntoPreCreatedTable is the regression test for the
 // combiner-less result-table bug: a result table created before the
 // kernel call used to keep its default versioning iterator, so ⊕ of
-// partial products silently became "last write wins". ensureResultTable
-// must now install the combiner on the existing table.
+// partial products silently became "last write wins".
+// TableOperations.EnsureCombiner must now install the combiner on the
+// existing table.
 func TestTableMultIntoPreCreatedTable(t *testing.T) {
 	conn := testConn(t)
 	ops := conn.TableOperations()
@@ -987,5 +988,57 @@ func TestCollectMonitorRejectsBadValue(t *testing.T) {
 	env := plan.Env{Conn: conn}
 	if _, err := p.Execute(env); err == nil {
 		t.Fatal("undecodable monitoring entry not surfaced as an error")
+	}
+}
+
+// TestTableMultCountsMemtableInstalls: the kernel's fold generations
+// reach a fresh result table sorted, so its memtable installs them
+// whole and memtable_installs moves; a shuffled client ingest of as
+// many cells into a fresh table is linked into the skip list and
+// installs nothing.
+func TestTableMultCountsMemtableInstalls(t *testing.T) {
+	conn := testConn(t)
+	stats := &conn.Cluster().Telemetry().Stats
+	const n = 30 // one inner key: an n×n outer product, 900 result cells
+	as, bs, ones := make([]string, n), make([]string, n), make([]float64, n)
+	for i := range as {
+		as[i], bs[i], ones[i] = fmt.Sprintf("a%02d", i), fmt.Sprintf("b%02d", i), 1
+	}
+	loadMatrix(t, conn, "ATi", []string{"i0"}, as, [][]float64{ones})
+	loadMatrix(t, conn, "Bi", []string{"i0"}, bs, [][]float64{ones})
+	before := stats.Get(telemetry.MemtableInstalls)
+	if _, err := TableMult(conn, "ATi", "Bi", "Ci", MultOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Get(telemetry.MemtableInstalls) == before {
+		t.Fatal("server-side TableMult into a fresh table installed no batch")
+	}
+	got := readMatrix(t, conn, "Ci")
+	for _, a := range as {
+		for _, b := range bs {
+			if got[a][b] != 1 {
+				t.Fatalf("C[%s][%s] = %v, want 1", a, b, got[a][b])
+			}
+		}
+	}
+
+	if err := conn.TableOperations().Create("Si"); err != nil {
+		t.Fatal(err)
+	}
+	w, err := conn.CreateBatchWriter("Si", accumulo.BatchWriterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n*n; i++ {
+		if err := w.PutFloat(fmt.Sprintf("r%04d", i*7919%(n*n)), "", "q", 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := stats.Get(telemetry.MemtableInstalls)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := stats.Get(telemetry.MemtableInstalls); got != after {
+		t.Fatalf("shuffled ingest installed %d batches, want 0", got-after)
 	}
 }

@@ -22,29 +22,40 @@ func benchEntries(n int) []skv.Entry {
 
 // BenchmarkMemtableInsert inserts 1<<14 entries as 32 batches of 512
 // whose keys spread over the whole key space, as RemoteWrite's fold
-// generations do: "sorted" batches are in key order (the finger
-// search's case), "shuffled" ones are not.
+// generations do. "install": sorted batches into a fresh memtable,
+// each installed whole as a segment. "finger": the same sorted batches
+// after one skip-list entry, so the skip list takes them, each search
+// resuming from the previous key. "shuffled": unsorted batches, linked
+// with a search from the head.
 func BenchmarkMemtableInsert(b *testing.B) {
 	const batch = 512
-	for _, sorted := range []bool{true, false} {
-		entries := benchEntries(1 << 14)
-		name := "shuffled"
-		if sorted {
-			name = "sorted"
-			for lo := 0; lo < len(entries); lo += batch {
-				p := entries[lo : lo+batch]
-				sort.Slice(p, func(i, j int) bool { return skv.Compare(p[i].K, p[j].K) < 0 })
-			}
-		}
-		b.Run(name, func(b *testing.B) {
+	sorted := benchEntries(1 << 14)
+	for lo := 0; lo < len(sorted); lo += batch {
+		p := sorted[lo : lo+batch]
+		sort.Slice(p, func(i, j int) bool { return skv.Compare(p[i].K, p[j].K) < 0 })
+	}
+	first := skv.Entry{K: skv.Key{Row: "first"}}
+	for _, c := range []struct {
+		name    string
+		entries []skv.Entry
+		lead    bool // one skip-list entry before the batches
+	}{
+		{"install", sorted, false},
+		{"finger", sorted, true},
+		{"shuffled", benchEntries(1 << 14), false},
+	} {
+		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := newMemtable()
-				for lo := 0; lo < len(entries); lo += batch {
-					m.insertBatch(entries[lo : lo+batch])
+				if c.lead {
+					m.insertBatch([]skv.Entry{first})
+				}
+				for lo := 0; lo < len(c.entries); lo += batch {
+					m.insertBatch(c.entries[lo : lo+batch])
 				}
 			}
-			b.ReportMetric(float64(len(entries)), "entries/op")
+			b.ReportMetric(float64(len(c.entries)), "entries/op")
 		})
 	}
 }

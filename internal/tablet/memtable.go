@@ -1,42 +1,73 @@
-// Package tablet implements the storage engine under each tablet server:
-// a skip-list memtable absorbing writes, immutable sorted runs ("RFiles")
-// produced by minor compaction, k-way merged reads, and major compaction
-// folding runs together with the table's compaction iterator stack.
-//
-// A tablet owns a contiguous row range of one table, exactly as in
-// Accumulo; splitting a tablet at a row boundary yields two tablets that
-// partition its range.
 package tablet
 
 import (
 	"math/bits"
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 
+	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
 )
 
 const maxLevel = 16
 
+// installFloor is the smallest write batch installed whole as a
+// segment. Every segment is one more source in each merge over the
+// memtable, so small ones cost reads more than they save writes. Filling
+// a memtable with 1<<14 entries in sorted batches spread over the key
+// space and flushing it (2-core x86, one CPU), installing instead of
+// linking costs +36 % at 8-entry batches, −7 % at 32, −27 % at 256 and
+// −38 % at 1024. The floor sits where most of the gain has arrived; the
+// kernels' fold generations are thousands of entries.
+const installFloor = 256
+
+// maxSegments caps the segments one memtable holds, and so the merge
+// width they add to every scan and to the flush. A memtable that
+// installs a few batches and links the rest costs more than one that
+// does either alone (the same measurement at 256-entry batches: 22 ms
+// all linked, 25 ms with 4 segments, 17 ms with all 64), so the cap
+// lets a memtable of the default 1<<14 entries fill with batches at the
+// floor.
+const maxSegments = 64
+
 // memtable is an insert-only lock-free concurrent skip list keyed by
-// skv.Key. Inserts link nodes with compare-and-swap on atomic next
-// pointers; there are no deletions, so no marked pointers or retry
-// epochs are needed. Reads never take a lock and never copy: an
-// iterator captures the sequence-number watermark at creation and walks
-// the live structure, skipping entries inserted after the watermark, so
-// scans never block writers and writers never block scans.
+// skv.Key, beside a short immutable list of sorted segments. Inserts
+// link nodes with compare-and-swap on atomic next pointers; there are
+// no deletions, so no marked pointers or retry epochs are needed. Reads
+// never take a lock and never copy: a reader captures the
+// sequence-number watermark and walks the live structure, skipping
+// entries inserted after the watermark, so scans never block writers
+// and writers never block scans.
 //
-// A write batch is inserted as a batch (insertBatch): its nodes, values
-// and towers come from three slabs, not three heap objects per entry.
-// While its keys ascend strictly, each search resumes from the previous
-// insert's predecessors (a finger); any other step searches from the head.
+// A write batch enters in one of two ways (insertBatch):
 //
-// The snapshot contract is per-entry, matching what the merged read
-// path needs: every entry inserted before the watermark is visible
-// (once its insert's bottom-level link lands — an insert racing the
-// watermark capture itself may or may not be admitted), and entries
-// inserted after are filtered out. Overwrites of the same full key
-// (including timestamp) swap the value in place, keeping the original
+//   - Installed whole as a segment: a batch of at least installFloor
+//     entries whose keys ascend strictly, into a memtable whose skip
+//     list has never been used and which holds fewer than maxSegments
+//     segments. The segment keeps the batch's own slice behind a sparse
+//     index (a memRun) and is published by one atomic count, so a
+//     reader sees the batch whole or not at all. A kernel's fold
+//     generation arrives this way, sorted, and pays no per-entry link.
+//   - Linked into the skip list (linkBatch): its nodes, values and
+//     towers come from three slabs, not three heap objects per entry.
+//     While its keys ascend strictly, each search resumes from the
+//     previous insert's predecessors (a finger); any other step
+//     searches from the head.
+//
+// segMu orders installs against the skip list's first use, so every
+// segment is published before the first skip-list entry takes its
+// sequence number. Readers (sources) list the skip list first and then
+// the segments newest first; a dedup merge over them resolves an equal
+// full key to the last write.
+//
+// The snapshot contract is per-entry for the skip list, per-batch for
+// a segment, matching what the merged read path needs: everything
+// inserted before the cut is visible (once its insert's bottom-level
+// link, or its segment, is published — an insert racing the cut itself
+// may or may not be admitted), and everything inserted after is
+// filtered out. Overwrites of the same full key (including timestamp)
+// in the skip list swap the value in place, keeping the original
 // insert's sequence number; a concurrent reader admitted to the key
 // then observes the freshest value rather than a historic one. The
 // cluster write path stamps unique timestamps so same-full-key
@@ -47,6 +78,11 @@ type memtable struct {
 	seq   atomic.Uint64 // issues per-entry sequence numbers; loaded as the scan watermark
 	size  atomic.Int64
 	bytes atomic.Int64
+
+	segMu    sync.Mutex   // held by installs and the skip list's first use
+	listUsed atomic.Bool  // set under segMu before the skip list's first insert
+	nsegs    atomic.Int32 // segs[:nsegs] are published; segs[nsegs] is written under segMu
+	segs     [maxSegments]*memRun
 }
 
 // memVal pairs a value with the sequence number of the insert that
@@ -122,11 +158,70 @@ func (m *memtable) findGE(k skv.Key, lo int, preds, succs *[maxLevel]*memNode) (
 	return ge, eq
 }
 
-// insertBatch adds entries; safe for any number of concurrent
-// inserters. Duplicate full keys (including timestamp) overwrite in
-// place, the last in batch order winning; distinct timestamps coexist
-// as separate versions.
-func (m *memtable) insertBatch(entries []skv.Entry) {
+// insertBatch adds entries, installing them whole as a segment when
+// the batch qualifies and linking them into the skip list otherwise,
+// and reports whether it installed them. Safe for any number of
+// concurrent inserters. An installed batch's slice is kept, so the
+// caller must not modify its entries afterwards. Duplicate full keys
+// (including timestamp) overwrite, the last write winning; distinct
+// timestamps coexist as separate versions.
+func (m *memtable) insertBatch(entries []skv.Entry) (installed bool) {
+	if len(entries) == 0 {
+		return false
+	}
+	if m.install(entries) {
+		return true
+	}
+	if !m.listUsed.Load() {
+		// The skip list's first use: under segMu, so every install is
+		// published before this batch takes a sequence number, and no
+		// install follows.
+		m.segMu.Lock()
+		m.listUsed.Store(true)
+		m.segMu.Unlock()
+	}
+	m.linkBatch(entries)
+	return false
+}
+
+// install adds entries as one segment if the batch is at least
+// installFloor entries with strictly ascending keys, the skip list has
+// never been used and the memtable holds fewer than maxSegments
+// segments; it reports whether it did.
+func (m *memtable) install(entries []skv.Entry) bool {
+	if len(entries) < installFloor || m.listUsed.Load() || m.nsegs.Load() >= maxSegments {
+		return false
+	}
+	var bytes int64
+	for i, e := range entries {
+		if i > 0 && skv.Compare(entries[i-1].K, e.K) >= 0 {
+			return false
+		}
+		bytes += entryBytes(e)
+	}
+	run := newMemRun(entries)
+	m.segMu.Lock()
+	n := m.nsegs.Load()
+	if m.listUsed.Load() || n >= maxSegments {
+		m.segMu.Unlock()
+		return false
+	}
+	m.segs[n] = run
+	m.nsegs.Store(n + 1)
+	m.segMu.Unlock()
+	m.size.Add(int64(len(entries)))
+	m.bytes.Add(bytes)
+	return true
+}
+
+// entryBytes is an entry's share of approxBytes.
+func entryBytes(e skv.Entry) int64 {
+	return int64(len(e.K.Row) + len(e.K.ColF) + len(e.K.ColQ) + 8 + len(e.V))
+}
+
+// linkBatch links entries into the skip list. Duplicate full keys
+// overwrite in place, the last in batch order winning.
+func (m *memtable) linkBatch(entries []skv.Entry) {
 	// Tower heights are drawn twice from one seeded generator: once to
 	// size the tower slab exactly, once as each node is built.
 	s1, s2 := rand.Uint64(), rand.Uint64()
@@ -199,7 +294,7 @@ func (m *memtable) insertBatch(entries []skv.Entry) {
 				preds[j] = n
 			}
 			added++
-			bytes += int64(len(e.K.Row) + len(e.K.ColF) + len(e.K.ColQ) + 8 + len(e.V))
+			bytes += entryBytes(e)
 			break
 		}
 	}
@@ -207,22 +302,38 @@ func (m *memtable) insertBatch(entries []skv.Entry) {
 	m.bytes.Add(bytes)
 }
 
-// iter returns a lock-free iterator over the live structure, admitting
-// exactly the entries whose insert was sequenced at or before now.
+// iter returns a lock-free iterator over the live skip list, admitting
+// exactly the entries whose insert was sequenced at or before now. It
+// sees no segment; sources lists both.
 func (m *memtable) iter() *memIter {
 	return &memIter{m: m, wm: m.seq.Load()}
 }
 
-// snapshot materialises all entries in sorted order (tests and the
-// split path; scans iterate the live structure instead).
-func (m *memtable) snapshot() []skv.Entry {
-	out := make([]skv.Entry, 0, m.count())
+// sources appends the memtable's sorted sources, cut at one instant,
+// in the order a dedup merge needs to resolve an equal full key to the
+// last write: the skip list, every entry of which was written after
+// every segment, then the published segments, newest first. The
+// segment count is loaded after the watermark: a skip-list entry the
+// watermark admits was written after the last install, so its
+// segments are all in the count. An empty skip list adds no source.
+func (m *memtable) sources(dst []iterator.SKVI) []iterator.SKVI {
 	it := m.iter()
-	_ = it.Seek(skv.FullRange())
-	for it.HasTop() {
-		out = append(out, it.Top())
-		_ = it.Next()
+	n := int(m.nsegs.Load())
+	if m.head.next[0].Load() != nil {
+		dst = append(dst, it)
 	}
+	for i := n - 1; i >= 0; i-- {
+		dst = append(dst, m.segs[i].Iter())
+	}
+	return dst
+}
+
+// snapshot materialises all entries in sorted order (tests; scans
+// merge the sources instead).
+func (m *memtable) snapshot() []skv.Entry {
+	it := iterator.NewDedupMergeIter(m.sources(nil)...)
+	_ = it.Seek(skv.FullRange())
+	out, _ := iterator.AppendAll(make([]skv.Entry, 0, m.count()), it)
 	return out
 }
 
@@ -232,9 +343,10 @@ func (m *memtable) count() int { return int(m.size.Load()) }
 // approxBytes returns the approximate heap footprint of stored entries.
 func (m *memtable) approxBytes() int { return int(m.bytes.Load()) }
 
-// memIter is a lock-free iterator over the memtable, implementing
-// iterator.SKVI. It pins the watermark captured at creation across
-// re-seeks, so one merged scan sees one cut of the memtable.
+// memIter is a lock-free iterator over the memtable's skip list,
+// implementing iterator.SKVI. It pins the watermark captured at
+// creation across re-seeks, so one merged scan sees one cut of the
+// memtable.
 type memIter struct {
 	m   *memtable
 	wm  uint64

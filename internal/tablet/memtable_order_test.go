@@ -3,6 +3,7 @@ package tablet
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -80,7 +81,10 @@ func TestMemtableConcurrentInsertOrder(t *testing.T) {
 // shuffled, several sorted runs, and sorted cells stamped in batch
 // order as a tablet server stamps them, which puts a same-cell pair out
 // of key order. Keys come from a small pool, so full keys repeat within
-// and across batches.
+// and across batches. The first two batches are fold generations above
+// the install floor — distinct keys, strictly ascending — which a fresh
+// memtable installs whole until some writer's later batch takes the
+// skip list.
 func modelBatches(rng *rand.Rand, w, writers int) [][]skv.Entry {
 	const rowsPerWriter, bandRows, batches = 120, 30, 24
 	clock := int64(100)
@@ -128,17 +132,54 @@ func modelBatches(rng *rand.Rand, w, writers int) [][]skv.Entry {
 		}
 		out[bi] = b
 	}
-	return out
+	// Every full key of band 0: 30 rows × 4 qualifiers × 3 stamps.
+	var pool []skv.Key
+	for r := 0; r < bandRows; r++ {
+		for q := 0; q < 4; q++ {
+			for ts := 1; ts <= 3; ts++ {
+				pool = append(pool, skv.Key{Row: fmt.Sprintf("r%05d", r*writers+w), ColQ: fmt.Sprintf("c%d", q), Ts: int64(ts)})
+			}
+		}
+	}
+	gens := make([][]skv.Entry, 2)
+	for gi := range gens {
+		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+		b := make([]skv.Entry, installFloor+rng.Intn(len(pool)-installFloor+1))
+		for i := range b {
+			seq++
+			b[i] = skv.Entry{K: pool[i], V: skv.Value(fmt.Sprintf("w%d-%d", w, seq))}
+		}
+		byKey(b)
+		gens[gi] = b
+	}
+	return append(gens, out...)
+}
+
+// stored counts what the memtable holds: skip-list nodes plus installed
+// segment entries, full keys repeated across them included — what count
+// reports.
+func stored(m *memtable) int {
+	n := 0
+	for x := m.head.next[0].Load(); x != nil; x = x.next[0].Load() {
+		n++
+	}
+	for _, r := range m.segs[:m.nsegs.Load()] {
+		n += r.Count()
+	}
+	return n
 }
 
 // TestMemtableBatchMatchesModel pins insertBatch against a map model,
 // with one writer and with eight concurrent writers whose sorted
 // batches interleave in key space: the snapshot must hold exactly the
 // model's keys in key order, each with the value its last write put,
-// and every skip-list level must stay sorted. The finger search is
-// what this guards: reused across a step that does not ascend, or
-// trusting a successor a concurrent insert has since moved, it links
-// nodes out of order.
+// every skip-list level must stay sorted, and count must equal what is
+// stored. The finger search is what this guards: reused across a step
+// that does not ascend, or trusting a successor a concurrent insert has
+// since moved, it links nodes out of order. So is the install path:
+// each writer opens with two fold generations, at least one of which
+// the fresh memtable installs, racing the other writers' switch to the
+// skip list, and the later batches rewrite installed keys there.
 func TestMemtableBatchMatchesModel(t *testing.T) {
 	for _, writers := range []int{1, 8} {
 		for round := 0; round < 8; round++ {
@@ -173,8 +214,11 @@ func TestMemtableBatchMatchesModel(t *testing.T) {
 				}
 				sort.Slice(want, func(i, j int) bool { return skv.Compare(want[i], want[j]) < 0 })
 				got := m.snapshot()
-				if len(got) != len(want) || m.count() != len(want) {
-					t.Fatalf("snapshot %d entries, count %d, model %d", len(got), m.count(), len(want))
+				if len(got) != len(want) || m.count() != stored(m) {
+					t.Fatalf("snapshot %d entries, count %d, stored %d, model %d", len(got), m.count(), stored(m), len(want))
+				}
+				if m.nsegs.Load() == 0 {
+					t.Fatal("no fold generation was installed")
 				}
 				for i, e := range got {
 					if e.K != want[i] || string(e.V) != model[e.K] {
@@ -186,15 +230,166 @@ func TestMemtableBatchMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMemtableBatchAllocs pins the batch's slab allocation: inserting
-// a 1 000-entry batch into a fresh memtable costs a handful of heap
-// objects, not three per entry (node, value and tower each on its own).
+// TestMemtableBatchAllocs pins the skip-list path's slab allocation:
+// linking a 1 000-entry batch (unsorted, so never installed) into a
+// fresh memtable costs a handful of heap objects, not three per entry
+// (node, value and tower each on its own).
 func TestMemtableBatchAllocs(t *testing.T) {
 	batch := benchEntries(1000)
+	if newMemtable().insertBatch(batch) {
+		t.Fatal("the unsorted batch was installed; this test pins the skip-list path")
+	}
 	allocs := testing.AllocsPerRun(20, func() {
 		newMemtable().insertBatch(batch)
 	})
 	if allocs > 8 {
 		t.Fatalf("1000-entry batch insert made %.0f allocations, want <= 8", allocs)
+	}
+}
+
+// sortedBatch returns n entries with strictly ascending keys under
+// row prefix p, each valued v.
+func sortedBatch(p string, n int, v float64) []skv.Entry {
+	b := make([]skv.Entry, n)
+	for i := range b {
+		b[i] = ent(fmt.Sprintf("%s/%05d", p, i), "q", 1, v)
+	}
+	return b
+}
+
+// TestMemtableInstallAllOrNothing: a reader racing installs sees each
+// installed batch whole or not at all, and, since one writer installs
+// them in order, always a prefix of the batches.
+func TestMemtableInstallAllOrNothing(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		m := newMemtable()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for j := 0; j < maxSegments; j++ {
+				if !m.insertBatch(sortedBatch(fmt.Sprintf("b%02d", j), installFloor, float64(j))) {
+					t.Errorf("batch %d was not installed", j)
+					return
+				}
+				runtime.Gosched()
+			}
+		}()
+		for finished := false; !finished; {
+			select {
+			case <-done:
+				finished = true
+			default:
+			}
+			seen := map[string]int{}
+			for _, e := range m.snapshot() {
+				seen[e.K.Row[:3]]++
+			}
+			for j := 0; j < maxSegments; j++ {
+				n := seen[fmt.Sprintf("b%02d", j)]
+				if n != 0 && n != installFloor {
+					t.Fatalf("round %d: reader saw %d of batch %d's %d entries", round, n, j, installFloor)
+				}
+				if n > 0 && j > 0 && seen[fmt.Sprintf("b%02d", j-1)] == 0 {
+					t.Fatalf("round %d: reader saw batch %d without batch %d", round, j, j-1)
+				}
+			}
+		}
+	}
+}
+
+// TestMemtableSkipListShadowsInstall: a write to the skip list after an
+// install — one entry, or a whole sorted batch, which the used skip
+// list now takes — shadows the installed value of an equal full key, as
+// an in-place overwrite would.
+func TestMemtableSkipListShadowsInstall(t *testing.T) {
+	m := newMemtable()
+	b := sortedBatch("s", installFloor, 1)
+	if !m.insertBatch(b) {
+		t.Fatal("the sorted batch was not installed")
+	}
+	insertOne(m, skv.Entry{K: b[7].K, V: skv.EncodeFloat(99)})
+	value := func(e skv.Entry) float64 { v, _ := skv.DecodeFloat(e.V); return v }
+	snap := m.snapshot()
+	if len(snap) != installFloor {
+		t.Fatalf("snapshot %d entries, want %d", len(snap), installFloor)
+	}
+	for i, e := range snap {
+		if want := map[bool]float64{true: 99, false: 1}[i == 7]; e.K != b[i].K || value(e) != want {
+			t.Fatalf("entry %d = %v=%v, want %v=%v", i, e.K, value(e), b[i].K, want)
+		}
+	}
+	if m.insertBatch(sortedBatch("s", installFloor, 5)) {
+		t.Fatal("a batch was installed after the skip list was used")
+	}
+	for i, e := range m.snapshot() {
+		if value(e) != 5 {
+			t.Fatalf("entry %d = %v after the rewrite, want 5", i, value(e))
+		}
+	}
+}
+
+// TestMemtableInstallsStop: a batch below the floor or not strictly
+// ascending goes to the skip list, after which no batch is installed;
+// so does every batch past maxSegments installs.
+func TestMemtableInstallsStop(t *testing.T) {
+	dup := sortedBatch("d", installFloor, 1)
+	dup[9] = dup[8]
+	desc := sortedBatch("e", installFloor, 1)
+	desc[0], desc[1] = desc[1], desc[0]
+	for name, first := range map[string][]skv.Entry{
+		"below floor":  sortedBatch("a", installFloor-1, 1),
+		"repeated key": dup,
+		"descending":   desc,
+	} {
+		m := newMemtable()
+		if m.insertBatch(first) {
+			t.Fatalf("%s: installed", name)
+		}
+		if m.insertBatch(sortedBatch("z", installFloor, 1)) || m.nsegs.Load() != 0 {
+			t.Fatalf("%s: a batch was installed after the skip list was used", name)
+		}
+	}
+
+	m := newMemtable()
+	for j := 0; j < maxSegments; j++ {
+		if !m.insertBatch(sortedBatch(fmt.Sprintf("c%02d", j), installFloor, 1)) {
+			t.Fatalf("batch %d was not installed", j)
+		}
+	}
+	if m.insertBatch(sortedBatch("over", installFloor, 1)) {
+		t.Fatal("a batch was installed past the cap")
+	}
+	if m.insertBatch(sortedBatch("more", installFloor, 1)) {
+		t.Fatal("a batch was installed after the skip list was used")
+	}
+	want := (maxSegments + 2) * installFloor
+	if got := len(m.snapshot()); got != want || m.count() != want {
+		t.Fatalf("snapshot %d entries, count %d, want %d", got, m.count(), want)
+	}
+}
+
+// TestMemtableInstallAllocs: installing a batch costs two allocations
+// (the run and its index) whatever its length — no node, value or tower
+// per entry.
+func TestMemtableInstallAllocs(t *testing.T) {
+	var got []float64
+	for _, n := range []int{installFloor, 16 * installFloor} {
+		batch := sortedBatch("a", n, 1)
+		const runs = 20
+		ms := make([]*memtable, runs+1) // AllocsPerRun warms up with one extra call
+		for i := range ms {
+			ms[i] = newMemtable()
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if !ms[i].insertBatch(batch) {
+				t.Fatal("the sorted batch was not installed")
+			}
+			i++
+		})
+		got = append(got, allocs)
+	}
+	if got[0] > 2 || got[1] > 2 {
+		t.Fatalf("installs of %d and %d entries made %v allocations, want 2 each", installFloor, 16*installFloor, got)
 	}
 }

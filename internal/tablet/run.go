@@ -62,6 +62,7 @@ const defaultIndexStride = 64
 // newMemRun builds a run from entries that must already be sorted.
 func newMemRun(entries []skv.Entry) *memRun {
 	r := &memRun{entries: entries, indexStride: defaultIndexStride}
+	r.index = make([]skv.Key, 0, (len(entries)+r.indexStride-1)/r.indexStride)
 	for i := 0; i < len(entries); i += r.indexStride {
 		r.index = append(r.index, entries[i].K)
 	}

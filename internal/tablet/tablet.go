@@ -1,7 +1,8 @@
 // Package tablet implements the storage engine under each tablet server:
-// a skip-list memtable absorbing writes, immutable sorted runs ("RFiles")
-// produced by minor compaction, k-way merged reads, and major compaction
-// folding runs together with the table's compaction iterator stack.
+// a memtable absorbing writes (a skip list beside installed sorted
+// segments), immutable sorted runs ("RFiles") produced by minor
+// compaction, k-way merged reads, and major compaction folding runs
+// together with the table's compaction iterator stack.
 //
 // A tablet owns a contiguous row range of one table, exactly as in
 // Accumulo; splitting a tablet at a row boundary yields two tablets that
@@ -33,10 +34,15 @@
 // The ingest hot path is built so writers never wait on scans, flushes,
 // or each other beyond the WAL's group commit:
 //
-//   - The memtable is a lock-free concurrent skip list; concurrent
-//     Write calls insert in parallel, and scans iterate the live
-//     structure under a sequence-number watermark instead of copying
-//     it. Each Write inserts its entries as a batch: one slab each for
+//   - The memtable is a lock-free concurrent skip list beside a short
+//     list of installed sorted segments; concurrent Write calls insert
+//     in parallel, and scans merge the live structures under a
+//     sequence-number watermark instead of copying them. A batch of at
+//     least installFloor strictly ascending keys — a kernel's fold
+//     generation — into a memtable whose skip list is still unused is
+//     installed whole: the segment keeps the caller's slice, with no
+//     per-entry node, and readers see all of it or none. Any other
+//     batch is linked into the skip list as a batch: one slab each for
 //     the nodes, values and towers, and a finger search from the
 //     previous key, used only while the keys ascend strictly and
 //     validated level by level against concurrent inserts.
@@ -162,10 +168,11 @@ type Tablet struct {
 	backing    Backing
 	retired    bool // set by SplitAt; the tablet must absorb no more work
 
-	// stats receives the write-path pressure counters: MemtableFreezes
-	// per freeze-and-swap, WriteStallNanos for the time writers spent
-	// stalled on frozen-queue backpressure, and the bound's merges and
-	// merge failures. nil counts nothing.
+	// stats receives the write-path counters: MemtableInstalls per
+	// batch installed whole, MemtableFreezes per freeze-and-swap,
+	// WriteStallNanos for the time writers spent stalled on frozen-queue
+	// backpressure, and the bound's merges and merge failures. nil
+	// counts nothing.
 	stats *telemetry.StatSet
 	bound *RunBound // caps the run count after every flush; nil: unbounded
 
@@ -188,7 +195,8 @@ func New(startRow, endRow string, memLimit int, _ int64) *Tablet {
 
 // NewDurable creates a tablet wired to backing b. runs are the
 // recovered runs, oldest first, and replay holds WAL entries to restore
-// into the memtable (both nil for a fresh tablet).
+// into the memtable (both nil for a fresh tablet); the memtable may keep
+// the replay slice.
 func NewDurable(startRow, endRow string, memLimit int, b Backing, runs []Run, replay []skv.Entry) *Tablet {
 	if memLimit <= 0 {
 		memLimit = 1 << 14
@@ -252,10 +260,12 @@ func (t *Tablet) Retired() bool {
 
 // Write logs entries (which must belong to this tablet's range) to the
 // backing's WAL and inserts them into the active memtable as one batch:
-// slabs allocated per batch, and a search that resumes from the
-// previous key while the keys ascend. The critical section is the
-// freeze lock's read side around WAL-append + insert, so concurrent
-// writers proceed in parallel; the fsync wait happens outside it (group
+// installed whole as a sorted segment when the batch qualifies (counted
+// as MemtableInstalls), linked into the skip list otherwise. The
+// memtable may keep entries itself, so the caller must not modify the
+// slice's entries after Write. The critical section is the freeze
+// lock's read side around WAL-append + insert, so concurrent writers
+// proceed in parallel; the fsync wait happens outside it (group
 // commit), and a full memtable is frozen for background flush rather
 // than compacted inline.
 func (t *Tablet) Write(entries []skv.Entry) error {
@@ -269,7 +279,9 @@ func (t *Tablet) Write(entries []skv.Entry) error {
 		return err
 	}
 	mem := t.active.Load()
-	mem.insertBatch(entries)
+	if mem.insertBatch(entries) {
+		t.stats.Add(telemetry.MemtableInstalls, 1)
+	}
 	needFreeze := mem.count() >= t.memLimit || mem.approxBytes() >= t.flushBytes
 	t.freezeMu.RUnlock()
 	if err := t.backing.WaitDurable(seq); err != nil {
@@ -570,7 +582,7 @@ func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.S
 	sources := make([]iterator.SKVI, 0, k+hi-lo)
 	size := 0
 	for i := k - 1; i >= 0; i-- { // newest first, as Snapshot orders them
-		sources = append(sources, t.frozen[i].mem.iter())
+		sources = t.frozen[i].mem.sources(sources)
 		size += t.frozen[i].mem.count()
 	}
 	for i := hi - 1; i >= lo; i-- {
@@ -579,8 +591,9 @@ func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.S
 	}
 	t.mu.Unlock()
 
-	// One source (a flush) is drained directly: a single sorted source
-	// needs no merge wrapper.
+	// One source (a flush of a memtable holding only a skip list or one
+	// segment) is drained directly: a single sorted source needs no
+	// merge wrapper.
 	var src iterator.SKVI
 	if len(sources) == 1 {
 		src = sources[0]
@@ -649,9 +662,9 @@ func (t *Tablet) Snapshot(families ...string) iterator.SKVI {
 	active := t.active.Load()
 	t.mu.Lock()
 	sources := make([]iterator.SKVI, 0, len(t.frozen)+len(t.runs)+1)
-	sources = append(sources, active.iter())
+	sources = active.sources(sources)
 	for i := len(t.frozen) - 1; i >= 0; i-- {
-		sources = append(sources, t.frozen[i].mem.iter())
+		sources = t.frozen[i].mem.sources(sources)
 	}
 	if len(families) == 0 {
 		for i := len(t.runs) - 1; i >= 0; i-- {
