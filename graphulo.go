@@ -337,9 +337,10 @@ type ScanStats struct {
 	PartialProductsFolded int64
 	// ScratchTablesCreated counts intermediate tables materialised by
 	// kernel drivers — each one a write-then-rescan round-trip. The fused
-	// kernel plans exist to keep this low: kTruss creates one survivor
-	// table per peel round but the last, PageRank one (the rank
-	// vector), and Degrees, Jaccard and TriangleCount none.
+	// kernel plans exist to keep this low: kTruss creates one round
+	// table per peel round (its support, written server-side),
+	// PageRank one (the rank vector), and Degrees, Jaccard and
+	// TriangleCount none.
 	ScratchTablesCreated int64
 }
 
@@ -542,8 +543,10 @@ func (g *TableGraph) Degrees() (map[string]float64, error) {
 }
 
 // KTruss computes the k-truss server-side, returning the surviving
-// adjacency pattern as an associative array. The per-round survivor
-// tables are the call's own and dropped before returning.
+// adjacency pattern as an associative array. Each peel round writes its
+// edges' support into a round table of the call's own, dropped before
+// returning; the rounds stop at the first that peels no edge in a
+// triangle.
 func (g *TableGraph) KTruss(k int) (*Assoc, error) {
 	truss, _, err := core.KTruss(g.db.conn, g.schema.Table, k, g.name+"KTs")
 	return truss, err

@@ -11,9 +11,8 @@ import (
 	"graphulo/internal/gen"
 )
 
-// planTestGraph is a fixed graph with a non-trivial k-truss: barbell
-// graphs peel their bridge path, so the kTruss driver iterates at least
-// twice.
+// planTestGraph is a fixed graph with a non-trivial k-truss: the
+// barbell's bridge is in no triangle, so its 4-truss is the two K4s.
 func planTestGraph() Graph { return DedupGraph(gen.Barbell(4, 1)) }
 
 // matchesReference checks an associative array read back from a kernel's
@@ -76,10 +75,10 @@ func TestFusedDriversMatchMaterialized(t *testing.T) {
 				return db.ScanMetrics().ScratchTablesCreated - before
 			}
 
-			// kTruss on barbell(4,1) with k=4 takes two peel rounds (one
-			// that drops the bridge, one that confirms the fixed point),
-			// and only materialises the surviving adjacency between
-			// rounds: one scratch table per peel round after the first.
+			// kTruss on barbell(4,1) with k=4 takes one peel round: the
+			// bridge is in no triangle, so it is missing from the round
+			// table, and every present cell has support 2 = k−2. One
+			// round is one round table.
 			var truss *Assoc
 			if got := scratchDelta(func() (err error) { truss, err = g.KTruss(4); return }); got != 1 {
 				t.Errorf("fused kTruss created %d scratch tables, want 1", got)
@@ -147,8 +146,8 @@ func multigraphDiamond() Graph {
 
 // TestConcurrentKTrussNoScratchCollision runs four kTruss computations
 // over the same graph concurrently: each must get the reference answer,
-// so the per-round survivor tables (named by the query's trace id) may
-// not be shared.
+// so the round tables (named by the query's trace id) may not be
+// shared.
 func TestConcurrentKTrussNoScratchCollision(t *testing.T) {
 	db := mustOpen(ClusterConfig{TabletServers: 2})
 	defer db.Close()
@@ -309,8 +308,9 @@ func TestTableAssign(t *testing.T) {
 }
 
 // TestExplainPlanSurface checks the explain surface: every kernel
-// compiles, kTruss reports a fused group, and both sinks of a multiply
-// show the fold stage as its own line.
+// compiles, kTruss reports a fused group writing its round table,
+// TriangleCount's collect notes that no scratch table is made, and both
+// sinks of a multiply show the fold stage as its own line.
 func TestExplainPlanSurface(t *testing.T) {
 	for _, k := range ExplainKernels() {
 		out, err := ExplainPlan(k, "A", "C")
@@ -328,8 +328,15 @@ func TestExplainPlanSurface(t *testing.T) {
 	if !strings.Contains(kt, "fused group") {
 		t.Fatalf("kTruss explain must show a fused group:\n%s", kt)
 	}
-	if !strings.Contains(kt, "no scratch table") {
-		t.Fatalf("kTruss explain must note the scratch-free collect:\n%s", kt)
+	if !strings.Contains(kt, "- write C") {
+		t.Fatalf("kTruss explain must show the round's write sink:\n%s", kt)
+	}
+	tri, err := ExplainPlan("tricount", "A", "C")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(tri, "no scratch table") {
+		t.Fatalf("TriangleCount explain must note the scratch-free collect:\n%s", tri)
 	}
 	mult, err := ExplainPlan("mult", "A", "C")
 	if err != nil {

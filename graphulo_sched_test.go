@@ -60,10 +60,10 @@ func TestKernelScanBudgetCancelsCleanly(t *testing.T) {
 }
 
 // TestKernelWriteBudgetCancels: the write-byte budget cancels a kernel
-// at the write path with the typed error — server-side writes
-// (TableMult's RemoteWrite) and the client-side survivor tables kTruss
-// writes alike — and kTruss leaves no scratch table behind. Without a
-// budget, kTruss's writes are counted in its own query.
+// at the write path with the typed error — server-side writes, both
+// TableMult's result and the support a kTruss round writes into its
+// round table — and kTruss leaves no scratch table behind. Without a
+// budget, kTruss's round writes are counted in its own query.
 func TestKernelWriteBudgetCancels(t *testing.T) {
 	db := mustOpen(ClusterConfig{WriteByteBudget: 16})
 	defer db.Close()

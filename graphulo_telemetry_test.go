@@ -442,9 +442,11 @@ func TestMetricsFamilies(t *testing.T) {
 // TestGraphCallIsOneQuery: every TableGraph kernel call is exactly one
 // finished query record, on every transport, and a result the client
 // reads streams back instead of passing through a table. Degrees,
-// Jaccard and TriangleCount write nothing; KTruss writes only the
-// survivors of its non-final rounds (Barbell(4,1) at k = 4: the 24
-// directed edges of its two K4s, once); no call changes the table
+// Jaccard and TriangleCount write nothing; KTruss writes only its
+// rounds' support cells into the round tables (Barbell(4,1) at k = 4:
+// one round whose support covers the 24 directed edges of its two
+// K4s, the bridge being in no triangle; the graph table is one tablet,
+// so the fold stage writes each cell once); no call changes the table
 // list; PageRank's one scratch table is its rank vector, and it writes
 // that vector once per iteration, one entry per vertex with an edge,
 // and nothing else.
@@ -525,7 +527,7 @@ func TestGraphCallIsOneQuery(t *testing.T) {
 		}
 	}
 	if w := results["inproc"]["KTruss"].Written; w != 24 {
-		t.Errorf("KTruss recorded entries_written %d, want 24 (one non-final round's survivors)", w)
+		t.Errorf("KTruss recorded entries_written %d, want 24 (one round's support cells)", w)
 	}
 	if s := results["inproc"]["PageRank"].Scratch; s != 1 {
 		t.Errorf("PageRank created %d scratch tables, want 1 (the rank vector)", s)

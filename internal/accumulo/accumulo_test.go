@@ -407,6 +407,62 @@ func TestEnsureCombiner(t *testing.T) {
 	}
 }
 
+// TestScanScopeThresholdSeesWholeSums: a table summing at every scope
+// with a threshold at scan scope only — a kTruss round table — reads
+// the thresholded total, however its partial sums are spread over runs.
+// The first half is flushed and compacted before the second is written,
+// so a threshold that a flush or compaction applied would drop a's and
+// p's first halves (1 < 2) and lose both cells. Both arms: in memory
+// and on a data directory.
+func TestScanScopeThresholdSeesWholeSums(t *testing.T) {
+	for arm, cfg := range map[string]Config{
+		"memory":  {TabletServers: 2, MemLimit: 64, WireBatch: 32},
+		"durable": {TabletServers: 2, MemLimit: 64, WireBatch: 32, DataDir: t.TempDir()},
+	} {
+		t.Run(arm, func(t *testing.T) {
+			mc, err := OpenMiniCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer mc.Close()
+			c := mc.Connector()
+			ops := c.TableOperations()
+			mustCreate(t, c, "S", "m")
+			if err := ops.EnsureCombiner("S", "sum"); err != nil {
+				t.Fatal(err)
+			}
+			threshold := iterator.Setting{Name: "threshold", Priority: 20, Opts: map[string]string{"min": "2"}}
+			if err := ops.AttachIterator("S", threshold, ScanScope); err != nil {
+				t.Fatal(err)
+			}
+			writeCells(t, c, "S", map[string]float64{"a x": 1, "b x": 1, "n x": 3, "p x": 1})
+			if err := ops.Flush("S"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ops.Compact("S"); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := scanFloats(t, c, "S"), map[string]float64{"n x": 3}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the first half: %v, want %v", got, want)
+			}
+			writeCells(t, c, "S", map[string]float64{"a x": 1, "p x": 1, "q x": 1})
+			want := map[string]float64{"a x": 2, "n x": 3, "p x": 2}
+			if got := scanFloats(t, c, "S"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after the second half: %v, want %v", got, want)
+			}
+			if err := ops.Flush("S"); err != nil {
+				t.Fatal(err)
+			}
+			if err := ops.Compact("S"); err != nil {
+				t.Fatal(err)
+			}
+			if got := scanFloats(t, c, "S"); !reflect.DeepEqual(got, want) {
+				t.Fatalf("after a second flush and compaction: %v, want %v", got, want)
+			}
+		})
+	}
+}
+
 func TestScannerOnMissingTable(t *testing.T) {
 	c := newTestCluster(t)
 	if _, err := c.CreateScanner("nope"); err == nil {

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/algo"
 	"graphulo/internal/assoc"
+	"graphulo/internal/iterator"
 	"graphulo/internal/plan"
 	"graphulo/internal/schema"
 	"graphulo/internal/semiring"
@@ -191,39 +193,51 @@ func adjSquareFoldPlan(table string) *plan.Node {
 		"plus.and")
 }
 
-// edgeSupportPlan is the fused triangle support of every edge of an
+// edgeSupport is the fused triangle support of every edge of an
 // adjacency table A, shared by kTruss (per round) and TriangleCount:
 // C⟨A⟩ = A ⊕.⊗ A under plus.and, so cell (u, v) counts the common
 // neighbours of u and v, and only for edges (u, v) of A. Multiplying
 // the 0/1 pattern (plus.and) rather than the stored values keeps an edge
 // ingested twice — stored with value 2 — from counting twice. The
 // mask, read with the same edge band as the operands, drops every
-// product off an edge where it is formed, so a pass returns at most
+// product off an edge where it is formed, so a pass yields at most
 // nnz(A) cells and an edge with no triangle does not appear at all.
-// Shared with Explain.
-func edgeSupportPlan(table string) *plan.Node {
+func edgeSupport(table string) *plan.Node {
 	band := schema.EdgeBand()
-	return plan.CollectFold(
-		plan.MultMasked(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band, table, band),
-		"plus.and")
+	return plan.MultMasked(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band, table, band)
+}
+
+// edgeSupportPlan streams the edge support back to the client,
+// ⊕-folded per cell — TriangleCount's one pass. Shared with Explain.
+func edgeSupportPlan(table string) *plan.Node {
+	return plan.CollectFold(edgeSupport(table), "plus.and")
+}
+
+// trussRoundPlan is one kTruss peel round: the edge support of cur
+// written server-side into the round table next, whose sum combiner
+// makes each cell's support whole. Shared with Explain.
+func trussRoundPlan(cur, next string) *plan.Node {
+	return plan.Write(edgeSupport(cur), next, "plus.and", 0)
 }
 
 // KTruss computes the k-truss of the graph stored in an adjacency table
 // and returns the surviving adjacency pattern (both orientations of
-// every edge, value 1) and the number of peel rounds. A peel round is
-// one fused pass: the masked support of cur's edges (edgeSupportPlan;
-// cur is symmetric, so it is its own transpose) streams back ⊕-folded,
-// and the edges with support ≥ k−2 survive — an edge in no triangle
-// never appears, so it drops on its own. The survivors are written to a
-// scratch table the next round reads. A round is the fixed point when
-// its survivor count equals the count the previous round wrote:
-// survivors are a subset of cur's edges, so equal counts mean nothing
-// was peeled, and that round's survivors are the truss. Round 0 has no
-// previous count, so a graph that is already a k-truss costs one round
-// more than its peel needs. Each scratch table is named
-// `<scratch>_it<N>_<trace>` (trace-suffixed, so concurrent kernels on
-// one table cannot collide) and dropped before returning, on success
-// and on error.
+// every edge, value 1) and the number of peel rounds. Round r creates
+// the round table `<scratch>_it<r>_<trace>` with the graph table's
+// splits and runs one fused pass (trussRoundPlan) that writes the
+// support of cur's edges into it; one collect then reads the round
+// table back. An edge of cur missing from it is in no triangle of cur
+// (cur is symmetric, so it is its own transpose), so removing it
+// removes no triangle: if every present cell has support ≥ k−2, the
+// round table's cells are the k-truss and KTruss returns their
+// pattern. Otherwise a threshold at k−2 is attached to the round
+// table's scan scope only — a flush or compaction sees partial sums,
+// so it must not judge them — and the thresholded table is the next
+// round's cur, read by all three of its operand scans (B, Aᵀ and the
+// mask). A graph that is already a k-truss takes one round, and k = 3
+// always does. The round tables are trace-suffixed, so concurrent
+// kernels on one table cannot collide, and dropped before returning,
+// on success and on error.
 func KTruss(conn *accumulo.Connector, table string, k int, scratch string) (truss *assoc.Assoc, iterCount int, err error) {
 	q, done, err := startQuery(conn, "kTruss", "")
 	if err != nil {
@@ -247,38 +261,54 @@ func KTruss(conn *accumulo.Connector, table string, k int, scratch string) (trus
 		return patternOf(edges), 1, nil
 	}
 	trace := q.Trace().String()
+	ops := conn.TableOperations()
+	// Every round table is made with the graph table's splits, so each
+	// round runs on as many tablets as round 0.
+	splits, err := ops.Splits(table)
+	if err != nil {
+		return nil, 0, err
+	}
+	minSupport := float64(k - 2)
+	threshold := iterator.Setting{Name: "threshold", Priority: 20, Opts: map[string]string{"min": strconv.Itoa(k - 2)}}
 	cur := table
 	var scratchTables []string
 	// Closure, not a direct defer: the slice grows as rounds allocate
 	// scratch tables and must be read at return time.
 	defer func() { dropScratch(conn, scratchTables, &err) }()
-	wrote := -1 // survivors the previous round wrote; none before round 0
+	var edges []assoc.Entry
 	for round := 0; ; round++ {
-		res, err := runPlan(conn, edgeSupportPlan(cur), "kTruss", q, nil)
-		if err != nil {
-			return nil, iterCount, err
-		}
-		iterCount++
-		keep := make([]assoc.Entry, 0, len(res.Cells))
-		for c, support := range res.Cells {
-			if support >= float64(k-2) {
-				keep = append(keep, assoc.Entry{Row: c.Row, Col: c.ColQ, Val: 1})
-			}
-		}
-		if len(keep) == wrote {
-			return patternOf(keep), iterCount, nil
-		}
 		next := fmt.Sprintf("%s_it%d_%s", scratch, round, trace)
 		scratchTables = append(scratchTables, next)
 		noteScratch(conn)
-		// Each survivor is written once, so a plain table holds them.
-		if err := conn.TableOperations().Create(next); err != nil {
+		if err := ops.CreateWithSplits(next, splits); err != nil {
 			return nil, iterCount, err
 		}
-		if err := schema.WriteAssoc(conn, next, keep, q); err != nil {
+		if _, err := runPlan(conn, trussRoundPlan(cur, next), "kTruss", q, nil); err != nil {
 			return nil, iterCount, err
 		}
-		cur, wrote = next, len(keep)
+		iterCount++
+		edges = edges[:0]
+		peels := false
+		_, err = runPlan(conn, plan.Collect(plan.Scan(next, plan.Constraint{})), "kTruss", q,
+			func(e skv.Entry) error {
+				support, ok := skv.DecodeFloat(e.V)
+				if !ok {
+					return fmt.Errorf("core: kTruss round table %q: entry %v carries non-numeric support %q", next, e.K, string(e.V))
+				}
+				peels = peels || support < minSupport
+				edges = append(edges, assoc.Entry{Row: e.K.Row, Col: e.K.ColQ})
+				return nil
+			})
+		if err != nil {
+			return nil, iterCount, err
+		}
+		if !peels {
+			return patternOf(edges), iterCount, nil
+		}
+		if err := ops.AttachIterator(next, threshold, accumulo.ScanScope); err != nil {
+			return nil, iterCount, err
+		}
+		cur = next
 	}
 }
 

@@ -17,7 +17,9 @@ import (
 	"graphulo/internal/plan"
 	"graphulo/internal/sched"
 	"graphulo/internal/schema"
+	"graphulo/internal/semiring"
 	"graphulo/internal/skv"
+	"graphulo/internal/sparse"
 	"graphulo/internal/telemetry"
 )
 
@@ -444,9 +446,9 @@ func TestAdjBFSIsOneBudgetedQuery(t *testing.T) {
 // both local transports: the returned pattern equals algo.KTrussAdj on
 // the graph's 0/1 pattern, cell for cell. The multigraphs store a
 // repeated pair with value 2; the plus.and support pass counts it once,
-// as the pattern does. Barbell(4,1) at k=4 peels its bridge in round 0
-// and confirms the fixed point in round 1, so it writes one scratch
-// table; every call leaves the table list as it found it.
+// as the pattern does. Barbell(4,1)'s bridge is in no triangle, so at
+// k=4 it is missing from round 0's support and that round is final:
+// one round table; every call leaves the table list as it found it.
 func TestKTrussMatchesInMemory(t *testing.T) {
 	// The triangle {01, 12, 02} with 01 listed twice, and the diamond
 	// {ab, ac, ad, bc, bd} with ac and bc listed twice.
@@ -814,11 +816,10 @@ func TestKTrussScratchTablesReclaimed(t *testing.T) {
 	}
 }
 
-// TestKTrussFixedPointCostsOneRound: K5 is already a 4-truss, so its
-// first round peels nothing — but round 0 has no previous survivor
-// count to compare with, so the driver writes the survivors once and
-// confirms the fixed point in a second round. The result equals the
-// reference with every value 1, and the one scratch table is dropped.
+// TestKTrussFixedPointCostsOneRound: K5 is already a 4-truss, so the
+// support its first round writes has no cell below k−2 = 2 and that
+// round is final: one round, one round table, dropped on return. The
+// result equals the reference with every value 1.
 func TestKTrussFixedPointCostsOneRound(t *testing.T) {
 	conn := testConn(t)
 	g := gen.Complete(5)
@@ -835,8 +836,8 @@ func TestKTrussFixedPointCostsOneRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rounds != 2 {
-		t.Errorf("K5 4-truss took %d rounds, want 2", rounds)
+	if rounds != 1 {
+		t.Errorf("K5 4-truss took %d rounds, want 1", rounds)
 	}
 	if n := stats.Get(telemetry.ScratchTablesCreated) - scratchBefore; n != 1 {
 		t.Errorf("K5 4-truss created %d scratch tables, want 1", n)
@@ -858,6 +859,148 @@ func TestKTrussFixedPointCostsOneRound(t *testing.T) {
 	for _, tr := range want.Triples() {
 		if v := got[schema.VertexName(tr.Row)][schema.VertexName(tr.Col)]; v != tr.Val {
 			t.Fatalf("cell (%d,%d) = %v, reference %v", tr.Row, tr.Col, v, tr.Val)
+		}
+	}
+}
+
+// TestKTrussPeelRoundThenFinalRound: K4 on 0..3 plus vertex 4 joined to
+// 0 and 1. At k = 4, round 0's support gives 40 and 41 one triangle
+// each (401), below k−2 = 2, so that round peels them; round 1 runs on
+// the thresholded round table, where every K4 edge has support 2, and
+// is final. Two rounds, two round tables, none left behind.
+func TestKTrussPeelRoundThenFinalRound(t *testing.T) {
+	conn := testConn(t)
+	g := gen.Complete(4)
+	g.N = 5
+	g.Edges = append(g.Edges, gen.Edge{U: 4, V: 0}, gen.Edge{U: 4, V: 1})
+	sch, err := schema.NewAdjacencySchema(conn, "K4x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sch.IngestGraph(g); err != nil {
+		t.Fatal(err)
+	}
+	ops := conn.TableOperations()
+	tablesBefore := ops.List()
+	stats := &conn.Cluster().Telemetry().Stats
+	scratchBefore := stats.Get(telemetry.ScratchTablesCreated)
+	truss, rounds, err := KTruss(conn, sch.Table, 4, "K4xscratch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rounds != 2 {
+		t.Errorf("4-truss took %d rounds, want 2", rounds)
+	}
+	if n := stats.Get(telemetry.ScratchTablesCreated) - scratchBefore; n != 2 {
+		t.Errorf("4-truss created %d scratch tables, want 2", n)
+	}
+	if tables := ops.List(); !reflect.DeepEqual(tables, tablesBefore) {
+		t.Errorf("tables after the call = %v, want %v", tables, tablesBefore)
+	}
+	got := assocMatrix(truss)
+	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 4)
+	cells := 0
+	for _, row := range got {
+		cells += len(row)
+	}
+	if cells != want.NNZ() || cells != 12 {
+		t.Fatalf("4-truss has %d cells, reference %d, want 12 (K4)", cells, want.NNZ())
+	}
+	for _, tr := range want.Triples() {
+		if v := got[schema.VertexName(tr.Row)][schema.VertexName(tr.Col)]; v != tr.Val {
+			t.Fatalf("cell (%d,%d) = %v, reference %v", tr.Row, tr.Col, v, tr.Val)
+		}
+	}
+}
+
+// replayTrussRounds runs kTruss's stop rule in memory on a 0/1
+// adjacency pattern: each round takes the support of the present edges
+// (A ⊗ A², edges in no triangle absent) and is final when no present
+// cell is below k−2; otherwise the cells at or above it are the next
+// round's pattern. It returns the truss and the round count.
+func replayTrussRounds(adj *sparse.Matrix, k int) (*sparse.Matrix, int) {
+	for rounds := 1; ; rounds++ {
+		support := sparse.EWiseMult(adj, sparse.SpGEMM(adj, adj, semiring.PlusTimes), semiring.PlusTimes)
+		var keep []sparse.Triple
+		for _, tr := range support.Triples() {
+			if tr.Val >= float64(k-2) {
+				keep = append(keep, sparse.Triple{Row: tr.Row, Col: tr.Col, Val: 1})
+			}
+		}
+		adj = sparse.NewFromTriples(adj.Rows(), adj.Cols(), keep, semiring.PlusTimes)
+		if len(keep) == support.NNZ() {
+			return adj, rounds
+		}
+	}
+}
+
+// TestKTrussRandomMatchesInMemory is kTruss's randomized differential
+// on all three deployments: Erdős–Rényi, planted-clique (a clique edge
+// the G(n, p) draw already holds is ingested twice) and
+// non-deduplicated RMAT graphs on four pre-split tablets, at k = 3..6.
+// The table truss must equal algo.KTrussAdj on the 0/1 pattern, the
+// round count must equal the in-memory replay of the stop rule, and
+// every call must leave the table list as it found it. Some cases must
+// take several rounds, or the peel path went untested.
+func TestKTrussRandomMatchesInMemory(t *testing.T) {
+	type input struct {
+		name string
+		g    gen.Graph
+	}
+	var inputs []input
+	for _, seed := range []uint64{3, 17} {
+		clique, _ := gen.PlantedClique(28, 0.2, 7, seed)
+		inputs = append(inputs,
+			input{fmt.Sprintf("er%d", seed), gen.ErdosRenyi(28, 110, seed)},
+			input{fmt.Sprintf("clique%d", seed), clique},
+			input{fmt.Sprintf("rmat%d", seed), gen.RMAT(gen.RMATConfig{Scale: 5, EdgeFactor: 6, A: 0.57, B: 0.19, C: 0.19, Seed: seed})})
+	}
+	for transport, cfg := range foldTransports(t) {
+		conn := equivCluster(t, cfg)
+		ops := conn.TableOperations()
+		multiRound := 0
+		for _, in := range inputs {
+			sch := loadSplitGraph(t, conn, "R"+in.name, in.g, quartileSplits(in.g))
+			adj := gen.AdjacencyPattern(in.g)
+			for k := 3; k <= 6; k++ {
+				name := fmt.Sprintf("%s/%s/k%d", transport, in.name, k)
+				tablesBefore := ops.List()
+				truss, rounds, err := KTruss(conn, sch.Table, k, "Rscratch")
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if tables := ops.List(); !reflect.DeepEqual(tables, tablesBefore) {
+					t.Errorf("%s: tables after the call = %v, want %v", name, tables, tablesBefore)
+				}
+				replay, wantRounds := replayTrussRounds(adj, k)
+				if rounds != wantRounds {
+					t.Errorf("%s: %d rounds, the stop rule's replay takes %d", name, rounds, wantRounds)
+				}
+				if rounds > 1 {
+					multiRound++
+				}
+				want := algo.KTrussAdj(adj, k)
+				if replay.NNZ() != want.NNZ() {
+					t.Fatalf("%s: replayed truss has %d cells, algo.KTrussAdj %d", name, replay.NNZ(), want.NNZ())
+				}
+				got := assocMatrix(truss)
+				cells := 0
+				for _, row := range got {
+					cells += len(row)
+				}
+				if cells != want.NNZ() {
+					t.Fatalf("%s: truss has %d cells, in-memory %d", name, cells, want.NNZ())
+				}
+				for _, tr := range want.Triples() {
+					if v := got[schema.VertexName(tr.Row)][schema.VertexName(tr.Col)]; v != tr.Val {
+						t.Fatalf("%s: cell (%d,%d) = %v, in-memory %v", name, tr.Row, tr.Col, v, tr.Val)
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d of %d cases took several rounds", transport, multiRound, 4*len(inputs))
+		if multiRound == 0 {
+			t.Errorf("%s: every case finished in one round; the peel path went untested", transport)
 		}
 	}
 }

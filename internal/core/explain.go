@@ -44,7 +44,7 @@ func explainCompile(kernel, table, out string) (*plan.Plan, error) {
 		root = bfsHopPlan(table, []string{"<frontier>"})
 	case "ktruss":
 		name = "kTruss"
-		root = edgeSupportPlan(table)
+		root = trussRoundPlan(table, out)
 	case "jaccard":
 		name = "Jaccard"
 		root = adjSquareFoldPlan(table)

@@ -14,7 +14,8 @@ import (
 // still materialise and hoist: every kernel already compiled to one
 // pass there, and the one-pass planner must reproduce those stacks —
 // except kTruss and TriangleCount, which have since moved onto the
-// masked multiply, Jaccard, whose square now runs under plus.and, and
+// masked multiply (a kTruss round writes it into its round table),
+// Jaccard, whose square now runs under plus.and, and
 // degrees, whose reduce now streams back to the client instead of into
 // a table. PageRank's step was added since.
 func TestExplainKernelStacksPinned(t *testing.T) {
@@ -28,7 +29,8 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 		foldAnd,
 	}
 	// kTruss and TriangleCount count support only on edges: the masked
-	// product under plus.and, folded under plus.and.
+	// product under plus.and, folded under plus.and. A kTruss round
+	// writes it into the round table; TriangleCount streams it back.
 	support := []iterator.Setting{
 		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "familiesMask": ",edge", "mask": "A", "semiring": "plus.and", "tableAT": "A"}},
 		foldAnd,
@@ -46,7 +48,7 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 			{Name: "rowReduce", Priority: 30, Opts: map[string]string{"colF": "deg", "colQ": "deg", "monoid": "plus"}},
 		},
 		"bfs":      nil,
-		"ktruss":   support,
+		"ktruss":   {support[0], foldAnd, write},
 		"jaccard":  square,
 		"tricount": support,
 		// PageRank's step scans A and multiplies it against the rank

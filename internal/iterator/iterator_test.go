@@ -3,6 +3,7 @@ package iterator
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -138,6 +139,46 @@ func TestCombinerIterMin(t *testing.T) {
 	got, _ := Collect(c)
 	if vals := valsOf(got); len(vals) != 1 || vals[0] != 3 {
 		t.Fatalf("min combiner wrong: %v", vals)
+	}
+}
+
+// TestCombinerIterSingleVersion: a cell with one numeric version comes
+// out with its value bytes as stored (not re-encoded: "2.50" stays
+// "2.50"), one with a single non-numeric version still reads as the
+// monoid identity under every combiner, and a cell with several
+// versions is still folded and encoded.
+func TestCombinerIterSingleVersion(t *testing.T) {
+	raw := func(row string, ts int64, v string) skv.Entry {
+		return skv.Entry{K: skv.Key{Row: row, ColQ: "q", Ts: ts}, V: skv.Value(v)}
+	}
+	for _, tc := range []struct {
+		monoid   semiring.Monoid
+		identity string
+	}{
+		{semiring.PlusMonoid, "0"},
+		{semiring.MinMonoid, "+Inf"},
+		{semiring.MaxMonoid, "-Inf"},
+	} {
+		src := NewSliceIter([]skv.Entry{
+			raw("a", 1, "2.50"),
+			raw("b", 1, "label"),
+			raw("c", 2, "2.50"), raw("c", 1, "label"),
+		})
+		c := NewCombinerIter(src, tc.monoid)
+		if err := c.Seek(skv.FullRange()); err != nil {
+			t.Fatal(err)
+		}
+		got, err := Collect(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []string
+		for _, e := range got {
+			vals = append(vals, string(e.V))
+		}
+		if want := []string{"2.50", tc.identity, "2.5"}; !reflect.DeepEqual(vals, want) {
+			t.Errorf("identity %s: values %q, want %q", tc.identity, vals, want)
+		}
 	}
 }
 

@@ -120,7 +120,8 @@ func (f *FilterIter) Next() error {
 // CombinerIter collapses all versions of each logical cell into one
 // entry by folding the decoded numeric values with a monoid — Accumulo's
 // SummingCombiner generalised. Non-numeric values pass through the fold
-// as the monoid identity.
+// as the monoid identity. A cell with a single numeric version is
+// emitted as it is, its value bytes not re-encoded.
 type CombinerIter struct {
 	src     SKVI
 	monoid  semiring.Monoid
@@ -148,9 +149,11 @@ func (c *CombinerIter) fill() error {
 	}
 	first := c.src.Top()
 	acc := c.monoid.Identity
-	if v, ok := skv.DecodeFloat(first.V); ok {
+	v, numeric := skv.DecodeFloat(first.V)
+	if numeric {
 		acc = c.monoid.Op(acc, v)
 	}
+	single := true
 	for {
 		if err := c.src.Next(); err != nil {
 			return err
@@ -158,11 +161,15 @@ func (c *CombinerIter) fill() error {
 		if !c.src.HasTop() || !skv.SameCell(c.src.Top().K, first.K) {
 			break
 		}
+		single = false
 		if v, ok := skv.DecodeFloat(c.src.Top().V); ok {
 			acc = c.monoid.Op(acc, v)
 		}
 	}
-	c.current = skv.Entry{K: first.K, V: skv.EncodeFloat(acc)}
+	c.current = first
+	if !single || !numeric {
+		c.current.V = skv.EncodeFloat(acc)
+	}
 	c.ready = true
 	return nil
 }
