@@ -294,8 +294,8 @@ type ScanStats struct {
 	// across scan pipelines — the streaming memory bound.
 	MaxEntriesBuffered int64
 	// CacheHits/CacheMisses count rfile block-cache lookups: a hit
-	// serves decoded entries from memory, a miss pays the disk read,
-	// CRC check, and decode.
+	// serves a parsed block from memory, a miss pays the disk read,
+	// CRC check, and validating parse.
 	CacheHits   int64
 	CacheMisses int64
 	// BloomNegatives counts single-row seeks answered by a bloom

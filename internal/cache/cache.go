@@ -1,20 +1,21 @@
 // Package cache implements the shared block cache of the read path: a
-// size-bounded LRU over decoded rfile data blocks, keyed by (file,
-// block index). Every rfile Reader in a data directory consults one
-// BlockCache, so a block that several scans touch — repeated kernel
+// size-bounded LRU over parsed rfile data blocks (skv.Block), keyed by
+// (file, block index). Every rfile Reader in a data directory consults
+// one BlockCache, so a block that several scans touch — repeated kernel
 // passes, TwoTableIterator remote seeks, BFS rounds re-reading the same
-// adjacency rows — is read from disk, CRC-verified, and decoded exactly
-// once while it stays resident. Eviction is strict LRU by decoded byte
-// size; hits and misses are counted into a telemetry.StatSet — the
-// cache's own, or the process block it is pointed at (CountInto).
+// adjacency rows — is read from disk, CRC-verified, and validated
+// exactly once while it stays resident. Eviction is strict LRU by
+// resident byte size; hits and misses are counted into a
+// telemetry.StatSet — the cache's own, or the process block it is
+// pointed at (CountInto).
 //
-// A decoded block is one lifetime unit: skv.DecodeBlock puts all of its
-// key fields in one string and all of its values in one byte slice, and
-// every entry points into those two arenas. The charge (entriesSize)
-// is payload bytes plus a fixed per-entry overhead. A key that
-// outlives its block's eviction — held by an iterator, a fold buffer,
-// an interned cell name — keeps that block's whole key arena (no larger
-// than the block, ≈ 32 KiB) alive while it is held.
+// A cached block is its bytes, not its entries: one string holding the
+// block as written, one value arena and one restart table, and readers
+// cut entries from them as they reach them. The charge is exactly those
+// bytes (skv.Block.Size). A key that outlives its block's eviction —
+// held by an iterator, a fold buffer, an interned cell name — is a
+// substring of the block's string and keeps that whole string (no
+// larger than the block, ≈ 32 KiB) alive while it is held.
 //
 // A nil *BlockCache is a valid "cache disabled" value: every method is
 // nil-receiver safe and behaves as a permanent miss, so callers thread
@@ -33,11 +34,6 @@ import (
 // for a cache without sizing it.
 const DefaultMaxBytes = 32 << 20
 
-// entryOverhead approximates the fixed per-entry heap cost (string
-// headers, slice header, key struct) added to the payload bytes when
-// charging a block against the capacity.
-const entryOverhead = 64
-
 // blockKey identifies one data block of one rfile.
 type blockKey struct {
 	file  string
@@ -46,12 +42,12 @@ type blockKey struct {
 
 // block is one resident cache element.
 type block struct {
-	key     blockKey
-	entries []skv.Entry
-	size    int64
+	key  blockKey
+	blk  *skv.Block
+	size int64
 }
 
-// BlockCache is a thread-safe LRU cache of decoded rfile blocks.
+// BlockCache is a thread-safe LRU cache of parsed rfile blocks.
 type BlockCache struct {
 	stats *telemetry.StatSet // CacheHits, CacheMisses
 
@@ -62,7 +58,7 @@ type BlockCache struct {
 	items map[blockKey]*list.Element
 }
 
-// New creates a cache bounded by maxBytes of decoded entries
+// New creates a cache bounded by maxBytes of resident blocks
 // (maxBytes <= 0 selects DefaultMaxBytes).
 func New(maxBytes int64) *BlockCache {
 	if maxBytes <= 0 {
@@ -76,22 +72,12 @@ func New(maxBytes int64) *BlockCache {
 	}
 }
 
-// entriesSize charges a decoded block by payload bytes plus a fixed
-// per-entry overhead.
-func entriesSize(entries []skv.Entry) int64 {
-	var n int64
-	for _, e := range entries {
-		n += int64(len(e.K.Row)+len(e.K.ColF)+len(e.K.ColQ)+len(e.V)) + entryOverhead
-	}
-	return n
-}
-
-// Get returns the cached block and records a hit or miss. The returned
-// slice is shared — callers must treat it as immutable. Its keys are
-// substrings of the block's key arena, so a caller that keeps one key
-// keeps the whole arena alive; copy a key (strings.Clone) to retain it
+// Get returns the cached block and records a hit or miss. A Block is
+// immutable and shared across callers. The keys it returns are
+// substrings of its string, so a caller that keeps one key keeps the
+// whole block's string alive; copy a key (strings.Clone) to retain it
 // beyond the block.
-func (c *BlockCache) Get(file string, blockIdx int) ([]skv.Entry, bool) {
+func (c *BlockCache) Get(file string, blockIdx int) (*skv.Block, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -106,17 +92,19 @@ func (c *BlockCache) Get(file string, blockIdx int) ([]skv.Entry, bool) {
 		return nil, false
 	}
 	c.stats.Add(telemetry.CacheHits, 1)
-	return el.Value.(*block).entries, true
+	return el.Value.(*block).blk, true
 }
 
-// Put inserts (or refreshes) a decoded block and evicts from the LRU
-// tail until the cache fits its bound again. A block larger than the
-// whole cache is not admitted.
-func (c *BlockCache) Put(file string, blockIdx int, entries []skv.Entry) {
+// Put inserts (or refreshes) a parsed block, charged at the bytes it
+// keeps resident, and evicts from the LRU tail until the cache fits its
+// bound again. A block larger than the whole cache is not admitted.
+// Eviction drops only the cache's reference: a key a reader still holds
+// keeps the evicted block's string alive.
+func (c *BlockCache) Put(file string, blockIdx int, blk *skv.Block) {
 	if c == nil {
 		return
 	}
-	size := entriesSize(entries)
+	size := blk.Size()
 	if size > c.max {
 		return
 	}
@@ -129,7 +117,7 @@ func (c *BlockCache) Put(file string, blockIdx int, entries []skv.Entry) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.items[key] = c.ll.PushFront(&block{key: key, entries: entries, size: size})
+	c.items[key] = c.ll.PushFront(&block{key: key, blk: blk, size: size})
 	c.size += size
 	for c.size > c.max {
 		tail := c.ll.Back()
@@ -189,7 +177,7 @@ func (c *BlockCache) Misses() int64 {
 	return c.stats.Get(telemetry.CacheMisses)
 }
 
-// Bytes returns the resident decoded size.
+// Bytes returns the resident size of the cached blocks.
 func (c *BlockCache) Bytes() int64 {
 	if c == nil {
 		return 0

@@ -8,15 +8,19 @@ import (
 	"graphulo/internal/skv"
 )
 
-func blockOf(n int, tag string) []skv.Entry {
-	out := make([]skv.Entry, n)
-	for i := range out {
-		out[i] = skv.Entry{
+func blockOf(n int, tag string) *skv.Block {
+	var raw []byte
+	for i := 0; i < n; i++ {
+		raw = skv.EncodeEntry(raw, skv.Entry{
 			K: skv.Key{Row: fmt.Sprintf("%s-row%04d", tag, i), ColQ: "q", Ts: 1},
 			V: skv.Value("0123456789"),
-		}
+		})
 	}
-	return out
+	b, err := skv.ParseBlock(raw, n)
+	if err != nil {
+		panic(err)
+	}
+	return b
 }
 
 func TestHitMissAccounting(t *testing.T) {
@@ -24,9 +28,13 @@ func TestHitMissAccounting(t *testing.T) {
 	if _, ok := c.Get("f", 0); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("f", 0, blockOf(10, "a"))
-	if got, ok := c.Get("f", 0); !ok || len(got) != 10 {
-		t.Fatalf("Get after Put = (%d entries, %v)", len(got), ok)
+	want := blockOf(10, "a")
+	c.Put("f", 0, want)
+	if got, ok := c.Get("f", 0); !ok || got != want {
+		t.Fatalf("Get after Put = (%p, %v), want (%p, true)", got, ok, want)
+	}
+	if c.Bytes() != want.Size() {
+		t.Fatalf("Bytes = %d, want the block's resident size %d", c.Bytes(), want.Size())
 	}
 	if _, ok := c.Get("f", 1); ok {
 		t.Fatal("hit on absent block")
@@ -37,8 +45,7 @@ func TestHitMissAccounting(t *testing.T) {
 }
 
 func TestLRUEvictionByBytes(t *testing.T) {
-	one := blockOf(10, "x")
-	per := entriesSize(one)
+	per := blockOf(10, "x").Size()
 	c := New(3 * per) // room for exactly three blocks
 	for i := 0; i < 4; i++ {
 		c.Put("f", i, blockOf(10, "x"))

@@ -15,8 +15,12 @@
 //
 //   - Block cache. A Reader opened with a shared cache.BlockCache
 //     (OpenWithOptions) consults it before touching disk, so each block
-//     is read, CRC-verified, and decoded once while resident; repeat
-//     scans serve decoded entries straight from memory. Closing a
+//     is read, CRC-verified, and validated once while resident; repeat
+//     scans read the parsed block (skv.Block) straight from memory.
+//     The cache holds a block's bytes, not its entries: an iterator
+//     cuts each entry from them when it reaches it, so an exact-row
+//     seek reads about one row of a block, not all of it (a miss still
+//     validates the whole block once, but builds no entries). Closing a
 //     Reader evicts its blocks, so files replaced by major compaction
 //     stop occupying cache capacity.
 //   - Bloom filters. Finish writes a bloom filter over the file's
@@ -38,8 +42,8 @@
 //     counted as telemetry.LocalityBlocksSkipped. Unconstrained scans
 //     merge the family runs back into global key order.
 //
-// Every block checksum is verified on (disk) load; cache hits skip the
-// re-verification along with the read and decode.
+// Every block checksum is verified, and every entry validated, on
+// (disk) load; cache hits skip both along with the read.
 //
 // Layout (version 4):
 //
@@ -557,31 +561,39 @@ func (r *Reader) Close() error {
 	return r.closeErr
 }
 
-// loadBlock returns the decoded entries of data block i, from the
-// shared cache when resident, else by reading, CRC-verifying, and
-// decoding exactly the index's entry count from disk (and feeding the
-// cache). Cached slices are shared across iterators and must be treated
-// as immutable.
-func (r *Reader) loadBlock(i int) ([]skv.Entry, error) {
+// readBufs recycles block read buffers: a parsed block copies what it
+// keeps, so the buffer is free again once ParseBlock returns.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// loadBlock returns data block i, from the shared cache when resident,
+// else by reading, CRC-verifying, and parsing exactly the index's entry
+// count from disk (and feeding the cache). A Block is shared across
+// iterators and immutable.
+func (r *Reader) loadBlock(i int) (*skv.Block, error) {
 	if cached, ok := r.cache.Get(r.path, i); ok {
 		return cached, nil
 	}
 	b := r.blocks[i]
-	raw := make([]byte, b.len)
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	if uint64(cap(*buf)) < b.len {
+		*buf = make([]byte, b.len)
+	}
+	raw := (*buf)[:b.len]
 	if _, err := r.f.ReadAt(raw, int64(b.off)); err != nil {
 		return nil, fmt.Errorf("rfile: %s: block %d read: %w", r.path, i, err)
 	}
 	if crc32.Checksum(raw, castagnoli) != b.crc {
 		return nil, fmt.Errorf("rfile: %s: block %d checksum mismatch", r.path, i)
 	}
-	entries, err := skv.DecodeBlock(raw, b.count)
+	blk, err := skv.ParseBlock(raw, b.count)
 	if err != nil {
 		return nil, fmt.Errorf("rfile: %s: block %d decode: %w", r.path, i, err)
 	}
 	if !r.dead.Load() {
-		r.cache.Put(r.path, i, entries)
+		r.cache.Put(r.path, i, blk)
 	}
-	return entries, nil
+	return blk, nil
 }
 
 // Iter returns a fresh, unseeked iterator over the whole file; it
@@ -636,16 +648,19 @@ func (r *Reader) iterRuns(runs []famRun) iterator.SKVI {
 
 // Iter is a seekable sorted iterator over one contiguous block run of
 // an rfile: one locality group, or the whole file when it holds a
-// single family.
+// single family. It walks the block it holds by position, cutting each
+// entry from the block's bytes as it becomes the top.
 type Iter struct {
-	r       *Reader
-	lo, hi  int  // block subrange [lo, hi) this iterator serves
-	probe   bool // consult the file's bloom filters on Seek
-	rng     skv.Range
-	blk     int // current block index; -1 before Seek / hi at EOF
-	entries []skv.Entry
-	pos     int
-	err     error
+	r      *Reader
+	lo, hi int  // block subrange [lo, hi) this iterator serves
+	probe  bool // consult the file's bloom filters on Seek
+	rng    skv.Range
+	blk    int        // index of block while it is non-nil; -1 before Seek
+	block  *skv.Block // the held block
+	next   skv.BlockPos
+	top    skv.Entry // the entry just before next, when has
+	has    bool
+	err    error
 }
 
 var _ iterator.SKVI = (*Iter)(nil)
@@ -716,7 +731,7 @@ func (it *Iter) Seek(rng skv.Range) error {
 	it.rng = rng
 	it.err = nil
 	if it.lo >= it.hi || (it.probe && it.r.bloomRejects(rng)) {
-		it.blk, it.entries, it.pos = it.hi, nil, 0
+		it.blk, it.block, it.has = it.hi, nil, false
 		return nil
 	}
 	blk := it.lo
@@ -729,67 +744,56 @@ func (it *Iter) Seek(rng skv.Range) error {
 			blk = n - 1
 		}
 	}
-	if blk != it.blk || it.entries == nil {
+	if blk != it.blk || it.block == nil {
 		if err := it.loadBlock(blk); err != nil {
 			return err
 		}
 	}
+	it.next = skv.BlockPos{}
 	if rng.HasStart {
-		it.pos = sort.Search(len(it.entries), func(i int) bool {
-			return skv.Compare(it.entries[i].K, rng.Start) >= 0
-		})
-	} else {
-		it.pos = 0
+		it.next = it.block.Seek(rng.Start)
 	}
-	return it.settle()
+	return it.advance()
 }
 
 func (it *Iter) loadBlock(i int) error {
-	it.blk = i
-	it.pos = 0
-	if i >= it.hi {
-		it.entries = nil
-		return nil
-	}
-	entries, err := it.r.loadBlock(i)
-	if err != nil {
-		it.err = err
-		it.entries = nil
-		return err
-	}
-	it.entries = entries
-	return nil
+	it.blk, it.next, it.has = i, skv.BlockPos{}, false
+	blk, err := it.r.loadBlock(i)
+	it.block, it.err = blk, err
+	return err
 }
 
-// settle advances across block boundaries until a current entry exists
-// or the run ends. It stops short of a block whose first key is already
-// past the range end: that block cannot hold an entry of the range.
-func (it *Iter) settle() error {
-	for it.pos >= len(it.entries) && it.blk < it.hi {
+// advance makes the entry at it.next the top, crossing into the run's
+// following blocks while the held one is exhausted. It stops short of a
+// block whose first key is already past the range end: that block
+// cannot hold an entry of the range. At the run's end it keeps the last
+// block held, so a later seek into it needs no lookup.
+func (it *Iter) advance() error {
+	if it.block == nil {
+		return nil
+	}
+	for {
+		it.next, it.has = it.block.Read(it.next, &it.top)
 		next := it.blk + 1
-		if next < it.hi && it.rng.AfterEnd(it.r.blocks[next].firstKey) {
+		if it.has || next >= it.hi || it.rng.AfterEnd(it.r.blocks[next].firstKey) {
 			return nil
 		}
 		if err := it.loadBlock(next); err != nil {
 			return err
 		}
 	}
-	return nil
 }
 
 // HasTop implements SKVI.
 func (it *Iter) HasTop() bool {
-	return it.err == nil && it.pos < len(it.entries) && !it.rng.AfterEnd(it.entries[it.pos].K)
+	return it.err == nil && it.has && !it.rng.AfterEnd(it.top.K)
 }
 
 // Top implements SKVI.
-func (it *Iter) Top() skv.Entry { return it.entries[it.pos] }
+func (it *Iter) Top() skv.Entry { return it.top }
 
 // Next implements SKVI.
-func (it *Iter) Next() error {
-	it.pos++
-	return it.settle()
-}
+func (it *Iter) Next() error { return it.advance() }
 
 // familyIter merges several locality-group runs into one sorted stream,
 // hoisting the file-level bloom probes above the merge so each probe is

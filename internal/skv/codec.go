@@ -2,11 +2,9 @@ package skv
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"math"
 	"math/bits"
-	"strings"
 )
 
 // The wire codec serialises entry batches the way a thin client's RPC
@@ -205,74 +203,6 @@ func DecodeEntry(src []byte) (Entry, []byte, error) {
 	}
 	k := Key{Row: string(p.row), ColF: string(p.colF), ColQ: string(p.colQ), Ts: p.ts}
 	return Entry{K: k, V: append(Value(nil), p.val...)}, rest, nil
-}
-
-// ErrEntryCount is wrapped by DecodeBlock's error when the bytes hold
-// fewer or more entries than the caller's count.
-var ErrEntryCount = errors.New("skv: entry count mismatch")
-
-// DecodeBlock parses exactly n entries written back to back by
-// EncodeEntry — an rfile data block — and rejects leftover bytes. It
-// allocates at most three objects however large n is: the entry slice,
-// one string holding every key field, and one slice holding every
-// value. Keys are substrings of that string and values capped
-// subslices of that slice, so appending to one value never overwrites
-// the next, and nothing aliases src. The arenas live as long as any
-// entry does: one retained key keeps its whole block's key string
-// alive.
-func DecodeBlock(src []byte, n int) ([]Entry, error) {
-	if n < 0 {
-		return nil, fmt.Errorf("%w: negative count %d", ErrEntryCount, n)
-	}
-	// Validate and size: nothing is allocated until every entry parses,
-	// so a hostile count cannot size more than src could encode.
-	var p entryParts
-	var keyBytes, valBytes int
-	rest := src
-	for i := 0; i < n; i++ {
-		if len(rest) == 0 {
-			return nil, fmt.Errorf("%w: block ends after %d of %d entries", ErrEntryCount, i, n)
-		}
-		before := len(rest)
-		var err error
-		if rest, err = p.cut(rest); err != nil {
-			return nil, fmt.Errorf("skv: block entry %d: %w", i, err)
-		}
-		if before-len(rest) != p.size() {
-			// EncodeEntry writes minimal varints, so a longer one is
-			// corruption, and rejecting it gives every entry one encoding.
-			return nil, fmt.Errorf("skv: block entry %d: non-minimal varint", i)
-		}
-		keyBytes += len(p.row) + len(p.colF) + len(p.colQ)
-		valBytes += len(p.val)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d bytes left after %d entries", ErrEntryCount, len(rest), n)
-	}
-	// Fill. Both arenas are sized exactly, so neither regrows and every
-	// entry points into the same two objects. An empty value stays nil,
-	// as DecodeEntry leaves it.
-	out := make([]Entry, n)
-	var keys strings.Builder
-	keys.Grow(keyBytes)
-	vals := make([]byte, 0, valBytes)
-	rest = src
-	for i := range out {
-		rest, _ = p.cut(rest) // validated above
-		a := keys.Len()
-		keys.Write(p.row)
-		keys.Write(p.colF)
-		keys.Write(p.colQ)
-		s := keys.String()
-		b, c := a+len(p.row), a+len(p.row)+len(p.colF)
-		out[i].K = Key{Row: s[a:b], ColF: s[b:c], ColQ: s[c:], Ts: p.ts}
-		if len(p.val) > 0 {
-			v := len(vals)
-			vals = append(vals, p.val...)
-			out[i].V = vals[v:len(vals):len(vals)]
-		}
-	}
-	return out, nil
 }
 
 // entryParts is one wire entry cut into its fields; the byte fields
