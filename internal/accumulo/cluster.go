@@ -693,8 +693,13 @@ func (mc *MiniCluster) compactionStack(meta *tableMeta, scope Scope) func(iterat
 	if len(settings) == 0 {
 		return nil
 	}
+	// Take the router now, before the caller holds any tablet's
+	// compaction lock: a rebuild reads every table's metadata, and
+	// AddSplits holds a table's metadata lock while it waits for the
+	// compaction lock of the tablet it splits.
+	r := mc.router()
 	return func(src iterator.SKVI) (iterator.SKVI, error) {
-		env := &scanEnv{r: mc.router()}
+		env := &scanEnv{r: r}
 		stack, err := iterator.BuildStack(src, settings, env)
 		if err != nil {
 			env.close()

@@ -372,3 +372,48 @@ func manifestRFiles(t *testing.T, dir string) map[string]bool {
 	}
 	return out
 }
+
+// TestRunBoundStackTakesNoTableLock: a compaction stack runs under a
+// tablet's compaction lock, and AddSplits holds the table's metadata
+// lock while it waits for that lock, so running the stack must not
+// wait on table metadata, even when the topology changed after the
+// stack was built. A stack that rebuilt the router when it ran
+// deadlocked a background merge against a split.
+func TestRunBoundStackTakesNoTableLock(t *testing.T) {
+	mc := NewMiniCluster(Config{TabletServers: 1})
+	defer mc.Close()
+	if err := mc.Connector().TableOperations().Create("T"); err != nil {
+		t.Fatal(err)
+	}
+	meta, err := mc.getTable("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stack := mc.compactionStack(meta, MajcScope)
+	if stack == nil {
+		t.Fatal("a new table has no majc stack")
+	}
+	mc.topologyChanged()
+	meta.mu.Lock() // as AddSplits holds it across SplitAt
+	done := make(chan error, 1)
+	go func() {
+		it, err := stack(iterator.NewSliceIter([]skv.Entry{{K: skv.Key{Row: "r", Ts: 1}}}))
+		if err == nil {
+			if err = it.Seek(skv.FullRange()); err == nil {
+				_, err = iterator.Collect(it)
+			}
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		meta.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		meta.mu.Unlock()
+		<-done
+		t.Fatal("the compaction stack waited on the table's metadata lock")
+	}
+}

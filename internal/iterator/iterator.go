@@ -249,112 +249,135 @@ func AppendAll(dst []skv.Entry, it SKVI) ([]skv.Entry, error) {
 }
 
 // MergeIter is a k-way merge over sorted sources — the read path over
-// one memtable plus many immutable runs. In dedup mode, entries whose
-// full key (timestamp included) collides across sources are resolved in
-// favour of the earliest-listed source, so callers list sources from
-// newest (memtable) to oldest (first run), matching LSM semantics.
+// one memtable plus many immutable runs, and the merge under every
+// flush and compaction. It keeps each source's current top entry in
+// tops, filled once at Seek and once after each advance of that
+// source and nowhere else, so a heap compare reads two cached keys in
+// place instead of calling Top through the interface; an entry a
+// source returned must therefore stay unchanged until that source's
+// own Next, as the SKVI contract implies. In dedup mode, entries whose
+// full key (timestamp included) collides across sources are resolved
+// in favour of the earliest-listed source, so callers list sources
+// from newest (memtable) to oldest (first run), matching LSM
+// semantics. Next past the end is a no-op, as on every other SKVI.
 type MergeIter struct {
 	sources []SKVI
-	heap    []int // indices of sources with tops, heap-ordered by top key
+	tops    []skv.Entry // tops[i] is sources[i]'s top while i is in heap
+	heap    []int       // indices of sources with tops, heap-ordered by top key
 
-	dedup    bool
-	lastKey  skv.Key
-	haveLast bool
+	dedup bool
 }
 
 // NewMergeIter merges the given sorted sources, keeping duplicates.
 func NewMergeIter(sources ...SKVI) *MergeIter {
-	return &MergeIter{sources: sources}
+	return &MergeIter{sources: sources, tops: make([]skv.Entry, len(sources))}
 }
 
 // NewDedupMergeIter merges sources, collapsing exact full-key duplicates
 // in favour of the earliest-listed source.
 func NewDedupMergeIter(sources ...SKVI) *MergeIter {
-	return &MergeIter{sources: sources, dedup: true}
+	m := NewMergeIter(sources...)
+	m.dedup = true
+	return m
 }
 
 // Seek implements SKVI.
 func (m *MergeIter) Seek(rng skv.Range) error {
 	m.heap = m.heap[:0]
-	m.haveLast = false
 	for i, s := range m.sources {
 		if err := s.Seek(rng); err != nil {
 			return err
 		}
 		if s.HasTop() {
+			m.tops[i] = s.Top()
 			m.heap = append(m.heap, i)
 		}
 	}
-	m.buildHeap()
-	return nil
-}
-
-func (m *MergeIter) less(a, b int) bool {
-	c := skv.Compare(m.sources[m.heap[a]].Top().K, m.sources[m.heap[b]].Top().K)
-	if c != 0 {
-		return c < 0
-	}
-	// Equal keys: prefer the earlier-listed (newer) source.
-	return m.heap[a] < m.heap[b]
-}
-
-func (m *MergeIter) buildHeap() {
 	for i := len(m.heap)/2 - 1; i >= 0; i-- {
 		m.siftDown(i)
 	}
+	return nil
 }
 
-func (m *MergeIter) siftDown(i int) {
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(m.heap) && m.less(l, smallest) {
-			smallest = l
-		}
-		if r < len(m.heap) && m.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			return
-		}
-		m.heap[i], m.heap[smallest] = m.heap[smallest], m.heap[i]
-		i = smallest
+// less orders sources a and b by their cached tops (skv.Compare's order,
+// field by field in place); equal keys prefer the earlier-listed
+// (newer) source.
+func (m *MergeIter) less(a, b int) bool {
+	ka, kb := &m.tops[a].K, &m.tops[b].K
+	if ka.Row != kb.Row {
+		return ka.Row < kb.Row
 	}
+	if ka.ColF != kb.ColF {
+		return ka.ColF < kb.ColF
+	}
+	if ka.ColQ != kb.ColQ {
+		return ka.ColQ < kb.ColQ
+	}
+	if ka.Ts != kb.Ts {
+		return ka.Ts > kb.Ts // newer sorts first
+	}
+	return a < b
+}
+
+// siftDown restores the heap below position i, moving the displaced
+// source index down through a hole rather than swapping at each level.
+func (m *MergeIter) siftDown(i int) {
+	h := m.heap
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && m.less(h[r], h[c]) {
+			c = r
+		}
+		if !m.less(h[c], x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }
 
 // HasTop implements SKVI.
 func (m *MergeIter) HasTop() bool { return len(m.heap) > 0 }
 
 // Top implements SKVI.
-func (m *MergeIter) Top() skv.Entry { return m.sources[m.heap[0]].Top() }
+func (m *MergeIter) Top() skv.Entry { return m.tops[m.heap[0]] }
 
 // Next implements SKVI.
 func (m *MergeIter) Next() error {
-	if m.dedup && len(m.heap) > 0 {
-		m.lastKey = m.sources[m.heap[0]].Top().K
-		m.haveLast = true
+	if len(m.heap) == 0 {
+		return nil
 	}
+	if !m.dedup {
+		return m.advance()
+	}
+	last := m.tops[m.heap[0]].K
 	if err := m.advance(); err != nil {
 		return err
 	}
-	if m.dedup {
-		for len(m.heap) > 0 && skv.Compare(m.sources[m.heap[0]].Top().K, m.lastKey) == 0 {
-			if err := m.advance(); err != nil {
-				return err
-			}
+	for len(m.heap) > 0 && m.tops[m.heap[0]].K == last {
+		if err := m.advance(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// advance moves the heap-top source forward one entry and restores the
-// heap.
+// advance moves the heap-top source forward one entry, refills its
+// cached top and restores the heap.
 func (m *MergeIter) advance() error {
-	src := m.sources[m.heap[0]]
+	i := m.heap[0]
+	src := m.sources[i]
 	if err := src.Next(); err != nil {
 		return err
 	}
-	if !src.HasTop() {
+	if src.HasTop() {
+		m.tops[i] = src.Top()
+	} else {
 		last := len(m.heap) - 1
 		m.heap[0] = m.heap[last]
 		m.heap = m.heap[:last]

@@ -158,11 +158,15 @@ func (c *CombinerIter) fill() error {
 		if err := c.src.Next(); err != nil {
 			return err
 		}
-		if !c.src.HasTop() || !skv.SameCell(c.src.Top().K, first.K) {
+		if !c.src.HasTop() {
+			break
+		}
+		next := c.src.Top()
+		if !skv.SameCell(next.K, first.K) {
 			break
 		}
 		single = false
-		if v, ok := skv.DecodeFloat(c.src.Top().V); ok {
+		if v, ok := skv.DecodeFloat(next.V); ok {
 			acc = c.monoid.Op(acc, v)
 		}
 	}
