@@ -397,8 +397,9 @@ func (t *TableOperations) RemoveIterator(name, iterName string, scopes ...Scope)
 	return t.mc.persistIters(name, meta.iters)
 }
 
-// Flush minor-compacts every tablet, applying the minc stack; each
-// tablet then folds runs past Config.MaxRunsPerTablet.
+// Flush minor-compacts every tablet, applying the minc stack a
+// background flush applies too; each tablet then folds runs past
+// Config.MaxRunsPerTablet.
 func (t *TableOperations) Flush(name string) error {
 	if err := t.mc.errExternal("Flush"); err != nil {
 		return err
@@ -407,7 +408,7 @@ func (t *TableOperations) Flush(name string) error {
 	if err != nil {
 		return err
 	}
-	stack := t.mc.compactionStack(meta, MincScope)
+	stack := meta.minc()
 	for _, tr := range meta.tabletsOverlapping(skv.FullRange()) {
 		if err := tr.tab.MinorCompact(stack); err != nil {
 			return err

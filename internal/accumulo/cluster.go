@@ -275,6 +275,9 @@ type tableMeta struct {
 	// (Config.MaxRunsPerTablet > 0; nil otherwise), closed at table
 	// delete and cluster close.
 	bound *tablet.RunBound
+	// minc returns the table's current minc stack; every background
+	// flush of its tablets runs it, as Flush does.
+	minc func() func(iterator.SKVI) (iterator.SKVI, error)
 
 	mu      sync.RWMutex
 	splits  []string // sorted row boundaries
@@ -493,10 +496,13 @@ func (mc *MiniCluster) router() *router {
 	return r
 }
 
-// newTableMeta makes an empty table's metadata, with the run bound
-// Config.MaxRunsPerTablet asks for.
+// newTableMeta makes an empty table's metadata, with its flush stack
+// and the run bound Config.MaxRunsPerTablet asks for.
 func (mc *MiniCluster) newTableMeta(name string) *tableMeta {
 	meta := &tableMeta{name: name, iters: map[Scope][]iterator.Setting{}}
+	meta.minc = func() func(iterator.SKVI) (iterator.SKVI, error) {
+		return mc.compactionStack(meta, MincScope)
+	}
 	if mc.cfg.MaxRunsPerTablet > 0 {
 		meta.bound = tablet.NewRunBound(mc.cfg.MaxRunsPerTablet, func() func(iterator.SKVI) (iterator.SKVI, error) {
 			return mc.compactionStack(meta, MajcScope)
@@ -506,9 +512,10 @@ func (mc *MiniCluster) newTableMeta(name string) *tableMeta {
 }
 
 // initTablet wires a freshly created tablet into the cluster: the
-// process counter block, and the table's run bound.
+// process counter block, the table's flush stack and its run bound.
 func (mc *MiniCluster) initTablet(tab *tablet.Tablet, meta *tableMeta) {
 	tab.SetStats(&mc.tel.Stats)
+	tab.SetFlushStack(meta.minc)
 	tab.SetRunBound(meta.bound)
 }
 

@@ -239,17 +239,53 @@ func EncodeFloat(v float64) Value {
 }
 
 // AppendFloat appends EncodeFloat's text for v to dst, for callers that
-// format many values into one buffer.
+// format many values into one buffer. An integer below 1e6 in magnitude
+// (not -0) is exactly where the shortest 'g' form prints plain digits,
+// so it skips the float formatter; the bytes are the same.
 func AppendFloat(dst []byte, v float64) []byte {
+	if v > -1e6 && v < 1e6 {
+		if i := int64(v); float64(i) == v && (i != 0 || !math.Signbit(v)) {
+			return strconv.AppendInt(dst, i, 10)
+		}
+	}
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
 // DecodeFloat parses a numeric cell value. Invalid or empty payloads
 // decode as 0 with ok=false.
 func DecodeFloat(v Value) (float64, bool) {
+	if f, ok := decodeInt(v); ok {
+		return f, true
+	}
 	f, err := strconv.ParseFloat(string(v), 64)
 	if err != nil {
 		return 0, false
+	}
+	return f, true
+}
+
+// decodeInt parses an optional '-' and 1–15 digits, the text
+// AppendFloat gives integers: below 2^53, so float64 holds it exactly
+// and the value is bitwise ParseFloat's (-0 included). Anything else is
+// ok=false, for ParseFloat to decide.
+func decodeInt(v Value) (float64, bool) {
+	digits := v
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if len(digits) == 0 || len(digits) > 15 {
+		return 0, false
+	}
+	var n int64
+	for _, c := range digits {
+		if c < '0' || c > '9' {
+			return 0, false
+		}
+		n = n*10 + int64(c-'0')
+	}
+	f := float64(n)
+	if len(digits) < len(v) {
+		f = -f
 	}
 	return f, true
 }

@@ -1,8 +1,10 @@
 package skv
 
 import (
+	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -256,4 +258,34 @@ func TestCoalesceRanges(t *testing.T) {
 	if len(open) != 2 || open[1].HasEnd {
 		t.Fatalf("open-ended coalesce = %v", open)
 	}
+}
+
+// FuzzFloatText pins the integer fast paths of the cell value text to
+// strconv: DecodeFloat must agree with strconv.ParseFloat on the ok flag
+// and bitwise on the value, and AppendFloat with
+// strconv.AppendFloat(…, 'g', -1, 64) byte for byte.
+func FuzzFloatText(f *testing.F) {
+	texts := []string{"", "-", "-0", "+5", "007", "123456789012345", "-999999999999999",
+		"1234567890123456", "-9007199254740993", "12345678901234567890", "999999", "-999999", "1e6", "1.5", "0x10", "1_0", "--1"}
+	values := []float64{0, math.Copysign(0, -1), 1, -1, 999999, -999999, 1e6, -1e6, 999999.5,
+		1 << 53, math.NaN(), math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64}
+	for i := range max(len(texts), len(values)) {
+		f.Add(texts[i%len(texts)], values[i%len(values)])
+	}
+	f.Fuzz(func(t *testing.T, text string, v float64) {
+		got, gotOK := DecodeFloat(Value(text))
+		want, err := strconv.ParseFloat(text, 64)
+		if gotOK != (err == nil) {
+			t.Fatalf("DecodeFloat(%q) ok = %v, ParseFloat err = %v", text, gotOK, err)
+		}
+		if gotOK && math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("DecodeFloat(%q) = %v (%#x), ParseFloat = %v (%#x)",
+				text, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+		for _, x := range []float64{v, got} {
+			if b, w := AppendFloat([]byte("x"), x), strconv.AppendFloat([]byte("x"), x, 'g', -1, 64); string(b) != string(w) {
+				t.Fatalf("AppendFloat(%v) = %q, strconv = %q", x, b, w)
+			}
+		}
+	})
 }

@@ -22,12 +22,18 @@
 // # One compaction routine
 //
 // The run list changes in one way: replaceLocked merges the oldest k
-// frozen memtables with the runs at [lo, hi) and swaps the result in
-// at lo through Backing.Replace. A background flush is (1, [n,n), the
-// memtable's rotation mark), MajorCompact is (every frozen memtable,
-// [0,n), the mark of its own rotation), and a size-tiered merge —
-// MergeRuns, or the run bound's post-flush step — is (0, [lo,hi),
-// mark 0: no WAL is touched).
+// frozen memtables with the runs at [lo, hi) through one iterator
+// stack and swaps the result in at lo through Backing.Replace. A flush
+// is (1, [n,n), the memtable's rotation mark) and runs the table's
+// minc stack: a background flush the one SetFlushStack provides,
+// MinorCompact the one its caller passes. MajorCompact is (every
+// frozen memtable, [0,n), the mark of its own rotation) and a
+// size-tiered merge — MergeRuns, or the run bound's post-flush step —
+// is (0, [lo,hi), mark 0: no WAL is touched), both with the table's
+// majc stack. A tablet given no flush stack (a standalone server's)
+// flushes its memtables unchanged. Every stack is built before
+// compactMu is taken: building one reads the table's metadata, which a
+// split holds while it waits for compactMu.
 //
 // # Write-path concurrency
 //
@@ -52,8 +58,9 @@
 //     record covered by a rotation mark is in the frozen memtable, not
 //     the new active one — without a global write lock.
 //   - A full memtable is frozen and queued; a background goroutine
-//     flushes the queue to runs (serialised on compactMu with manual
-//     compactions), so Write never runs a minor compaction inline.
+//     flushes the queue to runs through the table's minc stack
+//     (serialised on compactMu with manual compactions), so Write never
+//     runs a minor compaction inline.
 //     Scans merge active + frozen + runs. When the frozen queue backs
 //     up past DefaultMaxFrozen, writers stall and the stall time is
 //     counted.
@@ -80,6 +87,7 @@ package tablet
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -175,6 +183,9 @@ type Tablet struct {
 	// counts nothing.
 	stats *telemetry.StatSet
 	bound *RunBound // caps the run count after every flush; nil: unbounded
+	// minc returns the table's current minc iterator stack, read per
+	// flush; nil (or a nil stack) flushes the memtable as it is.
+	minc func() func(iterator.SKVI) (iterator.SKVI, error)
 
 	// compactMu serialises frozen-queue flushes, minor/major
 	// compactions, and splits against each other (writes and scans stay
@@ -229,6 +240,15 @@ func (t *Tablet) SetStats(s *telemetry.StatSet) { t.stats = s }
 // the run count unbounded). Call before the tablet takes traffic; split
 // halves inherit it.
 func (t *Tablet) SetRunBound(b *RunBound) { t.bound = b }
+
+// SetFlushStack makes every flush run the stack minc returns — the
+// table's minc scope, read per flush so iterator changes are picked up
+// — as MinorCompact runs the stack it is given. nil flushes memtables
+// unchanged. Call before the tablet takes traffic; split halves inherit
+// it.
+func (t *Tablet) SetFlushStack(minc func() func(iterator.SKVI) (iterator.SKVI, error)) {
+	t.minc = minc
+}
 
 // RunCount returns the number of live immutable runs — the k-way merge
 // width a scan pays on top of the memtables.
@@ -355,25 +375,44 @@ func (t *Tablet) rotateLocked() (mark uint64, err error) {
 }
 
 // flushFrozen is the background flusher a freeze starts: it drains the
-// frozen queue, then runs the post-flush merge step.
+// frozen queue through the table's minc stack, then runs the post-flush
+// merge step.
 func (t *Tablet) flushFrozen() {
 	defer t.boundRuns() // deferred first: runs once compactMu is released
+	// Only what is queued before the stack is read is drained with it:
+	// a memtable frozen later has its own flusher, which reads the
+	// stack after that freeze, so a write that follows an iterator
+	// change is never folded by the stack the change replaced.
+	t.mu.Lock()
+	var last *frozenMem
+	if n := len(t.frozen); n > 0 {
+		last = t.frozen[n-1]
+	}
+	t.mu.Unlock()
+	if last == nil {
+		return
+	}
+	var stack func(iterator.SKVI) (iterator.SKVI, error)
+	if t.minc != nil {
+		// Built outside compactMu, as boundRuns builds its stack.
+		stack = t.minc()
+	}
 	t.compactMu.Lock()
 	defer t.compactMu.Unlock()
-	_ = t.drainFrozenLocked(nil) // a failure is kept in flushErr for writers
+	_ = t.drainFrozenLocked(last, stack) // a failure is kept in flushErr for writers
 }
 
 // drainFrozenLocked flushes the frozen queue to runs, oldest first,
-// until it is empty or a flush fails. A failed memtable stays queued
-// and scannable, its WAL segments intact, so nothing is lost: the error
-// is parked in flushErr for stalled writers and retried by the next
-// freeze or MinorCompact. A retired tablet's queue is never drained
-// (the split carried its entries to the halves). Caller holds
-// compactMu.
-func (t *Tablet) drainFrozenLocked(stack func(iterator.SKVI) (iterator.SKVI, error)) error {
+// through last (nil: until it is empty), stopping at a failed flush. A
+// failed memtable stays queued and scannable, its WAL segments intact,
+// so nothing is lost: the error is parked in flushErr for stalled
+// writers and retried by the next freeze or MinorCompact. A retired
+// tablet's queue is never drained (the split carried its entries to
+// the halves). Caller holds compactMu.
+func (t *Tablet) drainFrozenLocked(last *frozenMem, stack func(iterator.SKVI) (iterator.SKVI, error)) error {
 	for {
 		t.mu.Lock()
-		if t.retired || len(t.frozen) == 0 {
+		if t.retired || len(t.frozen) == 0 || (last != nil && !slices.Contains(t.frozen, last)) {
 			t.mu.Unlock()
 			return nil
 		}
@@ -423,7 +462,7 @@ func (t *Tablet) MinorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	if err != nil {
 		return err
 	}
-	if err := t.drainFrozenLocked(stack); err != nil {
+	if err := t.drainFrozenLocked(nil, stack); err != nil {
 		return err
 	}
 	// Every record under mark is in a run now. Reclaim the WAL segments
@@ -728,7 +767,7 @@ func (t *Tablet) SplitAt(row string) (*Tablet, *Tablet, error) {
 	}
 	half := func(start, end string, b Backing, r Run) *Tablet {
 		h := NewDurable(start, end, t.memLimit, b, nil, nil)
-		h.flushBytes, h.stats, h.bound = t.flushBytes, t.stats, t.bound
+		h.flushBytes, h.stats, h.bound, h.minc = t.flushBytes, t.stats, t.bound, t.minc
 		if r != nil {
 			h.runs = []Run{r}
 		}

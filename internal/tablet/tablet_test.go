@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -175,6 +176,109 @@ func TestTabletMajorCompactionWithSummingStack(t *testing.T) {
 	tab.mu.Unlock()
 	if nRuns != 1 {
 		t.Fatalf("majc should leave one run, got %d", nRuns)
+	}
+}
+
+// sumStack is a flush-stack provider for a sum-combined table.
+func sumStack() func(iterator.SKVI) (iterator.SKVI, error) {
+	return func(src iterator.SKVI) (iterator.SKVI, error) {
+		return iterator.NewCombinerIter(src, semiring.PlusMonoid), nil
+	}
+}
+
+// TestTabletFlushRunsFlushStack pins that a background flush folds
+// through the flush stack: every run it makes holds one entry per cell,
+// in the tablet and in both halves of a split, and the sums are intact.
+// A half's first run is the split's merged view, not a flush.
+func TestTabletFlushRunsFlushStack(t *testing.T) {
+	tab := New("", "", 8, 1) // every 8 entries freeze
+	tab.SetFlushStack(sumStack)
+	ts := int64(0)
+	write := func(tab *Tablet, rows ...string) {
+		for i := 0; i < 40; i++ {
+			ts++
+			if err := tab.Write([]skv.Entry{ent(rows[i%len(rows)], "q", ts, 1)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.WaitFlush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(tab *Tablet, split bool, cells int, want float64) {
+		t.Helper()
+		sizes := tab.RunSizes()
+		if len(sizes) < 3 {
+			t.Fatalf("runs %v: want background flushes", sizes)
+		}
+		if split {
+			sizes = sizes[1:]
+		}
+		for _, n := range sizes {
+			if n > cells {
+				t.Fatalf("runs %v: a run holds more than %d cells' entries", sizes, cells)
+			}
+		}
+		got := map[string]float64{}
+		for _, e := range scanAll(t, tab) {
+			v, _ := skv.DecodeFloat(e.V)
+			got[e.K.Row] += v
+		}
+		if len(got) != cells {
+			t.Fatalf("scan %v: want %d cells", got, cells)
+		}
+		for row, v := range got {
+			if v != want {
+				t.Fatalf("scan %v: %s = %v, want %v", got, row, v, want)
+			}
+		}
+	}
+	write(tab, "a", "b", "c", "d")
+	check(tab, false, 4, 10)
+	left, right, err := tab.SplitAt("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	write(left, "a", "b")
+	check(left, true, 2, 30)
+	write(right, "c", "d")
+	check(right, true, 2, 30)
+}
+
+// TestFlushStackReadAfterItsMemtables pins which stack a background
+// flush folds with: only the memtables queued before it read the flush
+// stack. A memtable frozen after an iterator change is left to its own
+// flusher, so the stack the change replaced never folds writes made
+// after it.
+func TestFlushStackReadAfterItsMemtables(t *testing.T) {
+	dropAll := func(src iterator.SKVI) (iterator.SKVI, error) {
+		return iterator.NewColumnFilterIter(src, "no-such-family"), nil
+	}
+	var changed atomic.Bool
+	read := make(chan struct{}, 4)
+	tab := New("", "", 4, 1)
+	tab.SetFlushStack(func() func(iterator.SKVI) (iterator.SKVI, error) {
+		defer func() { read <- struct{}{} }()
+		if changed.Load() {
+			return nil // the table now keeps every entry
+		}
+		return dropAll
+	})
+	// Hold the compaction lock, so both flushers read their stacks
+	// before either drains.
+	tab.compactMu.Lock()
+	writeSeq(t, tab, 0, 4) // freezes; its flusher reads dropAll
+	<-read
+	changed.Store(true)
+	writeSeq(t, tab, 4, 8) // freezes after the change
+	<-read
+	tab.compactMu.Unlock()
+	if err := tab.WaitFlush(); err != nil {
+		t.Fatal(err)
+	}
+	got := scanAll(t, tab)
+	if len(got) != 4 || got[0].K.Row != seqEntry(4).K.Row {
+		t.Fatalf("scan = %v, want the 4 entries written after the change", got)
 	}
 }
 
