@@ -371,7 +371,7 @@ func TestMetricsFamilies(t *testing.T) {
 		"major_compactions_total": "counter", "major_compaction_errors_total": "counter",
 		"scans_in_flight": "gauge", "max_scans_in_flight": "gauge",
 		"entries_buffered": "gauge", "max_entries_buffered": "gauge",
-		"memtable_freezes_total": "counter", "memtable_installs_total": "counter", "write_stall_nanos_total": "counter",
+		"memtable_freezes_total": "counter", "memtable_merges_total": "counter", "write_stall_nanos_total": "counter",
 		"queries_total":     "counter",
 		"scan_pass_seconds": "histogram", "write_batch_seconds": "histogram",
 		"wal_sync_seconds": "histogram", "kernel_seconds": "histogram",

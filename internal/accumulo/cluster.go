@@ -183,8 +183,10 @@ type Config struct {
 	// runs (size-tiered picking, with the table's majc iterator stack)
 	// until the tablet is back under, one merge at a time per table.
 	// That bounds k-way merge width under sustained ingest without
-	// rewriting the largest runs on every merge. 0 or negative keeps
-	// major compaction manual-only.
+	// rewriting the largest runs on every merge. Flushes do not wait
+	// for these merges, so while merging lags behind ingest a tablet
+	// holds more runs than the bound until the merges catch up. 0 or
+	// negative keeps major compaction manual-only.
 	MaxRunsPerTablet int
 }
 

@@ -1134,12 +1134,12 @@ func TestCollectMonitorRejectsBadValue(t *testing.T) {
 	}
 }
 
-// TestTableMultCountsMemtableInstalls: the kernel's fold generations
-// reach a fresh result table sorted, so its memtable installs them
-// whole and memtable_installs moves; a shuffled client ingest of as
-// many cells into a fresh table is linked into the skip list and
-// installs nothing.
-func TestTableMultCountsMemtableInstalls(t *testing.T) {
+// TestTableMultCountsMemtableMerges: the kernel's fold generations
+// into a fresh result table, and a shuffled client ingest of as many
+// cells into another, each install as a few sorted segments per
+// tablet, far below the memtable's segment cap, so memtable_merges
+// stays 0 while both tables read back whole.
+func TestTableMultCountsMemtableMerges(t *testing.T) {
 	conn := testConn(t)
 	stats := &conn.Cluster().Telemetry().Stats
 	const n = 30 // one inner key: an n×n outer product, 900 result cells
@@ -1149,12 +1149,12 @@ func TestTableMultCountsMemtableInstalls(t *testing.T) {
 	}
 	loadMatrix(t, conn, "ATi", []string{"i0"}, as, [][]float64{ones})
 	loadMatrix(t, conn, "Bi", []string{"i0"}, bs, [][]float64{ones})
-	before := stats.Get(telemetry.MemtableInstalls)
+	before := stats.Get(telemetry.MemtableMerges)
 	if _, err := TableMult(conn, "ATi", "Bi", "Ci", MultOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Get(telemetry.MemtableInstalls) == before {
-		t.Fatal("server-side TableMult into a fresh table installed no batch")
+	if got := stats.Get(telemetry.MemtableMerges); got != before {
+		t.Fatalf("server-side TableMult merged %d memtable segments, want 0", got-before)
 	}
 	got := readMatrix(t, conn, "Ci")
 	for _, a := range as {
@@ -1177,11 +1177,13 @@ func TestTableMultCountsMemtableInstalls(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after := stats.Get(telemetry.MemtableInstalls)
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.Get(telemetry.MemtableInstalls); got != after {
-		t.Fatalf("shuffled ingest installed %d batches, want 0", got-after)
+	if got := stats.Get(telemetry.MemtableMerges); got != before {
+		t.Fatalf("shuffled ingest merged %d memtable segments, want 0", got-before)
+	}
+	if got := readMatrix(t, conn, "Si"); len(got) != n*n {
+		t.Fatalf("shuffled ingest reads back %d rows, want %d", len(got), n*n)
 	}
 }

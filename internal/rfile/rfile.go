@@ -528,6 +528,9 @@ func (r *Reader) MayContainCell(row, colQ string) bool {
 // Count returns the number of entries in the file.
 func (r *Reader) Count() int { return r.count }
 
+// Path returns the path the Reader was opened on.
+func (r *Reader) Path() string { return r.path }
+
 // Families returns the family directory's family names, in stored
 // (ascending) order.
 func (r *Reader) Families() []string {

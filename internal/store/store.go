@@ -447,6 +447,26 @@ func (d *Dir) DropTable(name string) error {
 	return nil
 }
 
+// Abandon releases the directory's descriptors as a process exit
+// would: every open WAL is closed unsynced, dropping what it still
+// buffers, every live rfile's Reader is closed, and no manifest is
+// written. Crash tests use it in place of Close; the Dir must not be
+// used afterwards.
+func (d *Dir) Abandon() {
+	d.mu.Lock()
+	for id, ts := range d.stores {
+		ts.log.Abandon()
+		delete(d.stores, id)
+	}
+	d.mu.Unlock()
+	d.readersMu.Lock()
+	for name, rd := range d.readers {
+		rd.Close()
+		delete(d.readers, name)
+	}
+	d.readersMu.Unlock()
+}
+
 // Close persists a final manifest (capturing the logical clock) and
 // closes every open WAL.
 func (d *Dir) Close() error {
@@ -479,22 +499,43 @@ func (d *Dir) newRFileLocked(entries []skv.Entry) (string, *rfile.Reader, error)
 	}
 	name := rfileName(d.man.NextID)
 	d.man.NextID++
+	rd, err := d.writeRFile(name, entries)
+	return name, rd, err
+}
+
+// newRFile is newRFileLocked holding d.mu only to reserve the name, so
+// the rfiles of different tablets are written in parallel. No manifest
+// references the file until a Replace commits it; a crash before that
+// leaves it to gc.
+func (d *Dir) newRFile(entries []skv.Entry) (*rfile.Reader, error) {
+	if len(entries) == 0 {
+		return nil, nil
+	}
+	d.mu.Lock()
+	name := rfileName(d.man.NextID)
+	d.man.NextID++
+	d.mu.Unlock()
+	return d.writeRFile(name, entries)
+}
+
+// writeRFile writes entries to the rfile name and opens a reader on it.
+func (d *Dir) writeRFile(name string, entries []skv.Entry) (*rfile.Reader, error) {
 	path := d.rfPath(name)
 	if err := rfile.WriteAll(path, entries, rfile.WriterOptions{}); err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	// Sync the rf/ directory entry before the manifest can reference
 	// the file, so a crash cannot leave a manifest pointing at a file
 	// whose dirent was lost.
 	if err := syncDir(filepath.Join(d.path, rfDirName)); err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	rd, err := rfile.OpenWithOptions(path, d.readerOptions())
 	if err != nil {
-		return "", nil, err
+		return nil, err
 	}
 	d.trackReader(name, rd)
-	return name, rd, nil
+	return rd, nil
 }
 
 // --- TabletStore ---
@@ -521,38 +562,63 @@ func (ts *TabletStore) WaitDurable(seq uint64) error { return ts.log.WaitDurable
 // Rotate implements tablet.Backing.
 func (ts *TabletStore) Rotate() (uint64, error) { return ts.log.Rotate() }
 
-// Replace implements tablet.Backing: write the rfile, commit the new
-// file list in the manifest, delete the replaced files, then drop the
-// WAL segments through mark. A crash before the manifest commit leaves
-// the old files and the WAL intact (the new rfile is GC'd); a crash
-// after it merely replays entries the rfile already holds, which the
-// memtable-first merge order dedupes.
-func (ts *TabletStore) Replace(entries []skv.Entry, lo, hi int, mark uint64) (tablet.Run, error) {
-	rd, err := ts.replace(entries, lo, hi, mark)
+// WriteRun implements tablet.Backing: the rfile is written outside the
+// directory lock and is referenced by no manifest until Replace commits
+// it.
+func (ts *TabletStore) WriteRun(entries []skv.Entry) (tablet.Run, error) {
+	rd, err := ts.dir.newRFile(entries)
 	return asRun(rd), err
+}
+
+// Replace implements tablet.Backing: commit the new file list in the
+// manifest, delete the replaced files, then drop the WAL segments
+// through mark. A crash before the manifest commit leaves the old files
+// and the WAL intact (the new rfile is GC'd); a crash after it merely
+// replays entries the rfile already holds, which the memtable-first
+// merge order dedupes.
+func (ts *TabletStore) Replace(run tablet.Run, lo, hi int, mark uint64) error {
+	return ts.replace(runName(run), lo, hi, mark)
+}
+
+// DropRun implements tablet.Backing: it deletes an uncommitted rfile.
+func (ts *TabletStore) DropRun(run tablet.Run) {
+	if name := runName(run); name != "" {
+		ts.dir.removeRFile(name)
+	}
+}
+
+// runName is the rfile name of a run WriteRun returned ("" for nil).
+func runName(run tablet.Run) string {
+	if run == nil {
+		return ""
+	}
+	return filepath.Base(run.(*rfile.Reader).Path())
 }
 
 // Flush is Replace's append case, returning the new rfile's reader
 // (nil with no entries).
 func (ts *TabletStore) Flush(entries []skv.Entry, mark uint64) (*rfile.Reader, error) {
+	rd, err := ts.dir.newRFile(entries)
+	if err != nil {
+		return nil, err
+	}
 	ts.dir.mu.Lock()
 	n := len(ts.rec.RFiles)
 	ts.dir.mu.Unlock()
-	return ts.replace(entries, n, n, mark)
+	if err := ts.replace(runName(asRun(rd)), n, n, mark); err != nil {
+		ts.DropRun(asRun(rd))
+		return nil, err
+	}
+	return rd, nil
 }
 
-func (ts *TabletStore) replace(entries []skv.Entry, lo, hi int, mark uint64) (*rfile.Reader, error) {
+func (ts *TabletStore) replace(name string, lo, hi int, mark uint64) error {
 	d := ts.dir
 	d.mu.Lock()
 	old := ts.rec.RFiles
 	if lo < 0 || hi > len(old) || lo > hi {
 		d.mu.Unlock()
-		return nil, fmt.Errorf("store: replace group [%d,%d) out of range (%d rfiles)", lo, hi, len(old))
-	}
-	name, rd, err := d.newRFileLocked(entries)
-	if err != nil {
-		d.mu.Unlock()
-		return nil, err
+		return fmt.Errorf("store: replace group [%d,%d) out of range (%d rfiles)", lo, hi, len(old))
 	}
 	if name != "" || hi > lo {
 		files := make([]string, 0, len(old)-(hi-lo)+1)
@@ -564,7 +630,7 @@ func (ts *TabletStore) replace(entries []skv.Entry, lo, hi int, mark uint64) (*r
 		if err := d.writeManifestLocked(); err != nil {
 			ts.rec.RFiles = old
 			d.mu.Unlock()
-			return nil, err
+			return err
 		}
 		// Past the commit point: reclaim the replaced files.
 		for _, f := range old[lo:hi] {
@@ -579,7 +645,7 @@ func (ts *TabletStore) replace(entries []skv.Entry, lo, hi int, mark uint64) (*r
 	if mark > 0 {
 		ts.log.DropThrough(mark)
 	}
-	return rd, nil
+	return nil
 }
 
 // asRun returns rd as a tablet.Run, and a nil reader as a nil Run: a

@@ -89,7 +89,7 @@ func TestTabletEmptyResultLeavesNoRun(t *testing.T) {
 			})
 		}
 	}
-	// A store-level Replace with no entries answers a nil Run, not a
+	// A store-level WriteRun with no entries answers a nil Run, not a
 	// Run interface holding a nil *rfile.Reader.
 	d, err := store.Open(t.TempDir(), store.Options{NoSync: true})
 	if err != nil {
@@ -100,8 +100,8 @@ func TestTabletEmptyResultLeavesNoRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run, err := backings[0].Replace(nil, 0, 0, 0); err != nil || run != nil {
-		t.Fatalf("Replace(nil) = %v, %v; want a nil Run", run, err)
+	if run, err := backings[0].WriteRun(nil); err != nil || run != nil {
+		t.Fatalf("WriteRun(nil) = %v, %v; want a nil Run", run, err)
 	}
 }
 

@@ -22,11 +22,9 @@ func benchEntries(n int) []skv.Entry {
 
 // BenchmarkMemtableInsert inserts 1<<14 entries as 32 batches of 512
 // whose keys spread over the whole key space, as RemoteWrite's fold
-// generations do. "install": sorted batches into a fresh memtable,
-// each installed whole as a segment. "finger": the same sorted batches
-// after one skip-list entry, so the skip list takes them, each search
-// resuming from the previous key. "shuffled": unsorted batches, linked
-// with a search from the head.
+// generations do, each batch sorted and installed as Tablet.Write does.
+// "sorted": batches that already ascend, installed without a sort.
+// "shuffled": unsorted batches, each sorted into a copy first.
 func BenchmarkMemtableInsert(b *testing.B) {
 	const batch = 512
 	sorted := benchEntries(1 << 14)
@@ -34,25 +32,17 @@ func BenchmarkMemtableInsert(b *testing.B) {
 		p := sorted[lo : lo+batch]
 		sort.Slice(p, func(i, j int) bool { return skv.Compare(p[i].K, p[j].K) < 0 })
 	}
-	first := skv.Entry{K: skv.Key{Row: "first"}}
+	shuffled := benchEntries(1 << 14)
 	for _, c := range []struct {
 		name    string
 		entries []skv.Entry
-		lead    bool // one skip-list entry before the batches
-	}{
-		{"install", sorted, false},
-		{"finger", sorted, true},
-		{"shuffled", benchEntries(1 << 14), false},
-	} {
+	}{{"sorted", sorted}, {"shuffled", shuffled}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				m := newMemtable()
-				if c.lead {
-					m.insertBatch([]skv.Entry{first})
-				}
 				for lo := 0; lo < len(c.entries); lo += batch {
-					m.insertBatch(c.entries[lo : lo+batch])
+					insertBatch(m, c.entries[lo:lo+batch])
 				}
 			}
 			b.ReportMetric(float64(len(c.entries)), "entries/op")
@@ -112,32 +102,27 @@ func BenchmarkMajorCompaction(b *testing.B) {
 
 // BenchmarkMemtableDrain drains 1<<14 entries from a memtable through
 // the dedup merge a scan or flush reads it with, and reports ns per
-// entry. "segments": four installed batches of 4 096 whose keys
-// interleave, so the merge switches source on every entry. "skiplist":
-// the same batches after a one-entry batch that sends them to the skip
-// list, one source.
+// entry, for the two segment counts the workloads freeze with: 4 (a
+// kernel's fold generations) and 34 (client ingest batches). The
+// segments' keys interleave, so the merge switches source on every
+// entry.
 func BenchmarkMemtableDrain(b *testing.B) {
-	const segs, per = 4, 4096
-	it := iterator.NewSliceIter(benchEntries(segs * per))
+	const total = 1 << 14
+	it := iterator.NewSliceIter(benchEntries(total))
 	it.Seek(skv.FullRange())
 	sorted, _ := iterator.Collect(it)
-	batches := make([][]skv.Entry, segs)
-	for i, e := range sorted {
-		batches[i%segs] = append(batches[i%segs], e)
-	}
-	for _, c := range []struct {
-		name string
-		lead bool
-	}{{"segments", false}, {"skiplist", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			m := newMemtable()
-			if c.lead {
-				m.insertBatch(sorted[:1])
+	for _, segs := range []int{4, 34} {
+		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
+			batches := make([][]skv.Entry, segs)
+			for i, e := range sorted {
+				batches[i%segs] = append(batches[i%segs], e)
 			}
+			m := newMemtable()
 			for _, batch := range batches {
-				if m.insertBatch(batch) == c.lead {
-					b.Fatalf("batch installed: %v, want %v", !c.lead, !c.lead)
-				}
+				insertBatch(m, batch)
+			}
+			if n := len(segments(m)); n != segs {
+				b.Fatalf("%d segments, want %d", n, segs)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -150,8 +135,8 @@ func BenchmarkMemtableDrain(b *testing.B) {
 					it.Next()
 				}
 			}
-			if n != b.N*segs*per {
-				b.Fatalf("drained %d entries, want %d", n, b.N*segs*per)
+			if n != b.N*total {
+				b.Fatalf("drained %d entries, want %d", n, b.N*total)
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/entry")
 		})

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"graphulo/internal/iterator"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
@@ -13,8 +14,8 @@ import (
 // concurrent writers over a memtable small enough that freezes and
 // background flushes race the writes, then checks nothing was lost:
 // every written cell is present exactly once and the merged scan stays
-// sorted. Run under -race this exercises the lock-free memtable insert
-// path, the freeze-and-swap protocol, and the frozen-queue
+// sorted. Run under -race this exercises the memtable's segment
+// installs and cap merges, the freeze-and-swap protocol, and the frozen-queue
 // backpressure together.
 func TestMultiWriterStressInMemory(t *testing.T) {
 	const writers, perWriter = 8, 400
@@ -98,48 +99,57 @@ func TestMemtableByteTriggerFreezes(t *testing.T) {
 	}
 }
 
-// TestMemtableScanDoesNotCopy pins the point of the lock-free memtable:
-// opening and draining a snapshot iterator walks the live skip list
-// under a sequence watermark instead of copying the table, so its
-// allocation count stays O(1) no matter how many entries are resident.
-// The pre-concurrency memtable copied all n entries under a lock on
-// every snapshot, which this bound would catch immediately.
+// TestMemtableScanDoesNotCopy pins the point of the segment list:
+// opening and draining a merged scan of the memtable reads its
+// segments in place instead of copying the table, so its allocation
+// count does not grow with the entries resident. A memtable that copied
+// its entries under a lock on every snapshot would fail at once.
 func TestMemtableScanDoesNotCopy(t *testing.T) {
-	m := newMemtable()
-	const n = 20000
-	for i := 0; i < n; i++ {
-		insertOne(m, ent(fmt.Sprintf("r%06d", i), "q", 1, float64(i)))
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		it := m.iter()
-		if err := it.Seek(skv.FullRange()); err != nil {
-			t.Fatal(err)
+	var got []float64
+	for _, n := range []int{2000, 20000} {
+		m := newMemtable()
+		batches := make([][]skv.Entry, 4)
+		for i := 0; i < n; i++ {
+			batches[i%4] = append(batches[i%4], ent(fmt.Sprintf("r%06d", i), "q", 1, float64(i)))
 		}
-		count := 0
-		for it.HasTop() {
-			count++
-			if err := it.Next(); err != nil {
+		for _, b := range batches {
+			insertBatch(m, b)
+		}
+		got = append(got, testing.AllocsPerRun(10, func() {
+			it := iterator.NewDedupMergeIter(m.sources(nil)...)
+			if err := it.Seek(skv.FullRange()); err != nil {
 				t.Fatal(err)
 			}
-		}
-		if count != n {
-			t.Fatalf("iterated %d entries, want %d", count, n)
-		}
-	})
-	if allocs > 16 {
-		t.Fatalf("memtable scan allocated %.0f times for %d entries; the iterator must not copy the table", allocs, n)
+			count := 0
+			for it.HasTop() {
+				count++
+				if err := it.Next(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if count != n {
+				t.Fatalf("iterated %d entries, want %d", count, n)
+			}
+		}))
+	}
+	if got[0] != got[1] {
+		t.Fatalf("memtable scans of 2000 and 20000 entries allocated %v times; the scan must not copy the table", got)
 	}
 }
 
-// TestMemtableWatermarkHidesLaterWrites pins the iterator's snapshot
-// contract: entries admitted after the iterator was created carry
-// sequence numbers above its watermark and stay invisible to it.
+// TestMemtableWatermarkHidesLaterWrites pins the snapshot contract:
+// sources taken before a batch is installed never see it, even when
+// the install merges at the cap; fresh sources do.
 func TestMemtableWatermarkHidesLaterWrites(t *testing.T) {
 	m := newMemtable()
 	insertOne(m, ent("a", "q", 1, 1))
 	insertOne(m, ent("c", "q", 1, 3))
-	it := m.iter()
-	insertOne(m, ent("b", "q", 1, 2)) // after the watermark: must not appear
+	early := m.sources(nil)
+	insertOne(m, ent("b", "q", 1, 2)) // after the cut: must not appear
+	for i := 0; i < maxSegments; i++ {
+		insertOne(m, ent(fmt.Sprintf("d%02d", i), "q", 1, 4)) // merges at the cap
+	}
+	it := iterator.NewDedupMergeIter(early...)
 	if err := it.Seek(skv.FullRange()); err != nil {
 		t.Fatal(err)
 	}
@@ -151,10 +161,10 @@ func TestMemtableWatermarkHidesLaterWrites(t *testing.T) {
 		}
 	}
 	if len(rows) != 2 || rows[0] != "a" || rows[1] != "c" {
-		t.Fatalf("watermarked scan = %v, want [a c]", rows)
+		t.Fatalf("early scan = %v, want [a c]", rows)
 	}
-	// A fresh iterator sees the later write.
-	if got := m.snapshot(); len(got) != 3 {
-		t.Fatalf("post-watermark snapshot = %d entries, want 3", len(got))
+	// A fresh snapshot sees the later writes.
+	if got := m.snapshot(); len(got) != 3+maxSegments {
+		t.Fatalf("fresh snapshot = %d entries, want %d", len(got), 3+maxSegments)
 	}
 }

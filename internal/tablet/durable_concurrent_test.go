@@ -31,8 +31,8 @@ func openDurableTablet(t *testing.T, dir string, memLimit int) (*store.Dir, *tab
 }
 
 // TestMultiWriterStressDurable drives 8 concurrent writers through the
-// full durable write path — WAL group commit, lock-free memtable
-// inserts, freeze-and-swap background flushes to rfiles — on one
+// full durable write path — WAL group commit, memtable segment
+// installs, freeze-and-swap background flushes to rfiles — on one
 // tablet, then checks the merged scan holds every acknowledged write
 // exactly once. Run under -race this is the end-to-end pin for the
 // concurrent ingest path.

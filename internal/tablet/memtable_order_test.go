@@ -5,70 +5,91 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"graphulo/internal/skv"
 )
 
-// insertOne inserts a single entry as a one-entry batch.
-func insertOne(m *memtable, e skv.Entry) { m.insertBatch([]skv.Entry{e}) }
+// insertBatch sorts b and installs it, as Tablet.Write does, and
+// returns the number of segments merged at the cap.
+func insertBatch(m *memtable, b []skv.Entry) int { return m.install(sortBatch(b)) }
 
-// checkLevels asserts the skip list's structural invariants on every
-// level, not only the bottom one a flush reads: each level is strictly
-// sorted, and every node linked on level i > 0 is also linked on
-// level 0. A search that splices a node after the wrong predecessor on
-// an express level leaves level 0 intact, so only this walk sees it.
-func checkLevels(t *testing.T, m *memtable) {
-	t.Helper()
-	linked := map[*memNode]bool{}
-	for i := 0; i < maxLevel; i++ {
-		var prev *memNode
-		for x := m.head.next[i].Load(); x != nil; x = x.next[i].Load() {
-			if prev != nil && skv.Compare(prev.k, x.k) >= 0 {
-				t.Fatalf("level %d order violated: %v after %v", i, x.k, prev.k)
-			}
-			if i == 0 {
-				linked[x] = true
-			} else if !linked[x] {
-				t.Fatalf("level %d links %v, which is not on level 0", i, x.k)
-			}
-			prev = x
-		}
-	}
+// insertOne inserts a single entry as a one-entry batch.
+func insertOne(m *memtable, e skv.Entry) { insertBatch(m, []skv.Entry{e}) }
+
+// segments returns the memtable's published segments, oldest first.
+func segments(m *memtable) []*memRun {
+	l := m.segs.Load()
+	return l.runs[:l.n.Load()]
 }
 
-// TestMemtableConcurrentInsertOrder hammers the lock-free skip list
-// with concurrent inserters writing many versions of a small set of
-// cells (distinct timestamps, like parallel RemoteWrite batches into
-// one tablet), then verifies every level is strictly sorted — the
-// bottom one being the order a flush emits.
+// TestMemtableConcurrentInsertOrder: eight writers install shuffled
+// batches into one memtable, enough of them to merge at the segment
+// cap again and again, while a reader keeps taking snapshots. Every
+// snapshot must be strictly sorted and hold each batch whole or not at
+// all, and the last one every entry written.
 func TestMemtableConcurrentInsertOrder(t *testing.T) {
-	const (
-		writers  = 8
-		rows     = 4
-		versions = 200
-	)
-	for round := 0; round < 20; round++ {
+	const writers, batches = 8, 40
+	for round := 0; round < 5; round++ {
 		m := newMemtable()
-		var wg sync.WaitGroup
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				for v := 0; v < versions; v++ {
-					insertOne(m, skv.Entry{K: skv.Key{
-						Row:  fmt.Sprintf("r%02d", (w+v)%rows),
-						ColQ: fmt.Sprintf("c%02d", v%8),
-						Ts:   int64(w*versions + v),
-					}, V: skv.Value("x")})
+		sizes, written := map[string]int{}, 0
+		work := make([][][]skv.Entry, writers)
+		rng := rand.New(rand.NewSource(int64(round)))
+		for w := range work {
+			for bi := 0; bi < batches; bi++ {
+				id := fmt.Sprintf("w%d-b%02d", w, bi)
+				b := make([]skv.Entry, 1+rng.Intn(16))
+				for i := range b {
+					b[i] = skv.Entry{K: skv.Key{Row: fmt.Sprintf("r%03d", rng.Intn(100)), ColQ: id, Ts: int64(i)}}
 				}
-			}(w)
+				sizes[id] = len(b)
+				written += len(b)
+				work[w] = append(work[w], b)
+			}
 		}
-		wg.Wait()
-		checkLevels(t, m)
-		if n, want := len(m.snapshot()), writers*versions; n != want {
-			t.Fatalf("round %d: %d entries linked, want %d", round, n, want)
+		var wg sync.WaitGroup
+		var merged atomic.Int64
+		for w := range work {
+			wg.Add(1)
+			go func(batches [][]skv.Entry) {
+				defer wg.Done()
+				for _, b := range batches {
+					merged.Add(int64(insertBatch(m, b)))
+				}
+			}(work[w])
+		}
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		for finished := false; !finished; {
+			select {
+			case <-done:
+				finished = true
+			default:
+			}
+			snap := m.snapshot()
+			seen := map[string]int{}
+			for i, e := range snap {
+				if i > 0 && skv.Compare(snap[i-1].K, e.K) >= 0 {
+					t.Fatalf("round %d: snapshot unsorted at %d: %v then %v", round, i, snap[i-1].K, e.K)
+				}
+				seen[e.K.ColQ]++
+			}
+			total := 0
+			for id, n := range seen {
+				if n != sizes[id] {
+					t.Fatalf("round %d: snapshot holds %d of batch %s's %d entries", round, n, id, sizes[id])
+				}
+				total += n
+			}
+			if finished && total != written {
+				t.Fatalf("round %d: final snapshot %d entries, want %d", round, total, written)
+			}
+		}
+		if n := len(segments(m)); n > maxSegments || merged.Load() == 0 {
+			t.Fatalf("round %d: %d segments after %d merged at the cap %d", round, n, merged.Load(), maxSegments)
 		}
 	}
 }
@@ -76,15 +97,14 @@ func TestMemtableConcurrentInsertOrder(t *testing.T) {
 // modelBatches draws a writer's batches over its own cells — rows
 // w, w+writers, w+2·writers, … so concurrent writers interleave in key
 // space, and every writer's i-th batch covers the same band of rows so
-// writers that start together insert into one region at once — in
+// writers that start together write into one region at once — in
 // every order a tablet receives: sorted (a fold generation), reversed,
 // shuffled, several sorted runs, and sorted cells stamped in batch
 // order as a tablet server stamps them, which puts a same-cell pair out
 // of key order. Keys come from a small pool, so full keys repeat within
-// and across batches. The first two batches are fold generations above
-// the install floor — distinct keys, strictly ascending — which a fresh
-// memtable installs whole until some writer's later batch takes the
-// skip list.
+// and across batches. The first two batches are fold generations of at
+// least 256 distinct keys in strictly ascending order, which install
+// without a sort; the later batches rewrite their keys.
 func modelBatches(rng *rand.Rand, w, writers int) [][]skv.Entry {
 	const rowsPerWriter, bandRows, batches = 120, 30, 24
 	clock := int64(100)
@@ -144,7 +164,7 @@ func modelBatches(rng *rand.Rand, w, writers int) [][]skv.Entry {
 	gens := make([][]skv.Entry, 2)
 	for gi := range gens {
 		rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
-		b := make([]skv.Entry, installFloor+rng.Intn(len(pool)-installFloor+1))
+		b := make([]skv.Entry, 256+rng.Intn(len(pool)-256+1))
 		for i := range b {
 			seq++
 			b[i] = skv.Entry{K: pool[i], V: skv.Value(fmt.Sprintf("w%d-%d", w, seq))}
@@ -155,31 +175,24 @@ func modelBatches(rng *rand.Rand, w, writers int) [][]skv.Entry {
 	return append(gens, out...)
 }
 
-// stored counts what the memtable holds: skip-list nodes plus installed
-// segment entries, full keys repeated across them included — what count
-// reports.
+// stored counts what the memtable's segments hold, full keys repeated
+// across them included — what count reports.
 func stored(m *memtable) int {
 	n := 0
-	for x := m.head.next[0].Load(); x != nil; x = x.next[0].Load() {
-		n++
-	}
-	for _, r := range m.segs[:m.nsegs.Load()] {
+	for _, r := range segments(m) {
 		n += r.Count()
 	}
 	return n
 }
 
-// TestMemtableBatchMatchesModel pins insertBatch against a map model,
-// with one writer and with eight concurrent writers whose sorted
+// TestMemtableBatchMatchesModel pins sortBatch and install against a
+// map model, with one writer and with eight concurrent writers whose
 // batches interleave in key space: the snapshot must hold exactly the
 // model's keys in key order, each with the value its last write put,
-// every skip-list level must stay sorted, and count must equal what is
-// stored. The finger search is what this guards: reused across a step
-// that does not ascend, or trusting a successor a concurrent insert has
-// since moved, it links nodes out of order. So is the install path:
-// each writer opens with two fold generations, at least one of which
-// the fresh memtable installs, racing the other writers' switch to the
-// skip list, and the later batches rewrite installed keys there.
+// and count must equal what is stored. Eight writers install 208
+// batches, so the cap merges race the installs; a merge that let an
+// older segment's value shadow a newer one, or dropped a batch
+// installed while it ran, fails here.
 func TestMemtableBatchMatchesModel(t *testing.T) {
 	for _, writers := range []int{1, 8} {
 		for round := 0; round < 8; round++ {
@@ -201,13 +214,12 @@ func TestMemtableBatchMatchesModel(t *testing.T) {
 					go func(batches [][]skv.Entry) {
 						defer wg.Done()
 						for _, b := range batches {
-							m.insertBatch(b)
+							insertBatch(m, b)
 						}
 					}(work[w])
 				}
 				wg.Wait()
 
-				checkLevels(t, m)
 				want := make([]skv.Key, 0, len(model))
 				for k := range model {
 					want = append(want, k)
@@ -216,9 +228,6 @@ func TestMemtableBatchMatchesModel(t *testing.T) {
 				got := m.snapshot()
 				if len(got) != len(want) || m.count() != stored(m) {
 					t.Fatalf("snapshot %d entries, count %d, stored %d, model %d", len(got), m.count(), stored(m), len(want))
-				}
-				if m.nsegs.Load() == 0 {
-					t.Fatal("no fold generation was installed")
 				}
 				for i, e := range got {
 					if e.K != want[i] || string(e.V) != model[e.K] {
@@ -230,17 +239,17 @@ func TestMemtableBatchMatchesModel(t *testing.T) {
 	}
 }
 
-// TestMemtableBatchAllocs pins the skip-list path's slab allocation:
-// linking a 1 000-entry batch (unsorted, so never installed) into a
-// fresh memtable costs a handful of heap objects, not three per entry
-// (node, value and tower each on its own).
+// TestMemtableBatchAllocs: sorting an unsorted 1 000-entry batch and
+// installing it costs a handful of heap objects (the sort's positions
+// and copy, the run and its index), not one per entry.
 func TestMemtableBatchAllocs(t *testing.T) {
 	batch := benchEntries(1000)
-	if newMemtable().insertBatch(batch) {
-		t.Fatal("the unsorted batch was installed; this test pins the skip-list path")
-	}
 	allocs := testing.AllocsPerRun(20, func() {
-		newMemtable().insertBatch(batch)
+		sorted := sortBatch(batch)
+		if len(sorted) != len(batch) {
+			t.Fatalf("sorted batch holds %d entries, want %d", len(sorted), len(batch))
+		}
+		newMemtable().install(sorted)
 	})
 	if allocs > 8 {
 		t.Fatalf("1000-entry batch insert made %.0f allocations, want <= 8", allocs)
@@ -257,18 +266,22 @@ func sortedBatch(p string, n int, v float64) []skv.Entry {
 	return b
 }
 
+// value decodes an entry's float value.
+func value(e skv.Entry) float64 { v, _ := skv.DecodeFloat(e.V); return v }
+
 // TestMemtableInstallAllOrNothing: a reader racing installs sees each
 // installed batch whole or not at all, and, since one writer installs
 // them in order, always a prefix of the batches.
 func TestMemtableInstallAllOrNothing(t *testing.T) {
+	const batchLen = 256
 	for round := 0; round < 10; round++ {
 		m := newMemtable()
 		done := make(chan struct{})
 		go func() {
 			defer close(done)
 			for j := 0; j < maxSegments; j++ {
-				if !m.insertBatch(sortedBatch(fmt.Sprintf("b%02d", j), installFloor, float64(j))) {
-					t.Errorf("batch %d was not installed", j)
+				if insertBatch(m, sortedBatch(fmt.Sprintf("b%02d", j), batchLen, float64(j))) != 0 {
+					t.Errorf("batch %d merged segments below the cap", j)
 					return
 				}
 				runtime.Gosched()
@@ -286,8 +299,8 @@ func TestMemtableInstallAllOrNothing(t *testing.T) {
 			}
 			for j := 0; j < maxSegments; j++ {
 				n := seen[fmt.Sprintf("b%02d", j)]
-				if n != 0 && n != installFloor {
-					t.Fatalf("round %d: reader saw %d of batch %d's %d entries", round, n, j, installFloor)
+				if n != 0 && n != batchLen {
+					t.Fatalf("round %d: reader saw %d of batch %d's %d entries", round, n, j, batchLen)
 				}
 				if n > 0 && j > 0 && seen[fmt.Sprintf("b%02d", j-1)] == 0 {
 					t.Fatalf("round %d: reader saw batch %d without batch %d", round, j, j-1)
@@ -297,83 +310,128 @@ func TestMemtableInstallAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestMemtableSkipListShadowsInstall: a write to the skip list after an
-// install — one entry, or a whole sorted batch, which the used skip
-// list now takes — shadows the installed value of an equal full key, as
-// an in-place overwrite would.
-func TestMemtableSkipListShadowsInstall(t *testing.T) {
+// TestMemtableLaterBatchShadows: a later write of an equal full key
+// shadows the earlier one — within one batch, across segments, and
+// across the cap merge that folds both segments into one.
+func TestMemtableLaterBatchShadows(t *testing.T) {
 	m := newMemtable()
-	b := sortedBatch("s", installFloor, 1)
-	if !m.insertBatch(b) {
-		t.Fatal("the sorted batch was not installed")
+	b := sortedBatch("s", 256, 1)
+	keys := make([]skv.Key, len(b))
+	for i, e := range b {
+		keys[i] = e.K
 	}
-	insertOne(m, skv.Entry{K: b[7].K, V: skv.EncodeFloat(99)})
-	value := func(e skv.Entry) float64 { v, _ := skv.DecodeFloat(e.V); return v }
-	snap := m.snapshot()
-	if len(snap) != installFloor {
-		t.Fatalf("snapshot %d entries, want %d", len(snap), installFloor)
-	}
-	for i, e := range snap {
-		if want := map[bool]float64{true: 99, false: 1}[i == 7]; e.K != b[i].K || value(e) != want {
-			t.Fatalf("entry %d = %v=%v, want %v=%v", i, e.K, value(e), b[i].K, want)
+	insertBatch(m, b)
+	// One batch writes key 7 twice, out of order: the second write wins.
+	insertBatch(m, []skv.Entry{
+		{K: keys[7], V: skv.EncodeFloat(98)}, {K: keys[3], V: skv.EncodeFloat(1)}, {K: keys[7], V: skv.EncodeFloat(99)},
+	})
+	check := func(stage string, want func(i int) float64) {
+		t.Helper()
+		var snap []skv.Entry
+		for _, e := range m.snapshot() {
+			if strings.HasPrefix(e.K.Row, "s/") {
+				snap = append(snap, e)
+			}
+		}
+		if len(snap) != len(keys) {
+			t.Fatalf("%s: snapshot %d entries, want %d", stage, len(snap), len(keys))
+		}
+		for i, e := range snap {
+			if e.K != keys[i] || value(e) != want(i) {
+				t.Fatalf("%s: entry %d = %v=%v, want %v=%v", stage, i, e.K, value(e), keys[i], want(i))
+			}
 		}
 	}
-	if m.insertBatch(sortedBatch("s", installFloor, 5)) {
-		t.Fatal("a batch was installed after the skip list was used")
+	check("across segments", func(i int) float64 { return map[bool]float64{true: 99, false: 1}[i == 7] })
+
+	// The original batch, a rewrite of every key, and 62 more segments of
+	// the same size over other rows: one tier, so the 65th install
+	// merges all 64, the rewrite and its original among them.
+	m = newMemtable()
+	insertBatch(m, sortedBatch("s", 256, 1))
+	insertBatch(m, sortedBatch("s", 256, 5))
+	for j := 0; j < maxSegments-2; j++ {
+		insertBatch(m, sortedBatch(fmt.Sprintf("t%02d", j), 256, 7))
 	}
-	for i, e := range m.snapshot() {
-		if value(e) != 5 {
-			t.Fatalf("entry %d = %v after the rewrite, want 5", i, value(e))
-		}
+	if merged := insertBatch(m, sortedBatch("u", 256, 7)); merged != maxSegments {
+		t.Fatalf("the cap merge folded %d segments, want all %d", merged, maxSegments)
+	}
+	check("across a cap merge", func(int) float64 { return 5 })
+	// The merge folded the original away; the "u" batch came after it.
+	if m.count() != stored(m) || m.count() != maxSegments*256 {
+		t.Fatalf("after the cap merge: count %d, stored %d, want %d", m.count(), stored(m), maxSegments*256)
 	}
 }
 
-// TestMemtableInstallsStop: a batch below the floor or not strictly
-// ascending goes to the skip list, after which no batch is installed;
-// so does every batch past maxSegments installs.
-func TestMemtableInstallsStop(t *testing.T) {
-	dup := sortedBatch("d", installFloor, 1)
-	dup[9] = dup[8]
-	desc := sortedBatch("e", installFloor, 1)
-	desc[0], desc[1] = desc[1], desc[0]
-	for name, first := range map[string][]skv.Entry{
-		"below floor":  sortedBatch("a", installFloor-1, 1),
-		"repeated key": dup,
-		"descending":   desc,
-	} {
-		m := newMemtable()
-		if m.insertBatch(first) {
-			t.Fatalf("%s: installed", name)
-		}
-		if m.insertBatch(sortedBatch("z", installFloor, 1)) || m.nsegs.Load() != 0 {
-			t.Fatalf("%s: a batch was installed after the skip list was used", name)
-		}
-	}
-
+// TestMemtableSegmentCap: 64 batches install as 64 segments; the 65th
+// merges a tier first, and the memtable never holds more than 64. Then
+// 16 384 single-entry writes of distinct keys in random order: every
+// install stays under the cap, the contents equal the model, and cap
+// merges copy an entry at most 3 times on average (2.0 measured): the
+// picker folds tiers of similar size, so an entry is copied again only
+// once its segment's neighbours have grown to its size.
+func TestMemtableSegmentCap(t *testing.T) {
 	m := newMemtable()
 	for j := 0; j < maxSegments; j++ {
-		if !m.insertBatch(sortedBatch(fmt.Sprintf("c%02d", j), installFloor, 1)) {
-			t.Fatalf("batch %d was not installed", j)
+		if merged := insertBatch(m, sortedBatch(fmt.Sprintf("c%02d", j), 256, 1)); merged != 0 {
+			t.Fatalf("batch %d merged %d segments below the cap", j, merged)
 		}
 	}
-	if m.insertBatch(sortedBatch("over", installFloor, 1)) {
-		t.Fatal("a batch was installed past the cap")
+	if merged := insertBatch(m, sortedBatch("over", 256, 1)); merged < 2 {
+		t.Fatalf("the 65th batch merged %d segments, want a tier", merged)
 	}
-	if m.insertBatch(sortedBatch("more", installFloor, 1)) {
-		t.Fatal("a batch was installed after the skip list was used")
+	if n := len(segments(m)); n > maxSegments {
+		t.Fatalf("%d segments after the 65th batch, cap %d", n, maxSegments)
 	}
-	want := (maxSegments + 2) * installFloor
-	if got := len(m.snapshot()); got != want || m.count() != want {
+	if got, want := len(m.snapshot()), (maxSegments+1)*256; got != want || m.count() != want {
 		t.Fatalf("snapshot %d entries, count %d, want %d", got, m.count(), want)
+	}
+
+	const writes = 1 << 14
+	m = newMemtable()
+	model := map[skv.Key]float64{}
+	rng := rand.New(rand.NewSource(1))
+	copies := 0
+	for i, row := range rng.Perm(writes) {
+		before := map[*memRun]bool{}
+		for _, r := range segments(m) {
+			before[r] = true
+		}
+		e := ent(fmt.Sprintf("r%05d", row), "q", 1, float64(i))
+		model[e.K] = float64(i)
+		if insertBatch(m, []skv.Entry{e}) > 0 {
+			segs := segments(m)
+			for _, r := range segs[:len(segs)-1] { // the last is the new entry's
+				if !before[r] {
+					copies += r.Count()
+				}
+			}
+		}
+		if n := len(segments(m)); n > maxSegments {
+			t.Fatalf("write %d: %d segments, cap %d", i, n, maxSegments)
+		}
+	}
+	snap := m.snapshot()
+	if len(snap) != len(model) || m.count() != stored(m) {
+		t.Fatalf("snapshot %d entries, count %d, stored %d, model %d", len(snap), m.count(), stored(m), len(model))
+	}
+	for _, e := range snap {
+		if model[e.K] != value(e) {
+			t.Fatalf("%v = %v, model %v", e.K, value(e), model[e.K])
+		}
+	}
+	t.Logf("%d single-entry writes: %d entry copies in cap merges, %.1f per entry", writes, copies, float64(copies)/writes)
+	if copies > 3*writes {
+		t.Fatalf("%d single-entry writes made %d entry copies in cap merges, want at most %d", writes, copies, 3*writes)
 	}
 }
 
-// TestMemtableInstallAllocs: installing a batch costs two allocations
-// (the run and its index) whatever its length — no node, value or tower
-// per entry.
+// TestMemtableInstallAllocs: installing a sorted batch costs two
+// allocations (the run and its index) whatever its length — nothing per
+// entry, and no sort.
 func TestMemtableInstallAllocs(t *testing.T) {
 	var got []float64
-	for _, n := range []int{installFloor, 16 * installFloor} {
+	for _, n := range []int{256, 4096} {
 		batch := sortedBatch("a", n, 1)
 		const runs = 20
 		ms := make([]*memtable, runs+1) // AllocsPerRun warms up with one extra call
@@ -382,14 +440,12 @@ func TestMemtableInstallAllocs(t *testing.T) {
 		}
 		i := 0
 		allocs := testing.AllocsPerRun(runs, func() {
-			if !ms[i].insertBatch(batch) {
-				t.Fatal("the sorted batch was not installed")
-			}
+			insertBatch(ms[i], batch)
 			i++
 		})
 		got = append(got, allocs)
 	}
 	if got[0] > 2 || got[1] > 2 {
-		t.Fatalf("installs of %d and %d entries made %v allocations, want 2 each", installFloor, 16*installFloor, got)
+		t.Fatalf("installs of 256 and 4096 entries made %v allocations, want 2 each", got)
 	}
 }

@@ -22,17 +22,16 @@ type Run interface {
 }
 
 // memBacking is an in-memory tablet's Backing: there is no log, so
-// every mark is 0, and a replaced run group becomes a memRun on the
-// heap.
+// every mark is 0, and a written run is a memRun on the heap.
 type memBacking struct{}
 
 func (memBacking) LogAsync([]skv.Entry) (uint64, error) { return 0, nil }
 func (memBacking) WaitDurable(uint64) error             { return nil }
 func (memBacking) Rotate() (uint64, error)              { return 0, nil }
 
-func (memBacking) Replace(entries []skv.Entry, _, _ int, _ uint64) (Run, error) {
-	return memRunOf(entries), nil
-}
+func (memBacking) WriteRun(entries []skv.Entry) (Run, error) { return memRunOf(entries), nil }
+func (memBacking) Replace(Run, int, int, uint64) error       { return nil }
+func (memBacking) DropRun(Run)                               {}
 
 func (memBacking) Split(_ string, left, right []skv.Entry) (Backing, Backing, Run, Run, error) {
 	return memBacking{}, memBacking{}, memRunOf(left), memRunOf(right), nil

@@ -253,6 +253,95 @@ func TestRunBoundOneMergePerTable(t *testing.T) {
 	}
 }
 
+// dropCounter is an in-memory backing that counts the runs dropped
+// uncommitted.
+type dropCounter struct {
+	memBacking
+	drops atomic.Int64
+}
+
+func (d *dropCounter) DropRun(Run) { d.drops.Add(1) }
+
+// TestRunBoundMergeLeavesFlushesFree: while a tier merge is held in its
+// stack, flushes of the same tablet still drain its frozen queue, so
+// its writers do not stall behind the merge; a MajorCompact that takes
+// the tier meanwhile wins, and the merge drops its run uncommitted.
+func TestRunBoundMergeLeavesFlushesFree(t *testing.T) {
+	entered, release := make(chan struct{}), make(chan struct{})
+	var held atomic.Bool
+	bound := NewRunBound(1, func() func(iterator.SKVI) (iterator.SKVI, error) {
+		return func(src iterator.SKVI) (iterator.SKVI, error) {
+			if held.CompareAndSwap(false, true) { // hold only the first merge
+				close(entered)
+				<-release
+			}
+			return src, nil
+		}
+	})
+	backing := &dropCounter{}
+	tab := NewDurable("", "", 4, backing, nil, nil)
+	tab.SetRunBound(bound)
+
+	// Two flushed runs, the second flush's merge held in its stack.
+	writeSeq(t, tab, 0, 1)
+	if err := tab.MinorCompact(nil); err != nil {
+		t.Fatal(err)
+	}
+	writeSeq(t, tab, 1, 2)
+	merged := make(chan error, 1)
+	go func() { merged <- tab.MinorCompact(nil) }()
+	<-entered
+
+	// 20 entries freeze 5 memtables, more than DefaultMaxFrozen: the
+	// writer stalls for good if the flushes wait on the merge.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for i := 2; i < 22; i++ {
+			if err := tab.Write([]skv.Entry{seqEntry(i)}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		tab.mu.Lock()
+		for len(tab.frozen) > 0 {
+			tab.flushCond.Wait()
+		}
+		tab.mu.Unlock()
+	}()
+	select {
+	case <-drained:
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("the tablet's flushes waited on its own merge")
+	}
+	if got := tab.RunCount(); got < 3 {
+		close(release)
+		t.Fatalf("%d runs while the merge is held; want the flushed runs beside the tier", got)
+	}
+
+	if err := tab.MajorCompact(nil); err != nil {
+		close(release)
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-merged; err != nil {
+		t.Fatal(err)
+	}
+	if err := tab.WaitFlush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := backing.drops.Load(); got != 1 {
+		t.Fatalf("%d merged runs dropped, want 1: the held merge's tier was compacted away", got)
+	}
+	if got := tab.RunCount(); got != 1 {
+		t.Fatalf("%d runs, want the major compaction's 1", got)
+	}
+	if got := scanAll(t, tab); len(got) != 22 {
+		t.Fatalf("scan = %d entries, want 22", len(got))
+	}
+}
+
 // TestPickMergeGroup pins the size-tiered picker: similar-sized
 // contiguous runs fold together, dissimilar large runs stay out of the
 // group, and with no similar neighbours the cheapest pair is chosen.

@@ -1,6 +1,6 @@
 // Package tablet implements the storage engine under each tablet server:
-// a memtable absorbing writes (a skip list beside installed sorted
-// segments), immutable sorted runs ("RFiles") produced by minor
+// a memtable absorbing writes (a list of sorted segments, one per write
+// batch), immutable sorted runs ("RFiles") produced by minor
 // compaction, k-way merged reads, and major compaction folding runs
 // together with the table's compaction iterator stack.
 //
@@ -21,16 +21,18 @@
 //
 // # One compaction routine
 //
-// The run list changes in one way: replaceLocked merges the oldest k
-// frozen memtables with the runs at [lo, hi) through one iterator
-// stack and swaps the result in at lo through Backing.Replace. A flush
+// The run list changes in one way: the oldest k frozen memtables and
+// the runs at [lo, hi) merge through one iterator stack into a run
+// (writeRun, Backing.WriteRun), which commitLocked swaps in at lo
+// through Backing.Replace. A flush
 // is (1, [n,n), the memtable's rotation mark) and runs the table's
 // minc stack: a background flush the one SetFlushStack provides,
 // MinorCompact the one its caller passes. MajorCompact is (every
 // frozen memtable, [0,n), the mark of its own rotation) and a
 // size-tiered merge — MergeRuns, or the run bound's post-flush step —
 // is (0, [lo,hi), mark 0: no WAL is touched), both with the table's
-// majc stack. A tablet given no flush stack (a standalone server's)
+// majc stack; only the run bound's merge reads and writes outside
+// compactMu. A tablet given no flush stack (a standalone server's)
 // flushes its memtables unchanged. Every stack is built before
 // compactMu is taken: building one reads the table's metadata, which a
 // split holds while it waits for compactMu.
@@ -40,19 +42,19 @@
 // The ingest hot path is built so writers never wait on scans, flushes,
 // or each other beyond the WAL's group commit:
 //
-//   - The memtable is a lock-free concurrent skip list beside a short
-//     list of installed sorted segments; concurrent Write calls insert
-//     in parallel, and scans merge the live structures under a
-//     sequence-number watermark instead of copying them. A batch of at
-//     least installFloor strictly ascending keys — a kernel's fold
-//     generation — into a memtable whose skip list is still unused is
-//     installed whole: the segment keeps the caller's slice, with no
-//     per-entry node, and readers see all of it or none. Any other
-//     batch is linked into the skip list as a batch: one slab each for
-//     the nodes, values and towers, and a finger search from the
-//     previous key, used only while the keys ascend strictly and
-//     validated level by level against concurrent inserts.
-//   - Writers hold freezeMu.RLock around WAL-append + insert; a freeze
+//   - The memtable is a published list of sorted segments. Write sorts
+//     each batch outside every lock (a batch that already ascends, as a
+//     kernel's fold generation does, is left as it is) and installs it
+//     whole as one segment over the batch's own slice: one append under
+//     a short mutex, published by one atomic count, so readers see all
+//     of a batch or none of it. Scans load the list once and merge its
+//     segments instead of copying them. A memtable holds at most 64
+//     segments; the install that would pass the cap first merges a
+//     size tier of them into one, outside the mutex, and publishes the
+//     result with one swap, so other writers keep installing. The
+//     merging writer holds freezeMu's read side, so a freeze that comes
+//     meanwhile waits for the merge, and the writers behind it too.
+//   - Writers hold freezeMu.RLock around WAL-append + install; a freeze
 //     takes the write side to atomically rotate the WAL and swap in a
 //     fresh memtable. That keeps the durability invariant — every WAL
 //     record covered by a rotation mark is in the frozen memtable, not
@@ -81,8 +83,12 @@
 //     ingest folds its fresh small runs without rewriting large old
 //     ones. The merge runs once the flush releases compactMu, under the
 //     bound's lock, which the table's tablets share: one merge at a time
-//     per table, and a flush never waits on another tablet's merge. A
-//     scan's snapshot pins the pre-merge runs until it finishes.
+//     per table. It takes compactMu only to pick its tier and to swap
+//     the merged run in, so a flush, even of the same tablet, never
+//     waits for a merge to read and write; while merging lags behind
+//     ingest, a tablet holds more runs than the bound until the merges
+//     catch up. A scan's snapshot pins the pre-merge runs until it
+//     finishes.
 package tablet
 
 import (
@@ -130,12 +136,18 @@ type Backing interface {
 	// records logged so far. Called with the freeze lock held exclusive
 	// at memtable swap time, so the swap and the mark agree.
 	Rotate() (mark uint64, err error)
-	// Replace persists one change of the run list: entries become one
-	// new run in place of the runs at [lo, hi) of the tablet's
-	// oldest-first list (a flush appends: lo == hi == len), and, when
-	// mark is non-zero, WAL segments <= mark are dropped. With no
-	// entries the group simply disappears and the returned Run is nil.
-	Replace(entries []skv.Entry, lo, hi int, mark uint64) (Run, error)
+	// WriteRun persists entries as a new run that no run list holds
+	// until Replace commits it; no entries is a nil Run. It may run
+	// concurrently with any other call.
+	WriteRun(entries []skv.Entry) (Run, error)
+	// Replace commits one change of the run list: run (a WriteRun
+	// result; nil: none) takes the place of the runs at [lo, hi) of the
+	// tablet's oldest-first list (a flush appends: lo == hi == len), and,
+	// when mark is non-zero, WAL segments <= mark are dropped.
+	Replace(run Run, lo, hi int, mark uint64) error
+	// DropRun deletes a non-nil run WriteRun made that no Replace
+	// committed.
+	DropRun(run Run)
 	// Split atomically replaces this tablet's state with two halves at
 	// the row boundary, returning each half's backing and its initial
 	// run (nil when that half is empty).
@@ -159,7 +171,7 @@ type Tablet struct {
 	EndRow   string // exclusive; "" = +inf
 
 	// freezeMu orders writers against freezes. Writers hold the read
-	// side across WAL-append + memtable insert; a freeze holds the
+	// side across WAL-append + memtable install; a freeze holds the
 	// write side across WAL rotation + active-memtable swap. So every
 	// record covered by a rotation mark is in the frozen memtable, and
 	// writers never block each other here.
@@ -176,11 +188,11 @@ type Tablet struct {
 	backing    Backing
 	retired    bool // set by SplitAt; the tablet must absorb no more work
 
-	// stats receives the write-path counters: MemtableInstalls per
-	// batch installed whole, MemtableFreezes per freeze-and-swap,
-	// WriteStallNanos for the time writers spent stalled on frozen-queue
-	// backpressure, and the bound's merges and merge failures. nil
-	// counts nothing.
+	// stats receives the write-path counters: MemtableMerges per
+	// segment merged at the memtable's cap, MemtableFreezes per
+	// freeze-and-swap, WriteStallNanos for the time writers spent
+	// stalled on frozen-queue backpressure, and the bound's merges and
+	// merge failures. nil counts nothing.
 	stats *telemetry.StatSet
 	bound *RunBound // caps the run count after every flush; nil: unbounded
 	// minc returns the table's current minc iterator stack, read per
@@ -198,8 +210,8 @@ type Tablet struct {
 }
 
 // New creates an empty in-memory tablet over [startRow, endRow). The
-// fourth parameter is unused (skip-list tower heights are drawn per
-// batch); it stays for the benchmark ladder, which passes a seed.
+// fourth parameter is unused; it stays only because the benchmark
+// ladder passes it.
 func New(startRow, endRow string, memLimit int, _ int64) *Tablet {
 	return NewDurable(startRow, endRow, memLimit, memBacking{}, nil, nil)
 }
@@ -222,7 +234,7 @@ func NewDurable(startRow, endRow string, memLimit int, b Backing, runs []Run, re
 	}
 	t.flushCond = sync.NewCond(&t.mu)
 	mem := newMemtable()
-	mem.insertBatch(replay)
+	mem.install(sortBatch(replay))
 	t.active.Store(mem)
 	return t
 }
@@ -279,16 +291,17 @@ func (t *Tablet) Retired() bool {
 }
 
 // Write logs entries (which must belong to this tablet's range) to the
-// backing's WAL and inserts them into the active memtable as one batch:
-// installed whole as a sorted segment when the batch qualifies (counted
-// as MemtableInstalls), linked into the skip list otherwise. The
-// memtable may keep entries itself, so the caller must not modify the
-// slice's entries after Write. The critical section is the freeze
-// lock's read side around WAL-append + insert, so concurrent writers
-// proceed in parallel; the fsync wait happens outside it (group
+// backing's WAL and installs them into the active memtable as one
+// sorted segment. A batch that does not ascend strictly is first sorted
+// into a copy, outside every lock, keeping only the last write of an
+// equal full key; a batch that does is kept as it is, so the caller
+// must not modify its entries after Write. The critical section is the
+// freeze lock's read side around WAL-append + install, so concurrent
+// writers proceed in parallel; the fsync wait happens outside it (group
 // commit), and a full memtable is frozen for background flush rather
 // than compacted inline.
 func (t *Tablet) Write(entries []skv.Entry) error {
+	entries = sortBatch(entries)
 	if err := t.stallForFrozen(); err != nil {
 		return err
 	}
@@ -299,8 +312,8 @@ func (t *Tablet) Write(entries []skv.Entry) error {
 		return err
 	}
 	mem := t.active.Load()
-	if mem.insertBatch(entries) {
-		t.stats.Add(telemetry.MemtableInstalls, 1)
+	if n := mem.install(entries); n > 0 {
+		t.stats.Add(telemetry.MemtableMerges, int64(n))
 	}
 	needFreeze := mem.count() >= t.memLimit || mem.approxBytes() >= t.flushBytes
 	t.freezeMu.RUnlock()
@@ -354,7 +367,7 @@ func (t *Tablet) freeze(old *memtable) error {
 // rotateLocked rotates the WAL and, when the active memtable holds
 // entries, queues it frozen under the rotation mark and swaps in a
 // fresh one. Caller holds freezeMu exclusively, so no writer is between
-// WAL-append and insert: the mark covers exactly the records of the
+// WAL-append and install: the mark covers exactly the records of the
 // frozen queue.
 func (t *Tablet) rotateLocked() (mark uint64, err error) {
 	if mark, err = t.backing.Rotate(); err != nil {
@@ -579,7 +592,7 @@ func (t *Tablet) boundRuns() {
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	for !b.closed && t.RunCount() > b.maxRuns {
+	for !b.closed && !t.Retired() && t.RunCount() > b.maxRuns {
 		// The stack is built outside compactMu: building it reads the
 		// table's metadata, which a split holds across SplitAt.
 		merged, err := t.mergeTier(b.maxRuns, b.stack())
@@ -587,52 +600,85 @@ func (t *Tablet) boundRuns() {
 			t.stats.Add(telemetry.MajorCompactionErrors, 1)
 			return
 		}
-		if !merged {
-			return
+		if merged {
+			t.stats.Add(telemetry.MajorCompactions, 1)
 		}
-		t.stats.Add(telemetry.MajorCompactions, 1)
 	}
 }
 
 // mergeTier folds the pickMergeGroup tier when the tablet, not retired,
-// holds more than maxRuns runs, re-checking both under compactMu.
+// holds more than maxRuns runs, and reports whether it merged. Only
+// picking the tier and swapping the merged run in hold compactMu: runs
+// are immutable, so the merge and its write run outside it, and a flush
+// that comes meanwhile appends its run instead of waiting. A flush
+// never moves the tier; a compaction, MergeRuns or a split that took it
+// meanwhile leaves the merged run dropped and nothing merged.
 func (t *Tablet) mergeTier(maxRuns int, stack func(iterator.SKVI) (iterator.SKVI, error)) (bool, error) {
 	t.compactMu.Lock()
-	defer t.compactMu.Unlock()
-	// Both change only under compactMu.
 	sizes := t.RunSizes()
 	if t.Retired() || len(sizes) <= maxRuns {
+		t.compactMu.Unlock()
 		return false, nil
 	}
 	lo, hi := pickMergeGroup(sizes, DefaultMergeRatio)
-	err := t.replaceLocked(0, lo, hi, 0, stack)
+	t.mu.Lock()
+	tier := t.runs[lo:hi:hi] // t.runs is replaced on change, never written in place
+	t.mu.Unlock()
+	t.compactMu.Unlock()
+
+	r, err := t.writeRun(nil, tier, stack)
+	if err != nil {
+		return false, err
+	}
+	t.compactMu.Lock()
+	defer t.compactMu.Unlock()
+	t.mu.Lock()
+	inPlace := !t.retired && hi <= len(t.runs) && slices.Equal(t.runs[lo:hi], tier)
+	t.mu.Unlock()
+	if !inPlace {
+		if r != nil {
+			t.backing.DropRun(r)
+		}
+		return false, nil
+	}
+	err = t.commitLocked(r, 0, lo, hi, 0)
 	return err == nil, err
 }
 
 // replaceLocked is the one way the run list changes: it merges the
 // oldest k frozen memtables with the runs at [lo, hi) through the
-// optional stack, persists the result with Backing.Replace (which drops
-// WAL segments <= mark, none when mark is 0), and swaps it in at lo
-// (nothing when the stack left no entry). Caller holds compactMu, so
-// neither the run list nor the oldest k frozen memtables change under
-// it.
+// optional stack into one run and commits it in their place (nothing
+// when the stack left no entry), dropping WAL segments <= mark (none
+// when mark is 0). Caller holds compactMu, so neither the run list nor
+// the oldest k frozen memtables change under it.
 func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.SKVI) (iterator.SKVI, error)) error {
 	t.mu.Lock()
-	sources := make([]iterator.SKVI, 0, k+hi-lo)
-	size := 0
-	for i := k - 1; i >= 0; i-- { // newest first, as Snapshot orders them
-		sources = t.frozen[i].mem.sources(sources)
-		size += t.frozen[i].mem.count()
-	}
-	for i := hi - 1; i >= lo; i-- {
-		sources = append(sources, t.runs[i].Iter())
-		size += t.runs[i].Count()
-	}
+	frozen, runs := t.frozen[:k:k], t.runs[lo:hi:hi]
 	t.mu.Unlock()
+	r, err := t.writeRun(frozen, runs, stack)
+	if err != nil {
+		return err
+	}
+	return t.commitLocked(r, k, lo, hi, mark)
+}
 
-	// One source (a flush of a memtable holding only a skip list or one
-	// segment) is drained directly: a single sorted source needs no
-	// merge wrapper.
+// writeRun merges frozen memtables and runs, each oldest first (the
+// memtables newer than every run), through the optional stack and
+// writes the result as a run no list holds yet: nil when the stack left
+// no entry.
+func (t *Tablet) writeRun(frozen []*frozenMem, runs []Run, stack func(iterator.SKVI) (iterator.SKVI, error)) (Run, error) {
+	sources := make([]iterator.SKVI, 0, len(frozen)+len(runs))
+	size := 0
+	for i := len(frozen) - 1; i >= 0; i-- { // newest first, as Snapshot orders them
+		sources = frozen[i].mem.sources(sources)
+		size += frozen[i].mem.count()
+	}
+	for i := len(runs) - 1; i >= 0; i-- {
+		sources = append(sources, runs[i].Iter())
+		size += runs[i].Count()
+	}
+	// One source (a flush of a memtable holding one segment) is drained
+	// directly: a single sorted source needs no merge wrapper.
 	var src iterator.SKVI
 	if len(sources) == 1 {
 		src = sources[0]
@@ -641,10 +687,19 @@ func (t *Tablet) replaceLocked(k, lo, hi int, mark uint64, stack func(iterator.S
 	}
 	entries, err := applyStack(src, stack, size)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	r, err := t.backing.Replace(entries, lo, hi, mark)
-	if err != nil {
+	return t.backing.WriteRun(entries)
+}
+
+// commitLocked puts r (nil: nothing) in place of the oldest k frozen
+// memtables and the runs at [lo, hi) through Backing.Replace, dropping r
+// if the backing refuses it. Caller holds compactMu.
+func (t *Tablet) commitLocked(r Run, k, lo, hi int, mark uint64) error {
+	if err := t.backing.Replace(r, lo, hi, mark); err != nil {
+		if r != nil {
+			t.backing.DropRun(r)
+		}
 		return err
 	}
 	// Swap the memtables out of the frozen queue and the run in under
@@ -689,8 +744,8 @@ func applyStack(src iterator.SKVI, stack func(iterator.SKVI) (iterator.SKVI, err
 
 // Snapshot returns an iterator source over the tablet's current
 // contents (active memtable + frozen memtables + all runs), valid
-// independently of later writes: the memtable sources carry a
-// sequence-number watermark instead of copying entries, so taking a
+// independently of later writes: each memtable adds the segments of
+// one load of its segment list instead of copying entries, so taking a
 // snapshot is O(sources) and never blocks writers. Naming families
 // constrains the snapshot to them: disk runs load only the matching
 // families' block runs, memtable sources filter per entry.

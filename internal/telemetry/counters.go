@@ -50,7 +50,7 @@ const (
 	MaxEntriesBuffered
 	QueriesRunning
 	QueriesQueued
-	MemtableInstalls
+	MemtableMerges
 	NumCounters
 )
 
@@ -110,7 +110,7 @@ var descs = [NumCounters]desc{
 	MajorCompactions:      {name: "major_compactions", help: "Completed major compactions."},
 	MajorCompactionErrors: {name: "major_compaction_errors", help: "Failed size-tiered merges."},
 	MemtableFreezes:       {name: "memtable_freezes", help: "Memtables frozen and handed to background flush."},
-	MemtableInstalls:      {name: "memtable_installs", help: "Sorted write batches installed whole into a memtable."},
+	MemtableMerges:        {name: "memtable_merges", help: "Memtable segments merged into one at the segment cap."},
 	WriteStallNanos:       {name: "write_stall_nanos", help: "Nanoseconds writers spent stalled on flush backpressure."},
 	ScansInFlight:         {name: "scans_in_flight", help: "Tablet scan passes currently executing.", kind: kindGauge, high: MaxScansInFlight},
 	MaxScansInFlight:      {name: "max_scans_in_flight", help: "High-water mark of concurrent tablet passes.", kind: kindHighWater},

@@ -436,6 +436,24 @@ func (l *Log) Sync() error {
 	return err
 }
 
+// Abandon closes the active segment as a process exit would: records
+// still buffered are dropped and nothing is synced. Crash tests use it
+// to drop a log without leaking its descriptor.
+func (l *Log) Abandon() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.syncing {
+		l.cond.Wait()
+	}
+	if l.closed {
+		return
+	}
+	l.closed = true
+	l.pending = nil
+	l.cond.Broadcast()
+	l.f.Close()
+}
+
 // Close syncs and closes the active segment. The segments stay on disk
 // for Replay.
 func (l *Log) Close() error {
