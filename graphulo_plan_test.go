@@ -308,9 +308,10 @@ func TestTableAssign(t *testing.T) {
 }
 
 // TestExplainPlanSurface checks the explain surface: every kernel
-// compiles, kTruss reports a fused group writing its round table,
-// TriangleCount's collect notes that no scratch table is made, and both
-// sinks of a multiply show the fold stage as its own line.
+// compiles, kTruss reports a fused group whose support stage writes its
+// round table, TriangleCount's collect notes that no scratch table is
+// made, the multiply's sink shows the fold stage as its own line, and
+// the support pass, whose cells arrive whole, has none.
 func TestExplainPlanSurface(t *testing.T) {
 	for _, k := range ExplainKernels() {
 		out, err := ExplainPlan(k, "A", "C")
@@ -342,15 +343,12 @@ func TestExplainPlanSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// kTruss counts support under plus.and, so its fold stage folds
-	// under plus.and.
-	for kernel, out := range map[string]string{"mult plus.times": mult, "ktruss plus.and": kt} {
-		ring := strings.Fields(kernel)[1]
-		if !strings.Contains(out, "- fold ⊕ "+ring+" ≤16 MiB\n") || strings.Contains(out, "pre-agg") {
-			t.Fatalf("%s explain must show the fold stage on its own line:\n%s", kernel, out)
-		}
+	if !strings.Contains(mult, "- fold ⊕ plus.times ≤16 MiB\n") || strings.Contains(mult, "pre-agg") {
+		t.Fatalf("mult explain must show the fold stage on its own line:\n%s", mult)
 	}
-	if !strings.Contains(kt, "⟨mask A") {
-		t.Fatalf("kTruss explain must show the mask on the mult line:\n%s", kt)
+	for kernel, out := range map[string]string{"ktruss": kt, "tricount": tri} {
+		if !strings.Contains(out, "- apply support\n") || strings.Contains(out, "fold ⊕") {
+			t.Fatalf("%s explain must show the support stage and no fold stage:\n%s", kernel, out)
+		}
 	}
 }

@@ -445,8 +445,8 @@ func TestMetricsFamilies(t *testing.T) {
 // Jaccard and TriangleCount write nothing; KTruss writes only its
 // rounds' support cells into the round tables (Barbell(4,1) at k = 4:
 // one round whose support covers the 24 directed edges of its two
-// K4s, the bridge being in no triangle; the graph table is one tablet,
-// so the fold stage writes each cell once); no call changes the table
+// K4s, the bridge being in no triangle; each cell is formed once, on
+// the tablet hosting its row); no call changes the table
 // list; PageRank's one scratch table is its rank vector, and it writes
 // that vector once per iteration, one entry per vertex with an edge,
 // and nothing else.

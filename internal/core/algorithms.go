@@ -193,29 +193,27 @@ func adjSquareFoldPlan(table string) *plan.Node {
 		"plus.and")
 }
 
-// edgeSupport is the fused triangle support of every edge of an
-// adjacency table A, shared by kTruss (per round) and TriangleCount:
-// C⟨A⟩ = A ⊕.⊗ A under plus.and, so cell (u, v) counts the common
-// neighbours of u and v, and only for edges (u, v) of A. Multiplying
-// the 0/1 pattern (plus.and) rather than the stored values keeps an edge
-// ingested twice — stored with value 2 — from counting twice. The
-// mask, read with the same edge band as the operands, drops every
-// product off an edge where it is formed, so a pass yields at most
-// nnz(A) cells and an edge with no triangle does not appear at all.
+// edgeSupport is the triangle support of every edge of an adjacency
+// table A, shared by kTruss (per round) and TriangleCount: A ⊕.⊗ A ⟨A⟩
+// under plus.and, so cell (u, v) of an edge counts the common
+// neighbours of u and v on the 0/1 pattern (an edge ingested twice,
+// stored as 2, counts once). iterator.SupportIterator forms each cell
+// once and whole on the tablet hosting row u; an edge in no triangle
+// does not appear.
 func edgeSupport(table string) *plan.Node {
 	band := schema.EdgeBand()
-	return plan.MultMasked(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band, table, band)
+	opts := map[string]string{"table": table, "families": iterator.EncodeFamiliesOpt(band)}
+	return plan.Apply(plan.Scan(table, plan.Constraint{Families: band}), iterator.Setting{Name: "support", Opts: opts})
 }
 
-// edgeSupportPlan streams the edge support back to the client,
-// ⊕-folded per cell — TriangleCount's one pass. Shared with Explain.
+// edgeSupportPlan streams the edge support back to the client —
+// TriangleCount's one pass. Shared with Explain.
 func edgeSupportPlan(table string) *plan.Node {
-	return plan.CollectFold(edgeSupport(table), "plus.and")
+	return plan.Collect(edgeSupport(table))
 }
 
 // trussRoundPlan is one kTruss peel round: the edge support of cur
-// written server-side into the round table next, whose sum combiner
-// makes each cell's support whole. Shared with Explain.
+// written server-side into the round table next. Shared with Explain.
 func trussRoundPlan(cur, next string) *plan.Node {
 	return plan.Write(edgeSupport(cur), next, "plus.and", 0)
 }
@@ -225,19 +223,17 @@ func trussRoundPlan(cur, next string) *plan.Node {
 // every edge, value 1) and the number of peel rounds. Round r creates
 // the round table `<scratch>_it<r>_<trace>` with the graph table's
 // splits and runs one fused pass (trussRoundPlan) that writes the
-// support of cur's edges into it; one collect then reads the round
-// table back. An edge of cur missing from it is in no triangle of cur
-// (cur is symmetric, so it is its own transpose), so removing it
-// removes no triangle: if every present cell has support ≥ k−2, the
-// round table's cells are the k-truss and KTruss returns their
-// pattern. Otherwise a threshold at k−2 is attached to the round
-// table's scan scope only — a flush or compaction sees partial sums,
-// so it must not judge them — and the thresholded table is the next
-// round's cur, read by all three of its operand scans (B, Aᵀ and the
-// mask). A graph that is already a k-truss takes one round, and k = 3
-// always does. The round tables are trace-suffixed, so concurrent
-// kernels on one table cannot collide, and dropped before returning,
-// on success and on error.
+// support of cur's edges into it, each cell once; one collect then
+// reads the round table back. An edge of cur missing from it is in no
+// triangle of cur (cur is symmetric, so it is its own transpose), so
+// removing it removes no triangle: if every present cell has support
+// ≥ k−2, the round table's cells are the k-truss and KTruss returns
+// their pattern. Otherwise a threshold at k−2 is attached to the round
+// table's scan scope only — storage keeps every cell as written — and
+// the thresholded table is the next round's cur. A graph that is
+// already a k-truss takes one round, and k = 3 always does. The round
+// tables are trace-suffixed, so concurrent kernels on one table cannot
+// collide, and dropped before returning, on success and on error.
 func KTruss(conn *accumulo.Connector, table string, k int, scratch string) (truss *assoc.Assoc, iterCount int, err error) {
 	q, done, err := startQuery(conn, "kTruss", "")
 	if err != nil {
@@ -461,22 +457,26 @@ func collectDegrees(conn *accumulo.Connector, table, kernel string, q *telemetry
 }
 
 // TriangleCountTable counts triangles in the graph held by an adjacency
-// table in one fused pass: the masked edge support (edgeSupportPlan,
-// A² ∘ A on the 0/1 pattern) streams back ⊕-folded, and every triangle
-// is counted once per directed edge, so the count is Σ support / 6. No
-// scratch table is created.
+// table in one fused pass: the edge support (edgeSupportPlan, A² ∘ A on
+// the 0/1 pattern) streams back one whole cell per edge, and every
+// triangle is counted once per directed edge, so the count is
+// Σ support / 6. No scratch table is created.
 func TriangleCountTable(conn *accumulo.Connector, table string) (count float64, err error) {
 	q, done, err := startQuery(conn, "TriangleCount", "")
 	if err != nil {
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, edgeSupportPlan(table), "TriangleCount", q, nil)
+	_, err = runPlan(conn, edgeSupportPlan(table), "TriangleCount", q, func(e skv.Entry) error {
+		support, ok := skv.DecodeFloat(e.V)
+		if !ok {
+			return fmt.Errorf("core: TriangleCount: entry %v carries non-numeric support %q", e.K, string(e.V))
+		}
+		count += support
+		return nil
+	})
 	if err != nil {
 		return 0, err
-	}
-	for _, support := range res.Cells {
-		count += support
 	}
 	return count / 6, nil
 }

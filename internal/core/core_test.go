@@ -1005,6 +1005,36 @@ func TestKTrussRandomMatchesInMemory(t *testing.T) {
 	}
 }
 
+// TestKTrussRoundWritesEachSupportCellOnce: on a graph split into four
+// tablets, a kTruss round forms each support cell whole on the tablet
+// hosting its row, so the round writes exactly as many entries as its
+// round table holds cells — no partial sums for the table's combiner to
+// add. At k = 3 the one round's table is the truss.
+func TestKTrussRoundWritesEachSupportCellOnce(t *testing.T) {
+	g := gen.Dedup(gen.RMAT(gen.Graph500(7, 11)))
+	want := algo.KTrussAdj(gen.AdjacencyPattern(g), 3).NNZ()
+	for name, cfg := range foldTransports(t) {
+		conn := equivCluster(t, cfg)
+		sch := loadSplitGraph(t, conn, "G", g, quartileSplits(g))
+		stats := &conn.Cluster().Telemetry().Stats
+		before := stats.Get(telemetry.EntriesWritten)
+		truss, rounds, err := KTruss(conn, sch.Table, 3, "once")
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		cells := 0
+		for _, row := range assocMatrix(truss) {
+			cells += len(row)
+		}
+		if rounds != 1 || cells != want {
+			t.Fatalf("%s: %d rounds, %d cells; want 1 round and the reference's %d cells", name, rounds, cells, want)
+		}
+		if written := stats.Get(telemetry.EntriesWritten) - before; written != int64(cells) {
+			t.Errorf("%s: the round wrote %d entries for %d support cells", name, written, cells)
+		}
+	}
+}
+
 // TestKTrussBelowThreeKeepsEveryEdge: every graph is its own 2-truss,
 // edges in no triangle included, though a support pass never reports
 // those edges. An edge stored under both edge-band families is still 1.

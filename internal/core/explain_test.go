@@ -14,7 +14,7 @@ import (
 // still materialise and hoist: every kernel already compiled to one
 // pass there, and the one-pass planner must reproduce those stacks —
 // except kTruss and TriangleCount, which have since moved onto the
-// masked multiply (a kTruss round writes it into its round table),
+// support stage (a kTruss round writes it into its round table),
 // Jaccard, whose square now runs under plus.and, and
 // degrees, whose reduce now streams back to the client instead of into
 // a table. PageRank's step was added since.
@@ -28,13 +28,11 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "semiring": "plus.and", "tableAT": "A"}},
 		foldAnd,
 	}
-	// kTruss and TriangleCount count support only on edges: the masked
-	// product under plus.and, folded under plus.and. A kTruss round
-	// writes it into the round table; TriangleCount streams it back.
-	support := []iterator.Setting{
-		{Name: "twoTable", Priority: 30, Opts: map[string]string{"familiesAT": ",edge", "familiesMask": ",edge", "mask": "A", "semiring": "plus.and", "tableAT": "A"}},
-		foldAnd,
-	}
+	// kTruss and TriangleCount count support only on edges, each cell
+	// formed whole on the tablet hosting its row, so no fold stage. A
+	// kTruss round writes it into the round table; TriangleCount streams
+	// it back.
+	support := iterator.Setting{Name: "support", Priority: 30, Opts: map[string]string{"families": ",edge", "table": "A"}}
 	want := map[string][]iterator.Setting{
 		"mult": {
 			{Name: "twoTable", Priority: 30, Opts: map[string]string{"semiring": "plus.times", "tableAT": "AT"}},
@@ -48,9 +46,9 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 			{Name: "rowReduce", Priority: 30, Opts: map[string]string{"colF": "deg", "colQ": "deg", "monoid": "plus"}},
 		},
 		"bfs":      nil,
-		"ktruss":   {support[0], foldAnd, write},
+		"ktruss":   {support, write},
 		"jaccard":  square,
-		"tricount": support,
+		"tricount": {support},
 		// PageRank's step scans A and multiplies it against the rank
 		// vector, here the out table.
 		"pagerank": {

@@ -162,7 +162,7 @@ func TestTableMultFoldsInSitu(t *testing.T) {
 // TestFoldingCollectFoldsBeforeTheWire: one pass of Jaccard's A² plan
 // delivers at most half as many entries as it forms partial products
 // (every scan of the pass counted, the nested Aᵀ reads included), and
-// Jaccard built on it — and kTruss and TriangleCount on the masked
+// Jaccard built on it — and kTruss and TriangleCount on the
 // support plan — still equal the in-memory reference cell for cell, on
 // every transport.
 func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {

@@ -99,24 +99,10 @@ func (r *RemoteSourceIterator) Next() error { return r.inner.Next() }
 // version), because the nested loop then visits pairs in key order;
 // across inner rows it does not, so an order-free consumer — the fold
 // stage, RemoteWrite, a folding collect — must sit above it.
-//
-// With a mask table M it computes GraphBLAS C⟨M⟩ = Aᵀ ⊕.⊗ B: a product
-// survives only if its cell is stored in M (any value — the mask is
-// structural), so products outside M are never appended, folded or
-// shipped. Each Seek reads M whole, in one nested scan, into a set of
-// cells interned in the pass's own names, so the ⊗ loop tests an
-// integer per product.
 type TwoTableIterator struct {
 	src    SKVI
 	remote SKVI
 	ring   semiring.Semiring
-
-	// maskTable names M ("" = unmasked), read banded to maskFamilies
-	// through env; mask is its cell set for the current pass.
-	maskTable    string
-	maskFamilies []string
-	env          Env
-	mask         map[uint64]struct{}
 
 	// band is the whole-row projection of the current seek range: the
 	// only inner rows this pass can align on. Remote (and re-issued
@@ -154,26 +140,13 @@ func NewTwoTableIterator(src, remote SKVI, ring semiring.Semiring) *TwoTableIter
 	return &TwoTableIterator{src: src, remote: remote, ring: ring}
 }
 
-// NewMaskedTwoTableIterator is NewTwoTableIterator computing C⟨M⟩ for
-// the mask table M, read through env banded to families (nil =
-// unconstrained).
-func NewMaskedTwoTableIterator(src, remote SKVI, ring semiring.Semiring, mask string, families []string, env Env) *TwoTableIterator {
-	return &TwoTableIterator{src: src, remote: remote, ring: ring, maskTable: mask, maskFamilies: families, env: env}
-}
-
 // Seek implements SKVI. The range restricts B (the hosted side); the
 // remote Aᵀ side is sought with the range's row band — rows outside it
 // cannot align with anything this pass produces, so the remote scan
-// prunes non-overlapping tablets and rfiles. The mask, whose cells are
-// output coordinates rather than inner rows, is read unbanded.
+// prunes non-overlapping tablets and rfiles.
 func (t *TwoTableIterator) Seek(rng skv.Range) error {
 	t.band = rng.RowBand()
 	t.names.reset()
-	if t.maskTable != "" {
-		if err := t.loadMask(); err != nil {
-			return err
-		}
-	}
 	if err := t.src.Seek(rng); err != nil {
 		return err
 	}
@@ -181,29 +154,6 @@ func (t *TwoTableIterator) Seek(rng skv.Range) error {
 		return err
 	}
 	return t.fill()
-}
-
-// loadMask reads the mask table into the pass's cell set: a mask entry
-// (i, j) is the output cell whose row is Aᵀ-side qualifier i and whose
-// column is B-side qualifier j, interned exactly as readRow interns
-// them.
-func (t *TwoTableIterator) loadMask() error {
-	it, err := OpenScannerFamilies(t.env, t.maskTable, skv.FullRange(), t.maskFamilies)
-	if err != nil {
-		return fmt.Errorf("twoTable mask(%s): %w", t.maskTable, err)
-	}
-	if t.mask == nil {
-		t.mask = map[uint64]struct{}{}
-	}
-	clear(t.mask)
-	for it.HasTop() {
-		k := it.Top().K
-		t.mask[packCell(t.names.rows.id(cellName{qual: k.Row}), t.names.cols.id(cellName{qual: k.ColQ}))] = struct{}{}
-		if err := it.Next(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // fill advances both sides to the next common inner row and materialises
@@ -278,13 +228,9 @@ func readRow(it SKVI, row string, dst []operand, names *interner) ([]operand, er
 
 // cross emits ⊗-products of the two operand rows into buf: for AT entry
 // (i, j → a) and B entry (i, k → b), the partial product is
-// (j, k → a ⊗ b). Under a mask, only cells of the mask.
+// (j, k → a ⊗ b).
 func (t *TwoTableIterator) cross() {
 	t.buf = slices.Grow(t.buf, len(t.aRow)*len(t.bRow))
-	if t.mask != nil {
-		t.crossMasked()
-		return
-	}
 	for _, a := range t.aRow {
 		for _, b := range t.bRow {
 			p := t.ring.Mul(a.v, b.v)
@@ -292,24 +238,6 @@ func (t *TwoTableIterator) cross() {
 				continue
 			}
 			t.buf = append(t.buf, product{cell: packCell(a.id, b.id), v: p})
-		}
-	}
-}
-
-// crossMasked is cross's loop for a masked pass, kept apart so the
-// unmasked loop carries no per-product mask test.
-func (t *TwoTableIterator) crossMasked() {
-	for _, a := range t.aRow {
-		for _, b := range t.bRow {
-			cell := packCell(a.id, b.id)
-			if _, ok := t.mask[cell]; !ok {
-				continue
-			}
-			p := t.ring.Mul(a.v, b.v)
-			if t.ring.IsZero(p) {
-				continue
-			}
-			t.buf = append(t.buf, product{cell: cell, v: p})
 		}
 	}
 }
@@ -528,10 +456,13 @@ func init() {
 			return nil, err
 		}
 		remote := NewRemoteSourceIteratorFamilies(table, DecodeFamiliesOpt(opts["familiesAT"]), env)
-		if mask := opts["mask"]; mask != "" {
-			return NewMaskedTwoTableIterator(src, remote, ring, mask, DecodeFamiliesOpt(opts["familiesMask"]), env), nil
-		}
 		return NewTwoTableIterator(src, remote, ring), nil
+	})
+	Register("support", func(src SKVI, opts map[string]string, env Env) (SKVI, error) {
+		if opts["table"] == "" {
+			return nil, fmt.Errorf("support: missing table option")
+		}
+		return NewSupportIterator(src, opts["table"], DecodeFamiliesOpt(opts["families"]), env), nil
 	})
 	Register("remoteWrite", func(src SKVI, opts map[string]string, env Env) (SKVI, error) {
 		table := opts["table"]

@@ -198,15 +198,6 @@ func compileNode(n *Node) (chain, error) {
 			multOpts["familiesAT"] = iterator.EncodeFamiliesOpt(n.FamiliesAT)
 			label += " [cf " + strings.Join(n.FamiliesAT, ",") + "]"
 		}
-		if n.Mask != "" {
-			multOpts["mask"] = n.Mask
-			label += " ⟨mask " + n.Mask
-			if len(n.MaskFamilies) > 0 {
-				multOpts["familiesMask"] = iterator.EncodeFamiliesOpt(n.MaskFamilies)
-				label += " [cf " + strings.Join(n.MaskFamilies, ",") + "]"
-			}
-			label += "⟩"
-		}
 		st = stage{label: label, settings: []iterator.Setting{{Name: "twoTable", Opts: multOpts}}}
 		c.hasMult = true
 	default:

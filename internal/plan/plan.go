@@ -127,11 +127,6 @@ type Node struct {
 	// set (nil = unconstrained): the band rides the nested scan request,
 	// so Aᵀ's tablets read only the matching rfile locality groups.
 	FamiliesAT []string
-	// Mask, when set, names the mask table M of C⟨M⟩ = Aᵀ ⊕.⊗ B: only
-	// products whose cell is stored in M survive the ⊗. MaskFamilies
-	// bands the mask read as FamiliesAT bands Aᵀ's.
-	Mask         string
-	MaskFamilies []string
 	// Semiring names the ⊕.⊗ pair for OpMult, the sink combiner for
 	// OpWrite, and the client-side fold for a folding OpCollect.
 	Semiring string
@@ -178,16 +173,6 @@ func MultBanded(in *Node, tableAT, semiring string, familiesAT []string) *Node {
 		semiring = "plus.times"
 	}
 	return &Node{Op: OpMult, Input: in, TableAT: tableAT, Semiring: semiring, FamiliesAT: familiesAT}
-}
-
-// MultMasked is MultBanded restricted to the cells stored in the mask
-// table, read banded to maskFamilies: GraphBLAS C⟨M⟩ = Aᵀ ⊕.⊗ B. A
-// product outside the mask is dropped where it is formed, so the fold
-// stage and the sink see at most nnz(mask) cells.
-func MultMasked(in *Node, tableAT, semiring string, familiesAT []string, mask string, maskFamilies []string) *Node {
-	n := MultBanded(in, tableAT, semiring, familiesAT)
-	n.Mask, n.MaskFamilies = mask, maskFamilies
-	return n
 }
 
 // Apply runs per-entry iterator settings over the input stream.

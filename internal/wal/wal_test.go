@@ -1,11 +1,15 @@
 package wal
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"graphulo/internal/skv"
 )
@@ -274,4 +278,90 @@ func TestRotateNoOpOnEmptyLog(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("dropped record still replayed: %v", got)
 	}
+}
+
+// replaySegment writes seg as the only segment of a fresh log and
+// replays it, failing if Replay allocates more than a constant multiple
+// of the segment: each entry takes at least 5 of its bytes, and the
+// replayed slices hold a few copies of each entry at most.
+func replaySegment(t *testing.T, dir, id string, seg []byte) []skv.Entry {
+	t.Helper()
+	if err := os.WriteFile(filepath.Join(dir, segmentName(id, 1)), seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, maxTs, err := Replay(dir, id)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(len(seg))*2*uint64(unsafe.Sizeof(skv.Entry{}))+64<<10; grew > limit {
+		t.Fatalf("replaying %d bytes allocated %d bytes, limit %d", len(seg), grew, limit)
+	}
+	var wantTs int64
+	for _, e := range got {
+		wantTs = max(wantTs, e.K.Ts)
+	}
+	if maxTs != wantTs {
+		t.Fatalf("maxTs = %d, the entries' largest is %d", maxTs, wantTs)
+	}
+	return got
+}
+
+// frame wraps a payload as one record with a correct length and CRC.
+func frame(payload []byte) []byte {
+	rec := make([]byte, recordHeaderLen, recordHeaderLen+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, castagnoli))
+	return append(rec, payload...)
+}
+
+func samePrefix(t *testing.T, what string, got, of []skv.Entry) {
+	t.Helper()
+	if len(got) > len(of) {
+		t.Fatalf("%s: %d entries, more than the %d it must be a prefix of", what, len(got), len(of))
+	}
+	for i := range got {
+		if got[i].K != of[i].K || string(got[i].V) != string(of[i].V) {
+			t.Fatalf("%s: entry %d = %v, want %v", what, i, got[i], of[i])
+		}
+	}
+}
+
+// FuzzReplay: arbitrary bytes replay without a panic or an unbounded
+// allocation, to a prefix of whole records. The bytes are a segment
+// twice. Raw, cut anywhere they replay to a prefix of what they replay
+// to whole, and behind a valid record they keep that record. Framed as
+// one record with a correct length and CRC, so that skv.DecodeBatch
+// parses a hostile payload, they replay to exactly that payload's batch
+// when it decodes and to nothing when it does not.
+func FuzzReplay(f *testing.F) {
+	lead := []skv.Entry{ent("r0", 3, "a"), ent("r1", 9, "b")}
+	payload := skv.EncodeBatch(lead)
+	f.Add(payload)
+	f.Add(append(frame(payload), frame(skv.EncodeBatch([]skv.Entry{ent("r2", 4, "")}))...))
+	f.Add(frame(payload)[:len(payload)/2])
+	f.Add(skv.EncodeBatch(nil))
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		whole := replaySegment(t, dir, "raw", data)
+		cut := replaySegment(t, dir, "cut", data[:len(data)/2])
+		samePrefix(t, "cut segment", cut, whole)
+		behind := replaySegment(t, dir, "lead", append(frame(payload), data...))
+		samePrefix(t, "valid record", lead, behind)
+
+		framed := replaySegment(t, dir, "framed", frame(data))
+		want, err := skv.DecodeBatch(data)
+		if err != nil {
+			want = nil
+		}
+		if len(framed) != len(want) {
+			t.Fatalf("framed payload replayed %d entries, its batch holds %d (decode error %v)", len(framed), len(want), err)
+		}
+		samePrefix(t, "framed payload", framed, want)
+	})
 }
