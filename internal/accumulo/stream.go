@@ -278,21 +278,6 @@ func (s *EntryStream) Collect() ([]skv.Entry, error) {
 	return out, s.Err()
 }
 
-// CollectFloatByRow drains the stream into a row → decoded-float map
-// and closes it — the shape of every vector read (degree tables, rank
-// vectors, reduce outputs). Entries whose values do not decode as
-// floats are skipped; rows with several numeric entries keep the last.
-func (s *EntryStream) CollectFloatByRow() (map[string]float64, error) {
-	defer s.Close()
-	out := map[string]float64{}
-	for e, ok := s.Next(); ok; e, ok = s.Next() {
-		if v, ok := skv.DecodeFloat(e.V); ok {
-			out[e.K.Row] = v
-		}
-	}
-	return out, s.Err()
-}
-
 // --- server-side iterator environment ---
 
 // scanEnv implements iterator.Env for server-side iterators: scanners

@@ -134,21 +134,23 @@ func bfsHopPlan(table string, frontier []string) *plan.Node {
 	return plan.Collect(scan)
 }
 
-// readDegrees folds a degree table into row → value, reading only its
-// degree band (schema.DegBand), so on a mixed table the scan touches
-// only the matching locality groups.
+// readDegrees folds a degree table into row → value, keeping a row's
+// last numeric value. It is one collect pass over the degree band
+// (schema.DegBand), so on a mixed table the scan touches only the
+// matching locality groups.
 func readDegrees(conn *accumulo.Connector, table string, q *telemetry.Query) (map[string]float64, error) {
-	sc, err := conn.CreateScanner(table)
+	degs := map[string]float64{}
+	_, err := runPlan(conn, plan.Collect(plan.Scan(table, plan.Constraint{Families: schema.DegBand()})), "AdjBFS", q,
+		func(e skv.Entry) error {
+			if v, ok := skv.DecodeFloat(e.V); ok {
+				degs[e.K.Row] = v
+			}
+			return nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	sc.SetTrace(q)
-	sc.SetFamilies(schema.DegBand()...)
-	st, err := sc.Stream()
-	if err != nil {
-		return nil, err
-	}
-	return st.CollectFloatByRow()
+	return degs, nil
 }
 
 // dropScratch deletes the scratch tables a driver created, folding the
@@ -177,9 +179,9 @@ func noteScratch(conn *accumulo.Connector) {
 // cell (u, v) counts the common neighbours of u and v on the 0/1
 // pattern — an edge ingested twice (stored as 2) counts once — and the
 // diagonal cell (u, u) is u's degree. The multiply's partial products
-// stream from the TwoTableIterator straight back to the client, which
-// ⊕-folds them per cell; no scratch table holds A². Shared with
-// Explain.
+// stream from the TwoTableIterator through the fold stage straight back
+// to the caller's visitor, which finishes the ⊕; no scratch table holds
+// A². Shared with Explain.
 //
 // Both sides of the multiply scan an adjacency table, so both carry the
 // edge-channel family band: the hosted B scan through the step's
@@ -206,10 +208,12 @@ func edgeSupport(table string) *plan.Node {
 	return plan.Apply(plan.Scan(table, plan.Constraint{Families: band}), iterator.Setting{Name: "support", Opts: opts})
 }
 
-// edgeSupportPlan streams the edge support back to the client —
-// TriangleCount's one pass. Shared with Explain.
+// edgeSupportPlan is TriangleCount's one pass: the edge support summed
+// per row by the rowReduce fused over it, so the client reads one count
+// per vertex in a triangle (twice that vertex's triangles), not one per
+// edge. Shared with Explain.
 func edgeSupportPlan(table string) *plan.Node {
-	return plan.Collect(edgeSupport(table))
+	return plan.Collect(plan.Reduce(edgeSupport(table), "plus", "", "tri"))
 }
 
 // trussRoundPlan is one kTruss peel round: the edge support of cur
@@ -336,21 +340,25 @@ func Jaccard(conn *accumulo.Connector, table string) (jac *assoc.Assoc, err erro
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, adjSquareFoldPlan(table), "Jaccard", q, nil)
-	if err != nil {
-		return nil, err
-	}
-	// Fold the cells per (row, colQ) first, as a table read would: the
-	// normalisation is not linear in the count.
+	// Finish the ⊕ per (row, colQ) before normalising, as a table read
+	// would: the normalisation is not linear in the count.
 	degs := map[string]float64{}
 	common := map[[2]string]float64{}
-	for c, v := range res.Cells {
-		switch {
-		case c.Row == c.ColQ:
-			degs[c.Row] += v
-		case c.Row < c.ColQ: // upper triangle only
-			common[[2]string{c.Row, c.ColQ}] += v
+	_, err = runPlan(conn, adjSquareFoldPlan(table), "Jaccard", q, func(e skv.Entry) error {
+		v, ok := skv.DecodeFloat(e.V)
+		if !ok {
+			return fmt.Errorf("core: Jaccard: entry %v carries non-numeric count %q", e.K, string(e.V))
 		}
+		switch {
+		case e.K.Row == e.K.ColQ:
+			degs[e.K.Row] += v
+		case e.K.Row < e.K.ColQ: // upper triangle only
+			common[[2]string{e.K.Row, e.K.ColQ}] += v
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	b := assoc.NewBuilder(semiring.PlusTimes)
 	for c, n := range common {
@@ -457,10 +465,10 @@ func collectDegrees(conn *accumulo.Connector, table, kernel string, q *telemetry
 }
 
 // TriangleCountTable counts triangles in the graph held by an adjacency
-// table in one fused pass: the edge support (edgeSupportPlan, A² ∘ A on
-// the 0/1 pattern) streams back one whole cell per edge, and every
-// triangle is counted once per directed edge, so the count is
-// Σ support / 6. No scratch table is created.
+// table in one fused pass: the edge support (A² ∘ A on the 0/1 pattern)
+// is summed per row server-side (edgeSupportPlan) and streams back one
+// count per vertex. Every triangle is counted once per directed edge,
+// so the count is Σ support / 6. No scratch table is created.
 func TriangleCountTable(conn *accumulo.Connector, table string) (count float64, err error) {
 	q, done, err := startQuery(conn, "TriangleCount", "")
 	if err != nil {

@@ -63,12 +63,13 @@ type MultOptions struct {
 }
 
 // runPlan compiles and executes a node tree under the kernel's query.
-// A non-nil visit streams a collect's entries to the caller as they
-// arrive instead of accumulating them in the result.
-func runPlan(conn *accumulo.Connector, root *plan.Node, kernel string, q *telemetry.Query, visit func(skv.Entry) error) (*plan.Result, error) {
+// A write plan returns the entry count it wrote; a collect plan streams
+// every entry to visit as it arrives — the kernel folds there — and
+// fails without one.
+func runPlan(conn *accumulo.Connector, root *plan.Node, kernel string, q *telemetry.Query, visit func(skv.Entry) error) (written int, err error) {
 	p, err := plan.Compile(root, plan.Options{Kernel: kernel})
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	return p.Execute(plan.Env{Conn: conn, Query: q, Visit: visit})
 }
@@ -115,11 +116,7 @@ func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts Mu
 			return 0, fmt.Errorf("core: input table %q does not exist", t)
 		}
 	}
-	res, err := runPlan(conn, multPlan(tableAT, tableB, tableC, opts), "TableMult", q, nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.Written, nil
+	return runPlan(conn, multPlan(tableAT, tableB, tableC, opts), "TableMult", q, nil)
 }
 
 // multPlan is TableMult's node tree — one fused scan-mult-fold-write
@@ -230,11 +227,7 @@ func OneTable(conn *accumulo.Connector, tableIn, tableOut string, settings []ite
 // the entry point for composite kernels that own their trace. It runs
 // as a single fused scan-apply-write plan step.
 func oneTableQ(conn *accumulo.Connector, tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint, q *telemetry.Query) (int, error) {
-	res, err := runPlan(conn, oneTablePlan(tableIn, tableOut, settings, c), "OneTable", q, nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.Written, nil
+	return runPlan(conn, oneTablePlan(tableIn, tableOut, settings, c), "OneTable", q, nil)
 }
 
 // oneTablePlan is OneTable's node tree: apply stages fused over the
@@ -264,11 +257,7 @@ func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, c
 		return
 	}
 	defer func() { done(err) }()
-	res, err := runPlan(conn, rowReducePlan(tableIn, tableOut, monoid, colF, colQ, c), "TableRowReduce", q, nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.Written, nil
+	return runPlan(conn, rowReducePlan(tableIn, tableOut, monoid, colF, colQ, c), "TableRowReduce", q, nil)
 }
 
 // rowReducePlan is TableRowReduce's node tree: the reduce fuses over
@@ -295,11 +284,7 @@ func TableAssign(conn *accumulo.Connector, tableIn, tableOut, rowOffset, colOffs
 	if !conn.TableOperations().Exists(tableIn) {
 		return 0, fmt.Errorf("core: input table %q does not exist", tableIn)
 	}
-	res, err := runPlan(conn, assignPlan(tableIn, tableOut, rowOffset, colOffset, c), "TableAssign", q, nil)
-	if err != nil {
-		return 0, err
-	}
-	return res.Written, nil
+	return runPlan(conn, assignPlan(tableIn, tableOut, rowOffset, colOffset, c), "TableAssign", q, nil)
 }
 
 // assignPlan is TableAssign's node tree, shared with Explain.

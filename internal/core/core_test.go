@@ -580,6 +580,58 @@ func TestTriangleCountTable(t *testing.T) {
 	}
 }
 
+// TestTriangleCountShipsOneCountPerVertex: TriangleCount's pass sums
+// the edge support per row on the tablets, so on a four-tablet RMAT
+// graph the client receives exactly one entry per vertex in a triangle
+// (the rows of the in-memory 3-truss), holding Σ_v A(u,v)·A²(u,v) on
+// the 0/1 pattern — not one entry per supported edge.
+func TestTriangleCountShipsOneCountPerVertex(t *testing.T) {
+	conn := testConn(t)
+	g := gen.Dedup(gen.RMAT(gen.Graph500(7, 11)))
+	sch := loadSplitGraph(t, conn, "G", g, quartileSplits(g))
+	adj := gen.AdjacencyPattern(g)
+	want := map[string]float64{}
+	for _, tr := range sparse.SpGEMM(adj, adj, semiring.PlusTimes).Triples() {
+		if adj.At(tr.Row, tr.Col) != 0 {
+			want[schema.VertexName(tr.Row)] += tr.Val
+		}
+	}
+	truss := algo.KTrussAdj(adj, 3)
+	for i := 0; i < truss.Rows(); i++ {
+		if _, ok := want[schema.VertexName(i)]; ok != (truss.RowNNZ(i) > 0) {
+			t.Fatalf("reference disagrees with the 3-truss at vertex %d", i)
+		}
+	}
+	q, done, err := startQuery(conn, "TriangleCount", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	total := 0.0
+	_, err = runPlan(conn, edgeSupportPlan(sch.Table), "TriangleCount", q, func(e skv.Entry) error {
+		if _, dup := got[e.K.Row]; dup {
+			return fmt.Errorf("vertex %s delivered twice", e.K.Row)
+		}
+		v, ok := skv.DecodeFloat(e.V)
+		if !ok {
+			return fmt.Errorf("entry %v: non-numeric %q", e.K, e.V)
+		}
+		got[e.K.Row] = v
+		total += v
+		return nil
+	})
+	done(err)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("delivered %d per-vertex counts, want %d:\ngot  %v\nwant %v", len(got), len(want), got, want)
+	}
+	if tri := algo.TriangleCount(adj); total/6 != tri {
+		t.Fatalf("Σ/6 = %v, want %v triangles", total/6, tri)
+	}
+}
+
 func TestNMFTable(t *testing.T) {
 	conn := testConn(t)
 	corpus := gen.NewTweetCorpus(gen.TweetCorpusConfig{NumTweets: 200, Seed: 3})

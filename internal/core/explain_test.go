@@ -14,8 +14,9 @@ import (
 // still materialise and hoist: every kernel already compiled to one
 // pass there, and the one-pass planner must reproduce those stacks —
 // except kTruss and TriangleCount, which have since moved onto the
-// support stage (a kTruss round writes it into its round table),
-// Jaccard, whose square now runs under plus.and, and
+// support stage (a kTruss round writes it into its round table, and
+// TriangleCount sums it per row before the wire), Jaccard, whose
+// square now runs under plus.and, and
 // degrees, whose reduce now streams back to the client instead of into
 // a table. PageRank's step was added since.
 func TestExplainKernelStacksPinned(t *testing.T) {
@@ -30,8 +31,8 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 	}
 	// kTruss and TriangleCount count support only on edges, each cell
 	// formed whole on the tablet hosting its row, so no fold stage. A
-	// kTruss round writes it into the round table; TriangleCount streams
-	// it back.
+	// kTruss round writes it into the round table; TriangleCount reduces
+	// it to one count per vertex and streams that back.
 	support := iterator.Setting{Name: "support", Priority: 30, Opts: map[string]string{"families": ",edge", "table": "A"}}
 	want := map[string][]iterator.Setting{
 		"mult": {
@@ -48,7 +49,7 @@ func TestExplainKernelStacksPinned(t *testing.T) {
 		"bfs":      nil,
 		"ktruss":   {support, write},
 		"jaccard":  square,
-		"tricount": {support},
+		"tricount": {support, {Name: "rowReduce", Priority: 31, Opts: map[string]string{"colF": "", "colQ": "tri", "monoid": "plus"}}},
 		// PageRank's step scans A and multiplies it against the rank
 		// vector, here the out table.
 		"pagerank": {

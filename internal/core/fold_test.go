@@ -6,6 +6,7 @@ package core
 // of the wire under the folding collect, on every transport.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -181,17 +182,21 @@ func TestFoldingCollectFoldsBeforeTheWire(t *testing.T) {
 		}
 		m := &conn.Cluster().Telemetry().Stats
 		before := m.Get(telemetry.EntriesScanned)
-		res, err := runPlan(conn, adjSquareFoldPlan(sch.Table), "square", q, nil)
+		sq := map[[2]string]float64{}
+		_, err = runPlan(conn, adjSquareFoldPlan(sch.Table), "square", q, func(e skv.Entry) error {
+			v, ok := skv.DecodeFloat(e.V)
+			if !ok {
+				return fmt.Errorf("entry %v: non-numeric %q", e.K, e.V)
+			}
+			sq[[2]string{e.K.Row, e.K.ColQ}] += v
+			return nil
+		})
 		done(err)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if delivered := int(m.Get(telemetry.EntriesScanned) - before); 2*delivered > pp {
 			t.Errorf("%s: A² pass delivered %d entries for %d partial products, want at most half", name, delivered, pp)
-		}
-		sq := map[[2]string]float64{}
-		for c, v := range res.Cells {
-			sq[[2]string{c.Row, c.ColQ}] += v
 		}
 		for _, tr := range sparse.SpGEMM(adj, adj, semiring.PlusTimes).Triples() {
 			if got := sq[[2]string{schema.VertexName(tr.Row), schema.VertexName(tr.Col)}]; got != tr.Val {

@@ -8,6 +8,7 @@ import (
 	"graphulo/internal/assoc"
 	"graphulo/internal/plan"
 	"graphulo/internal/schema"
+	"graphulo/internal/skv"
 )
 
 // PageRankTableResult reports a table-resident PageRank run.
@@ -79,13 +80,17 @@ func PageRankTable(conn *accumulo.Connector, table string, alpha, tol float64, m
 		}
 		// y[u] = Σ_v A[v][u]·x[v]/d[v], multiplied server-side and
 		// ⊕-folded on its way back.
-		res, err := runPlan(conn, rankStepPlan(table, vec), "PageRank", q, nil)
+		walked := make(map[string]float64, len(x))
+		_, err := runPlan(conn, rankStepPlan(table, vec), "PageRank", q, func(e skv.Entry) error {
+			v, ok := skv.DecodeFloat(e.V)
+			if !ok {
+				return fmt.Errorf("core: PageRank: entry %v carries non-numeric rank %q", e.K, string(e.V))
+			}
+			walked[e.K.ColQ] += v
+			return nil
+		})
 		if err != nil {
 			return PageRankTableResult{}, err
-		}
-		walked := make(map[string]float64, len(res.Cells))
-		for c, v := range res.Cells {
-			walked[c.ColQ] += v
 		}
 		// Teleport + dangling mass client-side (O(V) work on the small
 		// vector, per the paper's "summing the vector entries" note).

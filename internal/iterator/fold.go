@@ -28,7 +28,7 @@ const (
 // emits the buffered generation in ascending key order and refills, so
 // a pass over a power-law tablet cannot hold the whole output. Cells
 // that collide across generations or tablets still meet the sink's own
-// ⊕ (the result table's combiner, the client's fold), which ring.Add
+// ⊕ (the result table's combiner, the collect's visitor), which ring.Add
 // must match: results are cell-identical to no fold stage, only the
 // volume downstream shrinks. Non-numeric values cannot fold and pass
 // through. Output ascends within a generation, not across them, so the

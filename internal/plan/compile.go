@@ -35,11 +35,9 @@ const (
 	// SinkWrite streams into a table via RemoteWrite; the client sees
 	// only per-tablet monitoring entries.
 	SinkWrite SinkKind = iota
-	// SinkCollect streams raw entries back to the client.
+	// SinkCollect streams entries back to the client's visitor (Env.Visit),
+	// through the ⊕-fold stage when the step carries one.
 	SinkCollect
-	// SinkCollectFold streams entries back and ⊕-folds them per cell
-	// client-side.
-	SinkCollectFold
 )
 
 // Step is the one compiled server-side pass: a single scan of Source
@@ -144,11 +142,11 @@ func Compile(root *Node, opts Options) (*Plan, error) {
 		step = finalize(c, SinkWrite, root.OutTable, sem, foldBudget(root.PreAggBytes, c))
 		step.Ops = append(step.Ops, "write "+root.OutTable)
 	case OpCollect:
-		sink, budget, label := SinkCollect, 0, "collect"
+		budget, label := 0, "collect"
 		if root.Fold {
-			sink, budget, label = SinkCollectFold, foldBudget(0, c), "collect ⊕-fold"
+			budget, label = foldBudget(0, c), "collect ⊕-fold"
 		}
-		step = finalize(c, sink, "", root.Semiring, budget)
+		step = finalize(c, SinkCollect, "", root.Semiring, budget)
 		step.Ops = append(step.Ops, label+" [streams to client, no scratch table]")
 	}
 	return &Plan{Kernel: opts.Kernel, Step: step}, nil

@@ -13,28 +13,14 @@ import (
 type Env struct {
 	Conn  *accumulo.Connector
 	Query *telemetry.Query
-	// Visit, when set, streams a SinkCollect step's entries to the
-	// caller as they arrive instead of accumulating Result.Entries — so
-	// a collect whose consumer folds (a BFS hop into the visited set, a
-	// table read into an array builder) never materialises the stream.
+	// Visit receives a collect step's entries as they arrive; it is the
+	// client's only share of the work. A consumer that folds — a BFS hop
+	// into the visited set, Jaccard's common-neighbour counts — folds
+	// here, so a collect never materialises its stream. Under
+	// CollectFold the entries are the fold stage's partially summed
+	// cells and Visit finishes the ⊕; a value the fold stage could not
+	// decode reaches it unchanged. A collect without Visit is refused.
 	Visit func(skv.Entry) error
-}
-
-// Cell addresses one output cell of a folding collect.
-type Cell struct {
-	Row, ColF, ColQ string
-}
-
-// Result is what a plan's sink produced.
-type Result struct {
-	// Written is the entry count RemoteWrite reported for a SinkWrite
-	// step (folded cells under a fold stage, raw partial products
-	// without one).
-	Written int
-	// Entries holds a SinkCollect step's stream, in key order.
-	Entries []skv.Entry
-	// Cells holds a SinkCollectFold step's ⊕-folded output.
-	Cells map[Cell]float64
 }
 
 // Execute runs the plan's one pass under its own telemetry span: a
@@ -42,23 +28,29 @@ type Result struct {
 // Scanner/EntryStream machinery, so it behaves identically on inproc,
 // TCP, and external-daemon transports. A pass over explicit ranges (a
 // BFS frontier) is the same one scan: each overlapping tablet serves
-// its clips of every range in a single pass.
-func (p *Plan) Execute(env Env) (*Result, error) {
+// its clips of every range in a single pass. A write step returns the
+// entry count RemoteWrite reported (folded cells under a fold stage,
+// raw partial products without one); a collect step streams to
+// env.Visit and returns 0.
+func (p *Plan) Execute(env Env) (written int, err error) {
 	step := &p.Step
+	if step.Sink == SinkCollect && env.Visit == nil {
+		return 0, fmt.Errorf("plan: %s: a collect needs a visitor", p.Kernel)
+	}
 	span := env.Query.StartSpan(env.Query.RootID(), stepSpanName(step))
 	defer span.End()
 	if step.Sink == SinkWrite {
 		combiner, err := Combiner(step.Semiring)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if err := env.Conn.TableOperations().EnsureCombiner(step.OutTable, combiner); err != nil {
-			return nil, err
+			return 0, err
 		}
 	}
 	sc, err := env.Conn.CreateScanner(step.Source)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	sc.SetTrace(env.Query)
 	if len(step.Constraint.Families) > 0 {
@@ -74,41 +66,26 @@ func (p *Plan) Execute(env Env) (*Result, error) {
 	}
 	st, err := sc.Stream()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	defer st.Close()
-	res := &Result{}
-	switch step.Sink {
-	case SinkWrite:
-		for e, ok := st.Next(); ok; e, ok = st.Next() {
-			v, ok := skv.DecodeFloat(e.V)
-			if !ok {
-				return nil, fmt.Errorf("plan: monitoring entry %v carries undecodable count %q", e.K, string(e.V))
+	for e, ok := st.Next(); ok; e, ok = st.Next() {
+		if step.Sink == SinkCollect {
+			if err := env.Visit(e); err != nil {
+				return 0, err
 			}
-			res.Written += int(v)
+			continue
 		}
-	case SinkCollect:
-		for e, ok := st.Next(); ok; e, ok = st.Next() {
-			if env.Visit != nil {
-				if err := env.Visit(e); err != nil {
-					return nil, err
-				}
-				continue
-			}
-			res.Entries = append(res.Entries, e)
+		v, ok := skv.DecodeFloat(e.V)
+		if !ok {
+			return 0, fmt.Errorf("plan: monitoring entry %v carries undecodable count %q", e.K, string(e.V))
 		}
-	case SinkCollectFold:
-		fold, err := cellFold(step.Semiring, res)
-		if err != nil {
-			return nil, err
-		}
-		for e, ok := st.Next(); ok; e, ok = st.Next() {
-			if err := fold(e); err != nil {
-				return nil, err
-			}
-		}
+		written += int(v)
 	}
-	return res, st.Err()
+	if err := st.Err(); err != nil {
+		return 0, err
+	}
+	return written, nil
 }
 
 // Combiner names the combiner iterator that applies a semiring's ⊕ on
@@ -128,30 +105,6 @@ func Combiner(ringName string) (string, error) {
 	default:
 		return "sum", nil
 	}
-}
-
-// cellFold readies res.Cells and returns the client half of a folding
-// collect: each entry ⊕-folds into its output cell. A value that does
-// not decode is an error naming the key — the fold stage passes such
-// entries through, and dropping one here would silently lose data.
-func cellFold(ringName string, res *Result) (func(skv.Entry) error, error) {
-	ring, ok := semiring.ByName(ringName)
-	if !ok {
-		return nil, fmt.Errorf("plan: unknown semiring %q", ringName)
-	}
-	res.Cells = map[Cell]float64{}
-	return func(e skv.Entry) error {
-		v, ok := skv.DecodeFloat(e.V)
-		if !ok {
-			return fmt.Errorf("plan: folding collect: entry %v carries non-numeric value %q", e.K, string(e.V))
-		}
-		c := Cell{Row: e.K.Row, ColF: e.K.ColF, ColQ: e.K.ColQ}
-		if prev, seen := res.Cells[c]; seen {
-			v = ring.Add(prev, v)
-		}
-		res.Cells[c] = v
-		return nil
-	}, nil
 }
 
 // stepSpanName labels a step's telemetry span with its fused shape.

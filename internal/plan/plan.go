@@ -11,7 +11,9 @@
 // Plans execute through the ordinary scan machinery — Scanner →
 // EntryStream → serveScan — so a fused stack runs identically on the
 // in-process, TCP, and external-daemon transports, exactly like the
-// hand-built kernels it replaces.
+// hand-built kernels it replaces. A pass either writes, returning the
+// count RemoteWrite reported, or streams to its caller's visitor
+// (Env.Visit): the client keeps no result store of its own.
 package plan
 
 import (
@@ -81,10 +83,10 @@ const (
 	// OpWrite streams the upstream entries into a table server-side
 	// (RemoteWrite); under a multiply the fold stage sits below it.
 	OpWrite
-	// OpCollect streams the upstream entries back to the client —
-	// optionally ⊕-folding partial products per output cell, server-side
-	// in the fold stage and finally client-side — instead of
-	// materialising them in a scratch table.
+	// OpCollect streams the upstream entries back to the caller's
+	// visitor instead of materialising them in a scratch table —
+	// optionally through the ⊕-fold stage, which partially sums partial
+	// products per output cell before the wire.
 	OpCollect
 )
 
@@ -128,7 +130,7 @@ type Node struct {
 	// so Aᵀ's tablets read only the matching rfile locality groups.
 	FamiliesAT []string
 	// Semiring names the ⊕.⊗ pair for OpMult, the sink combiner for
-	// OpWrite, and the client-side fold for a folding OpCollect.
+	// OpWrite, and the fold stage's ⊕ for a folding OpCollect.
 	Semiring string
 
 	// OpApply
@@ -208,11 +210,12 @@ func Collect(in *Node) *Node {
 	return &Node{Op: OpCollect, Input: in}
 }
 
-// CollectFold sinks the input stream back to the client, ⊕-folding the
-// entries per output cell under the semiring — the no-scratch-table
-// consumer for a multiply whose result the client needs to read anyway.
-// Under a multiply the fold stage runs in front of the wire, so a tablet
-// pass ships partially summed cells and the client finishes the ⊕.
+// CollectFold sinks the input stream back to the client through the
+// semiring's ⊕-fold stage — the no-scratch-table consumer for a multiply
+// whose result the client needs to read anyway. Under a multiply the
+// fold stage runs in front of the wire, so a tablet pass ships partially
+// summed cells; a cell may still arrive in several parts (from several
+// tablets, or after a spill), and the caller's visitor finishes the ⊕.
 func CollectFold(in *Node, semiring string) *Node {
 	if semiring == "" {
 		semiring = "plus.times"

@@ -102,7 +102,7 @@ func TestCompileRefusesUnfusible(t *testing.T) {
 func TestCompileCollectFoldNeedsNoScratch(t *testing.T) {
 	root := CollectFold(Mult(Scan("A", Constraint{}), "A", "plus.times"), "plus.times")
 	p := compileOK(t, root, Options{Kernel: "square"})
-	if p.Step.Sink != SinkCollectFold || p.Step.OutTable != "" {
+	if p.Step.Sink != SinkCollect || p.Step.OutTable != "" {
 		t.Fatalf("collect-fold over mult should stream to the client, got %+v", p.Step)
 	}
 }
@@ -188,10 +188,12 @@ func TestFoldStagePlacement(t *testing.T) {
 	}
 }
 
-// TestFoldingCollectRefusesNonNumeric: a value the server fold stage
-// passed through because it does not decode must fail the client fold
-// by key, not vanish from the result.
-func TestFoldingCollectRefusesNonNumeric(t *testing.T) {
+// TestFoldingCollectPassesNonNumericToVisitor: the fold stage passes a
+// value it cannot decode through, and a folding collect hands that
+// entry to the caller's visitor unchanged — beside the numeric one —
+// over one range and over many ranges. The visitor, which finishes the
+// ⊕, is where such an entry is refused by key.
+func TestFoldingCollectPassesNonNumericToVisitor(t *testing.T) {
 	mc := accumulo.NewMiniCluster(accumulo.Config{})
 	defer mc.Close()
 	conn := mc.Connector()
@@ -216,12 +218,53 @@ func TestFoldingCollectRefusesNonNumeric(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer done(nil)
-	step := finalize(chain{source: "T"}, SinkCollectFold, "", "plus.times", DefaultPreAggBytes)
+	step := finalize(chain{source: "T"}, SinkCollect, "", "plus.times", DefaultPreAggBytes)
+	if settingNames(step)[0] != "fold" {
+		t.Fatalf("stack %v, want the fold stage ahead of the wire", settingNames(step))
+	}
 	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // one range, many ranges
 		step.Ranges = ranges
-		_, err := (&Plan{Kernel: "test", Step: step}).Execute(Env{Conn: conn, Query: q})
-		if err == nil || !strings.Contains(err.Error(), "b :y") || !strings.Contains(err.Error(), "not-a-number") {
-			t.Fatalf("ranges %v: folding collect over a non-numeric entry returned %v, want an error naming key b :y", ranges, err)
+		got := map[string]string{}
+		_, err := (&Plan{Kernel: "test", Step: step}).Execute(Env{Conn: conn, Query: q, Visit: func(e skv.Entry) error {
+			got[e.K.Row+" "+e.K.ColQ] = string(e.V)
+			return nil
+		}})
+		if err != nil {
+			t.Fatalf("ranges %v: %v", ranges, err)
+		}
+		if want := map[string]string{"a x": "2", "b y": "not-a-number"}; !reflect.DeepEqual(got, want) {
+			t.Fatalf("ranges %v: visitor saw %v, want %v", ranges, got, want)
+		}
+	}
+}
+
+// TestCollectNeedsVisitor: a collect has nowhere to put its entries
+// but the caller's visitor, so Execute refuses one without — plain or
+// folding — before it starts a pass.
+func TestCollectNeedsVisitor(t *testing.T) {
+	mc := accumulo.NewMiniCluster(accumulo.Config{})
+	defer mc.Close()
+	conn := mc.Connector()
+	if err := conn.TableOperations().Create("T"); err != nil {
+		t.Fatal(err)
+	}
+	q, done, err := mc.StartKernelQuery("test", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer done(nil)
+	stats := &mc.Telemetry().Stats
+	for _, root := range []*Node{
+		Collect(Scan("T", Constraint{})),
+		CollectFold(Mult(Scan("T", Constraint{}), "T", "plus.times"), "plus.times"),
+	} {
+		p := compileOK(t, root, Options{Kernel: "read"})
+		before := stats.Get(telemetry.ScansStarted)
+		if _, err := p.Execute(Env{Conn: conn, Query: q}); err == nil || !strings.Contains(err.Error(), "visitor") {
+			t.Fatalf("%s: Execute without a visitor = %v, want an error naming the visitor", p.Step.Ops[len(p.Step.Ops)-1], err)
+		}
+		if started := stats.Get(telemetry.ScansStarted) - before; started != 0 {
+			t.Fatalf("a refused collect started %d scans", started)
 		}
 	}
 }

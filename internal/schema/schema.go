@@ -263,7 +263,8 @@ func (d *D4M) Ingest(records []Record) error {
 }
 
 // Degrees reads Tdeg back as column → count, consuming the scan as a
-// stream.
+// stream. A row with several numeric entries keeps the last; a value
+// that does not decode is skipped.
 func (d *D4M) Degrees() (map[string]float64, error) {
 	sc, err := d.conn.CreateScanner(d.Tdeg)
 	if err != nil {
@@ -273,7 +274,14 @@ func (d *D4M) Degrees() (map[string]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	return st.CollectFloatByRow()
+	defer st.Close()
+	degs := map[string]float64{}
+	for e, ok := st.Next(); ok; e, ok = st.Next() {
+		if v, ok := skv.DecodeFloat(e.V); ok {
+			degs[e.K.Row] = v
+		}
+	}
+	return degs, st.Err()
 }
 
 // Raw reads one record's flattened text back from Traw.
