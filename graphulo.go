@@ -130,7 +130,7 @@ type (
 	// HITSResult holds hub and authority scores.
 	HITSResult = algo.HITSResult
 	// MultOptions configures the server-side TableMult kernel: semiring,
-	// SpRef constraint, and fold-stage budget.
+	// SpRef constraint and tenant.
 	MultOptions = core.MultOptions
 	// ScanConstraint restricts a kernel to a sub-associative-array (the
 	// paper's SpRef): a row band pushed into the scan so only
@@ -612,7 +612,7 @@ func (db *DB) TableMult(tableAT, tableB, tableC, semiringName string) (int, erro
 
 // TableMultOpts is TableMult with full kernel options: the SpRef
 // constraint (row band pushed down to both operands' tablets, column
-// band filtered server-side) and the fold stage's buffer budget.
+// band filtered server-side) and the tenant the query runs under.
 func (db *DB) TableMultOpts(tableAT, tableB, tableC string, opts MultOptions) (int, error) {
 	return core.TableMult(db.conn, tableAT, tableB, tableC, opts)
 }

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"graphulo/internal/gen"
+	"graphulo/internal/sparse"
 )
 
 // runThreeWay executes fn against an inproc cluster, a tcp cluster, and
@@ -50,19 +53,19 @@ func requireAgreement[T any](t *testing.T, results map[string]T) {
 }
 
 // TestRangeConstrainedKernelsThreeWayEquivalence drives the
-// range-constrained TableMult (with and without pre-aggregation, under
-// plus.times and min.plus) and the banded AdjBFS over all three
+// range-constrained TableMult (under plus.times, against an in-memory
+// reference, and under min.plus) and the banded AdjBFS over all three
 // deployments — inproc, tcp, external daemons — demanding identical
 // results everywhere. This is the acceptance claim for SpRef push-down:
 // the constraint changes what is scanned, never what is computed, on
 // any wire.
 func TestRangeConstrainedKernelsThreeWayEquivalence(t *testing.T) {
 	g := PaperGraph()
+	band := ScanConstraint{RowStart: VertexName(2), RowEnd: VertexName(6)}
 	type result struct {
-		bandMult    map[string]string // pre-agg on, banded
-		bandMultOff map[string]string // pre-agg off, banded
-		minPlus     map[string]string
-		bandBFS     map[string]int
+		bandMult map[string]string // plus.times, banded
+		minPlus  map[string]string
+		bandBFS  map[string]int
 	}
 	readTable := func(t *testing.T, db *DB, table string) map[string]string {
 		a, err := db.ReadAssoc(table)
@@ -84,16 +87,11 @@ func TestRangeConstrainedKernelsThreeWayEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, at, _ := tg.Tables()
-		band := ScanConstraint{RowStart: VertexName(2), RowEnd: VertexName(6)}
 		var res result
 		if _, err := db.TableMultOpts(at, a, "Con", MultOptions{Constraint: band}); err != nil {
 			t.Fatal(err)
 		}
 		res.bandMult = readTable(t, db, "Con")
-		if _, err := db.TableMultOpts(at, a, "Coff", MultOptions{Constraint: band, PreAggBytes: -1}); err != nil {
-			t.Fatal(err)
-		}
-		res.bandMultOff = readTable(t, db, "Coff")
 		if _, err := db.TableMultOpts(at, a, "Cmp", MultOptions{Semiring: "min.plus", Constraint: band}); err != nil {
 			t.Fatal(err)
 		}
@@ -109,9 +107,29 @@ func TestRangeConstrainedKernelsThreeWayEquivalence(t *testing.T) {
 	if len(base.bandMult) == 0 || len(base.bandBFS) == 0 {
 		t.Fatalf("inproc run produced empty results: %+v", base)
 	}
-	// Pre-aggregation must be invisible in the results on every wire.
-	if !reflect.DeepEqual(base.bandMult, base.bandMultOff) {
-		t.Errorf("pre-agg on/off disagree:\non:  %v\noff: %v", base.bandMult, base.bandMultOff)
+	// The banded product is Σ over inner rows in the band of A(i,·)ᵀ ⊗
+	// A(i,·), A being its own transpose: the pre-aggregated server result
+	// equals it cell for cell.
+	want := map[string]float64{}
+	rows := map[int][]sparse.Triple{}
+	for _, c := range gen.Adjacency(g).Triples() {
+		if name := VertexName(c.Row); name >= band.RowStart && name < band.RowEnd {
+			rows[c.Row] = append(rows[c.Row], c)
+		}
+	}
+	for _, row := range rows {
+		for _, x := range row {
+			for _, y := range row {
+				want[VertexName(x.Col)+"|"+VertexName(y.Col)] += x.Val * y.Val
+			}
+		}
+	}
+	wantText := map[string]string{}
+	for k, v := range want {
+		wantText[k] = fmt.Sprint(v)
+	}
+	if !reflect.DeepEqual(base.bandMult, wantText) {
+		t.Errorf("banded product:\ngot:  %v\nwant: %v", base.bandMult, wantText)
 	}
 	requireAgreement(t, results)
 }

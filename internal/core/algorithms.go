@@ -190,9 +190,7 @@ func noteScratch(conn *accumulo.Connector) {
 // blocks.
 func adjSquareFoldPlan(table string) *plan.Node {
 	band := schema.EdgeBand()
-	return plan.CollectFold(
-		plan.MultBanded(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band),
-		"plus.and")
+	return plan.Collect(plan.MultBanded(plan.Scan(table, plan.Constraint{Families: band}), table, "plus.and", band))
 }
 
 // edgeSupport is the triangle support of every edge of an adjacency
@@ -219,7 +217,7 @@ func edgeSupportPlan(table string) *plan.Node {
 // trussRoundPlan is one kTruss peel round: the edge support of cur
 // written server-side into the round table next. Shared with Explain.
 func trussRoundPlan(cur, next string) *plan.Node {
-	return plan.Write(edgeSupport(cur), next, "plus.and", 0)
+	return plan.Write(edgeSupport(cur), next)
 }
 
 // KTruss computes the k-truss of the graph stored in an adjacency table

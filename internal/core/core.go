@@ -42,8 +42,8 @@ type ScanConstraint = plan.Constraint
 // MultOptions configures TableMult.
 type MultOptions struct {
 	// Semiring names the ⊕.⊗ pair (default "plus.times"). The ⊗ runs in
-	// the TwoTableIterator; the ⊕ is the summing combiner on the result
-	// table and, before that, the fold stage below RemoteWrite.
+	// the TwoTableIterator; the ⊕ in the fold stage over it and, finally,
+	// in the result table's combiner.
 	Semiring string
 	// Constraint restricts the multiply to a sub-array: RowStart/RowEnd
 	// bound the inner dimension (the rows of both Aᵀ and B — only B
@@ -52,11 +52,6 @@ type MultOptions struct {
 	// rfiles prune too); ColQStart/ColQEnd bound B's column qualifiers,
 	// i.e. C's columns.
 	Constraint ScanConstraint
-	// PreAggBytes bounds the fold stage's buffer. 0 is
-	// DefaultPreAggBytes; negative places no fold stage; a small positive
-	// value forces constant spilling. It is a test hook: results are
-	// cell-identical whatever the value, only write volume changes.
-	PreAggBytes int
 	// Tenant labels the query for budgets and per-tenant telemetry
 	// ("" = the cluster's default tenant).
 	Tenant string
@@ -88,8 +83,8 @@ func startQuery(conn *accumulo.Connector, kernel, tenant string) (*telemetry.Que
 // the TwoTableIterator (⊗ and alignment), the fold stage that ⊕-folds
 // its partial products per output cell, and a RemoteWriteIterator that
 // streams the folded cells into tableC, whose matching combiner
-// performs the final ⊕. Returns the number of entries written into
-// tableC (without a fold stage, the raw partial-product count).
+// performs the final ⊕. Returns the number of folded cells written
+// into tableC.
 //
 // The scan honours opts.Constraint: a row band restricts the inner
 // dimension and is pushed down both to B's tablets and each pass's
@@ -122,9 +117,7 @@ func TableMult(conn *accumulo.Connector, tableAT, tableB, tableC string, opts Mu
 // multPlan is TableMult's node tree — one fused scan-mult-fold-write
 // pass — shared with Explain so the printed plan is the executed plan.
 func multPlan(tableAT, tableB, tableC string, opts MultOptions) *plan.Node {
-	return plan.Write(
-		plan.Mult(plan.Scan(tableB, opts.Constraint), tableAT, opts.Semiring),
-		tableC, opts.Semiring, opts.PreAggBytes)
+	return plan.Write(plan.Mult(plan.Scan(tableB, opts.Constraint), tableAT, opts.Semiring), tableC)
 }
 
 // TableMultClient is the thin-client baseline the Graphulo execution
@@ -231,15 +224,13 @@ func oneTableQ(conn *accumulo.Connector, tableIn, tableOut string, settings []it
 }
 
 // oneTablePlan is OneTable's node tree: apply stages fused over the
-// scan, sunk into the output table with no fold stage (a chain without
-// a multiply carries at most one entry per input cell, so there is
-// nothing to fold).
+// scan, sunk into the output table under a summing combiner.
 func oneTablePlan(tableIn, tableOut string, settings []iterator.Setting, c ScanConstraint) *plan.Node {
 	var n *plan.Node = plan.Scan(tableIn, c)
 	if len(settings) > 0 {
 		n = plan.Apply(n, settings...)
 	}
-	return plan.Write(n, tableOut, "plus.times", 0)
+	return plan.Write(n, tableOut)
 }
 
 // TableRowReduce folds each row of tableIn with the monoid ("plus",
@@ -263,9 +254,7 @@ func TableRowReduce(conn *accumulo.Connector, tableIn, tableOut, monoid, colF, c
 // rowReducePlan is TableRowReduce's node tree: the reduce fuses over
 // the scan (its input is row-sorted), one pass end to end.
 func rowReducePlan(tableIn, tableOut, monoid, colF, colQ string, c ScanConstraint) *plan.Node {
-	return plan.Write(
-		plan.Reduce(plan.Scan(tableIn, c), monoid, colF, colQ),
-		tableOut, "plus.times", 0)
+	return plan.Write(plan.Reduce(plan.Scan(tableIn, c), monoid, colF, colQ), tableOut)
 }
 
 // TableAssign writes a sub-array of tableIn into a destination
@@ -289,9 +278,7 @@ func TableAssign(conn *accumulo.Connector, tableIn, tableOut, rowOffset, colOffs
 
 // assignPlan is TableAssign's node tree, shared with Explain.
 func assignPlan(tableIn, tableOut, rowOffset, colOffset string, c ScanConstraint) *plan.Node {
-	return plan.Write(
-		plan.SpAsgn(plan.Scan(tableIn, c), rowOffset, colOffset),
-		tableOut, "plus.times", 0)
+	return plan.Write(plan.SpAsgn(plan.Scan(tableIn, c), rowOffset, colOffset), tableOut)
 }
 
 // TableSum unions the input tables into tableOut under a summing

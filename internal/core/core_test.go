@@ -699,13 +699,16 @@ func TestTableMultIntoPreCreatedTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Aᵀ has two inner-dimension entries feeding the same output cell,
-	// so C("a0","b0") is a genuine ⊕ of two partial products.
+	// so C("a0","b0") is a genuine ⊕ of two partial products. B is split
+	// between them, so the two products come from two tablet passes and
+	// the ⊕ under test is the table's own combiner.
+	if err := ops.CreateWithSplits("Bpre", []string{"i1"}); err != nil {
+		t.Fatal(err)
+	}
 	inner := []string{"i0", "i1"}
 	loadMatrix(t, conn, "ATpre", inner, []string{"a0"}, [][]float64{{2}, {3}})
 	loadMatrix(t, conn, "Bpre", inner, []string{"b0"}, [][]float64{{5}, {7}})
-	// Pre-aggregation off, so both partial products reach the table and
-	// the ⊕ under test is the table's own combiner.
-	n, err := TableMult(conn, "ATpre", "Bpre", "Cpre", MultOptions{PreAggBytes: -1})
+	n, err := TableMult(conn, "ATpre", "Bpre", "Cpre", MultOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1208,7 +1211,7 @@ func TestCollectMonitorRejectsBadValue(t *testing.T) {
 	}
 	p := &plan.Plan{Kernel: "test", Step: plan.Step{
 		Source: "Mon", Sink: plan.SinkWrite, OutTable: "MonOut",
-		Semiring: "plus.times", Ops: []string{"scan Mon", "write MonOut"},
+		Combiner: "sum", Ops: []string{"scan Mon", "write MonOut"},
 	}}
 	env := plan.Env{Conn: conn}
 	if _, err := p.Execute(env); err == nil {

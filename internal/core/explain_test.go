@@ -18,11 +18,13 @@ import (
 // TriangleCount sums it per row before the wire), Jaccard, whose
 // square now runs under plus.and, and
 // degrees, whose reduce now streams back to the client instead of into
-// a table. PageRank's step was added since.
+// a table. PageRank's step was added since, and the fold stage has
+// moved from priority 89, below the sink, to the slot directly over the
+// twoTable of its multiply.
 func TestExplainKernelStacksPinned(t *testing.T) {
-	fold := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.times"}}
+	fold := iterator.Setting{Name: "fold", Priority: 31, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.times"}}
 	write := iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": "C"}}
-	foldAnd := iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.and"}}
+	foldAnd := iterator.Setting{Name: "fold", Priority: 31, Opts: map[string]string{"bytes": "16777216", "semiring": "plus.and"}}
 	// Jaccard counts common neighbours and degrees on the 0/1 pattern:
 	// the unmasked square under plus.and, folded under plus.and.
 	square := []iterator.Setting{

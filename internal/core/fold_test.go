@@ -3,7 +3,7 @@ package core
 // The fold stage in situ, on counters rather than clocks: the same
 // TwoTable → fold pair must fold as well inside a four-tablet cluster
 // as it does over one in-memory env, under the write sink and in front
-// of the wire under the folding collect, on every transport.
+// of the wire under a collect, on every transport.
 
 import (
 	"fmt"

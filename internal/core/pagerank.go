@@ -121,7 +121,5 @@ func PageRankTable(conn *accumulo.Connector, table string, alpha, tol float64, m
 // tablet's row band at a time. The product y[u] lands in cell (r, u)
 // and streams back ⊕-folded. Shared with Explain.
 func rankStepPlan(table, vec string) *plan.Node {
-	return plan.CollectFold(
-		plan.Mult(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()}), vec, "plus.times"),
-		"plus.times")
+	return plan.Collect(plan.Mult(plan.Scan(table, plan.Constraint{Families: schema.EdgeBand()}), vec, "plus.times"))
 }

@@ -6,10 +6,12 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"graphulo/internal/accumulo"
 	"graphulo/internal/iterator"
+	"graphulo/internal/semiring"
 	"graphulo/internal/skv"
 	"graphulo/internal/telemetry"
 )
@@ -232,13 +234,15 @@ func TestAdjBFSRowBand(t *testing.T) {
 }
 
 // TestPreAggIdenticalResultsAcrossSemirings is the pre-aggregation
-// correctness claim: for ⊕ that is not plain addition (min.plus,
-// or.and) and for plus.times, the folded and unfolded paths produce
-// cell-identical result tables, while the folded path writes fewer
-// entries and counts its folds.
+// correctness claim, for every standard ring — ⊕ that is not plain
+// addition included: the server-side multiply, which folds its partial
+// products before the write, leaves a result table cell-identical to the
+// client-side multiply, which writes every raw product; the server
+// writes fewer entries, and the difference is exactly what it counted
+// as folded.
 func TestPreAggIdenticalResultsAcrossSemirings(t *testing.T) {
-	for _, ring := range []string{"plus.times", "min.plus", "or.and"} {
-		t.Run(ring, func(t *testing.T) {
+	for _, ring := range semiring.Standard() {
+		t.Run(ring.Name, func(t *testing.T) {
 			conn := testConn(t)
 			// 32 inner rows all feeding the same few output cells, so ⊕
 			// genuinely folds many partial products per cell.
@@ -247,12 +251,12 @@ func TestPreAggIdenticalResultsAcrossSemirings(t *testing.T) {
 			loadSplitMatrix(t, conn, "Bp", []string{innerRow(16)}, 32, 4, val)
 
 			m := &conn.Cluster().Telemetry().Stats
-			nOff, err := TableMult(conn, "ATp", "Bp", "Coff", MultOptions{Semiring: ring, PreAggBytes: -1})
+			raw, err := TableMultClient(conn, "ATp", "Bp", "Cclient", MultOptions{Semiring: ring.Name})
 			if err != nil {
 				t.Fatal(err)
 			}
 			foldedBefore := m.Get(telemetry.PartialProductsFolded)
-			nOn, err := TableMult(conn, "ATp", "Bp", "Con", MultOptions{Semiring: ring})
+			written, err := TableMult(conn, "ATp", "Bp", "Cserver", MultOptions{Semiring: ring.Name})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,69 +264,43 @@ func TestPreAggIdenticalResultsAcrossSemirings(t *testing.T) {
 			if folded == 0 {
 				t.Error("pre-aggregation folded nothing")
 			}
-			if nOn >= nOff {
-				t.Errorf("pre-agg wrote %d entries, off wrote %d — no reduction", nOn, nOff)
+			if written >= raw {
+				t.Errorf("server wrote %d entries, client %d raw products — no reduction", written, raw)
 			}
-			if int64(nOff-nOn) != folded {
-				t.Errorf("fold accounting: off-on = %d, PartialProductsFolded = %d", nOff-nOn, folded)
+			if int64(raw-written) != folded {
+				t.Errorf("fold accounting: raw-written = %d, PartialProductsFolded = %d", raw-written, folded)
 			}
-			off := readMatrix(t, conn, "Coff")
-			on := readMatrix(t, conn, "Con")
-			for r, row := range off {
-				for c, v := range row {
-					if math.Abs(on[r][c]-v) > 1e-9 {
-						t.Fatalf("%s: pre-agg C[%s][%s] = %v, want %v", ring, r, c, on[r][c], v)
-					}
-				}
-			}
-			if len(on) != len(off) {
-				t.Fatalf("%s: pre-agg produced %d rows, want %d", ring, len(on), len(off))
+			if client, server := readMatrix(t, conn, "Cclient"), readMatrix(t, conn, "Cserver"); !reflect.DeepEqual(server, client) {
+				t.Fatalf("server result %v, client result %v", server, client)
 			}
 		})
 	}
 }
 
-// TestPreAggSpillAtCapacity forces the fold buffer to spill constantly
-// (capacity smaller than one cell) and checks results are still
-// identical — colliding spill generations meet the table's combiner.
-func TestPreAggSpillAtCapacity(t *testing.T) {
-	conn := testConn(t)
-	val := func(i, j int) float64 { return float64(i%4 + j + 1) }
-	loadSplitMatrix(t, conn, "ATs", nil, 24, 3, val)
-	loadSplitMatrix(t, conn, "Bs", nil, 24, 3, val)
-	if _, err := TableMult(conn, "ATs", "Bs", "Cref", MultOptions{PreAggBytes: -1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := TableMult(conn, "ATs", "Bs", "Cspill", MultOptions{PreAggBytes: 1}); err != nil {
-		t.Fatal(err)
-	}
-	ref := readMatrix(t, conn, "Cref")
-	spill := readMatrix(t, conn, "Cspill")
-	for r, row := range ref {
-		for c, v := range row {
-			if math.Abs(spill[r][c]-v) > 1e-9 {
-				t.Fatalf("spilling C[%s][%s] = %v, want %v", r, c, spill[r][c], v)
-			}
-		}
-	}
-}
-
-// TestRemoteWriteRejectsBadPreAggOptions pins option validation in the
+// TestRemoteWriteRejectsBadPreAggOptions pins validation in the
 // registered fold factory — the one way a pre-aggregation stage is
-// placed under a RemoteWrite sink.
+// placed: bad options, a ring other than the multiply's, and any source
+// but the twoTable stage directly below are refused, and the stack the
+// planner builds is accepted.
 func TestRemoteWriteRejectsBadPreAggOptions(t *testing.T) {
 	conn := testConn(t)
 	loadMatrix(t, conn, "RWin", []string{"r0"}, []string{"c0"}, [][]float64{{1}})
-	for out, opts := range map[string]map[string]string{
-		"RWout":  {"bytes": "nope"},
-		"RWout2": {"bytes": "4096", "semiring": "nope"},
+	twoTable := iterator.Setting{Name: "twoTable", Opts: map[string]string{"tableAT": "RWin", "semiring": "plus.times"}}
+	scale := iterator.Setting{Name: "scale", Opts: map[string]string{"factor": "2"}}
+	fold := func(opts map[string]string) iterator.Setting { return iterator.Setting{Name: "fold", Opts: opts} }
+	for i, c := range []struct {
+		stack []iterator.Setting
+		ok    bool
+	}{
+		{[]iterator.Setting{twoTable, fold(map[string]string{"bytes": "nope"})}, false},
+		{[]iterator.Setting{twoTable, fold(map[string]string{"bytes": "4096", "semiring": "nope"})}, false},
+		{[]iterator.Setting{twoTable, fold(map[string]string{"bytes": "4096", "semiring": "min.plus"})}, false},
+		{[]iterator.Setting{twoTable, scale, fold(map[string]string{"bytes": "4096", "semiring": "plus.times"})}, false},
+		{[]iterator.Setting{fold(map[string]string{"bytes": "4096", "semiring": "plus.times"})}, false},
+		{[]iterator.Setting{twoTable, fold(map[string]string{"bytes": "4096", "semiring": "plus.times"})}, true},
 	} {
-		_, err := OneTable(conn, "RWin", out, []iterator.Setting{
-			{Name: "fold", Priority: 89, Opts: opts},
-			{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": out}},
-		}, ScanConstraint{})
-		if err == nil {
-			t.Errorf("fold options %v accepted", opts)
+		if _, err := OneTable(conn, "RWin", fmt.Sprintf("RWout%d", i), c.stack, ScanConstraint{}); (err == nil) != c.ok {
+			t.Errorf("stack %v: err = %v, want accepted %v", c.stack, err, c.ok)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -21,41 +20,37 @@ const (
 )
 
 // FoldIterator is the bounded ⊕-fold stage the planner places directly
-// below the sink of every multiply chain: partial products fold per
+// over the TwoTableIterator of every multiply: partial products fold per
 // output cell under ring.Add where they are made, so only folded cells
-// cross the write path (RemoteWrite) or the wire (a folding collect).
+// cross the write path (RemoteWrite) or the wire (a collect).
 // When the buffer's estimated footprint reaches the budget the stage
 // emits the buffered generation in ascending key order and refills, so
 // a pass over a power-law tablet cannot hold the whole output. Cells
 // that collide across generations or tablets still meet the sink's own
 // ⊕ (the result table's combiner, the collect's visitor), which ring.Add
 // must match: results are cell-identical to no fold stage, only the
-// volume downstream shrinks. Non-numeric values cannot fold and pass
-// through. Output ascends within a generation, not across them, so the
-// stage feeds order-free sinks, like the TwoTableIterator below it.
-// Absorbed products are counted through the env's Counters.
+// volume downstream shrinks. Output ascends within a generation, not
+// across them, so the stage feeds order-free sinks, like the
+// TwoTableIterator below it. Absorbed products are counted through the
+// env's Counters.
 //
 // The stage folds on interned cell ids, not on keys: a cell is a row id
 // and a column id packed into a uint64, and the buffer is pointer-free.
-// Over a TwoTableIterator the ids are the ones it interned while
-// decoding operand rows, read through TopProduct, so no product is
-// formatted, re-parsed or hashed as text between its ⊗ and its ⊕; over
-// any other source the stage interns each entry's row and (family,
-// qualifier) itself. Names live for one pass (one Seek); each is charged
-// to the budget in the generation that first interns it, beside the
-// generation's cells. Text appears once per emitted cell.
+// The ids are the ones the TwoTableIterator interned while decoding
+// operand rows, read through TopProduct, so no product is formatted,
+// re-parsed or hashed as text between its ⊗ and its ⊕. Names live for
+// one pass (one Seek); each is charged to the budget in the generation
+// that first interns it, beside the generation's cells. Text appears
+// once per emitted cell.
 type FoldIterator struct {
-	src    SKVI
+	src    *TwoTableIterator
 	ring   semiring.Semiring
 	budget int
 	env    Env
 
-	// products is src when that is a TwoTableIterator; names is its
-	// interners then, the stage's own otherwise. charged is the part of
-	// names' bytes already charged to an earlier generation of the pass.
-	products *TwoTableIterator
-	names    *cellNames
-	charged  int
+	// charged is the part of src's name bytes already charged to an
+	// earlier generation of the pass.
+	charged int
 
 	// cells is the generation while it fills, in first-seen order (idx
 	// finds a cell's slot); run is the generation ordered and formatted,
@@ -72,21 +67,14 @@ type foldCell struct {
 	v    float64
 }
 
-// NewFoldIterator wraps src with a fold buffer of about budget bytes
-// (below one cell's worth, every entry is its own generation).
-func NewFoldIterator(src SKVI, ring semiring.Semiring, budget int, env Env) *FoldIterator {
-	f := &FoldIterator{src: src, ring: ring, budget: max(budget, 1), env: env, idx: map[uint64]int32{}}
-	if f.products, _ = src.(*TwoTableIterator); f.products != nil {
-		f.names = &f.products.names
-	} else {
-		f.names = &cellNames{}
-	}
-	return f
+// NewFoldIterator folds src's products in a buffer of about budget bytes
+// (below one cell's worth, every product is its own generation).
+func NewFoldIterator(src *TwoTableIterator, ring semiring.Semiring, budget int, env Env) *FoldIterator {
+	return &FoldIterator{src: src, ring: ring, budget: max(budget, 1), env: env, idx: map[uint64]int32{}}
 }
 
 // Seek implements SKVI.
 func (f *FoldIterator) Seek(rng skv.Range) error {
-	f.names.reset() // a TwoTable source resets again, then re-interns
 	f.charged = 0
 	if err := f.src.Seek(rng); err != nil {
 		return err
@@ -114,42 +102,25 @@ func (f *FoldIterator) absorb(cell uint64, v float64) bool {
 func (f *FoldIterator) fill() error {
 	clear(f.idx)
 	f.cells, f.pos = f.cells[:0], 0
-	var raw []skv.Entry // non-numeric entries, passed through
+	names := &f.src.names
 	bytes, folded := 0, 0
 	for f.src.HasTop() {
-		var cell uint64
-		var v float64
-		numeric := true
-		if f.products != nil {
-			cell, v = f.products.TopProduct()
+		if f.absorb(f.src.TopProduct()) {
+			folded++
 		} else {
-			e := f.src.Top()
-			if v, numeric = skv.DecodeFloat(e.V); numeric {
-				// Fold per logical cell: stamps are assigned at write time.
-				cell = packCell(f.names.row(e.K.Row), f.names.col(e.K.ColF, e.K.ColQ))
-			} else {
-				raw = append(raw, e)
-				bytes += len(e.K.Row) + len(e.K.ColF) + len(e.K.ColQ) + len(e.V) + foldCellOverhead
-			}
-		}
-		if numeric {
-			if f.absorb(cell, v) {
-				folded++
-			} else {
-				bytes += foldCellOverhead
-			}
+			bytes += foldCellOverhead
 		}
 		if err := f.src.Next(); err != nil {
 			return err
 		}
-		// At least one entry per generation, so the stage always advances.
-		if bytes+f.names.bytes()-f.charged >= f.budget {
+		// At least one product per generation, so the stage always advances.
+		if bytes+names.bytes()-f.charged >= f.budget {
 			break
 		}
 	}
-	f.charged = f.names.bytes()
+	f.charged = names.bytes()
 	countFolded(f.env, folded)
-	f.emit(raw)
+	f.emit()
 	return nil
 }
 
@@ -159,8 +130,8 @@ func (f *FoldIterator) fill() error {
 // and each cell's text is formatted once, into chunks the entries share.
 // A chunk is never reused, so an entry stays valid after the stage moves
 // on.
-func (f *FoldIterator) emit(raw []skv.Entry) {
-	rows, cols := &f.names.rows, &f.names.cols
+func (f *FoldIterator) emit() {
+	rows, cols := &f.src.names.rows, &f.src.names.cols
 	rows.startRanking()
 	cols.startRanking()
 	for _, c := range f.cells {
@@ -174,7 +145,7 @@ func (f *FoldIterator) emit(raw []skv.Entry) {
 	}
 	slices.SortFunc(f.cells, func(a, b foldCell) int { return cmp.Compare(a.cell, b.cell) })
 
-	f.run = slices.Grow(f.run[:0], len(f.cells)+len(raw))
+	f.run = slices.Grow(f.run[:0], len(f.cells))
 	var text []byte
 	for _, c := range f.cells {
 		if cap(text)-len(text) < 32 {
@@ -182,25 +153,12 @@ func (f *FoldIterator) emit(raw []skv.Entry) {
 		}
 		n := len(text)
 		text = skv.AppendFloat(text, c.v)
-		row, col := rows.names[rows.used[c.cell>>32]], cols.names[cols.used[uint32(c.cell)]]
 		f.run = append(f.run, skv.Entry{
-			K: skv.Key{Row: row.qual, ColF: col.fam, ColQ: col.qual},
+			K: skv.Key{Row: rows.names[rows.used[c.cell>>32]], ColQ: cols.names[cols.used[uint32(c.cell)]]},
 			V: text[n:len(text):len(text)],
 		})
 	}
-	if len(raw) > 0 {
-		f.run = append(f.run, raw...)
-		sort.Sort(byKey(f.run))
-	}
 }
-
-// byKey sorts in place through indices: a comparison function handed
-// two 80-byte entries by value spends longer copying than comparing.
-type byKey []skv.Entry
-
-func (r byKey) Len() int           { return len(r) }
-func (r byKey) Swap(i, j int)      { r[i], r[j] = r[j], r[i] }
-func (r byKey) Less(i, j int) bool { return skv.Compare(r[i].K, r[j].K) < 0 }
 
 // HasTop implements SKVI.
 func (f *FoldIterator) HasTop() bool { return f.pos < len(f.run) }
@@ -225,22 +183,12 @@ func (f *FoldIterator) TopRun() []skv.Entry {
 	return run
 }
 
-// cellName is an interned cell coordinate: a column's family and
-// qualifier, or a row in qual with fam empty.
-type cellName struct{ fam, qual string }
-
-func compareNames(a, b cellName) int {
-	if c := strings.Compare(a.fam, b.fam); c != 0 {
-		return c
-	}
-	return strings.Compare(a.qual, b.qual)
-}
-
-// interner numbers distinct names densely in first-seen order and
-// tallies their estimated footprint in bytes.
+// interner numbers distinct names — an output cell's row or column
+// qualifier — densely in first-seen order and tallies their estimated
+// footprint in bytes.
 type interner struct {
-	ids   map[cellName]uint32
-	names []cellName
+	ids   map[string]uint32
+	names []string
 	bytes int
 
 	// Ranking scratch: rank[id] is a used name's position in key order,
@@ -249,17 +197,17 @@ type interner struct {
 }
 
 // id returns n's id, interning it first if it is new.
-func (in *interner) id(n cellName) uint32 {
+func (in *interner) id(n string) uint32 {
 	if id, ok := in.ids[n]; ok {
 		return id
 	}
 	if in.ids == nil {
-		in.ids = map[cellName]uint32{}
+		in.ids = map[string]uint32{}
 	}
 	id := uint32(len(in.names))
 	in.ids[n] = id
 	in.names = append(in.names, n)
-	in.bytes += len(n.fam) + len(n.qual) + foldNameOverhead
+	in.bytes += len(n) + foldNameOverhead
 	return id
 }
 
@@ -289,7 +237,7 @@ func (in *interner) mark(id uint32) {
 }
 
 func (in *interner) finishRanking() {
-	slices.SortFunc(in.used, func(a, b uint32) int { return compareNames(in.names[a], in.names[b]) })
+	slices.SortFunc(in.used, func(a, b uint32) int { return strings.Compare(in.names[a], in.names[b]) })
 	for r, id := range in.used {
 		in.rank[id] = uint32(r)
 	}
@@ -301,9 +249,7 @@ type cellNames struct {
 	rows, cols interner
 }
 
-func (n *cellNames) row(r string) uint32    { return n.rows.id(cellName{qual: r}) }
-func (n *cellNames) col(f, q string) uint32 { return n.cols.id(cellName{fam: f, qual: q}) }
-func (n *cellNames) bytes() int             { return n.rows.bytes + n.cols.bytes }
+func (n *cellNames) bytes() int { return n.rows.bytes + n.cols.bytes }
 
 func (n *cellNames) reset() {
 	n.rows.reset()
@@ -312,8 +258,7 @@ func (n *cellNames) reset() {
 
 // key resolves a cell to its key.
 func (n *cellNames) key(cell uint64) skv.Key {
-	col := n.cols.names[uint32(cell)]
-	return skv.Key{Row: n.rows.names[cell>>32].qual, ColF: col.fam, ColQ: col.qual}
+	return skv.Key{Row: n.rows.names[cell>>32], ColQ: n.cols.names[uint32(cell)]}
 }
 
 func packCell(row, col uint32) uint64 { return uint64(row)<<32 | uint64(col) }
@@ -328,6 +273,15 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return NewFoldIterator(src, ring, budget, env), nil
+		// The fold is the ⊕ of the multiply below it: it folds that
+		// multiply's products, under its ring, and nothing else.
+		products, ok := src.(*TwoTableIterator)
+		if !ok {
+			return nil, fmt.Errorf("fold: source is %T, want the twoTable stage directly below", src)
+		}
+		if ring.Name != products.ring.Name {
+			return nil, fmt.Errorf("fold: semiring %s over a %s multiply", ring.Name, products.ring.Name)
+		}
+		return NewFoldIterator(products, ring, budget, env), nil
 	})
 }

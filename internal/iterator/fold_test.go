@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -27,26 +28,51 @@ func (c *countingEnv) WriteEntries(table string, entries []skv.Entry) error {
 	return c.fakeEnv.WriteEntries(table, entries)
 }
 
-// unsortedIter replays entries in the given order: the shape of a
-// partial-product stream, which is not sorted across inner rows.
-type unsortedIter struct {
-	entries []skv.Entry
-	pos     int
+// operands are a multiply's two sides: at the remote Aᵀ (inner row →
+// output row), b the hosted B (inner row → output column).
+type operands struct{ at, b []skv.Entry }
+
+// sorted orders both sides stably, so that entries with equal keys keep
+// their order in every scan and the multiply is deterministic.
+func (o operands) sorted() operands {
+	for _, side := range [][]skv.Entry{o.at, o.b} {
+		sort.SliceStable(side, func(i, j int) bool { return skv.Compare(side[i].K, side[j].K) < 0 })
+	}
+	return o
 }
 
-func (u *unsortedIter) Seek(skv.Range) error { u.pos = 0; return nil }
-func (u *unsortedIter) HasTop() bool         { return u.pos < len(u.entries) }
-func (u *unsortedIter) Top() skv.Entry       { return u.entries[u.pos] }
-func (u *unsortedIter) Next() error          { u.pos++; return nil }
+// multiply is the TwoTableIterator over the operands under ring, its
+// remote side served by env.
+func (o operands) multiply(env *countingEnv, ring semiring.Semiring) *TwoTableIterator {
+	env.tables["AT"] = o.at
+	return NewTwoTableIterator(NewSliceIter(o.b), NewRemoteSourceIterator("AT", env), ring)
+}
 
-// collidingStream is n numeric entries drawn over a small cell space in
-// random order, so most of them collide.
-func collidingStream(rng *rand.Rand, n int) []skv.Entry {
-	out := make([]skv.Entry, n)
-	for i := range out {
-		out[i] = e(fmt.Sprintf("r%02d", rng.Intn(12)), "", fmt.Sprintf("c%02d", rng.Intn(9)), 0, float64(1+rng.Intn(5)))
+// products is every partial product of the operands under ring, in the
+// order the multiply emits them.
+func (o operands) products(t *testing.T, ring semiring.Semiring) []skv.Entry {
+	t.Helper()
+	out, err := Collect(seeked(t, o.multiply(newCountingEnv(), ring)))
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
+}
+
+// collidingOperands is a multiply of 80 inner rows into a 12 × 9 output,
+// so most products collide.
+func collidingOperands(rng *rand.Rand) operands {
+	var o operands
+	for i := 0; i < 80; i++ {
+		inner := fmt.Sprintf("i%02d", i)
+		for _, r := range rng.Perm(12)[:1+rng.Intn(4)] {
+			o.at = append(o.at, e(inner, "", fmt.Sprintf("r%02d", r), 0, float64(1+rng.Intn(5))))
+		}
+		for _, c := range rng.Perm(9)[:1+rng.Intn(4)] {
+			o.b = append(o.b, e(inner, "", fmt.Sprintf("c%02d", c), 0, float64(1+rng.Intn(5))))
+		}
+	}
+	return o.sorted()
 }
 
 // foldCells ⊕-folds entries per logical cell the way the sink's own
@@ -80,17 +106,24 @@ func sameCells(t *testing.T, got, want map[skv.Key]float64) {
 	}
 }
 
-// generations drains a sought fold stage run by run.
-func generations(t *testing.T, f *FoldIterator) [][]skv.Entry {
+// cutGenerations drains a fold stage generation by generation, returning
+// each generation and how many products had been consumed when it was
+// cut: those emitted so far plus those counted folded.
+func cutGenerations(t *testing.T, f *FoldIterator, env *countingEnv) (gens [][]skv.Entry, cuts []int) {
 	t.Helper()
-	var gens [][]skv.Entry
+	emitted, folded := 0, env.folded
+	if err := f.Seek(skv.FullRange()); err != nil {
+		t.Fatal(err)
+	}
 	for f.HasTop() {
-		gens = append(gens, append([]skv.Entry(nil), f.TopRun()...))
+		gen := append([]skv.Entry(nil), f.TopRun()...)
+		emitted += len(gen)
+		gens, cuts = append(gens, gen), append(cuts, emitted+env.folded-folded)
 		if err := f.Next(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return gens
+	return gens, cuts
 }
 
 // TestFoldSpillAtCapacity: a budget of a few cells forces many
@@ -103,13 +136,10 @@ func TestFoldSpillAtCapacity(t *testing.T) {
 		for _, budget := range []int{1, 5 * (6 + foldCellOverhead)} {
 			t.Run(fmt.Sprintf("%s/%dB", ringName, budget), func(t *testing.T) {
 				ring, _ := semiring.ByName(ringName)
-				in := collidingStream(rand.New(rand.NewSource(7)), 600)
+				o := collidingOperands(rand.New(rand.NewSource(7)))
+				in := o.products(t, ring)
 				env := newCountingEnv()
-				f := NewFoldIterator(&unsortedIter{entries: in}, ring, budget, env)
-				if err := f.Seek(skv.FullRange()); err != nil {
-					t.Fatal(err)
-				}
-				gens := generations(t, f)
+				gens, _ := cutGenerations(t, NewFoldIterator(o.multiply(env, ring), ring, budget, env), env)
 				if len(gens) < 20 {
 					t.Fatalf("budget %d B produced %d generations, want many", budget, len(gens))
 				}
@@ -126,7 +156,7 @@ func TestFoldSpillAtCapacity(t *testing.T) {
 					t.Fatalf("emitted %d + folded %d != %d products", len(emitted), env.folded, len(in))
 				}
 				if budget > 1 && env.folded == 0 {
-					t.Fatal("a five-cell buffer over a colliding stream folded nothing")
+					t.Fatal("a five-cell buffer over a colliding multiply folded nothing")
 				}
 				sameCells(t, foldCells(emitted, ring), foldCells(in, ring))
 			})
@@ -134,110 +164,61 @@ func TestFoldSpillAtCapacity(t *testing.T) {
 	}
 }
 
-// TestFoldPassesNonNumericThrough: values that do not decode cannot
-// fold; they come out as they went in, uncounted.
-func TestFoldPassesNonNumericThrough(t *testing.T) {
-	text := func(row, v string) skv.Entry {
-		return skv.Entry{K: skv.Key{Row: row, ColQ: "c", Ts: 3}, V: skv.Value(v)}
-	}
-	in := []skv.Entry{e("b", "", "c", 0, 2), text("a", "x"), e("b", "", "c", 0, 5), text("a", "x"), text("c", "y")}
-	env := newCountingEnv()
-	f := NewFoldIterator(&unsortedIter{entries: in}, semiring.PlusTimes, 1<<20, env)
-	if err := f.Seek(skv.FullRange()); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Collect(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var texts []string
-	for _, en := range got {
-		if _, ok := skv.DecodeFloat(en.V); !ok {
-			texts = append(texts, en.K.Row+"="+string(en.V))
-			if en.K.Ts != 3 {
-				t.Fatalf("pass-through entry %v lost its timestamp", en.K)
-			}
-		}
-	}
-	if fmt.Sprint(texts) != "[a=x a=x c=y]" {
-		t.Fatalf("non-numeric entries came out as %v", texts)
-	}
-	if env.folded != 1 || len(got) != 4 {
-		t.Fatalf("folded %d, emitted %d; want 1 folded (b/c), 4 emitted", env.folded, len(got))
-	}
-	sameCells(t, foldCells(got, semiring.PlusTimes), map[skv.Key]float64{{Row: "b", ColQ: "c"}: 7})
-}
-
 // keyedFold is the fold stage keyed on skv.Key, as it was before cells
 // were interned: the reference the interned stage must equal. It folds
-// one generation's source entries and returns the generation as the
-// stage emits it, with the number of products it absorbed.
+// one generation's products and returns the generation as the stage
+// emits it, with the number of products it absorbed.
 func keyedFold(in []skv.Entry, ring semiring.Semiring) (gen []skv.Entry, folded int) {
 	idx := map[skv.Key]int{}
 	var acc []float64
-	var raw []skv.Entry
 	for _, en := range in {
-		v, ok := skv.DecodeFloat(en.V)
-		if !ok {
-			raw = append(raw, en)
-			continue
-		}
-		k := en.K
-		k.Ts = 0
-		if i, dup := idx[k]; dup {
+		v, _ := skv.DecodeFloat(en.V)
+		if i, dup := idx[en.K]; dup {
 			acc[i] = ring.Add(acc[i], v)
 			folded++
 			continue
 		}
-		idx[k] = len(gen)
-		gen = append(gen, skv.Entry{K: k})
+		idx[en.K] = len(gen)
+		gen = append(gen, skv.Entry{K: en.K})
 		acc = append(acc, v)
 	}
 	for i, v := range acc {
 		gen[i].V = skv.EncodeFloat(v)
 	}
-	gen = append(gen, raw...)
-	sort.Sort(byKey(gen))
+	slices.SortFunc(gen, func(a, b skv.Entry) int { return skv.Compare(a.K, b.K) })
 	return gen, folded
 }
 
-// randomProducts is n entries over a few dozen row and column names of
-// mixed length, so first-seen, length and key order all differ, drawn
-// with heavy repetition so that cells tie. A generic stream also carries
-// column families and, now and then, a value that does not decode (each
-// with its own stamp, as pass-through entries keep theirs).
-func randomProducts(rng *rand.Rand, n int, generic bool) []skv.Entry {
+// randomOperands is a multiply of 150 inner rows over a few dozen output
+// row and column names of mixed length, so first-seen, length and key
+// order all differ, drawn with heavy repetition so that cells tie, and
+// with values that are sometimes zero. Generic operands also carry
+// column families — entries of one inner row that differ only by family
+// make products for one cell within the row — and, now and then, a value
+// that does not decode, which the multiply drops before ⊗.
+func randomOperands(rng *rand.Rand, generic bool) operands {
 	fams := []string{""}
 	if generic {
 		fams = []string{"", "", "deg", "edge"}
 	}
-	out := make([]skv.Entry, n)
-	for i := range out {
-		row, colQ := fmt.Sprintf("r%d", rng.Intn(40)), fmt.Sprintf("c%d", rng.Intn(120))
-		out[i] = e(row, fams[rng.Intn(len(fams))], colQ, 0, float64(rng.Intn(9)-2)/4)
+	entry := func(inner, prefix string, names int) skv.Entry {
+		en := e(inner, fams[rng.Intn(len(fams))], fmt.Sprintf("%s%d", prefix, rng.Intn(names)), 0, float64(rng.Intn(9)-2)/4)
 		if generic && rng.Intn(20) == 0 {
-			out[i].K.Ts = int64(i + 1)
-			out[i].V = skv.Value(fmt.Sprintf("x%d", i))
+			en.V = skv.Value("x")
+		}
+		return en
+	}
+	var o operands
+	for i := 0; i < 150; i++ {
+		inner := fmt.Sprintf("i%03d", i)
+		for n := 1 + rng.Intn(5); n > 0; n-- {
+			o.at = append(o.at, entry(inner, "r", 40))
+		}
+		for n := 1 + rng.Intn(7); n > 0; n-- {
+			o.b = append(o.b, entry(inner, "c", 120))
 		}
 	}
-	return out
-}
-
-// cutGenerations drains a fold stage over src generation by generation,
-// returning each generation and how many source entries had been
-// consumed when it was cut.
-func cutGenerations(t *testing.T, f *FoldIterator, src *unsortedIter) (gens [][]skv.Entry, cuts []int) {
-	t.Helper()
-	if err := f.Seek(skv.FullRange()); err != nil {
-		t.Fatal(err)
-	}
-	for f.HasTop() {
-		gens, cuts = append(gens, append([]skv.Entry(nil), f.TopRun()...)), append(cuts, src.pos)
-		if err := f.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return gens, cuts
+	return o.sorted()
 }
 
 func sameEntries(t *testing.T, what string, got, want []skv.Entry) {
@@ -254,27 +235,27 @@ func sameEntries(t *testing.T, what string, got, want []skv.Entry) {
 
 // TestFoldMatchesKeyedReference: the interned fold emits, generation for
 // generation, exactly what the skv.Key-keyed fold makes of the same
-// source entries — same keys in the same strictly ascending order, same
-// value text, same fold count — under three semirings, at a budget that
-// holds everything and at ones that cut many generations. The generic
-// stream adds column families and non-numeric values, which pass through
-// beside the one cell table. Over a TwoTable source, the one-generation
-// output equals the reference over the products it emits as entries.
+// products — same keys in the same strictly ascending order, same value
+// text, same fold count — under three semirings, at a budget that holds
+// everything and at ones that cut many generations. The generic
+// operands add column families and non-numeric values. Over a
+// power-law multiply, the one-generation output equals the reference
+// over the products the multiply emits as entries.
 func TestFoldMatchesKeyedReference(t *testing.T) {
 	for _, ringName := range []string{"plus.times", "min.plus", "or.and"} {
 		ring, _ := semiring.ByName(ringName)
 		for _, generic := range []bool{false, true} {
 			for _, budget := range []int{1 << 30, 4096, 700, 1} {
 				t.Run(fmt.Sprintf("%s/generic=%v/%dB", ringName, generic, budget), func(t *testing.T) {
-					in := randomProducts(rand.New(rand.NewSource(int64(budget))), 3000, generic)
-					src := &unsortedIter{entries: in}
+					o := randomOperands(rand.New(rand.NewSource(int64(budget))), generic)
+					in := o.products(t, ring)
 					env := newCountingEnv()
-					gens, cuts := cutGenerations(t, NewFoldIterator(src, ring, budget, env), src)
+					gens, cuts := cutGenerations(t, NewFoldIterator(o.multiply(env, ring), ring, budget, env), env)
 					if budget < 1<<20 && len(gens) < 4 {
 						t.Fatalf("%d generations, want several", len(gens))
 					}
 					if cuts[len(cuts)-1] != len(in) {
-						t.Fatalf("generations consumed %d of %d entries", cuts[len(cuts)-1], len(in))
+						t.Fatalf("generations consumed %d of %d products", cuts[len(cuts)-1], len(in))
 					}
 					from, folded := 0, 0
 					for g, gen := range gens {
@@ -295,17 +276,13 @@ func TestFoldMatchesKeyedReference(t *testing.T) {
 		}
 		t.Run(ringName+"/twoTable", func(t *testing.T) {
 			operand, _ := rmatOperand(6)
+			o := operands{at: operand, b: operand}
 			env := newCountingEnv()
-			env.tables["AT"] = operand
-			products, err := Collect(seeked(t, NewTwoTableIterator(NewSliceIter(operand), NewRemoteSourceIterator("AT", env), ring)))
+			got, err := Collect(seeked(t, NewFoldIterator(o.multiply(env, ring), ring, 16<<20, env)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := Collect(seeked(t, NewFoldIterator(NewTwoTableIterator(NewSliceIter(operand), NewRemoteSourceIterator("AT", env), ring), ring, 16<<20, env)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, folded := keyedFold(products, ring)
+			want, folded := keyedFold(o.products(t, ring), ring)
 			sameEntries(t, "fold over TwoTable", got, want)
 			if env.folded != folded {
 				t.Fatalf("counted %d folded, reference %d", env.folded, folded)
@@ -329,25 +306,34 @@ func seeked(t *testing.T, it SKVI) SKVI {
 // it — not where counting cells alone would cut them; a second pass
 // re-interns and cuts the same way.
 func TestFoldChargesInternedNames(t *testing.T) {
-	var in []skv.Entry
-	for i := 0; i < 400; i++ { // every entry a new cell; rows recur, columns do not
-		in = append(in, e(fmt.Sprintf("row%d", i%7), "fam", fmt.Sprintf("c%d", i), 0, 1))
+	var o operands // one product per inner row, each a new cell; rows recur, columns do not
+	for i := 0; i < 400; i++ {
+		inner := fmt.Sprintf("i%03d", i)
+		o.at = append(o.at, e(inner, "", fmt.Sprintf("row%d", i%7), 0, 1))
+		o.b = append(o.b, e(inner, "", fmt.Sprintf("c%d", i), 0, 1))
 	}
+	in := o.products(t, semiring.PlusTimes)
 	const budget = 1000
+	// The multiply interns a product's names as it decodes the product's
+	// inner row: the first on Seek, every other on the Next past the
+	// product before it, so that generation pays for them.
 	predict := func(chargeNames bool) []int {
 		var sizes []int
 		seen := map[string]bool{}
-		bytes, n := 0, 0
-		for _, en := range in {
-			bytes, n = bytes+foldCellOverhead, n+1
-			for nm, size := range map[string]int{
-				"row " + en.K.Row:                    len(en.K.Row),
-				"col " + en.K.ColF + " " + en.K.ColQ: len(en.K.ColF) + len(en.K.ColQ),
-			} {
+		charge := func(en skv.Entry) (bytes int) {
+			for nm, size := range map[string]int{"row " + en.K.Row: len(en.K.Row), "col " + en.K.ColQ: len(en.K.ColQ)} {
 				if chargeNames && !seen[nm] {
 					seen[nm] = true
 					bytes += size + foldNameOverhead
 				}
+			}
+			return bytes
+		}
+		bytes, n := charge(in[0]), 0
+		for i := range in {
+			bytes, n = bytes+foldCellOverhead, n+1
+			if i+1 < len(in) {
+				bytes += charge(in[i+1])
 			}
 			if bytes >= budget {
 				sizes, bytes, n = append(sizes, n), 0, 0
@@ -362,10 +348,10 @@ func TestFoldChargesInternedNames(t *testing.T) {
 	if fmt.Sprint(want) == fmt.Sprint(predict(false)) {
 		t.Fatal("the input does not tell charged names from uncharged ones")
 	}
-	src := &unsortedIter{entries: in}
-	f := NewFoldIterator(src, semiring.PlusTimes, budget, newCountingEnv())
+	env := newCountingEnv()
+	f := NewFoldIterator(o.multiply(env, semiring.PlusTimes), semiring.PlusTimes, budget, env)
 	for pass := 0; pass < 2; pass++ {
-		gens, _ := cutGenerations(t, f, src)
+		gens, _ := cutGenerations(t, f, env)
 		var got []int
 		for _, gen := range gens {
 			got = append(got, len(gen))
@@ -397,13 +383,18 @@ func rmatOperand(scale int) ([]skv.Entry, int) {
 	return entries, pp
 }
 
-// multiplyInto runs TwoTable → [fold →] RemoteWrite over the operand and
-// returns the env holding what was written.
+// multiplyInto runs TwoTable → [fold →] RemoteWrite over the operand,
+// with no fold stage when preAggBytes is 0, and returns the env holding
+// what was written.
 func multiplyInto(t testing.TB, operand []skv.Entry, ring semiring.Semiring, preAggBytes int) *countingEnv {
 	env := newCountingEnv()
 	env.tables["AT"] = operand
 	tt := NewTwoTableIterator(NewSliceIter(operand), NewRemoteSourceIterator("AT", env), ring)
-	if err := NewPreAggRemoteWriteIterator(tt, "C", 0, preAggBytes, ring, env).Seek(skv.FullRange()); err != nil {
+	sink := NewRemoteWriteIterator(tt, "C", 0, env)
+	if preAggBytes > 0 {
+		sink = NewPreAggRemoteWriteIterator(tt, "C", 0, preAggBytes, ring, env)
+	}
+	if err := sink.Seek(skv.FullRange()); err != nil {
 		t.Fatal(err)
 	}
 	return env
@@ -452,9 +443,9 @@ func TestTwoTableCrossAscendsWithoutSort(t *testing.T) {
 		}
 		var row []operand
 		for _, i := range rng.Perm(len(qs)) {
-			row = append(row, operand{id: names.id(cellName{qual: qs[i]}), v: float64(rng.Intn(3))}) // a third are 0
+			row = append(row, operand{id: names.id(qs[i]), v: float64(rng.Intn(3))}) // a third are 0
 		}
-		sort.Slice(row, func(i, j int) bool { return names.names[row[i].id].qual < names.names[row[j].id].qual })
+		sort.Slice(row, func(i, j int) bool { return names.names[row[i].id] < names.names[row[j].id] })
 		return row
 	}
 	for trial := 0; trial < 200; trial++ {

@@ -8,8 +8,7 @@ import "graphulo/internal/skv"
 // j+q) = A(i, j) for string keys. Seek passes through untouched: the
 // scan range addresses the *source* coordinates, so a stage above the
 // remap that re-seeks would seek the wrong keys. The planner therefore
-// refuses any stage over a spAsgn; only the sink (and, over a
-// multiply, the fold stage) sits above it.
+// refuses any stage over a spAsgn; only the sink sits above it.
 type SpAsgnIter struct {
 	src       SKVI
 	rowOffset string

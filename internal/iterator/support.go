@@ -53,7 +53,7 @@ func (s *SupportIterator) Seek(rng skv.Range) error {
 	var row uint32
 	for first := true; it.HasTop(); first = false {
 		e := it.Top()
-		if first || e.K.Row != s.names.names[row].qual {
+		if first || e.K.Row != s.names.names[row] {
 			row = s.vertex(e.K.Row)
 			s.rows[row] = [2]uint32{uint32(len(s.cols)), uint32(len(s.cols))}
 		}
@@ -73,7 +73,7 @@ func (s *SupportIterator) Seek(rng skv.Range) error {
 
 // vertex interns a vertex name, giving a new vertex an empty row.
 func (s *SupportIterator) vertex(name string) uint32 {
-	v := s.names.id(cellName{qual: name})
+	v := s.names.id(name)
 	if int(v) == len(s.rows) {
 		s.rows = append(s.rows, [2]uint32{})
 		s.count = append(s.count, 0)
@@ -110,11 +110,11 @@ func (s *SupportIterator) fill() error {
 		}
 		// Families interleave a row's qualifiers.
 		slices.SortFunc(s.marked, func(a, b uint32) int {
-			return strings.Compare(s.names.names[a].qual, s.names.names[b].qual)
+			return strings.Compare(s.names.names[a], s.names.names[b])
 		})
 		for _, j := range s.marked {
 			if c := s.count[j] - 1; c > 0 {
-				s.out = append(s.out, skv.Entry{K: skv.Key{Row: row, ColQ: s.names.names[j].qual}, V: skv.EncodeFloat(float64(c))})
+				s.out = append(s.out, skv.Entry{K: skv.Key{Row: row, ColQ: s.names.names[j]}, V: skv.EncodeFloat(float64(c))})
 			}
 			s.count[j] = 0
 		}

@@ -51,13 +51,9 @@ func filteredProduct(t *testing.T, a []skv.Entry) map[skv.Key]float64 {
 	env := newFakeEnv()
 	env.tables["A"] = a
 	ring := semiring.PlusAnd
-	f := NewFoldIterator(NewTwoTableIterator(NewSliceIter(a), NewRemoteSourceIterator("A", env), ring), ring, 16<<20, env)
-	if err := f.Seek(skv.FullRange()); err != nil {
+	out, err := Collect(seeked(t, NewFoldIterator(NewTwoTableIterator(NewSliceIter(a), NewRemoteSourceIterator("A", env), ring), ring, 16<<20, env)))
+	if err != nil {
 		t.Fatal(err)
-	}
-	var out []skv.Entry
-	for _, gen := range generations(t, f) {
-		out = append(out, gen...)
 	}
 	stored := map[skv.Key]bool{}
 	for _, en := range a {

@@ -98,7 +98,7 @@ func (r *RemoteSourceIterator) Next() error { return r.inner.Next() }
 // when both operand rows ascend by column qualifier (one family, one
 // version), because the nested loop then visits pairs in key order;
 // across inner rows it does not, so an order-free consumer — the fold
-// stage, RemoteWrite, a folding collect — must sit above it.
+// stage, whose one source this is — must sit above it.
 type TwoTableIterator struct {
 	src    SKVI
 	remote SKVI
@@ -217,7 +217,7 @@ func readRow(it SKVI, row string, dst []operand, names *interner) ([]operand, er
 			break
 		}
 		if v, ok := skv.DecodeFloat(e.V); ok {
-			dst = append(dst, operand{id: names.id(cellName{qual: e.K.ColQ}), v: v})
+			dst = append(dst, operand{id: names.id(e.K.ColQ), v: v})
 		}
 		if err := it.Next(); err != nil {
 			return dst, err
@@ -295,13 +295,10 @@ func NewRemoteWriteIterator(src SKVI, table string, batchSize int, env Env) *Rem
 }
 
 // NewPreAggRemoteWriteIterator builds a write-back sink over a fold
-// stage of at most preAggBytes (0 = no fold stage): fold → write.
-// ring.Add must be the target table's combiner ⊕.
-func NewPreAggRemoteWriteIterator(src SKVI, table string, batchSize, preAggBytes int, ring semiring.Semiring, env Env) *RemoteWriteIterator {
-	if preAggBytes > 0 {
-		src = NewFoldIterator(src, ring, preAggBytes, env)
-	}
-	return NewRemoteWriteIterator(src, table, batchSize, env)
+// stage of about preAggBytes over the multiply: fold → write. ring.Add
+// must be the target table's combiner ⊕.
+func NewPreAggRemoteWriteIterator(src *TwoTableIterator, table string, batchSize, preAggBytes int, ring semiring.Semiring, env Env) *RemoteWriteIterator {
+	return NewRemoteWriteIterator(NewFoldIterator(src, ring, preAggBytes, env), table, batchSize, env)
 }
 
 // flushBatch writes one batch through the env.

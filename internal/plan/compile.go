@@ -20,10 +20,10 @@ func scanOpLabel(source string, c Constraint) string {
 	return "scan " + source + " [cf " + strings.Join(c.Families, ",") + "]"
 }
 
-// DefaultPreAggBytes is the one fixed budget of the ⊕-fold stage below
-// the sink of every multiply chain: 16 MiB holds the distinct output
-// cells one tablet pass of a power-law multiply touches at benchmark
-// scale while keeping the pass memory-bounded. It is not derived from
+// DefaultPreAggBytes is the one fixed budget of the ⊕-fold stage over
+// every multiply: 16 MiB holds the distinct output cells one tablet pass
+// of a power-law multiply touches at benchmark scale while keeping the
+// pass memory-bounded. It is not derived from
 // the operands: the buffer holds *output* cells, which an input-sized
 // estimate undercounts by the multiply's fan-out.
 const DefaultPreAggBytes = 16 << 20
@@ -35,8 +35,7 @@ const (
 	// SinkWrite streams into a table via RemoteWrite; the client sees
 	// only per-tablet monitoring entries.
 	SinkWrite SinkKind = iota
-	// SinkCollect streams entries back to the client's visitor (Env.Visit),
-	// through the ⊕-fold stage when the step carries one.
+	// SinkCollect streams entries back to the client's visitor (Env.Visit).
 	SinkCollect
 )
 
@@ -50,7 +49,9 @@ type Step struct {
 	Settings   []iterator.Setting
 	Sink       SinkKind
 	OutTable   string
-	Semiring   string
+	// Combiner is the write sink's result-table combiner: the ⊕ of the
+	// chain's multiply, or sum without one.
+	Combiner string
 	// Ops labels the operators fused into this step, upstream first,
 	// for explain output. A step with any non-scan operator label is a
 	// fused group.
@@ -100,7 +101,7 @@ type chain struct {
 	ranges     []skv.Range
 	constraint Constraint
 	stages     []stage
-	hasMult    bool
+	ring       string // the multiply's semiring; "" = no multiply
 }
 
 // Compile lowers a node tree into a plan of exactly one server-side
@@ -111,16 +112,17 @@ type chain struct {
 //
 //   - Apply, Reduce, Mult and SpAsgn fuse over a scan and over each
 //     other, in tree order, except as below.
-//   - Nothing but SpAsgn or a sink fuses over a Mult. Its partial
-//     products are neither sorted nor grouped by output row, so a Reduce
-//     or a second Mult cannot align on them, and an Apply would sit
-//     below the ⊕-fold stage and judge unfolded products instead of
-//     cells.
+//   - A Mult is the TwoTableIterator's ⊗ with the bounded ⊕-fold stage
+//     directly over it, both under the Mult's semiring.
+//   - Nothing but SpAsgn or a sink fuses over a Mult. Its folded cells
+//     are neither sorted nor grouped by output row, so a Reduce or a
+//     second Mult cannot align on them, and a cell may still arrive in
+//     several parts, so an Apply would judge partial sums, not cells.
 //   - Nothing but a sink fuses over a SpAsgn: the remap passes seeks
 //     through in source coordinates, so it must be the last stage.
 //   - Write and Collect terminate the stack (RemoteWrite or the wire
-//     back to the client); over a multiply, a Write or folding Collect
-//     gets the bounded ⊕-fold stage directly below it.
+//     back to the client). A Write's combiner is the multiply's ⊕, or
+//     sum for a chain without a multiply.
 func Compile(root *Node, opts Options) (*Plan, error) {
 	if root == nil {
 		return nil, fmt.Errorf("plan: nil root")
@@ -132,23 +134,23 @@ func Compile(root *Node, opts Options) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	var step Step
-	switch root.Op {
-	case OpWrite:
-		sem := root.Semiring
-		if sem == "" {
-			sem = "plus.times"
+	if root.Op == OpCollect {
+		step := finalize(c, SinkCollect, "")
+		label := "collect"
+		if c.ring != "" {
+			label = "collect ⊕-fold"
 		}
-		step = finalize(c, SinkWrite, root.OutTable, sem, foldBudget(root.PreAggBytes, c))
-		step.Ops = append(step.Ops, "write "+root.OutTable)
-	case OpCollect:
-		budget, label := 0, "collect"
-		if root.Fold {
-			budget, label = foldBudget(0, c), "collect ⊕-fold"
-		}
-		step = finalize(c, SinkCollect, "", root.Semiring, budget)
 		step.Ops = append(step.Ops, label+" [streams to client, no scratch table]")
+		return &Plan{Kernel: opts.Kernel, Step: step}, nil
 	}
+	step := finalize(c, SinkWrite, root.OutTable)
+	step.Combiner = "sum"
+	if c.ring != "" {
+		if step.Combiner, err = Combiner(c.ring); err != nil {
+			return nil, err
+		}
+	}
+	step.Ops = append(step.Ops, "write "+root.OutTable)
 	return &Plan{Kernel: opts.Kernel, Step: step}, nil
 }
 
@@ -196,8 +198,14 @@ func compileNode(n *Node) (chain, error) {
 			multOpts["familiesAT"] = iterator.EncodeFamiliesOpt(n.FamiliesAT)
 			label += " [cf " + strings.Join(n.FamiliesAT, ",") + "]"
 		}
-		st = stage{label: label, settings: []iterator.Setting{{Name: "twoTable", Opts: multOpts}}}
-		c.hasMult = true
+		c.stages = append(c.stages, stage{label: label, settings: []iterator.Setting{{Name: "twoTable", Opts: multOpts}}})
+		st = stage{
+			label: fmt.Sprintf("fold ⊕ %s ≤%d MiB", n.Semiring, DefaultPreAggBytes>>20),
+			settings: []iterator.Setting{{Name: "fold", Opts: map[string]string{
+				"semiring": n.Semiring, "bytes": strconv.Itoa(DefaultPreAggBytes),
+			}}},
+		}
+		c.ring = n.Semiring
 	default:
 		return chain{}, fmt.Errorf("plan: unknown operator %d", int(n.Op))
 	}
@@ -215,23 +223,21 @@ func unfusible(n *Node) error {
 	case n.Input.Op != OpMult || n.Op == OpSpAsgn:
 		return nil
 	case n.Op == OpApply:
-		return fmt.Errorf("plan: cannot fuse %s: the apply would sit below the ⊕-fold stage and judge unfolded partial products, not cells (needs a post-fold stage)", pair)
+		return fmt.Errorf("plan: cannot fuse %s: a cell may leave the ⊕-fold stage in several parts, so the apply would judge partial sums, not cells (needs a post-fold stage)", pair)
 	}
-	return fmt.Errorf("plan: cannot fuse %s: partial products are not sorted by output row", pair)
+	return fmt.Errorf("plan: cannot fuse %s: folded cells are not sorted by output row", pair)
 }
 
 // finalize assembles a chain into one executable step: the constraint's
 // column filter at priority 25, the fused stages in chain order from 30
-// upward, the fold stage (preAggBytes > 0) at 89 and — for
-// write sinks — RemoteWrite at 90.
-func finalize(c chain, sink SinkKind, outTable, semiring string, preAggBytes int) Step {
+// upward and — for write sinks — RemoteWrite at 90.
+func finalize(c chain, sink SinkKind, outTable string) Step {
 	step := Step{
 		Source:     c.source,
 		Ranges:     c.ranges,
 		Constraint: c.constraint,
 		Sink:       sink,
 		OutTable:   outTable,
-		Semiring:   semiring,
 		Ops:        []string{scanOpLabel(c.source, c.constraint)},
 	}
 	if colFilter, ok := c.constraint.colSetting(25); ok {
@@ -248,36 +254,10 @@ func finalize(c chain, sink SinkKind, outTable, semiring string, preAggBytes int
 			step.Settings = append(step.Settings, s)
 		}
 	}
-	if preAggBytes > 0 {
-		step.Ops = append(step.Ops, fmt.Sprintf("fold ⊕ %s ≤%s", semiring, byteLabel(preAggBytes)))
-		step.Settings = append(step.Settings, iterator.Setting{Name: "fold", Priority: 89, Opts: map[string]string{
-			"semiring": semiring, "bytes": strconv.Itoa(preAggBytes),
-		}})
-	}
 	if sink == SinkWrite {
 		step.Settings = append(step.Settings, iterator.Setting{Name: "remoteWrite", Priority: 90, Opts: map[string]string{"table": outTable}})
 	}
 	return step
-}
-
-// foldBudget resolves a sink's fold-stage budget: the caller's when
-// positive, none when negative, and otherwise DefaultPreAggBytes under a
-// multiply. Chains without a multiply carry at most one entry per input
-// cell, so there is nothing to fold and no stage is placed.
-func foldBudget(requested int, c chain) int {
-	if requested == 0 && c.hasMult {
-		return DefaultPreAggBytes
-	}
-	return max(requested, 0)
-}
-
-// byteLabel renders a byte budget, in MiB when it is a whole number of
-// them.
-func byteLabel(n int) string {
-	if n%(1<<20) == 0 {
-		return fmt.Sprintf("%d MiB", n>>20)
-	}
-	return fmt.Sprintf("%d B", n)
 }
 
 // applyLabel compresses an Apply node's settings into one label.

@@ -16,10 +16,9 @@ type Env struct {
 	// Visit receives a collect step's entries as they arrive; it is the
 	// client's only share of the work. A consumer that folds — a BFS hop
 	// into the visited set, Jaccard's common-neighbour counts — folds
-	// here, so a collect never materialises its stream. Under
-	// CollectFold the entries are the fold stage's partially summed
-	// cells and Visit finishes the ⊕; a value the fold stage could not
-	// decode reaches it unchanged. A collect without Visit is refused.
+	// here, so a collect never materialises its stream. Over a multiply
+	// the entries are the fold stage's partially summed cells and Visit
+	// finishes the ⊕. A collect without Visit is refused.
 	Visit func(skv.Entry) error
 }
 
@@ -29,9 +28,8 @@ type Env struct {
 // TCP, and external-daemon transports. A pass over explicit ranges (a
 // BFS frontier) is the same one scan: each overlapping tablet serves
 // its clips of every range in a single pass. A write step returns the
-// entry count RemoteWrite reported (folded cells under a fold stage,
-// raw partial products without one); a collect step streams to
-// env.Visit and returns 0.
+// entry count RemoteWrite reported (folded cells under a multiply); a
+// collect step streams to env.Visit and returns 0.
 func (p *Plan) Execute(env Env) (written int, err error) {
 	step := &p.Step
 	if step.Sink == SinkCollect && env.Visit == nil {
@@ -40,11 +38,7 @@ func (p *Plan) Execute(env Env) (written int, err error) {
 	span := env.Query.StartSpan(env.Query.RootID(), stepSpanName(step))
 	defer span.End()
 	if step.Sink == SinkWrite {
-		combiner, err := Combiner(step.Semiring)
-		if err != nil {
-			return 0, err
-		}
-		if err := env.Conn.TableOperations().EnsureCombiner(step.OutTable, combiner); err != nil {
+		if err := env.Conn.TableOperations().EnsureCombiner(step.OutTable, step.Combiner); err != nil {
 			return 0, err
 		}
 	}
@@ -89,8 +83,8 @@ func (p *Plan) Execute(env Env) (written int, err error) {
 }
 
 // Combiner names the combiner iterator that applies a semiring's ⊕ on
-// a result table — the final ⊕ of a write sink, and of any driver that
-// writes partial products itself.
+// a result table — the final ⊕ of a write sink over a multiply, and of
+// any driver that writes partial products itself.
 func Combiner(ringName string) (string, error) {
 	if _, ok := semiring.ByName(ringName); !ok {
 		return "", fmt.Errorf("plan: unknown semiring %q", ringName)

@@ -7,6 +7,9 @@
 // refuses: a chain it cannot run as one pass (a reduce, apply or
 // second multiply over a multiply, any stage over a spAsgn) is a
 // compile error naming the operator pair, never an intermediate table.
+// A Mult names the plan's one semiring: the ⊗ of its TwoTableIterator,
+// the ⊕ of the fold stage over it and a write sink's combiner; the
+// sinks name none.
 //
 // Plans execute through the ordinary scan machinery — Scanner →
 // EntryStream → serveScan — so a fused stack runs identically on the
@@ -69,8 +72,9 @@ const (
 	// OpScan reads a hosted table (optionally a sub-array, optionally an
 	// explicit range set such as a BFS frontier).
 	OpScan Op = iota
-	// OpMult is TableMult's ⊗-and-align stage: the TwoTableIterator over
-	// the hosted stream with a remote Aᵀ operand.
+	// OpMult is TableMult's ⊗-and-⊕ stage: the TwoTableIterator over
+	// the hosted stream with a remote Aᵀ operand, and the ⊕-fold stage
+	// directly over it.
 	OpMult
 	// OpApply runs per-entry iterator settings (scale, threshold,
 	// filters, indicator maps — the Apply/Scale kernels).
@@ -81,12 +85,10 @@ const (
 	// and column offsets — the dual of SpRef.
 	OpSpAsgn
 	// OpWrite streams the upstream entries into a table server-side
-	// (RemoteWrite); under a multiply the fold stage sits below it.
+	// (RemoteWrite) under the combiner of the chain's multiply ring.
 	OpWrite
 	// OpCollect streams the upstream entries back to the caller's
-	// visitor instead of materialising them in a scratch table —
-	// optionally through the ⊕-fold stage, which partially sums partial
-	// products per output cell before the wire.
+	// visitor instead of materialising them in a scratch table.
 	OpCollect
 )
 
@@ -129,8 +131,8 @@ type Node struct {
 	// set (nil = unconstrained): the band rides the nested scan request,
 	// so Aᵀ's tablets read only the matching rfile locality groups.
 	FamiliesAT []string
-	// Semiring names the ⊕.⊗ pair for OpMult, the sink combiner for
-	// OpWrite, and the fold stage's ⊕ for a folding OpCollect.
+	// Semiring names the ⊕.⊗ pair: the ⊗ of the TwoTableIterator, the ⊕
+	// of the fold stage over it and of a write sink's combiner.
 	Semiring string
 
 	// OpApply
@@ -143,11 +145,7 @@ type Node struct {
 	RowOffset, ColOffset string
 
 	// OpWrite
-	OutTable    string
-	PreAggBytes int // fold-stage budget: 0 = DefaultPreAggBytes under a multiply, negative = no fold stage
-
-	// OpCollect
-	Fold bool
+	OutTable string
 }
 
 // Scan reads a table, restricted to the constraint's sub-array.
@@ -162,7 +160,9 @@ func ScanRanges(table string, ranges []skv.Range) *Node {
 }
 
 // Mult multiplies the input stream (the hosted B operand) against the
-// remote Aᵀ table under the named semiring: C ⊕= Aᵀ·B partial products.
+// remote Aᵀ table under the named semiring: the Aᵀ·B partial products,
+// ⊕-folded per output cell in the one bounded fold stage. The ring is
+// the plan's only one: a sink over the chain finishes its ⊕.
 func Mult(in *Node, tableAT, semiring string) *Node {
 	return MultBanded(in, tableAT, semiring, nil)
 }
@@ -194,31 +194,21 @@ func SpAsgn(in *Node, rowOffset, colOffset string) *Node {
 	return &Node{Op: OpSpAsgn, Input: in, RowOffset: rowOffset, ColOffset: colOffset}
 }
 
-// Write sinks the input stream into a table server-side under the
-// semiring's ⊕ combiner. preAggBytes sizes the fold stage below the
-// sink: 0 is DefaultPreAggBytes under a multiply (and no stage
-// otherwise), negative places no fold stage.
-func Write(in *Node, table, semiring string, preAggBytes int) *Node {
-	if semiring == "" {
-		semiring = "plus.times"
-	}
-	return &Node{Op: OpWrite, Input: in, OutTable: table, Semiring: semiring, PreAggBytes: preAggBytes}
+// Write sinks the input stream into a table server-side. The table's
+// combiner is the ⊕ of the chain's multiply, or sum for a chain
+// without one.
+func Write(in *Node, table string) *Node {
+	return &Node{Op: OpWrite, Input: in, OutTable: table}
 }
 
-// Collect sinks the input stream back to the client in arrival order.
+// Collect sinks the input stream back to the client. Over a multiply it
+// ships the fold stage's partially summed cells: a cell may arrive in
+// several parts (from several tablets, or after a spill), and the
+// caller's visitor finishes the ⊕.
 func Collect(in *Node) *Node {
 	return &Node{Op: OpCollect, Input: in}
 }
 
-// CollectFold sinks the input stream back to the client through the
-// semiring's ⊕-fold stage — the no-scratch-table consumer for a multiply
-// whose result the client needs to read anyway. Under a multiply the
-// fold stage runs in front of the wire, so a tablet pass ships partially
-// summed cells; a cell may still arrive in several parts (from several
-// tablets, or after a spill), and the caller's visitor finishes the ⊕.
-func CollectFold(in *Node, semiring string) *Node {
-	if semiring == "" {
-		semiring = "plus.times"
-	}
-	return &Node{Op: OpCollect, Input: in, Fold: true, Semiring: semiring}
-}
+// CollectFold is Collect; the ring is the multiply's. It remains only
+// because the benchmark ladder (bench/ladder.go) still calls it.
+func CollectFold(in *Node, _ string) *Node { return Collect(in) }

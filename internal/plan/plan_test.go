@@ -33,7 +33,7 @@ func TestCompileFusesApplyReduceSpAsgn(t *testing.T) {
 				Apply(Scan("A", Constraint{}), iterator.Setting{Name: "scale", Opts: map[string]string{"factor": "2"}}),
 				"plus", "", "deg"),
 			"p|", ""),
-		"C", "plus.times", -1)
+		"C")
 	p := compileOK(t, root, Options{Kernel: "fuseAll"})
 	if !p.Step.Fused() {
 		t.Fatalf("apply+reduce+spAsgn should be a fused group, got ops %v", p.Step.Ops)
@@ -56,7 +56,7 @@ func TestCompileRefusesUnfusible(t *testing.T) {
 	}
 	reduce := func(in *Node) *Node { return Reduce(in, "plus", "", "deg") }
 	spAsgn := func(in *Node) *Node { return SpAsgn(in, "p|", "q|") }
-	write := func(in *Node) *Node { return Write(in, "C", "plus.times", 0) }
+	write := func(in *Node) *Node { return Write(in, "C") }
 	cases := []struct {
 		name    string
 		root    *Node
@@ -70,7 +70,7 @@ func TestCompileRefusesUnfusible(t *testing.T) {
 		{name: "reduce over spAsgn", root: write(reduce(spAsgn(scan()))), refused: "reduce over spAsgn"},
 		{name: "mult over spAsgn", root: write(mult(spAsgn(scan()))), refused: "mult over spAsgn"},
 		{name: "spAsgn over mult", root: write(spAsgn(mult(scan()))),
-			stack: []string{"twoTable", "spAsgn", "fold", "remoteWrite"}},
+			stack: []string{"twoTable", "fold", "spAsgn", "remoteWrite"}},
 		{name: "mult over apply", root: write(mult(apply(scan()))),
 			stack: []string{"threshold", "twoTable", "fold", "remoteWrite"}},
 		{name: "mult over reduce", root: write(mult(reduce(scan()))),
@@ -100,7 +100,7 @@ func TestCompileRefusesUnfusible(t *testing.T) {
 }
 
 func TestCompileCollectFoldNeedsNoScratch(t *testing.T) {
-	root := CollectFold(Mult(Scan("A", Constraint{}), "A", "plus.times"), "plus.times")
+	root := Collect(Mult(Scan("A", Constraint{}), "A", "plus.times"))
 	p := compileOK(t, root, Options{Kernel: "square"})
 	if p.Step.Sink != SinkCollect || p.Step.OutTable != "" {
 		t.Fatalf("collect-fold over mult should stream to the client, got %+v", p.Step)
@@ -114,14 +114,14 @@ func TestCompileRejectsBadRoots(t *testing.T) {
 	if _, err := Compile(Scan("A", Constraint{}), Options{}); err == nil {
 		t.Fatal("non-sink root must error")
 	}
-	if _, err := Compile(Write(Write(Scan("A", Constraint{}), "B", "", 0), "C", "", 0), Options{}); err == nil {
+	if _, err := Compile(Write(Write(Scan("A", Constraint{}), "B"), "C"), Options{}); err == nil {
 		t.Fatal("sink in the middle of a chain must error")
 	}
 }
 
 func TestConstraintBecomesColRangeSetting(t *testing.T) {
 	c := Constraint{RowStart: "a", RowEnd: "m", ColQStart: "b", ColQEnd: "k"}
-	root := Write(Scan("A", c), "C", "plus.times", -1)
+	root := Write(Scan("A", c), "C")
 	p := compileOK(t, root, Options{Kernel: "band"})
 	step := p.Step
 	found := false
@@ -153,88 +153,47 @@ func settingNames(s Step) []string {
 	return names
 }
 
-// TestFoldStagePlacement: every multiply chain gets the one fold stage
-// directly below its sink — write and folding collect alike, spAsgn
-// included — with the one fixed budget; nothing else does.
+// TestFoldStagePlacement: every multiply gets the one fold stage
+// directly over its twoTable, with the one fixed budget and the Mult's
+// ring — under a write, a spAsgn and a collect alike — and a write
+// sink's combiner is that ring's ⊕; a chain without a multiply gets no
+// fold stage and a summing combiner.
 func TestFoldStagePlacement(t *testing.T) {
 	mult := func() *Node { return Mult(Scan("A", Constraint{}), "AT", "min.plus") }
 	cases := []struct {
-		name  string
-		root  *Node
-		want  []string // the last step's stack
-		bytes int
+		name     string
+		root     *Node
+		want     []string // the step's stack
+		combiner string   // the write sink's; "" for a collect
 	}{
-		{"write", Write(mult(), "C", "min.plus", 0), []string{"twoTable", "fold", "remoteWrite"}, DefaultPreAggBytes},
-		{"write+spAsgn", Write(SpAsgn(mult(), "p|", ""), "C", "min.plus", 0), []string{"twoTable", "spAsgn", "fold", "remoteWrite"}, DefaultPreAggBytes},
-		{"collect-fold", CollectFold(mult(), "min.plus"), []string{"twoTable", "fold"}, DefaultPreAggBytes},
-		{"write, explicit budget", Write(mult(), "C", "min.plus", 4096), []string{"twoTable", "fold", "remoteWrite"}, 4096},
-		{"write, fold off", Write(mult(), "C", "min.plus", -1), []string{"twoTable", "remoteWrite"}, 0},
-		{"raw collect", Collect(mult()), []string{"twoTable"}, 0},
-		{"no multiply", Write(Scan("A", Constraint{}), "C", "plus.times", 0), []string{"remoteWrite"}, 0},
+		{"write", Write(mult(), "C"), []string{"twoTable", "fold", "remoteWrite"}, "min"},
+		{"write+spAsgn", Write(SpAsgn(mult(), "p|", ""), "C"), []string{"twoTable", "fold", "spAsgn", "remoteWrite"}, "min"},
+		{"collect", Collect(mult()), []string{"twoTable", "fold"}, ""},
+		{"no multiply", Write(Scan("A", Constraint{}), "C"), []string{"remoteWrite"}, "sum"},
 	}
 	for _, c := range cases {
 		step := compileOK(t, c.root, Options{Kernel: c.name}).Step
 		if got := settingNames(step); !reflect.DeepEqual(got, c.want) {
 			t.Errorf("%s: stack %v, want %v", c.name, got, c.want)
 		}
-		for _, s := range step.Settings {
-			if s.Name == "fold" && (s.Opts["semiring"] != "min.plus" || s.Opts["bytes"] != strconv.Itoa(c.bytes)) {
+		if step.Combiner != c.combiner {
+			t.Errorf("%s: combiner %q, want %q", c.name, step.Combiner, c.combiner)
+		}
+		for i, s := range step.Settings {
+			if s.Name != "fold" {
+				continue
+			}
+			if s.Opts["semiring"] != "min.plus" || s.Opts["bytes"] != strconv.Itoa(DefaultPreAggBytes) {
 				t.Errorf("%s: fold opts %v", c.name, s.Opts)
 			}
-			if s.Name == "remoteWrite" && (s.Opts["preAggBytes"] != "" || s.Opts["semiring"] != "") {
-				t.Errorf("%s: remoteWrite still carries fold options: %v", c.name, s.Opts)
+			if below := step.Settings[i-1]; below.Name != "twoTable" || s.Priority != below.Priority+1 {
+				t.Errorf("%s: fold at priority %d over %s at %d, want the slot after twoTable", c.name, s.Priority, below.Name, below.Priority)
 			}
 		}
 	}
-}
-
-// TestFoldingCollectPassesNonNumericToVisitor: the fold stage passes a
-// value it cannot decode through, and a folding collect hands that
-// entry to the caller's visitor unchanged — beside the numeric one —
-// over one range and over many ranges. The visitor, which finishes the
-// ⊕, is where such an entry is refused by key.
-func TestFoldingCollectPassesNonNumericToVisitor(t *testing.T) {
-	mc := accumulo.NewMiniCluster(accumulo.Config{})
-	defer mc.Close()
-	conn := mc.Connector()
-	if err := conn.TableOperations().Create("T"); err != nil {
-		t.Fatal(err)
-	}
-	w, err := conn.CreateBatchWriter("T", accumulo.BatchWriterConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.PutFloat("a", "", "x", 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Put("b", "", "y", skv.Value("not-a-number")); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	q, done, err := mc.StartKernelQuery("test", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer done(nil)
-	step := finalize(chain{source: "T"}, SinkCollect, "", "plus.times", DefaultPreAggBytes)
-	if settingNames(step)[0] != "fold" {
-		t.Fatalf("stack %v, want the fold stage ahead of the wire", settingNames(step))
-	}
-	for _, ranges := range [][]skv.Range{nil, {skv.ExactRow("a"), skv.ExactRow("b")}} { // one range, many ranges
-		step.Ranges = ranges
-		got := map[string]string{}
-		_, err := (&Plan{Kernel: "test", Step: step}).Execute(Env{Conn: conn, Query: q, Visit: func(e skv.Entry) error {
-			got[e.K.Row+" "+e.K.ColQ] = string(e.V)
-			return nil
-		}})
-		if err != nil {
-			t.Fatalf("ranges %v: %v", ranges, err)
-		}
-		if want := map[string]string{"a x": "2", "b y": "not-a-number"}; !reflect.DeepEqual(got, want) {
-			t.Fatalf("ranges %v: visitor saw %v, want %v", ranges, got, want)
-		}
+	// A write over an unknown ring has no combiner: refused at compile.
+	if _, err := Compile(Write(Mult(Scan("A", Constraint{}), "AT", "nope"), "C"), Options{}); err == nil {
+		t.Error("a write over an unknown ring compiled")
 	}
 }
 
@@ -256,7 +215,7 @@ func TestCollectNeedsVisitor(t *testing.T) {
 	stats := &mc.Telemetry().Stats
 	for _, root := range []*Node{
 		Collect(Scan("T", Constraint{})),
-		CollectFold(Mult(Scan("T", Constraint{}), "T", "plus.times"), "plus.times"),
+		Collect(Mult(Scan("T", Constraint{}), "T", "plus.times")),
 	} {
 		p := compileOK(t, root, Options{Kernel: "read"})
 		before := stats.Get(telemetry.ScansStarted)
@@ -339,7 +298,7 @@ func TestVisitErrorStopsMultiRangeCollect(t *testing.T) {
 }
 
 func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
-	p := compileOK(t, Write(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "C", "plus.times", 0),
+	p := compileOK(t, Write(Mult(Scan("A", Constraint{}), "AT", "plus.times"), "C"),
 		Options{Kernel: "mult"})
 	out := p.Format()
 	if !strings.HasPrefix(out, "plan mult\n  - fused group: scan A\n") {
@@ -352,7 +311,7 @@ func TestFormatMarksFusedGroupsAndScratch(t *testing.T) {
 		t.Fatalf("Format output missing the fold stage's own line below the mult:\n%s", out)
 	}
 
-	fold := compileOK(t, CollectFold(Mult(Scan("A", Constraint{}), "A", "plus.times"), "plus.times"),
+	fold := compileOK(t, Collect(Mult(Scan("A", Constraint{}), "A", "plus.times")),
 		Options{Kernel: "square"})
 	out = fold.Format()
 	if !strings.Contains(out, "no scratch table") {

@@ -69,6 +69,29 @@ type tabletManifest struct {
 	RFiles []string `json:"rfiles,omitempty"` // oldest first
 }
 
+// check refuses a manifest this package could not have written: a null
+// table or tablet entry, or an rfile name other than one rfileName
+// makes — a name that is not confined to rf/ in particular.
+func (m *manifest) check() error {
+	for name, tm := range m.Tables {
+		if tm == nil {
+			return fmt.Errorf("table %q is null", name)
+		}
+		for _, tb := range tm.Tablets {
+			if tb == nil {
+				return fmt.Errorf("table %q has a null tablet", name)
+			}
+			for _, f := range tb.RFiles {
+				var id int64
+				if _, err := fmt.Sscanf(f, "r%d.rf", &id); err != nil || rfileName(id) != f {
+					return fmt.Errorf("table %q: bad rfile name %q", name, f)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // Dir is an open durable data directory.
 type Dir struct {
 	path  string
@@ -130,6 +153,9 @@ func Open(path string, opts Options) (*Dir, error) {
 	switch {
 	case err == nil:
 		if err := json.Unmarshal(raw, &d.man); err != nil {
+			return nil, fmt.Errorf("store: corrupt manifest: %w", err)
+		}
+		if err := d.man.check(); err != nil {
 			return nil, fmt.Errorf("store: corrupt manifest: %w", err)
 		}
 		if d.man.Tables == nil {

@@ -261,10 +261,10 @@ func TestDropTableDeletesFiles(t *testing.T) {
 	}
 }
 
-// TestMergeRunsDurable drives a size-tiered partial compaction on a
-// durable tablet: the merged group's rfiles are swapped for one file in
-// the manifest, untouched runs keep their files, and recovery sees the
-// same data.
+// TestMergeRunsDurable drives a size-tiered partial compaction through
+// the run bound on a durable tablet: the merged tier's rfiles are
+// swapped for one file in the manifest, untouched runs keep their files,
+// and recovery sees the same data.
 func TestMergeRunsDurable(t *testing.T) {
 	path := t.TempDir()
 	d, err := Open(path, Options{})
@@ -277,30 +277,26 @@ func TestMergeRunsDurable(t *testing.T) {
 	}
 	tab := tablet.NewDurable("", "", 0, stores[0], nil, nil)
 	var want []skv.Entry
-	for i := 0; i < 40; i++ {
-		e := ent(fmt.Sprintf("r%03d", i), int64(i+1), fmt.Sprintf("v%d", i))
-		want = append(want, e)
-		if err := tab.Write([]skv.Entry{e}); err != nil {
-			t.Fatal(err)
-		}
-		if i%10 == 9 { // 4 runs of 10
-			if err := tab.MinorCompact(nil); err != nil {
+	i := 0
+	for _, n := range []int{40, 10, 10, 40} { // a tier of two small runs between large ones
+		for ; n > 0; n-- {
+			e := ent(fmt.Sprintf("r%03d", i), int64(i+1), fmt.Sprintf("v%d", i))
+			want = append(want, e)
+			if err := tab.Write([]skv.Entry{e}); err != nil {
 				t.Fatal(err)
 			}
+			i++
+		}
+		if err := tab.MinorCompact(nil); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if err := tab.MergeRuns(1, 3, nil); err != nil {
+	tab.SetRunBound(tablet.NewRunBound(3, func() func(iterator.SKVI) (iterator.SKVI, error) { return nil }))
+	if err := tab.MinorCompact(nil); err != nil { // nothing to flush; the post-flush step merges
 		t.Fatal(err)
 	}
-	sizes := tab.RunSizes()
-	wantSizes := []int{10, 20, 10}
-	if len(sizes) != len(wantSizes) {
-		t.Fatalf("post-merge run sizes = %v, want %v", sizes, wantSizes)
-	}
-	for i := range wantSizes {
-		if sizes[i] != wantSizes[i] {
-			t.Fatalf("post-merge run sizes = %v, want %v", sizes, wantSizes)
-		}
+	if sizes := fmt.Sprint(tab.RunSizes()); sizes != "[40 20 40]" {
+		t.Fatalf("post-merge run sizes = %s, want [40 20 40]", sizes)
 	}
 	got := scanTablet(t, tab)
 	if len(got) != len(want) {

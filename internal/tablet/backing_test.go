@@ -36,7 +36,23 @@ func TestTabletEmptyResultLeavesNoRun(t *testing.T) {
 			}
 			return tab.MinorCompact(dropAll)
 		}, []int{3, 3, 3}, 9},
-		{"MergeRuns dropping all", func(tab *tablet.Tablet) error { return tab.MergeRuns(1, 3, dropAll) }, []int{3}, 3},
+		{"run-bound merge dropping all", func(tab *tablet.Tablet) error {
+			// The first run is three times the others, so the tier is the
+			// last two.
+			if err := tab.MajorCompact(nil); err != nil {
+				return err
+			}
+			for i := 9; i < 15; i += 3 {
+				if err := tab.Write(rows(i, i+3)); err != nil {
+					return err
+				}
+				if err := tab.MinorCompact(nil); err != nil {
+					return err
+				}
+			}
+			tab.SetRunBound(tablet.NewRunBound(2, func() func(iterator.SKVI) (iterator.SKVI, error) { return dropAll }))
+			return tab.MinorCompact(nil)
+		}, []int{9}, 9},
 		{"MajorCompact dropping all", func(tab *tablet.Tablet) error { return tab.MajorCompact(dropAll) }, []int{}, 0},
 	}
 	for _, tc := range cases {

@@ -367,36 +367,29 @@ func TestPickMergeGroup(t *testing.T) {
 	}
 }
 
-// TestMergeRunsPartial folds a middle run group on an in-memory tablet
-// and checks the untouched runs keep their identity and the scan stays
-// byte-identical.
+// TestMergeRunsPartial folds a middle tier through the run bound on an
+// in-memory tablet: the large runs on both sides keep their sizes, the
+// tier becomes one run in its place, and the scan stays byte-identical.
 func TestMergeRunsPartial(t *testing.T) {
-	tab := New("", "", 8, 1)
-	const n = 40 // 5 runs of 8
-	for i := 0; i < n; i++ {
-		if err := tab.Write([]skv.Entry{seqEntry(i)}); err != nil {
+	tab := New("", "", 0, 1)
+	lo := 0
+	for _, n := range []int{100, 8, 8, 8, 100} {
+		writeSeq(t, tab, lo, lo+n)
+		lo += n
+		if err := tab.MinorCompact(nil); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := tab.WaitFlush(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.RunSizes(); len(got) != 5 {
-		t.Fatalf("run sizes = %v, want 5 runs", got)
+	if got := fmt.Sprint(tab.RunSizes()); got != "[100 8 8 8 100]" {
+		t.Fatalf("run sizes = %s, want [100 8 8 8 100]", got)
 	}
 	before := scanAll(t, tab)
-	if err := tab.MergeRuns(1, 4, nil); err != nil {
+	tab.SetRunBound(NewRunBound(4, noStack))
+	if err := tab.MinorCompact(nil); err != nil { // nothing to flush; the post-flush step merges
 		t.Fatal(err)
 	}
-	want := []int{8, 24, 8}
-	got := tab.RunSizes()
-	if len(got) != len(want) {
-		t.Fatalf("after merge run sizes = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("after merge run sizes = %v, want %v", got, want)
-		}
+	if got := fmt.Sprint(tab.RunSizes()); got != "[100 24 100]" {
+		t.Fatalf("after merge run sizes = %s, want [100 24 100]", got)
 	}
 	after := scanAll(t, tab)
 	if len(after) != len(before) {
@@ -406,10 +399,6 @@ func TestMergeRunsPartial(t *testing.T) {
 		if after[i].K != before[i].K || string(after[i].V) != string(before[i].V) {
 			t.Fatalf("entry %d changed across merge: %v -> %v", i, before[i], after[i])
 		}
-	}
-	// Stale indices must error, not merge the wrong group.
-	if err := tab.MergeRuns(2, 5, nil); err == nil {
-		t.Fatal("MergeRuns with out-of-range group succeeded")
 	}
 }
 

@@ -29,9 +29,9 @@
 // minc stack: a background flush the one SetFlushStack provides,
 // MinorCompact the one its caller passes. MajorCompact is (every
 // frozen memtable, [0,n), the mark of its own rotation) and a
-// size-tiered merge — MergeRuns, or the run bound's post-flush step —
-// is (0, [lo,hi), mark 0: no WAL is touched), both with the table's
-// majc stack; only the run bound's merge reads and writes outside
+// size-tiered merge — the run bound's post-flush step — is (0,
+// [lo,hi), mark 0: no WAL is touched), both with the table's majc
+// stack; only the run bound's merge reads and writes outside
 // compactMu. A tablet given no flush stack (a standalone server's)
 // flushes its memtables unchanged. Every stack is built before
 // compactMu is taken: building one reads the table's metadata, which a
@@ -92,7 +92,6 @@
 package tablet
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 	"sync"
@@ -513,38 +512,6 @@ func (t *Tablet) MajorCompact(stack func(iterator.SKVI) (iterator.SKVI, error)) 
 	return t.replaceLocked(k, 0, n, mark, stack)
 }
 
-// MergeRuns folds the contiguous run group [lo, hi) — positions in the
-// oldest-first run list — into a single run, applying the optional
-// compaction stack. This is the size-tiered partial compaction: the
-// memtable and the runs outside the group are untouched, so merging a
-// tier of small runs never rewrites a large old run the way a full
-// MajorCompact would. The group is contiguous so the merged run keeps
-// its position, preserving newest-shadows-oldest order across the rest
-// of the run list; the compaction stack's ⊕ combiners are associative
-// and commutative, so folding a subset now and the rest at scan time
-// yields the same cells. The WAL is untouched (the group's data is
-// already durable in rfiles).
-//
-// The indices are validated against the current run list under the
-// compaction lock, so a caller working from a stale RunSizes snapshot
-// gets an error rather than merging the wrong group.
-func (t *Tablet) MergeRuns(lo, hi int, stack func(iterator.SKVI) (iterator.SKVI, error)) error {
-	t.compactMu.Lock()
-	defer t.compactMu.Unlock()
-	t.mu.Lock()
-	retired, n := t.retired, len(t.runs)
-	t.mu.Unlock()
-	if retired {
-		return nil // as in MajorCompact: a caller can race a split
-	}
-	if lo < 0 || hi > n || hi-lo < 2 {
-		return fmt.Errorf("tablet: merge group [%d,%d) invalid for %d runs", lo, hi, n)
-	}
-	// Mark 0: a merge drops no WAL segment, so the store skips the
-	// directory listing a drop costs.
-	return t.replaceLocked(0, lo, hi, 0, stack)
-}
-
 // DefaultMergeRatio is the size-similarity bound for tiered picking:
 // runs belong to one tier when the group's largest is at most this
 // multiple of its smallest.
@@ -611,8 +578,13 @@ func (t *Tablet) boundRuns() {
 // picking the tier and swapping the merged run in hold compactMu: runs
 // are immutable, so the merge and its write run outside it, and a flush
 // that comes meanwhile appends its run instead of waiting. A flush
-// never moves the tier; a compaction, MergeRuns or a split that took it
-// meanwhile leaves the merged run dropped and nothing merged.
+// never moves the tier; a compaction or a split that took it meanwhile
+// leaves the merged run dropped and nothing merged. The tier is
+// contiguous, so the merged run keeps its position and newest-shadows-
+// oldest order holds across the run list; the majc stack's ⊕ combiners
+// are associative and commutative, so folding a tier now and the rest
+// at scan time yields the same cells. The WAL is untouched: the tier's
+// data is already durable in rfiles.
 func (t *Tablet) mergeTier(maxRuns int, stack func(iterator.SKVI) (iterator.SKVI, error)) (bool, error) {
 	t.compactMu.Lock()
 	sizes := t.RunSizes()
